@@ -2,11 +2,12 @@ package replica
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,14 +25,6 @@ type EpochRecord struct {
 	Blob []byte
 }
 
-// appendPayload serializes the record into the log/wire payload layout:
-// id, seq, snapshot blob.
-func (r *EpochRecord) appendPayload(buf []byte) []byte {
-	buf = appendString(buf, r.ID)
-	buf = binary.AppendUvarint(buf, r.Seq)
-	return append(buf, r.Blob...)
-}
-
 func parseRecord(payload []byte) (EpochRecord, error) {
 	c := &cursor{b: payload}
 	id, err := c.str("record graph ID")
@@ -45,93 +38,229 @@ func parseRecord(payload []byte) (EpochRecord, error) {
 	return EpochRecord{ID: id, Seq: seq, Blob: c.rest()}, nil
 }
 
-// Log is the append-only epoch history: every record is framed with the
+// parseFrame checks one stored frame's length header and CRC footer and
+// parses its payload; Blob aliases frame.
+func parseFrame(frame []byte) (EpochRecord, error) {
+	length, h := binary.Uvarint(frame)
+	if h <= 0 || length != uint64(len(frame)-h-4) {
+		return EpochRecord{}, fmt.Errorf("%w: stored frame of %d bytes has a bad length header", store.ErrTornRecord, len(frame))
+	}
+	payload := frame[h : len(frame)-4]
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[len(frame)-4:]); got != want {
+		return EpochRecord{}, fmt.Errorf("%w: stored frame CRC mismatch: footer says %08x, payload hashes to %08x", store.ErrTornRecord, want, got)
+	}
+	return parseRecord(payload)
+}
+
+// Log is the append-only epoch history. Every record is framed with the
 // store record codec (varint length + CRC32 per record, DESIGN.md
-// §2.10), held in memory for serving and — when opened with a path —
-// appended durably with an fsync per record. Opening an existing file
-// replays its records and truncates a torn tail (a crash mid-append)
-// at the first damaged record, so the log's readable prefix is always
-// a consistent prefix of the publication history.
+// §2.10) and the frames live in the log file — or, for a log opened
+// without a path, in one in-memory buffer behind the same read/write
+// seam. Memory holds only an index: each record's graph ID, epoch, and
+// the offset and length of its frame. A durable log fsyncs every record
+// before it becomes visible. Opening an existing file indexes its
+// records and truncates a torn tail (a crash mid-append) at the first
+// damaged record, so the log's readable prefix is always a consistent
+// prefix of the publication history.
 type Log struct {
 	mu     sync.Mutex
-	f      *os.File // nil for an in-memory log
-	recs   []EpochRecord
+	data   frameData // the log file, or memFrames for an in-memory log
+	size   int64     // end of the last complete frame
+	index  []logEntry
 	notify chan struct{} // closed and replaced on every append
 	met    *logMetrics
 }
+
+// logEntry locates one record's frame in the log's data.
+type logEntry struct {
+	id  string
+	seq uint64
+	off int64
+	n   int64 // framed length: header, payload and CRC footer
+}
+
+// frameData is the log's byte store: an *os.File for a durable log,
+// memFrames for an in-memory one, closedFrames once a durable log is
+// closed. Only a durable store has a Sync method.
+type frameData interface {
+	io.ReaderAt
+	io.WriterAt
+}
+
+// memFrames holds an in-memory log's frames. Writes only ever extend
+// the buffer; its own lock lets readers copy frames without the log's.
+type memFrames struct {
+	mu sync.Mutex
+	b  []byte
+}
+
+func (m *memFrames) ReadAt(p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if off >= int64(len(m.b)) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.b[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (m *memFrames) WriteAt(p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.b = append(m.b[:off], p...)
+	return len(p), nil
+}
+
+// closedFrames stands in for a closed durable log's file.
+type closedFrames struct{}
+
+func (closedFrames) ReadAt([]byte, int64) (int, error)  { return 0, os.ErrClosed }
+func (closedFrames) WriteAt([]byte, int64) (int, error) { return 0, os.ErrClosed }
 
 // OpenLog opens (or creates) the durable epoch log at path; an empty
 // path yields a purely in-memory log.
 func OpenLog(path string) (*Log, error) {
 	l := &Log{notify: make(chan struct{}), met: newLogMetrics()}
 	if path == "" {
+		l.data = &memFrames{}
 		return l, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	good := 0
-	if len(data) > 0 {
-		under := bytes.NewReader(data)
-		br := bufio.NewReader(under)
-		for {
-			payload, err := store.ReadRecord(br)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Torn tail: keep the clean prefix, drop the damaged rest.
-				break
-			}
-			rec, err := parseRecord(payload)
-			if err != nil {
-				break
-			}
-			l.recs = append(l.recs, rec)
-			good = len(data) - br.Buffered() - under.Len()
-		}
-		l.met.records.Set(int64(len(l.recs)))
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(int64(good)); err != nil {
+	st, err := f.Stat()
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+	src := &failReader{r: io.NewSectionReader(f, 0, st.Size())}
+	l.scan(bufio.NewReader(src), st.Size())
+	if src.err != nil {
+		f.Close()
+		return nil, src.err
+	}
+	// Torn tail: keep the clean prefix, drop the damaged rest.
+	if err := f.Truncate(l.size); err != nil {
 		f.Close()
 		return nil, err
 	}
-	l.f = f
+	l.data = f
+	l.met.records.Set(int64(len(l.index)))
 	return l, nil
 }
 
-// Append adds one record: framed bytes hit the file (fsynced) before
-// the record becomes visible to readers and tailing subscribers, so a
+// failReader records the first read failure other than the end of
+// input, so OpenLog can tell a failing disk from a torn tail.
+type failReader struct {
+	r   io.Reader
+	err error
+}
+
+func (f *failReader) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err != nil && err != io.EOF && f.err == nil {
+		f.err = err
+	}
+	return n, err
+}
+
+// byteCounter counts the bytes a varint header spans, which a
+// non-minimal encoding makes longer than the value needs.
+type byteCounter struct {
+	r *bufio.Reader
+	n int64
+}
+
+func (c *byteCounter) ReadByte() (byte, error) {
+	c.n++
+	return c.r.ReadByte()
+}
+
+// scan indexes the records of a log file of size bytes, read as a
+// stream, checking every CRC. It stops at the first record that is torn,
+// corrupt or runs past the end of the file, leaving l.size at the end of
+// the clean prefix.
+func (l *Log) scan(br *bufio.Reader, size int64) {
+	var payload []byte
+	head := &byteCounter{r: br}
+	for {
+		head.n = 0
+		length, err := binary.ReadUvarint(head)
+		if err != nil {
+			return
+		}
+		// Bound the declared length by the bytes left, so a corrupt
+		// header cannot request an allocation the file cannot back.
+		h := head.n
+		if length > uint64(size-l.size) || l.size+h+int64(length)+4 > size {
+			return
+		}
+		payload = slices.Grow(payload[:0], int(length))[:length]
+		var foot [4]byte
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return
+		}
+		if _, err := io.ReadFull(br, foot[:]); err != nil {
+			return
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(foot[:]) {
+			return
+		}
+		rec, err := parseRecord(payload)
+		if err != nil {
+			return
+		}
+		n := h + int64(length) + 4
+		l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, n: n})
+		l.size += n
+	}
+}
+
+// Append adds one record: its frame — the uvarint payload length, the
+// id/seq prefix, the caller's blob and the payload's CRC32 — is written
+// straight from those pieces, and hits the file (fsynced) before the
+// record becomes visible to readers and tailing subscribers, so a
 // replica can never observe an epoch the primary could lose in a crash.
+// The log keeps no reference to rec.Blob. Append on a closed durable log
+// returns os.ErrClosed.
 func (l *Log) Append(rec EpochRecord) error {
 	t0 := time.Now()
-	frame := store.AppendRecord(nil, rec.appendPayload(nil))
+	prefix := binary.AppendUvarint(appendString(nil, rec.ID), rec.Seq)
+	head := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(prefix)), uint64(len(prefix)+len(rec.Blob)))
+	head = append(head, prefix...)
+	var foot [4]byte
+	binary.LittleEndian.PutUint32(foot[:], crc32.Update(crc32.ChecksumIEEE(prefix), crc32.IEEETable, rec.Blob))
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f != nil {
-		if _, err := l.f.Write(frame); err != nil {
+	// Every piece is written at an explicit offset from the end of the
+	// clean prefix, so a failed append leaves nothing the next one does
+	// not overwrite.
+	end := l.size
+	for _, part := range [][]byte{head, rec.Blob, foot[:]} {
+		if _, err := l.data.WriteAt(part, end); err != nil {
 			return err
 		}
+		end += int64(len(part))
+	}
+	if s, ok := l.data.(interface{ Sync() error }); ok {
 		tSync := time.Now()
-		if err := l.f.Sync(); err != nil {
+		if err := s.Sync(); err != nil {
 			return err
 		}
 		l.met.fsyncLatency.ObserveSince(tSync)
 	}
-	l.recs = append(l.recs, rec)
+	n := end - l.size
+	l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, n: n})
+	l.size = end
 	close(l.notify)
 	l.notify = make(chan struct{})
-	l.met.records.Set(int64(len(l.recs)))
-	l.met.bytes.Add(uint64(len(frame)))
+	l.met.records.Set(int64(len(l.index)))
+	l.met.bytes.Add(uint64(n))
 	l.met.appendLatency.ObserveSince(t0)
 	return nil
 }
@@ -157,21 +286,50 @@ func (l *Log) AppendEpoch(id string, ep *service.Epoch) error {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return len(l.index)
 }
 
-// At returns record i.
-func (l *Log) At(i int) EpochRecord {
+// frame reads record i's stored frame — byte-identical to its wire
+// frame — into buf's storage, growing it as needed.
+func (l *Log) frame(i int, buf []byte) ([]byte, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recs[i]
+	index, data := l.index, l.data
+	l.mu.Unlock()
+	if i < 0 || i >= len(index) {
+		return nil, fmt.Errorf("replica: log record %d out of range [0,%d)", i, len(index))
+	}
+	e := index[i]
+	buf = slices.Grow(buf[:0], int(e.n))[:e.n]
+	if _, err := data.ReadAt(buf, e.off); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// record reads record i back from the log into a fresh buffer.
+func (l *Log) record(i int) (EpochRecord, error) {
+	frame, err := l.frame(i, nil)
+	if err != nil {
+		return EpochRecord{}, err
+	}
+	return parseFrame(frame)
+}
+
+// At returns record i as a fresh copy read from the log. It panics if
+// the read fails — with os.ErrClosed once a durable log is closed.
+func (l *Log) At(i int) EpochRecord {
+	rec, err := l.record(i)
+	if err != nil {
+		panic(fmt.Errorf("replica: reading log record %d: %w", i, err))
+	}
+	return rec
 }
 
 // WaitFor blocks until record i exists (true) or stop closes (false).
 func (l *Log) WaitFor(i int, stop <-chan struct{}) bool {
 	for {
 		l.mu.Lock()
-		if i < len(l.recs) {
+		if i < len(l.index) {
 			l.mu.Unlock()
 			return true
 		}
@@ -189,26 +347,30 @@ func (l *Log) WaitFor(i int, stop <-chan struct{}) bool {
 // restart path of a daemon with a durable -epoch-log: the service comes
 // back at exactly the epoch (number and content) it had published
 // before the crash. Every record is a complete snapshot, not a diff, so
-// only the last record of each graph is decoded and published;
+// only the last record of each graph is read, decoded and published;
 // recovery time is bounded by the number of graphs, not the length of
 // the epoch history.
 func (l *Log) Replay(svc *service.Service) error {
 	l.mu.Lock()
-	recs := l.recs
+	index := l.index
 	l.mu.Unlock()
 	last := make(map[string]int, 8)
-	for i := range recs {
-		last[recs[i].ID] = i
+	for i := range index {
+		last[index[i].id] = i
 	}
-	for i := range recs {
-		if last[recs[i].ID] != i {
+	for i, e := range index {
+		if last[e.id] != i {
 			continue
 		}
-		snap, err := store.Decode(recs[i].Blob)
+		rec, err := l.record(i)
 		if err != nil {
-			return fmt.Errorf("replica: log record %d (%s@%d): %w", i, recs[i].ID, recs[i].Seq, err)
+			return fmt.Errorf("replica: log record %d (%s@%d): %w", i, e.id, e.seq, err)
 		}
-		if err := svc.Publish(recs[i].ID, snap, recs[i].Seq); err != nil {
+		snap, err := store.Decode(rec.Blob)
+		if err != nil {
+			return fmt.Errorf("replica: log record %d (%s@%d): %w", i, e.id, e.seq, err)
+		}
+		if err := svc.Publish(rec.ID, snap, rec.Seq); err != nil {
 			return fmt.Errorf("replica: log record %d: %w", i, err)
 		}
 	}
@@ -231,14 +393,15 @@ func (l *Log) Attach(svc *service.Service) {
 	})
 }
 
-// Close releases the file handle (in-memory logs are a no-op).
+// Close releases the file handle; later appends and reads fail with
+// os.ErrClosed. Closing an in-memory log is a no-op.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	c, ok := l.data.(io.Closer)
+	if !ok {
 		return nil
 	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	l.data = closedFrames{}
+	return c.Close()
 }

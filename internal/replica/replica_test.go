@@ -1,9 +1,13 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -268,6 +272,7 @@ func TestDurableLogRestart(t *testing.T) {
 	if log.Len() != 2 {
 		t.Fatalf("log holds %d records, want 2", log.Len())
 	}
+	second := log.At(1) // re-appended after each torn-tail recovery below
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +330,7 @@ func TestDurableLogRestart(t *testing.T) {
 		}
 		// The truncated tail is gone from disk too: appending after
 		// recovery yields a clean two-record log.
-		if err := torn.Append(EpochRecord{ID: "g", Seq: 1, Blob: log.At(1).Blob}); err != nil {
+		if err := torn.Append(second); err != nil {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
 		torn.Close()
@@ -341,6 +346,304 @@ func TestDurableLogRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// appendPayload is the reference log/wire payload layout — id, seq,
+// snapshot blob — that stored and streamed frames are pinned to.
+func (r *EpochRecord) appendPayload(buf []byte) []byte {
+	buf = appendString(buf, r.ID)
+	buf = binary.AppendUvarint(buf, r.Seq)
+	return append(buf, r.Blob...)
+}
+
+// openLogs returns an in-memory and a durable log, by name, and the
+// durable log's path.
+func openLogs(t *testing.T) (map[string]*Log, string) {
+	t.Helper()
+	durable := filepath.Join(t.TempDir(), "epochs.log")
+	logs := map[string]*Log{}
+	for name, path := range map[string]string{"memory": "", "durable": durable} {
+		l, err := OpenLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		logs[name] = l
+	}
+	return logs, durable
+}
+
+// TestClosedLogRefusesAppendAndAt pins that a closed durable log fails
+// loudly: an append after Close must not land only in memory and report
+// success, and a read must not serve what the log no longer backs.
+func TestClosedLogRefusesAppendAndAt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "epochs.log")
+	log, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := EpochRecord{ID: "g", Seq: 0, Blob: []byte("epoch zero")}
+	if err := log.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(EpochRecord{ID: "g", Seq: 1, Blob: []byte("epoch one")}); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Append after Close: %v, want os.ErrClosed", err)
+	}
+	if log.Len() != 1 {
+		t.Fatalf("closed log holds %d records, want 1", log.Len())
+	}
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("At after Close raised %v, want os.ErrClosed", err)
+			}
+		}()
+		log.At(0)
+	}()
+	if err := log.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	again, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Len() != 1 {
+		t.Fatalf("reopened log holds %d records, want 1", again.Len())
+	}
+}
+
+// TestLogDoesNotAliasBlobs pins that the log owns its bytes: a caller
+// mutating a blob after Append, or mutating what At returned, changes
+// nothing the log serves.
+func TestLogDoesNotAliasBlobs(t *testing.T) {
+	logs, _ := openLogs(t)
+	for name, log := range logs {
+		blob := []byte("epoch zero snapshot")
+		if err := log.Append(EpochRecord{ID: "g", Seq: 0, Blob: blob}); err != nil {
+			t.Fatal(err)
+		}
+		copy(blob, "XXXX")
+		got := log.At(0)
+		if string(got.Blob) != "epoch zero snapshot" {
+			t.Fatalf("%s: At(0) = %q after the caller mutated its blob", name, got.Blob)
+		}
+		copy(got.Blob, "YYYY")
+		if again := log.At(0); string(again.Blob) != "epoch zero snapshot" {
+			t.Fatalf("%s: At(0) = %q after mutating an earlier At result", name, again.Blob)
+		}
+	}
+}
+
+// TestTailFramesMatchRecordCodec pins the file and wire formats: every
+// frame the tail stream ships, and the durable file itself, are
+// byte-identical to the store record codec applied to the record's
+// payload, for in-memory and durable logs alike.
+func TestTailFramesMatchRecordCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var recs []EpochRecord
+	for i, size := range []int{0, 1, 127, 300, 70_000} { // payload lengths cross varint widths
+		blob := make([]byte, size)
+		rng.Read(blob)
+		recs = append(recs, EpochRecord{ID: string(rune('a' + i%2)), Seq: uint64(i / 2), Blob: blob})
+	}
+	var file []byte
+	for _, rec := range recs {
+		file = store.AppendRecord(file, rec.appendPayload(nil))
+	}
+	logs, durablePath := openLogs(t)
+	for name, log := range logs {
+		t.Run(name, func(t *testing.T) {
+			for _, rec := range recs {
+				if err := log.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv := NewServer(service.New(), log, ServerOptions{})
+			if err := srv.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(store.AppendRecord(nil, tailRequest(0))); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			got := make([]byte, len(file))
+			if _, err := io.ReadFull(conn, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, file) {
+				t.Fatal("tail stream differs from the record codec's frames")
+			}
+		})
+	}
+	got, err := os.ReadFile(durablePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, file) {
+		t.Fatal("durable log file differs from the concatenated record codec frames")
+	}
+}
+
+// TestLogReadsCommittedFile pins the file format against a committed
+// log: testdata/epochs.log (two graphs, five epochs) was written by the
+// earlier log implementation that kept every record in memory, and
+// testdata/epochs-appended.log is the same file after that
+// implementation reopened it and appended one record. The current log
+// must reopen and replay the first, and appending the same record must
+// produce the second byte for byte.
+func TestLogReadsCommittedFile(t *testing.T) {
+	data, err := os.ReadFile("testdata/epochs.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/epochs-appended.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "epochs.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if log.Len() != 5 {
+		t.Fatalf("committed log reopens with %d records, want 5", log.Len())
+	}
+	var frames []byte
+	last := map[string]EpochRecord{}
+	for i := 0; i < log.Len(); i++ {
+		rec := log.At(i)
+		frames = store.AppendRecord(frames, rec.appendPayload(nil))
+		last[rec.ID] = rec
+	}
+	if !bytes.Equal(frames, data) {
+		t.Fatal("records read back do not re-frame to the committed file")
+	}
+	svc := service.New()
+	if err := log.Replay(svc); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		ep, err := svc.Epoch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := store.Decode(last[id].Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep.Seq != last[id].Seq || !sameBits(ep.Advice, snap.Advice) {
+			t.Fatalf("%s: replayed epoch %d, want the last record's epoch %d and advice", id, ep.Seq, last[id].Seq)
+		}
+	}
+	tail := log.At(log.Len() - 1)
+	if err := log.Append(EpochRecord{ID: tail.ID, Seq: tail.Seq + 1, Blob: tail.Blob}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("appending to the committed log produced bytes other than the committed appended file")
+	}
+}
+
+func sameBits(a, b []*bitstring.BitString) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzOpenLog feeds arbitrary file bytes to OpenLog, the log's
+// untrusted boundary: recovery never panics, keeps a prefix of the
+// file, is stable under a reopen, and leaves a log that accepts and
+// keeps one more record.
+func FuzzOpenLog(f *testing.F) {
+	committed, err := os.ReadFile("testdata/epochs.log")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(committed)
+	f.Add(committed[:len(committed)-3])
+	f.Add(append(store.AppendRecord(nil, []byte{1, 'g', 0, 'x'}), 0x80, 0x80))
+	f.Add([]byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00}) // non-minimal zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})       // length far past the file
+	appended := EpochRecord{ID: "fuzz", Seq: 1, Blob: []byte("appended after recovery")}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "epochs.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, err := OpenLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := log.Len()
+		recs := make([]EpochRecord, n)
+		for i := range recs {
+			recs[i] = log.At(i)
+		}
+		log.Close()
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("recovery kept %d bytes that are not a prefix of the %d-byte input", len(kept), len(data))
+		}
+
+		again, err := OpenLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Len() != n {
+			t.Fatalf("reopen recovers %d records, first open %d", again.Len(), n)
+		}
+		for i, want := range recs {
+			if got := again.At(i); got.ID != want.ID || got.Seq != want.Seq || !bytes.Equal(got.Blob, want.Blob) {
+				t.Fatalf("record %d: reopen reads %s@%d (%d bytes), first open %s@%d (%d bytes)",
+					i, got.ID, got.Seq, len(got.Blob), want.ID, want.Seq, len(want.Blob))
+			}
+		}
+		if err := again.Append(appended); err != nil {
+			t.Fatal(err)
+		}
+		again.Close()
+
+		third, err := OpenLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer third.Close()
+		if third.Len() != n+1 {
+			t.Fatalf("after recovery and one append the log reopens with %d records, want %d", third.Len(), n+1)
+		}
+		if got := third.At(n); got.ID != appended.ID || got.Seq != appended.Seq || !bytes.Equal(got.Blob, appended.Blob) {
+			t.Fatalf("appended record reads back as %s@%d %q", got.ID, got.Seq, got.Blob)
+		}
+	})
 }
 
 // TestClientFailover pins the read path under a dying endpoint: with a

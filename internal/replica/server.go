@@ -170,8 +170,13 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 func (s *Server) writeFrame(conn net.Conn, payload []byte) bool {
+	return writeFramed(conn, store.AppendRecord(nil, payload))
+}
+
+// writeFramed writes one already-framed record.
+func writeFramed(conn net.Conn, frame []byte) bool {
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := conn.Write(store.AppendRecord(nil, payload))
+	_, err := conn.Write(frame)
 	return err == nil
 }
 
@@ -263,7 +268,10 @@ func serviceErrReply(err error) []byte {
 // requested index onward, then each new record as it is appended, until
 // the connection dies or the server closes. Records ship in log order
 // on one connection — the transport-level half of the consistent-prefix
-// guarantee.
+// guarantee. A stored log frame is byte-identical to its wire frame, so
+// each record is read into one buffer reused for the whole session and
+// written unchanged; a failed read ends the stream, and the follower
+// reconnects.
 func (s *Server) streamLog(conn net.Conn, c *cursor) {
 	if s.log == nil {
 		s.met.frame("tail", "error", 0)
@@ -277,16 +285,19 @@ func (s *Server) streamLog(conn net.Conn, c *cursor) {
 		return
 	}
 	s.met.frame("tail", "ok", 0)
+	var frame []byte
 	for i := int(after); ; i++ {
 		if !s.log.WaitFor(i, s.stop) {
 			return
 		}
-		rec := s.log.At(i)
-		frame := rec.appendPayload(nil)
-		if !s.writeFrame(conn, frame) {
+		if frame, err = s.log.frame(i, frame); err != nil {
 			return
 		}
+		if !writeFramed(conn, frame) {
+			return
+		}
+		_, h := binary.Uvarint(frame)
 		s.met.tailRecords.Inc()
-		s.met.replyBytes["tail"].Add(uint64(len(frame)))
+		s.met.replyBytes["tail"].Add(uint64(len(frame) - h - 4)) // the payload, as for every op
 	}
 }
