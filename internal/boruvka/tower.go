@@ -93,5 +93,5 @@ func (t *Tower) FragOf(l int) []int32 {
 // contracted edge in the real network.
 func (t *Tower) Translate(e TowerEdge) (u graph.NodeID, pu int, v graph.NodeID, pv int) {
 	rec := t.G.Edge(e.E)
-	return rec.U, rec.PU, rec.V, rec.PV
+	return rec.U, int(rec.PU), rec.V, int(rec.PV)
 }

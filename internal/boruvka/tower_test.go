@@ -85,7 +85,7 @@ func TestTowerConsistency(t *testing.T) {
 				t.Fatalf("level %d edge %d: intra-fragment edge survived", l, te.E)
 			}
 			rec := tw.G.Edge(te.E)
-			if rec.U != u || rec.PU != pu || rec.V != v || rec.PV != pv {
+			if rec.U != u || int(rec.PU) != pu || rec.V != v || int(rec.PV) != pv {
 				t.Fatalf("level %d edge %d: Translate mismatch", l, te.E)
 			}
 		}

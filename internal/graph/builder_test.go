@@ -1,12 +1,13 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // TestBuilderGrow checks that a pre-sized builder produces a graph
-// identical to an incrementally grown one, including when a node
+// identical to an incrementally grown one, including when the edge count
 // overflows its reservation.
 func TestBuilderGrow(t *testing.T) {
 	type e struct {
@@ -20,12 +21,7 @@ func TestBuilderGrow(t *testing.T) {
 	}
 	want := plain.MustBuild()
 
-	deg := make([]int, 4)
-	for _, ed := range edges {
-		deg[ed.u]++
-		deg[ed.v]++
-	}
-	grown := NewBuilder(4).Grow(deg)
+	grown := NewBuilder(4).Grow(len(edges))
 	for _, ed := range edges {
 		grown.AddEdge(ed.u, ed.v, ed.w)
 	}
@@ -33,9 +29,9 @@ func TestBuilderGrow(t *testing.T) {
 		t.Fatalf("grown graph differs: %v", err)
 	}
 
-	// Degrees are capacities, not limits: under-reserving must still
+	// The count is a capacity, not a limit: under-reserving must still
 	// build the same graph.
-	under := NewBuilder(4).Grow([]int{0, 0, 0, 0})
+	under := NewBuilder(4).Grow(1)
 	for _, ed := range edges {
 		under.AddEdge(ed.u, ed.v, ed.w)
 	}
@@ -43,14 +39,11 @@ func TestBuilderGrow(t *testing.T) {
 		t.Fatalf("under-reserved graph differs: %v", err)
 	}
 
-	if _, err := NewBuilder(2).Grow([]int{1}).AddEdge(0, 1, 1).Build(); err == nil {
-		t.Error("Grow with wrong degree count not rejected")
-	}
-	if _, err := NewBuilder(2).AddEdge(0, 1, 1).Grow([]int{1, 1}).Build(); err == nil {
+	if _, err := NewBuilder(2).AddEdge(0, 1, 1).Grow(1).Build(); err == nil {
 		t.Error("Grow after AddEdge not rejected")
 	}
-	if _, err := NewBuilder(2).Grow([]int{-1, 1}).Build(); err == nil {
-		t.Error("negative degree not rejected")
+	if _, err := NewBuilder(2).Grow(-1).Build(); err == nil {
+		t.Error("negative edge count not rejected")
 	}
 }
 
@@ -70,6 +63,17 @@ func TestBuildDuplicateVariants(t *testing.T) {
 		if _, err := b.Build(); err == nil {
 			t.Errorf("case %d: duplicate edge not rejected", ci)
 		}
+	}
+	// A hub above the pairwise-compare degree takes the sorting path.
+	const leaves = 40
+	b := NewBuilder(leaves + 1)
+	for v := 1; v <= leaves; v++ {
+		b.AddEdge(0, NodeID(v), Weight(v))
+	}
+	b.AddEdge(NodeID(leaves/2), 0, 1)
+	_, err := b.Build()
+	if want := fmt.Sprintf("graph: duplicate edge 0-%d", leaves/2); err == nil || err.Error() != want {
+		t.Errorf("hub duplicate: got %v, want %q", err, want)
 	}
 }
 

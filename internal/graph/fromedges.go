@@ -12,7 +12,13 @@ import (
 // protocol identifiers (nil means the default IDs u+1). Ports must form,
 // at every node, exactly the range 0..deg-1 with each port used once;
 // violations are reported as errors, as are the structural defects
-// Validate catches.
+// Validate catches. Edge i of the list becomes EdgeID i.
+//
+// It is the only constructor that builds a CSR: Builder.Build and
+// FromRecords both end here. The graph takes ownership of edges and of a
+// non-nil ids; the caller must not use either afterwards. n must lie in
+// [0, math.MaxInt32] and 2·len(edges) must not exceed math.MaxInt32; a
+// larger request is an error returned before anything is allocated.
 //
 // Construction is parallel over edges and nodes: degree counting uses
 // commutative atomic adds, the CSR payload and cross-port table are
@@ -22,8 +28,8 @@ import (
 // seeded parallel generators compute every port up front and hand the
 // finished records here instead (see DESIGN.md §2.12).
 func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: FromEdgeList with n = %d", n)
+	if err := checkSize(n, len(edges)); err != nil {
+		return nil, err
 	}
 	// Honor an explicit worker request as-is (capped only by the
 	// per-item floor): the caller may be profiling a target worker count
@@ -68,13 +74,13 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 	err = par.FirstFailure(workers, len(edges), func(_, lo, hi int) (int, error) {
 		for ei := lo; ei < hi; ei++ {
 			e := edges[ei]
-			if e.PU < 0 || int32(e.PU) >= deg[e.U] || e.PV < 0 || int32(e.PV) >= deg[e.V] {
+			if e.PU < 0 || e.PU >= deg[e.U] || e.PV < 0 || e.PV >= deg[e.V] {
 				return ei, fmt.Errorf("graph: edge %d port out of range: %d@%d / %d@%d", ei, e.PU, e.U, e.PV, e.V)
 			}
-			hu, hv := off[e.U]+int32(e.PU), off[e.V]+int32(e.PV)
-			halves[hu] = Half{To: e.V, W: e.W, Edge: EdgeID(ei)}
-			halves[hv] = Half{To: e.U, W: e.W, Edge: EdgeID(ei)}
-			dstPort[hu], dstPort[hv] = int32(e.PV), int32(e.PU)
+			hu, hv := off[e.U]+e.PU, off[e.V]+e.PV
+			halves[hu] = Half{To: e.V, Edge: EdgeID(ei), W: e.W}
+			halves[hv] = Half{To: e.U, Edge: EdgeID(ei), W: e.W}
+			dstPort[hu], dstPort[hv] = e.PV, e.PU
 		}
 		return -1, nil
 	})
@@ -92,18 +98,13 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 		return nil, fmt.Errorf("graph: FromEdgeList got %d ids for %d nodes", len(ids), n)
 	}
 	g := &Graph{
-		adj:     make([][]Half, n),
 		halves:  halves,
 		off:     off,
+		deg:     deg,
 		dstPort: dstPort,
 		edges:   edges,
 		ids:     ids,
 	}
-	par.Ranges(workers, n, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			g.adj[u] = halves[off[u]:off[u+1]:off[u+1]]
-		}
-	})
 	// A port used twice leaves its duplicate slot holding only the later
 	// write; Validate's port-table reciprocity check then sees the earlier
 	// edge pointing at a slot that names a different edge and rejects it,

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// FuzzBuilderDedup drives the Builder's sort-and-dedup finalize with
+// FuzzBuilderDedup drives the Builder's duplicate-edge check with
 // arbitrary edge scripts (bytes taken in (u, v, w) triples over 8
 // nodes): Build must reject exactly the scripts containing a self-loop
 // or a duplicate {u, v} pair — in either orientation — and accept
@@ -15,6 +15,11 @@ func FuzzBuilderDedup(f *testing.F) {
 	f.Add([]byte{2, 2, 1})                   // self-loop
 	f.Add([]byte{0, 1, 1, 2, 3, 2, 3, 2, 3}) // reversed duplicate later
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 2, 0, 1}) // clean triangle
+	long := make([]byte, 0, 3*40)
+	for i := 0; i < 40; i++ {
+		long = append(long, 0, 1, byte(i))
+	}
+	f.Add(long) // one pair repeated past the pairwise-compare degree
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
 		b := NewBuilder(n)

@@ -162,14 +162,8 @@ func assemble(n int, edges []edgePair, rng *rand.Rand, opt Options) *graph.Graph
 		}
 		b.SetIDs(ids)
 	}
-	// The edge list is known up front, so count degrees and reserve the
-	// whole adjacency in one slab instead of growing n slices.
-	degrees := make([]int, n)
-	for _, e := range edges {
-		degrees[e.u]++
-		degrees[e.v]++
-	}
-	b.Grow(degrees)
+	// The edge list is known up front: reserve it instead of growing it.
+	b.Grow(len(edges))
 	for _, i := range order {
 		b.AddEdge(graph.NodeID(edges[i].u), graph.NodeID(edges[i].v), weights[i])
 	}

@@ -568,7 +568,7 @@ func BuildSeeded(name string, n int, seed uint64, opt SeededOptions) (*graph.Gra
 			key := halfKeys[pos]
 			u := int(key >> 33)
 			i := edgeOf(int(key << 31 >> 32)) // middle 32 bits: sequence number
-			port := pos - int(off[u])
+			port := int32(pos) - off[u]
 			if key&1 == 0 {
 				edges[i].PU = port
 			} else {

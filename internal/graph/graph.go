@@ -21,6 +21,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mstadvice/internal/par"
@@ -28,77 +29,73 @@ import (
 
 // NodeID is the internal, dense identifier of a node: 0..N()-1. It is an
 // index, not the (distinct, arbitrary) identifier nodes use in protocols;
-// see Graph.ID.
-type NodeID int
+// see Graph.ID. It is 32 bits wide, like the CSR offsets, so a graph has
+// at most math.MaxInt32 nodes (see DESIGN.md §2.1).
+type NodeID int32
 
 // Weight is an edge weight. Weights may repeat; ties are resolved by the
 // orders documented on the package.
 type Weight int64
 
-// EdgeID is the dense identifier of an undirected edge: 0..M()-1.
-type EdgeID int
+// EdgeID is the dense identifier of an undirected edge: 0..M()-1. It is
+// 32 bits wide; since both half-edges of every edge must fit the int32
+// CSR offsets, a graph has at most math.MaxInt32/2 edges.
+type EdgeID int32
 
 // Half describes one endpoint's view of an incident edge: the neighbour it
-// leads to, its weight, and the identity of the underlying edge. The port
-// number of the half-edge is its index in the adjacency slice.
+// leads to, the identity of the underlying edge, and its weight. The port
+// number of the half-edge is its index in the adjacency slice. The field
+// order leaves no padding: 16 bytes.
 type Half struct {
 	To   NodeID
-	W    Weight
 	Edge EdgeID
+	W    Weight
 }
 
-// Edge is the full record of an undirected edge.
+// Edge is the full record of an undirected edge: 24 bytes.
 type Edge struct {
 	U, V   NodeID // endpoints, in insertion order
-	PU, PV int    // port of the edge at U and at V
+	PU, PV int32  // port of the edge at U and at V
 	W      Weight
 }
 
 // Graph is an immutable simple weighted graph with port numbering. Build
-// one with a Builder. The zero value is an empty graph.
+// one with a Builder or FromEdgeList. The zero value is an empty graph.
 //
 // Internally the adjacency is stored in CSR (compressed sparse row) form:
 // all 2m half-edges live in one contiguous slice grouped by node, with
-// per-node offsets, and every per-node adjacency slice is a view into it.
-// The cross-port table dstPort records, for each half-edge (u, p), the
-// port of the same edge at the far endpoint, so simulators can route a
-// message in O(1) without an edge-record lookup.
+// per-node offsets and degrees, and every per-node adjacency slice is a
+// view into it. The cross-port table dstPort records, for each half-edge
+// (u, p), the port of the same edge at the far endpoint, so simulators can
+// route a message in O(1) without an edge-record lookup.
 type Graph struct {
-	adj     [][]Half // per-node views into halves, in port order
-	halves  []Half   // CSR payload: half-edges of node u at off[u]..off[u+1]
-	off     []int32  // CSR offsets, len n+1
-	dstPort []int32  // port at the far endpoint of each half-edge
+	halves  []Half  // CSR payload: half-edges of node u at off[u]..off[u]+deg[u]
+	off     []int32 // CSR offsets, len n+1; fixed once built
+	deg     []int32 // degrees; a deletion shrinks deg[u] below off[u+1]-off[u]
+	dstPort []int32 // port at the far endpoint of each half-edge
 	edges   []Edge
 	ids     []int64 // distinct protocol-level identifiers, indexed by NodeID
 }
 
-// finalize builds the CSR representation from the per-node adjacency
-// lists and re-points them at the contiguous storage. Called once by
-// Builder.Build after validation. The copy and the cross-port table are
-// filled in parallel over node ranges: every node's CSR segment is
-// disjoint, so the result is identical for any worker count.
-func (g *Graph) finalize() {
-	n := len(g.adj)
-	g.off = make([]int32, n+1)
-	total := 0
-	for u := 0; u < n; u++ {
-		g.off[u] = int32(total)
-		total += len(g.adj[u])
+// checkSize rejects node and edge counts the int32 identifiers and CSR
+// offsets cannot address. Constructors call it before allocating.
+func checkSize(n, m int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("graph: negative node count %d", n)
+	case n > math.MaxInt32:
+		return fmt.Errorf("graph: %d nodes exceed the int32 bound %d", n, math.MaxInt32)
+	case m > math.MaxInt32/2:
+		return fmt.Errorf("graph: %d edges (%d half-edges) exceed the int32 bound %d", m, 2*m, math.MaxInt32)
 	}
-	g.off[n] = int32(total)
-	g.halves = make([]Half, total)
-	g.dstPort = make([]int32, total)
-	par.Ranges(buildWorkers(n), n, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			base := int(g.off[u])
-			hs := g.adj[u]
-			copy(g.halves[base:], hs)
-			for p, h := range hs {
-				g.dstPort[base+p] = int32(g.PortAt(h.Edge, h.To))
-			}
-			g.adj[u] = g.halves[base : base+len(hs) : base+len(hs)]
-		}
-	})
+	return nil
+}
+
+// adj is u's adjacency as a capacity-capped view into the CSR payload.
+func (g *Graph) adj(u NodeID) []Half {
+	lo := g.off[u]
+	hi := lo + g.deg[u]
+	return g.halves[lo:hi:hi]
 }
 
 // buildWorkers sizes the pool for construction-time loops: one worker
@@ -113,23 +110,23 @@ func buildWorkers(items int) int {
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.deg) }
 
 // M returns the number of edges.
 func (g *Graph) M() int { return len(g.edges) }
 
 // Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u NodeID) int { return int(g.deg[u]) }
 
 // MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for u := range g.adj {
-		if d := len(g.adj[u]); d > max {
+	max := int32(0)
+	for _, d := range g.deg {
+		if d > max {
 			max = d
 		}
 	}
-	return max
+	return int(max)
 }
 
 // ID returns the protocol-level identifier of u. Identifiers are distinct
@@ -138,11 +135,11 @@ func (g *Graph) ID(u NodeID) int64 { return g.ids[u] }
 
 // Adj returns u's half-edges in port order. The returned slice must not be
 // modified. It is an alias of Halves.
-func (g *Graph) Adj(u NodeID) []Half { return g.adj[u] }
+func (g *Graph) Adj(u NodeID) []Half { return g.adj(u) }
 
 // Halves returns u's half-edges in port order as a view into the graph's
 // contiguous CSR storage. The returned slice must not be modified.
-func (g *Graph) Halves(u NodeID) []Half { return g.adj[u] }
+func (g *Graph) Halves(u NodeID) []Half { return g.adj(u) }
 
 // HalfOffset returns the index of u's first half-edge in the CSR storage:
 // the half-edge at (u, port) has global half-edge index HalfOffset(u)+port.
@@ -162,7 +159,7 @@ func (g *Graph) DstPort(u NodeID, port int) int {
 }
 
 // HalfAt returns u's half-edge at the given port.
-func (g *Graph) HalfAt(u NodeID, port int) Half { return g.adj[u][port] }
+func (g *Graph) HalfAt(u NodeID, port int) Half { return g.adj(u)[port] }
 
 // Edge returns the full record of edge e.
 func (g *Graph) Edge(e EdgeID) Edge { return g.edges[e] }
@@ -176,9 +173,9 @@ func (g *Graph) PortAt(e EdgeID, u NodeID) int {
 	rec := g.edges[e]
 	switch u {
 	case rec.U:
-		return rec.PU
+		return int(rec.PU)
 	case rec.V:
-		return rec.PV
+		return int(rec.PV)
 	default:
 		panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %d", u, e))
 	}
@@ -234,9 +231,9 @@ func (g *Graph) Key(e EdgeID) GlobalKey {
 	rec := g.edges[e]
 	idU, idV := g.ids[rec.U], g.ids[rec.V]
 	if idU <= idV {
-		return GlobalKey{rec.W, idU, rec.PU}
+		return GlobalKey{rec.W, idU, int(rec.PU)}
 	}
-	return GlobalKey{rec.W, idV, rec.PV}
+	return GlobalKey{rec.W, idV, int(rec.PV)}
 }
 
 // Less reports whether key a precedes key b in the global order.
@@ -259,9 +256,10 @@ func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 // The mapping rank <-> port is a bijection computable by u alone, which is
 // what makes rank-based advice decodable in zero rounds.
 func (g *Graph) LocalRank(u NodeID, port int) int {
-	me := g.adj[u][port]
+	adj := g.adj(u)
+	me := adj[port]
 	rank := 0
-	for p, h := range g.adj[u] {
+	for p, h := range adj {
 		if h.W < me.W || (h.W == me.W && p < port) {
 			rank++
 		}
@@ -279,12 +277,13 @@ func (g *Graph) PortOfLocalRank(u NodeID, rank int) int {
 // PortsByLocalOrder returns u's ports sorted by the local order
 // (weight, then port number).
 func (g *Graph) PortsByLocalOrder(u NodeID) []int {
-	ports := make([]int, len(g.adj[u]))
+	adj := g.adj(u)
+	ports := make([]int, len(adj))
 	for i := range ports {
 		ports[i] = i
 	}
 	slices.SortFunc(ports, func(a, b int) int {
-		ha, hb := g.adj[u][a], g.adj[u][b]
+		ha, hb := adj[a], adj[b]
 		if ha.W != hb.W {
 			if ha.W < hb.W {
 				return -1
@@ -300,9 +299,10 @@ func (g *Graph) PortsByLocalOrder(u NodeID) []int {
 // port among u's incident edges sorted by the global order. A node can
 // compute this after learning its neighbours' identifiers (one round).
 func (g *Graph) GlobalRankAt(u NodeID, port int) int {
-	me := g.Key(g.adj[u][port].Edge)
+	adj := g.adj(u)
+	me := g.Key(adj[port].Edge)
 	rank := 0
-	for p, h := range g.adj[u] {
+	for p, h := range adj {
 		if p != port && g.Key(h.Edge).Less(me) {
 			rank++
 		}
@@ -312,12 +312,13 @@ func (g *Graph) GlobalRankAt(u NodeID, port int) int {
 
 // PortsByGlobalOrder returns u's ports sorted by the global order.
 func (g *Graph) PortsByGlobalOrder(u NodeID) []int {
-	ports := make([]int, len(g.adj[u]))
+	adj := g.adj(u)
+	ports := make([]int, len(adj))
 	for i := range ports {
 		ports[i] = i
 	}
 	slices.SortFunc(ports, func(a, b int) int {
-		ka, kb := g.Key(g.adj[u][a].Edge), g.Key(g.adj[u][b].Edge)
+		ka, kb := g.Key(adj[a].Edge), g.Key(adj[b].Edge)
 		switch {
 		case ka.Less(kb):
 			return -1
@@ -345,7 +346,7 @@ type Index struct {
 // spills to the heap but the complexity bound holds); Y counts lower
 // ports of the same weight directly.
 func (g *Graph) IndexAt(u NodeID, port int) Index {
-	adj := g.adj[u]
+	adj := g.adj(u)
 	me := adj[port]
 	y := 1
 	var stack [128]Weight
@@ -383,7 +384,7 @@ func (g *Graph) BFS(src NodeID) (dist []int, parentPort []int) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for p, h := range g.adj[u] {
+		for p, h := range g.adj(u) {
 			if dist[h.To] == -1 {
 				dist[h.To] = dist[u] + 1
 				parentPort[h.To] = g.DstPort(u, p)
@@ -438,9 +439,10 @@ func (g *Graph) Diameter() int {
 
 // Validate performs structural integrity checks (port reciprocity, ID
 // distinctness, simplicity). It is allocation-lean and parallel enough to
-// run on every generated graph up to n = 10⁶: duplicate detection is a
-// sort-and-dedup pass over packed keys instead of a hash set, and the
-// per-edge consistency checks run over edge ranges on the worker pool.
+// run on every generated graph up to n = 10⁶: duplicate IDs are found by
+// a sort over packed keys and duplicate edges by a scan of each node's
+// adjacency, with no hash set, and the per-edge and per-node checks run
+// over ranges on the worker pool.
 func (g *Graph) Validate() error {
 	return g.validate(0)
 }
@@ -511,45 +513,22 @@ func (g *Graph) validate(workers int) error {
 			}
 		}
 	}
-	// Simplicity: self-loops inline, duplicates by sorting packed
-	// endpoint keys (nodes fit in 32 bits far beyond any supported n)
-	// with the parallel radix sort.
-	keys := make([]uint64, len(g.edges))
+	// Self-loops, then port-table, adjacency and weight reciprocity, in
+	// parallel over edge ranges; par.FirstFailure reports the lowest
+	// failing edge, the same error a sequential scan would return.
 	err := par.FirstFailure(size(len(g.edges)), len(g.edges), func(_, lo, hi int) (int, error) {
 		for ei := lo; ei < hi; ei++ {
 			e := g.edges[ei]
 			if e.U == e.V {
 				return ei, fmt.Errorf("graph: edge %d is a self-loop at %d", ei, e.U)
 			}
-			a, b := e.U, e.V
-			if a > b {
-				a, b = b, a
-			}
-			keys[ei] = uint64(a)<<32 | uint64(uint32(b))
-		}
-		return -1, nil
-	})
-	if err != nil {
-		return err
-	}
-	par.SortU64(size(len(keys)), keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			return fmt.Errorf("graph: duplicate edge %d-%d", keys[i]>>32, uint32(keys[i]))
-		}
-	}
-	// Port-table, adjacency and weight reciprocity, in parallel over edge
-	// ranges; par.FirstFailure reports the lowest failing edge, the same
-	// error a sequential scan would return.
-	err = par.FirstFailure(size(len(g.edges)), len(g.edges), func(_, lo, hi int) (int, error) {
-		for ei := lo; ei < hi; ei++ {
-			e := g.edges[ei]
+			hu, hv := g.adj(e.U)[e.PU], g.adj(e.V)[e.PV]
 			switch {
-			case g.adj[e.U][e.PU].Edge != EdgeID(ei) || g.adj[e.V][e.PV].Edge != EdgeID(ei):
+			case hu.Edge != EdgeID(ei) || hv.Edge != EdgeID(ei):
 				return ei, fmt.Errorf("graph: port table inconsistent for edge %d", ei)
-			case g.adj[e.U][e.PU].To != e.V || g.adj[e.V][e.PV].To != e.U:
+			case hu.To != e.V || hv.To != e.U:
 				return ei, fmt.Errorf("graph: adjacency inconsistent for edge %d", ei)
-			case g.adj[e.U][e.PU].W != e.W || g.adj[e.V][e.PV].W != e.W:
+			case hu.W != e.W || hv.W != e.W:
 				return ei, fmt.Errorf("graph: weight inconsistent for edge %d", ei)
 			}
 		}
@@ -559,35 +538,75 @@ func (g *Graph) validate(workers int) error {
 		return err
 	}
 	total := 0
-	for u := range g.adj {
-		total += len(g.adj[u])
+	for _, d := range g.deg {
+		total += int(d)
 	}
 	if total != 2*len(g.edges) {
 		return fmt.Errorf("graph: degree sum %d != 2m = %d", total, 2*len(g.edges))
 	}
-	return nil
+	// Simplicity: with the adjacency now known to list exactly each
+	// node's incident edges, a duplicate edge is a neighbour listed twice.
+	// Small adjacencies are compared pairwise in place; larger ones are
+	// sorted in a per-worker buffer, so the pass allocates nothing at
+	// typical degrees. The lowest offending node is reported.
+	return par.FirstFailure(size(g.N()), g.N(), func(_, lo, hi int) (int, error) {
+		var buf []NodeID
+		dup := func(u, v NodeID) (int, error) {
+			return int(u), fmt.Errorf("graph: duplicate edge %d-%d", min(u, v), max(u, v))
+		}
+		for u := NodeID(lo); u < NodeID(hi); u++ {
+			adj := g.adj(u)
+			if len(adj) <= 32 {
+				for i := 1; i < len(adj); i++ {
+					for _, h := range adj[:i] {
+						if h.To == adj[i].To {
+							return dup(u, h.To)
+						}
+					}
+				}
+				continue
+			}
+			buf = buf[:0]
+			for _, h := range adj {
+				buf = append(buf, h.To)
+			}
+			slices.Sort(buf)
+			for i := 1; i < len(buf); i++ {
+				if buf[i] == buf[i-1] {
+					return dup(u, buf[i])
+				}
+			}
+		}
+		return -1, nil
+	})
 }
 
 // Builder assembles a Graph. Nodes are created up front; edges are added
 // one at a time and receive consecutive ports at each endpoint in insertion
 // order (generators shuffle insertion order to randomise port labellings).
+// The builder keeps only the edge records and a per-node port counter;
+// Build hands the records to FromEdgeList, the one place a CSR is built.
 //
 // AddEdge performs only O(1) endpoint checks; duplicate edges are caught
-// by Build's sort-and-dedup validation pass instead of a per-edge hash
-// set, which keeps construction allocation-lean at n = 10⁶ scale.
+// by Build's validation pass instead of a per-edge hash set, which keeps
+// construction allocation-lean at n = 10⁶ scale.
 type Builder struct {
-	adj   [][]Half
+	ports []int32 // next free port at each node
 	edges []Edge
 	ids   []int64
 	err   error
 }
 
 // NewBuilder creates a builder for a graph with n nodes and default
-// identifiers ID(u) = u+1.
+// identifiers ID(u) = u+1. A node count outside [0, math.MaxInt32] is
+// reported by Build, and nothing is allocated for it.
 func NewBuilder(n int) *Builder {
+	if err := checkSize(n, 0); err != nil {
+		return &Builder{err: err}
+	}
 	b := &Builder{
-		adj: make([][]Half, n),
-		ids: make([]int64, n),
+		ports: make([]int32, n),
+		ids:   make([]int64, n),
 	}
 	for i := range b.ids {
 		b.ids[i] = int64(i + 1)
@@ -595,48 +614,35 @@ func NewBuilder(n int) *Builder {
 	return b
 }
 
-// Grow preallocates the adjacency lists for the given per-node degrees in
-// one contiguous slab and reserves the edge array, so a generator that
-// knows its edge list up front builds the graph with O(1) allocations
-// instead of O(n) incremental slice growths. Degrees are capacities, not
-// limits: a node may still exceed its reservation (that slice falls back
-// to ordinary append growth). Grow must be called before the first
+// Grow reserves room for m edges, so a generator that knows its edge
+// count up front builds the graph without incremental slice growth. The
+// count is a capacity, not a limit. Grow must be called before the first
 // AddEdge.
-func (b *Builder) Grow(degrees []int) *Builder {
+func (b *Builder) Grow(m int) *Builder {
 	if b.err != nil {
-		return b
-	}
-	if len(degrees) != len(b.adj) {
-		b.fail(fmt.Errorf("graph: Grow got %d degrees for %d nodes", len(degrees), len(b.adj)))
 		return b
 	}
 	if len(b.edges) > 0 {
 		b.fail(fmt.Errorf("graph: Grow called after %d AddEdge calls", len(b.edges)))
 		return b
 	}
-	total := 0
-	for u, d := range degrees {
-		if d < 0 {
-			b.fail(fmt.Errorf("graph: Grow got negative degree %d for node %d", d, u))
-			return b
-		}
-		total += d
+	if m < 0 {
+		b.fail(fmt.Errorf("graph: Grow got negative edge count %d", m))
+		return b
 	}
-	slab := make([]Half, total)
-	off := 0
-	for u, d := range degrees {
-		b.adj[u] = slab[off : off : off+d]
-		off += d
+	if err := checkSize(len(b.ports), m); err != nil {
+		b.fail(err)
+		return b
 	}
-	b.edges = make([]Edge, 0, total/2)
+	b.edges = make([]Edge, 0, m)
 	return b
 }
 
 // SetIDs overrides the protocol-level identifiers. len(ids) must equal the
 // node count and the values must be distinct (checked in Build).
 func (b *Builder) SetIDs(ids []int64) *Builder {
-	if len(ids) != len(b.adj) {
-		b.fail(fmt.Errorf("graph: SetIDs got %d ids for %d nodes", len(ids), len(b.adj)))
+	if len(ids) != len(b.ports) {
+		b.fail(fmt.Errorf("graph: SetIDs got %d ids for %d nodes", len(ids), len(b.ports)))
 		return b
 	}
 	copy(b.ids, ids)
@@ -655,7 +661,7 @@ func (b *Builder) AddEdge(u, v NodeID, w Weight) *Builder {
 	if b.err != nil {
 		return b
 	}
-	n := NodeID(len(b.adj))
+	n := NodeID(len(b.ports))
 	if u < 0 || u >= n || v < 0 || v >= n {
 		b.fail(fmt.Errorf("graph: edge endpoint out of range: %d-%d (n=%d)", u, v, n))
 		return b
@@ -664,24 +670,23 @@ func (b *Builder) AddEdge(u, v NodeID, w Weight) *Builder {
 		b.fail(fmt.Errorf("graph: self-loop at %d", u))
 		return b
 	}
-	e := EdgeID(len(b.edges))
-	b.edges = append(b.edges, Edge{U: u, V: v, PU: len(b.adj[u]), PV: len(b.adj[v]), W: w})
-	b.adj[u] = append(b.adj[u], Half{To: v, W: w, Edge: e})
-	b.adj[v] = append(b.adj[v], Half{To: u, W: w, Edge: e})
+	if err := checkSize(len(b.ports), len(b.edges)+1); err != nil {
+		b.fail(err)
+		return b
+	}
+	b.edges = append(b.edges, Edge{U: u, V: v, PU: b.ports[u], PV: b.ports[v], W: w})
+	b.ports[u]++
+	b.ports[v]++
 	return b
 }
 
-// Build finalises the graph and validates it.
+// Build finalises the graph and validates it. The graph takes ownership
+// of the builder's edge and identifier arrays.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{adj: b.adj, edges: b.edges, ids: b.ids}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	g.finalize()
-	return g, nil
+	return FromEdgeList(len(b.ports), b.ids, b.edges, 0)
 }
 
 // MustBuild is Build for static graphs in tests and examples; it panics on

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -402,7 +403,7 @@ func TestCSRRepresentation(t *testing.T) {
 
 func TestFromRecordsRoundTrip(t *testing.T) {
 	g := triangle(t)
-	back, err := FromRecords(g.IDs(), g.Edges())
+	back, err := FromRecords(slices.Clone(g.IDs()), slices.Clone(g.Edges()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestFromRecordsAfterDeletion(t *testing.T) {
 	if err := g.ApplyBatch(Batch{Deletions: []EdgeID{0}}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromRecords(g.IDs(), g.Edges())
+	back, err := FromRecords(slices.Clone(g.IDs()), slices.Clone(g.Edges()))
 	if err != nil {
 		t.Fatal(err)
 	}

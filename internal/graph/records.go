@@ -1,77 +1,23 @@
 package graph
 
-import "fmt"
-
 // FromRecords rebuilds a Graph from explicit edge records, honouring the
 // recorded port assignments instead of re-deriving them from insertion
 // order. It is the reconstruction entry point of the binary codec
 // (internal/store): a graph that has lived through dynamic deletions no
 // longer has consecutive insertion-order ports, so replaying AddEdge
 // would silently relabel its half-edges — FromRecords places every half
-// exactly where the record says and then runs the full Validate pass, so
-// the result is observably identical (graph.Equal) to the graph the
-// records were taken from.
+// exactly where the record says and runs the full Validate pass, so the
+// result is observably identical (graph.Equal) to the graph the records
+// were taken from.
 //
 // ids supplies the protocol-level identifier of every node (its length
-// is the node count); edges are indexed by their EdgeID. Malformed input
-// — endpoints or ports out of range, port collisions, self-loops — is
-// reported as an error, never a panic, because the records typically
-// come from an untrusted file.
+// is the node count); edges are indexed by their EdgeID. It is
+// FromEdgeList on len(ids) nodes and, like it, takes ownership of both
+// slices. Malformed input — endpoints or ports out of range, port
+// collisions, self-loops — is reported as an error, never a panic,
+// because the records typically come from an untrusted file.
 func FromRecords(ids []int64, edges []Edge) (*Graph, error) {
-	n := len(ids)
-	deg := make([]int, n)
-	for ei, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge %d endpoint out of range: %d-%d (n=%d)", ei, e.U, e.V, n)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: edge %d is a self-loop at %d", ei, e.U)
-		}
-		deg[e.U]++
-		deg[e.V]++
-	}
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	slab := make([]Half, total)
-	for i := range slab {
-		slab[i].Edge = -1 // sentinel: port not yet filled
-	}
-	adj := make([][]Half, n)
-	off := 0
-	for u, d := range deg {
-		adj[u] = slab[off : off+d : off+d]
-		off += d
-	}
-	place := func(ei int, u NodeID, p int, h Half) error {
-		if p < 0 || p >= len(adj[u]) {
-			return fmt.Errorf("graph: edge %d port %d out of range [0,%d) at node %d", ei, p, len(adj[u]), u)
-		}
-		if adj[u][p].Edge != -1 {
-			return fmt.Errorf("graph: edges %d and %d both claim port %d of node %d", adj[u][p].Edge, ei, p, u)
-		}
-		adj[u][p] = h
-		return nil
-	}
-	for ei, e := range edges {
-		if err := place(ei, e.U, e.PU, Half{To: e.V, W: e.W, Edge: EdgeID(ei)}); err != nil {
-			return nil, err
-		}
-		if err := place(ei, e.V, e.PV, Half{To: e.U, W: e.W, Edge: EdgeID(ei)}); err != nil {
-			return nil, err
-		}
-	}
-	g := &Graph{
-		adj:   adj,
-		edges: append([]Edge(nil), edges...),
-		ids:   append([]int64(nil), ids...),
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	g.finalize()
-	return g, nil
+	return FromEdgeList(len(ids), ids, edges, 0)
 }
 
 // IDs returns the protocol-level identifiers of all nodes, indexed by

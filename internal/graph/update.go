@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dynamic updates. A built Graph is immutable to its algorithms, but the
 // dynamic-network subsystem (internal/dynamic) mutates it through the
@@ -105,7 +108,7 @@ func (g *Graph) DeleteEdge(e EdgeID) error {
 // connectedWithout verifies the graph stays connected once the edges in
 // del are removed.
 func (g *Graph) connectedWithout(del map[EdgeID]bool) error {
-	n := len(g.adj)
+	n := g.N()
 	if n == 0 {
 		return nil
 	}
@@ -119,7 +122,7 @@ func (g *Graph) connectedWithout(del map[EdgeID]bool) error {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, h := range g.adj[u] {
+		for _, h := range g.adj(u) {
 			if !visited[h.To] && !del[h.Edge] {
 				visited[h.To] = true
 				seen++
@@ -137,14 +140,14 @@ func (g *Graph) connectedWithout(del map[EdgeID]bool) error {
 func (g *Graph) setWeight(e EdgeID, w Weight) {
 	rec := &g.edges[e]
 	rec.W = w
-	g.adj[rec.U][rec.PU].W = w
-	g.adj[rec.V][rec.PV].W = w
+	g.halves[g.off[rec.U]+rec.PU].W = w
+	g.halves[g.off[rec.V]+rec.PV].W = w
 }
 
 // deleteEdge removes edge e by swap-remove at both endpoints and in the
 // edge array. The CSR offsets are left untouched (each node's segment
-// simply shrinks from the right), so HalfOffset-based flat buffers stay
-// valid.
+// simply shrinks from the right by one in deg), so HalfOffset-based flat
+// buffers stay valid.
 func (g *Graph) deleteEdge(e EdgeID) {
 	rec := g.edges[e]
 	g.removeHalf(rec.U, rec.PU)
@@ -153,57 +156,48 @@ func (g *Graph) deleteEdge(e EdgeID) {
 	if e != last {
 		moved := g.edges[last]
 		g.edges[e] = moved
-		g.adj[moved.U][moved.PU].Edge = e
-		g.adj[moved.V][moved.PV].Edge = e
+		g.halves[g.off[moved.U]+moved.PU].Edge = e
+		g.halves[g.off[moved.V]+moved.PV].Edge = e
 	}
 	g.edges = g.edges[:last]
 }
 
 // removeHalf swap-removes the half-edge at (u, port): the half at the
 // last port moves into port, its far endpoint's cross-port entry and its
-// edge record are repointed, and u's adjacency shrinks by one.
-func (g *Graph) removeHalf(u NodeID, port int) {
-	base := int(g.off[u])
-	lastPort := len(g.adj[u]) - 1
-	if port != lastPort {
-		moved := g.adj[u][lastPort]
-		g.adj[u][port] = moved
-		g.dstPort[base+port] = g.dstPort[base+lastPort]
+// edge record are repointed, and u's degree shrinks by one.
+func (g *Graph) removeHalf(u NodeID, port int32) {
+	base := g.off[u]
+	last := g.deg[u] - 1
+	if port != last {
+		moved := g.halves[base+last]
+		g.halves[base+port] = moved
+		g.dstPort[base+port] = g.dstPort[base+last]
 		// Repoint the moved edge's record and its far endpoint's
 		// cross-port entry at the new port.
 		mrec := &g.edges[moved.Edge]
-		var farPort int
-		if mrec.U == u && mrec.PU == lastPort {
+		if mrec.U == u && mrec.PU == last {
 			mrec.PU = port
-			farPort = mrec.PV
-			g.dstPort[int(g.off[mrec.V])+farPort] = int32(port)
+			g.dstPort[g.off[mrec.V]+mrec.PV] = port
 		} else {
 			mrec.PV = port
-			farPort = mrec.PU
-			g.dstPort[int(g.off[mrec.U])+farPort] = int32(port)
+			g.dstPort[g.off[mrec.U]+mrec.PU] = port
 		}
 	}
-	g.adj[u][lastPort] = Half{}
-	g.adj[u] = g.adj[u][:lastPort]
+	g.halves[base+last] = Half{}
+	g.deg[u] = last
 }
 
 // Clone returns a deep copy of the graph sharing no storage with g, so
 // one copy can be patched while the other stays pristine.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:     make([][]Half, len(g.adj)),
-		halves:  append([]Half(nil), g.halves...),
-		off:     append([]int32(nil), g.off...),
-		dstPort: append([]int32(nil), g.dstPort...),
-		edges:   append([]Edge(nil), g.edges...),
-		ids:     append([]int64(nil), g.ids...),
+	return &Graph{
+		halves:  slices.Clone(g.halves),
+		off:     slices.Clone(g.off),
+		deg:     slices.Clone(g.deg),
+		dstPort: slices.Clone(g.dstPort),
+		edges:   slices.Clone(g.edges),
+		ids:     slices.Clone(g.ids),
 	}
-	for u := range g.adj {
-		base := int(g.off[u])
-		d := len(g.adj[u])
-		c.adj[u] = c.halves[base : base+d : base+d]
-	}
-	return c
 }
 
 // Equal reports whether two graphs are identical in every observable
@@ -221,12 +215,13 @@ func Equal(a, b *Graph) error {
 		if a.ids[u] != b.ids[u] {
 			return fmt.Errorf("graph: ID of node %d differs: %d vs %d", u, a.ids[u], b.ids[u])
 		}
-		if len(a.adj[u]) != len(b.adj[u]) {
-			return fmt.Errorf("graph: degree of node %d differs: %d vs %d", u, len(a.adj[u]), len(b.adj[u]))
+		au, bu := a.adj(NodeID(u)), b.adj(NodeID(u))
+		if len(au) != len(bu) {
+			return fmt.Errorf("graph: degree of node %d differs: %d vs %d", u, len(au), len(bu))
 		}
-		for p := range a.adj[u] {
-			if a.adj[u][p] != b.adj[u][p] {
-				return fmt.Errorf("graph: half-edge (%d,%d) differs: %+v vs %+v", u, p, a.adj[u][p], b.adj[u][p])
+		for p := range au {
+			if au[p] != bu[p] {
+				return fmt.Errorf("graph: half-edge (%d,%d) differs: %+v vs %+v", u, p, au[p], bu[p])
 			}
 			if a.DstPort(NodeID(u), p) != b.DstPort(NodeID(u), p) {
 				return fmt.Errorf("graph: cross-port (%d,%d) differs: %d vs %d",

@@ -362,7 +362,7 @@ func Root(g *graph.Graph, edges []graph.EdgeID, root graph.NodeID) ([]int, error
 				v, pv = rec.U, rec.PU
 			}
 			if parentPort[v] == -2 {
-				parentPort[v] = pv
+				parentPort[v] = int(pv)
 				queue = append(queue, v)
 			}
 		}
@@ -415,14 +415,34 @@ func VerifyRooted(g *graph.Graph, parentPort []int, root graph.NodeID) error {
 	if err := Verify(g, edges); err != nil {
 		return err
 	}
-	// Orientation check: parent pointers must be acyclic and reach root.
+	return checkOrientation(g, parentPort, root)
+}
+
+// checkOrientation checks that following parent ports from every node
+// reaches root without a cycle. Every port must be valid and only root
+// may hold -1, as EdgesFromParentPorts ensures. Each node is walked
+// once: a walk stops at the first node already known to reach the root,
+// and a walk that meets its own path has found a cycle. A second pass
+// marks the finished path as reaching the root, so the check is O(n).
+func checkOrientation(g *graph.Graph, parentPort []int, root graph.NodeID) error {
+	const (
+		unvisited = iota
+		onPath
+		reachesRoot
+	)
+	state := make([]uint8, g.N())
+	state[root] = reachesRoot
 	for u := 0; u < g.N(); u++ {
-		steps := 0
-		for v := graph.NodeID(u); v != root; steps++ {
-			if steps > g.N() {
-				return fmt.Errorf("mst: parent pointers from %d do not reach the root", u)
-			}
+		v := graph.NodeID(u)
+		for state[v] == unvisited {
+			state[v] = onPath
 			v = g.HalfAt(v, parentPort[v]).To
+		}
+		if state[v] == onPath {
+			return fmt.Errorf("mst: parent pointers from %d do not reach the root", u)
+		}
+		for v = graph.NodeID(u); state[v] == onPath; v = g.HalfAt(v, parentPort[v]).To {
+			state[v] = reachesRoot
 		}
 	}
 	return nil

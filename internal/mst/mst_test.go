@@ -215,6 +215,90 @@ func TestVerifyRootedRejects(t *testing.T) {
 	}
 }
 
+// TestVerifyRootedLongPath pins the linear orientation check: a path of
+// 10⁵ nodes rooted at one end has depth n-1, which a per-node walk to the
+// root would make quadratic.
+func TestVerifyRootedLongPath(t *testing.T) {
+	const n = 100_000
+	b := graph.NewBuilder(n)
+	for u := 1; u < n; u++ {
+		b.AddEdge(graph.NodeID(u-1), graph.NodeID(u), graph.Weight(u))
+	}
+	g := b.MustBuild()
+	pp := make([]int, n)
+	pp[0] = -1
+	for u := 1; u < n; u++ {
+		pp[u] = g.PortAt(graph.EdgeID(u-1), graph.NodeID(u))
+	}
+	if err := VerifyRooted(g, pp, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// orientationGraph is a triangle 1-2-3 hanging off the root 0 by edge 0,
+// with a pendant node 4 on node 2. Its MST leaves out edge 3 (3-1).
+func orientationGraph() (*graph.Graph, func(e int, u graph.NodeID) int) {
+	g := graph.NewBuilder(5).
+		AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(2, 3, 3).AddEdge(3, 1, 9).AddEdge(2, 4, 5).
+		MustBuild()
+	return g, func(e int, u graph.NodeID) int { return g.PortAt(graph.EdgeID(e), u) }
+}
+
+// TestCheckOrientationRejectsCycles plants cycles directly in the
+// orientation check, which VerifyRooted reaches only after the edge set
+// has passed Verify: a 2-cycle on one edge, a cycle that avoids the root,
+// and a cycle below a node that reaches the root.
+func TestCheckOrientationRejectsCycles(t *testing.T) {
+	g, port := orientationGraph()
+	good := []int{-1, port(0, 1), port(1, 2), port(2, 3), port(4, 4)}
+	if err := checkOrientation(g, good, 0); err != nil {
+		t.Fatalf("valid orientation rejected: %v", err)
+	}
+	cases := map[string]struct {
+		pp      []int
+		wantErr string
+	}{
+		"2-cycle": {
+			[]int{-1, port(1, 1), port(1, 2), port(2, 3), port(4, 4)},
+			"mst: parent pointers from 1 do not reach the root",
+		},
+		"cycle avoiding the root": {
+			[]int{-1, port(1, 1), port(2, 2), port(3, 3), port(4, 4)},
+			"mst: parent pointers from 1 do not reach the root",
+		},
+		"cycle below a rooted node": {
+			[]int{-1, port(0, 1), port(2, 2), port(2, 3), port(4, 4)},
+			"mst: parent pointers from 2 do not reach the root",
+		},
+	}
+	for name, c := range cases {
+		err := checkOrientation(g, c.pp, 0)
+		if err == nil || err.Error() != c.wantErr {
+			t.Errorf("%s: got %v, want %q", name, err, c.wantErr)
+		}
+	}
+}
+
+// TestVerifyRootedRejectsPlanted checks that VerifyRooted rejects the
+// same planted faults end to end, plus a parent port naming an edge off
+// the tree.
+func TestVerifyRootedRejectsPlanted(t *testing.T) {
+	g, port := orientationGraph()
+	good := []int{-1, port(0, 1), port(1, 2), port(2, 3), port(4, 4)}
+	if err := VerifyRooted(g, good, 0); err != nil {
+		t.Fatalf("valid orientation rejected: %v", err)
+	}
+	for name, pp := range map[string][]int{
+		"2-cycle":                  {-1, port(1, 1), port(1, 2), port(2, 3), port(4, 4)},
+		"cycle avoiding the root":  {-1, port(1, 1), port(2, 2), port(3, 3), port(4, 4)},
+		"parent port off the tree": {-1, port(0, 1), port(1, 2), port(3, 3), port(4, 4)},
+	} {
+		if err := VerifyRooted(g, pp, 0); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestEdgesFromParentPortsErrors(t *testing.T) {
 	g := graph.NewBuilder(2).AddEdge(0, 1, 1).MustBuild()
 	if _, err := EdgesFromParentPorts(g, []int{-1}); err == nil {

@@ -97,8 +97,8 @@ func (e *engine) applyEvents(round int) {
 			e.linkDown[ev.Edge] = false
 		case ActionSetWeight:
 			rec := e.g.Edge(ev.Edge)
-			e.portW[e.g.HalfOffset(rec.U)+rec.PU] = ev.W
-			e.portW[e.g.HalfOffset(rec.V)+rec.PV] = ev.W
+			e.portW[e.g.HalfOffset(rec.U)+int(rec.PU)] = ev.W
+			e.portW[e.g.HalfOffset(rec.V)+int(rec.PV)] = ev.W
 		}
 	}
 }

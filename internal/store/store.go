@@ -150,7 +150,9 @@ type Tier struct {
 // maxReasonable bounds per-item counts decoded from headers before any
 // allocation is sized from them, so a corrupt header cannot request a
 // multi-gigabyte slice. 1<<28 nodes/edges is far beyond the repository's
-// n = 10⁶ operating point while still letting the codec scale.
+// n = 10⁶ operating point while still letting the codec scale. It is the
+// tighter of the two bounds on a decoded graph: graph.FromEdgeList itself
+// accepts up to math.MaxInt32 nodes and math.MaxInt32/2 edges.
 const maxReasonable = 1 << 28
 
 // Encode serialises the snapshot in the version Snapshot.Version
@@ -516,9 +518,10 @@ func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
 		}
 		edges[ei] = graph.Edge{
 			U: graph.NodeID(prevU), V: graph.NodeID(v),
-			PU: pu, PV: pv, W: graph.Weight(w),
+			PU: int32(pu), PV: int32(pv), W: graph.Weight(w),
 		}
 	}
+	// The graph takes ownership of ids and edges: no copy is made.
 	return graph.FromRecords(ids, edges)
 }
 
