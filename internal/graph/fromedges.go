@@ -24,12 +24,15 @@ import (
 // commutative atomic adds, the CSR payload and cross-port table are
 // scattered to slots determined by the records alone, so the resulting
 // graph is byte-identical for any worker count. The incremental Builder
-// assigns ports as edges arrive, which forces a sequential pass; the
-// seeded parallel generators compute every port up front and hand the
-// finished records here instead (see DESIGN.md §2.12).
+// assigns ports as edges arrive, a sequential pass, and then hands its
+// records here; the seeded parallel generators compute every port up
+// front and hand theirs directly (see DESIGN.md §2.12).
 func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error) {
 	if err := checkSize(n, len(edges)); err != nil {
 		return nil, err
+	}
+	if ids != nil && len(ids) != n {
+		return nil, fmt.Errorf("graph: FromEdgeList got %d ids for %d nodes", len(ids), n)
 	}
 	// Honor an explicit worker request as-is (capped only by the
 	// per-item floor): the caller may be profiling a target worker count
@@ -71,20 +74,42 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 	off[n] = total
 	halves := make([]Half, total)
 	dstPort := make([]int32, total)
-	err = par.FirstFailure(workers, len(edges), func(_, lo, hi int) (int, error) {
-		for ei := lo; ei < hi; ei++ {
-			e := edges[ei]
-			if e.PU < 0 || e.PU >= deg[e.U] || e.PV < 0 || e.PV >= deg[e.V] {
-				return ei, fmt.Errorf("graph: edge %d port out of range: %d@%d / %d@%d", ei, e.PU, e.U, e.PV, e.V)
+	// Each edge claims its two slots by swapping its cross ports into
+	// dstPort, which starts at -1; only the claimant writes the half, so
+	// a port two edges name (possible in records read from a file) is an
+	// error, never a racing write.
+	scatter := func(workers int) error {
+		par.Ranges(workers, len(dstPort), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dstPort[i] = -1
 			}
-			hu, hv := off[e.U]+e.PU, off[e.V]+e.PV
-			halves[hu] = Half{To: e.V, Edge: EdgeID(ei), W: e.W}
-			halves[hv] = Half{To: e.U, Edge: EdgeID(ei), W: e.W}
-			dstPort[hu], dstPort[hv] = e.PV, e.PU
+		})
+		return par.FirstFailure(workers, len(edges), func(_, lo, hi int) (int, error) {
+			for ei := lo; ei < hi; ei++ {
+				e := edges[ei]
+				if e.PU < 0 || e.PU >= deg[e.U] || e.PV < 0 || e.PV >= deg[e.V] {
+					return ei, fmt.Errorf("graph: edge %d port out of range: %d@%d / %d@%d", ei, e.PU, e.U, e.PV, e.V)
+				}
+				hu, hv := off[e.U]+e.PU, off[e.V]+e.PV
+				if !atomic.CompareAndSwapInt32(&dstPort[hu], -1, e.PV) {
+					return ei, fmt.Errorf("graph: edge %d claims port %d of node %d, which an earlier edge holds", ei, e.PU, e.U)
+				}
+				if !atomic.CompareAndSwapInt32(&dstPort[hv], -1, e.PU) {
+					return ei, fmt.Errorf("graph: edge %d claims port %d of node %d, which an earlier edge holds", ei, e.PV, e.V)
+				}
+				halves[hu] = Half{To: e.V, Edge: EdgeID(ei), W: e.W}
+				halves[hv] = Half{To: e.U, Edge: EdgeID(ei), W: e.W}
+			}
+			return -1, nil
+		})
+	}
+	if err := scatter(workers); err != nil {
+		// Which of two edges naming one port loses its claim depends on
+		// scheduling; a sequential replay makes the reported edge the
+		// first one, in list order, that a sequential scan would reject.
+		if workers > 1 {
+			err = scatter(1)
 		}
-		return -1, nil
-	})
-	if err != nil {
 		return nil, err
 	}
 	if ids == nil {
@@ -94,8 +119,6 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 				ids[u] = int64(u + 1)
 			}
 		})
-	} else if len(ids) != n {
-		return nil, fmt.Errorf("graph: FromEdgeList got %d ids for %d nodes", len(ids), n)
 	}
 	g := &Graph{
 		halves:  halves,
@@ -105,10 +128,6 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 		edges:   edges,
 		ids:     ids,
 	}
-	// A port used twice leaves its duplicate slot holding only the later
-	// write; Validate's port-table reciprocity check then sees the earlier
-	// edge pointing at a slot that names a different edge and rejects it,
-	// alongside the usual simplicity and ID-distinctness checks.
 	if err := g.validate(workers); err != nil {
 		return nil, err
 	}

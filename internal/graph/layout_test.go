@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -97,4 +99,26 @@ func TestCloneSharesNoStorage(t *testing.T) {
 	apart("dstPort", unsafe.Pointer(&g.dstPort[0]), unsafe.Pointer(&c.dstPort[0]))
 	apart("edges", unsafe.Pointer(&g.edges[0]), unsafe.Pointer(&c.edges[0]))
 	apart("ids", unsafe.Pointer(&g.ids[0]), unsafe.Pointer(&c.ids[0]))
+}
+
+// TestPortCollisionAcrossWorkers plants two edges naming one port, at
+// opposite ends of a list long enough to split across workers. Either
+// edge may win the parallel claim, yet the error must name the later
+// edge every time, and no slot may be written twice (run under -race).
+func TestPortCollisionAcrossWorkers(t *testing.T) {
+	const m = 20_000
+	b := NewBuilder(m + 1)
+	for u := 0; u < m; u++ {
+		b.AddEdge(NodeID(u), NodeID(u+1), Weight(u+1))
+	}
+	g := b.MustBuild()
+	want := fmt.Sprintf("graph: edge %d claims port 0 of node 0, which an earlier edge holds", m-1)
+	for trial := 0; trial < 5; trial++ {
+		edges := slices.Clone(g.Edges())
+		edges[m-1] = Edge{U: 0, V: m, PU: 0, PV: 0, W: 1}
+		_, err := FromEdgeList(m+1, nil, edges, 4)
+		if err == nil || err.Error() != want {
+			t.Fatalf("trial %d: got %v, want %q", trial, err, want)
+		}
+	}
 }
