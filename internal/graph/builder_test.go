@@ -64,7 +64,7 @@ func TestBuildDuplicateVariants(t *testing.T) {
 			t.Errorf("case %d: duplicate edge not rejected", ci)
 		}
 	}
-	// A hub above the pairwise-compare degree takes the sorting path.
+	// A high-degree hub names its duplicate neighbour exactly.
 	const leaves = 40
 	b := NewBuilder(leaves + 1)
 	for v := 1; v <= leaves; v++ {

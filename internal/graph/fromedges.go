@@ -14,8 +14,11 @@ import (
 // violations are reported as errors, as are the structural defects
 // Validate catches. Edge i of the list becomes EdgeID i.
 //
-// It is the only constructor that builds a CSR: Builder.Build and
-// FromRecords both end here. The graph takes ownership of edges and of a
+// It is the only constructor that builds a CSR: Builder.Build and the
+// store decoder both end here. Because it honours recorded ports rather
+// than re-deriving them from insertion order, it reproduces a graph whose
+// ports deletions have swap-removed (graph.Equal to the graph the records
+// came from). The graph takes ownership of edges and of a
 // non-nil ids; the caller must not use either afterwards. n must lie in
 // [0, math.MaxInt32] and 2·len(edges) must not exceed math.MaxInt32; a
 // larger request is an error returned before anything is allocated.

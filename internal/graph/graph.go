@@ -133,6 +133,10 @@ func (g *Graph) MaxDegree() int {
 // across nodes but otherwise arbitrary.
 func (g *Graph) ID(u NodeID) int64 { return g.ids[u] }
 
+// IDs returns the protocol-level identifiers of all nodes, indexed by
+// NodeID. The returned slice must not be modified.
+func (g *Graph) IDs() []int64 { return g.ids }
+
 // Adj returns u's half-edges in port order. The returned slice must not be
 // modified. It is an alias of Halves.
 func (g *Graph) Adj(u NodeID) []Half { return g.adj(u) }
@@ -440,8 +444,8 @@ func (g *Graph) Diameter() int {
 // Validate performs structural integrity checks (port reciprocity, ID
 // distinctness, simplicity). It is allocation-lean and parallel enough to
 // run on every generated graph up to n = 10⁶: duplicate IDs are found by
-// a sort over packed keys and duplicate edges by a scan of each node's
-// adjacency, with no hash set, and the per-edge and per-node checks run
+// a sort over packed keys and duplicate edges by sorting each node's
+// neighbours, with no hash set, and the per-edge and per-node checks run
 // over ranges on the worker pool.
 func (g *Graph) Validate() error {
 	return g.validate(0)
@@ -546,34 +550,19 @@ func (g *Graph) validate(workers int) error {
 	}
 	// Simplicity: with the adjacency now known to list exactly each
 	// node's incident edges, a duplicate edge is a neighbour listed twice.
-	// Small adjacencies are compared pairwise in place; larger ones are
-	// sorted in a per-worker buffer, so the pass allocates nothing at
-	// typical degrees. The lowest offending node is reported.
+	// Each node's neighbours are sorted in a per-worker buffer and
+	// compared in order; the lowest offending node is reported.
 	return par.FirstFailure(size(g.N()), g.N(), func(_, lo, hi int) (int, error) {
 		var buf []NodeID
-		dup := func(u, v NodeID) (int, error) {
-			return int(u), fmt.Errorf("graph: duplicate edge %d-%d", min(u, v), max(u, v))
-		}
 		for u := NodeID(lo); u < NodeID(hi); u++ {
-			adj := g.adj(u)
-			if len(adj) <= 32 {
-				for i := 1; i < len(adj); i++ {
-					for _, h := range adj[:i] {
-						if h.To == adj[i].To {
-							return dup(u, h.To)
-						}
-					}
-				}
-				continue
-			}
 			buf = buf[:0]
-			for _, h := range adj {
+			for _, h := range g.adj(u) {
 				buf = append(buf, h.To)
 			}
 			slices.Sort(buf)
 			for i := 1; i < len(buf); i++ {
-				if buf[i] == buf[i-1] {
-					return dup(u, buf[i])
+				if v := buf[i]; v == buf[i-1] {
+					return int(u), fmt.Errorf("graph: duplicate edge %d-%d", min(u, v), max(u, v))
 				}
 			}
 		}

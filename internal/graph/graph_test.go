@@ -403,18 +403,18 @@ func TestCSRRepresentation(t *testing.T) {
 
 func TestFromRecordsRoundTrip(t *testing.T) {
 	g := triangle(t)
-	back, err := FromRecords(slices.Clone(g.IDs()), slices.Clone(g.Edges()))
+	back, err := FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Equal(g, back); err != nil {
-		t.Fatalf("FromRecords round-trip: %v", err)
+		t.Fatalf("FromEdgeList round-trip: %v", err)
 	}
 }
 
 func TestFromRecordsAfterDeletion(t *testing.T) {
 	// Deletions swap-remove ports, so the surviving records no longer have
-	// insertion-order ports; FromRecords must still reproduce them exactly.
+	// insertion-order ports; FromEdgeList must still reproduce them exactly.
 	g := NewBuilder(4).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
@@ -425,12 +425,12 @@ func TestFromRecordsAfterDeletion(t *testing.T) {
 	if err := g.ApplyBatch(Batch{Deletions: []EdgeID{0}}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromRecords(slices.Clone(g.IDs()), slices.Clone(g.Edges()))
+	back, err := FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Equal(g, back); err != nil {
-		t.Fatalf("FromRecords after deletion: %v", err)
+		t.Fatalf("FromEdgeList after deletion: %v", err)
 	}
 }
 
@@ -453,8 +453,8 @@ func TestFromRecordsRejectsMalformed(t *testing.T) {
 		},
 	}
 	for name, edges := range cases {
-		if _, err := FromRecords(ids, edges); err == nil {
-			t.Errorf("%s: FromRecords accepted malformed records", name)
+		if _, err := FromEdgeList(len(ids), ids, edges, 0); err == nil {
+			t.Errorf("%s: FromEdgeList accepted malformed records", name)
 		}
 	}
 }

@@ -60,11 +60,14 @@ type registerRequest struct {
 
 // updateRequest is the POST /v1/graphs/{id}/update body.
 type updateRequest struct {
+	// Edge IDs decode straight into graph.EdgeID, so encoding/json rejects
+	// a number outside the int32 range instead of it wrapping onto a
+	// valid edge.
 	Weights []struct {
-		Edge int   `json:"edge"`
-		W    int64 `json:"w"`
+		Edge graph.EdgeID `json:"edge"`
+		W    int64        `json:"w"`
 	} `json:"weights,omitempty"`
-	Deletions []int `json:"deletions,omitempty"`
+	Deletions []graph.EdgeID `json:"deletions,omitempty"`
 }
 
 // NewHandler returns the service's HTTP mux. allowPaths gates the
@@ -180,12 +183,9 @@ func NewHandler(s *Service, allowPaths bool) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad update body: %w", err))
 			return
 		}
-		var b graph.Batch
+		b := graph.Batch{Deletions: req.Deletions}
 		for _, wu := range req.Weights {
-			b.Weights = append(b.Weights, graph.WeightUpdate{Edge: graph.EdgeID(wu.Edge), W: graph.Weight(wu.W)})
-		}
-		for _, e := range req.Deletions {
-			b.Deletions = append(b.Deletions, graph.EdgeID(e))
+			b.Weights = append(b.Weights, graph.WeightUpdate{Edge: wu.Edge, W: graph.Weight(wu.W)})
 		}
 		reply, err := s.Update(r.Context(), r.PathValue("id"), b)
 		if err != nil {

@@ -217,6 +217,42 @@ func TestHTTPCanceledRequest(t *testing.T) {
 	}
 }
 
+// TestHTTPUpdateRejectsWideEdgeIDs posts edge IDs outside the int32
+// range of graph.EdgeID. Each must be a 400 that leaves the graph at its
+// first epoch, never a truncation onto a real edge (2^32 would wrap to
+// edge 0).
+func TestHTTPUpdateRejectsWideEdgeIDs(t *testing.T) {
+	svc := New()
+	snap := makeSnapshot(t, 64, 192, 9)
+	if err := svc.Register("g", snap); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(svc, false)
+	for _, body := range []string{
+		`{"deletions":[4294967296]}`,
+		`{"deletions":[2147483648]}`,
+		`{"deletions":[-4294967296]}`,
+		`{"weights":[{"edge":4294967296,"w":1}]}`,
+		`{"weights":[{"edge":4294967297,"w":1}]}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs/g/update", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("update %s = %d, want 400 (body %s)", body, rec.Code, rec.Body)
+		}
+	}
+	info, err := svc.InfoFor("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Epoch != 0 || info.M != snap.Graph.M() {
+		t.Fatalf("rejected updates changed the graph: %+v", info)
+	}
+	if st := svc.StatsNow(); st.Updates != 0 {
+		t.Fatalf("rejected updates were applied: %+v", st)
+	}
+}
+
 // TestHTTPErrorCodes is the error-code audit: every client mistake —
 // malformed JSON, unknown graphs, bad parameters, conflicting
 // registrations — answers a 4xx with a JSON error body, never a 500.

@@ -71,7 +71,7 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGraphRecords drives FromRecords through the decoder with
+// FuzzDecodeGraphRecords drives graph.FromEdgeList through the decoder with
 // hostile edge records: ports and endpoints are attacker-controlled, so
 // this is the codec's main injection surface.
 func FuzzDecodeGraphRecords(f *testing.F) {

@@ -47,7 +47,7 @@
 // the bumps keeps working; legacy input re-encodes to the current
 // version.
 //
-// Edges carry explicit ports (graph.FromRecords) because a graph that has
+// Edges carry explicit ports (graph.FromEdgeList) because a graph that has
 // lived through dynamic deletions no longer has insertion-order ports;
 // the delta on U costs one byte for almost every edge of a generator
 // family, whose records are grouped by lower endpoint. Advice strings
@@ -397,7 +397,7 @@ func (d *decoder) count(what string) (int, error) {
 
 // Decode parses an encoded snapshot. It validates the magic, the CRC
 // footer, and every structural invariant of the graph (via
-// graph.FromRecords' Validate pass), and is safe on arbitrary input.
+// graph.FromEdgeList's Validate pass), and is safe on arbitrary input.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a snapshot", len(data))
@@ -522,7 +522,7 @@ func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
 		}
 	}
 	// The graph takes ownership of ids and edges: no copy is made.
-	return graph.FromRecords(ids, edges)
+	return graph.FromEdgeList(n, ids, edges, 0)
 }
 
 // adviceSection parses a flag byte plus, when set, an advice section of
@@ -599,6 +599,11 @@ func (d *decoder) decodeTiers(mainN, mainM int) ([]Tier, error) {
 			}
 			if delta == 0 {
 				return nil, fmt.Errorf("store: tier %d original edges not strictly ascending at index %d", ti, ei)
+			}
+			// Bounding delta first keeps int64(delta) from wrapping
+			// negative and slipping under the range check.
+			if delta > uint64(mainM) {
+				return nil, fmt.Errorf("store: tier %d original edge delta %d out of range [1,%d]", ti, delta, mainM)
 			}
 			prev += int64(delta)
 			if prev >= int64(mainM) {
