@@ -8,6 +8,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -54,8 +55,8 @@ func portsDigest(ports []int) string {
 // strict decoder on the asynchronous engine (FIFO, through the
 // α-synchronizer) must reproduce the committed rounds, messages, bits,
 // pulses, synchronizer overhead, virtual time and parent ports exactly.
-// Regenerate with go test -run TestDecoderAccountingGolden -update
-// ./internal/core only when a change is meant to alter them.
+// Regenerate with go test ./internal/core -run TestDecoderAccountingGolden
+// -update, only when a change is meant to alter them.
 func TestDecoderAccountingGolden(t *testing.T) {
 	if exact, _ := RoundBound(100_000); exact != 153 {
 		t.Fatalf("RoundBound(10⁵) = %d, want 153", exact)
@@ -121,5 +122,37 @@ func TestDecoderAccountingGolden(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("run %d differs:\n got  %+v\n want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestDecoderAllocations bounds what one decode allocates: the strict
+// decoder on a seeded random graph with n = 2·10⁴ must stay within 64 MiB
+// of heap allocations (≈50 MiB measured on a 2-core host, ≈55 MiB under
+// the race detector).
+func TestDecoderAllocations(t *testing.T) {
+	g, err := gen.BuildSeeded("random", 20_000, 5, gen.SeededOptions{Weights: gen.WeightsDistinct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := BuildAdvice(g, 0, DefaultCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := sim.NewNetwork(g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := nw.Run(Scheme{}.NewNode, adv, sim.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ParentPorts[0] != -1 {
+		t.Fatalf("root has parent port %d", res.ParentPorts[0])
+	}
+	const limit = 64 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("decode allocated %.1f MiB", float64(got)/(1<<20))
+	if got > limit {
+		t.Fatalf("decode allocated %.1f MiB, limit %d MiB", float64(got)/(1<<20), limit>>20)
 	}
 }

@@ -287,10 +287,10 @@ func TestScheduleLocate(t *testing.T) {
 	if kind != KindPhase || phase != 1 || slot != 0 {
 		t.Fatalf("Locate(1) = %v %d %d", kind, phase, slot)
 	}
-	// Phase windows are contiguous.
+	// Phase windows of 2^(i+1)+2 rounds are contiguous.
 	round := 1
 	for i := 1; i <= s.P; i++ {
-		for sl := 0; sl < s.windowLen(i); sl++ {
+		for sl := 0; sl < 1<<(i+1)+2; sl++ {
 			k, p, got := s.Locate(round)
 			if k != KindPhase || p != i || got != sl {
 				t.Fatalf("Locate(%d) = %v %d %d, want phase %d slot %d", round, k, p, got, i, sl)

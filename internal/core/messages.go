@@ -6,6 +6,15 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// Message ownership. Core messages travel as pointers, so sending one
+// boxes nothing. A record batch points into one of its sender's two
+// alternating buffers and stays valid until the sender's next-but-one
+// send: the round engine delivers a batch in the round after it was sent,
+// and the α-synchronizer buffers at most one pulse ahead, both inside that
+// window. Receivers copy what they keep. Setup and broadcast messages are
+// never rewritten after they are sent, so one broadcast is relayed down
+// the whole fragment tree unchanged.
+
 // idMsg is the setup-round introduction: the sender's identifier and the
 // far-side port of the connecting edge (needed to evaluate the intrinsic
 // global edge order locally).
@@ -14,7 +23,7 @@ type idMsg struct {
 	Port int
 }
 
-func (idMsg) SizeBits(cm sim.CostModel) int { return cm.IDBits + cm.PortBits }
+func (*idMsg) SizeBits(cm sim.CostModel) int { return cm.IDBits + cm.PortBits }
 
 // announceMsg tells the receiver "you are my parent in the current
 // fragment tree"; sent at slot 0 of every window so parents learn their
@@ -24,17 +33,20 @@ type announceMsg struct{}
 func (announceMsg) SizeBits(sim.CostModel) int { return 1 }
 
 // rec is one node's convergecast record during a phase window. The node
-// itself fills ID, ChildCount, Hop and Bits; its fragment parent fills
-// ParentID, W and PortAtParent when first relaying (it alone knows the
-// connecting edge's local coordinates).
+// itself fills ID, ChildCount, Hop, Bits and Off; its fragment parent
+// fills ParentID, W and PortAtParent when first relaying (it alone knows
+// the connecting edge's local coordinates). Bits is the node's whole
+// advice string, shared by reference; receivers read only its unconsumed
+// packed bits Bits[Off:], at most Cap of them.
 type rec struct {
 	ID           int64
 	ParentID     int64
 	W            graph.Weight
-	PortAtParent int
-	ChildCount   int
-	Hop          int
-	Bits         *bitstring.BitString // unconsumed packed advice, ≤ Cap bits
+	Bits         *bitstring.BitString
+	Off          int32
+	PortAtParent int32
+	ChildCount   int32
+	Hop          int32
 }
 
 func recBits(cm sim.CostModel) int {
@@ -48,7 +60,7 @@ type recMsg struct {
 	Recs []rec
 }
 
-func (m recMsg) SizeBits(cm sim.CostModel) int { return len(m.Recs) * recBits(cm) }
+func (m *recMsg) SizeBits(cm sim.CostModel) int { return len(m.Recs) * recBits(cm) }
 
 // consEntry tells one node how many of its streamed bits the root consumed
 // while decoding A(F).
@@ -67,7 +79,7 @@ type bcastMsg struct {
 	Cons      []consEntry
 }
 
-func (m bcastMsg) SizeBits(cm sim.CostModel) int {
+func (m *bcastMsg) SizeBits(cm sim.CostModel) int {
 	return 2 + cm.IDBits + len(m.Cons)*(cm.IDBits+4)
 }
 
@@ -92,8 +104,8 @@ type finalRec struct {
 	ID           int64
 	ParentID     int64
 	W            graph.Weight
-	PortAtParent int
-	Hop          int
+	PortAtParent int32
+	Hop          int32
 	Bit          bool
 }
 
@@ -106,4 +118,4 @@ type finalRecMsg struct {
 	Recs []finalRec
 }
 
-func (m finalRecMsg) SizeBits(cm sim.CostModel) int { return len(m.Recs) * finalRecBits(cm) }
+func (m *finalRecMsg) SizeBits(cm sim.CostModel) int { return len(m.Recs) * finalRecBits(cm) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/localorder"
@@ -28,14 +29,10 @@ type node struct {
 	cons int
 
 	// Per-window, per-port state, generation-stamped so windowStart resets
-	// it in O(1) instead of reallocating maps: port p is a child iff
-	// childStamp[p] == wnum, and reported level level[p] is valid iff
-	// levelStamp[p] == wnum.
-	wnum       uint32
-	childStamp []uint32
-	nkids      int
-	levelStamp []uint32
-	level      []int
+	// it in O(1) instead of reallocating maps (see portState).
+	wnum  uint32
+	nkids int32
+	ports []portState
 
 	// Per-window state. subStore is the one subtree reused by every
 	// window; sub points at it while a window's collect is live.
@@ -47,15 +44,16 @@ type node struct {
 	chooser  bool
 	chUp     bool
 
-	// sendBuf backs the outbox returned from Round. The engine consumes
-	// the outbox before the next compute phase, so one buffer per node
-	// suffices. recBufs/finalBufs back the streamed record batches; a
-	// batch is in flight for exactly one round (the receiver copies the
-	// records out on delivery), so two alternating buffers suffice.
+	// sendBuf backs the outbox returned from Start and Round. The engine
+	// consumes the outbox before the next compute phase, and a node sends
+	// at most one message per port per round, so one buffer of capacity
+	// deg serves the whole run. recMsgs/finalMsgs are the two alternating
+	// record batches of the convergecasts (see messages.go for how long
+	// a sent batch stays valid).
 	sendBuf   []sim.Send
-	recBufs   [2][]rec
+	recMsgs   [2]recMsg
 	recFlip   int
-	finalBufs [2][]finalRec
+	finalMsgs [2]finalRecMsg
 	finalFlip int
 
 	done bool
@@ -68,19 +66,26 @@ func newNode(view *sim.NodeView, cap int) *node {
 		nbrPort:    make([]int, view.Deg),
 		parentPort: -1,
 		wnum:       1, // stamps start at zero, so no port is a child yet
-		childStamp: make([]uint32, view.Deg),
-		levelStamp: make([]uint32, view.Deg),
-		level:      make([]int, view.Deg),
+		ports:      make([]portState, view.Deg),
+		sendBuf:    make([]sim.Send, 0, view.Deg),
 	}
 }
 
+// portState is one port's per-window state: the port is a child iff
+// child == wnum, and level is the fragment level reported on it iff
+// levelWin == wnum.
+type portState struct {
+	child, levelWin uint32
+	level           int32
+}
+
 // isChild reports whether port p announced as a child this window.
-func (n *node) isChild(p int) bool { return n.childStamp[p] == n.wnum }
+func (n *node) isChild(p int) bool { return n.ports[p].child == n.wnum }
 
 // levelAt returns the fragment level reported on port p this window.
 func (n *node) levelAt(p int) (int, bool) {
-	if n.levelStamp[p] == n.wnum {
-		return n.level[p], true
+	if ps := &n.ports[p]; ps.levelWin == n.wnum {
+		return int(ps.level), true
 	}
 	return 0, false
 }
@@ -90,9 +95,11 @@ func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 		n.done = true
 		return nil
 	}
-	sends := make([]sim.Send, view.Deg)
-	for p := 0; p < view.Deg; p++ {
-		sends[p] = sim.Send{Port: p, Msg: idMsg{ID: view.ID, Port: p}}
+	ids := make([]idMsg, view.Deg)
+	sends := n.sendBuf[:0]
+	for p := range ids {
+		ids[p] = idMsg{ID: view.ID, Port: p}
+		sends = append(sends, sim.Send{Port: p, Msg: &ids[p]})
 	}
 	return sends
 }
@@ -120,39 +127,31 @@ func (n *node) Output() (int, bool) { return n.parentPort, n.done }
 // receive processes one delivered message, appending any resulting sends.
 func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) []sim.Send {
 	switch m := rcv.Msg.(type) {
-	case idMsg:
+	case *idMsg:
 		n.nbrID[rcv.Port] = m.ID
 		n.nbrPort[rcv.Port] = m.Port
 		return sends
 
 	case announceMsg:
-		if n.childStamp[rcv.Port] != n.wnum {
-			n.childStamp[rcv.Port] = n.wnum
+		if ps := &n.ports[rcv.Port]; ps.child != n.wnum {
+			ps.child = n.wnum
 			n.nkids++
 		}
 		return sends
 
-	case recMsg:
+	case *recMsg:
 		if n.sub == nil {
 			panic("core: record before window start")
 		}
 		for _, r := range m.Recs {
-			t := n.sub.alloc()
-			*t = treeNode{
-				id: r.ID, parentID: r.ParentID, w: r.W, portAtParent: r.PortAtParent,
-				childCount: r.ChildCount, hop: r.Hop, bits: r.Bits,
-			}
-			if t.parentID == annotatePending {
-				// Direct child's own record: we alone know the edge data.
-				t.parentID = view.ID
-				t.w = view.PortW[rcv.Port]
-				t.portAtParent = rcv.Port
-			}
-			n.sub.add(t)
+			n.sub.add(annotate(treeNode{
+				id: r.ID, w: r.W, portAtParent: r.PortAtParent,
+				childCount: r.ChildCount, hop: uint16(r.Hop), bits: r.Bits, off: r.Off,
+			}, r.ParentID, view, rcv.Port))
 		}
 		return sends
 
-	case bcastMsg:
+	case *bcastMsg:
 		n.setLevel(rcv.Port, m.Level)
 		return n.applyBroadcast(view, m, sends)
 
@@ -167,22 +166,15 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) [
 		n.parentPort = rcv.Port
 		return sends
 
-	case finalRecMsg:
+	case *finalRecMsg:
 		if n.sub == nil {
 			panic("core: final record before window start")
 		}
 		for _, r := range m.Recs {
-			t := n.sub.alloc()
-			*t = treeNode{
-				id: r.ID, parentID: r.ParentID, w: r.W, portAtParent: r.PortAtParent,
-				childCount: -1, hop: r.Hop, bit: r.Bit,
-			}
-			if t.parentID == annotatePending {
-				t.parentID = view.ID
-				t.w = view.PortW[rcv.Port]
-				t.portAtParent = rcv.Port
-			}
-			n.sub.add(t)
+			n.sub.add(annotate(treeNode{
+				id: r.ID, w: r.W, portAtParent: r.PortAtParent,
+				childCount: -1, hop: uint16(r.Hop), bit: r.Bit,
+			}, r.ParentID, view, rcv.Port))
 		}
 		return sends
 
@@ -193,8 +185,8 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) [
 
 // setLevel records the fragment level reported on port p this window.
 func (n *node) setLevel(p, lvl int) {
-	n.levelStamp[p] = n.wnum
-	n.level[p] = lvl
+	ps := &n.ports[p]
+	ps.levelWin, ps.level = n.wnum, int32(lvl)
 }
 
 // annotatePending marks a record whose parent-side fields are filled by
@@ -204,10 +196,22 @@ func (n *node) setLevel(p, lvl int) {
 // at hop 0 are exactly the unannotated ones).
 const annotatePending int64 = -1 << 62
 
+// annotate returns a record received on port p and its parent's
+// identifier. A direct child's own record arrives unannotated: this node
+// is its parent and alone knows the connecting edge's weight and port.
+func annotate(t treeNode, parentID int64, view *sim.NodeView, p int) (treeNode, int64) {
+	if parentID == annotatePending {
+		parentID = view.ID
+		t.w = view.PortW[p]
+		t.portAtParent = int32(p)
+	}
+	return t, parentID
+}
+
 // applyBroadcast processes A(F): records the fragment level, the chooser
 // identity, and this node's consumption update, then relays down the tree
 // and reports its level on every non-child edge.
-func (n *node) applyBroadcast(view *sim.NodeView, m bcastMsg, sends []sim.Send) []sim.Send {
+func (n *node) applyBroadcast(view *sim.NodeView, m *bcastMsg, sends []sim.Send) []sim.Send {
 	n.myLevel = m.Level
 	n.haveLvl = true
 	if m.ChooserID == view.ID {
@@ -279,14 +283,12 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 // beginPhaseStream creates this node's own convergecast record once its
 // children are known (one round after the window's announce).
 func (n *node) beginPhaseStream(view *sim.NodeView) {
-	n.subStore.pool = n.subStore.pool[:0]
-	own := n.subStore.alloc()
-	*own = treeNode{
+	n.subStore.reset(treeNode{
 		id:         view.ID,
 		childCount: n.nkids,
-		bits:       view.Advice.Slice(minInt(1+n.cons, view.Advice.Len()), view.Advice.Len()),
-	}
-	n.subStore.reset(own)
+		bits:       view.Advice,
+		off:        int32(min(1+n.cons, view.Advice.Len())),
+	})
 	n.sub = &n.subStore
 	n.sent = 0
 }
@@ -294,10 +296,7 @@ func (n *node) beginPhaseStream(view *sim.NodeView) {
 // beginFinalStream is beginPhaseStream for the final collect: the record
 // carries the node's single final-stage advice bit.
 func (n *node) beginFinalStream(view *sim.NodeView) {
-	n.subStore.pool = n.subStore.pool[:0]
-	own := n.subStore.alloc()
-	*own = treeNode{id: view.ID, childCount: -1, bit: view.Advice.Bit(0)}
-	n.subStore.reset(own)
+	n.subStore.reset(treeNode{id: view.ID, childCount: -1, bit: view.Advice.Bit(0)})
 	n.sub = &n.subStore
 	n.sent = 0
 }
@@ -329,10 +328,10 @@ func (n *node) windowStart(view *sim.NodeView, sends []sim.Send) []sim.Send {
 }
 
 // streamRecs forwards the unsent part of the subtree's BFS prefix to the
-// fragment parent (roots integrate but do not forward). The record batch
-// comes from one of two alternating buffers: the batch sent in round r is
-// copied out by the receiver in round r+1, while this node is already
-// filling the other buffer, and is free again by round r+2.
+// fragment parent (roots integrate but do not forward). The batch is one
+// of two alternating buffers: the batch sent in round r is copied out by
+// the receiver in round r+1, while this node is already filling the
+// other buffer, and is free again by round r+2.
 func (n *node) streamRecs(quota int, view *sim.NodeView, sends []sim.Send) []sim.Send {
 	if n.parentPort == -1 || n.sub == nil {
 		return sends
@@ -341,28 +340,24 @@ func (n *node) streamRecs(quota int, view *sim.NodeView, sends []sim.Send) []sim
 	if n.sent >= len(order) {
 		return sends
 	}
-	recs := n.recBufs[n.recFlip][:0]
-	for _, id := range order[n.sent:] {
-		t := n.sub.nodes[id]
-		if t.hop+1 > quota {
+	m := &n.recMsgs[n.recFlip]
+	m.Recs = slices.Grow(m.Recs[:0], len(order)-n.sent)
+	for _, i := range order[n.sent:] {
+		t := &n.sub.pool[i]
+		if int(t.hop)+1 > quota {
 			continue
 		}
-		r := rec{
-			ID: t.id, ParentID: t.parentID, W: t.w, PortAtParent: t.portAtParent,
-			ChildCount: t.childCount, Hop: t.hop + 1, Bits: t.bits,
-		}
-		if t.id == view.ID {
-			r.ParentID = annotatePending // parent fills edge data
-		}
-		recs = append(recs, r)
+		m.Recs = append(m.Recs, rec{
+			ID: t.id, ParentID: n.sub.parentID(i), W: t.w, Bits: t.bits, Off: t.off,
+			PortAtParent: t.portAtParent, ChildCount: t.childCount, Hop: int32(t.hop) + 1,
+		})
 	}
 	n.sent = len(order)
-	if len(recs) == 0 {
+	if len(m.Recs) == 0 {
 		return sends
 	}
-	n.recBufs[n.recFlip] = recs
 	n.recFlip ^= 1
-	return append(sends, sim.Send{Port: n.parentPort, Msg: recMsg{Recs: recs}})
+	return append(sends, sim.Send{Port: n.parentPort, Msg: m})
 }
 
 // decodeAndBroadcast runs at the root of an active fragment: reassemble
@@ -371,43 +366,32 @@ func (n *node) streamRecs(quota int, view *sim.NodeView, sends []sim.Send) []sim
 func (n *node) decodeAndBroadcast(i int, view *sim.NodeView, sends []sim.Send) []sim.Send {
 	need := i + 2
 	order := n.sub.bfs(0)
-	var bits []bool
-	var cons []consEntry
-	for _, id := range order {
-		t := n.sub.nodes[id]
-		if t.bits == nil || t.bits.Len() == 0 {
+	// A(F) = b_up‖b_level‖bin(j), read least significant bit first.
+	var a uint64
+	got := 0
+	m := &bcastMsg{}
+	for _, k := range order {
+		t := &n.sub.pool[k]
+		take := min(t.bits.Len()-int(t.off), need-got)
+		if take <= 0 {
 			continue
 		}
-		take := t.bits.Len()
-		if take > need-len(bits) {
-			take = need - len(bits)
-		}
-		for k := 0; k < take; k++ {
-			bits = append(bits, t.bits.Bit(k))
-		}
-		cons = append(cons, consEntry{ID: id, Count: take})
-		if len(bits) == need {
+		a |= t.bits.Uint(int(t.off), take) << uint(got)
+		got += take
+		m.Cons = append(m.Cons, consEntry{ID: t.id, Count: take})
+		if got == need {
 			break
 		}
 	}
-	if len(bits) < need {
-		panic(fmt.Sprintf("core: fragment stream has %d bits, need %d (oracle/decoder mismatch)", len(bits), need))
+	if got < need {
+		panic(fmt.Sprintf("core: fragment stream has %d bits, need %d (oracle/decoder mismatch)", got, need))
 	}
-	up := bits[0]
-	level := 0
-	if bits[1] {
-		level = 1
-	}
-	j := 0
-	for k := 0; k < i; k++ {
-		if bits[2+k] {
-			j |= 1 << uint(k)
-		}
-	}
-	if j >= len(order) {
+	m.Up, m.Level = a&1 == 1, int(a>>1&1)
+	j := a >> 2
+	if j >= uint64(len(order)) {
 		panic(fmt.Sprintf("core: chooser index %d out of range (fragment size %d)", j, len(order)))
 	}
-	m := bcastMsg{Up: up, Level: level, ChooserID: order[j], Cons: cons}
+	m.ChooserID = n.sub.pool[order[j]].id
 	return n.applyBroadcast(view, m, sends)
 }
 
@@ -480,8 +464,8 @@ func (n *node) decodeFinal(view *sim.NodeView) {
 		panic(fmt.Sprintf("core: final fragment exposes %d of %d bits", len(order), width))
 	}
 	value := uint64(0)
-	for k := 0; k < width; k++ {
-		if n.sub.nodes[order[k]].bit {
+	for k, i := range order {
+		if n.sub.pool[i].bit {
 			value |= 1 << uint(k)
 		}
 	}
@@ -505,33 +489,22 @@ func (n *node) streamFinal(width int, view *sim.NodeView, sends []sim.Send) []si
 	if n.sent >= len(order) {
 		return sends
 	}
-	recs := n.finalBufs[n.finalFlip][:0]
-	for _, id := range order[n.sent:] {
-		t := n.sub.nodes[id]
-		if t.hop+1 > width {
+	m := &n.finalMsgs[n.finalFlip]
+	m.Recs = slices.Grow(m.Recs[:0], len(order)-n.sent)
+	for _, i := range order[n.sent:] {
+		t := &n.sub.pool[i]
+		if int(t.hop)+1 > width {
 			continue
 		}
-		r := finalRec{
-			ID: t.id, ParentID: t.parentID, W: t.w, PortAtParent: t.portAtParent,
-			Hop: t.hop + 1, Bit: t.bit,
-		}
-		if t.id == view.ID {
-			r.ParentID = annotatePending
-		}
-		recs = append(recs, r)
+		m.Recs = append(m.Recs, finalRec{
+			ID: t.id, ParentID: n.sub.parentID(i), W: t.w,
+			PortAtParent: t.portAtParent, Hop: int32(t.hop) + 1, Bit: t.bit,
+		})
 	}
 	n.sent = len(order)
-	if len(recs) == 0 {
+	if len(m.Recs) == 0 {
 		return sends
 	}
-	n.finalBufs[n.finalFlip] = recs
 	n.finalFlip ^= 1
-	return append(sends, sim.Send{Port: n.parentPort, Msg: finalRecMsg{Recs: recs}})
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return append(sends, sim.Send{Port: n.parentPort, Msg: m})
 }

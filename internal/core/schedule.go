@@ -27,9 +27,7 @@ type Schedule struct {
 	Width int // ⌈log n⌉: bits of the final-phase fragment advice
 	Cap   int // per-node budget for packed phase bits (the paper's c = 11)
 
-	phaseStart []int // phaseStart[i-1] = first round of phase i's window
-	finalStart int
-	total      int
+	total int
 }
 
 // DefaultCap is the paper's per-node packed-advice budget c = 11 bits
@@ -44,18 +42,14 @@ func NewSchedule(n, cap int) Schedule {
 	}
 	s.Width = graph.CeilLog2(n)
 	s.P = graph.CeilLog2(s.Width)
-	s.phaseStart = make([]int, s.P)
-	start := 1
-	for i := 1; i <= s.P; i++ {
-		s.phaseStart[i-1] = start
-		start += s.windowLen(i)
-	}
-	s.finalStart = start
-	s.total = s.finalStart + s.Width + 1
+	s.total = phaseStart(s.P+1) + s.Width + 1
 	return s
 }
 
-func (s *Schedule) windowLen(i int) int { return 1<<(uint(i)+1) + 2 }
+// phaseStart is the first round of phase i's window; i = P+1 gives the
+// final window. Phase 1 starts at round 1, and windows 1..i-1 of
+// 2^(k+1)+2 rounds each sum to 2^(i+1)+2i-6.
+func phaseStart(i int) int { return 1<<(uint(i)+1) + 2*i - 5 }
 
 // Total is the round at which every node terminates.
 func (s *Schedule) Total() int { return s.total }
@@ -81,12 +75,12 @@ func (s *Schedule) Locate(round int) (kind Kind, phase, slot int) {
 	if round < 1 {
 		return KindSetup, 0, 0
 	}
-	if round >= s.finalStart {
-		return KindFinal, s.P + 1, round - s.finalStart
+	if start := phaseStart(s.P + 1); round >= start {
+		return KindFinal, s.P + 1, round - start
 	}
 	for i := s.P; i >= 1; i-- {
-		if round >= s.phaseStart[i-1] {
-			return KindPhase, i, round - s.phaseStart[i-1]
+		if start := phaseStart(i); round >= start {
+			return KindPhase, i, round - start
 		}
 	}
 	return KindSetup, 0, 0

@@ -259,7 +259,11 @@ func IsSpanningTree(g *graph.Graph, edges []graph.EdgeID) bool {
 // Verify checks that edges form the unique MST of g using the cycle
 // property: a spanning tree is the unique MST under a strict total edge
 // order iff every non-tree edge is the strict maximum on the tree cycle it
-// closes. O(m·n); intended for tests.
+// closes. One sweep in the global order checks every cycle: only tree
+// edges are united, so a non-tree edge whose endpoints are not yet joined
+// when it comes up is lighter than some tree edge on its cycle.
+// O(m log m). The sort is Verify's own, so checking Kruskal's output here
+// stays an independent check.
 func Verify(g *graph.Graph, edges []graph.EdgeID) error {
 	if !IsSpanningTree(g, edges) {
 		return fmt.Errorf("mst: not a spanning tree")
@@ -268,51 +272,27 @@ func Verify(g *graph.Graph, edges []graph.EdgeID) error {
 	for _, e := range edges {
 		inTree[e] = true
 	}
-	// Tree adjacency for path finding.
-	adj := make([][]graph.EdgeID, g.N())
-	for _, e := range edges {
-		rec := g.Edge(e)
-		adj[rec.U] = append(adj[rec.U], e)
-		adj[rec.V] = append(adj[rec.V], e)
+	order := make([]graph.EdgeID, g.M())
+	for i := range order {
+		order[i] = graph.EdgeID(i)
 	}
-	// parent edge of every node when the tree is rooted at 0.
-	parentEdge := make([]graph.EdgeID, g.N())
-	depth := make([]int, g.N())
-	visited := make([]bool, g.N())
-	visited[0] = true
-	parentEdge[0] = -1
-	queue := []graph.NodeID{0}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[u] {
-			v := g.Other(e, u)
-			if !visited[v] {
-				visited[v] = true
-				parentEdge[v] = e
-				depth[v] = depth[u] + 1
-				queue = append(queue, v)
-			}
+	slices.SortFunc(order, func(a, b graph.EdgeID) int {
+		switch {
+		case g.EdgeLess(a, b):
+			return -1
+		case g.EdgeLess(b, a):
+			return 1
+		default:
+			return 0
 		}
-	}
-	for ei := 0; ei < g.M(); ei++ {
-		e := graph.EdgeID(ei)
+	})
+	dsu := unionfind.New(g.N())
+	for _, e := range order {
+		rec := g.Edge(e)
 		if inTree[e] {
-			continue
-		}
-		rec := g.Edge(e)
-		// Walk both endpoints up to their LCA; e must dominate every edge
-		// on the path.
-		u, v := rec.U, rec.V
-		for u != v {
-			if depth[u] < depth[v] {
-				u, v = v, u
-			}
-			pe := parentEdge[u]
-			if !g.EdgeLess(pe, e) {
-				return fmt.Errorf("mst: non-tree edge %d does not dominate tree edge %d on its cycle", e, pe)
-			}
-			u = g.Other(pe, u)
+			dsu.Union(int(rec.U), int(rec.V))
+		} else if !dsu.Same(int(rec.U), int(rec.V)) {
+			return fmt.Errorf("mst: non-tree edge %d is lighter than a tree edge on its cycle", e)
 		}
 	}
 	return nil

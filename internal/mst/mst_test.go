@@ -368,3 +368,29 @@ func BenchmarkBoruvka(b *testing.B) {
 		}
 	}
 }
+
+// A 10⁵-node path plus one chord closing the whole path into a cycle:
+// the path is the MST exactly when the chord is heavier than every path
+// edge, whatever the depth of the cycle.
+func TestVerifyLongCycle(t *testing.T) {
+	const n = 100_000
+	for _, tc := range []struct {
+		chord graph.Weight
+		ok    bool
+	}{
+		{n / 2, false}, // lighter than path edges n/2..n-1
+		{1, false},     // ties the lightest path edge, still lighter than the rest
+		{n, true},      // heavier than all of them
+	} {
+		b := graph.NewBuilder(n)
+		path := make([]graph.EdgeID, n-1)
+		for i := 0; i < n-1; i++ {
+			b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), graph.Weight(i+1))
+			path[i] = graph.EdgeID(i)
+		}
+		g := b.AddEdge(0, n-1, tc.chord).MustBuild()
+		if err := Verify(g, path); (err == nil) != tc.ok {
+			t.Errorf("chord weight %d: Verify = %v, want ok=%v", tc.chord, err, tc.ok)
+		}
+	}
+}

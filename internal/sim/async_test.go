@@ -266,7 +266,7 @@ func MaxDelayLatency(d int64) LatencyModel { return constLatency{d} }
 
 type constLatency struct{ d int64 }
 
-func (c constLatency) Name() string               { return "const" }
+func (c constLatency) Name() string                { return "const" }
 func (c constLatency) Delay(h int, k uint64) int64 { return c.d }
 
 // TestAsyncControlAccounting checks ControlMessage and TaggedMessage
