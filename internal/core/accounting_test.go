@@ -17,7 +17,7 @@ import (
 	"mstadvice/internal/sim"
 )
 
-var updateAccounting = flag.Bool("update", false, "rewrite testdata/accounting.json from the current decoder")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (accounting.json, advice.json) from the current code")
 
 // accountingRow is one pinned decoder run: every counter advice.Run
 // reports, plus a digest of the output parent ports.
@@ -95,7 +95,7 @@ func TestDecoderAccountingGolden(t *testing.T) {
 		}
 	}
 	path := filepath.Join("testdata", "accounting.json")
-	if *updateAccounting {
+	if *update {
 		blob, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -75,28 +81,84 @@ func TestAdviceParallelDeterminism(t *testing.T) {
 	})
 }
 
-// TestFusedMatchesReference holds the fused streaming encoder and the
-// two-pass reference encoder to byte-identical output across families,
-// sizes (singleton through several phases) and worker counts.
-func TestFusedMatchesReference(t *testing.T) {
-	for gi, fam := range gen.Families() {
+// adviceRow pins one oracle run: the SHA-256 of every AdviceDetail field.
+type adviceRow struct {
+	Family string `json:"family"`
+	N      int    `json:"n"`
+	SHA256 string `json:"sha256"`
+}
+
+// detailDigest is the SHA-256 of an AdviceDetail: the width, each node's
+// advice, packed region and final bit, and each final fragment's root,
+// parent port, value and carriers.
+func detailDigest(d *AdviceDetail) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "width %d\n", d.Width)
+	for u := range d.Advice {
+		fmt.Fprintf(h, "%s %s %t\n", d.Advice[u], d.Packed[u], d.Final[u])
+	}
+	for _, f := range d.Frags {
+		fmt.Fprintf(h, "%d %d %d %v\n", f.Root, f.ParentPort, f.Value, f.Carriers)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAdviceGolden pins the oracle's bytes across versions: on every
+// seeded family at n ∈ {1, 2, 9, 70, 300} (singleton through several
+// phases) with random weights, the encoder at 1, 4 and 16 workers must
+// reproduce the committed digest of every AdviceDetail field. The
+// golden was written by the two-pass reference encoder. Regenerate with
+// go test ./internal/core -run TestAdviceGolden -update, only when a
+// change is meant to alter the advice.
+func TestAdviceGolden(t *testing.T) {
+	var got []adviceRow
+	for gi, name := range gen.Names() {
 		for _, n := range []int{1, 2, 9, 70, 300} {
-			rng := rand.New(rand.NewSource(int64(500 + gi + n)))
-			g, err := fam.Generate(n, rng, gen.Options{Weights: gen.WeightsRandom})
+			g, err := gen.BuildSeeded(name, n, uint64(500+gi+n), gen.SeededOptions{Weights: gen.WeightsRandom})
 			if err != nil {
-				t.Fatalf("family %s n=%d: %v", fam.Name, n, err)
+				t.Fatalf("family %s n=%d: %v", name, n, err)
 			}
 			ref, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: 4, Reference: true})
 			if err != nil {
-				t.Fatalf("family %s n=%d reference: %v", fam.Name, n, err)
+				t.Fatalf("family %s n=%d reference: %v", name, n, err)
 			}
+			want := detailDigest(ref)
 			for _, workers := range []int{1, 4, 16} {
 				d, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: workers})
 				if err != nil {
-					t.Fatalf("family %s n=%d fused workers=%d: %v", fam.Name, n, workers, err)
+					t.Fatalf("family %s n=%d workers=%d: %v", name, n, workers, err)
 				}
-				equalDetail(t, fam.Name, ref, d)
+				if digest := detailDigest(d); digest != want {
+					t.Fatalf("family %s n=%d workers=%d: digest %s, reference %s", name, n, workers, digest, want)
+				}
 			}
+			got = append(got, adviceRow{Family: name, N: n, SHA256: want})
+		}
+	}
+	path := filepath.Join("testdata", "advice.json")
+	if *update {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []adviceRow
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("run %d differs:\n got  %+v\n want %+v", i, got[i], want[i])
 		}
 	}
 }

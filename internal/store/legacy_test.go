@@ -2,18 +2,10 @@ package store
 
 import (
 	"encoding/binary"
-	"flag"
 	"hash/crc32"
-	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
-
-	"mstadvice/internal/core"
-	"mstadvice/internal/graph/gen"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the committed legacy golden blob")
 
 // encodeV1 writes the pre-platform version-1 layout: a bare cap varint
 // where version 2 carries the problem and payload sections. It exists
@@ -55,14 +47,17 @@ func encodeV1(t *testing.T, s *Snapshot) []byte {
 	return append(blob, crc[:]...)
 }
 
+// legacySnapshot is the golden instance: the committed version-2 blob,
+// decoded (a 32-node, 80-edge graph rooted at node 5 with cap 12).
+// TestVersionMatrix checks that the oracle still reproduces its advice.
 func legacySnapshot(t *testing.T) *Snapshot {
 	t.Helper()
-	g := gen.RandomConnected(32, 80, rand.New(rand.NewSource(77)), gen.Options{})
-	adv, err := core.BuildAdvice(g, 5, 12)
+	s, err := Load(filepath.Join("testdata", "v2-golden.mstadv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Snapshot{Graph: g, Root: 5, Cap: 12, Advice: adv}
+	s.Version = 0
+	return s
 }
 
 // TestLegacyDecode pins backward compatibility of the version bump: a
@@ -96,22 +91,13 @@ func TestLegacyDecode(t *testing.T) {
 
 // TestLegacyGolden decodes the committed pre-bump artifact, so the
 // compatibility guarantee is pinned against bytes on disk, not against
-// the in-test v1 encoder. Regenerate with -update only when intentionally
-// changing the golden instance.
+// the in-test v1 encoder.
 func TestLegacyGolden(t *testing.T) {
 	path := filepath.Join("testdata", "v1-golden.mstadv")
 	want := legacySnapshot(t)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, encodeV1(t, want), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	snap, err := Load(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with go test -run TestLegacyGolden -update ./internal/store)", err)
+		t.Fatal(err)
 	}
 	assertLegacyEqual(t, snap, want, "mst")
 	mapped, err := OpenMapped(path)

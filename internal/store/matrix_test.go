@@ -1,99 +1,119 @@
 package store
 
 import (
-	"math/rand"
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"mstadvice/internal/bitstring"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/graph/gen"
 )
 
-// tieredSnapshot extends the shared legacy instance with one coarse
-// tier, exercising every field of the version-3 tier section. The tier
-// is hand-built — the codec does not care how tiers are produced, only
-// that the invariants hold (ascending original-edge hints inside the
-// main edge range, root inside the coarse graph, advice per coarse
-// node).
+// tieredSnapshot is the golden tiered instance: the committed version-3
+// blob, decoded. It is the legacy instance plus one hand-built coarse
+// tier (level 2, root 1, original-edge hints 3, 10, 11, 40, 79) over a
+// 4-node, 5-edge graph, exercising every field of the tier section. The
+// codec does not care how tiers are produced, only that the invariants
+// hold (ascending original-edge hints inside the main edge range, root
+// inside the coarse graph, advice per coarse node).
 func tieredSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
-	s := legacySnapshot(t)
-	cg := gen.RandomConnected(4, 5, rand.New(rand.NewSource(78)), gen.Options{})
-	adv, err := core.BuildAdvice(cg, 1, 12)
+	s, err := Load(filepath.Join("testdata", "v3-golden.mstadv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Tiers = []Tier{{
-		Level:    2,
-		Graph:    cg,
-		Root:     1,
-		OrigEdge: []graph.EdgeID{3, 10, 11, 40, 79},
-		Advice:   adv,
-	}}
 	return s
 }
 
 // TestVersionMatrix pins every format the decoder accepts against bytes
-// on disk: one committed golden blob per version, all decoding to the
-// identical common in-memory state. The version-3 golden additionally
-// carries a tier, pinning the tier section's wire layout. Regenerate
-// all three with -update only when intentionally changing the golden
-// instance.
+// on disk: one committed golden blob per version. The version-2 blob is
+// the instance; the version-1 and version-3 blobs must decode to the
+// same graph and advice, and re-encoding each decoded snapshot must
+// reproduce its file byte for byte. The version-3 blob additionally
+// carries a tier, pinning the tier section's wire layout.
 func TestVersionMatrix(t *testing.T) {
 	flat := legacySnapshot(t)
-	tiered := tieredSnapshot(t)
+	encode := func(t *testing.T, s *Snapshot) []byte {
+		blob, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
 	cases := []struct {
 		name    string
 		path    string
 		version int
-		want    *Snapshot
-		encode  func(t *testing.T) []byte
+		encode  func(t *testing.T, s *Snapshot) []byte
 	}{
-		{"v1", "v1-golden.mstadv", 0, flat, func(t *testing.T) []byte {
-			return encodeV1(t, flat)
-		}},
-		{"v2", "v2-golden.mstadv", 2, flat, func(t *testing.T) []byte {
-			s := *flat
-			s.Version = 2
-			blob, err := Encode(&s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return blob
-		}},
-		{"v3", "v3-golden.mstadv", 3, tiered, func(t *testing.T) []byte {
-			blob, err := Encode(tiered)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return blob
-		}},
+		{"v1", "v1-golden.mstadv", 0, encodeV1},
+		{"v2", "v2-golden.mstadv", 2, encode},
+		{"v3", "v3-golden.mstadv", 3, encode},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join("testdata", tc.path)
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, tc.encode(t), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			snap, err := Load(path)
+			blob, err := os.ReadFile(filepath.Join("testdata", tc.path))
 			if err != nil {
-				t.Fatalf("%v (regenerate with go test -run TestVersionMatrix -update ./internal/store)", err)
+				t.Fatal(err)
 			}
-			assertLegacyEqual(t, snap, tc.want, "mst")
+			snap, err := Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertLegacyEqual(t, snap, flat, "mst")
 			if snap.Version != tc.version {
 				t.Fatalf("Version = %d, want %d", snap.Version, tc.version)
 			}
-			assertTiersEqual(t, snap.Tiers, tc.want.Tiers)
+			if !bytes.Equal(tc.encode(t, snap), blob) {
+				t.Fatalf("re-encoding the decoded %s golden does not reproduce %s", tc.name, tc.path)
+			}
 		})
+	}
+}
+
+// TestGoldenAdviceReproduced pins the oracle against the committed
+// blobs: core.BuildAdvice on the decoded golden graph (root 5, cap 12)
+// and on the version-3 tier graph (root 1) must reproduce the stored
+// advice bit for bit.
+func TestGoldenAdviceReproduced(t *testing.T) {
+	flat := legacySnapshot(t)
+	if flat.Root != 5 || flat.Cap != 12 {
+		t.Fatalf("golden root/cap = %d/%d, want 5/12", flat.Root, flat.Cap)
+	}
+	tiered := tieredSnapshot(t)
+	if len(tiered.Tiers) != 1 {
+		t.Fatalf("%d tiers, want 1", len(tiered.Tiers))
+	}
+	tier := tiered.Tiers[0]
+	if tier.Level != 2 || tier.Root != 1 || tier.Graph.N() != 4 ||
+		!reflect.DeepEqual(tier.OrigEdge, []graph.EdgeID{3, 10, 11, 40, 79}) {
+		t.Fatalf("tier = level %d root %d n %d hints %v", tier.Level, tier.Root, tier.Graph.N(), tier.OrigEdge)
+	}
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		root   graph.NodeID
+		stored []*bitstring.BitString
+	}{
+		{"flat", flat.Graph, 5, flat.Advice},
+		{"tier", tier.Graph, 1, tier.Advice},
+	} {
+		adv, err := core.BuildAdvice(c.g, c.root, 12)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(adv) != len(c.stored) {
+			t.Fatalf("%s: %d advice strings, stored %d", c.name, len(adv), len(c.stored))
+		}
+		for u := range adv {
+			if !adv[u].Equal(c.stored[u]) {
+				t.Fatalf("%s: node %d advice %s, stored %s", c.name, u, adv[u], c.stored[u])
+			}
+		}
 	}
 }
 
