@@ -8,7 +8,6 @@ package mstadvice
 // cost.
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -71,7 +70,7 @@ func BenchmarkE10RoundProfile(b *testing.B) { benchExperiment(b, "e10") }
 // BenchmarkConstantAdviceScale runs the Theorem 3 scheme alone on a larger
 // instance: oracle + O(log n)-round simulation + verification.
 func BenchmarkConstantAdviceScale(b *testing.B) {
-	g := GenRandomConnected(2048, 6144, rand.New(rand.NewSource(1)), GenOptions{})
+	g := seeded(b, "random", 2048, 1, WeightsDistinct)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,7 +83,7 @@ func BenchmarkConstantAdviceScale(b *testing.B) {
 
 // BenchmarkOneRoundScale runs the Theorem 2 scheme alone at scale.
 func BenchmarkOneRoundScale(b *testing.B) {
-	g := GenRandomConnected(4096, 12288, rand.New(rand.NewSource(1)), GenOptions{})
+	g := seeded(b, "random", 4096, 1, WeightsDistinct)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,7 +101,7 @@ func BenchmarkOneRoundScale(b *testing.B) {
 // (the seed engine measured ~30 000 allocs/round here; the slot router
 // holds it under half that).
 func BenchmarkEngineParallelism(b *testing.B) {
-	g := GenRandomConnected(10000, 30000, rand.New(rand.NewSource(2)), GenOptions{})
+	g := seeded(b, "random", 10000, 2, WeightsDistinct)
 	for _, mode := range []struct {
 		name string
 		opt  RunOptions

@@ -41,7 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"slices"
 	"strings"
@@ -98,8 +97,8 @@ func main() {
 			}
 		}
 		fmt.Println("families:")
-		for _, f := range gen.Families() {
-			fmt.Printf("  %s\n", f.Name)
+		for _, name := range gen.Names() {
+			fmt.Printf("  %s\n", name)
 		}
 		return
 	}
@@ -131,10 +130,6 @@ func main() {
 			fail("%v (try -list)", err)
 		}
 		scheme = prob.Scheme()
-	}
-	fam, err := gen.ByName(*family)
-	if err != nil {
-		fail("%v", err)
 	}
 	var mode mstadvice.WeightMode
 	switch *weights {
@@ -177,7 +172,7 @@ func main() {
 			*loadPath, prob.Name(), g.N(), g.M(), snap.Root, adviceNote(snap), time.Since(start).Round(time.Millisecond))
 	} else {
 		var err error
-		g, err = fam.Generate(*n, rand.New(rand.NewSource(*seed)), gen.Options{Weights: mode})
+		g, err = gen.BuildSeeded(*family, *n, uint64(*seed), gen.SeededOptions{Weights: mode})
 		if err != nil {
 			fail("%v", err)
 		}

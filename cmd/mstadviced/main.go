@@ -43,7 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -292,10 +291,6 @@ func generateSpec(spec, probName string) (string, *store.Snapshot, error) {
 	if len(parts) < 2 || len(parts) > 3 {
 		return "", nil, fmt.Errorf("bad -graph %q (want id=family:n[:seed])", spec)
 	}
-	fam, err := gen.ByName(parts[0])
-	if err != nil {
-		return "", nil, err
-	}
 	n, err := strconv.Atoi(parts[1])
 	if err != nil {
 		return "", nil, fmt.Errorf("bad size in -graph %q: %w", spec, err)
@@ -306,7 +301,7 @@ func generateSpec(spec, probName string) (string, *store.Snapshot, error) {
 			return "", nil, fmt.Errorf("bad seed in -graph %q: %w", spec, err)
 		}
 	}
-	g, err := fam.Generate(n, rand.New(rand.NewSource(seed)), gen.Options{})
+	g, err := gen.BuildSeeded(parts[0], n, uint64(seed), gen.SeededOptions{})
 	if err != nil {
 		return "", nil, err
 	}

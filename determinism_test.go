@@ -1,7 +1,6 @@
 package mstadvice
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,9 +15,9 @@ func TestSchemesDeterministicAcrossWorkers(t *testing.T) {
 		name string
 		g    *Graph
 	}{
-		{"random", GenRandomConnected(60, 150, rand.New(rand.NewSource(21)), GenOptions{})},
-		{"grid", GenGrid(6, 7, rand.New(rand.NewSource(22)), GenOptions{})},
-		{"expander", GenExpander(48, 3, rand.New(rand.NewSource(23)), GenOptions{})},
+		{"random", seeded(t, "random", 60, 21, WeightsDistinct)},
+		{"grid", seeded(t, "grid", 42, 22, WeightsDistinct)},
+		{"expander", seeded(t, "expander", 48, 23, WeightsDistinct)},
 	}
 	full := runtime.GOMAXPROCS(0)
 	if full < 2 {

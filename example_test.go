@@ -2,7 +2,6 @@ package mstadvice_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mstadvice"
 )
@@ -86,13 +85,16 @@ func ExampleNewLowerBoundFamily() {
 	// m=3 served 8/8
 }
 
-// ExampleGenRandomConnected generates a reproducible experiment graph.
-func ExampleGenRandomConnected() {
-	rng := rand.New(rand.NewSource(7))
-	g := mstadvice.GenRandomConnected(10, 20, rng, mstadvice.GenOptions{})
+// ExampleGenSeeded generates a reproducible experiment graph: the
+// random family has 3n edges, and one (family, n, seed) names one graph.
+func ExampleGenSeeded() {
+	g, err := mstadvice.GenSeeded("random", 10, 7, mstadvice.GenSeededOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(g.N(), g.M(), g.Connected())
 	// Output:
-	// 10 20 true
+	// 10 30 true
 }
 
 // ExampleRun_async replays the main scheme's unmodified decoder on an
@@ -100,7 +102,10 @@ func ExampleGenRandomConnected() {
 // α-synchronizer, whose overhead is accounted separately while the
 // payload traffic stays byte-comparable to the synchronous run.
 func ExampleRun_async() {
-	g := mstadvice.GenRandomConnected(64, 192, rand.New(rand.NewSource(9)), mstadvice.GenOptions{})
+	g, err := mstadvice.GenSeeded("random", 64, 9, mstadvice.GenSeededOptions{})
+	if err != nil {
+		panic(err)
+	}
 	syncRes, err := mstadvice.Run(mstadvice.ConstantAdvice(), g, 0, mstadvice.RunOptions{})
 	if err != nil {
 		panic(err)

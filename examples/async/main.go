@@ -16,14 +16,16 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
 
 func main() {
 	const n = 128
-	g := mstadvice.GenRandomConnected(n, 3*n, rand.New(rand.NewSource(7)), mstadvice.GenOptions{})
+	g, err := mstadvice.GenSeeded("random", n, 7, mstadvice.GenSeededOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	scheme := mstadvice.ConstantAdvice()
 
 	// The synchronous reference: the model the paper is stated in.

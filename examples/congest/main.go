@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
@@ -21,8 +20,10 @@ func main() {
 	fmt.Printf("%-8s %-12s %-8s %-16s %-16s %-14s\n",
 		"n", "scheme", "rounds", "total msg bits", "max msg bits", "B=⌈log n⌉")
 	for _, n := range []int{32, 128, 512} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := mstadvice.GenRandomConnected(n, 3*n, rng, mstadvice.GenOptions{})
+		g, err := mstadvice.GenSeeded("random", n, uint64(n), mstadvice.GenSeededOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		logn := 0
 		for 1<<uint(logn) < n {
 			logn++

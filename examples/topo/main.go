@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
@@ -22,7 +21,10 @@ func main() {
 	}
 	fmt.Println()
 
-	g := mstadvice.GenGrid(24, 24, rand.New(rand.NewSource(7)), mstadvice.GenOptions{})
+	g, err := mstadvice.GenSeeded("grid", 24*24, 7, mstadvice.GenSeededOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("grid, n=%d, m=%d — every node must output class %#08x\n\n", g.N(), g.M(), mstadvice.TopoClass(g))
 
 	fmt.Printf("%-14s %-20s %-10s %-10s\n", "scheme", "advice total [bits]", "rounds", "verified")

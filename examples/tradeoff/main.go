@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
@@ -18,8 +17,10 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-8s %-6s %-22s %-10s %-14s\n", "scheme", "n", "advice max/avg [bits]", "rounds", "max msg [bits]")
 	for _, side := range []int{4, 8, 16, 24} {
-		rng := rand.New(rand.NewSource(int64(side)))
-		g := mstadvice.GenGrid(side, side, rng, mstadvice.GenOptions{})
+		g, err := mstadvice.GenSeeded("grid", side*side, uint64(side), mstadvice.GenSeededOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, s := range mstadvice.Schemes() {
 			res, err := mstadvice.Run(s, g, 0, mstadvice.RunOptions{})
 			if err != nil {

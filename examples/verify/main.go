@@ -10,14 +10,15 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(3))
-	g := mstadvice.GenRandomConnected(40, 110, rng, mstadvice.GenOptions{})
+	g, err := mstadvice.GenSeeded("random", 40, 3, mstadvice.GenSeededOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Step 1: construct the MST with 12 bits of advice per node.
 	res, err := mstadvice.Run(mstadvice.ConstantAdvice(), g, 0, mstadvice.RunOptions{})

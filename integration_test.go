@@ -18,13 +18,10 @@ func TestMatrixAllFamilies(t *testing.T) {
 	families := []string{"path", "ring", "grid", "tree", "random", "expander",
 		"star", "caterpillar", "binarytree", "complete", "wheel", "lollipop"}
 	for _, fname := range families {
-		fam, err := gen.ByName(fname)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, mode := range []WeightMode{WeightsDistinct, WeightsUnit} {
-			rng := rand.New(rand.NewSource(int64(len(fname)) + int64(mode)*37))
-			g := fam.Build(24, rng, GenOptions{Weights: mode})
+			seed := int64(len(fname)) + int64(mode)*37
+			rng := rand.New(rand.NewSource(seed))
+			g := seeded(t, fname, 24, uint64(seed), mode)
 			root := NodeID(rng.Intn(g.N()))
 			for _, s := range Schemes() {
 				res, err := Run(s, g, root, RunOptions{})
@@ -70,22 +67,22 @@ func TestMatrixOnGn(t *testing.T) {
 // and are much slower).
 func TestMatrixRandomSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260611))
-	families := gen.Families()
+	families := gen.Names()
 	schemes := []Scheme{Trivial(), OneRound(), ConstantAdvice(), ConstantAdviceAdaptive()}
 	for trial := 0; trial < 120; trial++ {
 		fam := families[rng.Intn(len(families))]
 		n := 2 + rng.Intn(59)
 		mode := WeightMode(rng.Intn(3))
-		g := fam.Build(n, rng, GenOptions{Weights: mode})
+		g := seeded(t, fam, n, uint64(trial), mode)
 		root := NodeID(rng.Intn(g.N()))
 		s := schemes[trial%len(schemes)]
 		res, err := Run(s, g, root, RunOptions{})
 		if err != nil {
-			t.Fatalf("trial %d: %s on %s n=%d mode=%v: %v", trial, s.Name(), fam.Name, g.N(), mode, err)
+			t.Fatalf("trial %d: %s on %s n=%d mode=%v: %v", trial, s.Name(), fam, g.N(), mode, err)
 		}
 		if !res.Verified || res.Root != root {
 			t.Fatalf("trial %d: %s on %s n=%d mode=%v: verified=%v root=%d/%d (%v)",
-				trial, s.Name(), fam.Name, g.N(), mode, res.Verified, res.Root, root, res.VerifyErr)
+				trial, s.Name(), fam, g.N(), mode, res.Verified, res.Root, root, res.VerifyErr)
 		}
 	}
 }
@@ -94,8 +91,7 @@ func TestMatrixRandomSweep(t *testing.T) {
 // the 12-bit scheme is logarithmic while both CONGEST baselines pay
 // linearly for the tail.
 func TestProfilesOnLollipop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := gen.Lollipop(120, rng, GenOptions{})
+	g := seeded(t, "lollipop", 120, 4, WeightsDistinct)
 	rounds := map[string]int{}
 	for _, name := range []string{"core", "noadvice", "pipeline"} {
 		s, _ := SchemeByName(name)

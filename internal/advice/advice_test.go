@@ -3,7 +3,6 @@ package advice
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -13,6 +12,16 @@ import (
 	"mstadvice/internal/mst"
 	"mstadvice/internal/sim"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 func TestMeasure(t *testing.T) {
 	mk := func(bits int) *bitstring.BitString {
@@ -102,8 +111,7 @@ func (*stuckNode) Round(*sim.Ctx, *sim.NodeView, []sim.Received) []sim.Send { re
 func (*stuckNode) Output() (int, bool)                                      { return -1, false }
 
 func TestRunErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.Ring(5, rng, gen.Options{})
+	g := seeded(t, "ring", 5, 1, gen.WeightsDistinct)
 	if _, err := Run(failingScheme{adviseErr: true}, g, 0, sim.Options{}); err == nil {
 		t.Fatal("oracle error not propagated")
 	}
@@ -132,8 +140,7 @@ func (*wrongNode) Round(*sim.Ctx, *sim.NodeView, []sim.Received) []sim.Send { re
 func (*wrongNode) Output() (int, bool)                                      { return 0, true } // everyone claims port 0
 
 func TestRunReportsVerificationFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := gen.Ring(5, rng, gen.Options{})
+	g := seeded(t, "ring", 5, 2, gen.WeightsDistinct)
 	res, err := Run(wrongScheme{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +151,7 @@ func TestRunReportsVerificationFailure(t *testing.T) {
 }
 
 func TestRunCtxCanceledBeforeOracle(t *testing.T) {
-	g := gen.Path(16, rand.New(rand.NewSource(1)), gen.Options{})
+	g := seeded(t, "path", 16, 1, gen.WeightsDistinct)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunCtx(ctx, core.Scheme{}, g, 0, sim.Options{}); !errors.Is(err, context.Canceled) {
@@ -159,7 +166,7 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	// and the error chain carries the cause. Driving sim.Options.Context
 	// directly keeps the test deterministic — the engine sees the
 	// cancellation exactly at its first between-round check.
-	g := gen.RandomConnected(256, 512, rand.New(rand.NewSource(2)), gen.Options{})
+	g := seeded(t, "random", 256, 2, gen.WeightsDistinct)
 	simCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := RunCtx(context.Background(), core.Scheme{}, g, 0, sim.Options{Context: simCtx})
@@ -169,7 +176,7 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 }
 
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	g := gen.Ring(32, rand.New(rand.NewSource(3)), gen.Options{})
+	g := seeded(t, "ring", 32, 3, gen.WeightsDistinct)
 	a, err := Run(core.Scheme{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,22 @@
 package boruvka
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 func decompose(t *testing.T, g *graph.Graph, root graph.NodeID) *Decomposition {
 	t.Helper()
@@ -24,14 +33,13 @@ func testGraphs(t *testing.T) []*graph.Graph {
 	var out []*graph.Graph
 	seed := int64(0)
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 7, 16, 33, 64} {
 				seed++
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(seed))
-				out = append(out, fam.Build(n, rng, gen.Options{Weights: mode}))
+				out = append(out, seeded(t, fam, n, uint64(seed), mode))
 			}
 		}
 	}
@@ -114,10 +122,9 @@ func TestLemma2GlobalOrder(t *testing.T) {
 }
 
 func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for _, n := range []int{8, 31, 64} {
-			rng := rand.New(rand.NewSource(int64(n)))
-			g := fam.Build(n, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := seeded(t, fam, n, uint64(int64(n)), gen.WeightsDistinct)
 			d := decompose(t, g, 0)
 			for _, ph := range d.Phases {
 				for fi := range ph.Fragments {
@@ -130,13 +137,13 @@ func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
 					rank := g.LocalRank(u, port)
 					if rank+1 > f.Size() {
 						t.Fatalf("%s n=%d phase %d: local rank %d > |F| = %d",
-							fam.Name, n, ph.Index, rank+1, f.Size())
+							fam, n, ph.Index, rank+1, f.Size())
 					}
 					// The index bound used by the advice widths: rank fits
 					// in i bits since |F| < 2^i.
 					if rank >= 1<<uint(ph.Index) {
 						t.Fatalf("%s n=%d phase %d: rank %d needs more than %d bits",
-							fam.Name, n, ph.Index, rank, ph.Index)
+							fam, n, ph.Index, rank, ph.Index)
 					}
 				}
 			}
@@ -326,8 +333,7 @@ func contains(es []graph.EdgeID, e graph.EdgeID) bool {
 // The final fragment spans the graph and its BFS order starts at the
 // global root.
 func TestFinalFragment(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := gen.RandomConnected(40, 100, rng, gen.Options{})
+	g := seeded(t, "random", 40, 5, gen.WeightsDistinct)
 	root := graph.NodeID(13)
 	d := decompose(t, g, root)
 	if d.Final.Size() != g.N() {
@@ -383,10 +389,8 @@ func TestSingleNode(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	rng1 := rand.New(rand.NewSource(77))
-	rng2 := rand.New(rand.NewSource(77))
-	g1 := gen.RandomConnected(30, 80, rng1, gen.Options{Weights: gen.WeightsUnit})
-	g2 := gen.RandomConnected(30, 80, rng2, gen.Options{Weights: gen.WeightsUnit})
+	g1 := seeded(t, "random", 30, 77, gen.WeightsUnit)
+	g2 := seeded(t, "random", 30, 77, gen.WeightsUnit)
 	d1 := decompose(t, g1, 3)
 	d2 := decompose(t, g2, 3)
 	if d1.NumPhases() != d2.NumPhases() {
@@ -409,8 +413,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func BenchmarkDecompose(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(512, 2048, rng, gen.Options{})
+	g := seeded(b, "random", 512, 1, gen.WeightsDistinct)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompose(g, 0); err != nil {

@@ -1,7 +1,6 @@
 package boruvka
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -50,31 +49,27 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 		{"keepTower", Options{KeepTower: true}},
 	}
 	check := func(t *testing.T) {
-		for gi, fam := range gen.Families() {
-			rng := rand.New(rand.NewSource(int64(100 + gi)))
-			g, err := fam.Generate(60, rng, gen.Options{Weights: gen.WeightsRandom})
-			if err != nil {
-				t.Fatalf("family %s: %v", fam.Name, err)
-			}
+		for gi, fam := range gen.Names() {
+			g := seeded(t, fam, 60, uint64(int64(100+gi)), gen.WeightsRandom)
 			for _, va := range variants {
 				opt := va.opt
 				opt.Workers = 1
 				ref, err := DecomposeOpt(g, 0, opt)
 				if err != nil {
-					t.Fatalf("family %s %s workers=1: %v", fam.Name, va.name, err)
+					t.Fatalf("family %s %s workers=1: %v", fam, va.name, err)
 				}
 				want := project(ref)
 				for _, workers := range []int{2, 3, 4, 8, 16} {
 					opt.Workers = workers
 					d, err := DecomposeOpt(g, 0, opt)
 					if err != nil {
-						t.Fatalf("family %s %s workers=%d: %v", fam.Name, va.name, workers, err)
+						t.Fatalf("family %s %s workers=%d: %v", fam, va.name, workers, err)
 					}
 					if !reflect.DeepEqual(project(d), want) {
-						t.Fatalf("family %s %s: decomposition differs at workers=%d", fam.Name, va.name, workers)
+						t.Fatalf("family %s %s: decomposition differs at workers=%d", fam, va.name, workers)
 					}
 					if va.opt.KeepTower && !reflect.DeepEqual(d.Tower, ref.Tower) {
-						t.Fatalf("family %s: tower differs at workers=%d", fam.Name, workers)
+						t.Fatalf("family %s: tower differs at workers=%d", fam, workers)
 					}
 				}
 			}
@@ -132,8 +127,7 @@ func collectStream(t *testing.T, g *graph.Graph, opt Options) ([]streamRecord, *
 // one it does not (where the stream must synthesize the spanning
 // fragment), across worker counts.
 func TestDecomposeStreamMatchesRich(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := gen.RandomConnected(180, 540, rng, gen.Options{})
+	g := seeded(t, "random", 180, 42, gen.WeightsDistinct)
 	full, err := Decompose(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +184,7 @@ func TestDecomposeStreamMatchesRich(t *testing.T) {
 // prefix of the full phase list and leaves every whole-run output
 // untouched.
 func TestDecomposeKeepPhases(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := gen.RandomConnected(120, 360, rng, gen.Options{})
+	g := seeded(t, "random", 120, 7, gen.WeightsDistinct)
 	full, err := Decompose(g, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +220,7 @@ func TestDecomposeKeepPhases(t *testing.T) {
 // fragment is reachable through FragmentsAtStart only when the record is
 // complete.
 func TestFragmentsAtStartTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := gen.RandomConnected(64, 128, rng, gen.Options{})
+	g := seeded(t, "random", 64, 8, gen.WeightsDistinct)
 	d, err := DecomposeOpt(g, 0, Options{KeepPhases: 1})
 	if err != nil {
 		t.Fatal(err)

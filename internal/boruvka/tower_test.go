@@ -1,7 +1,6 @@
 package boruvka
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,8 +12,7 @@ import (
 // with KeepTower produces byte-identical flat outputs (and hence
 // byte-identical Theorem 3 advice) to a run without it.
 func TestKeepTowerDoesNotPerturbFlatPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := gen.RandomConnected(200, 700, rng, gen.Options{})
+	g := seeded(t, "random", 200, 11, gen.WeightsDistinct)
 	flat, err := Decompose(g, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +36,7 @@ func TestKeepTowerDoesNotPerturbFlatPath(t *testing.T) {
 // phase record: fragment counts, node partitions (via the composed Up
 // maps), representatives, sizes, and the relabelled edge list.
 func TestTowerConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := gen.RandomConnected(150, 500, rng, gen.Options{})
+	g := seeded(t, "random", 150, 12, gen.WeightsDistinct)
 	d, err := DecomposeOpt(g, 0, Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)

@@ -4,17 +4,27 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"mstadvice/internal/core"
+	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/replica"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 func TestScheduleIsDeterministic(t *testing.T) {
 	s := Schedule{Seed: 99, DropPct: 20, DelayPct: 20, TruncatePct: 20}
@@ -197,7 +207,7 @@ func TestProxyPartition(t *testing.T) {
 // delays, truncations — may retry, but every answer it returns must be
 // byte-identical to the primary's and at a monotone epoch.
 func TestClientThroughChaosNeverWrong(t *testing.T) {
-	g := gen.RandomConnected(64, 192, rand.New(rand.NewSource(11)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", 64, 11, gen.WeightsDistinct)
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)

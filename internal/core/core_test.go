@@ -11,6 +11,16 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func runScheme(t *testing.T, g *graph.Graph, root graph.NodeID) *advice.Result {
 	t.Helper()
 	res, err := advice.Run(Scheme{}, g, root, sim.Options{})
@@ -25,30 +35,30 @@ func runScheme(t *testing.T, g *graph.Graph, root graph.NodeID) *advice.Result {
 // the run finishing within the fixed O(log n) schedule.
 func TestTheorem3AcrossFamilies(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 21, 33, 64, 100} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n)*17 + int64(mode)*7919))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)*17+int64(mode)*7919), mode)
 				root := graph.NodeID(rng.Intn(g.N()))
 				res, err := advice.Run(Scheme{}, g, root, sim.Options{})
 				if err != nil {
-					t.Fatalf("%s/%s n=%d root=%d: %v", fam.Name, mode, n, root, err)
+					t.Fatalf("%s/%s n=%d root=%d: %v", fam, mode, n, root, err)
 				}
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d root=%d: not the MST: %v", fam.Name, mode, n, root, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d root=%d: not the MST: %v", fam, mode, n, root, res.VerifyErr)
 				}
 				if res.Root != root {
-					t.Fatalf("%s/%s n=%d: root %d, want %d", fam.Name, mode, n, res.Root, root)
+					t.Fatalf("%s/%s n=%d: root %d, want %d", fam, mode, n, res.Root, root)
 				}
 				if res.Advice.MaxBits > 12 {
-					t.Fatalf("%s/%s n=%d: max advice %d bits > 12", fam.Name, mode, n, res.Advice.MaxBits)
+					t.Fatalf("%s/%s n=%d: max advice %d bits > 12", fam, mode, n, res.Advice.MaxBits)
 				}
 				exact, _ := RoundBound(g.N())
 				if res.Rounds != exact {
-					t.Fatalf("%s/%s n=%d: %d rounds, schedule says %d", fam.Name, mode, n, res.Rounds, exact)
+					t.Fatalf("%s/%s n=%d: %d rounds, schedule says %d", fam, mode, n, res.Rounds, exact)
 				}
 			}
 		}
@@ -57,8 +67,7 @@ func TestTheorem3AcrossFamilies(t *testing.T) {
 
 // All roots of one fixed graph: orientation handling must be root-agnostic.
 func TestAllRoots(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := gen.RandomConnected(24, 60, rng, gen.Options{})
+	g := seeded(t, "random", 24, 2, gen.WeightsDistinct)
 	for root := 0; root < g.N(); root++ {
 		res := runScheme(t, g, graph.NodeID(root))
 		if !res.Verified || res.Root != graph.NodeID(root) {
@@ -97,8 +106,7 @@ func TestLogarithmicScaling(t *testing.T) {
 // average is far below the max (most nodes hold only the final bit + a
 // few packed bits).
 func TestAdviceProfile(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := gen.RandomConnected(300, 900, rng, gen.Options{})
+	g := seeded(t, "random", 300, 7, gen.WeightsDistinct)
 	assignment, err := BuildAdvice(g, 0, DefaultCap)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +128,7 @@ func TestAdviceProfile(t *testing.T) {
 // check the documented envelope rather than a loose asymptotic claim.
 func TestMessageEnvelope(t *testing.T) {
 	for _, n := range []int{64, 256} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Grid(n/8, 8, rng, gen.Options{})
+		g := seeded(t, "grid", n/8*8, uint64(int64(n)), gen.WeightsDistinct)
 		res := runScheme(t, g, 0)
 		cm := sim.NewCostModel(g)
 		s := NewSchedule(g.N(), DefaultCap)
@@ -141,8 +148,7 @@ func TestMessageEnvelope(t *testing.T) {
 // The ablation hook: tiny caps must fail loudly in the oracle (Claim 1
 // violated), never silently mis-decode.
 func TestCapAblation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := gen.RandomConnected(128, 400, rng, gen.Options{})
+	g := seeded(t, "random", 128, 9, gen.WeightsDistinct)
 	okCap := 0
 	for cap := 1; cap <= DefaultCap; cap++ {
 		_, err := BuildAdvice(g, 0, cap)
@@ -170,7 +176,7 @@ func TestCapAblation(t *testing.T) {
 // Determinism including under parallel engine execution.
 func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
-		return gen.RandomConnected(60, 150, rand.New(rand.NewSource(4)), gen.Options{Weights: gen.WeightsUnit})
+		return seeded(t, "random", 60, 4, gen.WeightsUnit)
 	}
 	a, err := advice.Run(Scheme{}, mk(), 3, sim.Options{Sequential: true})
 	if err != nil {
@@ -193,7 +199,7 @@ func TestDeterminism(t *testing.T) {
 // Corrupting a single advice bit must never yield a verified wrong tree.
 func TestCorruptionDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	g := gen.RandomConnected(40, 100, rng, gen.Options{})
+	g := seeded(t, "random", 40, 10, gen.WeightsDistinct)
 	for trial := 0; trial < 10; trial++ {
 		assignment, err := BuildAdvice(g, 0, DefaultCap)
 		if err != nil {
@@ -226,7 +232,7 @@ func TestCorruptionDetected(t *testing.T) {
 // as the MST rooted elsewhere.
 func TestAdviceSwapDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	g := gen.RandomConnected(40, 100, rng, gen.Options{})
+	g := seeded(t, "random", 40, 14, gen.WeightsDistinct)
 	for trial := 0; trial < 10; trial++ {
 		assignment, err := BuildAdvice(g, 0, DefaultCap)
 		if err != nil {
@@ -253,8 +259,7 @@ func TestAdviceSwapDetected(t *testing.T) {
 // verified answer — the run either fails in the engine (panic/timeout) or
 // fails verification.
 func TestMessageLossNeverSilentlyWrong(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	g := gen.RandomConnected(30, 80, rng, gen.Options{})
+	g := seeded(t, "random", 30, 15, gen.WeightsDistinct)
 	for _, dropEvery := range []int{3, 7, 20, 100} {
 		assignment, err := BuildAdvice(g, 0, DefaultCap)
 		if err != nil {
@@ -325,8 +330,7 @@ func TestScheduleSmall(t *testing.T) {
 }
 
 func BenchmarkTheorem3(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(256, 1024, rng, gen.Options{})
+	g := seeded(b, "random", 256, 1, gen.WeightsDistinct)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := advice.Run(Scheme{}, g, 0, sim.Options{})

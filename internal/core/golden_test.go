@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -63,8 +62,7 @@ func TestScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short mode")
 	}
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(4096, 12288, rng, gen.Options{})
+	g := seeded(t, "random", 4096, 1, gen.WeightsDistinct)
 	res, err := advice.Run(Scheme{}, g, 100, sim.Options{})
 	if err != nil {
 		t.Fatal(err)

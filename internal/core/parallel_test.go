@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,22 +54,18 @@ func equalDetail(t *testing.T, label string, ref, d *AdviceDetail) {
 // different steal schedules.
 func TestAdviceParallelDeterminism(t *testing.T) {
 	check := func(t *testing.T) {
-		for gi, fam := range gen.Families() {
-			rng := rand.New(rand.NewSource(int64(300 + gi)))
-			g, err := fam.Generate(70, rng, gen.Options{Weights: gen.WeightsRandom})
-			if err != nil {
-				t.Fatalf("family %s: %v", fam.Name, err)
-			}
+		for gi, fam := range gen.Names() {
+			g := seeded(t, fam, 70, uint64(int64(300+gi)), gen.WeightsRandom)
 			ref, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: 1})
 			if err != nil {
-				t.Fatalf("family %s workers=1: %v", fam.Name, err)
+				t.Fatalf("family %s workers=1: %v", fam, err)
 			}
 			for _, workers := range []int{2, 3, 4, 8, 16} {
 				d, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: workers})
 				if err != nil {
-					t.Fatalf("family %s workers=%d: %v", fam.Name, workers, err)
+					t.Fatalf("family %s workers=%d: %v", fam, workers, err)
 				}
-				equalDetail(t, fam.Name, ref, d)
+				equalDetail(t, fam, ref, d)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // churn.
 func bench10k(tb testing.TB) (*Advisor, graph.EdgeID) {
 	tb.Helper()
-	g := gen.RandomConnected(10000, 30000, rand.New(rand.NewSource(1)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(tb, "random", 10000, 1, gen.WeightsDistinct)
 	a, err := NewAdvisor(g, 0, core.DefaultCap)
 	if err != nil {
 		tb.Fatal(err)

@@ -17,6 +17,16 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func adviceEqual(a, b []*bitstring.BitString) (int, bool) {
 	if len(a) != len(b) {
 		return -1, false
@@ -36,7 +46,7 @@ func TestSensitivityExact(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			g := gen.RandomConnected(24, 60, rng, gen.Options{Weights: mode})
+			g := seeded(t, "random", 24, uint64(seed), mode)
 			s, err := Analyze(g)
 			if err != nil {
 				t.Fatal(err)
@@ -66,8 +76,7 @@ func TestSensitivityExact(t *testing.T) {
 // TestToleranceBoundary probes each edge exactly at and just past its
 // tolerance: within it the MST must not change.
 func TestToleranceBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := gen.RandomConnected(30, 75, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", 30, 7, gen.WeightsDistinct)
 	s, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +119,10 @@ func TestToleranceBoundary(t *testing.T) {
 // weight updates applied incrementally equals a from-scratch rebuild —
 // graph, MST and advice all byte-for-byte.
 func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed * 1000))
-			g := fam.Build(33, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := seeded(t, fam, 33, uint64(seed*1000), gen.WeightsDistinct)
 			var batch graph.Batch
 			for k := 0; k < 10; k++ {
 				batch.Weights = append(batch.Weights, graph.WeightUpdate{
@@ -123,9 +132,10 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			}
 			inc := g.Clone()
 			if err := inc.ApplyBatch(batch); err != nil {
-				t.Fatalf("%s/%d: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: %v", fam, seed, err)
 			}
-			// From-scratch rebuild: original topology, ports, IDs; final weights.
+			// From-scratch rebuild: the original edge records (topology and
+			// ports) and IDs with the final weights.
 			finalW := make([]graph.Weight, g.M())
 			for e := range finalW {
 				finalW[e] = g.Weight(graph.EdgeID(e))
@@ -137,17 +147,17 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			for u := range ids {
 				ids[u] = g.ID(graph.NodeID(u))
 			}
-			b := graph.NewBuilder(g.N()).SetIDs(ids)
-			for e := 0; e < g.M(); e++ {
-				rec := g.Edge(graph.EdgeID(e))
-				b.AddEdge(rec.U, rec.V, finalW[e])
+			recs := make([]graph.Edge, g.M())
+			for e := range recs {
+				recs[e] = g.Edge(graph.EdgeID(e))
+				recs[e].W = finalW[e]
 			}
-			rebuilt, err := b.Build()
+			rebuilt, err := graph.FromEdgeList(g.N(), ids, recs, 1)
 			if err != nil {
-				t.Fatalf("%s/%d: rebuild: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: rebuild: %v", fam, seed, err)
 			}
 			if err := graph.Equal(inc, rebuilt); err != nil {
-				t.Fatalf("%s/%d: graph mismatch: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: graph mismatch: %v", fam, seed, err)
 			}
 			ti, err := mst.Kruskal(inc)
 			if err != nil {
@@ -155,7 +165,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			}
 			tr, _ := mst.Kruskal(rebuilt)
 			if !mst.SameEdges(ti, tr) {
-				t.Fatalf("%s/%d: MST mismatch", fam.Name, seed)
+				t.Fatalf("%s/%d: MST mismatch", fam, seed)
 			}
 			ai, err := core.BuildAdvice(inc, 0, core.DefaultCap)
 			if err != nil {
@@ -163,7 +173,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			}
 			ar, _ := core.BuildAdvice(rebuilt, 0, core.DefaultCap)
 			if u, ok := adviceEqual(ai, ar); !ok {
-				t.Fatalf("%s/%d: advice mismatch at node %d", fam.Name, seed, u)
+				t.Fatalf("%s/%d: advice mismatch at node %d", fam, seed, u)
 			}
 		}
 	}
@@ -175,14 +185,14 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 // after every batch that its advice is byte-identical to a fresh oracle
 // run on the patched graph.
 func TestAdvisorMatchesFullRecompute(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(seed * 77))
-			g := fam.Build(40, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := seeded(t, fam, 40, uint64(seed*77), gen.WeightsDistinct)
 			root := graph.NodeID(rng.Intn(g.N()))
 			a, err := NewAdvisor(g.Clone(), root, core.DefaultCap)
 			if err != nil {
-				t.Fatalf("%s/%d: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: %v", fam, seed, err)
 			}
 			for step := 0; step < 12; step++ {
 				var batch graph.Batch
@@ -221,20 +231,20 @@ func TestAdvisorMatchesFullRecompute(t *testing.T) {
 					continue
 				}
 				if _, err := a.Update(batch); err != nil {
-					t.Fatalf("%s/%d step %d: %v", fam.Name, seed, step, err)
+					t.Fatalf("%s/%d step %d: %v", fam, seed, step, err)
 				}
 				want, err := core.BuildAdvice(a.Graph(), root, core.DefaultCap)
 				if err != nil {
-					t.Fatalf("%s/%d step %d: full oracle: %v", fam.Name, seed, step, err)
+					t.Fatalf("%s/%d step %d: full oracle: %v", fam, seed, step, err)
 				}
 				if u, ok := adviceEqual(a.Advice(), want); !ok {
 					t.Fatalf("%s/%d step %d: advisor advice differs from full recompute at node %d",
-						fam.Name, seed, step, u)
+						fam, seed, step, u)
 				}
 			}
 			st := a.Stats()
 			if st.Batches == 0 || st.FullRecomputes == 0 {
-				t.Fatalf("%s/%d: update mix not exercised: %+v", fam.Name, seed, st)
+				t.Fatalf("%s/%d: update mix not exercised: %+v", fam, seed, st)
 			}
 		}
 	}
@@ -243,8 +253,7 @@ func TestAdvisorMatchesFullRecompute(t *testing.T) {
 // TestAdvisorFastPathTaken pins that tolerant non-tree updates really
 // take the incremental path (on a family with plenty of non-tree edges).
 func TestAdvisorFastPathTaken(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := gen.RandomConnected(64, 192, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", 64, 3, gen.WeightsDistinct)
 	a, err := NewAdvisor(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +287,7 @@ func TestAdvisorFastPathTaken(t *testing.T) {
 func TestAdvisorFastPathReencodes(t *testing.T) {
 	reencoded := false
 	for seed := int64(1); seed <= 40 && !reencoded; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.RandomConnected(48, 144, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := seeded(t, "random", 48, uint64(seed), gen.WeightsDistinct)
 		a, err := NewAdvisor(g, 0, core.DefaultCap)
 		if err != nil {
 			t.Fatal(err)
@@ -340,12 +348,8 @@ func TestAdvisorFastPathReencodes(t *testing.T) {
 // exact rooted MST comes out.
 func TestAdvisorEndToEnd(t *testing.T) {
 	for _, famName := range []string{"random", "expander", "lollipop"} {
-		fam, err := gen.ByName(famName)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(11))
-		g := fam.Build(48, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := seeded(t, famName, 48, 11, gen.WeightsDistinct)
 		a, err := NewAdvisor(g, 5, core.DefaultCap)
 		if err != nil {
 			t.Fatal(err)
@@ -373,8 +377,7 @@ func TestAdvisorEndToEnd(t *testing.T) {
 // determinism test at scheme level: a core-scheme run under a fault
 // Scenario is byte-identical for any worker count.
 func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := gen.RandomConnected(80, 240, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", 80, 21, gen.WeightsDistinct)
 	s, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
@@ -405,34 +408,43 @@ func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAdviceSurvivesNonTreeLinkFailures pins the fault-tolerance claim
-// E11 reports: with non-tree links failing after the setup exchange, the
-// Theorem 3 decoder still outputs the exact rooted MST.
+// TestAdviceSurvivesNonTreeLinkFailures pins what the Theorem 3 decoder
+// tolerates: every non-tree link failing from the first round of the
+// final window never changes its output, because the final collect runs
+// over tree edges only. Before that window the decoder does use non-tree
+// links — each phase's broadcast sends a level report on every non-tree
+// port, and the choosing node reads them — so links failing from round 2
+// must drop messages.
 func TestAdviceSurvivesNonTreeLinkFailures(t *testing.T) {
 	for _, famName := range []string{"random", "expander", "wheel"} {
-		fam, err := gen.ByName(famName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(31))
-		g := fam.Build(64, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := seeded(t, famName, 64, 31, gen.WeightsDistinct)
 		s, err := Analyze(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NonTreeLinkFailures(s, 10, 2)
-		res, err := advice.Run(core.Scheme{}, g, 0, sim.Options{Scenario: sc})
+		ref, err := advice.Run(core.Scheme{}, g, 0, sim.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", famName, err)
 		}
-		if !res.Verified {
-			t.Fatalf("%s: decode under non-tree link failures not verified: %v", famName, res.VerifyErr)
+		sched := core.NewSchedule(g.N(), core.DefaultCap)
+		final := sched.Total() - sched.FinalDecodeSlot()
+		all := g.M() - (g.N() - 1)
+		res, err := advice.Run(core.Scheme{}, g, 0, sim.Options{Scenario: NonTreeLinkFailures(s, all, final)})
+		if err != nil {
+			t.Fatalf("%s: %v", famName, err)
+		}
+		if !res.Verified || !reflect.DeepEqual(res.ParentPorts, ref.ParentPorts) {
+			t.Fatalf("%s: decode with non-tree links down from round %d changed the output: %v", famName, final, res.VerifyErr)
+		}
+		early, err := advice.Run(core.Scheme{}, g, 0, sim.Options{Scenario: NonTreeLinkFailures(s, all, 2)})
+		if err == nil && early.LinkDropped == 0 {
+			t.Fatalf("%s: non-tree links down from round 2 dropped no message", famName)
 		}
 	}
 }
 
 func TestUpdateCtxCanceled(t *testing.T) {
-	g := gen.RandomConnected(64, 192, rand.New(rand.NewSource(5)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", 64, 5, gen.WeightsDistinct)
 	adv, err := NewAdvisor(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,12 @@ import (
 // away from) the MST.
 
 // NonTreeLinkFailures fails the k lowest-ID non-tree edges from the given
-// round onward. The Theorem 3 decoder communicates exclusively over tree
-// edges once the round-0/1 setup exchange is done, so with round >= 2 the
-// scheme still terminates with the exact MST — the experiment E11 uses
-// this to demonstrate advice surviving link churn.
+// round onward. The Theorem 3 decoder still uses non-tree links in every
+// packed phase (level reports during the broadcast, read by the choosing
+// node), so failures from round 2 can break a decode; from the first
+// round of the final window on, the decoder talks over tree edges only
+// and its output never changes. Experiment E11 reports decodes under
+// failures from round 2.
 func NonTreeLinkFailures(s *Sensitivity, k, round int) *sim.Scenario {
 	sc := &sim.Scenario{}
 	for e := 0; e < s.G.M() && k > 0; e++ {

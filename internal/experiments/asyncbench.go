@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mstadvice/internal/core"
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/sim"
 )
 
@@ -51,22 +50,15 @@ func AsyncBench(c Config) []BenchResult {
 	for _, fam := range c.allFamilies() {
 		out = append(out, asyncRow(c, fam, famN, sim.FIFO{}))
 	}
-	randomFam, err := gen.ByName("random")
-	if err != nil {
-		panic(err)
-	}
 	for _, sched := range asyncSchedulers() {
-		out = append(out, asyncRow(c, randomFam, schedN, sched))
+		out = append(out, asyncRow(c, "random", schedN, sched))
 	}
 	return out
 }
 
 // asyncRow runs the sync reference and one measured async execution.
-func asyncRow(c Config, fam gen.Family, n int, sched sim.Scheduler) BenchResult {
-	g, err := fam.Generate(n, c.rng(int64(n)+31), gen.Options{})
-	if err != nil {
-		panic(err)
-	}
+func asyncRow(c Config, fam string, n int, sched sim.Scheduler) BenchResult {
+	g := c.graph(fam, n, int64(n)+31)
 	syncRes := mustRun(core.Scheme{}, g, 0, sim.Options{})
 
 	// Workers: 1 matches the recorded Workers column (results are
@@ -94,7 +86,7 @@ func asyncRow(c Config, fam gen.Family, n int, sched sim.Scheduler) BenchResult 
 	return BenchResult{
 		Kind:         "async",
 		Scheme:       "core+alpha/" + sched.Name(),
-		Family:       fam.Name,
+		Family:       fam,
 		N:            g.N(),
 		M:            g.M(),
 		Workers:      1,

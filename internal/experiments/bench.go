@@ -145,7 +145,7 @@ func SimBench(c Config) []BenchResult {
 			fmt.Fprintf(os.Stderr, "experiments: skipping sim benchmark at n=%d (message-level simulation is capped at n=%d)\n", n, simBenchMaxN)
 			continue
 		}
-		g := gen.RandomConnected(n, 3*n, c.rng(int64(n)), gen.Options{})
+		g := c.graph("random", n, int64(n))
 		var seqWall int64
 		for _, workers := range benchWorkers() {
 			var before, after runtime.MemStats
@@ -387,7 +387,7 @@ func max64(a, b int64) int64 {
 // Verified column certifying the incremental advice stayed byte-identical
 // to the oracle's.
 func dynamicBench(c Config, n int) []BenchResult {
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+917), gen.Options{Weights: gen.WeightsDistinct})
+	g := c.graph("random", n, int64(n)+917)
 	adv, err := dynamic.NewAdvisor(g.Clone(), 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

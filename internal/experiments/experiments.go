@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mstadvice/internal/advice"
@@ -50,34 +51,36 @@ func (c Config) sizes() []int {
 	return []int{16, 64, 256, 1024}
 }
 
-func (c Config) families() []gen.Family {
-	names := c.Families
-	if names == nil {
-		names = []string{"path", "grid", "random", "expander"}
+func (c Config) families() []string {
+	if c.Families != nil {
+		return c.Families
 	}
-	fams := make([]gen.Family, 0, len(names))
-	for _, name := range names {
-		f, err := gen.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		fams = append(fams, f)
-	}
-	return fams
+	return []string{"path", "grid", "random", "expander"}
 }
 
 // allFamilies returns the configured families, or — unlike families(),
 // which defaults to the classic four — every registered family. E11
 // sweeps the whole registry by default.
-func (c Config) allFamilies() []gen.Family {
+func (c Config) allFamilies() []string {
 	if c.Families == nil {
-		return gen.Families()
+		return gen.Names()
 	}
-	return c.families()
+	return c.Families
 }
 
 func (c Config) rng(salt int64) *rand.Rand {
 	return rand.New(rand.NewSource(c.Seed*1315423911 + salt))
+}
+
+// graph builds the named family at size n with distinct weights, seeded
+// from the config seed and a per-call salt. Validate has checked the
+// names and sizes at the CLI boundary, so a failure here is a bug.
+func (c Config) graph(family string, n int, salt int64) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, uint64(c.Seed*1315423911+salt), gen.SeededOptions{})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return g
 }
 
 // Validate checks the configuration at the CLI boundary: every family
@@ -85,8 +88,8 @@ func (c Config) rng(salt int64) *rand.Rand {
 // as errors instead of generator panics mid-run.
 func (c Config) Validate() error {
 	for _, name := range c.Families {
-		if _, err := gen.ByName(name); err != nil {
-			return err
+		if !slices.Contains(gen.Names(), name) {
+			return fmt.Errorf("experiments: unknown family %q (have %v)", name, gen.Names())
 		}
 	}
 	for _, n := range c.Sizes {
@@ -137,9 +140,9 @@ func E1Trivial(c Config) []*report.Table {
 	var s trivial.Scheme
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
-			g := fam.Build(n, c.rng(int64(n)), gen.Options{})
+			g := c.graph(fam, n, int64(n))
 			res := mustRun(s, g, 0, sim.Options{})
-			t.Add(fam.Name, g.N(), res.Advice.MaxBits, graph.CeilLog2(g.N())+1,
+			t.Add(fam, g.N(), res.Advice.MaxBits, graph.CeilLog2(g.N())+1,
 				res.Advice.AvgBits, res.Rounds, res.Verified)
 		}
 	}
@@ -189,14 +192,14 @@ func E3OneRound(c Config) []*report.Table {
 	var s oneround.Scheme
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
-			g := fam.Build(n, c.rng(3*int64(n)), gen.Options{Weights: gen.WeightsDistinct})
+			g := c.graph(fam, n, 3*int64(n))
 			res := mustRun(s, g, 0, sim.Options{})
 			logn := graph.CeilLog2(g.N())
 			maxBound := 0
 			for i := 1; i <= logn; i++ {
 				maxBound += 2 * (i + 1)
 			}
-			t.Add(fam.Name, g.N(), res.Advice.AvgBits, oneround.AverageConstant,
+			t.Add(fam, g.N(), res.Advice.AvgBits, oneround.AverageConstant,
 				res.Advice.MaxBits, maxBound, res.Rounds, res.Verified)
 		}
 	}
@@ -210,10 +213,10 @@ func E4ConstantAdvice(c Config) []*report.Table {
 		"family", "n", "max advice [bits]", "m=12", "avg advice", "rounds", "schedule bound", "paper 9⌈log n⌉", "max msg [bits]", "exact MST")
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
-			g := fam.Build(n, c.rng(5*int64(n)), gen.Options{})
+			g := c.graph(fam, n, 5*int64(n))
 			res := mustRun(core.Scheme{}, g, 0, sim.Options{})
 			exact, paper := core.RoundBound(g.N())
-			t.Add(fam.Name, g.N(), res.Advice.MaxBits, 12, res.Advice.AvgBits,
+			t.Add(fam, g.N(), res.Advice.MaxBits, 12, res.Advice.AvgBits,
 				res.Rounds, exact, paper, res.MaxMsgBits, res.Verified)
 		}
 	}
@@ -223,10 +226,10 @@ func E4ConstantAdvice(c Config) []*report.Table {
 		"family", "n", "strict rounds", "adaptive rounds", "adaptive exact MST")
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
-			g := fam.Build(n, c.rng(6*int64(n)), gen.Options{})
+			g := c.graph(fam, n, 6*int64(n))
 			strict := mustRun(core.Scheme{}, g, 0, sim.Options{})
 			adaptive := mustRun(core.Scheme{Adaptive: true}, g, 0, sim.Options{})
-			t2.Add(fam.Name, g.N(), strict.Rounds, adaptive.Rounds, adaptive.Verified)
+			t2.Add(fam, g.N(), strict.Rounds, adaptive.Rounds, adaptive.Verified)
 		}
 	}
 	t2.Note = "adaptivity saves little: the paper's worst-case windows are nearly tight on deep fragments"
@@ -242,17 +245,17 @@ func E5Tradeoff(c Config) []*report.Table {
 	}
 	var tables []*report.Table
 	for _, fam := range c.families() {
-		t := report.New(fmt.Sprintf("E5  rounds vs n on %s (advice bits in brackets: max/avg)", fam.Name),
+		t := report.New(fmt.Sprintf("E5  rounds vs n on %s (advice bits in brackets: max/avg)", fam),
 			"n", "trivial", "oneround", "core", "localgather", "noadvice", "pipeline")
 		for _, n := range c.sizes() {
 			row := []interface{}{0}
-			g := fam.Build(n, c.rng(7*int64(n)), gen.Options{})
+			g := c.graph(fam, n, 7*int64(n))
 			row[0] = g.N()
 			for _, s := range schemes {
 				res := mustRun(s, g, 0, sim.Options{})
 				if !res.Verified {
 					panic(fmt.Sprintf("experiments: %s failed verification on %s n=%d: %v",
-						s.Name(), fam.Name, n, res.VerifyErr))
+						s.Name(), fam, n, res.VerifyErr))
 				}
 				row = append(row, fmt.Sprintf("%d [%d/%.1f]", res.Rounds, res.Advice.MaxBits, res.Advice.AvgBits))
 			}
@@ -270,7 +273,7 @@ func E6Decomposition(c Config) []*report.Table {
 		"family", "n", "phases", "≤⌈log n⌉", "max |F| active@i vs 2^i", "max sel-rank/|F|", "max packed bits", "cap c=11")
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
-			g := fam.Build(n, c.rng(11*int64(n)), gen.Options{})
+			g := c.graph(fam, n, 11*int64(n))
 			d, err := boruvka.Decompose(g, 0)
 			if err != nil {
 				panic(err)
@@ -310,7 +313,7 @@ func E6Decomposition(c Config) []*report.Table {
 				}
 			}
 			_ = sizeOK
-			t.Add(fam.Name, g.N(), d.NumPhases(), graph.CeilLog2(g.N()),
+			t.Add(fam, g.N(), d.NumPhases(), graph.CeilLog2(g.N()),
 				fmt.Sprintf("%.2f", worstFrac), fmt.Sprintf("%.2f", maxRankFrac),
 				maxPacked, core.DefaultCap)
 		}
@@ -332,7 +335,7 @@ func E7CapAblation(c Config) []*report.Table {
 		for _, n := range sizes {
 			ok := 0
 			for k := 0; k < trials; k++ {
-				g := gen.RandomConnected(n, 3*n, c.rng(int64(cap*100000+n*100+k)), gen.Options{})
+				g := c.graph("random", n, int64(cap*100000+n*100+k))
 				if _, err := core.BuildAdvice(g, 0, cap); err == nil {
 					ok++
 				}
@@ -362,12 +365,12 @@ func E9PhaseDynamics(c Config) []*report.Table {
 	var tables []*report.Table
 	for _, fam := range c.families() {
 		n := c.sizes()[len(c.sizes())-1]
-		g := fam.Build(n, c.rng(17*int64(n)), gen.Options{})
+		g := c.graph(fam, n, 17*int64(n))
 		d, err := boruvka.Decompose(g, 0)
 		if err != nil {
 			panic(err)
 		}
-		t := report.New(fmt.Sprintf("E9  decomposition dynamics on %s (n=%d)", fam.Name, g.N()),
+		t := report.New(fmt.Sprintf("E9  decomposition dynamics on %s (n=%d)", fam, g.N()),
 			"phase i", "fragments", "bound n/2^(i-1)", "active", "min |F|", "max |F|", "edges selected")
 		for _, ph := range d.Phases {
 			minSize, maxSize := g.N(), 0
@@ -404,7 +407,7 @@ func E9PhaseDynamics(c Config) []*report.Table {
 // It exposes the structure the round bound is made of.
 func E10RoundProfile(c Config) []*report.Table {
 	n := c.sizes()[len(c.sizes())-1]
-	g := gen.RandomConnected(n, 3*n, c.rng(23*int64(n)), gen.Options{})
+	g := c.graph("random", n, 23*int64(n))
 	res := mustRun(core.Scheme{}, g, 0, sim.Options{RecordRoundStats: true})
 	if !res.Verified {
 		panic("experiments: e10 run failed verification")
@@ -487,10 +490,10 @@ func E11Churn(c Config) []*report.Table {
 		"family", "failed links", "rounds", "link-dropped msgs", "undelivered", "exact MST")
 
 	for fi, fam := range fams {
-		g := fam.Build(n, c.rng(29*int64(n)+int64(fi)), gen.Options{Weights: gen.WeightsDistinct})
+		g := c.graph(fam, n, 29*int64(n)+int64(fi))
 		sens, err := dynamic.Analyze(g)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: e11 %s: %v", fam.Name, err))
+			panic(fmt.Sprintf("experiments: e11 %s: %v", fam, err))
 		}
 
 		// --- E11a: tolerance statistics.
@@ -528,13 +531,13 @@ func E11Churn(c Config) []*report.Table {
 		if minTreeSlack >= 0 {
 			minStr = fmt.Sprintf("%d", minTreeSlack)
 		}
-		t1.Add(fam.Name, g.N(), g.M(), bridges,
+		t1.Add(fam, g.N(), g.M(), bridges,
 			avg(treeSlackSum, treeBounded), minStr, avg(nonTreeSlackSum, nonTreeCount), fragile)
 
 		// --- E11b: churn the advisor and time both paths.
 		adv, err := dynamic.NewAdvisor(g.Clone(), 0, core.DefaultCap)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: e11 %s: %v", fam.Name, err))
+			panic(fmt.Sprintf("experiments: e11 %s: %v", fam, err))
 		}
 		rng := c.rng(31*int64(n) + 1009*int64(fi))
 		var fastDur time.Duration
@@ -558,7 +561,7 @@ func E11Churn(c Config) []*report.Table {
 			start := time.Now()
 			res, err := adv.Update(batch)
 			if err != nil {
-				panic(fmt.Sprintf("experiments: e11 %s update %d: %v", fam.Name, k, err))
+				panic(fmt.Sprintf("experiments: e11 %s update %d: %v", fam, k, err))
 			}
 			if res.Incremental {
 				fastDur += time.Since(start)
@@ -567,7 +570,7 @@ func E11Churn(c Config) []*report.Table {
 		start := time.Now()
 		fresh, err := core.BuildAdvice(adv.Graph(), 0, core.DefaultCap)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: e11 %s oracle: %v", fam.Name, err))
+			panic(fmt.Sprintf("experiments: e11 %s oracle: %v", fam, err))
 		}
 		fullDur := time.Since(start)
 		identical := len(fresh) == len(adv.Advice())
@@ -578,7 +581,7 @@ func E11Churn(c Config) []*report.Table {
 			}
 		}
 		if !identical {
-			panic(fmt.Sprintf("experiments: e11 %s: incremental advice diverged from the oracle", fam.Name))
+			panic(fmt.Sprintf("experiments: e11 %s: incremental advice diverged from the oracle", fam))
 		}
 		st := adv.Stats()
 		incStr, speedupStr := "-", "-"
@@ -589,24 +592,27 @@ func E11Churn(c Config) []*report.Table {
 				speedupStr = fmt.Sprintf("%.0fx", float64(fullDur)/float64(perInc))
 			}
 		}
-		t2.Add(fam.Name, st.FastPath, st.FullRecomputes, st.NodesReencoded, identical,
+		t2.Add(fam, st.FastPath, st.FullRecomputes, st.NodesReencoded, identical,
 			incStr, fmt.Sprintf("%.2f", float64(fullDur.Nanoseconds())/1e6), speedupStr)
 
-		// --- E11c: decode with non-tree links failing after setup.
+		// --- E11c: decode with non-tree links failing after setup. The
+		// decoder still uses non-tree links then, so a run may fail; the
+		// table records the verdict or the error.
 		failed := 12
 		if nonTreeCount < failed {
 			failed = nonTreeCount
 		}
 		sc := dynamic.NonTreeLinkFailures(sens, failed, 2)
-		res := mustRun(core.Scheme{}, g, 0, sim.Options{Scenario: sc})
-		if !res.Verified {
-			panic(fmt.Sprintf("experiments: e11 %s: decode under link failures failed: %v", fam.Name, res.VerifyErr))
+		res, err := advice.Run(core.Scheme{}, g, 0, sim.Options{Scenario: sc})
+		if err != nil {
+			t3.Add(fam, failed, "-", "-", "-", fmt.Sprintf("error: %v", err))
+		} else {
+			t3.Add(fam, failed, res.Rounds, res.LinkDropped, res.Undelivered, res.Verified)
 		}
-		t3.Add(fam.Name, failed, res.Rounds, res.LinkDropped, res.Undelivered, res.Verified)
 	}
 	t1.Note = "tree slack: headroom before a tree edge is evicted; fragile non-tree edges sit exactly at their tolerance"
 	t2.Note = "tolerant non-tree churn re-encodes only final-stage carrier nodes; advice verified byte-identical to the oracle"
-	t3.Note = "the decoder talks only over tree edges after setup, so non-tree link failures never disturb the exact MST"
+	t3.Note = "each phase's broadcast sends level reports over non-tree links and the chooser reads them, so failures from round 2 can break a decode; from the final window on they never change the output"
 	return []*report.Table{t1, t2, t3}
 }
 
@@ -621,9 +627,9 @@ func E8Congest(c Config) []*report.Table {
 	}
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
-			g := fam.Build(n, c.rng(13*int64(n)), gen.Options{})
+			g := c.graph(fam, n, 13*int64(n))
 			logn := graph.CeilLog2(g.N())
-			row := []interface{}{fam.Name, g.N(), logn}
+			row := []interface{}{fam, g.N(), logn}
 			violations := map[string]int64{}
 			for _, s := range schemes {
 				res := mustRun(s, g, 0, sim.Options{CongestB: logn * logn})

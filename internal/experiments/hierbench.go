@@ -7,7 +7,6 @@ import (
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/hier"
 	"mstadvice/internal/report"
 	"mstadvice/internal/sim"
@@ -72,19 +71,16 @@ func HierBench(c Config) []BenchResult {
 	return rows
 }
 
-func hierRows(c Config, fam gen.Family, n int) []BenchResult {
-	g, err := fam.Generate(n, c.rng(int64(n)*31+13), gen.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
-	}
+func hierRows(c Config, fam string, n int) []BenchResult {
+	g := c.graph(fam, n, int64(n)*31+13)
 	root := graph.NodeID(0)
 	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
 	if err != nil {
-		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
 	flatAdvice, err := core.BuildAdvice(g, root, core.DefaultCap)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
 	flat := &store.Snapshot{Problem: "mst", Graph: g, Root: root, Cap: core.DefaultCap, Advice: flatAdvice}
 
@@ -92,15 +88,15 @@ func hierRows(c Config, fam gen.Family, n int) []BenchResult {
 	flatV2.Version = 2
 	flatBlob, err := store.Encode(&flatV2)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
 	baseBlob, err := store.Encode(flat) // version 3, no tiers
 	if err != nil {
-		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
 
 	rows := []BenchResult{{
-		Kind: "hier", Scheme: "flat-v2", Family: fam.Name, N: n, M: g.M(), Workers: 1,
+		Kind: "hier", Scheme: "flat-v2", Family: fam, N: n, M: g.M(), Workers: 1,
 		Bytes: int64(len(flatBlob)), Verified: true,
 	}}
 
@@ -112,7 +108,7 @@ func hierRows(c Config, fam gen.Family, n int) []BenchResult {
 	buildStart := time.Now()
 	tiers, err := hier.BuildTiers(g, root, hier.HierOptions{Levels: levels})
 	if err != nil {
-		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
 	buildNS := time.Since(buildStart).Nanoseconds() / int64(len(tiers))
 
@@ -129,7 +125,7 @@ func hierRows(c Config, fam gen.Family, n int) []BenchResult {
 	for _, tier := range tiers {
 		adv, err := hier.Encode(d, tier.Level, 0)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+			panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 		}
 		var adviceBits int64
 		for _, b := range adv {
@@ -139,12 +135,12 @@ func hierRows(c Config, fam gen.Family, n int) []BenchResult {
 		withTier.Tiers = []store.Tier{tier}
 		tierBlob, err := store.Encode(&withTier)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam.Name, n, err))
+			panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 		}
 		row := BenchResult{
 			Kind:   "hier",
 			Scheme: fmt.Sprintf("mst-hier-l%d", tier.Level),
-			Family: fam.Name, N: n, M: g.M(), Workers: 1,
+			Family: fam, N: n, M: g.M(), Workers: 1,
 			CoarseN:    tier.Graph.N(),
 			AdviceBits: adviceBits,
 			Bytes:      int64(len(tierBlob) - len(baseBlob)),
@@ -227,7 +223,7 @@ func E13Hier(c Config) []*report.Table {
 			for _, r := range rows {
 				level := 0
 				fmt.Sscanf(r.Scheme, "mst-hier-l%d", &level)
-				t.Add(fam.Name, n, level, r.CoarseN, r.AdviceBits, r.Bytes, flatBytes,
+				t.Add(fam, n, level, r.CoarseN, r.AdviceBits, r.Bytes, flatBytes,
 					fmt.Sprintf("%.3f", float64(r.Bytes)/float64(flatBytes)),
 					r.Rounds, r.Verified)
 			}

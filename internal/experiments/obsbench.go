@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mstadvice/internal/core"
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/obs"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
@@ -64,7 +63,7 @@ func ObsBench(c Config) []BenchResult {
 		per = 1
 	}
 
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+389), gen.Options{Weights: gen.WeightsDistinct})
+	g := c.graph("random", n, int64(n)+389)
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

@@ -15,7 +15,6 @@ import (
 	"mstadvice/internal/chaos"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/obs"
 	"mstadvice/internal/replica"
 	"mstadvice/internal/service"
@@ -121,7 +120,7 @@ func (r *epochRefs) bits(seq uint64, node int) *bitstring.BitString {
 
 func replicaBenchAt(c Config, n, queries int) []BenchResult {
 	const graphID = "bench"
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+613), gen.Options{Weights: gen.WeightsDistinct})
+	g := c.graph("random", n, int64(n)+613)
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

@@ -13,7 +13,6 @@ import (
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
@@ -61,7 +60,7 @@ func ServiceBench(c Config) []BenchResult {
 }
 
 func serviceBenchAt(c Config, n, queries int) []BenchResult {
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+271), gen.Options{Weights: gen.WeightsDistinct})
+	g := c.graph("random", n, int64(n)+271)
 	fresh, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/problem/topo"
 	"mstadvice/internal/report"
 	"mstadvice/internal/sim"
@@ -26,25 +25,21 @@ func E12Topology(c Config) []*report.Table {
 	t1 := report.New(fmt.Sprintf("E12a  topology recognition across families (flood scheme, n≈%d)", n),
 		"family", "n", "class", "shape", "advice total [bits]", "rounds", "verified", "async parity")
 	for _, fam := range c.allFamilies() {
-		g := fam.Build(n, c.rng(int64(n)+71), gen.Options{})
+		g := c.graph(fam, n, int64(n)+71)
 		syncRes := mustRun(topo.Flood{}, g, 0, sim.Options{})
 		asyncRes := mustRun(topo.Flood{}, g, 0, sim.Options{
 			Async:   true,
 			Latency: sim.UniformLatency{Seed: c.Seed + 7, Min: 1, Max: 8},
 		})
 		parity := asyncRes.Verified && reflect.DeepEqual(asyncRes.ParentPorts, syncRes.ParentPorts)
-		t1.Add(fam.Name, g.N(), fmt.Sprintf("%#08x", topo.Class(g)), topo.Shape(g),
+		t1.Add(fam, g.N(), fmt.Sprintf("%#08x", topo.Class(g)), topo.Shape(g),
 			syncRes.Advice.TotalBits, syncRes.Rounds, syncRes.Verified, parity)
 	}
 	t1.Note = "one class tag at the root floods outward; the unmodified decoders run on both engines"
 
 	t2 := report.New("E12b  the (m, t) tradeoff on the second problem: beacon radius vs rounds (grid)",
 		"radius", "advice total [bits]", "advice max", "rounds", "messages", "verified")
-	grid, err := gen.ByName("grid")
-	if err != nil {
-		panic(err)
-	}
-	g := grid.Build(1024, c.rng(1024+71), gen.Options{})
+	g := c.graph("grid", 1024, 1024+71)
 	for _, r := range []int{0, 1, 2, 4, 8, 16} {
 		res := mustRun(topo.Flood{Radius: r}, g, 0, sim.Options{})
 		t2.Add(r, res.Advice.TotalBits, res.Advice.MaxBits, res.Rounds, res.Messages, res.Verified)
@@ -83,23 +78,16 @@ func TopoBench(c Config) []BenchResult {
 	for _, fam := range c.allFamilies() {
 		out = append(out, topoRow(c, fam, famN, topo.Flood{}, true))
 	}
-	randomFam, err := gen.ByName("random")
-	if err != nil {
-		panic(err)
-	}
 	for _, r := range []int{0, 2, 8} {
-		out = append(out, topoRow(c, randomFam, radN, topo.Flood{Radius: r}, false))
+		out = append(out, topoRow(c, "random", radN, topo.Flood{Radius: r}, false))
 	}
 	return out
 }
 
 // topoRow runs one measured sync execution and, when asyncParity is set,
 // an async reference run whose agreement feeds the Verified column.
-func topoRow(c Config, fam gen.Family, n int, s topo.Flood, asyncParity bool) BenchResult {
-	g, err := fam.Generate(n, c.rng(int64(n)+59), gen.Options{})
-	if err != nil {
-		panic(err)
-	}
+func topoRow(c Config, fam string, n int, s topo.Flood, asyncParity bool) BenchResult {
+	g := c.graph(fam, n, int64(n)+59)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -121,7 +109,7 @@ func topoRow(c Config, fam gen.Family, n int, s topo.Flood, asyncParity bool) Be
 	return BenchResult{
 		Kind:       "topo",
 		Scheme:     s.Name(),
-		Family:     fam.Name,
+		Family:     fam,
 		N:          g.N(),
 		M:          g.M(),
 		Workers:    1,

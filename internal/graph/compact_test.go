@@ -14,28 +14,35 @@ import (
 	"mstadvice/internal/store"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // TestFromEdgeListReproducesEveryFamily rebuilds every registered family
 // from a copy of its own edge records, fresh and after deletions have
 // swap-removed ports and edge IDs, and requires graph.Equal.
 func TestFromEdgeListReproducesEveryFamily(t *testing.T) {
-	fams := gen.Families()
+	fams := gen.Names()
 	if len(fams) != 12 {
 		t.Fatalf("%d families registered, want 12", len(fams))
 	}
 	for _, fam := range fams {
 		rng := rand.New(rand.NewSource(3))
-		g, err := fam.Generate(40, rng, gen.Options{Weights: gen.WeightsRandom})
-		if err != nil {
-			t.Fatalf("%s: %v", fam.Name, err)
-		}
+		g := seeded(t, fam, 40, 3, gen.WeightsRandom)
 		rebuild := func(stage string) {
 			t.Helper()
 			back, err := graph.FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
 			if err != nil {
-				t.Fatalf("%s %s: %v", fam.Name, stage, err)
+				t.Fatalf("%s %s: %v", fam, stage, err)
 			}
 			if err := graph.Equal(g, back); err != nil {
-				t.Fatalf("%s %s: %v", fam.Name, stage, err)
+				t.Fatalf("%s %s: %v", fam, stage, err)
 			}
 		}
 		rebuild("fresh")

@@ -1,13 +1,21 @@
 package gen
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 
 	"mstadvice/internal/graph"
 )
 
-func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// build is BuildSeeded for tests: it fails the test on an error.
+func build(t *testing.T, name string, n int, seed uint64, opt SeededOptions) *graph.Graph {
+	t.Helper()
+	g, err := BuildSeeded(name, n, seed, opt)
+	if err != nil {
+		t.Fatalf("%s n=%d seed=%d: %v", name, n, seed, err)
+	}
+	return g
+}
 
 func checkGraph(t *testing.T, g *graph.Graph, wantN int, wantConnected bool) {
 	t.Helper()
@@ -22,11 +30,23 @@ func checkGraph(t *testing.T, g *graph.Graph, wantN int, wantConnected bool) {
 	}
 }
 
+// degreeCount returns how many nodes have each degree.
+func degreeCount(g *graph.Graph) map[int]int {
+	c := map[int]int{}
+	for u := 0; u < g.N(); u++ {
+		c[g.Degree(graph.NodeID(u))]++
+	}
+	return c
+}
+
 func TestPath(t *testing.T) {
-	g := Path(10, rng(1), Options{})
+	g := build(t, "path", 10, 1, SeededOptions{})
 	checkGraph(t, g, 10, true)
 	if g.M() != 9 || g.MaxDegree() != 2 {
 		t.Fatalf("M=%d maxdeg=%d", g.M(), g.MaxDegree())
+	}
+	if d := degreeCount(g); d[1] != 2 || d[2] != 8 {
+		t.Fatalf("path degrees %v", d)
 	}
 	if g.Diameter() != 9 {
 		t.Fatalf("path diameter = %d", g.Diameter())
@@ -34,88 +54,91 @@ func TestPath(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	g := Ring(12, rng(2), Options{})
+	g := build(t, "ring", 12, 2, SeededOptions{})
 	checkGraph(t, g, 12, true)
 	if g.M() != 12 {
 		t.Fatalf("M = %d", g.M())
 	}
-	for u := 0; u < g.N(); u++ {
-		if g.Degree(graph.NodeID(u)) != 2 {
-			t.Fatalf("ring degree at %d = %d", u, g.Degree(graph.NodeID(u)))
-		}
+	if d := degreeCount(g); d[2] != 12 {
+		t.Fatalf("ring degrees %v", d)
 	}
 	if g.Diameter() != 6 {
 		t.Fatalf("ring diameter = %d", g.Diameter())
 	}
+	if g := build(t, "ring", 2, 2, SeededOptions{}); g.N() != 3 || g.M() != 3 {
+		t.Fatalf("ring n=2 clamps to %d nodes, %d edges; want the triangle", g.N(), g.M())
+	}
 }
 
 func TestGrid(t *testing.T) {
-	g := Grid(4, 5, rng(3), Options{})
-	checkGraph(t, g, 20, true)
-	if g.M() != 4*4+3*5 {
+	// n rounds down to a square: 20 nodes give the 4x4 grid.
+	g := build(t, "grid", 20, 3, SeededOptions{})
+	checkGraph(t, g, 16, true)
+	if g.M() != 2*4*3 {
 		t.Fatalf("grid M = %d", g.M())
 	}
-	if g.Diameter() != 3+4 {
+	if d := degreeCount(g); d[2] != 4 || d[3] != 8 || d[4] != 4 {
+		t.Fatalf("grid degrees %v", d)
+	}
+	if g.Diameter() != 3+3 {
 		t.Fatalf("grid diameter = %d", g.Diameter())
 	}
-}
-
-func TestTorus(t *testing.T) {
-	g := Torus(4, 4, rng(4), Options{})
-	checkGraph(t, g, 16, true)
-	if g.M() != 2*16 {
-		t.Fatalf("torus M = %d", g.M())
-	}
-	for u := 0; u < g.N(); u++ {
-		if g.Degree(graph.NodeID(u)) != 4 {
-			t.Fatal("torus should be 4-regular")
-		}
+	if g := build(t, "grid", 1, 3, SeededOptions{}); g.N() != 4 {
+		t.Fatalf("grid n=1 has %d nodes, want the 2x2 minimum", g.N())
 	}
 }
 
 func TestComplete(t *testing.T) {
-	g := Complete(7, rng(5), Options{})
+	g := build(t, "complete", 7, 5, SeededOptions{})
 	checkGraph(t, g, 7, true)
 	if g.M() != 21 || g.Diameter() != 1 {
 		t.Fatalf("K7: M=%d diam=%d", g.M(), g.Diameter())
 	}
-}
-
-func TestHypercube(t *testing.T) {
-	g := Hypercube(4, rng(6), Options{})
-	checkGraph(t, g, 16, true)
-	if g.M() != 32 || g.Diameter() != 4 {
-		t.Fatalf("Q4: M=%d diam=%d", g.M(), g.Diameter())
+	if d := degreeCount(g); d[6] != 7 {
+		t.Fatalf("K7 degrees %v", d)
 	}
 }
 
 func TestStar(t *testing.T) {
-	g := Star(9, rng(7), Options{})
+	g := build(t, "star", 9, 7, SeededOptions{})
 	checkGraph(t, g, 9, true)
-	if g.MaxDegree() != 8 || g.M() != 8 {
-		t.Fatal("star shape wrong")
+	if g.M() != 8 || g.Degree(0) != 8 {
+		t.Fatalf("star: M=%d centre degree %d", g.M(), g.Degree(0))
+	}
+	if d := degreeCount(g); d[1] != 8 || d[8] != 1 {
+		t.Fatalf("star degrees %v", d)
 	}
 }
 
 func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(15, rng(8), Options{})
+	g := build(t, "binarytree", 15, 8, SeededOptions{})
 	checkGraph(t, g, 15, true)
 	if g.M() != 14 || g.MaxDegree() != 3 {
 		t.Fatalf("binary tree: M=%d maxdeg=%d", g.M(), g.MaxDegree())
 	}
+	// The full tree on 15 nodes: a degree-2 root, 6 inner nodes, 8 leaves.
+	if d := degreeCount(g); d[1] != 8 || d[2] != 1 || d[3] != 6 {
+		t.Fatalf("binary tree degrees %v", d)
+	}
 }
 
 func TestCaterpillar(t *testing.T) {
-	g := Caterpillar(11, rng(9), Options{})
+	g := build(t, "caterpillar", 11, 9, SeededOptions{})
 	checkGraph(t, g, 11, true)
 	if g.M() != 10 {
 		t.Fatalf("caterpillar M = %d", g.M())
 	}
+	// A 6-node spine with 5 legs on spine nodes 0..4: the legs and the
+	// legless spine end are leaves, the other spine nodes have degree 3
+	// except the first, which has one spine neighbour.
+	if d := degreeCount(g); d[1] != 6 || d[2] != 1 || d[3] != 4 {
+		t.Fatalf("caterpillar degrees %v", d)
+	}
 }
 
 func TestRandomTree(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := RandomTree(40, rng(seed), Options{})
+	for seed := uint64(0); seed < 5; seed++ {
+		g := build(t, "tree", 40, seed, SeededOptions{})
 		checkGraph(t, g, 40, true)
 		if g.M() != 39 {
 			t.Fatalf("tree M = %d", g.M())
@@ -124,31 +147,33 @@ func TestRandomTree(t *testing.T) {
 }
 
 func TestRandomConnected(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := RandomConnected(30, 70, rng(seed), Options{})
+	for seed := uint64(0); seed < 5; seed++ {
+		g := build(t, "random", 30, seed, SeededOptions{})
 		checkGraph(t, g, 30, true)
-		if g.M() != 70 {
-			t.Fatalf("M = %d, want 70", g.M())
+		if g.M() != 90 {
+			t.Fatalf("M = %d, want 3n = 90", g.M())
 		}
 	}
-	// Clamping.
-	g := RandomConnected(5, 1, rng(1), Options{})
-	if g.M() != 4 {
-		t.Fatalf("clamped low M = %d", g.M())
-	}
-	g = RandomConnected(5, 100, rng(1), Options{})
-	if g.M() != 10 {
-		t.Fatalf("clamped high M = %d", g.M())
+	// 3n clamps to the complete graph's n(n-1)/2 edges.
+	for n, want := range map[int]int{1: 0, 2: 1, 5: 10, 7: 21} {
+		if g := build(t, "random", n, 1, SeededOptions{}); g.M() != want {
+			t.Fatalf("random n=%d: M = %d, want %d", n, g.M(), want)
+		}
 	}
 }
 
 func TestLollipop(t *testing.T) {
-	g := Lollipop(12, rng(30), Options{})
+	g := build(t, "lollipop", 12, 30, SeededOptions{})
 	checkGraph(t, g, 12, true)
 	clique := 6
 	wantM := clique*(clique-1)/2 + (12 - clique)
 	if g.M() != wantM {
 		t.Fatalf("lollipop M = %d, want %d", g.M(), wantM)
+	}
+	// Clique nodes have degree 5 (node 0 one more, for the tail), the
+	// tail is a path ending in a leaf.
+	if d := degreeCount(g); d[5] != clique-1 || d[6] != 1 || d[2] != 5 || d[1] != 1 {
+		t.Fatalf("lollipop degrees %v", d)
 	}
 	// Diameter is dominated by the tail.
 	if g.Diameter() < 12-clique {
@@ -157,7 +182,7 @@ func TestLollipop(t *testing.T) {
 }
 
 func TestWheel(t *testing.T) {
-	g := Wheel(10, rng(31), Options{})
+	g := build(t, "wheel", 10, 31, SeededOptions{})
 	checkGraph(t, g, 10, true)
 	if g.M() != 2*(10-1) {
 		t.Fatalf("wheel M = %d", g.M())
@@ -165,21 +190,33 @@ func TestWheel(t *testing.T) {
 	if g.Degree(0) != 9 {
 		t.Fatalf("hub degree = %d", g.Degree(0))
 	}
+	if d := degreeCount(g); d[3] != 9 {
+		t.Fatalf("wheel degrees %v", d)
+	}
 	if g.Diameter() != 2 {
 		t.Fatalf("wheel diameter = %d", g.Diameter())
 	}
 }
 
 func TestExpander(t *testing.T) {
-	g := Expander(50, 3, rng(10), Options{})
+	g := build(t, "expander", 50, 10, SeededOptions{})
 	checkGraph(t, g, 50, true)
+	// Three Hamiltonian cycles, duplicates dropped: degrees in [2, 6].
+	if g.M() > 150 || g.M() < 50 {
+		t.Fatalf("expander M = %d, want within [n, 3n]", g.M())
+	}
+	for deg := range degreeCount(g) {
+		if deg < 2 || deg > 6 {
+			t.Fatalf("expander has a degree-%d node", deg)
+		}
+	}
 	if g.Diameter() > 10 {
 		t.Fatalf("expander diameter suspiciously large: %d", g.Diameter())
 	}
 }
 
 func TestWeightModes(t *testing.T) {
-	g := Complete(8, rng(11), Options{Weights: WeightsDistinct})
+	g := build(t, "complete", 8, 11, SeededOptions{Weights: WeightsDistinct})
 	seen := map[graph.Weight]bool{}
 	for _, e := range g.Edges() {
 		if seen[e.W] {
@@ -191,25 +228,18 @@ func TestWeightModes(t *testing.T) {
 		}
 	}
 
-	g = Complete(8, rng(12), Options{Weights: WeightsUnit})
+	g = build(t, "complete", 8, 12, SeededOptions{Weights: WeightsUnit})
 	for _, e := range g.Edges() {
 		if e.W != 1 {
 			t.Fatal("unit mode produced non-unit weight")
 		}
 	}
 
-	g = Complete(8, rng(13), Options{Weights: WeightsRandom})
-	ties := false
-	w0 := g.Edges()[0].W
+	// Random weights need not tie, but must lie in [1, m/2+1].
+	g = build(t, "complete", 8, 13, SeededOptions{Weights: WeightsRandom})
 	for _, e := range g.Edges() {
-		if e.W != w0 {
-			ties = true
-		}
-	}
-	_ = ties // random weights need not tie, but must be in range
-	for _, e := range g.Edges() {
-		if e.W < 1 {
-			t.Fatal("random weight below 1")
+		if e.W < 1 || e.W > graph.Weight(g.M()/2+1) {
+			t.Fatalf("random weight %d out of range", e.W)
 		}
 	}
 }
@@ -222,8 +252,8 @@ func TestWeightModeString(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := RandomConnected(25, 60, rng(99), Options{})
-	b := RandomConnected(25, 60, rng(99), Options{})
+	a := build(t, "random", 25, 99, SeededOptions{})
+	b := build(t, "random", 25, 99, SeededOptions{})
 	if a.N() != b.N() || a.M() != b.M() {
 		t.Fatal("same seed produced different shapes")
 	}
@@ -240,26 +270,29 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestPortShuffling pins KeepPorts: with it the port labelling is
+// canonical, so two seeds of a deterministic family agree on every
+// endpoint and port; without it the seeded shuffle relabels ports.
 func TestPortShuffling(t *testing.T) {
-	// With KeepPorts the port labelling is canonical; without it two seeds
-	// should (almost surely) differ somewhere on a large graph.
-	a := Complete(10, rng(1), Options{KeepPorts: true, KeepIDs: true})
-	b := Complete(10, rng(2), Options{KeepPorts: true, KeepIDs: true})
-	same := true
-	for i := 0; i < a.M(); i++ {
-		ea, eb := a.Edge(graph.EdgeID(i)), b.Edge(graph.EdgeID(i))
-		if ea.U != eb.U || ea.V != eb.V {
-			same = false
+	type ends struct{ u, v, pu, pv int }
+	layout := func(g *graph.Graph) []ends {
+		out := make([]ends, g.M())
+		for i, e := range g.Edges() {
+			out[i] = ends{int(e.U), int(e.V), int(e.PU), int(e.PV)}
+		}
+		return out
+	}
+	a := layout(build(t, "complete", 10, 1, SeededOptions{KeepPorts: true, KeepIDs: true}))
+	b := layout(build(t, "complete", 10, 2, SeededOptions{KeepPorts: true, KeepIDs: true}))
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("KeepPorts: edge %d is %+v under seed 1, %+v under seed 2", i, a[i], b[i])
 		}
 	}
-	if !same {
-		t.Fatal("KeepPorts should fix the edge insertion order")
-	}
-	c := Complete(10, rng(3), Options{KeepIDs: true})
+	c := layout(build(t, "complete", 10, 3, SeededOptions{KeepIDs: true}))
 	diff := false
-	for i := 0; i < a.M(); i++ {
-		if a.Edge(graph.EdgeID(i)).U != c.Edge(graph.EdgeID(i)).U ||
-			a.Edge(graph.EdgeID(i)).V != c.Edge(graph.EdgeID(i)).V {
+	for i := range a {
+		if a[i] != c[i] {
 			diff = true
 		}
 	}
@@ -269,7 +302,7 @@ func TestPortShuffling(t *testing.T) {
 }
 
 func TestKeepIDs(t *testing.T) {
-	g := Path(6, rng(20), Options{KeepIDs: true})
+	g := build(t, "path", 6, 20, SeededOptions{KeepIDs: true})
 	for u := 0; u < g.N(); u++ {
 		if g.ID(graph.NodeID(u)) != int64(u+1) {
 			t.Fatal("KeepIDs should give identity IDs")
@@ -278,44 +311,43 @@ func TestKeepIDs(t *testing.T) {
 }
 
 func TestFamilies(t *testing.T) {
-	for _, f := range Families() {
+	for _, name := range Names() {
 		for _, n := range []int{8, 33} {
-			g := f.Build(n, rng(int64(n)), Options{})
+			g := build(t, name, n, uint64(n), SeededOptions{})
 			if err := g.Validate(); err != nil {
-				t.Fatalf("family %s n=%d: %v", f.Name, n, err)
+				t.Fatalf("family %s n=%d: %v", name, n, err)
 			}
 			if !g.Connected() {
-				t.Fatalf("family %s n=%d: not connected", f.Name, n)
+				t.Fatalf("family %s n=%d: not connected", name, n)
 			}
 			if g.N() < n/2 || g.N() > 2*n {
-				t.Fatalf("family %s n=%d: produced %d nodes", f.Name, n, g.N())
+				t.Fatalf("family %s n=%d: produced %d nodes", name, n, g.N())
 			}
 		}
 	}
 }
 
+// TestByName pins the registry lookup: every listed name builds, and an
+// unknown name is an error that lists the registered families.
 func TestByName(t *testing.T) {
 	for _, name := range []string{"path", "ring", "grid", "tree", "random", "expander", "star", "caterpillar", "binarytree", "complete", "wheel", "lollipop"} {
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if f.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, f.Name)
+		if _, err := BuildSeeded(name, 8, 1, SeededOptions{}); err != nil {
+			t.Fatalf("BuildSeeded(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("expected error for unknown family")
+	_, err := BuildSeeded("nope", 8, 1, SeededOptions{})
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "lollipop") {
+		t.Fatalf("unknown family: error %v, want one naming it and the registry", err)
 	}
 }
 
-// TestRegistryUnified pins the single-registry bugfix: every name ByName
-// accepts is listed by Families (and vice versa), so -family sweeps and
-// listings can never disagree again.
+// TestRegistryUnified pins the single registry: Names lists each family
+// once, and every listed name builds, so -family sweeps and listings can
+// never disagree.
 func TestRegistryUnified(t *testing.T) {
 	names := Names()
-	if len(names) != len(Families()) {
-		t.Fatalf("Names has %d entries, Families %d", len(names), len(Families()))
+	if len(names) != 12 {
+		t.Fatalf("Names has %d entries, want 12", len(names))
 	}
 	seen := map[string]bool{}
 	for _, name := range names {
@@ -323,65 +355,45 @@ func TestRegistryUnified(t *testing.T) {
 			t.Fatalf("duplicate registered family %q", name)
 		}
 		seen[name] = true
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatalf("registered family %q not resolvable: %v", name, err)
-		}
-		if f.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, f.Name)
+		if _, err := BuildSeeded(name, 5, 1, SeededOptions{}); err != nil {
+			t.Fatalf("registered family %q not buildable: %v", name, err)
 		}
 	}
 	for _, want := range []string{"star", "wheel", "lollipop", "caterpillar", "binarytree", "complete"} {
 		if !seen[want] {
-			t.Fatalf("family %q missing from the unified registry", want)
+			t.Fatalf("family %q missing from the registry", want)
 		}
+	}
+	names[0] = "mutated"
+	if Names()[0] != "path" {
+		t.Fatal("Names returned the registry itself, not a copy")
 	}
 }
 
-// TestGenerate covers the error-returning entry points: valid sizes
-// succeed, invalid sizes and unknown families return errors (never
-// panics).
+// TestGenerate covers the error contract: valid sizes succeed, sizes
+// below 1 and unknown families return errors (never panics), and sizes
+// below a family's structural minimum clamp up to it.
 func TestGenerate(t *testing.T) {
-	for _, f := range Families() {
-		g, err := f.Generate(10, rng(7), Options{})
+	for _, name := range Names() {
+		g, err := BuildSeeded(name, 10, 7, SeededOptions{})
 		if err != nil {
-			t.Fatalf("%s.Generate(10): %v", f.Name, err)
+			t.Fatalf("%s n=10: %v", name, err)
 		}
 		if err := g.Validate(); err != nil {
-			t.Fatalf("%s.Generate(10): %v", f.Name, err)
+			t.Fatalf("%s n=10: %v", name, err)
 		}
-		if _, err := f.Generate(0, rng(7), Options{}); err == nil {
-			t.Fatalf("%s.Generate(0): expected error", f.Name)
+		for _, n := range []int{0, -3} {
+			if _, err := BuildSeeded(name, n, 7, SeededOptions{}); err == nil {
+				t.Fatalf("%s n=%d: expected error", name, n)
+			}
 		}
-		if _, err := f.Generate(-3, rng(7), Options{}); err == nil {
-			t.Fatalf("%s.Generate(-3): expected error", f.Name)
+	}
+	for name, min := range map[string]int{"path": 1, "ring": 3, "star": 2, "caterpillar": 2, "wheel": 4, "lollipop": 4, "expander": 3} {
+		if g := build(t, name, 1, 7, SeededOptions{}); g.N() != min {
+			t.Fatalf("%s n=1 built %d nodes, want the minimum %d", name, g.N(), min)
 		}
 	}
-	if _, err := Build("nope", 8, rng(1), Options{}); err == nil {
-		t.Fatal("Build with unknown family: expected error")
-	}
-	if g, err := Build("ring", 8, rng(1), Options{}); err != nil || g.N() != 8 {
-		t.Fatalf("Build(ring, 8) = %v, %v", g, err)
-	}
-}
-
-func TestGeneratorPanics(t *testing.T) {
-	cases := []func(){
-		func() { Path(0, rng(1), Options{}) },
-		func() { Ring(2, rng(1), Options{}) },
-		func() { Grid(0, 3, rng(1), Options{}) },
-		func() { Torus(2, 3, rng(1), Options{}) },
-		func() { Hypercube(0, rng(1), Options{}) },
-		func() { Star(1, rng(1), Options{}) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
+	if g, err := BuildSeeded("ring", 8, 1, SeededOptions{}); err != nil || g.N() != 8 {
+		t.Fatalf("BuildSeeded(ring, 8) = %v, %v", g, err)
 	}
 }

@@ -34,27 +34,27 @@ func TestPairSetMatchesMap(t *testing.T) {
 	}
 }
 
-// TestGeneratorsDeterministic pins that the randomised generators are a
-// pure function of the seed after the pair-set rewrite.
+// TestGeneratorsDeterministic pins that the randomised families are a
+// pure function of the seed.
 func TestGeneratorsDeterministic(t *testing.T) {
-	g1 := RandomConnected(200, 600, rand.New(rand.NewSource(9)), Options{})
-	g2 := RandomConnected(200, 600, rand.New(rand.NewSource(9)), Options{})
+	g1 := build(t, "random", 200, 9, SeededOptions{})
+	g2 := build(t, "random", 200, 9, SeededOptions{})
 	if g1.N() != g2.N() || g1.M() != g2.M() {
-		t.Fatalf("RandomConnected not deterministic: %d/%d vs %d/%d", g1.N(), g1.M(), g2.N(), g2.M())
+		t.Fatalf("random not deterministic: %d/%d vs %d/%d", g1.N(), g1.M(), g2.N(), g2.M())
 	}
 	for e := 0; e < g1.M(); e++ {
 		if g1.Edge(graph.EdgeID(e)) != g2.Edge(graph.EdgeID(e)) {
-			t.Fatalf("RandomConnected edge %d differs", e)
+			t.Fatalf("random edge %d differs", e)
 		}
 	}
-	x1 := Expander(150, 3, rand.New(rand.NewSource(10)), Options{})
-	x2 := Expander(150, 3, rand.New(rand.NewSource(10)), Options{})
+	x1 := build(t, "expander", 150, 10, SeededOptions{})
+	x2 := build(t, "expander", 150, 10, SeededOptions{})
 	if x1.M() != x2.M() {
-		t.Fatalf("Expander not deterministic: m=%d vs %d", x1.M(), x2.M())
+		t.Fatalf("expander not deterministic: m=%d vs %d", x1.M(), x2.M())
 	}
 	for e := 0; e < x1.M(); e++ {
 		if x1.Edge(graph.EdgeID(e)) != x2.Edge(graph.EdgeID(e)) {
-			t.Fatalf("Expander edge %d differs", e)
+			t.Fatalf("expander edge %d differs", e)
 		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"mstadvice/internal/par"
 )
 
-// This file is the parallel seeded generation path: the same 12 families
-// as the *rand.Rand generators, rebuilt so that every random quantity is
-// a pointwise function of (seed, purpose, index) and the whole build runs
-// on the worker pool with byte-identical output for any worker count.
+// This file is the parallel seeded generation path for the 12 families:
+// every random quantity is a pointwise function of (seed, purpose,
+// index), and the whole build runs on the worker pool with
+// byte-identical output for any worker count.
 //
 // Three primitives carry the construction (DESIGN.md §2.12):
 //
@@ -21,16 +21,13 @@ import (
 //     evaluate any draw with no shared state, and each stream is a
 //     bijection of the counter, so draws never collide within a stream;
 //   - Feistel cycle-walking bijections over [0, N): pointwise random
-//     permutations (with a pointwise inverse) replacing rng.Perm and
-//     rng.Shuffle for ID relabelling, weight permutations, port
-//     shuffling, and distinct-pair sampling;
+//     permutations (with a pointwise inverse) for ID relabelling,
+//     weight permutations, port shuffling, and distinct-pair sampling;
 //   - sort-based assembly: ports are ranks in a par.SortU64 pass over
 //     packed (node, sequence) half-edge keys, and the CSR is scattered
 //     by graph.FromEdgeList — disjoint writes everywhere.
 //
-// The output of this path is pinned by its own goldens (seeded_test.go);
-// it intentionally differs from the sequential generators' bytes, which
-// remain pinned by the store goldens.
+// The output of this path is pinned by its goldens (seeded_test.go).
 
 // splitmixGolden is the SplitMix64 increment; mix is its finalizer, a
 // bijective avalanche (same constants as internal/sim's latency model).
@@ -166,9 +163,9 @@ type edgeList struct {
 	at    func(i int) seqEdge
 }
 
-// seededFamily builds the edge list of the named family (the same names
-// and MinN clamping as the registry; grid rounds to a square like the
-// sequential path).
+// seededFamily builds the edge list of the named family. Families with
+// a structural minimum size clamp n up to it, and grid rounds n down to
+// a square of side at least 2.
 func seededFamily(name string, n int, seed uint64, workers int) (edgeList, error) {
 	switch name {
 	case "path":
@@ -246,8 +243,7 @@ func seededFamily(name string, n int, seed uint64, workers int) (edgeList, error
 		n = atLeast(n, 1)
 		tkey := streamKey(seed, purposeTree)
 		return edgeList{n, n - 1, func(i int) seqEdge {
-			// node i+1 attaches to a uniform earlier node — the same
-			// random-attachment model as RandomTree.
+			// node i+1 attaches to a uniform earlier node.
 			return seqEdge{drawMod(tkey, uint64(i), i+1), i + 1}
 		}}, nil
 	case "random":
@@ -286,7 +282,7 @@ func pairAt(n, i int) seqEdge {
 	return seqEdge{u, u + 1 + (i - (u*(n-1) - u*(u-1)/2))}
 }
 
-// randomConnectedEdges is the seeded analogue of RandomConnected: a
+// randomConnectedEdges builds the random family's m-edge graph: a
 // random attachment tree over a seeded node permutation, plus extra
 // edges sampled without replacement from the non-tree pairs.
 //
@@ -410,14 +406,14 @@ func sortedContains(keys []uint64, key uint64) bool {
 	return lo < len(keys) && keys[lo] == key
 }
 
-// expanderEdges is the seeded analogue of Expander: k seeded Hamiltonian
+// expanderEdges builds the expander family: k seeded Hamiltonian
 // cycles with duplicates dropped, first occurrence (in cycle-major
 // sequence order) winning. Within one cycle the n consecutive pairs are
 // distinct, so only the cross-cycle dedup needs work: a par.SortU64 pass
 // over (pair, sequence) keys groups duplicates, a second pass restores
 // sequence order of the survivors. The packed key spends 2·⌈log₂ n⌉ bits
 // on the pair and ⌈log₂ kn⌉ on the sequence, which bounds this path to
-// n ≤ 2²⁰ — far above every sweep; beyond it a sequential pairSet pass
+// n ≤ 2²⁰ — far above every sweep; beyond it a one-worker pairSet pass
 // produces the identical result.
 func expanderEdges(n, k int, seed uint64, workers int) (edgeList, error) {
 	cycles := make([]bijection, k)
@@ -482,9 +478,8 @@ func expanderEdges(n, k int, seed uint64, workers int) (edgeList, error) {
 // BuildSeeded generates a graph of the named family with the parallel
 // seeded pipeline. The same (name, n, seed, Weights, KeepPorts, KeepIDs)
 // always produce the same graph, bit for bit, regardless of Workers or
-// GOMAXPROCS; the bytes are pinned by goldens in seeded_test.go and are
-// deliberately distinct from the sequential generators' (whose bytes the
-// store goldens pin).
+// GOMAXPROCS; the bytes are pinned by goldens in seeded_test.go. An
+// unknown family or n < 1 is an error.
 func BuildSeeded(name string, n int, seed uint64, opt SeededOptions) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: family %q: need at least 1 node, got %d", name, n)

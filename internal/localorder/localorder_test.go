@@ -1,12 +1,21 @@
 package localorder
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 // viewOf extracts the decoder-visible information for node u.
 func viewOf(g *graph.Graph, u graph.NodeID) (portW []graph.Weight, selfID int64, nbrID []int64, nbrPort []int) {
@@ -25,10 +34,9 @@ func viewOf(g *graph.Graph, u graph.NodeID) (portW []graph.Weight, selfID int64,
 
 // The node-side local order must agree with the centralized graph methods.
 func TestLocalAgreesWithGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		mode := []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit}[trial%3]
-		g := gen.RandomConnected(12, 30, rng, gen.Options{Weights: mode})
+		g := seeded(t, "random", 12, uint64(100+trial), mode)
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, _, _, _ := viewOf(g, u)
 			want := g.PortsByLocalOrder(u)
@@ -54,10 +62,9 @@ func TestLocalAgreesWithGraph(t *testing.T) {
 
 // The node-side global order must agree with the centralized graph methods.
 func TestGlobalAgreesWithGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
 		mode := []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit}[trial%3]
-		g := gen.RandomConnected(12, 30, rng, gen.Options{Weights: mode})
+		g := seeded(t, "random", 12, uint64(200+trial), mode)
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, selfID, nbrID, nbrPort := viewOf(g, u)
 			want := g.PortsByGlobalOrder(u)

@@ -8,6 +8,16 @@ import (
 	"mstadvice/internal/graph/gen"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestKruskalSmall(t *testing.T) {
 	// Square with diagonal: MST is the three cheapest edges.
 	g := graph.NewBuilder(4).
@@ -65,8 +75,7 @@ func TestSingleNode(t *testing.T) {
 func TestReverseDelete(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsUnit} {
 		for _, n := range []int{2, 6, 15, 24} {
-			rng := rand.New(rand.NewSource(int64(n) + int64(mode)*31))
-			g := gen.RandomConnected(n, 3*n, rng, gen.Options{Weights: mode})
+			g := seeded(t, "random", n, uint64(int64(n)+int64(mode)*31), mode)
 			want, err := Kruskal(g)
 			if err != nil {
 				t.Fatal(err)
@@ -91,33 +100,33 @@ func TestReverseDelete(t *testing.T) {
 // weight modes (including heavy ties) and seeds.
 func TestAlgorithmsAgree(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{2, 5, 16, 40} {
-				if fam.Name == "ring" && n < 3 {
+				if fam == "ring" && n < 3 {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n)*31 + int64(mode)))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)*31+int64(mode)), mode)
 				k, err := Kruskal(g)
 				if err != nil {
-					t.Fatalf("%s/%s n=%d kruskal: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d kruskal: %v", fam, mode, n, err)
 				}
 				p, err := Prim(g, graph.NodeID(rng.Intn(g.N())))
 				if err != nil {
-					t.Fatalf("%s/%s n=%d prim: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d prim: %v", fam, mode, n, err)
 				}
 				b, err := Boruvka(g)
 				if err != nil {
-					t.Fatalf("%s/%s n=%d boruvka: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d boruvka: %v", fam, mode, n, err)
 				}
 				if !SameEdges(k, p) {
-					t.Fatalf("%s/%s n=%d: kruskal %v != prim %v", fam.Name, mode, n, k, p)
+					t.Fatalf("%s/%s n=%d: kruskal %v != prim %v", fam, mode, n, k, p)
 				}
 				if !SameEdges(k, b) {
-					t.Fatalf("%s/%s n=%d: kruskal %v != boruvka %v", fam.Name, mode, n, k, b)
+					t.Fatalf("%s/%s n=%d: kruskal %v != boruvka %v", fam, mode, n, k, b)
 				}
 				if err := Verify(g, k); err != nil {
-					t.Fatalf("%s/%s n=%d verify: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d verify: %v", fam, mode, n, err)
 				}
 			}
 		}
@@ -158,8 +167,7 @@ func TestIsSpanningTree(t *testing.T) {
 }
 
 func TestRootAndVerifyRooted(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := gen.RandomConnected(25, 60, rng, gen.Options{})
+	g := seeded(t, "random", 25, 17, gen.WeightsDistinct)
 	tree, err := Kruskal(g)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +325,7 @@ func TestEdgesFromParentPortsErrors(t *testing.T) {
 func TestUnitWeightsRootRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		g := gen.RandomConnected(15, 35, rng, gen.Options{Weights: gen.WeightsUnit})
+		g := seeded(t, "random", 15, uint64(23+trial), gen.WeightsUnit)
 		tree, err := Kruskal(g)
 		if err != nil {
 			t.Fatal(err)
@@ -337,8 +345,7 @@ func TestUnitWeightsRootRoundTrip(t *testing.T) {
 }
 
 func BenchmarkKruskal(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(1000, 5000, rng, gen.Options{})
+	g := seeded(b, "random", 1000, 1, gen.WeightsDistinct)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Kruskal(g); err != nil {
@@ -348,8 +355,7 @@ func BenchmarkKruskal(b *testing.B) {
 }
 
 func BenchmarkPrim(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(1000, 5000, rng, gen.Options{})
+	g := seeded(b, "random", 1000, 1, gen.WeightsDistinct)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Prim(g, 0); err != nil {
@@ -359,8 +365,7 @@ func BenchmarkPrim(b *testing.B) {
 }
 
 func BenchmarkBoruvka(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(1000, 5000, rng, gen.Options{})
+	g := seeded(b, "random", 1000, 1, gen.WeightsDistinct)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Boruvka(g); err != nil {

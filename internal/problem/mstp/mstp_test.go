@@ -1,7 +1,6 @@
 package mstp
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -16,7 +15,7 @@ import (
 // registry is byte-identical to calling core.BuildAdvice directly, for
 // the default and a custom cap and for any worker count.
 func TestEncodeByteIdentity(t *testing.T) {
-	g, err := gen.Build("random", 128, rand.New(rand.NewSource(41)), gen.Options{})
+	g, err := gen.BuildSeeded("random", 128, 41, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestEncodeByteIdentity(t *testing.T) {
 // TestVerifyOutput pins the registered verifier against the harness's
 // MST judgement, including the weight measurement and root lifting.
 func TestVerifyOutput(t *testing.T) {
-	g, err := gen.Build("random", 64, rand.New(rand.NewSource(13)), gen.Options{})
+	g, err := gen.BuildSeeded("random", 64, 13, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -10,6 +9,16 @@ import (
 	"mstadvice/internal/problem"
 	"mstadvice/internal/sim"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 // TestFingerprintInvariance pins the class tag's isomorphism invariance:
 // relabeling nodes (IDs and insertion order) and rescaling weights must
@@ -37,15 +46,7 @@ func TestFingerprintInvariance(t *testing.T) {
 	if got := Fingerprint(ring(n, id, 999)); got != base {
 		t.Errorf("reweighted ring fingerprint %#x != %#x (weights must be excluded)", got, base)
 	}
-	rng := rand.New(rand.NewSource(11))
-	path, err := gen.ByName("path")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := path.Generate(n, rng, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := seeded(t, "path", n, 11, gen.WeightsDistinct)
 	if got := Fingerprint(pg); got == base {
 		t.Errorf("path and ring share fingerprint %#x", got)
 	}
@@ -53,7 +54,6 @@ func TestFingerprintInvariance(t *testing.T) {
 
 // TestShape pins the coarse structural tag.
 func TestShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct {
 		family string
 		n      int
@@ -66,10 +66,7 @@ func TestShape(t *testing.T) {
 		{"tree", 32, "tree"},
 		{"random", 32, "general"},
 	} {
-		g, err := gen.Build(tc.family, tc.n, rng, gen.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := seeded(t, tc.family, tc.n, 3, gen.WeightsDistinct)
 		if got := Shape(g); got != tc.want {
 			t.Errorf("Shape(%s, n=%d) = %q, want %q", tc.family, tc.n, got, tc.want)
 		}
@@ -105,13 +102,10 @@ func TestRegistered(t *testing.T) {
 // tradeoff shape: flood advice is O(1) + ClassBits at beacons only, and
 // the run verifies through advice.Run's registry-routed verifier.
 func TestAllFamiliesBothEngines(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
-			g, err := fam.Generate(40, rand.New(rand.NewSource(9)), gen.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(fam, func(t *testing.T) {
+			g := seeded(t, fam, 40, 9, gen.WeightsDistinct)
 			want := Class(g)
 			for _, scheme := range []advice.Scheme{Flood{}, Flood{Radius: 2}, Direct{}} {
 				for _, async := range []bool{false, true} {
@@ -148,10 +142,7 @@ func TestAllFamiliesBothEngines(t *testing.T) {
 // node; Direct pays ClassBits per node for zero rounds; intermediate
 // radii interpolate.
 func TestTradeoff(t *testing.T) {
-	g, err := gen.Build("path", 64, rand.New(rand.NewSource(5)), gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := seeded(t, "path", 64, 5, gen.WeightsDistinct)
 	flood, err := advice.Run(Flood{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +183,7 @@ func TestTradeoff(t *testing.T) {
 // TestAsyncParity pins sync/async decode parity per node across
 // schedulers, the topo analogue of the synchronizer's MST parity test.
 func TestAsyncParity(t *testing.T) {
-	g, err := gen.Build("random", 96, rand.New(rand.NewSource(17)), gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := seeded(t, "random", 96, 17, gen.WeightsDistinct)
 	syncRes, err := advice.Run(Flood{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +252,7 @@ func TestLowerBound(t *testing.T) {
 // serving layers rely on: the canonical decoder replays advice encoded at
 // any radius, and VerifyOutput rejects a wrong tag.
 func TestEncodeDecode(t *testing.T) {
-	g, err := gen.Build("grid", 36, rand.New(rand.NewSource(2)), gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := seeded(t, "grid", 36, 2, gen.WeightsDistinct)
 	p, err := problem.ByName(Name)
 	if err != nil {
 		t.Fatal(err)

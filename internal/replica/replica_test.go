@@ -24,10 +24,20 @@ import (
 	"mstadvice/internal/store"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // makeSnapshot builds a random connected instance with its oracle run.
 func makeSnapshot(t testing.TB, n, m int, seed int64) *store.Snapshot {
 	t.Helper()
-	g := gen.RandomConnected(n, m, rand.New(rand.NewSource(seed)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", n, uint64(seed), gen.WeightsDistinct)
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package localgather
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -10,22 +9,31 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestCorrectAcrossFamilies(t *testing.T) {
 	var s Scheme
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 10, 30} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(int64(n)*13 + int64(mode)))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)*13+int64(mode)), mode)
 				res, err := advice.Run(s, g, 0, sim.Options{})
 				if err != nil {
-					t.Fatalf("%s/%s n=%d: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d: %v", fam, mode, n, err)
 				}
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				// The scheme roots at the minimum ID by convention.
 				wantRoot := graph.NodeID(0)
@@ -35,7 +43,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 					}
 				}
 				if res.Root != wantRoot {
-					t.Fatalf("%s/%s n=%d: root %d, want min-ID node %d", fam.Name, mode, n, res.Root, wantRoot)
+					t.Fatalf("%s/%s n=%d: root %d, want min-ID node %d", fam, mode, n, res.Root, wantRoot)
 				}
 				if res.Advice.TotalBits != 0 {
 					t.Fatal("localgather must use zero advice")
@@ -49,20 +57,19 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 // the explicit fixpoint detection; see DESIGN.md).
 func TestRoundsNearDiameter(t *testing.T) {
 	var s Scheme
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for _, n := range []int{9, 25, 49} {
-			rng := rand.New(rand.NewSource(int64(n)))
-			g := fam.Build(n, rng, gen.Options{})
+			g := seeded(t, fam, n, uint64(int64(n)), gen.WeightsDistinct)
 			res, err := advice.Run(s, g, 0, sim.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			d := g.Diameter()
 			if res.Rounds > d+2 {
-				t.Fatalf("%s n=%d: %d rounds > D+2 = %d", fam.Name, n, res.Rounds, d+2)
+				t.Fatalf("%s n=%d: %d rounds > D+2 = %d", fam, n, res.Rounds, d+2)
 			}
 			if res.Rounds < d {
-				t.Fatalf("%s n=%d: %d rounds < D = %d (too good to be true)", fam.Name, n, res.Rounds, d)
+				t.Fatalf("%s n=%d: %d rounds < D = %d (too good to be true)", fam, n, res.Rounds, d)
 			}
 		}
 	}
@@ -73,8 +80,7 @@ func TestRoundsNearDiameter(t *testing.T) {
 // message.
 func TestMessagesAreLarge(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(2))
-	g := gen.RandomConnected(60, 200, rng, gen.Options{})
+	g := seeded(t, "random", 60, 2, gen.WeightsDistinct)
 	res, err := advice.Run(s, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)

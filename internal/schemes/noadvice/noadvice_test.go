@@ -1,7 +1,6 @@
 package noadvice
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -10,6 +9,16 @@ import (
 	"mstadvice/internal/mst"
 	"mstadvice/internal/sim"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 func run(t *testing.T, g *graph.Graph) *advice.Result {
 	t.Helper()
@@ -23,16 +32,15 @@ func run(t *testing.T, g *graph.Graph) *advice.Result {
 
 func TestCorrectAcrossFamilies(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 8, 21, 48} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(int64(n)*3 + int64(mode)*1000))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)*3+int64(mode)*1000), mode)
 				res := run(t, g)
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Advice.TotalBits != 0 {
 					t.Fatal("noadvice must use zero advice")
@@ -45,8 +53,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 // The final root must be the node that won the last merge, and the tree
 // must match the reference MST exactly (strongest structural check).
 func TestTreeIsReferenceMST(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := gen.RandomConnected(40, 120, rng, gen.Options{})
+	g := seeded(t, "random", 40, 11, gen.WeightsDistinct)
 	res := run(t, g)
 	want, err := mst.Kruskal(g)
 	if err != nil {
@@ -64,8 +71,7 @@ func TestTreeIsReferenceMST(t *testing.T) {
 // Messages stay CONGEST-sized: every message carries O(1) identifiers,
 // never whole subgraphs.
 func TestCongestMessages(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := gen.RandomConnected(60, 180, rng, gen.Options{})
+	g := seeded(t, "random", 60, 12, gen.WeightsDistinct)
 	res := run(t, g)
 	cm := sim.NewCostModel(g)
 	bound := 2 + cm.WeightBits + 2*cm.IDBits + cm.PortBits // largest message type
@@ -79,8 +85,7 @@ func TestCongestMessages(t *testing.T) {
 func TestPathRoundsGrowLinearly(t *testing.T) {
 	rounds := map[int]int{}
 	for _, n := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Path(n, rng, gen.Options{})
+		g := seeded(t, "path", n, uint64(int64(n)), gen.WeightsDistinct)
 		res := run(t, g)
 		rounds[n] = res.Rounds
 	}
@@ -96,8 +101,7 @@ func TestPathRoundsGrowLinearly(t *testing.T) {
 // is at most 4·(⌈log n⌉+1) + O(1).
 func TestPhaseCount(t *testing.T) {
 	for _, n := range []int{8, 64, 128} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.RandomConnected(n, 3*n, rng, gen.Options{})
+		g := seeded(t, "random", n, uint64(int64(n)), gen.WeightsDistinct)
 		res := run(t, g)
 		maxPulses := 4*(graph.CeilLog2(n)+1) + 4
 		if res.Pulses > maxPulses {
@@ -109,7 +113,7 @@ func TestPhaseCount(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	var s Scheme
 	mk := func() *graph.Graph {
-		return gen.RandomConnected(30, 90, rand.New(rand.NewSource(5)), gen.Options{Weights: gen.WeightsUnit})
+		return seeded(t, "random", 30, 5, gen.WeightsUnit)
 	}
 	a, err := advice.Run(s, mk(), 0, sim.Options{EnablePulses: true, Sequential: true})
 	if err != nil {

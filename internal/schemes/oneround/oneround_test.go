@@ -11,29 +11,39 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestCorrectAcrossFamilies(t *testing.T) {
 	var s Scheme
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 9, 33, 70} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n)*7 + int64(mode)))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)*7+int64(mode)), mode)
 				root := graph.NodeID(rng.Intn(g.N()))
 				res, err := advice.Run(s, g, root, sim.Options{})
 				if err != nil {
-					t.Fatalf("%s/%s n=%d: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d: %v", fam, mode, n, err)
 				}
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Root != root {
-					t.Fatalf("%s/%s n=%d: root %d, want %d", fam.Name, mode, n, res.Root, root)
+					t.Fatalf("%s/%s n=%d: root %d, want %d", fam, mode, n, res.Root, root)
 				}
 				if res.Rounds != 1 {
-					t.Fatalf("%s/%s n=%d: %d rounds, want exactly 1", fam.Name, mode, n, res.Rounds)
+					t.Fatalf("%s/%s n=%d: %d rounds, want exactly 1", fam, mode, n, res.Rounds)
 				}
 			}
 		}
@@ -45,17 +55,16 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 // 2·Σ_{i=1..⌈log n⌉}(i+1) bits.
 func TestAdviceSizeBounds(t *testing.T) {
 	var s Scheme
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for _, n := range []int{16, 64, 256} {
-			rng := rand.New(rand.NewSource(int64(n)))
-			g := fam.Build(n, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := seeded(t, fam, n, uint64(int64(n)), gen.WeightsDistinct)
 			assignment, err := s.Advise(g, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			stats := advice.Measure(assignment, g.N())
 			if stats.AvgBits > AverageConstant {
-				t.Fatalf("%s n=%d: average advice %.2f > %v bits", fam.Name, n, stats.AvgBits, AverageConstant)
+				t.Fatalf("%s n=%d: average advice %.2f > %v bits", fam, n, stats.AvgBits, AverageConstant)
 			}
 			logn := graph.CeilLog2(g.N())
 			maxBound := 0
@@ -63,7 +72,7 @@ func TestAdviceSizeBounds(t *testing.T) {
 				maxBound += 2 * (i + 1)
 			}
 			if stats.MaxBits > maxBound {
-				t.Fatalf("%s n=%d: max advice %d > bound %d", fam.Name, n, stats.MaxBits, maxBound)
+				t.Fatalf("%s n=%d: max advice %d > bound %d", fam, n, stats.MaxBits, maxBound)
 			}
 		}
 	}
@@ -72,8 +81,7 @@ func TestAdviceSizeBounds(t *testing.T) {
 // The messages are single bits: the scheme stays well inside CONGEST.
 func TestMessageSizes(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(3))
-	g := gen.RandomConnected(50, 150, rng, gen.Options{})
+	g := seeded(t, "random", 50, 3, gen.WeightsDistinct)
 	res, err := advice.Run(s, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +101,7 @@ func TestMessageSizes(t *testing.T) {
 // up bit), so its decoded chunks have strictly increasing lengths.
 func TestChunkWidthsMatchPhases(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(77))
-	g := gen.RandomConnected(200, 600, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", 200, 77, gen.WeightsDistinct)
 	assignment, err := s.Advise(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +139,7 @@ func gcl(n int) int { return graph.CeilLog2(n) }
 // still be the exact MST in exactly one round.
 func TestUnitWeightFallback(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(5))
-	g := gen.Complete(24, rng, gen.Options{Weights: gen.WeightsUnit})
+	g := seeded(t, "complete", 24, 5, gen.WeightsUnit)
 	res, err := advice.Run(s, g, 11, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +154,7 @@ func TestAverageStaysConstant(t *testing.T) {
 	var s Scheme
 	prev := 0.0
 	for _, n := range []int{32, 128, 512} {
-		rng := rand.New(rand.NewSource(1))
-		g := gen.RandomConnected(n, 3*n, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := seeded(t, "random", n, 1, gen.WeightsDistinct)
 		assignment, err := s.Advise(g, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -165,8 +170,7 @@ func TestAverageStaysConstant(t *testing.T) {
 
 func TestCorruptedAdviceDetected(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(6))
-	g := gen.RandomConnected(15, 30, rng, gen.Options{})
+	g := seeded(t, "random", 15, 6, gen.WeightsDistinct)
 	assignment, err := s.Advise(g, 0)
 	if err != nil {
 		t.Fatal(err)

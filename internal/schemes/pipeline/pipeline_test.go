@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -10,6 +9,16 @@ import (
 	"mstadvice/internal/mst"
 	"mstadvice/internal/sim"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 func run(t *testing.T, g *graph.Graph) *advice.Result {
 	t.Helper()
@@ -22,16 +31,15 @@ func run(t *testing.T, g *graph.Graph) *advice.Result {
 
 func TestCorrectAcrossFamilies(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 8, 21, 48} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(int64(n)*5 + int64(mode)*771))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)*5+int64(mode)*771), mode)
 				res := run(t, g)
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Advice.TotalBits != 0 {
 					t.Fatal("pipeline must use zero advice")
@@ -43,8 +51,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 
 // The output tree is rooted at the minimum-ID node (the elected leader).
 func TestRootIsMinID(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := gen.RandomConnected(30, 90, rng, gen.Options{})
+	g := seeded(t, "random", 30, 3, gen.WeightsDistinct)
 	res := run(t, g)
 	want := graph.NodeID(0)
 	for u := 0; u < g.N(); u++ {
@@ -70,8 +77,7 @@ func TestRootIsMinID(t *testing.T) {
 
 // CONGEST: single-record messages only.
 func TestCongestMessages(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := gen.RandomConnected(50, 150, rng, gen.Options{})
+	g := seeded(t, "random", 50, 5, gen.WeightsDistinct)
 	res := run(t, g)
 	cm := sim.NewCostModel(g)
 	bound := 2*cm.IDBits + 2*cm.PortBits + cm.WeightBits // largest message type
@@ -85,8 +91,7 @@ func TestCongestMessages(t *testing.T) {
 func TestLinearRounds(t *testing.T) {
 	rounds := map[int]int{}
 	for _, n := range []int{32, 128, 512} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Expander(n, 3, rng, gen.Options{})
+		g := seeded(t, "expander", n, uint64(int64(n)), gen.WeightsDistinct)
 		res := run(t, g)
 		rounds[n] = res.Rounds
 		if res.Rounds < n/2 {
@@ -103,8 +108,7 @@ func TestLinearRounds(t *testing.T) {
 
 // Heavy ties: the global order must keep upcast streams strictly sorted.
 func TestUnitWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := gen.Complete(24, rng, gen.Options{Weights: gen.WeightsUnit})
+	g := seeded(t, "complete", 24, 8, gen.WeightsUnit)
 	res := run(t, g)
 	if !res.Verified {
 		t.Fatal(res.VerifyErr)
@@ -113,7 +117,7 @@ func TestUnitWeights(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
-		return gen.RandomConnected(40, 100, rand.New(rand.NewSource(11)), gen.Options{})
+		return seeded(t, "random", 40, 11, gen.WeightsDistinct)
 	}
 	a, err := advice.Run(Scheme{}, mk(), 0, sim.Options{Sequential: true})
 	if err != nil {
@@ -137,8 +141,7 @@ func TestDeterminism(t *testing.T) {
 // linearly while the 12-bit scheme stays logarithmic (cross-checked in
 // the facade tests).
 func TestLollipop(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := gen.Lollipop(60, rng, gen.Options{})
+	g := seeded(t, "lollipop", 60, 13, gen.WeightsDistinct)
 	res := run(t, g)
 	if !res.Verified {
 		t.Fatal(res.VerifyErr)

@@ -11,32 +11,42 @@ import (
 	"mstadvice/internal/sim"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestCorrectAcrossFamilies(t *testing.T) {
 	var s Scheme
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 8, 40} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n) + int64(mode)*100))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := seeded(t, fam, n, uint64(int64(n)+int64(mode)*100), mode)
 				root := graph.NodeID(rng.Intn(g.N()))
 				res, err := advice.Run(s, g, root, sim.Options{})
 				if err != nil {
-					t.Fatalf("%s/%s n=%d: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d: %v", fam, mode, n, err)
 				}
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: output not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: output not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Root != root {
-					t.Fatalf("%s/%s n=%d: root %d, want %d", fam.Name, mode, n, res.Root, root)
+					t.Fatalf("%s/%s n=%d: root %d, want %d", fam, mode, n, res.Root, root)
 				}
 				if res.Rounds != 0 {
-					t.Fatalf("%s/%s n=%d: %d rounds, want 0", fam.Name, mode, n, res.Rounds)
+					t.Fatalf("%s/%s n=%d: %d rounds, want 0", fam, mode, n, res.Rounds)
 				}
 				if res.Messages != 0 {
-					t.Fatalf("%s/%s n=%d: %d messages, want 0", fam.Name, mode, n, res.Messages)
+					t.Fatalf("%s/%s n=%d: %d messages, want 0", fam, mode, n, res.Messages)
 				}
 			}
 		}
@@ -47,8 +57,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 func TestAdviceBound(t *testing.T) {
 	var s Scheme
 	for _, n := range []int{4, 16, 64, 256} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Complete(n, rng, gen.Options{}) // worst case: degree n-1
+		g := seeded(t, "complete", n, uint64(int64(n)), gen.WeightsDistinct) // worst case: degree n-1
 		assignment, err := s.Advise(g, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -68,8 +77,7 @@ func TestAdviceBound(t *testing.T) {
 // is the only disambiguator.
 func TestUnitWeightsComplete(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(9))
-	g := gen.Complete(20, rng, gen.Options{Weights: gen.WeightsUnit})
+	g := seeded(t, "complete", 20, 9, gen.WeightsUnit)
 	res, err := advice.Run(s, g, 5, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +92,7 @@ func TestUnitWeightsComplete(t *testing.T) {
 // non-MST output.
 func TestCorruptedAdviceDetected(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(4))
-	g := gen.RandomConnected(12, 25, rng, gen.Options{})
+	g := seeded(t, "random", 12, 4, gen.WeightsDistinct)
 	assignment, err := s.Advise(g, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 // canonical (flood, radius 0) oracle run.
 func makeTopoSnapshot(t testing.TB, n int, seed int64) *store.Snapshot {
 	t.Helper()
-	g := gen.RandomConnected(n, 3*n, rand.New(rand.NewSource(seed)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", n, uint64(seed), gen.WeightsDistinct)
 	adviceBits, err := topo.Problem{}.Encode(g, 0, problem.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestCrossProblemService(t *testing.T) {
 	}
 	// A bare topo snapshot (no advice) must run the topo oracle, not the
 	// MST one.
-	bare := gen.Grid(8, 8, rand.New(rand.NewSource(23)), gen.Options{})
+	bare := seeded(t, "grid", 8*8, 23, gen.WeightsDistinct)
 	if err := svc.Register("t2", &store.Snapshot{Problem: topo.Name, Graph: bare, Root: 0}); err != nil {
 		t.Fatal(err)
 	}

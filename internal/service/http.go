@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -216,10 +215,6 @@ func snapshotFor(req *registerRequest, allowPaths bool) (*store.Snapshot, error)
 		}
 		return snap, nil
 	case req.Family != "":
-		fam, err := gen.ByName(req.Family)
-		if err != nil {
-			return nil, err
-		}
 		var mode gen.WeightMode
 		switch req.Weights {
 		case "", "distinct":
@@ -231,7 +226,7 @@ func snapshotFor(req *registerRequest, allowPaths bool) (*store.Snapshot, error)
 		default:
 			return nil, fmt.Errorf("register: unknown weight mode %q", req.Weights)
 		}
-		g, err := fam.Generate(req.N, rand.New(rand.NewSource(req.Seed)), gen.Options{Weights: mode})
+		g, err := gen.BuildSeeded(req.Family, req.N, uint64(req.Seed), gen.SeededOptions{Weights: mode})
 		if err != nil {
 			return nil, err
 		}

@@ -18,10 +18,20 @@ import (
 	"mstadvice/internal/store"
 )
 
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // makeSnapshot builds a random connected instance with its oracle run.
 func makeSnapshot(t testing.TB, n, m int, seed int64) *store.Snapshot {
 	t.Helper()
-	g := gen.RandomConnected(n, m, rand.New(rand.NewSource(seed)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", n, uint64(seed), gen.WeightsDistinct)
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +99,7 @@ func TestRegisterQueryDecodeVerify(t *testing.T) {
 
 func TestRegisterWithoutAdviceRunsOracle(t *testing.T) {
 	svc := New()
-	g := gen.Grid(6, 6, rand.New(rand.NewSource(2)), gen.Options{})
+	g := seeded(t, "grid", 6*6, 2, gen.WeightsDistinct)
 	if err := svc.Register("bare", &store.Snapshot{Graph: g, Root: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestUpdatePublishesNewEpoch(t *testing.T) {
 // run on the same graph.
 func TestServiceRoundTrip100k(t *testing.T) {
 	const n = 100_000
-	g := gen.RandomConnected(n, 3*n, rand.New(rand.NewSource(42)), gen.Options{Weights: gen.WeightsDistinct})
+	g := seeded(t, "random", n, 42, gen.WeightsDistinct)
 	fresh, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)

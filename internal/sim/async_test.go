@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,7 +59,7 @@ func (p *pingNode) Output() (int, bool) { return -1, p.done }
 // ringGraph builds an n-cycle.
 func ringGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	return gen.Ring(n, rand.New(rand.NewSource(3)), gen.Options{})
+	return seeded(t, "ring", n, 3, gen.WeightsDistinct)
 }
 
 func TestAsyncBasicDelivery(t *testing.T) {
@@ -310,7 +309,7 @@ func (ctlSender) Output() (int, bool)                                           
 // asynchronous mode: every field of the Result is byte-identical for any
 // worker count, including virtual-time accounting.
 func TestAsyncDeterministicAcrossWorkers(t *testing.T) {
-	g := gen.RandomConnected(300, 900, rand.New(rand.NewSource(11)), gen.Options{})
+	g := seeded(t, "random", 300, 11, gen.WeightsDistinct)
 	nw := NewNetwork(g)
 	factory := func(view *NodeView) AsyncNode { return &pingNode{} }
 	var ref *Result

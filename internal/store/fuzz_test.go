@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -15,7 +14,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(magic[:])
-	g := gen.RandomConnected(24, 60, rand.New(rand.NewSource(1)), gen.Options{})
+	g := seeded(f, "random", 24, 1, gen.WeightsDistinct)
 	blob, err := Encode(&Snapshot{Graph: g, Root: 3, Cap: 11})
 	if err != nil {
 		f.Fatal(err)

@@ -16,16 +16,23 @@ import (
 	"mstadvice/internal/graph/gen"
 )
 
-// buildSnapshot generates one family instance and its Theorem 3 advice.
-func buildSnapshot(t *testing.T, fam gen.Family, n int, seed int64, weights gen.WeightMode) *Snapshot {
-	t.Helper()
-	g, err := fam.Generate(n, rand.New(rand.NewSource(seed)), gen.Options{Weights: weights})
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
 	if err != nil {
-		t.Fatalf("%s: %v", fam.Name, err)
+		tb.Fatal(err)
 	}
+	return g
+}
+
+// buildSnapshot generates one family instance and its Theorem 3 advice.
+func buildSnapshot(t *testing.T, fam string, n int, seed uint64, weights gen.WeightMode) *Snapshot {
+	t.Helper()
+	g := seeded(t, fam, n, seed, weights)
 	advice, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
-		t.Fatalf("%s: oracle: %v", fam.Name, err)
+		t.Fatalf("%s: oracle: %v", fam, err)
 	}
 	return &Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: advice}
 }
@@ -55,18 +62,18 @@ func assertSnapshotsEqual(t *testing.T, name string, want, got *Snapshot) {
 // and cross-port tables; advice is compared string by string).
 func TestGoldenRoundTripAllFamilies(t *testing.T) {
 	dir := t.TempDir()
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for _, weights := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
 			snap := buildSnapshot(t, fam, 64, 7, weights)
-			path := filepath.Join(dir, fam.Name+"-"+weights.String()+".mstadv")
+			path := filepath.Join(dir, fam+"-"+weights.String()+".mstadv")
 			if err := Save(path, snap); err != nil {
-				t.Fatalf("%s: save: %v", fam.Name, err)
+				t.Fatalf("%s: save: %v", fam, err)
 			}
 			back, err := Load(path)
 			if err != nil {
-				t.Fatalf("%s: load: %v", fam.Name, err)
+				t.Fatalf("%s: load: %v", fam, err)
 			}
-			assertSnapshotsEqual(t, fam.Name+"/"+weights.String(), snap, back)
+			assertSnapshotsEqual(t, fam+"/"+weights.String(), snap, back)
 		}
 	}
 }
@@ -74,7 +81,7 @@ func TestGoldenRoundTripAllFamilies(t *testing.T) {
 func TestRoundTripAfterDeletions(t *testing.T) {
 	// Deletions renumber ports and edge IDs; the codec must reproduce the
 	// post-deletion layout, not the insertion order.
-	g := gen.RandomConnected(128, 384, rand.New(rand.NewSource(3)), gen.Options{})
+	g := seeded(t, "random", 128, 3, gen.WeightsDistinct)
 	for e := g.M() - 1; e >= 0 && g.M() > 200; e-- {
 		_ = g.DeleteEdge(graph.EdgeID(e)) // bridges legitimately refuse
 	}
@@ -91,7 +98,7 @@ func TestRoundTripAfterDeletions(t *testing.T) {
 }
 
 func TestRoundTripBareGraphAndRaggedAdvice(t *testing.T) {
-	g := gen.Path(9, rand.New(rand.NewSource(1)), gen.Options{})
+	g := seeded(t, "path", 9, 1, gen.WeightsDistinct)
 	// Bare graph (no advice section).
 	blob, err := Encode(&Snapshot{Graph: g, Root: 2})
 	if err != nil {
@@ -132,7 +139,7 @@ func TestRoundTripBareGraphAndRaggedAdvice(t *testing.T) {
 }
 
 func TestOpenMapped(t *testing.T) {
-	snap := buildSnapshot(t, mustFamily(t, "random"), 256, 11, gen.WeightsDistinct)
+	snap := buildSnapshot(t, "random", 256, 11, gen.WeightsDistinct)
 	path := filepath.Join(t.TempDir(), "snap.mstadv")
 	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
@@ -144,20 +151,11 @@ func TestOpenMapped(t *testing.T) {
 	assertSnapshotsEqual(t, "mapped", snap, back)
 }
 
-func mustFamily(t *testing.T, name string) gen.Family {
-	t.Helper()
-	fam, err := gen.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fam
-}
-
 // TestDecodeRejectsTruncation chops a valid snapshot at every length and
 // requires a clean error (no panic, no false accept) — truncation below
 // the CRC footer must always be caught.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	snap := buildSnapshot(t, mustFamily(t, "grid"), 25, 5, gen.WeightsDistinct)
+	snap := buildSnapshot(t, "grid", 25, 5, gen.WeightsDistinct)
 	blob, err := Encode(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +170,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // TestDecodeRejectsCorruption flips one bit in every byte position and
 // requires Decode to fail (the CRC catches every single-bit flip).
 func TestDecodeRejectsCorruption(t *testing.T) {
-	snap := buildSnapshot(t, mustFamily(t, "ring"), 16, 9, gen.WeightsUnit)
+	snap := buildSnapshot(t, "ring", 16, 9, gen.WeightsUnit)
 	blob, err := Encode(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +188,7 @@ func TestSaveIsAtomic(t *testing.T) {
 	// Save must not leave temp files behind and must replace the target.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.mstadv")
-	snap := buildSnapshot(t, mustFamily(t, "star"), 8, 1, gen.WeightsDistinct)
+	snap := buildSnapshot(t, "star", 8, 1, gen.WeightsDistinct)
 	for i := 0; i < 2; i++ {
 		if err := Save(path, snap); err != nil {
 			t.Fatal(err)
@@ -272,7 +270,7 @@ func TestDecodeRejectsInflatedMaxBits(t *testing.T) {
 func TestSaveCrashKeepsPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.mstadv")
-	prev := buildSnapshot(t, mustFamily(t, "star"), 8, 1, gen.WeightsDistinct)
+	prev := buildSnapshot(t, "star", 8, 1, gen.WeightsDistinct)
 	if err := Save(path, prev); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +278,7 @@ func TestSaveCrashKeepsPreviousSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := buildSnapshot(t, mustFamily(t, "star"), 8, 2, gen.WeightsDistinct)
+	next := buildSnapshot(t, "star", 8, 2, gen.WeightsDistinct)
 	blob, err := Encode(next)
 	if err != nil {
 		t.Fatal(err)

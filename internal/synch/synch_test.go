@@ -1,15 +1,25 @@
 package synch_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"mstadvice/internal/advice"
 	"mstadvice/internal/core"
+	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/sim"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
+	tb.Helper()
+	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 // TestSyncAsyncParityAllFamilies is the acceptance property of the
 // asynchronous subsystem: on every registered graph family, the
@@ -19,14 +29,11 @@ import (
 // simulated rounds (pulses), same payload message count, bit total,
 // largest message and per-node outputs.
 func TestSyncAsyncParityAllFamilies(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
+		t.Run(fam, func(t *testing.T) {
 			t.Parallel()
-			g, err := fam.Generate(48, rand.New(rand.NewSource(7)), gen.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := seeded(t, fam, 48, 7, gen.WeightsDistinct)
 			syncRes, err := advice.Run(core.Scheme{}, g, 0, sim.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -83,14 +90,7 @@ func TestParityUnderAdversarialSchedulers(t *testing.T) {
 		"maxdelay": sim.MaxDelay{Delay: 11},
 	}
 	for _, famName := range []string{"random", "expander", "grid", "lollipop"} {
-		fam, err := gen.ByName(famName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := fam.Generate(64, rand.New(rand.NewSource(3)), gen.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := seeded(t, famName, 64, 3, gen.WeightsDistinct)
 		syncRes, err := advice.Run(core.Scheme{}, g, 0, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -122,14 +122,7 @@ func TestParityUnderAdversarialSchedulers(t *testing.T) {
 // byte-identical advice.Result (including virtual-time and overhead
 // accounting) for any Workers setting.
 func TestAsyncDeterministicForAnyWorkerCount(t *testing.T) {
-	fam, err := gen.ByName("random")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fam.Generate(128, rand.New(rand.NewSource(21)), gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := seeded(t, "random", 128, 21, gen.WeightsDistinct)
 	var ref *advice.Result
 	for _, workers := range []int{1, 2, 3, 4} {
 		res, err := advice.Run(core.Scheme{}, g, 0, sim.Options{
@@ -154,11 +147,7 @@ func TestAsyncDeterministicForAnyWorkerCount(t *testing.T) {
 // TestAsyncRejectsPulseDrivenSchemes: the adaptive decoder depends on
 // the synchronous engine's idealized quiescence detection.
 func TestAsyncRejectsPulseDrivenSchemes(t *testing.T) {
-	fam, _ := gen.ByName("ring")
-	g, err := fam.Generate(16, rand.New(rand.NewSource(1)), gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := seeded(t, "ring", 16, 1, gen.WeightsDistinct)
 	if _, err := advice.Run(core.Scheme{Adaptive: true}, g, 0, sim.Options{Async: true}); err == nil {
 		t.Fatal("async run of a pulse-driven scheme must be rejected")
 	}
@@ -168,11 +157,7 @@ func TestAsyncRejectsPulseDrivenSchemes(t *testing.T) {
 // times (the latency model is really wired in) while outputs stay
 // verified and payload traffic stays identical.
 func TestLatencySeedChangesTiming(t *testing.T) {
-	fam, _ := gen.ByName("random")
-	g, err := fam.Generate(96, rand.New(rand.NewSource(5)), gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := seeded(t, "random", 96, 5, gen.WeightsDistinct)
 	times := map[int64]int64{}
 	var payload int64 = -1
 	for _, seed := range []int64{1, 2, 3} {

@@ -7,7 +7,7 @@
 // The package is a facade over the internal implementation. It exposes:
 //
 //   - the network model: weighted, port-numbered graphs (Graph, Builder)
-//     and generators for the experiment families (Gen* functions);
+//     and the seeded generator for the experiment families (GenSeeded);
 //   - the advising-scheme framework (Scheme, Run, Result) and the five
 //     schemes: Trivial (⌈log n⌉ bits, 0 rounds), OneRound (constant
 //     average advice, 1 round), ConstantAdvice (the paper's main result:
@@ -52,8 +52,6 @@
 package mstadvice
 
 import (
-	"math/rand"
-
 	"mstadvice/internal/advice"
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
@@ -331,14 +329,10 @@ func BuildAdviceTiers(g *Graph, root NodeID, opt HierOptions) ([]AdviceTier, err
 	return hier.BuildTiers(g, root, opt)
 }
 
-// Generator re-exports. All take an explicit random source and reproduce
-// the same graph for the same seed.
-type (
-	// GenOptions configure weight assignment and port/ID shuffling.
-	GenOptions = gen.Options
-	// WeightMode selects distinct, random or unit edge weights.
-	WeightMode = gen.WeightMode
-)
+// Generator re-exports: one seeded generator for every family.
+
+// WeightMode selects distinct, random or unit edge weights.
+type WeightMode = gen.WeightMode
 
 // Weight modes.
 const (
@@ -346,31 +340,6 @@ const (
 	WeightsRandom   = gen.WeightsRandom
 	WeightsUnit     = gen.WeightsUnit
 )
-
-// GenPath returns the n-node path.
-func GenPath(n int, rng *rand.Rand, opt GenOptions) *Graph { return gen.Path(n, rng, opt) }
-
-// GenRing returns the n-node cycle.
-func GenRing(n int, rng *rand.Rand, opt GenOptions) *Graph { return gen.Ring(n, rng, opt) }
-
-// GenGrid returns the rows x cols grid.
-func GenGrid(rows, cols int, rng *rand.Rand, opt GenOptions) *Graph {
-	return gen.Grid(rows, cols, rng, opt)
-}
-
-// GenComplete returns K_n.
-func GenComplete(n int, rng *rand.Rand, opt GenOptions) *Graph { return gen.Complete(n, rng, opt) }
-
-// GenRandomConnected returns a connected graph with n nodes and about m
-// edges.
-func GenRandomConnected(n, m int, rng *rand.Rand, opt GenOptions) *Graph {
-	return gen.RandomConnected(n, m, rng, opt)
-}
-
-// GenExpander returns the union of k random Hamiltonian cycles.
-func GenExpander(n, k int, rng *rand.Rand, opt GenOptions) *Graph {
-	return gen.Expander(n, k, rng, opt)
-}
 
 // GenSeededOptions configure the seeded parallel generators.
 type GenSeededOptions = gen.SeededOptions

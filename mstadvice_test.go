@@ -1,21 +1,29 @@
 package mstadvice
 
 import (
-	"math/rand"
 	"testing"
 )
+
+// seeded builds the named seeded family, failing the test on an error.
+func seeded(tb testing.TB, family string, n int, seed uint64, w WeightMode) *Graph {
+	tb.Helper()
+	g, err := GenSeeded(family, n, seed, GenSeededOptions{Weights: w})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 // The facade integration test: every public scheme solves every public
 // generator family exactly, with the profiles the paper promises.
 func TestFacadeEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	graphs := map[string]*Graph{
-		"path":   GenPath(40, rng, GenOptions{}),
-		"ring":   GenRing(40, rng, GenOptions{}),
-		"grid":   GenGrid(6, 6, rng, GenOptions{}),
-		"k12":    GenComplete(12, rng, GenOptions{Weights: WeightsUnit}),
-		"random": GenRandomConnected(50, 140, rng, GenOptions{}),
-		"expand": GenExpander(50, 3, rng, GenOptions{}),
+		"path":   seeded(t, "path", 40, 1, WeightsDistinct),
+		"ring":   seeded(t, "ring", 40, 2, WeightsDistinct),
+		"grid":   seeded(t, "grid", 36, 3, WeightsDistinct),
+		"k12":    seeded(t, "complete", 12, 4, WeightsUnit),
+		"random": seeded(t, "random", 50, 5, WeightsDistinct),
+		"expand": seeded(t, "expander", 50, 6, WeightsDistinct),
 	}
 	for gname, g := range graphs {
 		for _, s := range Schemes() {
