@@ -6,15 +6,13 @@ import (
 	"mstadvice/internal/graph"
 )
 
-// buildFused is the default encoder: it drives the decomposition's
-// streaming pass 2 (boruvka.Stream) and packs each annotated fragment
-// into the advice arenas the moment it is visited, so no Phase or
-// Fragment record is ever materialised. Fragments of one phase write
-// disjoint node sets and phases are separated by barriers, so the
-// arenas fill in exactly the reference order; per-worker scratch
-// strings keep the visits allocation-free. Byte-identity with the
-// reference path is pinned by TestFusedMatchesReference. See DESIGN.md
-// §2.12.
+// buildFused is the encoder: it drives the decomposition's streaming
+// pass 2 (boruvka.Stream) and packs each annotated fragment into the
+// advice arenas the moment it is visited, so no Phase or Fragment record
+// is ever materialised. Fragments of one phase write disjoint node sets
+// and phases are separated by barriers, so the arenas fill in phase
+// order for any worker count; per-worker scratch strings keep the visits
+// allocation-free. TestAdviceGolden pins the bytes. See DESIGN.md §2.12.
 func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 	s, err := boruvka.NewStream(b.g, root, boruvka.Options{
 		Workers:    b.workers,
@@ -31,8 +29,8 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 		scratch[w] = bitstring.New(b.sched.P + 2)
 	}
 	// Final-stage fragments stream in schedule order, so their records
-	// collect per worker and scatter into b.frags by fragment index — the
-	// reference layout — once the stream completes.
+	// collect per worker and scatter into b.frags by fragment index once
+	// the stream completes.
 	type finalRec struct {
 		fi   int
 		frag FinalFragment

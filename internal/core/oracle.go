@@ -91,13 +91,6 @@ type OracleOptions struct {
 	// encoding; 0 means GOMAXPROCS. The advice is byte-identical for any
 	// value.
 	Workers int
-	// Reference selects the two-pass reference encoder, which
-	// materialises every Phase and Fragment record before packing. The
-	// default fused path streams each annotated fragment straight into
-	// the advice arenas (boruvka.Stream, DESIGN.md §2.12); both produce
-	// byte-identical advice, and TestFusedMatchesReference holds them
-	// together.
-	Reference bool
 }
 
 // BuildAdvice computes the Theorem 3 advice for g rooted at root. cap is
@@ -134,29 +127,8 @@ func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt Oracle
 	for u := range b.packs {
 		b.packs[u] = b.packA.At(u)
 	}
-	switch {
-	case n <= 1:
-		// Singleton: no phases, no final stage, all-empty advice.
-	case opt.Reference:
-		// The packing reads only phases 1..P and the partition at the
-		// start of phase P+1, so later phases need not be recorded.
-		d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{
-			Workers:    b.workers,
-			KeepPhases: b.sched.P + 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.d = d
-		for i := 1; i <= b.sched.P && i <= d.NumPhases(); i++ {
-			if err := b.packPhase(i); err != nil {
-				return nil, err
-			}
-		}
-		if err := b.assignFinal(); err != nil {
-			return nil, err
-		}
-	default:
+	// A singleton has no phases and no final stage: all-empty advice.
+	if n > 1 {
 		if err := b.buildFused(root); err != nil {
 			return nil, err
 		}
@@ -187,42 +159,9 @@ func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt Oracle
 	}, nil
 }
 
-// packPhase streams A(F) for every selecting fragment of phase i, in
-// parallel over fragment ranges (each fragment writes only its own BFS
-// nodes). Per-worker scratch strings keep the loop allocation-free;
-// par.FirstFailure merges worker errors so the reported failure is the
-// one a sequential scan would hit first.
-func (b *adviceBuilder) packPhase(i int) error {
-	ph := &b.d.Phases[i-1]
-	nf := len(ph.Fragments)
-	workers := b.workers
-	if nf < 64 {
-		workers = 1
-	}
-	return par.FirstFailure(workers, nf, func(_, lo, hi int) (int, error) {
-		a := bitstring.New(i + 2)
-		for fi := lo; fi < hi; fi++ {
-			f := &ph.Fragments[fi]
-			if f.Sel == nil {
-				continue
-			}
-			if err := b.packFragment(i, f, a); err != nil {
-				return fi, err
-			}
-		}
-		return -1, nil
-	})
-}
-
-// packFragment encodes A(F) into a (a reusable scratch string) and
-// streams it greedily into the fragment's nodes in BFS order.
-func (b *adviceBuilder) packFragment(i int, f *boruvka.Fragment, a *bitstring.BitString) error {
-	return b.packBits(i, f.BFS, f.Sel.Chooser, f.Sel.Up, f.Level == 1, a)
-}
-
-// packBits is the phase-i fragment encoding shared by the reference and
-// fused paths: build A(F) = b_up ‖ b_level ‖ bin(j) in the scratch
-// string, then stream it greedily into the fragment's BFS nodes.
+// packBits is the phase-i fragment encoding: build A(F) = b_up ‖
+// b_level ‖ bin(j) in the scratch string, then stream it greedily into
+// the fragment's BFS nodes.
 func (b *adviceBuilder) packBits(i int, bfs []graph.NodeID, chooser graph.NodeID, up, level bool, a *bitstring.BitString) error {
 	j := -1
 	for k, u := range bfs {
@@ -268,51 +207,10 @@ func (b *adviceBuilder) packBits(i int, bfs []graph.NodeID, chooser graph.NodeID
 	return nil
 }
 
-// assignFinal distributes the Width-bit final string of every fragment
-// remaining after phase P, one bit per BFS node, in parallel over
-// fragment ranges (fragments own disjoint carrier nodes). The carrier
-// lists live in one slab sized len(frags)·Width.
-func (b *adviceBuilder) assignFinal() error {
-	lastPacked := b.sched.P
-	if b.d.NumPhases() < lastPacked {
-		lastPacked = b.d.NumPhases()
-	}
-	frags := b.d.FragmentsAtStart(lastPacked + 1)
-	width := b.sched.Width
-	b.frags = make([]FinalFragment, len(frags))
-	carrierSlab := make([]graph.NodeID, len(frags)*width)
-	workers := b.workers
-	if len(frags) < 64 {
-		workers = 1
-	}
-	return par.FirstFailure(workers, len(frags), func(_, lo, hi int) (int, error) {
-		for fi := lo; fi < hi; fi++ {
-			f := &frags[fi]
-			value, port, err := b.finalString(f.Root, f.Size())
-			if err != nil {
-				return fi, err
-			}
-			carriers := carrierSlab[fi*width : (fi+1)*width : (fi+1)*width]
-			for k := 0; k < width; k++ {
-				b.final[f.BFS[k]] = value>>uint(k)&1 == 1
-				carriers[k] = f.BFS[k]
-			}
-			b.frags[fi] = FinalFragment{
-				Root:       f.Root,
-				ParentPort: port,
-				Carriers:   carriers,
-				Value:      value,
-			}
-		}
-		return -1, nil
-	})
-}
-
 // finalString computes one final-stage fragment's encoded value — the
 // global rank of root's parent edge, or all-ones for the fragment
 // holding the global root — plus the parent port (-1 for the root
-// fragment). size guards the Width-bit carrier capacity. Shared by the
-// reference and fused paths.
+// fragment). size guards the Width-bit carrier capacity.
 func (b *adviceBuilder) finalString(root graph.NodeID, size int) (value uint64, port int, err error) {
 	width := b.sched.Width
 	port = -1
