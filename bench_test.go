@@ -106,7 +106,7 @@ func BenchmarkEngineParallelism(b *testing.B) {
 		name string
 		opt  RunOptions
 	}{
-		{"sequential", RunOptions{Sequential: true}},
+		{"sequential", RunOptions{Workers: 1}},
 		{"parallel", RunOptions{}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

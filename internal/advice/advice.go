@@ -94,12 +94,10 @@ type Result struct {
 	Steps        int
 	SyncMessages int64
 	SyncBits     int64
-	// Sent, Dropped, LinkDropped and Undelivered mirror the simulator's
-	// conserved message accounting: Sent == Messages + Dropped +
-	// LinkDropped, and Undelivered final-round messages are included in
-	// Messages (see sim.Result).
+	// Sent, LinkDropped and Undelivered mirror the simulator's conserved
+	// message accounting: Sent == Messages + LinkDropped, and Undelivered
+	// final-round messages are included in Messages (see sim.Result).
 	Sent        int64
-	Dropped     int64
 	LinkDropped int64
 	Undelivered int64
 	// CongestViolations counts messages exceeding sim.Options.CongestB
@@ -197,11 +195,7 @@ func RunCtx(ctx context.Context, scheme Scheme, g *graph.Graph, root graph.NodeI
 	var assignment []*bitstring.BitString
 	var err error
 	if wa, ok := scheme.(WorkerAdviser); ok {
-		workers := opt.Workers
-		if opt.Sequential {
-			workers = 1 // mirror the engine's resolution of the knob
-		}
-		assignment, err = wa.AdviseWorkers(g, root, workers)
+		assignment, err = wa.AdviseWorkers(g, root, opt.Workers)
 	} else {
 		assignment, err = scheme.Advise(g, root)
 	}
@@ -242,7 +236,6 @@ func RunCtx(ctx context.Context, scheme Scheme, g *graph.Graph, root graph.NodeI
 		SyncMessages:      simRes.SyncMessages,
 		SyncBits:          simRes.SyncBits,
 		Sent:              simRes.Sent,
-		Dropped:           simRes.Dropped,
 		LinkDropped:       simRes.LinkDropped,
 		Undelivered:       simRes.Undelivered,
 		CongestViolations: simRes.CongestViolations,

@@ -89,7 +89,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
 		return seeded(t, "random", 50, 9, gen.WeightsUnit)
 	}
-	a, err := advice.Run(Scheme{Adaptive: true}, mk(), 2, sim.Options{Sequential: true})
+	a, err := advice.Run(Scheme{Adaptive: true}, mk(), 2, sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
 		return seeded(t, "random", 60, 4, gen.WeightsUnit)
 	}
-	a, err := advice.Run(Scheme{}, mk(), 3, sim.Options{Sequential: true})
+	a, err := advice.Run(Scheme{}, mk(), 3, sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,30 +255,37 @@ func TestAdviceSwapDetected(t *testing.T) {
 	}
 }
 
-// Fault injection: dropping messages must never produce a silently wrong
+// Fault injection: lost messages must never produce a silently wrong
 // verified answer — the run either fails in the engine (panic/timeout) or
-// fails verification.
+// fails verification. Every k-th edge goes down from round 1 (the ID
+// exchange) or from round 5 (inside phase 1's window).
 func TestMessageLossNeverSilentlyWrong(t *testing.T) {
 	g := seeded(t, "random", 30, 15, gen.WeightsDistinct)
-	for _, dropEvery := range []int{3, 7, 20, 100} {
-		assignment, err := BuildAdvice(g, 0, DefaultCap)
-		if err != nil {
-			t.Fatal(err)
+	assignment, err := BuildAdvice(g, 0, DefaultCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []int{3, 7, 20, 100} {
+		for _, round := range []int{1, 5} {
+			sc := &sim.Scenario{}
+			for e := 0; e < g.M(); e += every {
+				sc.Events = append(sc.Events, sim.ScenarioEvent{Round: round, Edge: graph.EdgeID(e), Action: sim.ActionLinkDown})
+			}
+			res, err := sim.NewNetwork(g).Run(Scheme{}.NewNode, assignment, sim.Options{Scenario: sc})
+			if err != nil {
+				continue // decoder noticed (panic) or timed out: fine
+			}
+			if res.LinkDropped == 0 {
+				t.Fatalf("every=%d round=%d: nothing dropped", every, round)
+			}
+			ok, root, _ := advice.VerifyOutput(g, res.ParentPorts)
+			if ok && root != 0 {
+				t.Fatalf("every=%d round=%d: lossy run verified with wrong root", every, round)
+			}
+			// ok with the right root is possible when only redundant
+			// messages (e.g. unused level reports) were dropped; that is
+			// fine.
 		}
-		nw := sim.NewNetwork(g)
-		res, err := nw.Run(Scheme{}.NewNode, assignment, sim.Options{DropEvery: dropEvery})
-		if err != nil {
-			continue // decoder noticed (panic) or timed out: fine
-		}
-		if res.Dropped == 0 {
-			t.Fatalf("dropEvery=%d: nothing dropped", dropEvery)
-		}
-		ok, root, _ := advice.VerifyOutput(g, res.ParentPorts)
-		if ok && root != 0 {
-			t.Fatalf("dropEvery=%d: lossy run verified with wrong root", dropEvery)
-		}
-		// ok with the right root is possible when only redundant messages
-		// (e.g. unused level reports) were dropped; that is fine.
 	}
 }
 

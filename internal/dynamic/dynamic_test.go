@@ -403,7 +403,7 @@ func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d diverged:\nseq: %+v\npar: %+v", workers, want, got)
 		}
 	}
-	if want.Sent != want.Messages+want.Dropped+want.LinkDropped {
+	if want.Sent != want.Messages+want.LinkDropped {
 		t.Fatalf("conservation violated: %+v", want)
 	}
 }

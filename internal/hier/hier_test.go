@@ -92,7 +92,7 @@ func TestHierWorkerDeterminism(t *testing.T) {
 		}
 	}
 	var rounds []int
-	for _, opt := range []sim.Options{{Sequential: true}, {Workers: 2}, {Workers: 7}} {
+	for _, opt := range []sim.Options{{Workers: 1}, {Workers: 2}, {Workers: 7}} {
 		res, err := advice.Run(s, g, 0, opt)
 		if err != nil {
 			t.Fatal(err)

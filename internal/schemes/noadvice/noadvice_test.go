@@ -115,7 +115,7 @@ func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
 		return seeded(t, "random", 30, 5, gen.WeightsUnit)
 	}
-	a, err := advice.Run(s, mk(), 0, sim.Options{EnablePulses: true, Sequential: true})
+	a, err := advice.Run(s, mk(), 0, sim.Options{EnablePulses: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
 		return seeded(t, "random", 40, 11, gen.WeightsDistinct)
 	}
-	a, err := advice.Run(Scheme{}, mk(), 0, sim.Options{Sequential: true})
+	a, err := advice.Run(Scheme{}, mk(), 0, sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

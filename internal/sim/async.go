@@ -267,9 +267,8 @@ func (q *eventQueue) pop() event {
 // Asynchronous runs are deterministic: for a fixed graph, factory,
 // latency model and scheduler, every field of the Result — including
 // VirtualTime, Steps and the synchronization-overhead accounting — is
-// byte-identical for any Workers setting. Options.EnablePulses,
-// DropEvery and Scenario are synchronous-model features and are
-// rejected.
+// byte-identical for any Workers setting. Options.EnablePulses and
+// Scenario are synchronous-model features and are rejected.
 //
 // Message accounting in asynchronous mode: Sent counts every message
 // handed to the engine; payload messages land in Messages/TotalBits and
@@ -288,8 +287,8 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 	if opt.EnablePulses {
 		return nil, fmt.Errorf("sim: the quiescence synchronizer (EnablePulses) is a synchronous-model idealization; asynchronous runs use internal/synch")
 	}
-	if opt.DropEvery > 0 || opt.Scenario != nil {
-		return nil, fmt.Errorf("sim: DropEvery and Scenario fault injection are round-indexed and not supported in asynchronous mode")
+	if opt.Scenario != nil {
+		return nil, fmt.Errorf("sim: Scenario fault injection is round-indexed and not supported in asynchronous mode")
 	}
 	maxRounds := opt.MaxRounds
 	if maxRounds == 0 {
@@ -302,9 +301,6 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Sequential {
-		workers = 1
 	}
 	lat := opt.Latency
 	if lat == nil {

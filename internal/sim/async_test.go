@@ -91,9 +91,8 @@ func TestAsyncRunRejectsSyncOnlyOptions(t *testing.T) {
 	nw := NewNetwork(g)
 	factory := func(view *NodeView) AsyncNode { return &pingNode{} }
 	for name, opt := range map[string]Options{
-		"pulses":    {EnablePulses: true},
-		"dropevery": {DropEvery: 3},
-		"scenario":  {Scenario: &Scenario{Events: []ScenarioEvent{{Round: 1, Edge: 0, Action: ActionLinkDown}}}},
+		"pulses":   {EnablePulses: true},
+		"scenario": {Scenario: &Scenario{Events: []ScenarioEvent{{Round: 1, Edge: 0, Action: ActionLinkDown}}}},
 	} {
 		if _, err := nw.RunAsync(factory, nil, opt); err == nil {
 			t.Errorf("RunAsync accepted synchronous-only option %q", name)

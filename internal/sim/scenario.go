@@ -46,11 +46,9 @@ type ScenarioEvent struct {
 	W      graph.Weight // new observed weight for ActionSetWeight
 }
 
-// Scenario is a deterministic fault model for a run: a fixed schedule of
-// link failures, repairs and weight perturbations. It generalizes the
-// DropEvery fault injection — faults are targeted at named edges and
-// rounds instead of a global modulus — and, like it, is accounted
-// deterministically for any worker count. The network model itself stays
+// Scenario is the simulator's fault model: a fixed schedule of link
+// failures, repairs and weight perturbations, targeted at named edges
+// and rounds and accounted deterministically for any worker count. The network model itself stays
 // synchronous and reliable; protocols may legitimately fail under a
 // scenario, and tests assert they never silently emit a wrong verified
 // answer.

@@ -117,11 +117,9 @@ type Factory func(view *NodeView) Node
 type Options struct {
 	// MaxRounds aborts runs that fail to terminate. 0 means 50·(n+10) + 1000.
 	MaxRounds int
-	// Workers is the goroutine pool size; 0 means GOMAXPROCS.
+	// Workers is the goroutine pool size; 0 means GOMAXPROCS and 1 runs
+	// every node on the calling goroutine.
 	Workers int
-	// Sequential forces single-goroutine execution (useful to demonstrate
-	// determinism against the parallel path).
-	Sequential bool
 	// EnablePulses turns on the idealized quiescence synchronizer: at the
 	// start of any round with no messages in flight (and not all nodes
 	// done), Ctx.Pulse increments. Self-timed algorithms use pulses as
@@ -134,14 +132,9 @@ type Options struct {
 	// Result.CongestViolations (the run continues; experiments report the
 	// count).
 	CongestB int
-	// DropEvery, when positive, deterministically drops every k-th routed
-	// message (fault injection: the model itself is reliable, so protocols
-	// may legitimately break — tests assert they never silently emit a
-	// wrong verified answer).
-	DropEvery int
 	// Scenario, when non-nil, schedules deterministic per-round faults —
 	// link failures, repairs and weight perturbations — against named
-	// edges (see Scenario). It composes with DropEvery.
+	// edges (see Scenario).
 	Scenario *Scenario
 	// Context, when non-nil, cancels the run between rounds: a run whose
 	// context expires returns ctx.Err() wrapped in a descriptive error
@@ -173,8 +166,8 @@ type RoundStats struct {
 // Result summarises a run.
 //
 // Message totals are conserved: every message a node hands to the router
-// is counted exactly once, so Sent == Messages + Dropped + LinkDropped
-// always holds, and Messages - Undelivered is the number of messages
+// is counted exactly once, so Sent == Messages + LinkDropped always
+// holds, and Messages - Undelivered is the number of messages
 // actually consumed by a Round handler.
 type Result struct {
 	Rounds      int   // rounds executed until global termination
@@ -188,8 +181,6 @@ type Result struct {
 	CongestViolations int64
 	// Sent counts every message handed to the router, delivered or not.
 	Sent int64
-	// Dropped counts messages removed by Options.DropEvery fault injection.
-	Dropped int64
 	// LinkDropped counts messages discarded because a Scenario had taken
 	// their link down.
 	LinkDropped int64
@@ -240,7 +231,6 @@ func (nw *Network) Cost() CostModel { return nw.cost }
 type acct struct {
 	messages    int64
 	bits        int64
-	dropped     int64
 	linkDropped int64
 	congest     int64
 	maxBits     int64
@@ -274,12 +264,6 @@ type engine struct {
 	// the current round stamp when u sends on port, so a second send on
 	// the same port in the same round is caught without a per-node map.
 	stamps []uint32
-	// prefix[u] is the number of messages routed by nodes < u this round;
-	// together with routed it gives every message a deterministic global
-	// 1-based index, which keeps DropEvery fault injection independent of
-	// worker scheduling.
-	prefix []int64
-	routed int64 // messages routed in previous rounds
 
 	// portW backs every view's PortW slice (one allocation); the engine
 	// keeps it so Scenario weight perturbations can patch the observed
@@ -338,15 +322,14 @@ func (e *engine) firstErr() error {
 // returning the number of messages in flight for the next round. Delivery
 // is parallel across senders: each message's destination slot is unique
 // (one slot per half-edge), statistics go to per-worker accumulators
-// merged at the barrier, and drop decisions use precomputed prefix sums,
-// so the result is byte-identical for any worker count.
+// merged at the barrier, and link-failure drops depend only on the
+// message's edge, so the result is byte-identical for any worker count.
 func (e *engine) route(round int) (int, error) {
 	if err := e.firstErr(); err != nil {
 		return 0, err
 	}
 	total := int64(0)
 	for u := 0; u < e.n; u++ {
-		e.prefix[u] = total
 		total += int64(len(e.outboxes[u]))
 	}
 	if total == 0 {
@@ -369,7 +352,6 @@ func (e *engine) route(round int) (int, error) {
 			uid := graph.NodeID(u)
 			base := g.HalfOffset(uid)
 			deg := g.Degree(uid)
-			gi := e.routed + e.prefix[u]
 			for _, s := range out {
 				if s.Port < 0 || s.Port >= deg {
 					e.errs[u] = fmt.Errorf("sim: node %d sent on invalid port %d in round %d", u, s.Port, round)
@@ -384,14 +366,9 @@ func (e *engine) route(round int) (int, error) {
 					e.errs[u] = fmt.Errorf("sim: node %d sent a nil message on port %d in round %d", u, s.Port, round)
 					break
 				}
-				gi++
 				h := g.HalfAt(uid, s.Port)
 				if e.linkDown != nil && e.linkDown[h.Edge] {
 					a.linkDropped++
-					continue
-				}
-				if e.opt.DropEvery > 0 && gi%int64(e.opt.DropEvery) == 0 {
-					a.dropped++
 					continue
 				}
 				dp := g.DstPort(uid, s.Port)
@@ -408,14 +385,13 @@ func (e *engine) route(round int) (int, error) {
 			}
 		}
 	})
-	e.routed += total
+	e.res.Sent += total
 	var delivered, roundBits, maxBits int64
 	for w := range e.accts {
 		a := &e.accts[w]
 		delivered += a.messages
 		roundBits += a.bits
 		e.res.CongestViolations += a.congest
-		e.res.Dropped += a.dropped
 		e.res.LinkDropped += a.linkDropped
 		if a.maxBits > maxBits {
 			maxBits = a.maxBits
@@ -465,8 +441,8 @@ func (e *engine) stepNode(ctx *Ctx, u int) {
 // nil slice for no advice at all.
 //
 // Runs are deterministic: for a fixed graph, factory and options, every
-// field of the Result — including per-round statistics and DropEvery
-// fault-injection accounting — is identical for any Workers setting.
+// field of the Result — including per-round statistics and Scenario
+// fault accounting — is identical for any Workers setting.
 func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Options) (*Result, error) {
 	g := nw.g
 	n := g.N()
@@ -483,9 +459,6 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Sequential {
-		workers = 1
 	}
 
 	var events []ScenarioEvent
@@ -531,7 +504,6 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 		errs:     make([]error, n),
 		slots:    make([]Received, nh),
 		stamps:   make([]uint32, nh),
-		prefix:   make([]int64, n),
 		portW:    portW,
 		events:   events,
 		accts:    make([]acct, workers),
@@ -600,7 +572,6 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 		}
 	}
 	res.Rounds = round
-	res.Sent = e.routed
 	// Messages delivered in the final round are never consumed — every
 	// node has terminated. Account for them explicitly so totals conserve.
 	for i := range e.slots {

@@ -141,7 +141,7 @@ func TestBFSWave(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	g := seeded(t, "random", 200, 3, gen.WeightsDistinct)
 	adv := bfsAdvice(g.N(), 7)
-	seq, err := NewNetwork(g).Run(newBFSNode, adv, Options{Sequential: true, RecordRoundStats: true})
+	seq, err := NewNetwork(g).Run(newBFSNode, adv, Options{Workers: 1, RecordRoundStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,69 +359,6 @@ func TestCongestAudit(t *testing.T) {
 	}
 }
 
-func TestDropEvery(t *testing.T) {
-	g := seeded(t, "complete", 6, 12, gen.WeightsDistinct)
-	adv := bfsAdvice(6, 0)
-	clean, err := NewNetwork(g).Run(newBFSNode, adv, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := NewNetwork(g).Run(newBFSNode, adv, Options{DropEvery: 2, MaxRounds: 50})
-	if err != nil {
-		return // starvation is an acceptable failure mode
-	}
-	if lossy.Dropped == 0 {
-		t.Fatal("DropEvery=2 dropped nothing")
-	}
-	if lossy.Messages+lossy.Dropped < clean.Messages/2 {
-		t.Fatalf("accounting off: delivered %d + dropped %d vs clean %d",
-			lossy.Messages, lossy.Dropped, clean.Messages)
-	}
-}
-
-// TestDropEveryAccounting pins the fault-injection contract: the dropped
-// messages are exactly those whose global routed index (1-based, in node
-// order then outbox order, cumulative across rounds) is a multiple of k.
-func TestDropEveryAccounting(t *testing.T) {
-	g := seeded(t, "complete", 8, 13, gen.WeightsDistinct)
-	for _, k := range []int{2, 3, 7} {
-		res, err := NewNetwork(g).Run(func(*NodeView) Node { return &chatter{} }, nil,
-			Options{DropEvery: k, MaxRounds: 100})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		routed := res.Messages + res.Dropped
-		if res.Dropped != routed/int64(k) {
-			t.Fatalf("k=%d: dropped %d of %d routed, want %d", k, res.Dropped, routed, routed/int64(k))
-		}
-	}
-}
-
-// TestDropEveryDeterministicAcrossWorkers asserts that fault injection —
-// which depends on a global routed-message counter — drops the same
-// messages no matter how routing is parallelized.
-func TestDropEveryDeterministicAcrossWorkers(t *testing.T) {
-	g := seeded(t, "random", 300, 14, gen.WeightsDistinct)
-	run := func(workers int) *Result {
-		res, err := NewNetwork(g).Run(func(*NodeView) Node { return &chatter{} }, nil,
-			Options{Workers: workers, DropEvery: 3, MaxRounds: 2000, RecordRoundStats: true})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	want := run(1)
-	if want.Dropped == 0 {
-		t.Fatal("DropEvery=3 dropped nothing; test is vacuous")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d diverged from sequential:\nseq: %+v\npar: %+v", workers, want, got)
-		}
-	}
-}
-
 // TestInboxSortedByPort asserts the engine's ordering contract: inboxes
 // arrive sorted by arrival port.
 func TestInboxSortedByPort(t *testing.T) {
@@ -529,40 +466,35 @@ func TestUndeliveredFinalMessagesAccounted(t *testing.T) {
 // checkConservation asserts the Result's message-accounting invariant.
 func checkConservation(t *testing.T, res *Result) {
 	t.Helper()
-	if res.Sent != res.Messages+res.Dropped+res.LinkDropped {
-		t.Fatalf("conservation violated: sent %d != delivered %d + dropped %d + link-dropped %d",
-			res.Sent, res.Messages, res.Dropped, res.LinkDropped)
+	if res.Sent != res.Messages+res.LinkDropped {
+		t.Fatalf("conservation violated: sent %d != delivered %d + link-dropped %d",
+			res.Sent, res.Messages, res.LinkDropped)
 	}
 	if res.Undelivered < 0 || res.Undelivered > res.Messages {
 		t.Fatalf("Undelivered = %d outside [0, %d]", res.Undelivered, res.Messages)
 	}
 }
 
-// TestConservationAcrossModes runs the BFS wave under clean, DropEvery
-// and Scenario conditions and asserts the conservation invariant in each.
+// TestConservationAcrossModes runs the BFS wave under clean and Scenario
+// conditions and asserts the conservation invariant in each.
 func TestConservationAcrossModes(t *testing.T) {
 	g := seeded(t, "complete", 8, 51, gen.WeightsDistinct)
 	adv := bfsAdvice(8, 0)
 	opts := []struct {
-		name    string
-		opt     Options
-		mayFail bool // DropEvery starvation is an acceptable failure mode
+		name string
+		opt  Options
 	}{
-		{"clean", Options{}, false},
-		{"dropevery", Options{DropEvery: 3, MaxRounds: 100}, true},
+		{"clean", Options{}},
 		{"scenario", Options{Scenario: &Scenario{Events: []ScenarioEvent{
 			{Round: 0, Edge: 0, Action: ActionLinkDown},
 			{Round: 1, Edge: 1, Action: ActionLinkDown},
 			{Round: 2, Edge: 0, Action: ActionLinkUp},
-		}}, MaxRounds: 100}, false},
+		}}, MaxRounds: 100}},
 	}
 	for _, tc := range opts {
 		res, err := NewNetwork(g).Run(newBFSNode, adv, tc.opt)
 		if err != nil {
-			if !tc.mayFail {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			continue
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		checkConservation(t, res)
 		if tc.name == "scenario" && res.LinkDropped == 0 {
