@@ -36,7 +36,9 @@
 package boruvka
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"mstadvice/internal/graph"
@@ -938,6 +940,15 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 	})
 }
 
+// childLess orders tree children by (parent-edge weight, port at the
+// parent), the paper's "lower index first".
+func (d *Decomposition) childLess(a, b graph.NodeID) int {
+	if c := cmp.Compare(d.parentW[a], d.parentW[b]); c != 0 {
+		return c
+	}
+	return cmp.Compare(d.parentPt[a], d.parentPt[b])
+}
+
 // fragmentBFS returns the BFS order of T_F from the fragment root, where a
 // node's tree children are visited in increasing (edge weight, port at the
 // node) order. This is the paper's "BFS guided by the indexes of the edges
@@ -963,28 +974,20 @@ func (d *Decomposition) fragmentBFS(root graph.NodeID, nodes []graph.NodeID, fra
 		start[u], fill[u] = off, off
 		off += cnt[u]
 	}
-	// Place every child into its parent's segment, insertion-sorting by
-	// (edge weight, port at the parent) — the key is strict because
-	// siblings hang off distinct parent ports. Segments are tiny, so the
-	// quadratic insertion beats sort's allocations.
+	// Place every child into its parent's segment, then sort each
+	// segment once by (edge weight, port at the parent) — the key is
+	// strict because siblings hang off distinct parent ports — so a hub
+	// with k children costs O(k log k).
 	for _, u := range nodes {
-		p := d.parentNode[u]
-		if p == -1 || fragOf[p] != fid {
-			continue
+		if p := d.parentNode[u]; p != -1 && fragOf[p] == fid {
+			kids[fill[p]] = u
+			fill[p]++
 		}
-		w, pt := d.parentW[u], d.parentPt[u]
-		i := fill[p]
-		fill[p]++
-		for i > start[p] {
-			prev := kids[i-1]
-			pw, ppt := d.parentW[prev], d.parentPt[prev]
-			if pw < w || (pw == w && ppt < pt) {
-				break
-			}
-			kids[i] = prev
-			i--
+	}
+	for _, u := range nodes {
+		if cnt[u] > 1 {
+			slices.SortFunc(kids[start[u]:start[u]+cnt[u]], d.childLess)
 		}
-		kids[i] = u
 	}
 	// The order slice doubles as the BFS queue: entry qi is expanded after
 	// it has been appended.

@@ -366,6 +366,29 @@ func TestBFSChildOrder(t *testing.T) {
 	}
 }
 
+// TestBFSHubOrder builds a star whose leaves arrive in reverse (weight,
+// port at the centre) order, with pairs of leaves tied on weight: the
+// final BFS must list the leaves in increasing (weight, port) order.
+func TestBFSHubOrder(t *testing.T) {
+	const k = 3000
+	b := graph.NewBuilder(k + 1)
+	for leaf := 1; leaf <= k; leaf++ { // leaf at port leaf-1 of the centre
+		b.AddEdge(0, graph.NodeID(leaf), graph.Weight((k-leaf)/2+1))
+	}
+	g := b.MustBuild()
+	bfs := decompose(t, g, 0).Final.BFS
+	if len(bfs) != k+1 || bfs[0] != 0 {
+		t.Fatalf("final BFS has %d nodes starting at %d", len(bfs), bfs[0])
+	}
+	for i := 2; i < len(bfs); i++ {
+		a, c := bfs[i-1], bfs[i]
+		wa, wc := g.Weight(g.HalfAt(0, int(a)-1).Edge), g.Weight(g.HalfAt(0, int(c)-1).Edge)
+		if wa > wc || (wa == wc && a > c) {
+			t.Fatalf("leaves %d (weight %d) and %d (weight %d) out of (weight, port) order", a, wa, c, wc)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	g := graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1).MustBuild()
 	if _, err := Decompose(g, 0); err == nil {

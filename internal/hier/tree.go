@@ -1,6 +1,9 @@
 package hier
 
 import (
+	"cmp"
+	"slices"
+
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
 )
@@ -16,10 +19,11 @@ type treeNode struct {
 }
 
 // subtree reconstructs the fragment tree from convergecast records at
-// the fragment root. Children are kept sorted by (parent-edge weight,
-// port at the parent) — the key is strict because siblings hang off
-// distinct parent ports — so the BFS order matches the oracle's
-// fragmentBFS exactly.
+// the fragment root. Children are appended as their records arrive and
+// bfs sorts them once by (parent-edge weight, port at the parent) — the
+// key is strict because siblings hang off distinct parent ports — so the
+// BFS order matches the oracle's fragmentBFS exactly and a hub with k
+// children costs O(k log k).
 type subtree struct {
 	root  *treeNode
 	nodes map[int64]*treeNode
@@ -44,17 +48,15 @@ func (s *subtree) add(r hierRec) {
 	}
 	tn := &treeNode{id: r.ID, w: r.W, portAtParent: r.PortAtParent, childCount: r.ChildCount, bits: r.Bits}
 	s.nodes[r.ID] = tn
-	i := len(p.kids)
-	p.kids = append(p.kids, nil)
-	for i > 0 {
-		prev := p.kids[i-1]
-		if prev.w < tn.w || (prev.w == tn.w && prev.portAtParent < tn.portAtParent) {
-			break
-		}
-		p.kids[i] = prev
-		i--
+	p.kids = append(p.kids, tn)
+}
+
+// childLess orders siblings by (parent-edge weight, port at the parent).
+func childLess(a, b *treeNode) int {
+	if c := cmp.Compare(a.w, b.w); c != 0 {
+		return c
 	}
-	p.kids[i] = tn
+	return cmp.Compare(a.portAtParent, b.portAtParent)
 }
 
 // size returns the number of collected nodes.
@@ -73,11 +75,13 @@ func (s *subtree) complete() bool {
 }
 
 // bfs returns the first limit collected nodes in BFS order from the
-// root (fewer when the tree is smaller).
+// root (fewer when the tree is smaller), sorting each expanded node's
+// children first.
 func (s *subtree) bfs(limit int) []*treeNode {
 	order := make([]*treeNode, 0, limit)
 	order = append(order, s.root)
 	for qi := 0; qi < len(order) && len(order) < limit; qi++ {
+		slices.SortFunc(order[qi].kids, childLess)
 		for _, kid := range order[qi].kids {
 			order = append(order, kid)
 			if len(order) == limit {
