@@ -370,9 +370,8 @@ func TestRegistryUnified(t *testing.T) {
 	}
 }
 
-// TestGenerate covers the error contract: valid sizes succeed, sizes
-// below 1 and unknown families return errors (never panics), and sizes
-// below a family's structural minimum clamp up to it.
+// TestGenerate covers valid builds: every family builds a valid graph
+// at n = 10, and exact-size families build exactly n nodes.
 func TestGenerate(t *testing.T) {
 	for _, name := range Names() {
 		g, err := BuildSeeded(name, 10, 7, SeededOptions{})
@@ -382,6 +381,17 @@ func TestGenerate(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s n=10: %v", name, err)
 		}
+	}
+	if g, err := BuildSeeded("ring", 8, 1, SeededOptions{}); err != nil || g.N() != 8 {
+		t.Fatalf("BuildSeeded(ring, 8) = %v, %v", g, err)
+	}
+}
+
+// TestGeneratorPanics pins that bad sizes never panic: n < 1 is an
+// error for every family, and sizes below a family's structural
+// minimum clamp up to it.
+func TestGeneratorPanics(t *testing.T) {
+	for _, name := range Names() {
 		for _, n := range []int{0, -3} {
 			if _, err := BuildSeeded(name, n, 7, SeededOptions{}); err == nil {
 				t.Fatalf("%s n=%d: expected error", name, n)
@@ -392,8 +402,5 @@ func TestGenerate(t *testing.T) {
 		if g := build(t, name, 1, 7, SeededOptions{}); g.N() != min {
 			t.Fatalf("%s n=1 built %d nodes, want the minimum %d", name, g.N(), min)
 		}
-	}
-	if g, err := BuildSeeded("ring", 8, 1, SeededOptions{}); err != nil || g.N() != 8 {
-		t.Fatalf("BuildSeeded(ring, 8) = %v, %v", g, err)
 	}
 }
