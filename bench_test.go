@@ -1,6 +1,6 @@
 package mstadvice
 
-// One benchmark per reproduction experiment (E1..E8, DESIGN.md §3): each
+// One benchmark per reproduction experiment (E1–E13, DESIGN.md §3): each
 // iteration regenerates the experiment's tables at a bench-sized
 // configuration, exercising the oracle, the simulator and the verifier end
 // to end. cmd/experiments prints the same tables at full size. The
@@ -66,6 +66,16 @@ func BenchmarkE9PhaseDynamics(b *testing.B) { benchExperiment(b, "e9") }
 // BenchmarkE10RoundProfile regenerates E10: per-window communication
 // profile of the main scheme.
 func BenchmarkE10RoundProfile(b *testing.B) { benchExperiment(b, "e10") }
+
+// BenchmarkE11Churn regenerates E11: sensitivity, churn and link
+// failures on dynamic networks.
+func BenchmarkE11Churn(b *testing.B) { benchExperiment(b, "e11") }
+
+// BenchmarkE12Topology regenerates E12: the topology-recognition problem.
+func BenchmarkE12Topology(b *testing.B) { benchExperiment(b, "e12") }
+
+// BenchmarkE13Hier regenerates E13: the hierarchical advice frontier.
+func BenchmarkE13Hier(b *testing.B) { benchExperiment(b, "e13") }
 
 // BenchmarkConstantAdviceScale runs the Theorem 3 scheme alone on a larger
 // instance: oracle + O(log n)-round simulation + verification.

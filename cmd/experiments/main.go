@@ -1,59 +1,23 @@
 // Command experiments regenerates the reproduction's tables and figures
-// (E1..E12, see DESIGN.md §3 and EXPERIMENTS.md):
+// (E1–E13, see DESIGN.md §3 and EXPERIMENTS.md):
 //
 //	experiments                       # run everything at the default sizes
 //	experiments -e e4,e5              # only the main theorem and the separation
 //	experiments -e e11                # dynamic networks: sensitivity + churn
 //	experiments -sizes 16,128         # custom n sweep
-//	experiments -bench-sim BENCH_sim.json
-//	                                  # engine micro-benchmark, machine-readable
-//	experiments -bench-oracle BENCH_oracle.json
-//	                                  # oracle-pipeline benchmark (n up to 10⁶)
-//	experiments -bench-service BENCH_service.json
-//	                                  # advice-serving layer: store round-trip,
-//	                                  # closed-loop query QPS/latency, churn
-//	experiments -bench-async BENCH_async.json
-//	                                  # asynchronous mode: rounds vs virtual
-//	                                  # time, synchronizer overhead, parity
-//	experiments -bench-topo BENCH_topo.json
-//	                                  # topology-recognition problem: family
-//	                                  # sweep with async parity, radius sweep
-//	experiments -bench-hier BENCH_hier.json
-//	                                  # hierarchical advice: bits-vs-rounds
-//	                                  # frontier, tier vs flat snapshot bytes
-//	                                  # (n up to 10⁶)
-//	experiments -bench-replica BENCH_replica.json
-//	                                  # replicated serving tier: failover
-//	                                  # client under kill/restart chaos,
-//	                                  # catch-up time, zero-wrong-answers
-//	experiments -bench-obs BENCH_obs.json
-//	                                  # observability overhead gate: the
-//	                                  # hot-path instrument cost and the
-//	                                  # read path's 0-allocs / <5% contract
-//	experiments -bench-oracle /tmp/now.json -sizes 10000 \
-//	            -bench-baseline BENCH_oracle.json
-//	                                  # CI smoke: fail on >2x regression
-//	experiments -bench-sim /tmp/b.json -cpuprofile cpu.pprof -memprofile mem.pprof
-//	                                  # profile any bench run with pprof
+//	experiments -e e13 -sizes 1024,1000000
+//	                                  # hierarchical frontier up to n = 10⁶
 //
-// With -bench-sim / -bench-oracle / -bench-service / -bench-async /
-// -bench-topo / -bench-hier / -bench-replica / -bench-obs the
-// command skips the tables, runs the corresponding benchmark (see
-// internal/experiments: SimBench, OracleBench, ServiceBench, AsyncBench,
-// TopoBench, HierBench, ReplicaBench, ObsBench)
-// and writes the rows as JSON. Running it with the
-// committed file names regenerates the in-tree perf trajectory;
-// -bench-baseline additionally compares the fresh rows against a
-// committed baseline and exits non-zero on any wall-time or allocation
-// regression beyond -bench-max-factor.
+// The experiments panic on the checks they make (E13, for instance, on
+// an inexact decode or a family with no tier ≤ 0.5× its flat snapshot).
+// Performance is measured by the end-to-end benchmark in bench/, not
+// here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -62,24 +26,10 @@ import (
 
 func main() {
 	var (
-		which          = flag.String("e", "all", "comma-separated experiment ids (e1..e13) or 'all'")
-		sizes          = flag.String("sizes", "", "comma-separated n sweep (default 16,64,256,1024)")
-		families       = flag.String("families", "", "comma-separated families (default path,grid,random,expander)")
-		seed           = flag.Int64("seed", 1, "generator seed")
-		benchSim       = flag.String("bench-sim", "", "run the engine benchmark and write JSON to this file instead of tables")
-		benchOracle    = flag.String("bench-oracle", "", "run the oracle-pipeline benchmark and write JSON to this file instead of tables")
-		benchService   = flag.String("bench-service", "", "run the advice-serving-layer benchmark and write JSON to this file instead of tables")
-		benchAsync     = flag.String("bench-async", "", "run the asynchronous-mode benchmark and write JSON to this file instead of tables")
-		benchTopo      = flag.String("bench-topo", "", "run the topology-recognition benchmark and write JSON to this file instead of tables")
-		benchHier      = flag.String("bench-hier", "", "run the hierarchical-advice benchmark and write JSON to this file instead of tables")
-		benchReplica   = flag.String("bench-replica", "", "run the replicated-serving-tier chaos benchmark and write JSON to this file instead of tables")
-		benchObs       = flag.String("bench-obs", "", "run the observability-overhead benchmark and write JSON to this file instead of tables")
-		cpuProfile     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile     = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		serviceQueries = flag.Int("service-queries", 0, "closed-loop query count per -bench-service row (0 = default)")
-		benchBase      = flag.String("bench-baseline", "", "compare benchmark rows against this committed baseline JSON and fail on regression")
-		benchFactor    = flag.Float64("bench-max-factor", 2.0, "regression threshold for -bench-baseline (ratio to baseline)")
-		speedupFloor   = flag.Float64("speedup-floor", 0, "with -bench-oracle: fail unless the 8-worker rows at the largest n report at least this speedup (0 = off)")
+		which    = flag.String("e", "all", "comma-separated experiment ids (e1..e13) or 'all'")
+		sizes    = flag.String("sizes", "", "comma-separated n sweep (default 16,64,256,1024)")
+		families = flag.String("families", "", "comma-separated families (default path,grid,random,expander)")
+		seed     = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
 
@@ -98,126 +48,6 @@ func main() {
 	}
 	if err := cfg.Validate(); err != nil {
 		fail("%v", err)
-	}
-
-	cfg.Queries = *serviceQueries
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("%v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail("%v", err)
-			}
-			defer f.Close()
-			runtime.GC() // settle live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail("%v", err)
-			}
-		}()
-	}
-	if *benchBase != "" && *benchSim == "" && *benchOracle == "" && *benchService == "" && *benchAsync == "" && *benchTopo == "" && *benchHier == "" && *benchReplica == "" && *benchObs == "" {
-		fail("-bench-baseline needs -bench-sim, -bench-oracle, -bench-service, -bench-async, -bench-topo, -bench-hier, -bench-replica and/or -bench-obs to produce rows to compare")
-	}
-	if *benchSim != "" || *benchOracle != "" || *benchService != "" || *benchAsync != "" || *benchTopo != "" || *benchHier != "" || *benchReplica != "" || *benchObs != "" {
-		// Read the baseline before any bench writes its rows: the output
-		// path may BE the committed baseline (one step regenerates the
-		// artifact and gates it against the committed state in a single
-		// run).
-		var baseline []experiments.BenchResult
-		if *benchBase != "" {
-			var err error
-			if baseline, err = experiments.ReadBench(*benchBase); err != nil {
-				fail("%v", err)
-			}
-		}
-		var all []experiments.BenchResult
-		if *benchSim != "" {
-			rows := experiments.SimBench(cfg)
-			if err := experiments.WriteBench(*benchSim, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchSim)
-			all = append(all, rows...)
-		}
-		if *benchOracle != "" {
-			rows := experiments.OracleBench(cfg)
-			if err := experiments.WriteBench(*benchOracle, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchOracle)
-			if err := experiments.CheckSpeedupFloor(rows, 8, *speedupFloor); err != nil {
-				fail("speedup floor: %v", err)
-			}
-			all = append(all, rows...)
-		}
-		if *benchService != "" {
-			rows := experiments.ServiceBench(cfg)
-			if err := experiments.WriteBench(*benchService, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchService)
-			all = append(all, rows...)
-		}
-		if *benchAsync != "" {
-			rows := experiments.AsyncBench(cfg)
-			if err := experiments.WriteBench(*benchAsync, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchAsync)
-			all = append(all, rows...)
-		}
-		if *benchTopo != "" {
-			rows := experiments.TopoBench(cfg)
-			if err := experiments.WriteBench(*benchTopo, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchTopo)
-			all = append(all, rows...)
-		}
-		if *benchHier != "" {
-			rows := experiments.HierBench(cfg)
-			if err := experiments.WriteBench(*benchHier, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchHier)
-			all = append(all, rows...)
-		}
-		if *benchReplica != "" {
-			rows := experiments.ReplicaBench(cfg)
-			if err := experiments.WriteBench(*benchReplica, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchReplica)
-			all = append(all, rows...)
-		}
-		if *benchObs != "" {
-			rows := experiments.ObsBench(cfg)
-			if err := experiments.WriteBench(*benchObs, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchObs)
-			all = append(all, rows...)
-		}
-		if *benchBase != "" {
-			regressions := experiments.CompareBaseline(all, baseline, *benchFactor)
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
-			}
-			if len(regressions) > 0 {
-				fail("%d benchmark regression(s) against %s", len(regressions), *benchBase)
-			}
-			fmt.Printf("no regressions against %s (factor %.1f)\n", *benchBase, *benchFactor)
-		}
-		return
 	}
 
 	ids := experiments.IDs()

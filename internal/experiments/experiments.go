@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the
-// reproduction (E1..E10 in DESIGN.md §3). Each experiment returns aligned
+// reproduction (E1–E13 in DESIGN.md §3). Each experiment returns aligned
 // text tables so that cmd/experiments, the root benchmarks and
 // EXPERIMENTS.md all draw from the same code path.
 //
@@ -39,9 +39,6 @@ type Config struct {
 	Families []string
 	// Seed feeds all generators.
 	Seed int64
-	// Queries sizes the ServiceBench closed loop; 0 means the default
-	// (see serviceBenchQueries).
-	Queries int
 }
 
 func (c Config) sizes() []int {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"time"
 
 	"mstadvice/internal/problem/topo"
 	"mstadvice/internal/report"
@@ -58,67 +56,4 @@ func E12Topology(c Config) []*report.Table {
 	}
 	t3.Note = "the target node's view is constant across chord positions: < log k bits must fail"
 	return []*report.Table{t1, t2, t3}
-}
-
-// TopoBench measures the topology-recognition problem end to end, one
-// row per (family, scheme) at the sweep size plus a beacon-radius sweep
-// on the random family at the large size. Kind "topo"; the Verified
-// column on the family rows certifies sync/async parity (verified class
-// at every node, identical outputs, pulse count equal to the sync round
-// count), so the committed baseline gates correctness alongside wall
-// time. Sizes come from the config; nil means n = 256 for the family
-// sweep and n = 1024 for the radius sweep.
-func TopoBench(c Config) []BenchResult {
-	famN, radN := 256, 1024
-	if c.Sizes != nil {
-		famN = c.Sizes[0]
-		radN = c.Sizes[len(c.Sizes)-1]
-	}
-	var out []BenchResult
-	for _, fam := range c.allFamilies() {
-		out = append(out, topoRow(c, fam, famN, topo.Flood{}, true))
-	}
-	for _, r := range []int{0, 2, 8} {
-		out = append(out, topoRow(c, "random", radN, topo.Flood{Radius: r}, false))
-	}
-	return out
-}
-
-// topoRow runs one measured sync execution and, when asyncParity is set,
-// an async reference run whose agreement feeds the Verified column.
-func topoRow(c Config, fam string, n int, s topo.Flood, asyncParity bool) BenchResult {
-	g := c.graph(fam, n, int64(n)+59)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res := mustRun(s, g, 0, sim.Options{Workers: 1})
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	verified := res.Verified && res.Problem == topo.Name
-	if asyncParity {
-		asyncRes := mustRun(s, g, 0, sim.Options{
-			Async:   true,
-			Workers: 1,
-			Latency: sim.UniformLatency{Seed: c.Seed + 41, Min: 1, Max: 8},
-		})
-		verified = verified && asyncRes.Verified &&
-			asyncRes.Pulses == res.Rounds &&
-			reflect.DeepEqual(asyncRes.ParentPorts, res.ParentPorts)
-	}
-	return BenchResult{
-		Kind:       "topo",
-		Scheme:     s.Name(),
-		Family:     fam,
-		N:          g.N(),
-		M:          g.M(),
-		Workers:    1,
-		Rounds:     res.Rounds,
-		Messages:   res.Messages,
-		MsgBits:    res.MsgBits,
-		WallNS:     wall.Nanoseconds(),
-		Allocs:     after.Mallocs - before.Mallocs,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		Verified:   verified,
-	}
 }

@@ -38,9 +38,9 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 		return nil, fmt.Errorf("graph: FromEdgeList got %d ids for %d nodes", len(ids), n)
 	}
 	// Honor an explicit worker request as-is (capped only by the
-	// per-item floor): the caller may be profiling a target worker count
-	// above GOMAXPROCS, and silently clamping to the host's core count
-	// would hide these passes from the work-span model.
+	// per-item floor), even above GOMAXPROCS: that lets tests drive the
+	// parallel path on 1–2-core hosts, where clamping to the host's core
+	// count would leave only the sequential path under test.
 	explicit := workers > 0
 	workers = par.Workers(workers)
 	limit := buildWorkers(len(edges))

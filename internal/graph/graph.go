@@ -453,8 +453,8 @@ func (g *Graph) Validate() error {
 
 // validate is Validate with an explicit worker request: workers > 0
 // sizes every parallel pass at that count (capped only by the per-item
-// floor, not by GOMAXPROCS), which keeps the passes visible to the
-// par.Profile work-span model; workers <= 0 uses the adaptive default.
+// floor, not by GOMAXPROCS), so tests drive the parallel passes even on
+// 1–2-core hosts; workers <= 0 uses the adaptive default.
 func (g *Graph) validate(workers int) error {
 	size := func(items int) int {
 		if workers <= 0 {

@@ -38,10 +38,6 @@ func Ranges(workers, n int, fn func(w, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	if p := activeProfile(); p != nil {
-		p.runRegion(n, p.rangesChunk(workers, n), fn)
-		return
-	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -77,12 +73,7 @@ func FirstFailure(workers, n int, fn func(w, lo, hi int) (int, error)) error {
 		idx[w] = -1
 	}
 	Ranges(workers, n, func(w, lo, hi int) {
-		// Keep only the lowest failure per slot: under an active Profile,
-		// Ranges delivers every chunk to slot 0, and a plain overwrite
-		// would let a later chunk's success mask an earlier failure.
-		if i, err := fn(w, lo, hi); err != nil && (errs[w] == nil || i < idx[w]) {
-			idx[w], errs[w] = i, err
-		}
+		idx[w], errs[w] = fn(w, lo, hi)
 	})
 	best := -1
 	var firstErr error

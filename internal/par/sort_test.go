@@ -92,25 +92,3 @@ func TestSortU64WorkerIndependence(t *testing.T) {
 		}
 	}
 }
-
-// TestSortU64UnderProfile checks the profiled (sequential, timed) path
-// produces the same sorted output.
-func TestSortU64UnderProfile(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	base := make([]uint64, 3*DefaultChunk)
-	for i := range base {
-		base[i] = rng.Uint64()
-	}
-	want := slices.Clone(base)
-	slices.Sort(want)
-	p := StartProfile(8)
-	got := slices.Clone(base)
-	SortU64(8, got)
-	p.Stop()
-	if !slices.Equal(got, want) {
-		t.Fatal("profiled SortU64 output differs from sorted reference")
-	}
-	if p.Regions() == 0 {
-		t.Error("profiled SortU64 recorded no regions")
-	}
-}

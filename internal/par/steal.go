@@ -93,10 +93,6 @@ func stealOrdered(workers, n, chunk int, victims [][]int, fn func(w, lo, hi int)
 	if chunk < 1 {
 		chunk = DefaultChunk
 	}
-	if p := activeProfile(); p != nil {
-		p.runRegion(n, chunk, fn)
-		return
-	}
 	chunks := (n + chunk - 1) / chunk
 	if victims == nil && workers > chunks {
 		workers = chunks // surplus workers would idle; with a victim policy keep indices valid

@@ -25,9 +25,9 @@
 //     any answer whose epoch precedes one it has already seen.
 //
 // Failures are exercised, not assumed: internal/chaos injects seeded
-// connection faults between client and servers, and
-// experiments.ReplicaBench kills and restarts the primary and a replica
-// mid-run under load (BENCH_replica.json, CI-gated).
+// connection faults between client and servers, and its
+// TestKillRestartDrill kills and restarts the primary and a replica
+// mid-run under load.
 package replica
 
 import (

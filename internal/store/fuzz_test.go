@@ -1,6 +1,8 @@
 package store
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -26,6 +28,15 @@ func FuzzDecode(f *testing.F) {
 	mutated := append([]byte(nil), blob...)
 	mutated[len(magic)+2] ^= 0x40
 	f.Add(mutated)
+	// The committed goldens carry what Encode's seeds above do not: one
+	// snapshot per format version, and the version-3 tier section.
+	for _, name := range []string{"v1-golden.mstadv", "v2-golden.mstadv", "v3-golden.mstadv"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {
