@@ -69,6 +69,7 @@ func TestKillRestartDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer log.Close()
 	primary := service.New()
 	primary.OnPublish(refs.hook)
 	log.Attach(primary)
@@ -79,6 +80,7 @@ func TestKillRestartDrill(t *testing.T) {
 	if err := srvP.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
+	defer srvP.Close() // the script closes it first; Close is idempotent
 	addrP := srvP.Addr()
 
 	// The flight recorder spans both phases: replica reconnects and the
@@ -92,6 +94,7 @@ func TestKillRestartDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer repLog.Close()
 	follower := service.New()
 	rep := replica.NewReplica(follower, addrP, replica.ReplicaOptions{
 		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, Log: repLog,
@@ -106,6 +109,7 @@ func TestKillRestartDrill(t *testing.T) {
 	if err := srvR.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
+	defer srvR.Close()
 	addrR := srvR.Addr()
 
 	// Warm-up update: pays the lazy advisor build outside both phases.
