@@ -40,7 +40,8 @@ func main() {
 
 	fmt.Printf("scheme %q on n=%d, m=%d\n", res.Scheme, res.N, res.M)
 	fmt.Printf("advice: max %d bits, avg %.2f bits\n", res.Advice.MaxBits, res.Advice.AvgBits)
-	fmt.Printf("rounds: %d  (paper bound 9⌈log n⌉ = %d)\n\n", res.Rounds, 9*3)
+	exact, paper := mstadvice.ConstantAdviceRounds(res.N)
+	fmt.Printf("rounds: %d  (fixed schedule %d, paper bound 9⌈log n⌉ = %d)\n\n", res.Rounds, exact, paper)
 
 	fmt.Println("node  output")
 	for u, port := range res.ParentPorts {

@@ -80,9 +80,6 @@ type Phase struct {
 	FragOf    []FragID // node -> fragment holding it at the start of this phase
 }
 
-// ByNode returns the fragment containing u at the start of the phase.
-func (p *Phase) ByNode(u graph.NodeID) *Fragment { return &p.Fragments[p.FragOf[u]] }
-
 // ActiveCount returns the number of active fragments in the phase.
 func (p *Phase) ActiveCount() int {
 	c := 0
@@ -287,7 +284,7 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 	return d, nil
 }
 
-// StreamVisit is one annotated fragment as DecomposeStream delivers it.
+// StreamVisit is one annotated fragment as Stream.Run delivers it.
 // BFS is a view into a per-phase arena that stays valid after the
 // stream completes; Sel is meaningful only when HasSel is set. Final
 // marks the fragments of the partition the fused oracle treats as the
@@ -391,19 +388,6 @@ func (s *Stream) Run(visit func(w int, v StreamVisit) error) error {
 		})
 	}
 	return nil
-}
-
-// DecomposeStream is NewStream followed by Run, for consumers that need
-// nothing from the Decomposition before the visits start.
-func DecomposeStream(g *graph.Graph, root graph.NodeID, opt Options, visit func(w int, v StreamVisit) error) (*Decomposition, error) {
-	s, err := NewStream(g, root, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Run(visit); err != nil {
-		return nil, err
-	}
-	return s.D, nil
 }
 
 // decomposePass1 runs the merge simulation (pass 1) and builds the flat

@@ -94,14 +94,19 @@ type streamRecord struct {
 	Sel           Selection
 }
 
-// collectStream runs DecomposeStream and returns the visits sorted by
-// (phase, fragment) — the visit order within a phase is intentionally
-// unspecified — plus the flat decomposition.
+// collectStream runs NewStream and Stream.Run, as the fused encoder
+// does, and returns the visits sorted by (phase, fragment) — the visit
+// order within a phase is intentionally unspecified — plus the flat
+// decomposition.
 func collectStream(t *testing.T, g *graph.Graph, opt Options) ([]streamRecord, *Decomposition) {
 	t.Helper()
 	var mu sync.Mutex
 	var recs []streamRecord
-	d, err := DecomposeStream(g, 0, opt, func(_ int, v StreamVisit) error {
+	s, err := NewStream(g, 0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Run(func(_ int, v StreamVisit) error {
 		r := streamRecord{v.Phase, v.Frag, v.Final, v.Active, v.Root, v.Level,
 			append([]graph.NodeID(nil), v.BFS...), v.HasSel, v.Sel}
 		mu.Lock()
@@ -118,7 +123,7 @@ func collectStream(t *testing.T, g *graph.Graph, opt Options) ([]streamRecord, *
 		}
 		return recs[i].Frag < recs[j].Frag
 	})
-	return recs, d
+	return recs, s.D
 }
 
 // TestDecomposeStreamMatchesRich replays the streamed fragments against

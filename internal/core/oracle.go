@@ -98,21 +98,16 @@ type OracleOptions struct {
 // allowed for the ablation experiment and fail with a descriptive error
 // when the packing no longer fits.
 func BuildAdvice(g *graph.Graph, root graph.NodeID, cap int) ([]*bitstring.BitString, error) {
-	d, err := BuildAdviceDetail(g, root, cap)
+	d, err := BuildAdviceDetailOpt(g, root, cap, OracleOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return d.Advice, nil
 }
 
-// BuildAdviceDetail is BuildAdvice plus the layout detail used by
-// incremental recomputation.
-func BuildAdviceDetail(g *graph.Graph, root graph.NodeID, cap int) (*AdviceDetail, error) {
-	return BuildAdviceDetailOpt(g, root, cap, OracleOptions{})
-}
-
-// BuildAdviceDetailOpt is BuildAdviceDetail with an explicit worker
-// count; the result is byte-identical for any OracleOptions.Workers.
+// BuildAdviceDetailOpt is BuildAdvice plus the layout detail used by
+// incremental recomputation, with an explicit worker count; the result
+// is byte-identical for any OracleOptions.Workers.
 func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt OracleOptions) (*AdviceDetail, error) {
 	n := g.N()
 	b := &adviceBuilder{

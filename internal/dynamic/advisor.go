@@ -31,13 +31,12 @@ import (
 //     crossing their tolerance, deletions) re-runs the oracle and the
 //     sensitivity analysis on the patched graph.
 type Advisor struct {
-	g       *graph.Graph
-	root    graph.NodeID
-	cap     int
-	workers int
-	detail  *core.AdviceDetail
-	sens    *Sensitivity
-	stats   Stats
+	g      *graph.Graph
+	root   graph.NodeID
+	cap    int
+	detail *core.AdviceDetail
+	sens   *Sensitivity
+	stats  Stats
 }
 
 // Stats counts the advisor's work.
@@ -70,11 +69,6 @@ func NewAdvisor(g *graph.Graph, root graph.NodeID, cap int) (*Advisor, error) {
 	return a, nil
 }
 
-// SetWorkers sets the worker-pool size the advisor's full recomputes
-// hand to the oracle (0, the default, means GOMAXPROCS). The advice is
-// byte-identical for any value, so this only affects fallback latency.
-func (a *Advisor) SetWorkers(workers int) { a.workers = workers }
-
 // Graph returns the live graph. Mutate it only through Update.
 func (a *Advisor) Graph() *graph.Graph { return a.g }
 
@@ -95,7 +89,7 @@ func (a *Advisor) Stats() Stats { return a.stats }
 func (a *Advisor) Sensitivity() *Sensitivity { return a.sens }
 
 func (a *Advisor) recompute() error {
-	detail, err := core.BuildAdviceDetailOpt(a.g, a.root, a.cap, core.OracleOptions{Workers: a.workers})
+	detail, err := core.BuildAdviceDetailOpt(a.g, a.root, a.cap, core.OracleOptions{})
 	if err != nil {
 		return err
 	}

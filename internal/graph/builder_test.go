@@ -97,7 +97,7 @@ func TestIndexAtMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < g.N(); u++ {
-			for p := range g.Adj(NodeID(u)) {
+			for p := range g.Halves(NodeID(u)) {
 				got := g.IndexAt(NodeID(u), p)
 				want := indexAtReference(g, NodeID(u), p)
 				if got != want {
@@ -111,10 +111,10 @@ func TestIndexAtMatchesReference(t *testing.T) {
 // indexAtReference is the original map-based implementation, kept as the
 // test oracle.
 func indexAtReference(g *Graph, u NodeID, port int) Index {
-	me := g.Adj(u)[port]
+	me := g.Halves(u)[port]
 	seen := map[Weight]bool{}
 	x, y := 1, 1
-	for p, h := range g.Adj(u) {
+	for p, h := range g.Halves(u) {
 		if h.W < me.W && !seen[h.W] {
 			seen[h.W] = true
 			x++
@@ -156,7 +156,7 @@ func BenchmarkIndexAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := NodeID(i % n)
-		for p := range g.Adj(u) {
+		for p := range g.Halves(u) {
 			g.IndexAt(u, p)
 		}
 	}

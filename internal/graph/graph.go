@@ -137,10 +137,6 @@ func (g *Graph) ID(u NodeID) int64 { return g.ids[u] }
 // NodeID. The returned slice must not be modified.
 func (g *Graph) IDs() []int64 { return g.ids }
 
-// Adj returns u's half-edges in port order. The returned slice must not be
-// modified. It is an alias of Halves.
-func (g *Graph) Adj(u NodeID) []Half { return g.adj(u) }
-
 // Halves returns u's half-edges in port order as a view into the graph's
 // contiguous CSR storage. The returned slice must not be modified.
 func (g *Graph) Halves(u NodeID) []Half { return g.adj(u) }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -42,7 +41,7 @@ func TestBuilderBasic(t *testing.T) {
 	if g.HalfAt(0, 0).To != 1 || g.HalfAt(0, 1).To != 2 {
 		t.Fatal("port order at node 0 wrong")
 	}
-	e := g.Adj(1)[0].Edge
+	e := g.Halves(1)[0].Edge
 	if g.Other(e, 1) != 0 || g.Other(e, 0) != 1 {
 		t.Fatal("Other inconsistent")
 	}
@@ -234,28 +233,6 @@ func TestCeilLog2Panics(t *testing.T) {
 		}
 	}()
 	CeilLog2(0)
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := triangle(t)
-	var buf strings.Builder
-	if err := g.WriteDOT(&buf, "tri", []EdgeID{1}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"graph tri {", "n0 -- n1", "label=\"3\"", "style=bold", "}"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Default name.
-	buf.Reset()
-	if err := g.WriteDOT(&buf, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "graph G {") {
-		t.Fatal("default name not applied")
-	}
 }
 
 // randomGraph builds a small random connected-ish graph with possible

@@ -49,17 +49,6 @@ func LocalRankToPort(portW []graph.Weight, rank int) (int, bool) {
 	return PortsByLocal(portW)[rank], true
 }
 
-// PortToLocalRank maps a port to its 0-based local rank.
-func PortToLocalRank(portW []graph.Weight, port int) int {
-	rank := 0
-	for p, w := range portW {
-		if w < portW[port] || (w == portW[port] && p < port) {
-			rank++
-		}
-	}
-	return rank
-}
-
 // KeyAt computes the global order key of the edge at a port, given what
 // the node knows after the ID exchange: its own ID and port, and the
 // neighbour's ID and far-side port.

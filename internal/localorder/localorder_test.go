@@ -47,9 +47,6 @@ func TestLocalAgreesWithGraph(t *testing.T) {
 				}
 			}
 			for p := 0; p < g.Degree(u); p++ {
-				if PortToLocalRank(portW, p) != g.LocalRank(u, p) {
-					t.Fatalf("trial %d node %d port %d: rank mismatch", trial, u, p)
-				}
 				rank := g.LocalRank(u, p)
 				back, ok := LocalRankToPort(portW, rank)
 				if !ok || back != p {

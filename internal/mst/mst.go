@@ -101,7 +101,7 @@ func Prim(g *graph.Graph, start graph.NodeID) ([]graph.EdgeID, error) {
 	inTree := make([]bool, g.N())
 	inTree[start] = true
 	h := &halfHeap{g: g}
-	for _, half := range g.Adj(start) {
+	for _, half := range g.Halves(start) {
 		h.push(half.Edge)
 	}
 	var tree []graph.EdgeID
@@ -119,7 +119,7 @@ func Prim(g *graph.Graph, start graph.NodeID) ([]graph.EdgeID, error) {
 		}
 		inTree[u] = true
 		tree = append(tree, e)
-		for _, half := range g.Adj(u) {
+		for _, half := range g.Halves(u) {
 			if !inTree[half.To] {
 				h.push(half.Edge)
 			}

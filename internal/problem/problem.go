@@ -210,13 +210,6 @@ func Problems() []Problem {
 	return out
 }
 
-// Names returns the registered problem names, sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return namesLocked()
-}
-
 func namesLocked() []string {
 	names := make([]string, 0, len(registry.byName))
 	for name := range registry.byName {

@@ -62,17 +62,6 @@ func NewFamily(n, k int) (*Family, error) {
 	return fam, nil
 }
 
-// TargetView is the zero-round input of the target node: its port-wise
-// weights. The tests check it is constant across the family, which is
-// what makes the pigeonhole argument binding.
-func TargetView(g *graph.Graph, target graph.NodeID) []graph.Weight {
-	w := make([]graph.Weight, g.Degree(target))
-	for p := range w {
-		w[p] = g.HalfAt(target, p).W
-	}
-	return w
-}
-
 // Result of the pigeonhole experiment for one advice budget.
 type Result struct {
 	MBits  int // advice budget at the target node

@@ -90,7 +90,7 @@ func Fingerprint(g *graph.Graph) uint64 {
 	for iter := 0; iter < n; iter++ {
 		for u := 0; u < n; u++ {
 			neigh = neigh[:0]
-			for _, h := range g.Adj(graph.NodeID(u)) {
+			for _, h := range g.Halves(graph.NodeID(u)) {
 				neigh = append(neigh, cur[h.To])
 			}
 			slices.Sort(neigh)

@@ -6,6 +6,7 @@ import (
 	"mstadvice/internal/advice"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/lowerbound"
 	"mstadvice/internal/problem"
 	"mstadvice/internal/sim"
 )
@@ -213,9 +214,9 @@ func TestLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := TargetView(fam.Instances[0], fam.Target)
+	view := lowerbound.TargetView(fam.Instances[0], fam.Target)
 	for j, g := range fam.Instances {
-		got := TargetView(g, fam.Target)
+		got := lowerbound.TargetView(g, fam.Target)
 		if len(got) != len(view) {
 			t.Fatalf("instance %d: target degree %d != %d", j, len(got), len(view))
 		}

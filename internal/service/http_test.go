@@ -96,7 +96,16 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("unknown graph = %d, want 404", code)
 	}
 
-	// Decode + verify.
+	// Decode + verify. /verify reads the epoch's cached decode session,
+	// so only an epoch's first decode counts as an op="decode".
+	decodes := func() uint64 {
+		t.Helper()
+		v, ok := svc.Metrics().CounterValue("service_op_total", "op", "decode")
+		if !ok {
+			t.Fatal(`service_op_total{op="decode"} is not registered`)
+		}
+		return v
+	}
 	var sess Session
 	if code := doJSON(t, srv, "GET", "/v1/graphs/g/decode", nil, &sess); code != http.StatusOK || !sess.Verified {
 		t.Fatalf("decode = %d, %+v", code, sess)
@@ -104,8 +113,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	var verdict struct {
 		Verified bool `json:"verified"`
 	}
+	before := decodes()
 	if code := doJSON(t, srv, "GET", "/v1/graphs/g/verify", nil, &verdict); code != http.StatusOK || !verdict.Verified {
 		t.Fatalf("verify = %d, %+v", code, verdict)
+	}
+	if got := decodes(); got != before {
+		t.Fatalf("cached verify decoded again: op=decode %d -> %d", before, got)
 	}
 
 	// Update: perturb edge 0's weight upward (any outcome path is fine;
@@ -119,6 +132,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if code := doJSON(t, srv, "GET", "/v1/graphs/g/verify", nil, &verdict); code != http.StatusOK || !verdict.Verified {
 		t.Fatalf("verify after update = %d, %+v", code, verdict)
+	}
+	if got := decodes(); got != before+1 {
+		t.Fatalf("verify of the new epoch: op=decode %d -> %d, want exactly one decode", before, got)
+	}
+	if _, ok := svc.Metrics().CounterValue("service_op_total", "op", "verify"); ok {
+		t.Fatal(`service_op_total{op="verify"} is registered, but no operation records it`)
 	}
 
 	// Malformed update bodies are 400s, not crashes.

@@ -39,7 +39,7 @@ type opMetric struct {
 }
 
 // opNames are the instrumented slow-path operations.
-var opNames = []string{"register", "publish", "update", "decode", "verify"}
+var opNames = []string{"register", "publish", "update", "decode"}
 
 func newSvcMetrics() *svcMetrics {
 	reg := obs.NewRegistry()

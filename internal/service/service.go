@@ -590,18 +590,6 @@ func decodeEpoch(ctx context.Context, prob problem.Problem, ep *Epoch) (*Session
 	return sess, nil
 }
 
-// Verify decodes the current epoch (cached) and reports whether the
-// stored advice reconstructs the exact rooted MST.
-func (s *Service) Verify(ctx context.Context, id string) (bool, error) {
-	t0 := time.Now()
-	sess, err := s.DecodeSession(ctx, id)
-	if err != nil {
-		return false, err
-	}
-	s.met.op("verify", t0)
-	return sess.Verified, nil
-}
-
 // Update applies one batch of weight changes and deletions and publishes
 // the next epoch. Readers keep answering from the previous epoch until
 // the single atomic swap; they never wait. Writers to the same graph

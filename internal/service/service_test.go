@@ -79,15 +79,12 @@ func TestRegisterQueryDecodeVerify(t *testing.T) {
 	}
 	// The session is cached per epoch: a second call must not re-decode.
 	before := svc.StatsNow().Decodes
-	if _, err := svc.DecodeSession(context.Background(), "g1"); err != nil {
-		t.Fatal(err)
+	again, err := svc.DecodeSession(context.Background(), "g1")
+	if err != nil || !again.Verified {
+		t.Fatalf("second DecodeSession = (%+v, %v), want a verified session", again, err)
 	}
 	if got := svc.StatsNow().Decodes; got != before {
 		t.Fatalf("second DecodeSession re-decoded: %d -> %d", before, got)
-	}
-	ok, err := svc.Verify(context.Background(), "g1")
-	if err != nil || !ok {
-		t.Fatalf("Verify = (%v, %v), want (true, nil)", ok, err)
 	}
 	if !svc.Drop("g1") {
 		t.Fatal("Drop of a registered graph failed")

@@ -83,16 +83,6 @@ type LatencyModel interface {
 	Delay(h int, k uint64) int64
 }
 
-// UnitLatency delivers every message after exactly one tick. With the
-// FIFO scheduler this reproduces a fully synchronous execution timing.
-type UnitLatency struct{}
-
-// Name implements LatencyModel.
-func (UnitLatency) Name() string { return "unit" }
-
-// Delay implements LatencyModel.
-func (UnitLatency) Delay(h int, k uint64) int64 { return 1 }
-
 // UniformLatency draws delays uniformly from [Min, Max] by hashing
 // (Seed, half-edge, per-link sequence number) with SplitMix64, so the
 // delay of a message depends only on its link and position in that

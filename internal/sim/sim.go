@@ -588,15 +588,9 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 // capture converts a node panic into an engine error with context.
 func capture(dst *error, u, round int) {
 	if r := recover(); r != nil {
-		if debugPanics {
-			panic(r)
-		}
 		*dst = fmt.Errorf("sim: node %d panicked in round %d: %v", u, round, r)
 	}
 }
-
-// debugPanics lets tests re-panic node failures to see stack traces.
-var debugPanics = false
 
 func maxInt(a, b int) int {
 	if a > b {
@@ -611,6 +605,3 @@ func maxInt64(a, b int64) int64 {
 	}
 	return b
 }
-
-// DebugPanics toggles re-panicking of node failures (test hook).
-func DebugPanics(on bool) { debugPanics = on }

@@ -4,7 +4,9 @@
 // all-seeing oracle hands every node a few bits of advice, traded against
 // the number of synchronous communication rounds.
 //
-// The package is a facade over the internal implementation. It exposes:
+// The package is the paper's API: build or generate a weighted
+// port-numbered graph, let an oracle encode advice, run a decoder for t
+// rounds, and verify the output. It exposes:
 //
 //   - the network model: weighted, port-numbered graphs (Graph, Builder)
 //     and the seeded generator for the experiment families (GenSeeded);
@@ -15,15 +17,6 @@
 //     (Θ(D) rounds, huge messages) and NoAdvice (GHS-style distributed
 //     Borůvka);
 //   - the Theorem 1 lower-bound machinery (BuildGn, NewLowerBoundFamily);
-//   - the dynamic-network subsystem: batched in-place graph updates
-//     (Batch, Graph.ApplyBatch), the MST sensitivity oracle
-//     (AnalyzeSensitivity), incremental advice maintenance
-//     (NewDynamicAdvisor) and deterministic fault scenarios for the
-//     simulator (Scenario, NonTreeLinkFailures);
-//   - the store and serving layer: persisted oracle runs
-//     (Snapshot, SaveSnapshot, LoadSnapshot, OpenSnapshot) and the
-//     sharded concurrent advice server (AdviceService, NewAdviceService)
-//     behind the mstadviced daemon;
 //   - asynchronous execution (RunOptions.Async, DESIGN.md §2.7): the
 //     unmodified decoders on an event-driven network with seeded
 //     latencies (UniformLatency) and adversarial delivery policies
@@ -35,17 +28,18 @@
 //     behind Run generalized beyond MST, with topology recognition with
 //     advice (TopologyRecognition, TopoFlood, TopoDirect) as the second
 //     registered problem;
-//   - hierarchical advice (Tower, HierScheme, BuildAdviceTiers;
-//     DESIGN.md §2.9): the Borůvka contraction tower kept first-class,
-//     the level-parameterized mst-hier-l schemes trading advice bits
-//     for extra decompression rounds, and tiered snapshots whose coarse
-//     instances the service hands out (AdviceService.TierSnapshot);
-//   - fault-tolerant replicated serving (EpochLog, Replica,
-//     ReplicaClient; DESIGN.md §2.10): a primary's epoch history as a
-//     durable CRC-framed log, followers tailing it over TCP with
-//     consistent-prefix reads, a failover client with degraded
-//     coarse-tier reads, and the deterministic fault-injecting
-//     ChaosProxy that proves the guarantees under kill/restart chaos.
+//   - hierarchical advice (Tower, HierScheme; DESIGN.md §2.9): the
+//     Borůvka contraction tower kept first-class and the
+//     level-parameterized mst-hier-l schemes trading advice bits for
+//     extra decompression rounds;
+//   - proof-labeling verification of a claimed tree (AssignTreeLabels,
+//     VerifyTreeLabels).
+//
+// The serving tier (internal/store, internal/service, internal/replica,
+// internal/chaos) and the dynamic advisor (internal/dynamic) are
+// internal: cmd/mstadviced serves stored oracle runs with them, and
+// cmd/mstadvice saves runs, reads from replicas and runs the
+// sensitivity and fault-scenario modes.
 //
 // See README.md for a tour, DESIGN.md for the architecture and
 // EXPERIMENTS.md for the paper-versus-measured record.
@@ -53,11 +47,8 @@ package mstadvice
 
 import (
 	"mstadvice/internal/advice"
-	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
-	"mstadvice/internal/chaos"
 	"mstadvice/internal/core"
-	"mstadvice/internal/dynamic"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/hier"
@@ -65,15 +56,12 @@ import (
 	"mstadvice/internal/problem"
 	"mstadvice/internal/problem/mstp"
 	"mstadvice/internal/problem/topo"
-	"mstadvice/internal/replica"
 	"mstadvice/internal/schemes/localgather"
 	"mstadvice/internal/schemes/noadvice"
 	"mstadvice/internal/schemes/oneround"
 	"mstadvice/internal/schemes/pipeline"
 	"mstadvice/internal/schemes/trivial"
-	"mstadvice/internal/service"
 	"mstadvice/internal/sim"
-	"mstadvice/internal/store"
 	"mstadvice/internal/verifylabel"
 )
 
@@ -86,12 +74,8 @@ type (
 	Builder = graph.Builder
 	// NodeID indexes nodes densely (0..N-1).
 	NodeID = graph.NodeID
-	// EdgeID indexes edges densely (0..M-1).
-	EdgeID = graph.EdgeID
 	// Weight is an edge weight.
 	Weight = graph.Weight
-	// BitString is an advice payload.
-	BitString = bitstring.BitString
 )
 
 // NewBuilder creates a builder for a graph with n nodes.
@@ -123,15 +107,10 @@ func Run(s Scheme, g *Graph, root NodeID, opt RunOptions) (*Result, error) {
 // α-synchronizer; RunOptions.Latency and RunOptions.Scheduler pick the
 // timing model and the adversarial delivery policy.
 type (
-	// AsyncLatencyModel draws seeded, worker-count-independent
-	// per-message delivery delays.
-	AsyncLatencyModel = sim.LatencyModel
 	// AsyncScheduler is an adversarial delivery policy.
 	AsyncScheduler = sim.Scheduler
 	// UniformLatency draws delays uniformly from [Min, Max], seeded.
 	UniformLatency = sim.UniformLatency
-	// UnitLatency delivers every message after exactly one tick.
-	UnitLatency = sim.UnitLatency
 )
 
 // SchedulerFIFO preserves per-link send order (the default policy).
@@ -191,12 +170,10 @@ func SchemeByName(name string) (Scheme, bool) {
 // that Run executes: the MST problem of the paper is one registrant,
 // topology recognition with advice (Fusco–Pelc style class tags) a
 // second; both run unmodified on the synchronous and asynchronous
-// engines and are served by the same AdviceService.
+// engines and are served by the same advice service.
 type (
 	// AdviceProblem is one registered oracle/decoder/verifier triple.
 	AdviceProblem = problem.Problem
-	// ProblemOutput is a problem's typed, verified measurement of a run.
-	ProblemOutput = problem.Output
 	// ProblemEncodeOptions parameterize a problem's oracle (advice cap,
 	// flood radius, oracle worker count).
 	ProblemEncodeOptions = problem.EncodeOptions
@@ -211,9 +188,6 @@ func RegisterProblem(p AdviceProblem) error { return problem.Register(p) }
 
 // Problems returns every registered advice problem, sorted by name.
 func Problems() []AdviceProblem { return problem.Problems() }
-
-// ProblemNames returns the sorted names of the registered problems.
-func ProblemNames() []string { return problem.Names() }
 
 // ProblemByName looks a registered advice problem up by name ("mst",
 // "topo").
@@ -289,45 +263,18 @@ func DecomposeOpt(g *Graph, root NodeID, opt BoruvkaOptions) (*Decomposition, er
 // contraction tower; see DESIGN.md §2.9). DecomposeOpt with
 // BoruvkaOptions.KeepTower retains the full contraction tower; the
 // mst-hier-l schemes spend fewer advice bits at a coarser tower level
-// in exchange for a fixed number of extra decompression rounds; tiered
-// snapshots persist coarse instances the serving layer hands out as
-// standalone flat snapshots.
-type (
-	// Tower is the full Borůvka contraction tower of a decomposition:
-	// one contracted multigraph per phase boundary (set
-	// BoruvkaOptions.KeepTower).
-	Tower = boruvka.Tower
-	// TowerLevel is one level of the tower.
-	TowerLevel = boruvka.TowerLevel
-	// HierOptions select the tier levels (or a per-node advice-bit
-	// budget) for BuildAdviceTiers.
-	HierOptions = hier.HierOptions
-	// AdviceTier is one coarse tier carried by a version-3 snapshot:
-	// the contracted graph, its root, the original-edge hints and the
-	// coarse Theorem 3 advice.
-	AdviceTier = store.Tier
-	// TierReply is the serving layer's coarse-tier answer: a standalone
-	// flat snapshot any client of the flat scheme can decode.
-	TierReply = service.TierReply
-)
+// in exchange for a fixed number of extra decompression rounds.
+
+// Tower is the full Borůvka contraction tower of a decomposition: one
+// contracted multigraph per phase boundary (set BoruvkaOptions.KeepTower).
+type Tower = boruvka.Tower
 
 // HierScheme returns the hierarchical advising scheme "mst-hier-l<level>"
 // for the given tower level (values below 1 clamp to 1, levels past the
 // last contraction clamp to the coarsest): shorter advice built from the
 // contraction tower, decoded by an unmodified local scheme in
-// HierRounds(n) rounds.
+// ⌈log n⌉ + 1 rounds.
 func HierScheme(level int) Scheme { return hier.Scheme{Level: level} }
-
-// HierRounds returns the fixed, level-oblivious round count of the
-// hierarchical decoder on n nodes (the "extra decompression rounds"
-// axis of the bits-vs-rounds frontier, EXPERIMENTS.md E13).
-func HierRounds(n int) int { return hier.Rounds(n) }
-
-// BuildAdviceTiers builds the coarse snapshot tiers of g at the levels
-// (or bit budget) selected by opt, ready to attach to Snapshot.Tiers.
-func BuildAdviceTiers(g *Graph, root NodeID, opt HierOptions) ([]AdviceTier, error) {
-	return hier.BuildTiers(g, root, opt)
-}
 
 // Generator re-exports: one seeded generator for every family.
 
@@ -344,17 +291,14 @@ const (
 // GenSeededOptions configure the seeded parallel generators.
 type GenSeededOptions = gen.SeededOptions
 
-// GenSeeded builds a graph of the named family (any name in
-// GenFamilyNames) with counter-mode seeded randomness: the result is a
-// pure function of (name, n, seed) — bit-identical for any worker
-// count — and generation runs in parallel (DESIGN.md §2.12).
+// GenSeeded builds a graph of the named family ("random", "grid",
+// "expander", ...; cmd/mstadvice -list prints them all) with
+// counter-mode seeded randomness: the result is a pure function of
+// (name, n, seed) — bit-identical for any worker count — and generation
+// runs in parallel (DESIGN.md §2.12).
 func GenSeeded(name string, n int, seed uint64, opt GenSeededOptions) (*Graph, error) {
 	return gen.BuildSeeded(name, n, seed, opt)
 }
-
-// GenFamilyNames lists the registered graph-family names accepted by
-// GenSeeded.
-func GenFamilyNames() []string { return gen.Names() }
 
 // Lower-bound re-exports (Theorem 1).
 type (
@@ -371,152 +315,6 @@ func BuildGn(n int) (*Gn, error) { return lowerbound.BuildGn(n, 0) }
 // NewLowerBoundFamily builds the k = n-i instance family at spine node
 // u_i of G_n.
 func NewLowerBoundFamily(n, i int) (*LowerBoundFamily, error) { return lowerbound.NewFamily(n, i) }
-
-// Dynamic-network re-exports: batched in-place updates, the MST
-// sensitivity oracle, the incremental advice advisor and the simulator's
-// deterministic fault scenarios (see internal/dynamic and DESIGN.md
-// §2.4).
-type (
-	// Batch is one atomic set of graph updates: weight changes, then
-	// deletions. Apply with Graph.ApplyBatch or through a DynamicAdvisor.
-	Batch = graph.Batch
-	// WeightUpdate assigns a new weight to one edge.
-	WeightUpdate = graph.WeightUpdate
-	// Sensitivity is the per-edge MST tolerance analysis of a snapshot.
-	Sensitivity = dynamic.Sensitivity
-	// DynamicAdvisor keeps Theorem 3 advice up to date across updates,
-	// re-encoding only nodes whose fragment structure changed.
-	DynamicAdvisor = dynamic.Advisor
-	// Scenario is a deterministic fault schedule for a run (link
-	// failures, repairs, weight perturbations); set RunOptions.Scenario.
-	Scenario = sim.Scenario
-	// ScenarioEvent is one scheduled fault.
-	ScenarioEvent = sim.ScenarioEvent
-	// ScenarioAction is the kind of a scheduled fault.
-	ScenarioAction = sim.ScenarioAction
-)
-
-// Scenario actions.
-const (
-	ActionLinkDown  = sim.ActionLinkDown
-	ActionLinkUp    = sim.ActionLinkUp
-	ActionSetWeight = sim.ActionSetWeight
-)
-
-// AnalyzeSensitivity computes the MST and per-edge tolerances of g: how
-// far a tree edge's weight can rise (to its replacement edge's weight),
-// or a non-tree edge's fall (to its cycle's tree-path maximum), before
-// the MST changes.
-func AnalyzeSensitivity(g *Graph) (*Sensitivity, error) { return dynamic.Analyze(g) }
-
-// NewDynamicAdvisor builds the incremental advice maintainer for g
-// rooted at root, with the paper's default advice budget. The advisor
-// takes ownership of g; mutate it only through its Update method.
-func NewDynamicAdvisor(g *Graph, root NodeID) (*DynamicAdvisor, error) {
-	return dynamic.NewAdvisor(g, root, core.DefaultCap)
-}
-
-// NonTreeLinkFailures builds a deterministic Scenario failing k non-tree
-// links from the given round onward; the Theorem 3 decoder provably
-// survives it once setup is over (round >= 2).
-func NonTreeLinkFailures(s *Sensitivity, k, round int) *Scenario {
-	return dynamic.NonTreeLinkFailures(s, k, round)
-}
-
-// Store and serving-layer re-exports (internal/store, internal/service;
-// see DESIGN.md §2.6). A Snapshot persists an oracle run — graph, root
-// and per-node advice — in the versioned binary format served by the
-// mstadviced daemon; an AdviceService answers concurrent per-node advice
-// queries from registered snapshots and absorbs batched updates behind
-// copy-on-write epochs.
-type (
-	// Snapshot is one stored oracle run.
-	Snapshot = store.Snapshot
-	// AdviceService is the sharded in-memory advice server.
-	AdviceService = service.Service
-	// AdviceEpoch is one immutable published state of a served graph.
-	AdviceEpoch = service.Epoch
-)
-
-// SaveSnapshot writes a snapshot to path (atomic rename).
-func SaveSnapshot(path string, s *Snapshot) error { return store.Save(path, s) }
-
-// LoadSnapshot reads and decodes the snapshot at path.
-func LoadSnapshot(path string) (*Snapshot, error) { return store.Load(path) }
-
-// OpenSnapshot decodes the snapshot at path through a read-only memory
-// mapping where the platform supports one (falling back to LoadSnapshot).
-func OpenSnapshot(path string) (*Snapshot, error) { return store.OpenMapped(path) }
-
-// NewAdviceService returns an empty advice server; register snapshots
-// with its Register method and serve it with service.NewHandler (or the
-// mstadviced daemon).
-func NewAdviceService() *AdviceService { return service.New() }
-
-// Replication-layer re-exports (internal/replica, internal/chaos; see
-// DESIGN.md §2.10). A primary AdviceService attaches an EpochLog to its
-// publish hook, so every published epoch lands in a durable CRC-framed
-// log; a Replica tails that log over TCP into its own service
-// (consistent-prefix reads); a ReplicaClient spreads reads over the
-// endpoints with failover, stale-epoch detection and degraded
-// coarse-tier fallback; and a ChaosProxy injects deterministic,
-// seed-scheduled connection faults to prove the guarantees hold.
-type (
-	// EpochLog is the append-only epoch history of a primary: one
-	// CRC-framed record per published epoch, fsynced when durable.
-	EpochLog = replica.Log
-	// EpochRecord is one log entry: a graph's epoch as an encoded,
-	// self-contained snapshot.
-	EpochRecord = replica.EpochRecord
-	// ReplicaServer serves the binary replication protocol: advice,
-	// tier and info reads plus the epoch-log tail stream.
-	ReplicaServer = replica.Server
-	// ReplicaServerOptions tune a ReplicaServer (TierOnly is the
-	// memory-pressure degraded mode).
-	ReplicaServerOptions = replica.ServerOptions
-	// Replica is a follower: it tails a primary's epoch log and
-	// publishes each record through the copy-on-write path.
-	Replica = replica.Replica
-	// ReplicaOptions tune a follower's reconnect backoff and local log.
-	ReplicaOptions = replica.ReplicaOptions
-	// ReplicaClient reads advice from a replicated endpoint set:
-	// round-robin, failover, per-graph monotone epochs.
-	ReplicaClient = replica.Client
-	// ReplicaClientOptions tune the failover read path.
-	ReplicaClientOptions = replica.ClientOptions
-	// ChaosProxy is the deterministic fault-injecting TCP proxy.
-	ChaosProxy = chaos.Proxy
-	// ChaosSchedule derives each proxied connection's fault from a seed.
-	ChaosSchedule = chaos.Schedule
-)
-
-// OpenEpochLog opens (or creates) the durable epoch log at path,
-// replaying existing records and truncating a torn tail; an empty path
-// yields a purely in-memory log.
-func OpenEpochLog(path string) (*EpochLog, error) { return replica.OpenLog(path) }
-
-// NewReplicaServer serves svc and its epoch log over the binary
-// replication protocol; call Listen to bind it.
-func NewReplicaServer(svc *AdviceService, log *EpochLog, opts ReplicaServerOptions) *ReplicaServer {
-	return replica.NewServer(svc, log, opts)
-}
-
-// NewReplica builds a follower of the primary at addr publishing into
-// svc; call Run to start tailing.
-func NewReplica(svc *AdviceService, addr string, opts ReplicaOptions) *Replica {
-	return replica.NewReplica(svc, addr, opts)
-}
-
-// NewReplicaClient builds a failover read client over the endpoint set.
-func NewReplicaClient(endpoints []string, opts ReplicaClientOptions) (*ReplicaClient, error) {
-	return replica.NewClient(endpoints, opts)
-}
-
-// NewChaosProxy listens on an ephemeral port and forwards connections
-// to target, injecting the schedule's deterministic faults.
-func NewChaosProxy(target string, sched ChaosSchedule) (*ChaosProxy, error) {
-	return chaos.NewProxy(target, sched)
-}
 
 // TreeLabel is a proof-labeling certificate (root identifier, depth) for
 // one node of a claimed rooted spanning tree.
