@@ -207,17 +207,17 @@ func testAsyncAllocs(t *testing.T) {
 			var asyncRes *advice.Result
 			allocs := mallocs(func() { asyncRes = mustRunScheme(t, core.Scheme{}, g, opt) })
 			t.Logf("%d allocs (budget %d); %d pulses, virtual time %d, payload %d msgs / %d bits, synchronizer %d msgs / %d bits",
-				allocs, row.budget, asyncRes.Pulses, asyncRes.VirtualTime, asyncRes.Messages, asyncRes.MsgBits,
+				allocs, row.budget, asyncRes.Pulses, asyncRes.VirtualTime, asyncRes.Messages, asyncRes.TotalBits,
 				asyncRes.SyncMessages, asyncRes.SyncBits)
 			if allocs > row.budget {
 				t.Errorf("async run allocates %d objects, budget %d", allocs, row.budget)
 			}
 			if !asyncRes.Verified || asyncRes.Pulses != syncRes.Rounds ||
-				asyncRes.Messages != syncRes.Messages || asyncRes.MsgBits != syncRes.MsgBits ||
+				asyncRes.Messages != syncRes.Messages || asyncRes.TotalBits != syncRes.TotalBits ||
 				!reflect.DeepEqual(asyncRes.ParentPorts, syncRes.ParentPorts) {
 				t.Errorf("no sync/async parity: verified=%v pulses=%d rounds=%d messages %d/%d bits %d/%d",
 					asyncRes.Verified, asyncRes.Pulses, syncRes.Rounds,
-					asyncRes.Messages, syncRes.Messages, asyncRes.MsgBits, syncRes.MsgBits)
+					asyncRes.Messages, syncRes.Messages, asyncRes.TotalBits, syncRes.TotalBits)
 			}
 		})
 	}

@@ -281,7 +281,7 @@ func main() {
 		fmt.Printf("pulses        %d (idealized synchronizer barriers)\n", res.Pulses)
 	}
 	fmt.Printf("messages      %d (total %d bits, largest %d bits)\n",
-		res.Messages, res.MsgBits, res.MaxMsgBits)
+		res.Messages, res.TotalBits, res.MaxMsgBits)
 	if *async {
 		fmt.Printf("async         %s scheduler, latency %s (seed %d)\n", *schedName, *latRange, *latSeed)
 		fmt.Printf("virtual time  %d ticks over %d delivery steps, %d simulated rounds\n",

@@ -2,13 +2,12 @@ package mstadvice
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 )
 
 // TestSchemesDeterministicAcrossWorkers asserts the engine's central
 // contract after the slot-router rewrite: for every scheme, running with
-// one worker and with a full worker pool produces identical Results —
+// one worker and with 2 or 8 workers produces identical Results —
 // rounds, message and bit accounting, per-round statistics, and outputs.
 func TestSchemesDeterministicAcrossWorkers(t *testing.T) {
 	graphs := []struct {
@@ -19,26 +18,27 @@ func TestSchemesDeterministicAcrossWorkers(t *testing.T) {
 		{"grid", seeded(t, "grid", 42, 22, WeightsDistinct)},
 		{"expander", seeded(t, "expander", 48, 23, WeightsDistinct)},
 	}
-	full := runtime.GOMAXPROCS(0)
-	if full < 2 {
-		full = 2
-	}
 	for _, tc := range graphs {
 		for _, s := range Schemes() {
-			seq, err := Run(s, tc.g, 0, RunOptions{Workers: 1, RecordRoundStats: true})
+			seq, err := Run(s, tc.g, 0, RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%s workers=1: %v", tc.name, s.Name(), err)
 			}
 			if !seq.Verified {
 				t.Fatalf("%s/%s: not verified: %v", tc.name, s.Name(), seq.VerifyErr)
 			}
-			par, err := Run(s, tc.g, 0, RunOptions{Workers: full, RecordRoundStats: true})
-			if err != nil {
-				t.Fatalf("%s/%s workers=%d: %v", tc.name, s.Name(), full, err)
+			if len(seq.PerRound) != seq.Rounds+1 {
+				t.Fatalf("%s/%s: %d per-round entries for %d rounds", tc.name, s.Name(), len(seq.PerRound), seq.Rounds)
 			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("%s/%s: workers=1 and workers=%d results differ:\nseq: %+v\npar: %+v",
-					tc.name, s.Name(), full, seq, par)
+			for _, workers := range []int{2, 8} {
+				par, err := Run(s, tc.g, 0, RunOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", tc.name, s.Name(), workers, err)
+				}
+				if !reflect.DeepEqual(seq, par) {
+					t.Fatalf("%s/%s: workers=1 and workers=%d results differ:\nseq: %+v\npar: %+v",
+						tc.name, s.Name(), workers, seq, par)
+				}
 			}
 		}
 	}

@@ -119,7 +119,7 @@ func ExampleRun_async() {
 	}
 	fmt.Println("verified:", asyncRes.Verified)
 	fmt.Println("same simulated rounds:", asyncRes.Pulses == syncRes.Rounds)
-	fmt.Println("same payload traffic:", asyncRes.Messages == syncRes.Messages && asyncRes.MsgBits == syncRes.MsgBits)
+	fmt.Println("same payload traffic:", asyncRes.Messages == syncRes.Messages && asyncRes.TotalBits == syncRes.TotalBits)
 	fmt.Println("synchronizer overhead booked separately:", asyncRes.SyncMessages > 0)
 	// Output:
 	// verified: true

@@ -35,7 +35,7 @@ func main() {
 	}
 	fmt.Printf("synchronous reference on n=%d, m=%d:\n", syncRes.N, syncRes.M)
 	fmt.Printf("  rounds %d, payload %d messages / %d bits, verified %v\n\n",
-		syncRes.Rounds, syncRes.Messages, syncRes.MsgBits, syncRes.Verified)
+		syncRes.Rounds, syncRes.Messages, syncRes.TotalBits, syncRes.Verified)
 
 	// The same scheme, same advice, same decoder — on an asynchronous
 	// network under three delivery policies. Payload columns must match
@@ -61,10 +61,10 @@ func main() {
 		parity := res.Verified &&
 			res.Pulses == syncRes.Rounds &&
 			res.Messages == syncRes.Messages &&
-			res.MsgBits == syncRes.MsgBits
+			res.TotalBits == syncRes.TotalBits
 		fmt.Printf("  %-34s virtual time %5d, %d simulated rounds\n", p.name, res.VirtualTime, res.Pulses)
 		fmt.Printf("  %-34s payload %d msgs / %d bits; synchronizer overhead %d msgs / %d bits\n",
-			"", res.Messages, res.MsgBits, res.SyncMessages, res.SyncBits)
+			"", res.Messages, res.TotalBits, res.SyncMessages, res.SyncBits)
 		fmt.Printf("  %-34s exact parity with the synchronous run: %v\n\n", "", parity)
 	}
 }

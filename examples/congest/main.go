@@ -38,7 +38,7 @@ func main() {
 				log.Fatalf("%s: %v", name, res.VerifyErr)
 			}
 			fmt.Printf("%-8d %-12s %-8d %-16d %-16d %-14d\n",
-				res.N, name, res.Rounds, res.MsgBits, res.MaxMsgBits, logn)
+				res.N, name, res.Rounds, res.TotalBits, res.MaxMsgBits, logn)
 		}
 		fmt.Println()
 	}

@@ -70,7 +70,8 @@ func Measure(assignment []*bitstring.BitString, n int) Stats {
 	return s
 }
 
-// Result is the outcome of running a scheme on one instance.
+// Result is the outcome of running a scheme on one instance: the advice
+// profile, the engine's run record and the problem's verdict.
 type Result struct {
 	Scheme string
 	// Problem names the advice problem that verified the run ("mst" for
@@ -80,40 +81,18 @@ type Result struct {
 
 	Advice Stats
 
-	Rounds     int
-	Pulses     int
-	Messages   int64
-	MsgBits    int64
-	MaxMsgBits int
-	// Asynchronous-run accounting (sim.Options.Async; zero otherwise):
-	// the virtual time and distinct delivery times of the event-driven
-	// execution, and the α-synchronizer's separately-booked overhead.
-	// On async runs Pulses is the number of simulated rounds and equals
-	// the Rounds of the synchronous execution (DESIGN.md §2.7).
-	VirtualTime  int64
-	Steps        int
-	SyncMessages int64
-	SyncBits     int64
-	// Sent, LinkDropped and Undelivered mirror the simulator's conserved
-	// message accounting: Sent == Messages + LinkDropped, and Undelivered
-	// final-round messages are included in Messages (see sim.Result).
-	Sent        int64
-	LinkDropped int64
-	Undelivered int64
-	// CongestViolations counts messages exceeding sim.Options.CongestB
-	// (0 when auditing is off).
-	CongestViolations int64
-	// PerRound holds per-round message statistics when
-	// sim.Options.RecordRoundStats is set.
-	PerRound []sim.RoundStats
+	// Result is the engine's record of the decoder run: rounds, the
+	// conserved message accounting and the raw per-node outputs
+	// (ParentPorts). For the MST problem the outputs are parent ports;
+	// other problems assign their own meaning (topology recognition: the
+	// class tag). On asynchronous runs (sim.Options.Async) Pulses is the
+	// number of simulated rounds and equals the Rounds of the synchronous
+	// execution (DESIGN.md §2.7).
+	sim.Result
 
 	// Root is the node that output "root" (-1 parent port) on MST runs;
 	// -1 on other problems.
 	Root graph.NodeID
-	// ParentPorts is the raw distributed output, one int per node. For
-	// the MST problem these are parent ports; other problems assign
-	// their own meaning (topology recognition: the class tag).
-	ParentPorts []int
 	// Output is the problem-typed interpretation of ParentPorts.
 	Output problem.Output
 	// Verified is true iff the problem's verifier accepted the output
@@ -131,6 +110,48 @@ func Run(scheme Scheme, g *graph.Graph, root graph.NodeID, opt sim.Options) (*Re
 	return RunCtx(context.Background(), scheme, g, root, opt)
 }
 
+// RunCtx is Run with cancellation: the context is checked before the
+// oracle runs and once per simulated round (via sim.Options.Context), so
+// a long-lived server can abandon an in-flight run on shutdown instead
+// of leaking the engine until it terminates on its own. A canceled run
+// returns the context's error, wrapped.
+func RunCtx(ctx context.Context, scheme Scheme, g *graph.Graph, root graph.NodeID, opt sim.Options) (*Result, error) {
+	prob := forScheme(scheme)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("advice: problem %s: run of scheme %s canceled before the oracle: %w", prob.name, scheme.Name(), err)
+	}
+	// Reject the pulse/async clash before the oracle runs: at large n the
+	// Advise call is the expensive half, and the incompatibility is
+	// already decidable here.
+	opt, err := decodeOptions(ctx, prob, scheme, opt)
+	if err != nil {
+		return nil, err
+	}
+	var assignment []*bitstring.BitString
+	if wa, ok := scheme.(WorkerAdviser); ok {
+		assignment, err = wa.AdviseWorkers(g, root, opt.Workers)
+	} else {
+		assignment, err = scheme.Advise(g, root)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("advice: oracle %s: %w", scheme.Name(), err)
+	}
+	return decode(prob, scheme, g, root, assignment, opt)
+}
+
+// DecodeCtx is the decode-and-verify half of RunCtx: it runs the
+// scheme's distributed decoder on a given advice assignment — a stored
+// snapshot's, say — and judges the output with the problem that owns the
+// scheme. Cancellation, engine errors and the Result are as in RunCtx.
+func DecodeCtx(ctx context.Context, scheme Scheme, g *graph.Graph, root graph.NodeID, assignment []*bitstring.BitString, opt sim.Options) (*Result, error) {
+	prob := forScheme(scheme)
+	opt, err := decodeOptions(ctx, prob, scheme, opt)
+	if err != nil {
+		return nil, err
+	}
+	return decode(prob, scheme, g, root, assignment, opt)
+}
+
 // verifier is the resolved (problem name, output judge) pair of a run.
 type verifier struct {
 	name   string
@@ -146,72 +167,37 @@ func forScheme(scheme Scheme) verifier {
 		return verifier{name: p.Name(), verify: p.VerifyOutput}
 	}
 	return verifier{name: "mst", verify: func(g *graph.Graph, _ graph.NodeID, outputs []int) problem.Output {
-		out := mstOutput{}
-		out.verified, out.root, out.err = VerifyOutput(g, outputs)
-		return out
+		return VerifyOutput(g, outputs)
 	}}
 }
 
-// mstOutput is the fallback MST verdict for unregistered schemes.
-type mstOutput struct {
-	root     graph.NodeID
-	verified bool
-	err      error
-}
-
-func (mstOutput) Problem() string         { return "mst" }
-func (o mstOutput) OK() bool              { return o.verified }
-func (o mstOutput) Err() error            { return o.err }
-func (o mstOutput) MSTRoot() graph.NodeID { return o.root }
-func (o mstOutput) String() string {
-	if !o.verified {
-		return fmt.Sprintf("mst: not verified: %v", o.err)
-	}
-	return fmt.Sprintf("mst: rooted at %d", o.root)
-}
-
-// RunCtx is Run with cancellation: the context is checked before the
-// oracle runs and once per simulated round (via sim.Options.Context), so
-// a long-lived server can abandon an in-flight run on shutdown instead
-// of leaking the engine until it terminates on its own. A canceled run
-// returns the context's error, wrapped.
-func RunCtx(ctx context.Context, scheme Scheme, g *graph.Graph, root graph.NodeID, opt sim.Options) (*Result, error) {
-	prob := forScheme(scheme)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("advice: problem %s: run of scheme %s canceled before the oracle: %w", prob.name, scheme.Name(), err)
-	}
+// decodeOptions completes the engine options of one decoder run: ctx
+// cancels it, and a pulse-driven scheme gets the quiescence
+// synchronizer — which has no asynchronous execution, so that pairing
+// is an error.
+func decodeOptions(ctx context.Context, prob verifier, scheme Scheme, opt sim.Options) (sim.Options, error) {
 	if opt.Context == nil && ctx != context.Background() {
 		opt.Context = ctx
 	}
 	if p, ok := scheme.(PulseNeeder); ok && p.NeedsPulses() {
 		opt.EnablePulses = true
 	}
-	// Reject the pulse/async clash before the oracle runs: at large n the
-	// Advise call is the expensive half, and the incompatibility is
-	// already decidable here.
 	if opt.Async && opt.EnablePulses {
-		return nil, fmt.Errorf("advice: problem %s: scheme %s is pulse-driven (quiescence synchronizer); it has no asynchronous execution", prob.name, scheme.Name())
+		return opt, fmt.Errorf("advice: problem %s: scheme %s is pulse-driven (quiescence synchronizer); it has no asynchronous execution", prob.name, scheme.Name())
 	}
-	var assignment []*bitstring.BitString
-	var err error
-	if wa, ok := scheme.(WorkerAdviser); ok {
-		assignment, err = wa.AdviseWorkers(g, root, opt.Workers)
-	} else {
-		assignment, err = scheme.Advise(g, root)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("advice: oracle %s: %w", scheme.Name(), err)
-	}
-	if assignment != nil && len(assignment) != g.N() {
-		return nil, fmt.Errorf("advice: oracle %s returned %d strings for %d nodes", scheme.Name(), len(assignment), g.N())
-	}
+	return opt, nil
+}
+
+// decode runs the scheme's decoder on the assignment under options
+// completed by decodeOptions, and verifies the output with prob.
+func decode(prob verifier, scheme Scheme, g *graph.Graph, root graph.NodeID, assignment []*bitstring.BitString, opt sim.Options) (*Result, error) {
 	nw := sim.NewNetwork(g)
 	var simRes *sim.Result
+	var err error
 	if opt.Async {
 		// Asynchronous mode: the unmodified synchronous decoder runs on
 		// the event-driven engine under the α-synchronizer (DESIGN.md
-		// §2.7). Pulse-driven schemes were rejected above, before the
-		// oracle ran.
+		// §2.7).
 		opt.Async = false // consumed here; RunAsync takes the wrapped factory
 		simRes, err = nw.RunAsync(synch.Wrap(scheme.NewNode), assignment, opt)
 	} else {
@@ -220,58 +206,84 @@ func RunCtx(ctx context.Context, scheme Scheme, g *graph.Graph, root graph.NodeI
 	if err != nil {
 		return nil, fmt.Errorf("advice: scheme %s: %w", scheme.Name(), err)
 	}
-	res := &Result{
-		Scheme:            scheme.Name(),
-		Problem:           prob.name,
-		N:                 g.N(),
-		M:                 g.M(),
-		Advice:            Measure(assignment, g.N()),
-		Rounds:            simRes.Rounds,
-		Pulses:            simRes.Pulses,
-		Messages:          simRes.Messages,
-		MsgBits:           simRes.TotalBits,
-		MaxMsgBits:        simRes.MaxMsgBits,
-		VirtualTime:       simRes.VirtualTime,
-		Steps:             simRes.Steps,
-		SyncMessages:      simRes.SyncMessages,
-		SyncBits:          simRes.SyncBits,
-		Sent:              simRes.Sent,
-		LinkDropped:       simRes.LinkDropped,
-		Undelivered:       simRes.Undelivered,
-		CongestViolations: simRes.CongestViolations,
-		PerRound:          simRes.PerRound,
-		ParentPorts:       simRes.ParentPorts,
-		Root:              -1,
-	}
 	out := prob.verify(g, root, simRes.ParentPorts)
-	res.Output = out
-	res.Verified = out.OK()
-	res.VerifyErr = out.Err()
-	if ro, ok := out.(interface{ MSTRoot() graph.NodeID }); ok {
-		res.Root = ro.MSTRoot()
+	res := &Result{
+		Scheme:    scheme.Name(),
+		Problem:   prob.name,
+		N:         g.N(),
+		M:         g.M(),
+		Advice:    Measure(assignment, g.N()),
+		Result:    *simRes,
+		Root:      -1,
+		Output:    out,
+		Verified:  out.OK(),
+		VerifyErr: out.Err(),
+	}
+	if mo, ok := out.(MSTOutput); ok {
+		res.Root = mo.Root
 	}
 	return res, nil
 }
 
+// MSTOutput is the MST problem's verdict, whichever path judged the run:
+// the registered problem (internal/problem/mstp) and the fallback for
+// unregistered schemes both return what VerifyOutput returns.
+type MSTOutput struct {
+	// Root is the node that output "root" (-1 parent port), or -1 if
+	// none or several did.
+	Root graph.NodeID
+	// Weight is the total weight of the edges the parent ports select.
+	Weight graph.Weight
+	// Verified is true iff the output is exactly the unique rooted MST.
+	Verified bool
+	// VerifyErr explains a verification failure.
+	VerifyErr error
+}
+
+// Problem implements problem.Output.
+func (MSTOutput) Problem() string { return "mst" }
+
+// OK implements problem.Output.
+func (o MSTOutput) OK() bool { return o.Verified }
+
+// Err implements problem.Output.
+func (o MSTOutput) Err() error { return o.VerifyErr }
+
+// String implements problem.Output.
+func (o MSTOutput) String() string {
+	if !o.Verified {
+		return fmt.Sprintf("mst: not verified: %v", o.VerifyErr)
+	}
+	return fmt.Sprintf("mst: rooted at %d, weight %d", o.Root, o.Weight)
+}
+
 // VerifyOutput checks that parent ports encode the unique rooted MST of g
-// with exactly one root, returning the root found. It is the MST
-// problem's verifier; the registered problem (internal/problem/mstp)
-// delegates here.
-func VerifyOutput(g *graph.Graph, parentPorts []int) (bool, graph.NodeID, error) {
-	root := graph.NodeID(-1)
+// with exactly one root, and measures the weight of the edges they
+// select. It is the MST problem's verifier; the registered problem
+// (internal/problem/mstp) delegates here.
+func VerifyOutput(g *graph.Graph, parentPorts []int) MSTOutput {
+	out := MSTOutput{Root: -1}
 	for u, p := range parentPorts {
-		if p == -1 {
-			if root != -1 {
-				return false, -1, fmt.Errorf("advice: nodes %d and %d both claim root", root, u)
-			}
-			root = graph.NodeID(u)
+		if p >= 0 && p < g.Degree(graph.NodeID(u)) {
+			out.Weight += g.HalfAt(graph.NodeID(u), p).W
 		}
 	}
-	if root == -1 {
-		return false, -1, fmt.Errorf("advice: no node claims root")
+	for u, p := range parentPorts {
+		if p != -1 {
+			continue
+		}
+		if out.Root != -1 {
+			out.VerifyErr = fmt.Errorf("advice: nodes %d and %d both claim root", out.Root, u)
+			out.Root = -1
+			return out
+		}
+		out.Root = graph.NodeID(u)
 	}
-	if err := mst.VerifyRooted(g, parentPorts, root); err != nil {
-		return false, root, err
+	if out.Root == -1 {
+		out.VerifyErr = fmt.Errorf("advice: no node claims root")
+		return out
 	}
-	return true, root, nil
+	out.VerifyErr = mst.VerifyRooted(g, parentPorts, out.Root)
+	out.Verified = out.VerifyErr == nil
+	return out
 }

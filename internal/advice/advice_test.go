@@ -3,6 +3,7 @@ package advice
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -62,27 +63,26 @@ func TestVerifyOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, root, verr := VerifyOutput(g, pp)
-	if !ok || root != 1 || verr != nil {
-		t.Fatalf("valid output rejected: %v %v %v", ok, root, verr)
+	if v := VerifyOutput(g, pp); !v.Verified || v.Root != 1 || v.VerifyErr != nil || v.Weight != 3 {
+		t.Fatalf("valid output rejected or mismeasured: %+v", v)
 	}
 
 	// No root.
 	bad := append([]int(nil), pp...)
 	bad[1] = 0
-	if ok, _, _ := VerifyOutput(g, bad); ok {
+	if VerifyOutput(g, bad).Verified {
 		t.Fatal("rootless output accepted")
 	}
 	// Two roots.
 	bad = append([]int(nil), pp...)
 	bad[0] = -1
-	if ok, _, _ := VerifyOutput(g, bad); ok {
-		t.Fatal("two-root output accepted")
+	if v := VerifyOutput(g, bad); v.Verified || v.Root != -1 {
+		t.Fatalf("two-root output accepted or rooted: %+v", v)
 	}
 	// Non-minimum tree.
 	bad = []int{g.PortAt(2, 0), -1, g.PortAt(2, 2)}
-	if ok, _, _ := VerifyOutput(g, bad); ok {
-		t.Fatal("non-MST accepted")
+	if v := VerifyOutput(g, bad); v.Verified || v.Root != 1 || v.Weight != 18 {
+		t.Fatalf("non-MST accepted or mismeasured: %+v", v)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(failingScheme{badLen: true}, g, 0, sim.Options{}); err == nil {
 		t.Fatal("advice length mismatch not caught")
 	}
-	if _, err := Run(failingScheme{}, g, 0, sim.Options{MaxRounds: 5}); err == nil {
+	if _, err := Run(failingScheme{}, g, 0, sim.Options{}); err == nil {
 		t.Fatal("non-terminating decoder not caught")
 	}
 }
@@ -187,5 +187,34 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 	if a.Rounds != b.Rounds || a.Messages != b.Messages || !b.Verified {
 		t.Fatalf("RunCtx(Background) diverged from Run: %+v vs %+v", a, b)
+	}
+}
+
+// TestDecodeCtxMatchesRun: decoding the oracle's own assignment through
+// DecodeCtx reproduces Run's Result on both engines, and a canceled
+// context stops the decode.
+func TestDecodeCtxMatchesRun(t *testing.T) {
+	g := seeded(t, "random", 64, 4, gen.WeightsDistinct)
+	assignment, err := core.Scheme{}.Advise(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, async := range []bool{false, true} {
+		want, err := Run(core.Scheme{}, g, 0, sim.Options{Async: async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeCtx(context.Background(), core.Scheme{}, g, 0, assignment, sim.Options{Async: async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Verified || !reflect.DeepEqual(want, got) {
+			t.Fatalf("async=%v: DecodeCtx diverged from Run:\nrun:    %+v\ndecode: %+v", async, want, got)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := DecodeCtx(ctx, core.Scheme{}, g, 0, assignment, sim.Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DecodeCtx on a canceled context = %v, want context.Canceled", err)
 	}
 }

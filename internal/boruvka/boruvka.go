@@ -101,7 +101,7 @@ type Options struct {
 	// TotalPhases, TreeEdges, ParentPort, ParentEdge, SelPhase and Final
 	// are unaffected). A value larger than the number of phases the run
 	// executes is silently clamped: the record simply ends at
-	// TotalPhases, and Decomposition.KeptPhases reports the count that
+	// TotalPhases, and Decomposition.NumPhases reports the count that
 	// was actually retained. The Theorem 3 oracle needs only the first
 	// ⌈log log n⌉ + 1 phases, which at n = 10⁶ skips the annotation and
 	// storage of ~14 of ~20 phases. 0 records every phase.
@@ -172,12 +172,6 @@ type Decomposition struct {
 // NumPhases returns the number of recorded phases (the number executed,
 // unless Options.KeepPhases truncated the record; see TotalPhases).
 func (d *Decomposition) NumPhases() int { return len(d.Phases) }
-
-// KeptPhases returns the number of phase records actually retained:
-// min(Options.KeepPhases, TotalPhases) when KeepPhases was positive,
-// TotalPhases otherwise. Callers that need the clamped count should use
-// this instead of re-deriving it from the options.
-func (d *Decomposition) KeptPhases() int { return len(d.Phases) }
 
 // FragmentsAtStart returns the fragment state at the start of phase i
 // (1-based). i may be NumPhases()+1, which yields the final single

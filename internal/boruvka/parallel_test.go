@@ -203,13 +203,13 @@ func TestDecomposeKeepPhases(t *testing.T) {
 		if wantLen > full.TotalPhases {
 			wantLen = full.TotalPhases
 		}
-		if d.KeptPhases() != wantLen {
-			t.Fatalf("keep=%d: KeptPhases() = %d, want %d", keep, d.KeptPhases(), wantLen)
+		if d.NumPhases() != wantLen {
+			t.Fatalf("keep=%d: NumPhases() = %d, want %d", keep, d.NumPhases(), wantLen)
 		}
 		if d.TotalPhases != full.TotalPhases {
 			t.Fatalf("keep=%d: TotalPhases %d, want %d", keep, d.TotalPhases, full.TotalPhases)
 		}
-		if !reflect.DeepEqual(d.Phases, full.Phases[:d.KeptPhases()]) {
+		if !reflect.DeepEqual(d.Phases, full.Phases[:d.NumPhases()]) {
 			t.Fatalf("keep=%d: recorded phases differ from the full prefix", keep)
 		}
 		if !reflect.DeepEqual(d.TreeEdges, full.TreeEdges) ||

@@ -87,7 +87,7 @@ func TestDecoderAccountingGolden(t *testing.T) {
 			}
 			got = append(got, accountingRow{
 				Family: name, Scheme: c.scheme.Name(), Engine: c.engine,
-				Rounds: res.Rounds, Messages: res.Messages, MsgBits: res.MsgBits,
+				Rounds: res.Rounds, Messages: res.Messages, MsgBits: res.TotalBits,
 				MaxMsgBits: res.MaxMsgBits, Sent: res.Sent, Undelivered: res.Undelivered,
 				Pulses: res.Pulses, SyncMessages: res.SyncMessages, SyncBits: res.SyncBits,
 				VirtualTime: res.VirtualTime, PortsSHA256: portsDigest(res.ParentPorts),

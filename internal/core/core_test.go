@@ -186,7 +186,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rounds != b.Rounds || a.Messages != b.Messages || a.MsgBits != b.MsgBits {
+	if a.Rounds != b.Rounds || a.Messages != b.Messages || a.TotalBits != b.TotalBits {
 		t.Fatalf("divergence: %+v vs %+v", a, b)
 	}
 	for u := range a.ParentPorts {
@@ -218,8 +218,7 @@ func TestCorruptionDetected(t *testing.T) {
 		if err != nil {
 			continue // decoder detected the corruption by panicking
 		}
-		ok, root, _ := advice.VerifyOutput(g, res.ParentPorts)
-		if ok && root != 0 {
+		if v := advice.VerifyOutput(g, res.ParentPorts); v.Verified && v.Root != 0 {
 			t.Fatalf("trial %d: corrupted advice produced a verified tree with the wrong root", trial)
 		}
 		// ok with root==0 can only happen if the flipped bit was redundant
@@ -248,8 +247,7 @@ func TestAdviceSwapDetected(t *testing.T) {
 		if err != nil {
 			continue // detected by a decoder panic
 		}
-		ok, root, _ := advice.VerifyOutput(g, res.ParentPorts)
-		if ok && root != 0 {
+		if v := advice.VerifyOutput(g, res.ParentPorts); v.Verified && v.Root != 0 {
 			t.Fatalf("trial %d: swapped advice verified with wrong root", trial)
 		}
 	}
@@ -278,8 +276,7 @@ func TestMessageLossNeverSilentlyWrong(t *testing.T) {
 			if res.LinkDropped == 0 {
 				t.Fatalf("every=%d round=%d: nothing dropped", every, round)
 			}
-			ok, root, _ := advice.VerifyOutput(g, res.ParentPorts)
-			if ok && root != 0 {
+			if v := advice.VerifyOutput(g, res.ParentPorts); v.Verified && v.Root != 0 {
 				t.Fatalf("every=%d round=%d: lossy run verified with wrong root", every, round)
 			}
 			// ok with the right root is possible when only redundant

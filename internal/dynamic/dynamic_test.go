@@ -365,9 +365,8 @@ func TestAdvisorEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s step %d: %v", famName, step, err)
 			}
-			ok, gotRoot, verr := advice.VerifyOutput(a.Graph(), res.ParentPorts)
-			if !ok || gotRoot != 5 {
-				t.Fatalf("%s step %d: decode not the rooted MST (root %d): %v", famName, step, gotRoot, verr)
+			if v := advice.VerifyOutput(a.Graph(), res.ParentPorts); !v.Verified || v.Root != 5 {
+				t.Fatalf("%s step %d: decode not the rooted MST (root %d): %v", famName, step, v.Root, v.VerifyErr)
 			}
 		}
 	}
@@ -390,7 +389,7 @@ func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) *advice.Result {
 		res, err := advice.Run(core.Scheme{}, g, 0, sim.Options{
-			Workers: workers, Scenario: sc, RecordRoundStats: true,
+			Workers: workers, Scenario: sc,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -405,7 +405,7 @@ func E9PhaseDynamics(c Config) []*report.Table {
 func E10RoundProfile(c Config) []*report.Table {
 	n := c.sizes()[len(c.sizes())-1]
 	g := c.graph("random", n, 23*int64(n))
-	res := mustRun(core.Scheme{}, g, 0, sim.Options{RecordRoundStats: true})
+	res := mustRun(core.Scheme{}, g, 0, sim.Options{})
 	if !res.Verified {
 		panic("experiments: e10 run failed verification")
 	}

@@ -138,9 +138,9 @@ func hierDecode(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID, lev
 		panic(fmt.Sprintf("experiments: hier decode l%d: %v", level, err))
 	}
 	// Exact check in O(n): the decoder's outputs must equal the
-	// decomposition's own parent ports (-1 at the root). The generic
-	// advice.VerifyOutput walks parent chains and is quadratic on paths,
-	// which at n = 10⁶ would dwarf the run itself.
+	// decomposition's own parent ports (-1 at the root). That record is
+	// an independent reference: the oracle's Borůvka run computed it,
+	// apart from both the decoder under test and advice.VerifyOutput.
 	ok := len(res.ParentPorts) == g.N()
 	for u := 0; ok && u < g.N(); u++ {
 		ok = res.ParentPorts[u] == d.ParentPort[u]

@@ -1,10 +1,9 @@
 // Package par is the tiny deterministic fork-join helper shared by the
 // oracle-side pipeline (graph finalize, the Borůvka phase kernel, advice
-// encoding). Work is split into contiguous index ranges, one per worker;
-// every call site keeps its writes disjoint per range (or merges
-// per-worker accumulators at the barrier), so results are byte-identical
-// for any worker count — the same contract the round engine in
-// internal/sim honors.
+// encoding) and both simulation engines of internal/sim. Work is split
+// into contiguous index ranges, one per worker; every call site keeps
+// its writes disjoint per range (or merges per-worker accumulators at
+// the barrier), so results are byte-identical for any worker count.
 //
 // See DESIGN.md §2.5 for the oracle pipeline's parallel sections and
 // their byte-identical-for-any-worker-count contract.

@@ -5,9 +5,9 @@
 // advising schemes plus the pulse-driven variant, and the verifier checks
 // the per-node parent ports against the unique rooted reference MST.
 //
-// The verifier delegates to advice.VerifyOutput — the harness and the
-// registered problem share one implementation, and run results stay
-// byte-identical to the pre-platform MST-only code path.
+// The verifier is advice.VerifyOutput and its verdict the one MST verdict
+// type, advice.MSTOutput: the harness's fallback for unregistered
+// schemes and the registered problem return the same value.
 //
 // See DESIGN.md §2.8 for the platform contract and DESIGN.md §2.2 for
 // the scheme framework.
@@ -89,54 +89,11 @@ func (Problem) MatchScheme(name string) (problem.Scheme, bool) {
 	return s, true
 }
 
-// Output is the MST problem's typed result: the claimed root, the total
-// weight of the claimed tree, and the verdict against the unique rooted
-// reference MST.
-type Output struct {
-	// Root is the node that output "root" (-1 parent port), or -1 if
-	// none or several did.
-	Root graph.NodeID
-	// Weight is the total weight of the edges the parent ports select.
-	Weight graph.Weight
-	// Verified is true iff the output is exactly the unique rooted MST.
-	Verified bool
-	// VerifyErr explains a verification failure.
-	VerifyErr error
-}
-
-// Problem implements problem.Output.
-func (Output) Problem() string { return Name }
-
-// OK implements problem.Output.
-func (o Output) OK() bool { return o.Verified }
-
-// Err implements problem.Output.
-func (o Output) Err() error { return o.VerifyErr }
-
-// MSTRoot reports the claimed root; the run harness lifts it into
-// Result.Root without depending on this package.
-func (o Output) MSTRoot() graph.NodeID { return o.Root }
-
-// String implements problem.Output.
-func (o Output) String() string {
-	if !o.Verified {
-		return fmt.Sprintf("mst: not verified: %v", o.VerifyErr)
-	}
-	return fmt.Sprintf("mst: rooted at %d, weight %d", o.Root, o.Weight)
-}
-
 // VerifyOutput implements problem.Problem: outputs are parent ports
 // (-1 marks the root) and must encode the unique MST of g rooted at the
 // single claiming node. The designated root parameter is not consulted —
-// the paper's decoders discover the root from the advice — but the
-// claimed root is reported in the Output.
+// the paper's decoders discover the root from the advice. The verdict is
+// an advice.MSTOutput carrying the claimed root and the tree weight.
 func (Problem) VerifyOutput(g *graph.Graph, _ graph.NodeID, outputs []int) problem.Output {
-	out := Output{}
-	out.Verified, out.Root, out.VerifyErr = advice.VerifyOutput(g, outputs)
-	for u, p := range outputs {
-		if p >= 0 && p < g.Degree(graph.NodeID(u)) {
-			out.Weight += g.HalfAt(graph.NodeID(u), p).W
-		}
-	}
-	return out
+	return advice.VerifyOutput(g, outputs)
 }

@@ -63,9 +63,9 @@ func TestVerifyOutput(t *testing.T) {
 	if res.Problem != Name {
 		t.Fatalf("core scheme attributed to problem %q", res.Problem)
 	}
-	out, ok := res.Output.(Output)
+	out, ok := res.Output.(advice.MSTOutput)
 	if !ok {
-		t.Fatalf("Output has type %T, want mstp.Output", res.Output)
+		t.Fatalf("Output has type %T, want advice.MSTOutput", res.Output)
 	}
 	if !out.Verified || out.Err() != nil {
 		t.Fatalf("not verified: %v", out.Err())
@@ -73,9 +73,8 @@ func TestVerifyOutput(t *testing.T) {
 	if out.Root != res.Root {
 		t.Fatalf("Output.Root %d != Result.Root %d", out.Root, res.Root)
 	}
-	wantOK, wantRoot, wantErr := advice.VerifyOutput(g, res.ParentPorts)
-	if out.Verified != wantOK || out.Root != wantRoot || (out.VerifyErr == nil) != (wantErr == nil) {
-		t.Fatalf("registered verifier disagrees with advice.VerifyOutput")
+	if want := advice.VerifyOutput(g, res.ParentPorts); out != want {
+		t.Fatalf("registered verifier returned %+v, advice.VerifyOutput %+v", out, want)
 	}
 	if out.Weight <= 0 {
 		t.Fatalf("MST weight %d, want > 0", out.Weight)

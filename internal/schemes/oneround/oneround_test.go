@@ -188,7 +188,7 @@ func TestCorruptedAdviceDetected(t *testing.T) {
 	if err != nil {
 		return // panic surfaced: detected
 	}
-	if ok, _, _ := advice.VerifyOutput(g, res.ParentPorts); ok {
+	if advice.VerifyOutput(g, res.ParentPorts).Verified {
 		t.Fatal("corrupted advice verified")
 	}
 }

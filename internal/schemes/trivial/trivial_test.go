@@ -109,7 +109,7 @@ func TestCorruptedAdviceDetected(t *testing.T) {
 	if err != nil {
 		return // decoder panicked on an out-of-range rank: detected
 	}
-	if ok, _, _ := advice.VerifyOutput(g, res.ParentPorts); ok {
+	if advice.VerifyOutput(g, res.ParentPorts).Verified {
 		t.Fatal("corrupted advice still verified as the rooted MST")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
@@ -101,7 +100,7 @@ func NewHandler(s *Service, allowPaths bool) http.Handler {
 		}
 		if err := s.Register(req.ID, snap); err != nil {
 			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "already registered") {
+			if errors.Is(err, errDuplicateID) {
 				status = http.StatusConflict
 			}
 			writeError(w, status, err)

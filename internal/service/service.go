@@ -202,6 +202,11 @@ var ErrNotFound = errors.New("not found")
 // lookup failure.
 func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 
+// errDuplicateID marks a Register under an ID already in use; the HTTP
+// layer maps it to 409. Every Register error quotes the ID, so only
+// errors.Is tells this one apart.
+var errDuplicateID = errors.New("already registered")
+
 // OnPublish registers fn to run synchronously with every epoch
 // publication of every graph: the registered snapshot's epoch 0 and each
 // epoch an update (or an external Publish) installs. Calls for one graph
@@ -295,7 +300,7 @@ func (s *Service) Register(id string, snap *store.Snapshot) error {
 	sh.mu.Lock()
 	if _, dup := sh.entries[id]; dup {
 		sh.mu.Unlock()
-		return fmt.Errorf("service: graph %q already registered", id)
+		return fmt.Errorf("service: graph %q %w", id, errDuplicateID)
 	}
 	sh.entries[id] = e
 	sh.mu.Unlock()
@@ -562,29 +567,25 @@ func (s *Service) DecodeSession(ctx context.Context, id string) (*Session, error
 }
 
 // decodeEpoch runs the problem's canonical decoder on the stored advice
-// and judges the output with the problem's verifier.
+// and judges the output with the problem's verifier (advice.DecodeCtx).
 func decodeEpoch(ctx context.Context, prob problem.Problem, ep *Epoch) (*Session, error) {
-	nw := sim.NewNetwork(ep.Graph)
-	scheme := prob.Scheme()
-	res, err := nw.Run(scheme.NewNode, ep.Advice, sim.Options{Context: ctx})
+	res, err := advice.DecodeCtx(ctx, prob.Scheme(), ep.Graph, ep.Root, ep.Advice, sim.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("service: decoding epoch %d: %w", ep.Seq, err)
 	}
 	sess := &Session{
 		Seq:         ep.Seq,
 		Problem:     prob.Name(),
-		Root:        -1,
+		Root:        res.Root,
 		ParentPorts: res.ParentPorts,
 		Rounds:      res.Rounds,
+		Verified:    res.Verified,
+		Output:      res.Output.String(),
 	}
-	out := prob.VerifyOutput(ep.Graph, ep.Root, res.ParentPorts)
-	sess.Verified = out.OK()
-	sess.Output = out.String()
-	if verr := out.Err(); verr != nil {
-		sess.VerifyErr = verr.Error()
+	if res.VerifyErr != nil {
+		sess.VerifyErr = res.VerifyErr.Error()
 	}
-	if mo, ok := out.(mstp.Output); ok {
-		sess.Root = mo.Root
+	if mo, ok := res.Output.(advice.MSTOutput); ok {
 		sess.MSTWeight = mo.Weight
 	}
 	return sess, nil

@@ -199,8 +199,7 @@ func runFlat(t *testing.T, g *graph.Graph, snap *store.Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, verr := advice.VerifyOutput(g, res.ParentPorts)
-	if !ok {
-		t.Fatalf("flat scheme on the served coarse instance: %v", verr)
+	if v := advice.VerifyOutput(g, res.ParentPorts); !v.Verified {
+		t.Fatalf("flat scheme on the served coarse instance: %v", v.VerifyErr)
 	}
 }

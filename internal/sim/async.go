@@ -10,11 +10,10 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
+	"mstadvice/internal/par"
 )
 
 // AsyncCtx carries per-delivery information into an asynchronous node's
@@ -264,15 +263,15 @@ func (q *eventQueue) pop() event {
 // handed to the engine; payload messages land in Messages/TotalBits and
 // control messages (ControlMessage) in SyncMessages/SyncBits, with
 // payload synchronization tags (TaggedMessage) charged to SyncBits, so
-// Sent == Messages + SyncMessages and the payload columns are directly
-// comparable with a synchronous run of the same algorithm. Messages
-// still in flight when the last node terminates are accounted the same
-// way and additionally counted in Undelivered.
+// Sent == Messages + SyncMessages and the payload columns — including
+// the CONGEST audit of payload bits — are directly comparable with a
+// synchronous run of the same algorithm. Messages still in flight when
+// the last node terminates are accounted the same way and additionally
+// counted in Undelivered.
 func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString, opt Options) (*Result, error) {
-	g := nw.g
-	n := g.N()
-	if advice != nil && len(advice) != n {
-		return nil, fmt.Errorf("sim: %d advice strings for %d nodes", len(advice), n)
+	b, err := nw.newBase(advice, opt)
+	if err != nil {
+		return nil, err
 	}
 	if opt.EnablePulses {
 		return nil, fmt.Errorf("sim: the quiescence synchronizer (EnablePulses) is a synchronous-model idealization; asynchronous runs use internal/synch")
@@ -280,43 +279,33 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 	if opt.Scenario != nil {
 		return nil, fmt.Errorf("sim: Scenario fault injection is round-indexed and not supported in asynchronous mode")
 	}
-	maxRounds := opt.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 50*(n+10) + 1000
-	}
+	n := b.n
 	// Event budget replacing the round cap: a synchronized execution
 	// delivers at most ~2m payloads plus ~4m+deg control messages per
 	// simulated round.
-	maxEvents := int64(maxRounds)*int64(6*g.M()+n+16) + 4096
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	maxEvents := int64(b.maxRounds)*int64(6*b.g.M()+n+16) + 4096
+	e := &asyncEngine{
+		base:      b,
+		lat:       opt.Latency,
+		sched:     opt.Scheduler,
+		done:      make([]bool, n),
+		sendCount: make([]uint64, len(b.portW)),
+		lastArr:   make([]int64, len(b.portW)),
 	}
-	lat := opt.Latency
-	if lat == nil {
-		lat = UniformLatency{Seed: 1}
+	if e.lat == nil {
+		e.lat = UniformLatency{Seed: 1}
 	}
-	sched := opt.Scheduler
-	if sched == nil {
-		sched = FIFO{}
+	if e.sched == nil {
+		e.sched = FIFO{}
 	}
-
-	e := newAsyncEngine(nw, factory, advice, opt, workers)
+	e.anodes = build(&e.base, factory)
 	if err := e.firstErr(); err != nil {
 		return nil, err
 	}
-	e.lat, e.sched = lat, sched
 
 	// Virtual time 0: Init every node (parallel), then route its sends.
-	ctx := AsyncCtx{Time: 0, Cost: nw.cost}
-	e.runWorkers(func(w, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			func() {
-				defer capture(&e.errs[u], u, 0)
-				e.outboxes[u] = e.anodes[u].Init(&ctx, e.views[u])
-			}()
-		}
-	})
+	ctx := AsyncCtx{Time: 0, Cost: e.cost}
+	e.start(func(u int) { e.outboxes[u] = e.anodes[u].Init(&ctx, e.views[u]) })
 	for u := 0; u < n; u++ {
 		if err := e.routeAsync(u, 0); err != nil {
 			return nil, err
@@ -365,15 +354,17 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 		}
 		e.delivered += int64(len(batch))
 
-		// Deliver in parallel across destination nodes: handlers touch
-		// only their own node's state, and per-node inboxes are already
-		// in deterministic order.
-		ctx := AsyncCtx{Time: now, Cost: nw.cost}
-		e.runBatch(dests, func(u int) {
-			func() {
-				defer capture(&e.errs[u], u, int(now))
-				e.outboxes[u] = e.anodes[u].Deliver(&ctx, e.views[u], inboxes[u])
-			}()
+		// Deliver in parallel across destination nodes: each entry is a
+		// distinct node, handlers touch only their own node's state, and
+		// per-node inboxes are already in deterministic order.
+		ctx := AsyncCtx{Time: now, Cost: e.cost}
+		par.Ranges(e.workers, len(dests), func(_, lo, hi int) {
+			for _, u := range dests[lo:hi] {
+				func() {
+					defer capture(&e.errs[u], u, int(now))
+					e.outboxes[u] = e.anodes[u].Deliver(&ctx, e.views[u], inboxes[u])
+				}()
+			}
 		})
 
 		// Route sequentially, in the deterministic destination order, so
@@ -404,9 +395,9 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 
 	res := e.res
 	res.Sent = int64(e.seq)
-	for u := 0; u < n; u++ {
-		res.ParentPorts[u], _ = e.anodes[u].Output()
-		if p, ok := e.anodes[u].(Pulser); ok {
+	for u, nd := range e.anodes {
+		res.ParentPorts[u], _ = nd.Output()
+		if p, ok := nd.(Pulser); ok {
 			if pulses := p.Pulses(); pulses > res.Pulses {
 				res.Pulses = pulses
 			}
@@ -422,16 +413,9 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 
 // asyncEngine is the per-run state of the event executor.
 type asyncEngine struct {
-	g       *graph.Graph
-	cost    CostModel
-	n       int
-	workers int
-
-	views    []*NodeView
-	anodes   []AsyncNode
-	outboxes [][]Send
-	errs     []error
-	done     []bool
+	base
+	anodes []AsyncNode
+	done   []bool
 
 	lat   LatencyModel
 	sched Scheduler
@@ -442,119 +426,6 @@ type asyncEngine struct {
 	sendCount []uint64 // per-half-edge send counter, feeds LatencyModel
 	lastArr   []int64  // per-half-edge latest assigned arrival, feeds Scheduler
 	doneCount int
-
-	res *Result
-}
-
-func newAsyncEngine(nw *Network, factory AsyncFactory, advice []*bitstring.BitString, opt Options, workers int) *asyncEngine {
-	g := nw.g
-	n := g.N()
-	nh := g.NumHalves()
-	portW := make([]graph.Weight, nh)
-	viewStore := make([]NodeView, n)
-	views := make([]*NodeView, n)
-	for u := 0; u < n; u++ {
-		uid := graph.NodeID(u)
-		base := g.HalfOffset(uid)
-		hs := g.Halves(uid)
-		pw := portW[base : base+len(hs) : base+len(hs)]
-		for p, h := range hs {
-			pw[p] = h.W
-		}
-		var adv *bitstring.BitString
-		if advice != nil && advice[u] != nil {
-			adv = advice[u]
-		} else {
-			adv = bitstring.New(0)
-		}
-		viewStore[u] = NodeView{ID: g.ID(uid), N: n, Deg: len(hs), PortW: pw, Advice: adv}
-		views[u] = &viewStore[u]
-	}
-	e := &asyncEngine{
-		g:         g,
-		cost:      nw.cost,
-		n:         n,
-		workers:   workers,
-		views:     views,
-		anodes:    make([]AsyncNode, n),
-		outboxes:  make([][]Send, n),
-		errs:      make([]error, n),
-		done:      make([]bool, n),
-		sendCount: make([]uint64, nh),
-		lastArr:   make([]int64, nh),
-		res:       &Result{ParentPorts: make([]int, n)},
-	}
-	for u := 0; u < n; u++ {
-		func() {
-			defer capture(&e.errs[u], u, 0)
-			e.anodes[u] = factory(views[u])
-		}()
-	}
-	return e
-}
-
-// runWorkers mirrors engine.runWorkers for the async engine.
-func (e *asyncEngine) runWorkers(fn func(w, lo, hi int)) {
-	if e.workers == 1 || e.n < 2 {
-		fn(0, 0, e.n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (e.n + e.workers - 1) / e.workers
-	for w := 0; w < e.workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > e.n {
-			hi = e.n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// runBatch executes fn over the destination list on the worker pool.
-// Each entry is a distinct node, so handlers never share state.
-func (e *asyncEngine) runBatch(dests []int, fn func(u int)) {
-	if e.workers == 1 || len(dests) < 2 {
-		for _, u := range dests {
-			fn(u)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(dests) + e.workers - 1) / e.workers
-	for w := 0; w < e.workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(dests) {
-			hi = len(dests)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, u := range dests[lo:hi] {
-				fn(u)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-func (e *asyncEngine) firstErr() error {
-	for u := 0; u < e.n; u++ {
-		if e.errs[u] != nil {
-			return e.errs[u]
-		}
-	}
-	return nil
 }
 
 // refreshDone updates the termination counter after node u ran.
@@ -611,7 +482,9 @@ func (e *asyncEngine) routeAsync(u int, now int64) error {
 }
 
 // account books one message into the payload or synchronization-overhead
-// columns (undelivered messages additionally bump Undelivered).
+// columns (undelivered messages additionally bump Undelivered). Payload
+// bits above Options.CongestB count as a CONGEST violation, the rule the
+// round engine applies to every delivered message.
 func (e *asyncEngine) account(msg Message, undelivered bool) {
 	bits := int64(msg.SizeBits(e.cost))
 	if cm, ok := msg.(ControlMessage); ok && cm.SyncControl() {
@@ -631,6 +504,9 @@ func (e *asyncEngine) account(msg Message, undelivered bool) {
 		e.res.SyncBits += tag
 		if int(payload) > e.res.MaxMsgBits {
 			e.res.MaxMsgBits = int(payload)
+		}
+		if e.opt.CongestB > 0 && payload > int64(e.opt.CongestB) {
+			e.res.CongestViolations++
 		}
 	}
 	if undelivered {

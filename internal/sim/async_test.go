@@ -309,7 +309,7 @@ func TestAsyncDeterministicAcrossWorkers(t *testing.T) {
 	nw := NewNetwork(g)
 	factory := func(view *NodeView) AsyncNode { return &pingNode{} }
 	var ref *Result
-	for _, workers := range []int{1, 2, 3, 4} {
+	for _, workers := range []int{1, 2, 3, 4, 8} {
 		res, err := nw.RunAsync(factory, nil, Options{
 			Workers: workers,
 			Latency: UniformLatency{Seed: 5, Min: 1, Max: 12},

@@ -25,11 +25,10 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
+	"mstadvice/internal/par"
 )
 
 // CostModel fixes the bit widths of message fields, derived from the
@@ -50,8 +49,8 @@ func NewCostModel(g *graph.Graph) CostModel {
 	}
 	return CostModel{
 		IDBits:     bitstring.WidthFor(uint64(maxID)),
-		PortBits:   bitstring.WidthFor(uint64(maxInt(g.MaxDegree()-1, 1))), // ports are 0..deg-1
-		WeightBits: bitstring.WidthFor(uint64(maxInt64(int64(g.MaxWeight()), 1))),
+		PortBits:   bitstring.WidthFor(uint64(max(g.MaxDegree()-1, 1))), // ports are 0..deg-1
+		WeightBits: bitstring.WidthFor(uint64(max(int64(g.MaxWeight()), 1))),
 	}
 }
 
@@ -115,8 +114,6 @@ type Factory func(view *NodeView) Node
 
 // Options configure a run.
 type Options struct {
-	// MaxRounds aborts runs that fail to terminate. 0 means 50·(n+10) + 1000.
-	MaxRounds int
 	// Workers is the goroutine pool size; 0 means GOMAXPROCS and 1 runs
 	// every node on the calling goroutine.
 	Workers int
@@ -125,12 +122,11 @@ type Options struct {
 	// done), Ctx.Pulse increments. Self-timed algorithms use pulses as
 	// global phase barriers; see DESIGN.md for the idealization note.
 	EnablePulses bool
-	// RecordRoundStats collects per-round message statistics.
-	RecordRoundStats bool
 	// CongestB, when positive, audits the run against the CONGEST(B)
 	// model: every message larger than B bits counts as a violation in
 	// Result.CongestViolations (the run continues; experiments report the
-	// count).
+	// count). Asynchronous runs audit payload bits, so a synchronized
+	// replay reports the count of the synchronous run it simulates.
 	CongestB int
 	// Scenario, when non-nil, schedules deterministic per-round faults —
 	// link failures, repairs and weight perturbations — against named
@@ -156,6 +152,11 @@ type Options struct {
 	Scheduler Scheduler
 }
 
+// roundCap is the non-termination guard of an n-node run: a run that has
+// not terminated after roundCap(n) rounds fails, and the asynchronous
+// engine sizes its delivery budget from the same cap.
+func roundCap(n int) int { return 50*(n+10) + 1000 }
+
 // RoundStats are per-round message statistics.
 type RoundStats struct {
 	Round    int
@@ -176,7 +177,10 @@ type Result struct {
 	TotalBits   int64 // total message bits under the cost model
 	MaxMsgBits  int   // largest single message
 	ParentPorts []int // per-node outputs
-	PerRound    []RoundStats
+	// PerRound[k] counts the messages sent in round k (Start is round 0)
+	// and their bits. The round engine fills it on every run;
+	// asynchronous runs leave it nil.
+	PerRound []RoundStats
 	// CongestViolations counts messages exceeding Options.CongestB.
 	CongestViolations int64
 	// Sent counts every message handed to the router, delivered or not.
@@ -225,6 +229,116 @@ func NewNetwork(g *graph.Graph) *Network {
 // Cost returns the network's cost model.
 func (nw *Network) Cost() CostModel { return nw.cost }
 
+// base is the per-run state both engines share: the graph, the options
+// with the resolved worker count and round cap, the node views, outboxes
+// and errors, and the Result being filled. Network.newBase builds it.
+type base struct {
+	g         *graph.Graph
+	cost      CostModel
+	opt       Options
+	n         int
+	workers   int
+	maxRounds int
+
+	views    []*NodeView
+	outboxes [][]Send
+	errs     []error
+	res      *Result
+
+	// portW backs every view's PortW slice (one allocation); the round
+	// engine keeps it so Scenario weight perturbations can patch the
+	// observed weights in place at the round barrier.
+	portW []graph.Weight
+}
+
+// newBase validates advice and carves the node views out of one PortW
+// array. advice[u] is handed to node u (nil entries become empty
+// strings); a nil slice means no advice at all.
+func (nw *Network) newBase(advice []*bitstring.BitString, opt Options) (base, error) {
+	g := nw.g
+	n := g.N()
+	if advice != nil && len(advice) != n {
+		return base{}, fmt.Errorf("sim: %d advice strings for %d nodes", len(advice), n)
+	}
+	b := base{
+		g:         g,
+		cost:      nw.cost,
+		opt:       opt,
+		n:         n,
+		workers:   par.Workers(opt.Workers),
+		maxRounds: roundCap(n),
+		views:     make([]*NodeView, n),
+		outboxes:  make([][]Send, n),
+		errs:      make([]error, n),
+		res:       &Result{ParentPorts: make([]int, n)},
+		portW:     make([]graph.Weight, g.NumHalves()),
+	}
+	viewStore := make([]NodeView, n)
+	for u := range n {
+		uid := graph.NodeID(u)
+		off := g.HalfOffset(uid)
+		hs := g.Halves(uid)
+		pw := b.portW[off : off+len(hs) : off+len(hs)]
+		for p, h := range hs {
+			pw[p] = h.W
+		}
+		var adv *bitstring.BitString
+		if advice != nil && advice[u] != nil {
+			adv = advice[u]
+		} else {
+			adv = bitstring.New(0)
+		}
+		viewStore[u] = NodeView{ID: g.ID(uid), N: n, Deg: len(hs), PortW: pw, Advice: adv}
+		b.views[u] = &viewStore[u]
+	}
+	return b, nil
+}
+
+// build runs the factory once per node, in node order, on the calling
+// goroutine — verifylabel.Check numbers its verifiers by call order. A
+// panicking factory becomes that node's error.
+func build[N any](b *base, factory func(*NodeView) N) []N {
+	nodes := make([]N, b.n)
+	for u := range nodes {
+		func() {
+			defer capture(&b.errs[u], u, 0)
+			nodes[u] = factory(b.views[u])
+		}()
+	}
+	return nodes
+}
+
+// start runs every node's first handler, fn(u), on the worker pool; a
+// panic becomes node u's round-0 error.
+func (b *base) start(fn func(u int)) {
+	par.Ranges(b.workers, b.n, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			func() {
+				defer capture(&b.errs[u], u, 0)
+				fn(u)
+			}()
+		}
+	})
+}
+
+// firstErr returns the lowest-node error, matching the node order a
+// sequential engine would report.
+func (b *base) firstErr() error {
+	for _, err := range b.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// capture converts a node panic into an engine error with context.
+func capture(dst *error, u, round int) {
+	if r := recover(); r != nil {
+		*dst = fmt.Errorf("sim: node %d panicked in round %d: %v", u, round, r)
+	}
+}
+
 // acct accumulates one worker's routing statistics within a round. It is
 // padded to a cache line so workers writing their own accumulator do not
 // false-share.
@@ -244,16 +358,8 @@ type acct struct {
 // slot per half-edge replaces the append-grown inboxes and map-based
 // duplicate detection of the earlier engine.
 type engine struct {
-	g       *graph.Graph
-	cost    CostModel
-	opt     Options
-	n       int
-	workers int
-
-	views    []*NodeView
-	nodes    []Node
-	outboxes [][]Send
-	errs     []error
+	base
+	nodes []Node
 
 	// slots holds the inbox slot of every half-edge: a message routed to
 	// node v on port p lands in slots[HalfOffset(v)+p]. Msg == nil marks
@@ -265,10 +371,6 @@ type engine struct {
 	// the same port in the same round is caught without a per-node map.
 	stamps []uint32
 
-	// portW backs every view's PortW slice (one allocation); the engine
-	// keeps it so Scenario weight perturbations can patch the observed
-	// weights in place at the round barrier.
-	portW []graph.Weight
 	// Scenario state: events sorted by round, the next one to apply, and
 	// the current per-edge link status.
 	events    []ScenarioEvent
@@ -276,46 +378,6 @@ type engine struct {
 	linkDown  []bool
 
 	accts []acct
-	res   *Result
-}
-
-// runWorkers executes fn over contiguous node ranges on the worker pool
-// and waits for all of them. fn receives the worker index for per-worker
-// accumulators. With one worker it runs inline, and because all shared
-// state is indexed deterministically the results are identical either way.
-func (e *engine) runWorkers(fn func(w, lo, hi int)) {
-	if e.workers == 1 || e.n < 2 {
-		fn(0, 0, e.n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (e.n + e.workers - 1) / e.workers
-	for w := 0; w < e.workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > e.n {
-			hi = e.n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// firstErr returns the lowest-node error, matching the node order a
-// sequential engine would report.
-func (e *engine) firstErr() error {
-	for u := 0; u < e.n; u++ {
-		if e.errs[u] != nil {
-			return e.errs[u]
-		}
-	}
-	return nil
 }
 
 // route validates and delivers the outboxes produced in this round,
@@ -333,14 +395,12 @@ func (e *engine) route(round int) (int, error) {
 		total += int64(len(e.outboxes[u]))
 	}
 	if total == 0 {
-		if e.opt.RecordRoundStats {
-			e.res.PerRound = append(e.res.PerRound, RoundStats{Round: round})
-		}
+		e.res.PerRound = append(e.res.PerRound, RoundStats{Round: round})
 		return 0, nil
 	}
 	// Rounds are far below 2^32, so the stamp is unique per route call.
 	stamp := uint32(round) + 1
-	e.runWorkers(func(w, lo, hi int) {
+	par.Ranges(e.workers, e.n, func(w, lo, hi int) {
 		a := &e.accts[w]
 		g := e.g
 		for u := lo; u < hi; u++ {
@@ -406,9 +466,7 @@ func (e *engine) route(round int) (int, error) {
 	if err := e.firstErr(); err != nil {
 		return 0, err
 	}
-	if e.opt.RecordRoundStats {
-		e.res.PerRound = append(e.res.PerRound, RoundStats{Round: round, Messages: int(delivered), Bits: roundBits})
-	}
+	e.res.PerRound = append(e.res.PerRound, RoundStats{Round: round, Messages: int(delivered), Bits: roundBits})
 	return int(delivered), nil
 }
 
@@ -438,92 +496,50 @@ func (e *engine) stepNode(ctx *Ctx, u int) {
 
 // Run executes the algorithm on every node until all nodes report done.
 // advice[u] is handed to node u (nil entries become empty strings); pass a
-// nil slice for no advice at all.
+// nil slice for no advice at all. A run that has not terminated after
+// 50·(n+10) + 1000 rounds fails.
 //
 // Runs are deterministic: for a fixed graph, factory and options, every
 // field of the Result — including per-round statistics and Scenario
 // fault accounting — is identical for any Workers setting.
 func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Options) (*Result, error) {
-	g := nw.g
-	n := g.N()
 	if opt.Async {
 		return nil, fmt.Errorf("sim: Options.Async needs an asynchronous node (Network.RunAsync); synchronous algorithms run async through advice.Run, which wraps them in the internal/synch α-synchronizer")
 	}
-	if advice != nil && len(advice) != n {
-		return nil, fmt.Errorf("sim: %d advice strings for %d nodes", len(advice), n)
+	b, err := nw.newBase(advice, opt)
+	if err != nil {
+		return nil, err
 	}
-	maxRounds := opt.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 50*(n+10) + 1000
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	var events []ScenarioEvent
 	if opt.Scenario != nil {
-		var err error
-		if events, err = opt.Scenario.validate(g); err != nil {
+		if events, err = opt.Scenario.validate(b.g); err != nil {
 			return nil, err
 		}
 	}
-
-	nh := g.NumHalves()
-	portW := make([]graph.Weight, nh) // all views' PortW, one allocation
-	viewStore := make([]NodeView, n)
-	views := make([]*NodeView, n)
-	nodes := make([]Node, n)
-	for u := 0; u < n; u++ {
-		uid := graph.NodeID(u)
-		base := g.HalfOffset(uid)
-		hs := g.Halves(uid)
-		pw := portW[base : base+len(hs) : base+len(hs)]
-		for p, h := range hs {
-			pw[p] = h.W
-		}
-		var adv *bitstring.BitString
-		if advice != nil && advice[u] != nil {
-			adv = advice[u]
-		} else {
-			adv = bitstring.New(0)
-		}
-		viewStore[u] = NodeView{ID: g.ID(uid), N: n, Deg: len(hs), PortW: pw, Advice: adv}
-		views[u] = &viewStore[u]
-	}
-
+	nh := len(b.portW)
 	e := &engine{
-		g:        g,
-		cost:     nw.cost,
-		opt:      opt,
-		n:        n,
-		workers:  workers,
-		views:    views,
-		nodes:    nodes,
-		outboxes: make([][]Send, n),
-		errs:     make([]error, n),
-		slots:    make([]Received, nh),
-		stamps:   make([]uint32, nh),
-		portW:    portW,
-		events:   events,
-		accts:    make([]acct, workers),
-		res:      &Result{ParentPorts: make([]int, n)},
+		base:   b,
+		slots:  make([]Received, nh),
+		stamps: make([]uint32, nh),
+		events: events,
+		accts:  make([]acct, b.workers),
 	}
 	if events != nil {
-		e.linkDown = make([]bool, g.M())
+		e.linkDown = make([]bool, b.g.M())
 	}
 	res := e.res
 
 	// Round-0 events fire before the factories run, so the initial views
 	// already reflect the scenario's starting state.
 	e.applyEvents(0)
-	for u := 0; u < n; u++ {
-		nodes[u] = factory(views[u])
+	e.nodes = build(&e.base, factory)
+	if err := e.firstErr(); err != nil {
+		return nil, err
 	}
 
 	allDone := func() bool {
-		for u := 0; u < n; u++ {
-			if _, done := nodes[u].Output(); !done {
+		for _, nd := range e.nodes {
+			if _, done := nd.Output(); !done {
 				return false
 			}
 		}
@@ -531,15 +547,8 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 	}
 
 	// Round 0: Start.
-	ctx := Ctx{Round: 0, Cost: nw.cost}
-	e.runWorkers(func(w, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			func() {
-				defer capture(&e.errs[u], u, 0)
-				e.outboxes[u] = nodes[u].Start(&ctx, views[u])
-			}()
-		}
-	})
+	ctx := Ctx{Round: 0, Cost: e.cost}
+	e.start(func(u int) { e.outboxes[u] = e.nodes[u].Start(&ctx, e.views[u]) })
 	inflight, err := e.route(0)
 	if err != nil {
 		return nil, err
@@ -547,8 +556,8 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 
 	round := 0
 	for !allDone() {
-		if round >= maxRounds {
-			return nil, fmt.Errorf("sim: no termination after %d rounds", maxRounds)
+		if round >= e.maxRounds {
+			return nil, fmt.Errorf("sim: no termination after %d rounds", e.maxRounds)
 		}
 		if opt.Context != nil {
 			if err := opt.Context.Err(); err != nil {
@@ -562,7 +571,7 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 			res.Pulses++
 		}
 		ctx.Round = round
-		e.runWorkers(func(w, lo, hi int) {
+		par.Ranges(e.workers, e.n, func(_, lo, hi int) {
 			for u := lo; u < hi; u++ {
 				e.stepNode(&ctx, u)
 			}
@@ -579,29 +588,8 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 			res.Undelivered++
 		}
 	}
-	for u := 0; u < n; u++ {
-		res.ParentPorts[u], _ = nodes[u].Output()
+	for u, nd := range e.nodes {
+		res.ParentPorts[u], _ = nd.Output()
 	}
 	return res, nil
-}
-
-// capture converts a node panic into an engine error with context.
-func capture(dst *error, u, round int) {
-	if r := recover(); r != nil {
-		*dst = fmt.Errorf("sim: node %d panicked in round %d: %v", u, round, r)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -138,27 +139,27 @@ func TestBFSWave(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential is the round engine's core contract:
+// every field of the Result, per-round statistics included, is identical
+// for any worker count.
 func TestParallelMatchesSequential(t *testing.T) {
 	g := seeded(t, "random", 200, 3, gen.WeightsDistinct)
 	adv := bfsAdvice(g.N(), 7)
-	seq, err := NewNetwork(g).Run(newBFSNode, adv, Options{Workers: 1, RecordRoundStats: true})
+	seq, err := NewNetwork(g).Run(newBFSNode, adv, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewNetwork(g).Run(newBFSNode, adv, Options{Workers: 8, RecordRoundStats: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(seq.PerRound) != seq.Rounds+1 {
+		t.Fatalf("%d per-round entries for %d rounds plus Start", len(seq.PerRound), seq.Rounds)
 	}
-	if seq.Rounds != par.Rounds || seq.Messages != par.Messages || seq.TotalBits != par.TotalBits {
-		t.Fatalf("parallel/sequential divergence: %+v vs %+v", seq, par)
-	}
-	for u := range seq.ParentPorts {
-		if seq.ParentPorts[u] != par.ParentPorts[u] {
-			t.Fatalf("output differs at node %d", u)
+	for _, workers := range []int{2, 8} {
+		par, err := NewNetwork(g).Run(newBFSNode, adv, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(seq.PerRound) != len(par.PerRound) {
-		t.Fatal("round stats differ")
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("workers=%d diverged:\nseq: %+v\npar: %+v", workers, seq, par)
+		}
 	}
 }
 
@@ -199,8 +200,7 @@ func TestPulses(t *testing.T) {
 
 func TestNoPulsesWithoutOption(t *testing.T) {
 	g := seeded(t, "ring", 4, 5, gen.WeightsDistinct)
-	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil,
-		Options{MaxRounds: 50})
+	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil, Options{})
 	if err == nil {
 		t.Fatal("pulse-waiting nodes should never terminate without EnablePulses")
 	}
@@ -329,12 +329,16 @@ func TestAdviceLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestMaxRounds fails a run that never terminates at the fixed round
+// cap, 50·(n+10) + 1000, and names the cap in the error.
 func TestMaxRounds(t *testing.T) {
 	g := seeded(t, "ring", 3, 10, gen.WeightsDistinct)
-	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil,
-		Options{MaxRounds: 10})
+	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil, Options{})
 	if err == nil {
-		t.Fatal("expected MaxRounds error")
+		t.Fatal("expected a round-cap error")
+	}
+	if !strings.Contains(err.Error(), "after 1650 rounds") { // 50·(3+10) + 1000
+		t.Fatalf("error %q does not name the cap of 1650 rounds", err)
 	}
 }
 
@@ -489,7 +493,7 @@ func TestConservationAcrossModes(t *testing.T) {
 			{Round: 0, Edge: 0, Action: ActionLinkDown},
 			{Round: 1, Edge: 1, Action: ActionLinkDown},
 			{Round: 2, Edge: 0, Action: ActionLinkUp},
-		}}, MaxRounds: 100}},
+		}}}},
 	}
 	for _, tc := range opts {
 		res, err := NewNetwork(g).Run(newBFSNode, adv, tc.opt)
@@ -505,7 +509,7 @@ func TestConservationAcrossModes(t *testing.T) {
 
 // TestScenarioLinkDown fails every ring edge incident to node 0's ports
 // before the run starts: the BFS wave from node 0 must starve (it can
-// never reach its neighbours), surfacing as a MaxRounds error — the
+// never reach its neighbours), surfacing as a round-cap error — the
 // protocol fails loudly, not silently wrong.
 func TestScenarioLinkDown(t *testing.T) {
 	g := seeded(t, "ring", 5, 52, gen.WeightsDistinct)
@@ -514,8 +518,7 @@ func TestScenarioLinkDown(t *testing.T) {
 		events = append(events, ScenarioEvent{Round: 0, Edge: g.HalfAt(0, p).Edge, Action: ActionLinkDown})
 	}
 	_, err := NewNetwork(g).Run(newBFSNode, bfsAdvice(5, 0), Options{
-		Scenario:  &Scenario{Events: events},
-		MaxRounds: 30,
+		Scenario: &Scenario{Events: events},
 	})
 	if err == nil {
 		t.Fatal("expected starvation with the root cut off")
@@ -594,7 +597,7 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 	}}
 	run := func(workers int) *Result {
 		res, err := NewNetwork(g).Run(func(*NodeView) Node { return &chatter{} }, nil,
-			Options{Workers: workers, Scenario: sc, MaxRounds: 2000, RecordRoundStats: true})
+			Options{Workers: workers, Scenario: sc})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -27,14 +27,15 @@ func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) 
 // verified MST on the event-driven engine, with payload traffic
 // byte-comparable to the synchronous run it simulates — same number of
 // simulated rounds (pulses), same payload message count, bit total,
-// largest message and per-node outputs.
+// largest message, CONGEST(IDBits) violations and per-node outputs.
 func TestSyncAsyncParityAllFamilies(t *testing.T) {
 	for _, fam := range gen.Names() {
 		fam := fam
 		t.Run(fam, func(t *testing.T) {
 			t.Parallel()
 			g := seeded(t, fam, 48, 7, gen.WeightsDistinct)
-			syncRes, err := advice.Run(core.Scheme{}, g, 0, sim.Options{})
+			congestB := sim.NewCostModel(g).IDBits
+			syncRes, err := advice.Run(core.Scheme{}, g, 0, sim.Options{CongestB: congestB})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,8 +43,9 @@ func TestSyncAsyncParityAllFamilies(t *testing.T) {
 				t.Fatalf("synchronous run not verified: %v", syncRes.VerifyErr)
 			}
 			asyncRes, err := advice.Run(core.Scheme{}, g, 0, sim.Options{
-				Async:   true,
-				Latency: sim.UniformLatency{Seed: 13, Min: 1, Max: 9},
+				Async:    true,
+				Latency:  sim.UniformLatency{Seed: 13, Min: 1, Max: 9},
+				CongestB: congestB,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -57,11 +59,15 @@ func TestSyncAsyncParityAllFamilies(t *testing.T) {
 			if asyncRes.Messages != syncRes.Messages {
 				t.Errorf("payload messages = %d, sync run sent %d", asyncRes.Messages, syncRes.Messages)
 			}
-			if asyncRes.MsgBits != syncRes.MsgBits {
-				t.Errorf("payload bits = %d, sync run %d", asyncRes.MsgBits, syncRes.MsgBits)
+			if asyncRes.TotalBits != syncRes.TotalBits {
+				t.Errorf("payload bits = %d, sync run %d", asyncRes.TotalBits, syncRes.TotalBits)
 			}
 			if asyncRes.MaxMsgBits != syncRes.MaxMsgBits {
 				t.Errorf("max payload message = %d bits, sync run %d", asyncRes.MaxMsgBits, syncRes.MaxMsgBits)
+			}
+			if syncRes.CongestViolations == 0 || asyncRes.CongestViolations != syncRes.CongestViolations {
+				t.Errorf("CONGEST(%d) violations = %d, sync run %d (want equal and nonzero)",
+					congestB, asyncRes.CongestViolations, syncRes.CongestViolations)
 			}
 			if !reflect.DeepEqual(asyncRes.ParentPorts, syncRes.ParentPorts) {
 				t.Error("asynchronous outputs differ from the synchronous run")
