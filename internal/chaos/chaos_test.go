@@ -65,7 +65,7 @@ func echoServer(t *testing.T) net.Listener {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for {
-					payload, err := store.ReadRecord(br)
+					payload, err := store.ReadRecord(br, store.MaxRecord, nil)
 					if err != nil {
 						return
 					}
@@ -99,7 +99,7 @@ func TestProxyForwardsCleanConnections(t *testing.T) {
 		if _, err := conn.Write(store.AppendRecord(nil, msg)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := store.ReadRecord(br)
+		got, err := store.ReadRecord(br, store.MaxRecord, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestProxyTruncationSurfacesAsTornRecord(t *testing.T) {
 	if _, err := conn.Write(store.AppendRecord(nil, payload)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = store.ReadRecord(bufio.NewReader(conn))
+	_, err = store.ReadRecord(bufio.NewReader(conn), store.MaxRecord, nil)
 	if err == nil {
 		t.Fatal("truncated reply parsed as a full record")
 	}
@@ -164,7 +164,7 @@ func TestProxyPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	if _, err := store.ReadRecord(br); err != nil {
+	if _, err := store.ReadRecord(br, store.MaxRecord, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -172,7 +172,7 @@ func TestProxyPartition(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	// The live connection dies...
 	if _, err := conn.Write(store.AppendRecord(nil, []byte{2})); err == nil {
-		if _, err := store.ReadRecord(br); err == nil {
+		if _, err := store.ReadRecord(br, store.MaxRecord, nil); err == nil {
 			t.Fatal("read through a partition succeeded")
 		}
 	}
@@ -181,7 +181,7 @@ func TestProxyPartition(t *testing.T) {
 	if err == nil {
 		c2.SetDeadline(time.Now().Add(5 * time.Second))
 		c2.Write(store.AppendRecord(nil, []byte{3}))
-		if _, err := store.ReadRecord(bufio.NewReader(c2)); err == nil {
+		if _, err := store.ReadRecord(bufio.NewReader(c2), store.MaxRecord, nil); err == nil {
 			t.Fatal("read through a partition on a fresh connection succeeded")
 		}
 		c2.Close()
@@ -197,7 +197,7 @@ func TestProxyPartition(t *testing.T) {
 	if _, err := c3.Write(store.AppendRecord(nil, []byte{4})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.ReadRecord(bufio.NewReader(c3)); err != nil {
+	if _, err := store.ReadRecord(bufio.NewReader(c3), store.MaxRecord, nil); err != nil {
 		t.Fatalf("healed partition still blocks: %v", err)
 	}
 }

@@ -159,24 +159,26 @@ func (c *Client) Close() {
 func (c *Client) Advice(ctx context.Context, id string, node int) (Answer, error) {
 	var ans Answer
 	err := c.failover(ctx, func(ep string) error {
-		req := []byte{opAdvice}
-		req = appendString(req, id)
+		req := store.AppendString([]byte{opAdvice}, id)
 		req = binary.AppendUvarint(req, uint64(node))
 		payload, err := c.roundTrip(ctx, ep, req)
 		if err != nil {
 			return err
 		}
-		cur := &cursor{b: payload}
-		epoch, err := cur.uvarint("epoch")
+		cur := store.NewCursor(payload)
+		epoch, err := cur.Uvarint("epoch")
 		if err != nil {
 			return err
 		}
-		bits, err := cur.uvarint("bit length")
+		bits, err := cur.Uvarint("bit length")
 		if err != nil {
 			return err
 		}
-		s, err := unpackBits(cur.rest(), int(bits))
+		s, err := cur.Bits(bits, "advice bits")
 		if err != nil {
+			return err
+		}
+		if err := cur.End("advice bits"); err != nil {
 			return err
 		}
 		if err := c.advanceEpoch(id, epoch); err != nil {
@@ -195,23 +197,22 @@ func (c *Client) Tier(ctx context.Context, id string, level int) (TierAnswer, er
 	}
 	var ans TierAnswer
 	err := c.failover(ctx, func(ep string) error {
-		req := []byte{opTier}
-		req = appendString(req, id)
+		req := store.AppendString([]byte{opTier}, id)
 		req = binary.AppendUvarint(req, uint64(level))
 		payload, err := c.roundTrip(ctx, ep, req)
 		if err != nil {
 			return err
 		}
-		cur := &cursor{b: payload}
-		lvl, err := cur.uvarint("tier level")
+		cur := store.NewCursor(payload)
+		lvl, err := cur.Uvarint("tier level")
 		if err != nil {
 			return err
 		}
-		epoch, err := cur.uvarint("epoch")
+		epoch, err := cur.Uvarint("epoch")
 		if err != nil {
 			return err
 		}
-		snap, err := store.Decode(cur.rest())
+		snap, err := store.Decode(cur.Rest())
 		if err != nil {
 			return err
 		}
@@ -252,14 +253,11 @@ func (c *Client) AdviceDegraded(ctx context.Context, id string, node int) (Answe
 func (c *Client) Epoch(ctx context.Context, id string) (uint64, error) {
 	var epoch uint64
 	err := c.failover(ctx, func(ep string) error {
-		req := []byte{opInfo}
-		req = appendString(req, id)
-		payload, err := c.roundTrip(ctx, ep, req)
+		payload, err := c.roundTrip(ctx, ep, store.AppendString([]byte{opInfo}, id))
 		if err != nil {
 			return err
 		}
-		cur := &cursor{b: payload}
-		epoch, err = cur.uvarint("epoch")
+		epoch, err = store.NewCursor(payload).Uvarint("epoch")
 		return err
 	})
 	return epoch, err
@@ -374,6 +372,11 @@ func (c *Client) rand() uint64 {
 // endpoint and reads the reply, under the per-request timeout. Failed
 // connections are discarded, successful ones pooled.
 func (c *Client) roundTrip(ctx context.Context, endpoint string, req []byte) ([]byte, error) {
+	if len(req) > maxRequest {
+		// A server closes the connection on such a frame; fail the request
+		// as one whose graph ID is over the bound: permanently.
+		return nil, &wireErr{code: codeBad, msg: fmt.Sprintf("request of %d bytes exceeds the %d limit", len(req), maxRequest)}
+	}
 	deadline := time.Now().Add(c.opt.Timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -387,7 +390,7 @@ func (c *Client) roundTrip(ctx context.Context, endpoint string, req []byte) ([]
 		wc.conn.Close()
 		return nil, err
 	}
-	payload, err := wc.readFrame(0)
+	payload, err := store.ReadRecord(wc.r, store.MaxRecord, nil)
 	if err != nil {
 		wc.conn.Close()
 		return nil, err
@@ -398,19 +401,13 @@ func (c *Client) roundTrip(ctx context.Context, endpoint string, req []byte) ([]
 	}
 	status, body := payload[0], payload[1:]
 	if status == rErr {
-		cur := &cursor{b: body}
-		code, err := cur.uvarint("error code")
-		if err != nil {
-			wc.conn.Close()
-			return nil, err
-		}
-		msg, err := cur.str("error message")
+		we, err := parseErr(body)
 		if err != nil {
 			wc.conn.Close()
 			return nil, err
 		}
 		c.putConn(endpoint, wc)
-		return nil, &wireErr{code: code, msg: msg}
+		return nil, we
 	}
 	c.putConn(endpoint, wc)
 	return body, nil
@@ -457,14 +454,6 @@ func newWireConn(conn net.Conn) *wireConn {
 func (w *wireConn) writeFrame(payload []byte) error {
 	_, err := w.conn.Write(store.AppendRecord(nil, payload))
 	return err
-}
-
-// readFrame reads one frame; a non-zero timeout sets a read deadline.
-func (w *wireConn) readFrame(timeout time.Duration) ([]byte, error) {
-	if timeout > 0 {
-		w.conn.SetReadDeadline(time.Now().Add(timeout))
-	}
-	return store.ReadRecord(w.r)
 }
 
 // tailRequest builds the opTail subscription frame payload.

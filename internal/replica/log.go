@@ -3,8 +3,8 @@ package replica
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"slices"
@@ -25,31 +25,19 @@ type EpochRecord struct {
 	Blob []byte
 }
 
+// parseRecord reads a record payload: the graph ID, the epoch and the
+// blob, which aliases payload.
 func parseRecord(payload []byte) (EpochRecord, error) {
-	c := &cursor{b: payload}
-	id, err := c.str("record graph ID")
+	c := store.NewCursor(payload)
+	id, err := c.String("record graph ID", store.MaxString)
 	if err != nil {
 		return EpochRecord{}, err
 	}
-	seq, err := c.uvarint("record epoch")
+	seq, err := c.Uvarint("record epoch")
 	if err != nil {
 		return EpochRecord{}, err
 	}
-	return EpochRecord{ID: id, Seq: seq, Blob: c.rest()}, nil
-}
-
-// parseFrame checks one stored frame's length header and CRC footer and
-// parses its payload; Blob aliases frame.
-func parseFrame(frame []byte) (EpochRecord, error) {
-	length, h := binary.Uvarint(frame)
-	if h <= 0 || length != uint64(len(frame)-h-4) {
-		return EpochRecord{}, fmt.Errorf("%w: stored frame of %d bytes has a bad length header", store.ErrTornRecord, len(frame))
-	}
-	payload := frame[h : len(frame)-4]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[len(frame)-4:]); got != want {
-		return EpochRecord{}, fmt.Errorf("%w: stored frame CRC mismatch: footer says %08x, payload hashes to %08x", store.ErrTornRecord, want, got)
-	}
-	return parseRecord(payload)
+	return EpochRecord{ID: id, Seq: seq, Blob: c.Rest()}, nil
 }
 
 // Log is the append-only epoch history. Every record is framed with the
@@ -73,10 +61,10 @@ type Log struct {
 
 // logEntry locates one record's frame in the log's data.
 type logEntry struct {
-	id  string
-	seq uint64
-	off int64
-	n   int64 // framed length: header, payload and CRC footer
+	id      string
+	seq     uint64
+	off     int64
+	payload int // the frame is store.RecordLen(payload) bytes
 }
 
 // frameData is the log's byte store: an *os.File for a durable log,
@@ -137,11 +125,9 @@ func OpenLog(path string) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	src := &failReader{r: io.NewSectionReader(f, 0, st.Size())}
-	l.scan(bufio.NewReader(src), st.Size())
-	if src.err != nil {
+	if err := l.scan(bufio.NewReader(io.NewSectionReader(f, 0, st.Size())), st.Size()); err != nil {
 		f.Close()
-		return nil, src.err
+		return nil, err
 	}
 	// Torn tail: keep the clean prefix, drop the damaged rest.
 	if err := f.Truncate(l.size); err != nil {
@@ -153,70 +139,30 @@ func OpenLog(path string) (*Log, error) {
 	return l, nil
 }
 
-// failReader records the first read failure other than the end of
-// input, so OpenLog can tell a failing disk from a torn tail.
-type failReader struct {
-	r   io.Reader
-	err error
-}
-
-func (f *failReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	if err != nil && err != io.EOF && f.err == nil {
-		f.err = err
-	}
-	return n, err
-}
-
-// byteCounter counts the bytes a varint header spans, which a
-// non-minimal encoding makes longer than the value needs.
-type byteCounter struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *byteCounter) ReadByte() (byte, error) {
-	c.n++
-	return c.r.ReadByte()
-}
-
 // scan indexes the records of a log file of size bytes, read as a
-// stream, checking every CRC. It stops at the first record that is torn,
-// corrupt or runs past the end of the file, leaving l.size at the end of
-// the clean prefix.
-func (l *Log) scan(br *bufio.Reader, size int64) {
+// stream through one reused buffer, checking every CRC. It stops at the
+// first record that is torn, corrupt or runs past the end of the file,
+// leaving l.size at the end of the clean prefix; only a read failure
+// other than the end of the file is an error.
+func (l *Log) scan(br *bufio.Reader, size int64) error {
 	var payload []byte
-	head := &byteCounter{r: br}
 	for {
-		head.n = 0
-		length, err := binary.ReadUvarint(head)
+		var err error
+		// Bound the payload by the bytes left, so a corrupt header cannot
+		// request an allocation the file cannot back.
+		payload, err = store.ReadRecord(br, int(size-l.size), payload)
+		if err == io.EOF || errors.Is(err, store.ErrTornRecord) {
+			return nil
+		}
 		if err != nil {
-			return
-		}
-		// Bound the declared length by the bytes left, so a corrupt
-		// header cannot request an allocation the file cannot back.
-		h := head.n
-		if length > uint64(size-l.size) || l.size+h+int64(length)+4 > size {
-			return
-		}
-		payload = slices.Grow(payload[:0], int(length))[:length]
-		var foot [4]byte
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return
-		}
-		if _, err := io.ReadFull(br, foot[:]); err != nil {
-			return
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(foot[:]) {
-			return
+			return err
 		}
 		rec, err := parseRecord(payload)
 		if err != nil {
-			return
+			return nil
 		}
-		n := h + int64(length) + 4
-		l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, n: n})
-		l.size += n
+		l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, payload: len(payload)})
+		l.size += store.RecordLen(len(payload))
 	}
 }
 
@@ -229,23 +175,16 @@ func (l *Log) scan(br *bufio.Reader, size int64) {
 // returns os.ErrClosed.
 func (l *Log) Append(rec EpochRecord) error {
 	t0 := time.Now()
-	prefix := binary.AppendUvarint(appendString(nil, rec.ID), rec.Seq)
-	head := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(prefix)), uint64(len(prefix)+len(rec.Blob)))
-	head = append(head, prefix...)
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc32.Update(crc32.ChecksumIEEE(prefix), crc32.IEEETable, rec.Blob))
+	prefix := binary.AppendUvarint(store.AppendString(nil, rec.ID), rec.Seq)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Every piece is written at an explicit offset from the end of the
+	// The frame is written at an explicit offset from the end of the
 	// clean prefix, so a failed append leaves nothing the next one does
 	// not overwrite.
-	end := l.size
-	for _, part := range [][]byte{head, rec.Blob, foot[:]} {
-		if _, err := l.data.WriteAt(part, end); err != nil {
-			return err
-		}
-		end += int64(len(part))
+	n, err := store.WriteRecord(io.NewOffsetWriter(l.data, l.size), prefix, rec.Blob)
+	if err != nil {
+		return err
 	}
 	if s, ok := l.data.(interface{ Sync() error }); ok {
 		tSync := time.Now()
@@ -254,9 +193,8 @@ func (l *Log) Append(rec EpochRecord) error {
 		}
 		l.met.fsyncLatency.ObserveSince(tSync)
 	}
-	n := end - l.size
-	l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, n: n})
-	l.size = end
+	l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, payload: len(prefix) + len(rec.Blob)})
+	l.size += n
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.met.records.Set(int64(len(l.index)))
@@ -290,29 +228,36 @@ func (l *Log) Len() int {
 }
 
 // frame reads record i's stored frame — byte-identical to its wire
-// frame — into buf's storage, growing it as needed.
-func (l *Log) frame(i int, buf []byte) ([]byte, error) {
+// frame — into buf's storage, growing it as needed, and returns it with
+// its payload's length.
+func (l *Log) frame(i int, buf []byte) ([]byte, int, error) {
 	l.mu.Lock()
 	index, data := l.index, l.data
 	l.mu.Unlock()
 	if i < 0 || i >= len(index) {
-		return nil, fmt.Errorf("replica: log record %d out of range [0,%d)", i, len(index))
+		return nil, 0, fmt.Errorf("replica: log record %d out of range [0,%d)", i, len(index))
 	}
 	e := index[i]
-	buf = slices.Grow(buf[:0], int(e.n))[:e.n]
+	n := store.RecordLen(e.payload)
+	buf = slices.Grow(buf[:0], int(n))[:n]
 	if _, err := data.ReadAt(buf, e.off); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return buf, nil
+	return buf, e.payload, nil
 }
 
-// record reads record i back from the log into a fresh buffer.
+// record reads record i back from the log into a fresh buffer; its
+// Blob aliases that buffer.
 func (l *Log) record(i int) (EpochRecord, error) {
-	frame, err := l.frame(i, nil)
+	frame, _, err := l.frame(i, nil)
 	if err != nil {
 		return EpochRecord{}, err
 	}
-	return parseFrame(frame)
+	payload, err := store.RecordPayload(frame)
+	if err != nil {
+		return EpochRecord{}, err
+	}
+	return parseRecord(payload)
 }
 
 // At returns record i as a fresh copy read from the log. It panics if

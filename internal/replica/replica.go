@@ -196,7 +196,7 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 		return err
 	}
 	for {
-		payload, err := wc.readFrame(0) // the stream blocks until the next epoch; no deadline
+		payload, err := store.ReadRecord(wc.r, store.MaxRecord, nil) // blocks until the next epoch; no deadline
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +44,19 @@ func makeSnapshot(t testing.TB, n, m int, seed int64) *store.Snapshot {
 		t.Fatal(err)
 	}
 	return &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: adviceBits}
+}
+
+// makeTieredSnapshot is makeSnapshot with coarse tiers at the given
+// levels.
+func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store.Snapshot {
+	t.Helper()
+	snap := makeSnapshot(t, n, m, seed)
+	tiers, err := hier.BuildTiers(snap.Graph, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Tiers = tiers
+	return snap
 }
 
 // bumpWeight publishes a new epoch by raising one edge weight to a
@@ -85,33 +99,6 @@ func sameAdvice(t testing.TB, a, b *service.Service, id string, n int) {
 			t.Fatalf("%s node %d: replica serves %s@%d, primary %s@%d",
 				id, u, gotBits, gotEp, wantBits, wantEp)
 		}
-	}
-}
-
-func TestPackBitsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 200, 1000} {
-		s := bitstring.New(n)
-		for i := 0; i < n; i++ {
-			s.AppendBit(rng.Intn(2) == 1)
-		}
-		packed := packBits(s)
-		if want := (n + 7) / 8; len(packed) != want {
-			t.Fatalf("n=%d: packed %d bytes, want %d", n, len(packed), want)
-		}
-		back, err := unpackBits(packed, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !back.Equal(s) {
-			t.Fatalf("n=%d: round trip %s != %s", n, back, s)
-		}
-	}
-	if _, err := unpackBits([]byte{0xFF}, 3); err == nil {
-		t.Fatal("set padding bits went undetected")
-	}
-	if _, err := unpackBits([]byte{0x01}, 16); err == nil {
-		t.Fatal("short buffer went undetected")
 	}
 }
 
@@ -361,7 +348,7 @@ func TestDurableLogRestart(t *testing.T) {
 // appendPayload is the reference log/wire payload layout — id, seq,
 // snapshot blob — that stored and streamed frames are pinned to.
 func (r *EpochRecord) appendPayload(buf []byte) []byte {
-	buf = appendString(buf, r.ID)
+	buf = store.AppendString(buf, r.ID)
 	buf = binary.AppendUvarint(buf, r.Seq)
 	return append(buf, r.Blob...)
 }
@@ -794,13 +781,7 @@ func TestClientRejectsStaleEpochs(t *testing.T) {
 // ErrDegraded and AdviceDegraded falls back to the coarse tier snapshot
 // the endpoint still serves.
 func TestClientDegradedFallback(t *testing.T) {
-	snap := makeSnapshot(t, 200, 600, 8)
-	tiers, err := hier.BuildTiers(snap.Graph, snap.Root, hier.HierOptions{Levels: []int{1, 2}, Cap: snap.Cap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Tiers = tiers
-
+	snap := makeTieredSnapshot(t, 200, 600, 8, []int{1, 2})
 	svc := service.New()
 	if err := svc.Register("g", snap); err != nil {
 		t.Fatal(err)
@@ -850,10 +831,11 @@ func TestClientDegradedFallback(t *testing.T) {
 	if v, ok := cli.Metrics().CounterValue("replica_client_attempts_total", "endpoint", srv.Addr(), "outcome", "degraded"); !ok || v == 0 {
 		t.Errorf("replica_client_attempts_total{outcome=degraded} = %d, %v; want > 0", v, ok)
 	}
-	want, _, err := svc.Tier("g", 0)
+	ep, err := svc.Epoch("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ep.Tiers[len(ep.Tiers)-1]
 	if ans.TierLevel != want.Level || ans.Tier.Graph.N() != want.Graph.N() {
 		t.Fatalf("fallback tier level %d (n=%d), service's coarsest is level %d (n=%d)",
 			ans.TierLevel, ans.Tier.Graph.N(), want.Level, want.Graph.N())
@@ -865,4 +847,218 @@ func TestClientDegradedFallback(t *testing.T) {
 			t.Fatalf("coarse node %d: fallback advice %s, service %s", i, ans.Tier.Advice[i], b)
 		}
 	}
+}
+
+// serve starts a wire endpoint for svc (and log, which may be nil) and
+// closes it when the test ends.
+func serve(t *testing.T, svc *service.Service, log *Log, opts ServerOptions) *Server {
+	t.Helper()
+	srv := NewServer(svc, log, opts)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// TestClientCountsReadTimeouts pins the timeout outcome: an endpoint
+// that accepts and never answers costs one attempt classified as a
+// timeout, and the error is the deadline, not a torn record.
+func TestClientCountsReadTimeouts(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { io.Copy(io.Discard, conn); conn.Close() }()
+		}
+	}()
+	cli, err := NewClient([]string{ln.Addr().String()}, ClientOptions{Timeout: 50 * time.Millisecond, Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	_, err = cli.Advice(context.Background(), "g", 0)
+	if err == nil || errors.Is(err, store.ErrTornRecord) {
+		t.Fatalf("read from a silent endpoint: %v, want a timeout that is not a torn record", err)
+	}
+	for _, outcome := range clientOutcomes {
+		want := uint64(0)
+		if outcome == "timeout" {
+			want = 1
+		}
+		if v, _ := cli.Metrics().CounterValue("replica_client_attempts_total", "endpoint", ln.Addr().String(), "outcome", outcome); v != want {
+			t.Errorf("replica_client_attempts_total{outcome=%q} = %d, want %d", outcome, v, want)
+		}
+	}
+}
+
+// TestServerRefusesOversizedRequest pins the request bound: a 5-byte
+// header declaring a 1 GiB request makes the server close the
+// connection without allocating the payload.
+func TestServerRefusesOversizedRequest(t *testing.T) {
+	srv := serve(t, service.New(), nil, ServerOptions{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(binary.AppendUvarint(nil, 1<<30)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if n > 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server answered a 1 GiB request header with %d bytes, %v; want the connection closed", n, err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("refusing the header allocated %d bytes", grew)
+	}
+}
+
+// TestWireTierReadCountsOneQuery pins that a wire tier read is one
+// service query, as an HTTP tier read is.
+func TestWireTierReadCountsOneQuery(t *testing.T) {
+	snap := makeTieredSnapshot(t, 200, 600, 8, []int{1, 2})
+	svc := service.New()
+	if err := svc.Register("g", snap); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(t, svc, nil, ServerOptions{})
+	cli, err := NewClient([]string{srv.Addr()}, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	before := svc.StatsNow().Queries
+	ans, err := cli.Tier(context.Background(), "g", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.StatsNow().Queries - before; got != 1 {
+		t.Fatalf("a wire tier read moved service_queries_total by %d, want 1", got)
+	}
+	want, err := svc.TierSnapshot("g", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Level != want.Level || ans.Epoch != want.Epoch || ans.Snapshot.Graph.N() != want.N {
+		t.Fatalf("wire tier %d@%d (n=%d), service serves %d@%d (n=%d)",
+			ans.Level, ans.Epoch, ans.Snapshot.Graph.N(), want.Level, want.Epoch, want.N)
+	}
+}
+
+// TestLogKeepsIDsAtTheBound pins the one graph-ID bound: an ID of
+// exactly store.MaxString bytes is registered, logged and replayed, one
+// byte longer is refused at registration, and the records around them
+// survive a reopen.
+func TestLogKeepsIDsAtTheBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "epochs.log")
+	primary := service.New()
+	log, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Attach(primary)
+	atBound := strings.Repeat("x", store.MaxString)
+	for _, id := range []string{"a", atBound, atBound + "x", "b"} {
+		err := primary.Register(id, makeSnapshot(t, 16, 40, 1))
+		if over := len(id) > store.MaxString; over != (err != nil) {
+			t.Fatalf("registering a %d-byte ID: %v", len(id), err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Len() != 3 {
+		t.Fatalf("reopened log holds %d records, want 3", again.Len())
+	}
+	restarted := service.New()
+	if err := again.Replay(restarted); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", atBound, "b"} {
+		sameAdvice(t, primary, restarted, id, 16)
+	}
+}
+
+// TestClientLongGraphIDs pins the ID bound on the read path: an unknown
+// ID at the bound is not found — the server's error text quotes the ID
+// and must stay readable — and an ID over the bound is a bad request,
+// refused without retries.
+func TestClientLongGraphIDs(t *testing.T) {
+	srv := serve(t, service.New(), nil, ServerOptions{})
+	cli, err := NewClient([]string{srv.Addr()}, ClientOptions{BackoffBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Advice(context.Background(), strings.Repeat("x", store.MaxString), 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("unknown %d-byte ID: %v, want ErrNotFound", store.MaxString, err)
+	}
+	_, err = cli.Advice(context.Background(), strings.Repeat("x", 2*store.MaxString), 0)
+	var we *wireErr
+	if !errors.As(err, &we) || we.code != codeBad {
+		t.Fatalf("%d-byte ID: %v, want a bad-request error", 2*store.MaxString, err)
+	}
+	if v, _ := cli.Metrics().CounterValue("replica_client_attempts_total", "endpoint", srv.Addr(), "outcome", "bad"); v != 1 {
+		t.Fatalf("over-bound ID took %d bad attempts, want 1", v)
+	}
+}
+
+// FuzzServeRequest feeds arbitrary request payloads to the server's
+// request handling over a service holding one small tiered graph: it
+// never panics, every reply starts with a status byte, and every error
+// reply reads back with the client's reader — a code, then a message
+// within the string bound.
+func FuzzServeRequest(f *testing.F) {
+	svc := service.New()
+	if err := svc.Register("g", makeTieredSnapshot(f, 32, 80, 3, []int{1})); err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(svc, nil, ServerOptions{})
+	advice := binary.AppendUvarint(store.AppendString([]byte{opAdvice}, "g"), 5)
+	for _, req := range [][]byte{
+		advice,
+		binary.AppendUvarint(store.AppendString([]byte{opTier}, "g"), 1),
+		store.AppendString([]byte{opInfo}, "g"),
+		binary.AppendUvarint(store.AppendString([]byte{opAdvice}, strings.Repeat("x", store.MaxString)), 0),
+		{0x7f},
+	} {
+		f.Add(req)
+		f.Add(req[:len(req)-1]) // truncated
+	}
+	f.Add(append([]byte{opAdvice, 0x81, 0x00}, 'g'))  // non-minimal ID length
+	f.Add(append(advice[:len(advice)-1], 0x85, 0x00)) // non-minimal node
+	f.Fuzz(func(t *testing.T, req []byte) {
+		if len(req) == 0 || req[0] == opTail {
+			return // serveConn closes on an empty frame and streams a tail request
+		}
+		reply := srv.answer(req)
+		switch {
+		case len(reply) == 0:
+			t.Fatal("empty reply")
+		case reply[0] == rErr:
+			if _, err := parseErr(reply[1:]); err != nil {
+				t.Fatalf("error reply unreadable by the client: %v", err)
+			}
+		case reply[0] != rOK:
+			t.Fatalf("reply status %d", reply[0])
+		}
+	})
 }

@@ -132,41 +132,45 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	br := bufio.NewReader(conn)
+	var req []byte // one buffer for every request on the connection
 	for {
-		payload, err := store.ReadRecord(br)
-		if err != nil {
+		var err error
+		if req, err = store.ReadRecord(br, maxRequest, req); err != nil || len(req) == 0 {
 			return
 		}
-		if len(payload) == 0 {
-			return
-		}
-		c := &cursor{b: payload[1:]}
-		op := opName(payload[0])
-		var reply []byte
-		switch payload[0] {
-		case opAdvice:
-			reply = s.handleAdvice(c)
-		case opTier:
-			reply = s.handleTier(c)
-		case opInfo:
-			reply = s.handleInfo(c)
-		case opTail:
+		if req[0] == opTail {
 			s.met.tailSessions.Add(1)
-			s.streamLog(conn, c)
+			s.streamLog(conn, store.NewCursor(req[1:]))
 			s.met.tailSessions.Add(-1)
 			return
-		default:
-			reply = errReply(codeBad, "unknown opcode")
 		}
-		result := "ok"
-		if len(reply) > 0 && reply[0] == rErr {
-			result = "error"
-		}
-		s.met.frame(op, result, len(reply))
-		if !s.writeFrame(conn, reply) {
+		if !s.writeFrame(conn, s.answer(req)) {
 			return
 		}
 	}
+}
+
+// answer maps one request payload — non-empty, any opcode but opTail,
+// which streams from serveConn — to its reply payload.
+func (s *Server) answer(req []byte) []byte {
+	c := store.NewCursor(req[1:])
+	var reply []byte
+	switch req[0] {
+	case opAdvice:
+		reply = s.handleAdvice(c)
+	case opTier:
+		reply = s.handleTier(c)
+	case opInfo:
+		reply = s.handleInfo(c)
+	default:
+		reply = errReply(codeBad, "unknown opcode")
+	}
+	result := "ok"
+	if reply[0] == rErr {
+		result = "error"
+	}
+	s.met.frame(opName(req[0]), result, len(reply))
+	return reply
 }
 
 func (s *Server) writeFrame(conn net.Conn, payload []byte) bool {
@@ -180,18 +184,12 @@ func writeFramed(conn net.Conn, frame []byte) bool {
 	return err == nil
 }
 
-func errReply(code uint64, msg string) []byte {
-	buf := []byte{rErr}
-	buf = binary.AppendUvarint(buf, code)
-	return appendString(buf, msg)
-}
-
-func (s *Server) handleAdvice(c *cursor) []byte {
-	id, err := c.str("graph ID")
+func (s *Server) handleAdvice(c *store.Cursor) []byte {
+	id, err := c.String("graph ID", store.MaxString)
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
-	node, err := c.uvarint("node")
+	node, err := c.Uvarint("node")
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
@@ -205,41 +203,30 @@ func (s *Server) handleAdvice(c *cursor) []byte {
 	buf := []byte{rOK}
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.AppendUvarint(buf, uint64(bits.Len()))
-	return append(buf, packBits(bits)...)
+	return store.AppendBits(buf, bits)
 }
 
-func (s *Server) handleTier(c *cursor) []byte {
-	id, err := c.str("graph ID")
+func (s *Server) handleTier(c *store.Cursor) []byte {
+	id, err := c.String("graph ID", store.MaxString)
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
-	level, err := c.uvarint("tier level")
+	level, err := c.Uvarint("tier level")
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
-	tier, epoch, err := s.svc.Tier(id, int(level))
+	tier, err := s.svc.TierSnapshot(id, int(level))
 	if err != nil {
 		return serviceErrReply(err)
-	}
-	ep, err := s.svc.Epoch(id)
-	if err != nil {
-		return serviceErrReply(err)
-	}
-	blob, err := store.Encode(&store.Snapshot{
-		Problem: ep.Problem, Graph: tier.Graph, Root: tier.Root,
-		Cap: ep.Cap, Advice: tier.Advice, Version: 2,
-	})
-	if err != nil {
-		return errReply(codeBad, err.Error())
 	}
 	buf := []byte{rOK}
 	buf = binary.AppendUvarint(buf, uint64(tier.Level))
-	buf = binary.AppendUvarint(buf, epoch)
-	return append(buf, blob...)
+	buf = binary.AppendUvarint(buf, tier.Epoch)
+	return append(buf, tier.Snapshot...)
 }
 
-func (s *Server) handleInfo(c *cursor) []byte {
-	id, err := c.str("graph ID")
+func (s *Server) handleInfo(c *store.Cursor) []byte {
+	id, err := c.String("graph ID", store.MaxString)
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
@@ -272,13 +259,13 @@ func serviceErrReply(err error) []byte {
 // each record is read into one buffer reused for the whole session and
 // written unchanged; a failed read ends the stream, and the follower
 // reconnects.
-func (s *Server) streamLog(conn net.Conn, c *cursor) {
+func (s *Server) streamLog(conn net.Conn, c *store.Cursor) {
 	if s.log == nil {
 		s.met.frame("tail", "error", 0)
 		s.writeFrame(conn, errReply(codeBad, "endpoint serves no epoch log"))
 		return
 	}
-	after, err := c.uvarint("tail index")
+	after, err := c.Uvarint("tail index")
 	if err != nil {
 		s.met.frame("tail", "error", 0)
 		s.writeFrame(conn, errReply(codeBad, err.Error()))
@@ -290,14 +277,14 @@ func (s *Server) streamLog(conn net.Conn, c *cursor) {
 		if !s.log.WaitFor(i, s.stop) {
 			return
 		}
-		if frame, err = s.log.frame(i, frame); err != nil {
+		var payload int
+		if frame, payload, err = s.log.frame(i, frame); err != nil {
 			return
 		}
 		if !writeFramed(conn, frame) {
 			return
 		}
-		_, h := binary.Uvarint(frame)
 		s.met.tailRecords.Inc()
-		s.met.replyBytes["tail"].Add(uint64(len(frame) - h - 4)) // the payload, as for every op
+		s.met.replyBytes["tail"].Add(uint64(payload)) // the payload, as for every op
 	}
 }

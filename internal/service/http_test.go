@@ -295,6 +295,7 @@ func TestHTTPErrorCodes(t *testing.T) {
 		{"register root out of range", "POST", "/v1/graphs", `{"id":"x","family":"random","n":8,"root":9999}`, 400},
 		{"register duplicate", "POST", "/v1/graphs", `{"id":"g","family":"random","n":8}`, 409},
 		{"register ID quoting the conflict phrase", "POST", "/v1/graphs", `{"id":"already registered","family":"random","n":8,"problem":"nope"}`, 400},
+		{"register ID over the bound", "POST", "/v1/graphs", `{"id":"` + strings.Repeat("x", store.MaxString+1) + `","family":"random","n":8}`, 400},
 		{"info unknown graph", "GET", "/v1/graphs/nope", "", 404},
 		{"drop unknown graph", "DELETE", "/v1/graphs/nope", "", 404},
 		{"advice missing node", "GET", "/v1/graphs/g/advice", "", 400},

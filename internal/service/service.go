@@ -257,8 +257,8 @@ func (s *Service) shardFor(id string) *shard {
 // ownership.
 func (s *Service) Register(id string, snap *store.Snapshot) error {
 	t0 := time.Now()
-	if id == "" {
-		return fmt.Errorf("service: empty graph ID")
+	if err := checkID(id); err != nil {
+		return err
 	}
 	if snap == nil || snap.Graph == nil {
 		return fmt.Errorf("service: nil snapshot for %q", id)
@@ -310,6 +310,19 @@ func (s *Service) Register(id string, snap *store.Snapshot) error {
 	return nil
 }
 
+// checkID enforces the graph-ID rule of Register and Publish: non-empty
+// and at most store.MaxString bytes, the bound every reader of the epoch
+// log and the replica wire applies.
+func checkID(id string) error {
+	if id == "" {
+		return fmt.Errorf("service: empty graph ID")
+	}
+	if len(id) > store.MaxString {
+		return fmt.Errorf("service: graph ID of %d bytes exceeds the %d limit", len(id), store.MaxString)
+	}
+	return nil
+}
+
 // Publish installs an externally produced epoch — the replication
 // follower's apply path (DESIGN.md §2.10): a replica tails the primary's
 // epoch log and publishes each record through the same copy-on-write
@@ -321,6 +334,9 @@ func (s *Service) Register(id string, snap *store.Snapshot) error {
 // mid-history still replays in order from its own first record).
 func (s *Service) Publish(id string, snap *store.Snapshot, seq uint64) error {
 	t0 := time.Now()
+	if err := checkID(id); err != nil {
+		return err
+	}
 	if snap == nil || snap.Graph == nil || snap.Graph.N() == 0 {
 		return fmt.Errorf("service: empty snapshot published for %q", id)
 	}
@@ -412,25 +428,20 @@ func (s *Service) Epoch(id string) (*Epoch, error) {
 	return e.cur.Load(), nil
 }
 
-// Advice answers one per-node query from the current epoch. This is the
-// hot path: one shard RLock for the map lookup, one atomic pointer load,
-// one slice index — no allocation beyond the reply.
+// Advice answers one per-node query from the current epoch: AdviceBits,
+// formatted for the HTTP reply.
 func (s *Service) Advice(id string, node int) (AdviceReply, error) {
-	e, err := s.lookup(id)
+	a, seq, err := s.AdviceBits(id, node)
 	if err != nil {
 		return AdviceReply{}, err
 	}
-	ep := e.cur.Load()
-	if node < 0 || node >= len(ep.Advice) {
-		return AdviceReply{}, fmt.Errorf("service: node %d out of range [0,%d) in graph %q", node, len(ep.Advice), id)
-	}
-	s.met.queries.Inc()
-	a := ep.Advice[node]
-	return AdviceReply{Node: node, Bits: a.String(), Len: a.Len(), Epoch: ep.Seq}, nil
+	return AdviceReply{Node: node, Bits: a.String(), Len: a.Len(), Epoch: seq}, nil
 }
 
-// AdviceBits is Advice without reply marshalling, for in-process callers
-// (the load generator): it returns the raw bit string and the epoch.
+// AdviceBits answers one per-node query from the current epoch with the
+// raw bit string and the epoch. This is the hot path of every reader —
+// in-process, HTTP and the replica wire: one shard RLock for the map
+// lookup, one atomic pointer load, one slice index, no allocation.
 func (s *Service) AdviceBits(id string, node int) (*bitstring.BitString, uint64, error) {
 	e, err := s.lookup(id)
 	if err != nil {
@@ -462,23 +473,6 @@ type TierReply struct {
 	Snapshot []byte `json:"snapshot"`
 }
 
-// Tier returns the tier of the requested level from the current epoch,
-// read-only, together with the epoch sequence. level ≤ 0 selects the
-// coarsest available tier. The read path is the same wait-free one as
-// Advice: shard RLock, one atomic epoch load, no copying.
-func (s *Service) Tier(id string, level int) (*store.Tier, uint64, error) {
-	e, err := s.lookup(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	ep := e.cur.Load()
-	tier, err := tierOf(ep, id, level)
-	if err != nil {
-		return nil, 0, err
-	}
-	return tier, ep.Seq, nil
-}
-
 // tierOf selects a tier within one frozen epoch, so callers pairing the
 // tier with other epoch state never straddle an update.
 func tierOf(ep *Epoch, id string, level int) (*store.Tier, error) {
@@ -496,10 +490,11 @@ func tierOf(ep *Epoch, id string, level int) (*store.Tier, error) {
 	return nil, fmt.Errorf("service: graph %q has no tier at level %d (available: %v): %w", id, level, tierLevels(ep.Tiers), ErrNotFound)
 }
 
-// TierSnapshot serves the requested tier as an encoded standalone flat
-// snapshot of the coarse instance — the bytes a budget-constrained
-// client stores instead of the full flat snapshot, paying the
-// hierarchical decoder's extra rounds at query time.
+// TierSnapshot serves the requested tier (level ≤ 0: the coarsest) as
+// an encoded standalone flat snapshot of the coarse instance — the bytes
+// a budget-constrained client stores instead of the full flat snapshot,
+// paying the hierarchical decoder's extra rounds at query time. HTTP and
+// the replica wire both serve tiers through it.
 func (s *Service) TierSnapshot(id string, level int) (TierReply, error) {
 	e, err := s.lookup(id)
 	if err != nil {

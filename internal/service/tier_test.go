@@ -49,18 +49,18 @@ func TestTierServing(t *testing.T) {
 		t.Fatalf("TierLevels = %v, want [1 2]", info.TierLevels)
 	}
 
-	tier, seq, err := svc.Tier("tg", 2)
+	tier, err := svc.TierSnapshot("tg", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier.Level != 2 || seq != 0 {
-		t.Fatalf("Tier(2) = level %d at epoch %d, want 2 at 0", tier.Level, seq)
+	if tier.Level != 2 || tier.Epoch != 0 {
+		t.Fatalf("TierSnapshot(2) = level %d at epoch %d, want 2 at 0", tier.Level, tier.Epoch)
 	}
-	if coarsest, _, err := svc.Tier("tg", 0); err != nil || coarsest.Level != 2 {
-		t.Fatalf("Tier(0) = level %d (%v), want the coarsest 2", coarsest.Level, err)
+	if coarsest, err := svc.TierSnapshot("tg", 0); err != nil || coarsest.Level != 2 {
+		t.Fatalf("TierSnapshot(0) = level %d (%v), want the coarsest 2", coarsest.Level, err)
 	}
-	if _, _, err := svc.Tier("tg", 42); err == nil {
-		t.Fatal("Tier(42) succeeded on a snapshot without that level")
+	if _, err := svc.TierSnapshot("tg", 42); !IsNotFound(err) {
+		t.Fatalf("TierSnapshot(42) on a snapshot without that level: %v, want not found", err)
 	}
 
 	reply, err := svc.TierSnapshot("tg", 1)
@@ -83,8 +83,8 @@ func TestTierServing(t *testing.T) {
 	if err := flat.Register("fg", makeSnapshot(t, 50, 120, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := flat.Tier("fg", 0); err == nil {
-		t.Fatal("Tier on a flat snapshot succeeded")
+	if _, err := flat.TierSnapshot("fg", 0); !IsNotFound(err) {
+		t.Fatalf("TierSnapshot on a flat snapshot: %v, want not found", err)
 	}
 }
 

@@ -37,6 +37,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(golden)
 	}
+	f.Add(paddedSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {

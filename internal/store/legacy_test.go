@@ -21,14 +21,14 @@ func encodeV1(t *testing.T, s *Snapshot) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &decoder{buf: v2, pos: len(magic)}
-	if _, err := d.uvarint("n"); err != nil {
+	d := &Cursor{buf: v2, pos: len(magic)}
+	if _, err := d.Uvarint("n"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.uvarint("m"); err != nil {
+	if _, err := d.Uvarint("m"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.uvarint("root"); err != nil {
+	if _, err := d.Uvarint("root"); err != nil {
 		t.Fatal(err)
 	}
 	headerEnd := d.pos // problem + payload sections start here

@@ -25,7 +25,8 @@
 //	advice    1 byte flag; if 1:
 //	            maxBits, then n per-node bit lengths,
 //	            then ⌈Σlen/8⌉ payload bytes, all strings bit-packed
-//	            back to back, LSB-first within each byte
+//	            back to back, LSB-first within each byte, the padding
+//	            bits after the last string clear (AppendBits)
 //	tiers     tier count (0..64); per tier (internal/hier builds them):
 //	            level, coarse n, coarse m, coarse root, then the coarse
 //	            graph's ids and edges sections, then coarse-m strictly
@@ -57,7 +58,10 @@
 // Decode never panics on malformed input: every length is bounds-checked
 // against the buffer and against sanity limits derived from the header,
 // and the CRC footer rejects truncation and bit rot up front (fuzzed in
-// fuzz_test.go).
+// fuzz_test.go). Every value has one encoding — varints must be minimal
+// and padding bits clear — so accepted input re-encodes to itself. The
+// decoder's Cursor, AppendBits and the record framing in log.go are
+// also the epoch log's and the replica wire's codec (DESIGN.md §2.10).
 //
 // See DESIGN.md §2.6 for the snapshot format rationale and the serving
 // layer built on it.
@@ -69,6 +73,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
@@ -202,8 +207,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(m))
 	buf = binary.AppendUvarint(buf, uint64(s.Root))
-	buf = binary.AppendUvarint(buf, uint64(len(prob)))
-	buf = append(buf, prob...)
+	buf = AppendString(buf, prob)
 	// Per-problem payload: today a single varint, the oracle parameter.
 	var payload [binary.MaxVarintLen64]byte
 	plen := binary.PutUvarint(payload[:], uint64(s.Cap))
@@ -255,19 +259,15 @@ func appendAdviceSection(buf []byte, advice []*bitstring.BitString) []byte {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	maxBits, total := 0, 0
+	maxBits := 0
 	for _, a := range advice {
-		bits := a.Len()
-		total += bits
-		if bits > maxBits {
-			maxBits = bits
-		}
+		maxBits = max(maxBits, a.Len())
 	}
 	buf = binary.AppendUvarint(buf, uint64(maxBits))
 	for _, a := range advice {
 		buf = binary.AppendUvarint(buf, uint64(a.Len()))
 	}
-	return appendPacked(buf, advice, total)
+	return AppendBits(buf, advice...)
 }
 
 // appendTiers writes the version-3 tier section: the tier count, then
@@ -318,14 +318,23 @@ func appendTiers(buf []byte, s *Snapshot) ([]byte, error) {
 	return buf, nil
 }
 
-// appendPacked streams all advice strings back to back into a bit-packed
-// byte payload, reading each string a word at a time.
-func appendPacked(buf []byte, advice []*bitstring.BitString, total int) []byte {
-	payload := make([]byte, (total+7)/8)
+// AppendBits packs the strings back to back onto buf, LSB-first within
+// each byte, in ⌈Σlen/8⌉ bytes with the padding bits clear — the layout
+// of the advice section, and of the wire's advice reply for one string.
+// Each string is read a word at a time.
+func AppendBits(buf []byte, strs ...*bitstring.BitString) []byte {
+	total := 0
+	for _, s := range strs {
+		total += s.Len()
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, (total+7)/8)[:start+(total+7)/8]
+	payload := buf[start:]
+	clear(payload)
 	pos := 0 // bit position in payload
-	for _, a := range advice {
-		bits := a.Len()
-		words := a.Words()
+	for _, s := range strs {
+		bits := s.Len()
+		words := s.Words()
 		for i := 0; i < bits; {
 			w := words[i/64]
 			take := 64 - i%64
@@ -352,23 +361,29 @@ func appendPacked(buf []byte, advice []*bitstring.BitString, total int) []byte {
 			i += take
 		}
 	}
-	return append(buf, payload...)
+	return buf
 }
 
-// decoder is a bounds-checked cursor over an encoded snapshot.
-type decoder struct {
+// Cursor is a bounds-checked reader over one encoded buffer: a snapshot,
+// a record length header, or a wire frame's payload. Every varint must
+// be minimal, so every value has exactly one encoding — the property
+// that lets the fuzz tests assert accepted inputs are re-encoding fixed
+// points. Errors name the field and its offset.
+type Cursor struct {
 	buf []byte
 	pos int
 }
 
-func (d *decoder) uvarint(what string) (uint64, error) {
+// NewCursor returns a cursor at the start of b.
+func NewCursor(b []byte) *Cursor { return &Cursor{buf: b} }
+
+// Uvarint reads one minimal unsigned varint.
+func (d *Cursor) Uvarint(what string) (uint64, error) {
 	v, k := binary.Uvarint(d.buf[d.pos:])
 	if k <= 0 {
 		return 0, fmt.Errorf("store: truncated or malformed %s at offset %d", what, d.pos)
 	}
-	// Reject padded (non-minimal) varints so every value has exactly one
-	// encoding — the property that lets the fuzz test assert accepted
-	// inputs are re-encoding fixed points.
+	// Reject padded (non-minimal) varints.
 	if k > 1 && d.buf[d.pos+k-1] == 0 {
 		return 0, fmt.Errorf("store: non-minimal varint %s at offset %d", what, d.pos)
 	}
@@ -376,16 +391,16 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) varint(what string) (int64, error) {
-	u, err := d.uvarint(what)
+func (d *Cursor) varint(what string) (int64, error) {
+	u, err := d.Uvarint(what)
 	if err != nil {
 		return 0, err
 	}
 	return int64(u>>1) ^ -int64(u&1), nil // zigzag, as binary.Varint
 }
 
-func (d *decoder) count(what string) (int, error) {
-	v, err := d.uvarint(what)
+func (d *Cursor) count(what string) (int, error) {
+	v, err := d.Uvarint(what)
 	if err != nil {
 		return 0, err
 	}
@@ -393,6 +408,67 @@ func (d *decoder) count(what string) (int, error) {
 		return 0, fmt.Errorf("store: %s %d exceeds the sanity limit", what, v)
 	}
 	return int(v), nil
+}
+
+// String reads a string of at most limit bytes: a varint length, then
+// that many bytes (the layout AppendString writes).
+func (d *Cursor) String(what string, limit int) (string, error) {
+	l, err := d.Uvarint(what + " length")
+	if err != nil {
+		return "", err
+	}
+	if l > uint64(limit) {
+		return "", fmt.Errorf("store: %s of %d bytes exceeds the %d limit", what, l, limit)
+	}
+	if int(l) > len(d.buf)-d.pos {
+		return "", fmt.Errorf("store: truncated %s at offset %d", what, d.pos)
+	}
+	str := string(d.buf[d.pos : d.pos+int(l)])
+	d.pos += int(l)
+	return str, nil
+}
+
+// AppendString writes s as a varint length and its bytes.
+func AppendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// Bits reads one n-bit string packed as AppendBits packs it.
+func (d *Cursor) Bits(n uint64, what string) (*bitstring.BitString, error) {
+	payload, err := d.packed(n, what)
+	if err != nil {
+		return nil, err
+	}
+	s := bitstring.New(int(n))
+	loadPacked(s, payload, 0, int(n))
+	return s, nil
+}
+
+// packed takes the ⌈total/8⌉-byte packed payload of total bits off the
+// cursor. The padding bits after the last string must be clear, which
+// is what AppendBits writes, so packed bits have one encoding too.
+func (d *Cursor) packed(total uint64, what string) ([]byte, error) {
+	if total > 8*uint64(len(d.buf)-d.pos) {
+		return nil, fmt.Errorf("store: %s truncated: have %d bytes, need %d", what, len(d.buf)-d.pos, (total+7)/8)
+	}
+	payload := d.buf[d.pos : d.pos+int((total+7)/8)]
+	if tail := total % 8; tail != 0 && payload[len(payload)-1]>>tail != 0 {
+		return nil, fmt.Errorf("store: %s has set padding bits after bit %d", what, total)
+	}
+	d.pos += len(payload)
+	return payload, nil
+}
+
+// Rest returns the unread bytes; they alias the buffer.
+func (d *Cursor) Rest() []byte { return d.buf[d.pos:] }
+
+// End reports an error unless every byte has been read.
+func (d *Cursor) End(what string) error {
+	if d.pos != len(d.buf) {
+		return fmt.Errorf("store: %d trailing bytes after the %s", len(d.buf)-d.pos, what)
+	}
+	return nil
 }
 
 // Decode parses an encoded snapshot. It validates the magic, the CRC
@@ -413,7 +489,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(foot); got != want {
 		return nil, fmt.Errorf("store: CRC mismatch: file says %08x, content hashes to %08x (truncated or corrupt)", want, got)
 	}
-	d := &decoder{buf: body, pos: len(magic)}
+	d := &Cursor{buf: body, pos: len(magic)}
 	n, err := d.count("node count")
 	if err != nil {
 		return nil, err
@@ -422,7 +498,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := d.uvarint("root")
+	root, err := d.Uvarint("root")
 	if err != nil {
 		return nil, err
 	}
@@ -464,15 +540,15 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("store: %d trailing bytes after the snapshot", len(d.buf)-d.pos)
+	if err := d.End("snapshot"); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
 
 // decodeGraphBody parses the id and edge sections shared by the main
 // graph and the tier coarse graphs.
-func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
+func (d *Cursor) decodeGraphBody(n, m int) (*graph.Graph, error) {
 	ids := make([]int64, n)
 	prevID := int64(0)
 	for u := range ids {
@@ -494,7 +570,7 @@ func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
 		if prevU < 0 || prevU >= int64(n) {
 			return nil, fmt.Errorf("store: edge %d endpoint %d out of range [0,%d)", ei, prevU, n)
 		}
-		v, err := d.uvarint("edge endpoint")
+		v, err := d.Uvarint("edge endpoint")
 		if err != nil {
 			return nil, err
 		}
@@ -509,7 +585,7 @@ func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := d.uvarint("edge weight")
+		w, err := d.Uvarint("edge weight")
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +603,7 @@ func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
 
 // adviceSection parses a flag byte plus, when set, an advice section of
 // n strings.
-func (d *decoder) adviceSection(n int) ([]*bitstring.BitString, error) {
+func (d *Cursor) adviceSection(n int) ([]*bitstring.BitString, error) {
 	if d.pos >= len(d.buf) {
 		return nil, fmt.Errorf("store: truncated before the advice flag")
 	}
@@ -545,7 +621,7 @@ func (d *decoder) adviceSection(n int) ([]*bitstring.BitString, error) {
 
 // decodeTiers parses the version-3 tier section against the main
 // graph's dimensions.
-func (d *decoder) decodeTiers(mainN, mainM int) ([]Tier, error) {
+func (d *Cursor) decodeTiers(mainN, mainM int) ([]Tier, error) {
 	count, err := d.count("tier count")
 	if err != nil {
 		return nil, err
@@ -579,7 +655,7 @@ func (d *decoder) decodeTiers(mainN, mainM int) ([]Tier, error) {
 		if cm > mainM {
 			return nil, fmt.Errorf("store: tier %d has %d coarse edges for %d original", ti, cm, mainM)
 		}
-		root, err := d.uvarint("tier root")
+		root, err := d.Uvarint("tier root")
 		if err != nil {
 			return nil, err
 		}
@@ -593,7 +669,7 @@ func (d *decoder) decodeTiers(mainN, mainM int) ([]Tier, error) {
 		origEdge := make([]graph.EdgeID, cm)
 		prev := int64(-1)
 		for ei := range origEdge {
-			delta, err := d.uvarint("tier original-edge delta")
+			delta, err := d.Uvarint("tier original-edge delta")
 			if err != nil {
 				return nil, err
 			}
@@ -621,28 +697,20 @@ func (d *decoder) decodeTiers(mainN, mainM int) ([]Tier, error) {
 }
 
 // problemName parses the version-2 problem-name section.
-func (d *decoder) problemName() (string, error) {
-	l, err := d.uvarint("problem name length")
-	if err != nil {
-		return "", err
+func (d *Cursor) problemName() (string, error) {
+	name, err := d.String("problem name", maxProblemName)
+	if err == nil && name == "" {
+		err = fmt.Errorf("store: empty problem name at offset %d", d.pos)
 	}
-	if l == 0 || l > maxProblemName {
-		return "", fmt.Errorf("store: problem name length %d outside [1,%d]", l, maxProblemName)
-	}
-	if d.pos+int(l) > len(d.buf) {
-		return "", fmt.Errorf("store: truncated problem name at offset %d", d.pos)
-	}
-	name := string(d.buf[d.pos : d.pos+int(l)])
-	d.pos += int(l)
-	return name, nil
+	return name, err
 }
 
 // problemPayload parses the version-2 per-problem payload section: one
 // varint, the oracle parameter. The declared length must match the
 // varint exactly — any slack would break the canonical-encoding
 // property the fuzz test pins (accepted inputs re-encode byte-identical).
-func (d *decoder) problemPayload() (int, error) {
-	plen, err := d.uvarint("problem payload length")
+func (d *Cursor) problemPayload() (int, error) {
+	plen, err := d.Uvarint("problem payload length")
 	if err != nil {
 		return 0, err
 	}
@@ -652,7 +720,7 @@ func (d *decoder) problemPayload() (int, error) {
 	if d.pos+int(plen) > len(d.buf) {
 		return 0, fmt.Errorf("store: truncated problem payload at offset %d", d.pos)
 	}
-	sub := &decoder{buf: d.buf[:d.pos+int(plen)], pos: d.pos}
+	sub := &Cursor{buf: d.buf[:d.pos+int(plen)], pos: d.pos}
 	capBits, err := sub.count("oracle parameter")
 	if err != nil {
 		return 0, err
@@ -671,7 +739,7 @@ func (d *decoder) problemPayload() (int, error) {
 // headers a hostile file could otherwise use — and the arena is sized
 // from the per-node lengths alone (NewRaggedArena), so the allocation
 // is bounded by a constant factor of the input that declared it.
-func (d *decoder) decodeAdvice(n int) ([]*bitstring.BitString, error) {
+func (d *Cursor) decodeAdvice(n int) ([]*bitstring.BitString, error) {
 	maxBits, err := d.count("max advice bits")
 	if err != nil {
 		return nil, err
@@ -695,28 +763,30 @@ func (d *decoder) decodeAdvice(n int) ([]*bitstring.BitString, error) {
 	if maxBits != actualMax {
 		return nil, fmt.Errorf("store: declared maximum advice size %d, actual maximum %d (non-canonical header)", maxBits, actualMax)
 	}
-	payload := d.buf[d.pos:]
-	if need := (total + 7) / 8; len(payload) < need {
-		return nil, fmt.Errorf("store: advice payload truncated: have %d bytes, need %d", len(payload), need)
-	} else {
-		payload = payload[:need]
-		d.pos += need
+	payload, err := d.packed(uint64(total), "advice payload")
+	if err != nil {
+		return nil, err
 	}
 	arena := bitstring.NewRaggedArena(lengths)
 	advice := make([]*bitstring.BitString, n)
 	pos := 0 // bit position in payload
-	var scratch [16]uint64
 	for u, bits := range lengths {
-		words := scratch[:0]
-		for got := 0; got < bits; got += 64 {
-			words = append(words, readWord(payload, pos+got, bits-got))
-		}
-		s := arena.At(u)
-		s.LoadWords(words, bits)
-		advice[u] = s
+		advice[u] = arena.At(u)
+		loadPacked(advice[u], payload, pos, bits)
 		pos += bits
 	}
 	return advice, nil
+}
+
+// loadPacked loads s with the bits-long string at bit pos of a packed
+// payload, a word at a time.
+func loadPacked(s *bitstring.BitString, payload []byte, pos, bits int) {
+	var scratch [16]uint64
+	words := scratch[:0]
+	for got := 0; got < bits; got += 64 {
+		words = append(words, readWord(payload, pos+got, bits-got))
+	}
+	s.LoadWords(words, bits)
 }
 
 // readWord extracts up to 64 bits (LSB-first) starting at bit position

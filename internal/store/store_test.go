@@ -311,3 +311,68 @@ func TestSaveCrashKeepsPreviousSnapshot(t *testing.T) {
 	}
 	assertSnapshotsEqual(t, "after recovery save", next, snap)
 }
+
+func TestPackBitsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 200, 1000} {
+		s := bitstring.New(n)
+		for i := 0; i < n; i++ {
+			s.AppendBit(rng.Intn(2) == 1)
+		}
+		packed := AppendBits(nil, s)
+		if want := (n + 7) / 8; len(packed) != want {
+			t.Fatalf("n=%d: packed %d bytes, want %d", n, len(packed), want)
+		}
+		// Packing into a reused buffer's dirty spare capacity writes the
+		// same bytes.
+		dirty := bytes.Repeat([]byte{0xFF}, len(packed)+1)
+		if again := AppendBits(dirty[:1], s); !bytes.Equal(again[1:], packed) {
+			t.Fatalf("n=%d: packing over dirty capacity wrote %x, want %x", n, again[1:], packed)
+		}
+		c := NewCursor(packed)
+		back, err := c.Bits(uint64(n), "bits")
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := c.End("bits"); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !back.Equal(s) {
+			t.Fatalf("n=%d: round trip %s != %s", n, back, s)
+		}
+	}
+	if _, err := NewCursor([]byte{0xFF}).Bits(3, "bits"); err == nil {
+		t.Fatal("set padding bits went undetected")
+	}
+	if _, err := NewCursor([]byte{0x01}).Bits(16, "bits"); err == nil {
+		t.Fatal("short buffer went undetected")
+	}
+}
+
+// paddedSnapshot returns a version-2 snapshot whose advice section has a
+// padding bit set, under a valid CRC: a triangle with three 3-bit
+// strings packs 9 bits into 2 bytes, the last one the body's last byte.
+func paddedSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	tri := graph.NewBuilder(3).AddEdge(0, 1, 5).AddEdge(1, 2, 3).AddEdge(0, 2, 4).MustBuild()
+	advice := make([]*bitstring.BitString, 3)
+	for i := range advice {
+		advice[i] = bitstring.FromBits([]bool{true, false, true})
+	}
+	blob, err := Encode(&Snapshot{Graph: tri, Advice: advice, Version: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := append([]byte(nil), blob[:len(blob)-4]...)
+	body[len(body)-1] |= 0x80
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// TestDecodeRejectsSetPaddingBits pins the advice section's canonical
+// form: Encode clears the padding bits, so a snapshot with one set would
+// decode to bytes it does not re-encode to.
+func TestDecodeRejectsSetPaddingBits(t *testing.T) {
+	if _, err := Decode(paddedSnapshot(t)); err == nil {
+		t.Fatal("snapshot with a set padding bit decoded")
+	}
+}
