@@ -49,8 +49,8 @@ func main() {
 			fmt.Printf("  %d   I am the root\n", u)
 			continue
 		}
-		fmt.Printf("  %d   parent via port %d -> node %d (weight %d)\n",
-			u, port, g.HalfAt(mstadvice.NodeID(u), port).To, g.HalfAt(mstadvice.NodeID(u), port).W)
+		h := g.HalfAt(mstadvice.NodeID(u), port)
+		fmt.Printf("  %d   parent via port %d -> node %d (weight %d)\n", u, port, h.To, g.Weight(h.Edge))
 	}
 	if res.Verified {
 		fmt.Println("\nverified: the outputs form exactly the rooted minimum spanning tree")

@@ -265,7 +265,7 @@ func VerifyOutput(g *graph.Graph, parentPorts []int) MSTOutput {
 	out := MSTOutput{Root: -1}
 	for u, p := range parentPorts {
 		if p >= 0 && p < g.Degree(graph.NodeID(u)) {
-			out.Weight += g.HalfAt(graph.NodeID(u), p).W
+			out.Weight += g.Weight(g.HalfAt(graph.NodeID(u), p).Edge)
 		}
 	}
 	for u, p := range parentPorts {

@@ -632,7 +632,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 			h := g.HalfAt(graph.NodeID(u), parentPort[u])
 			d.ParentEdge[u] = h.Edge
 			d.parentNode[u] = int32(h.To)
-			d.parentW[u] = h.W
+			d.parentW[u] = g.Weight(h.Edge)
 			d.parentPt[u] = int32(g.DstPort(graph.NodeID(u), parentPort[u]))
 		}
 	})

@@ -306,7 +306,7 @@ func TestAdvisorFastPathReencodes(t *testing.T) {
 				// Try to move h across the parent edge's weight while
 				// staying above its own tolerance.
 				var newW graph.Weight
-				if parentKey.W < h.W {
+				if parentKey.W < a.Graph().Weight(h.Edge) {
 					newW = parentKey.W // drop just to the parent's weight
 				} else {
 					newW = parentKey.W + 1 // raise just past it

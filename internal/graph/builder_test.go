@@ -111,15 +111,16 @@ func TestIndexAtMatchesReference(t *testing.T) {
 // indexAtReference is the original map-based implementation, kept as the
 // test oracle.
 func indexAtReference(g *Graph, u NodeID, port int) Index {
-	me := g.Halves(u)[port]
+	me := g.Weight(g.Halves(u)[port].Edge)
 	seen := map[Weight]bool{}
 	x, y := 1, 1
 	for p, h := range g.Halves(u) {
-		if h.W < me.W && !seen[h.W] {
-			seen[h.W] = true
+		w := g.Weight(h.Edge)
+		if w < me && !seen[w] {
+			seen[w] = true
 			x++
 		}
-		if h.W == me.W && p < port {
+		if w == me && p < port {
 			y++
 		}
 	}

@@ -100,8 +100,8 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 				if !atomic.CompareAndSwapInt32(&dstPort[hv], -1, e.PU) {
 					return ei, fmt.Errorf("graph: edge %d claims port %d of node %d, which an earlier edge holds", ei, e.PV, e.V)
 				}
-				halves[hu] = Half{To: e.V, Edge: EdgeID(ei), W: e.W}
-				halves[hv] = Half{To: e.U, Edge: EdgeID(ei), W: e.W}
+				halves[hu] = Half{To: e.V, Edge: EdgeID(ei)}
+				halves[hv] = Half{To: e.U, Edge: EdgeID(ei)}
 			}
 			return -1, nil
 		})

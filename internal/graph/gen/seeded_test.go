@@ -26,7 +26,7 @@ func fingerprint(g *graph.Graph) uint64 {
 		wr(uint64(g.ID(id)))
 		for p, hf := range g.Halves(id) {
 			wr(uint64(hf.To))
-			wr(uint64(hf.W))
+			wr(uint64(g.Weight(hf.Edge)))
 			wr(uint64(hf.Edge))
 			wr(uint64(g.DstPort(id, p)))
 		}

@@ -43,13 +43,13 @@ type Weight int64
 type EdgeID int32
 
 // Half describes one endpoint's view of an incident edge: the neighbour it
-// leads to, the identity of the underlying edge, and its weight. The port
-// number of the half-edge is its index in the adjacency slice. The field
-// order leaves no padding: 16 bytes.
+// leads to and the identity of the underlying edge, 8 bytes. The port
+// number of the half-edge is its index in the adjacency slice. A weight
+// belongs to the edge, not to either endpoint: read it with
+// Graph.Weight(h.Edge), so the edge record is the one place it lives.
 type Half struct {
 	To   NodeID
 	Edge EdgeID
-	W    Weight
 }
 
 // Edge is the full record of an undirected edge: 24 bytes.
@@ -257,10 +257,10 @@ func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 // what makes rank-based advice decodable in zero rounds.
 func (g *Graph) LocalRank(u NodeID, port int) int {
 	adj := g.adj(u)
-	me := adj[port]
+	me := g.Weight(adj[port].Edge)
 	rank := 0
 	for p, h := range adj {
-		if h.W < me.W || (h.W == me.W && p < port) {
+		if w := g.Weight(h.Edge); w < me || (w == me && p < port) {
 			rank++
 		}
 	}
@@ -283,9 +283,9 @@ func (g *Graph) PortsByLocalOrder(u NodeID) []int {
 		ports[i] = i
 	}
 	slices.SortFunc(ports, func(a, b int) int {
-		ha, hb := adj[a], adj[b]
-		if ha.W != hb.W {
-			if ha.W < hb.W {
+		wa, wb := g.Weight(adj[a].Edge), g.Weight(adj[b].Edge)
+		if wa != wb {
+			if wa < wb {
 				return -1
 			}
 			return 1
@@ -340,24 +340,24 @@ type Index struct {
 }
 
 // IndexAt computes indexu(e) for the half-edge of u at the given port.
-// X counts the distinct weights below me.W by collecting them into a
-// stack buffer, sorting, and counting adjacent changes — O(deg log deg)
-// with zero heap allocations up to degree 128 (beyond that the buffer
-// spills to the heap but the complexity bound holds); Y counts lower
-// ports of the same weight directly.
+// X counts the distinct weights below the edge's own by collecting them
+// into a stack buffer, sorting, and counting adjacent changes —
+// O(deg log deg) with zero heap allocations up to degree 128 (beyond that
+// the buffer spills to the heap but the complexity bound holds); Y counts
+// lower ports of the same weight directly.
 func (g *Graph) IndexAt(u NodeID, port int) Index {
 	adj := g.adj(u)
-	me := adj[port]
+	me := g.Weight(adj[port].Edge)
 	y := 1
 	var stack [128]Weight
 	smaller := stack[:0]
 	for p, h := range adj {
-		if h.W == me.W {
+		if w := g.Weight(h.Edge); w == me {
 			if p < port {
 				y++
 			}
-		} else if h.W < me.W {
-			smaller = append(smaller, h.W)
+		} else if w < me {
+			smaller = append(smaller, w)
 		}
 	}
 	slices.Sort(smaller)
@@ -513,9 +513,9 @@ func (g *Graph) validate(workers int) error {
 			}
 		}
 	}
-	// Self-loops, then port-table, adjacency and weight reciprocity, in
-	// parallel over edge ranges; par.FirstFailure reports the lowest
-	// failing edge, the same error a sequential scan would return.
+	// Self-loops, then port-table and adjacency reciprocity, in parallel
+	// over edge ranges; par.FirstFailure reports the lowest failing edge,
+	// the same error a sequential scan would return.
 	err := par.FirstFailure(size(len(g.edges)), len(g.edges), func(_, lo, hi int) (int, error) {
 		for ei := lo; ei < hi; ei++ {
 			e := g.edges[ei]
@@ -528,8 +528,6 @@ func (g *Graph) validate(workers int) error {
 				return ei, fmt.Errorf("graph: port table inconsistent for edge %d", ei)
 			case hu.To != e.V || hv.To != e.U:
 				return ei, fmt.Errorf("graph: adjacency inconsistent for edge %d", ei)
-			case hu.W != e.W || hv.W != e.W:
-				return ei, fmt.Errorf("graph: weight inconsistent for edge %d", ei)
 			}
 		}
 		return -1, nil

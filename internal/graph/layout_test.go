@@ -10,10 +10,10 @@ import (
 )
 
 // TestRecordSizes pins the padding-free record layout DESIGN.md §2.1
-// budgets: a half-edge is 16 bytes and an edge record 24.
+// budgets: a half-edge is 8 bytes and an edge record 24.
 func TestRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Half{}); got != 16 {
-		t.Errorf("sizeof(Half) = %d, want 16", got)
+	if got := unsafe.Sizeof(Half{}); got != 8 {
+		t.Errorf("sizeof(Half) = %d, want 8", got)
 	}
 	if got := unsafe.Sizeof(Edge{}); got != 24 {
 		t.Errorf("sizeof(Edge) = %d, want 24", got)

@@ -13,10 +13,10 @@ import (
 //
 // Semantics:
 //
-//   - a weight update rewrites the edge record and both half-edges in
-//     O(1); ports, edge IDs and the CSR layout are untouched, so the
-//     result is byte-identical to rebuilding the graph from its original
-//     edge list with the new weights;
+//   - a weight update rewrites the edge record, the one place a weight
+//     lives, in O(1); ports, edge IDs and the CSR layout are untouched,
+//     so the result is byte-identical to rebuilding the graph from its
+//     original edge list with the new weights;
 //   - a deletion swap-removes: within each endpoint's adjacency the last
 //     port moves into the freed port, and in the edge array the last
 //     edge ID moves into the freed ID. At most two edges change a port
@@ -81,12 +81,9 @@ func (g *Graph) ApplyBatch(b Batch) error {
 		// Descending order keeps every remaining target ID valid: a
 		// swap-remove only moves the current last edge, whose ID exceeds
 		// all still-pending (distinct, smaller) targets.
-		targets := append([]EdgeID(nil), b.Deletions...)
-		for i := 1; i < len(targets); i++ {
-			for j := i; j > 0 && targets[j] > targets[j-1]; j-- {
-				targets[j], targets[j-1] = targets[j-1], targets[j]
-			}
-		}
+		targets := slices.Clone(b.Deletions)
+		slices.Sort(targets)
+		slices.Reverse(targets)
 		for _, e := range targets {
 			g.deleteEdge(e)
 		}
@@ -136,13 +133,8 @@ func (g *Graph) connectedWithout(del map[EdgeID]bool) error {
 	return nil
 }
 
-// setWeight rewrites the weight on the edge record and both half-edges.
-func (g *Graph) setWeight(e EdgeID, w Weight) {
-	rec := &g.edges[e]
-	rec.W = w
-	g.halves[g.off[rec.U]+rec.PU].W = w
-	g.halves[g.off[rec.V]+rec.PV].W = w
-}
+// setWeight rewrites the weight on the edge record.
+func (g *Graph) setWeight(e EdgeID, w Weight) { g.edges[e].W = w }
 
 // deleteEdge removes edge e by swap-remove at both endpoints and in the
 // edge array. The CSR offsets are left untouched (each node's segment

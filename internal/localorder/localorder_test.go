@@ -25,7 +25,7 @@ func viewOf(g *graph.Graph, u graph.NodeID) (portW []graph.Weight, selfID int64,
 	nbrPort = make([]int, deg)
 	for p := 0; p < deg; p++ {
 		h := g.HalfAt(u, p)
-		portW[p] = h.W
+		portW[p] = g.Weight(h.Edge)
 		nbrID[p] = g.ID(h.To)
 		nbrPort[p] = g.PortAt(h.Edge, h.To)
 	}

@@ -199,7 +199,7 @@ func buildRotated(n, i, t int) (*graph.Graph, int, graph.NodeID, error) {
 	// prefix; find the actual port of the edge to u_(i-1).
 	port := -1
 	for p := 0; p < g.Degree(target); p++ {
-		if g.HalfAt(target, p).To == u(i-1) && g.HalfAt(target, p).W == wI {
+		if h := g.HalfAt(target, p); h.To == u(i-1) && g.Weight(h.Edge) == wI {
 			port = p
 			break
 		}
@@ -216,7 +216,7 @@ func buildRotated(n, i, t int) (*graph.Graph, int, graph.NodeID, error) {
 func TargetView(g *graph.Graph, target graph.NodeID) []graph.Weight {
 	w := make([]graph.Weight, g.Degree(target))
 	for p := range w {
-		w[p] = g.HalfAt(target, p).W
+		w[p] = g.Weight(g.HalfAt(target, p).Edge)
 	}
 	return w
 }
@@ -270,7 +270,7 @@ func (fam *Family) slotPort(g *graph.Graph, s int) int {
 	wI := rangeIWeight(g, fam.Target)
 	idx := 0
 	for p := 0; p < g.Degree(fam.Target); p++ {
-		if g.HalfAt(fam.Target, p).W == wI {
+		if g.Weight(g.HalfAt(fam.Target, p).Edge) == wI {
 			if idx == s {
 				return p
 			}
@@ -284,10 +284,11 @@ func (fam *Family) slotPort(g *graph.Graph, s int) int {
 // At u_i the single range-(i+1) edge (towards u_(i+1)) is strictly
 // lighter, so a_i is the second-smallest distinct weight at the target.
 func rangeIWeight(g *graph.Graph, target graph.NodeID) graph.Weight {
-	ports := localorder.PortsByLocal(TargetView(g, target))
-	lowest := g.HalfAt(target, ports[0]).W
+	view := TargetView(g, target)
+	ports := localorder.PortsByLocal(view)
+	lowest := view[ports[0]]
 	for _, p := range ports[1:] {
-		if w := g.HalfAt(target, p).W; w != lowest {
+		if w := view[p]; w != lowest {
 			return w
 		}
 	}

@@ -280,7 +280,7 @@ func (nw *Network) newBase(advice []*bitstring.BitString, opt Options) (base, er
 		hs := g.Halves(uid)
 		pw := b.portW[off : off+len(hs) : off+len(hs)]
 		for p, h := range hs {
-			pw[p] = h.W
+			pw[p] = g.Weight(h.Edge)
 		}
 		var adv *bitstring.BitString
 		if advice != nil && advice[u] != nil {
