@@ -47,7 +47,7 @@ var facadeFor = map[string]any{
 	"hier.Scheme.NewNode":       mstadvice.HierScheme,
 	"gen.BuildSeeded":           mstadvice.GenSeeded,
 	"graph.FromEdgeList":        mstadvice.GenSeeded,           // the seeded build path constructs through it
-	"par.Steal":                 mstadvice.DecomposeOpt,        // the phase kernel's min-edge scans run on it
+	"par.Ranges":                mstadvice.DecomposeOpt,        // the phase kernel's min-edge scans run on it
 	"boruvka.NewStream":         mstadvice.MSTProblem().Encode, // the fused encoder streams through it
 }
 

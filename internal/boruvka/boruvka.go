@@ -514,21 +514,15 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 			active[f] = limit == 0 || fsize[f] < limit
 		}
 
-		// Minimum outgoing edge per active fragment: workers claim
-		// fixed-size chunks of the live list from work-stealing deques
-		// (par.Steal), so a chunk whose edges compare slowly cannot strand
-		// the rest of a fixed range on one worker. Each worker folds its
-		// chunks into a per-worker minimum array; which worker saw which
-		// chunk varies by schedule, but the per-fragment minimum under the
-		// strict global order is an order-independent semigroup, so the
-		// barrier merge is byte-identical for any worker count and any
-		// steal schedule. Worker count scales with the live list (≥4096
-		// edges per worker) so fork-join overhead and per-worker buffer
-		// resets never dominate a shrinking phase.
-		scanWorkers := 1 + len(live)/4096
-		if scanWorkers > workers {
-			scanWorkers = workers
-		}
+		// Minimum outgoing edge per active fragment: each worker folds
+		// one contiguous range of the live list into its own minimum
+		// array, and the barrier merges them. The per-fragment minimum
+		// under the strict global order is an order-independent
+		// semigroup, so the merge is byte-identical for any worker count.
+		// par.WorkersFor scales the pool with the live list, so fork-join
+		// overhead and per-worker buffer resets never dominate a
+		// shrinking phase.
+		scanWorkers := par.WorkersFor(workers, len(live))
 		for w := 0; w < scanWorkers; w++ {
 			if bests[w] == nil {
 				bests[w] = make([]int32, n)
@@ -538,7 +532,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 				best[f] = -1
 			}
 		}
-		par.Steal(scanWorkers, len(live), par.DefaultChunk, func(w, lo, hi int) {
+		par.Ranges(scanWorkers, len(live), func(w, lo, hi int) {
 			best := bests[w]
 			for idx := lo; idx < hi; idx++ {
 				le := live[idx]
@@ -674,21 +668,11 @@ func sortTreeEdges(treeEdges []graph.EdgeID, workers int) {
 // per-chunk survivor counts (indexed by chunk position, never by the
 // executing worker) prefix-sum into chunk write offsets, and each chunk
 // then scatters its survivors in order — output identical to the
-// sequential scan for any worker count.
+// sequential scan for any worker count. At one worker (or one chunk)
+// par.Ranges runs both passes inline.
 func compactLive(live, buf []liveEdge, oldToNew []int32, workers int) (out, spare []liveEdge) {
 	const chunk = 8192
 	nLive := len(live)
-	if nLive <= chunk || workers <= 1 {
-		k := 0
-		for _, le := range live {
-			nu, nv := oldToNew[le.u], oldToNew[le.v]
-			if nu != nv {
-				buf[k] = liveEdge{le.e, nu, nv}
-				k++
-			}
-		}
-		return buf[:k], live[:cap(live)]
-	}
 	nChunks := (nLive + chunk - 1) / chunk
 	counts := make([]int32, nChunks+1)
 	par.Ranges(workers, nChunks, func(_, clo, chi int) {
@@ -835,10 +819,7 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 	// cross-fragment tree edges, built with atomic counters — slot order
 	// varies by schedule, but BFS depths are hop distances, so the level
 	// parities are schedule-independent.
-	edgeWorkers := 1 + len(d.treeU)/4096
-	if edgeWorkers > workers {
-		edgeWorkers = workers
-	}
+	edgeWorkers := par.WorkersFor(workers, len(d.treeU))
 	fdeg := make([]int32, numFrags+1)
 	par.Ranges(edgeWorkers, len(d.treeU), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -36,7 +36,7 @@ func project(d *Decomposition) observable {
 // with and without phase truncation and the contraction tower — and the
 // whole wall holds again under GOMAXPROCS=1, which forces every
 // goroutine onto one OS thread and so exercises completely different
-// steal schedules. Worker counts above GOMAXPROCS are included
+// interleavings. Worker counts above GOMAXPROCS are included
 // deliberately — the contract is about the partition into ranges and
 // the merge semigroup, not the physical core count.
 func TestDecomposeParallelDeterminism(t *testing.T) {

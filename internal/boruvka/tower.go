@@ -86,12 +86,3 @@ func (t *Tower) FragOf(l int) []int32 {
 	}
 	return cur
 }
-
-// Translate is the cross-level port translation: it resolves a tower
-// edge back to the original endpoints and ports that realize it, i.e.
-// the (node, port) pairs a level-aware decoder must use to traverse the
-// contracted edge in the real network.
-func (t *Tower) Translate(e TowerEdge) (u graph.NodeID, pu int, v graph.NodeID, pv int) {
-	rec := t.G.Edge(e.E)
-	return rec.U, int(rec.PU), rec.V, int(rec.PV)
-}

@@ -70,20 +70,15 @@ func TestTowerConsistency(t *testing.T) {
 			}
 		}
 		// Every tower edge must be a real cross-fragment edge whose
-		// relabelled endpoints match the node partition, and the
-		// translation must recover its original endpoints.
+		// relabelled endpoints match the node partition.
 		for _, te := range lev.Edges {
-			u, pu, v, pv := tw.Translate(te)
-			if fragOf[u] != te.U || fragOf[v] != te.V {
+			rec := tw.G.Edge(te.E)
+			if fragOf[rec.U] != te.U || fragOf[rec.V] != te.V {
 				t.Fatalf("level %d edge %d: endpoints (%d,%d), partition says (%d,%d)",
-					l, te.E, te.U, te.V, fragOf[u], fragOf[v])
+					l, te.E, te.U, te.V, fragOf[rec.U], fragOf[rec.V])
 			}
 			if te.U == te.V {
 				t.Fatalf("level %d edge %d: intra-fragment edge survived", l, te.E)
-			}
-			rec := tw.G.Edge(te.E)
-			if rec.U != u || int(rec.PU) != pu || rec.V != v || int(rec.PV) != pv {
-				t.Fatalf("level %d edge %d: Translate mismatch", l, te.E)
 			}
 		}
 		// The surviving edge set is exactly the cross-fragment subset.

@@ -51,7 +51,7 @@ func equalDetail(t *testing.T, label string, ref, d *AdviceDetail) {
 // the fused encoder's advice is byte-identical to the sequential
 // oracle's, and the wall holds again under GOMAXPROCS=1, which forces
 // every goroutine onto one OS thread and so exercises completely
-// different steal schedules.
+// different interleavings.
 func TestAdviceParallelDeterminism(t *testing.T) {
 	check := func(t *testing.T) {
 		for gi, fam := range gen.Names() {

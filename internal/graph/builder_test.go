@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -74,91 +73,5 @@ func TestBuildDuplicateVariants(t *testing.T) {
 	_, err := b.Build()
 	if want := fmt.Sprintf("graph: duplicate edge 0-%d", leaves/2); err == nil || err.Error() != want {
 		t.Errorf("hub duplicate: got %v, want %q", err, want)
-	}
-}
-
-// TestIndexAtMatchesReference checks the allocation-free IndexAt against
-// a straightforward map-based reference on random multigraph-free
-// inputs with heavy weight ties.
-func TestIndexAtMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 8 + rng.Intn(8)
-		b := NewBuilder(n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(3) != 0 {
-					b.AddEdge(NodeID(u), NodeID(v), Weight(1+rng.Intn(4)))
-				}
-			}
-		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < g.N(); u++ {
-			for p := range g.Halves(NodeID(u)) {
-				got := g.IndexAt(NodeID(u), p)
-				want := indexAtReference(g, NodeID(u), p)
-				if got != want {
-					t.Fatalf("IndexAt(%d,%d) = %+v, want %+v", u, p, got, want)
-				}
-			}
-		}
-	}
-}
-
-// indexAtReference is the original map-based implementation, kept as the
-// test oracle.
-func indexAtReference(g *Graph, u NodeID, port int) Index {
-	me := g.Weight(g.Halves(u)[port].Edge)
-	seen := map[Weight]bool{}
-	x, y := 1, 1
-	for p, h := range g.Halves(u) {
-		w := g.Weight(h.Edge)
-		if w < me && !seen[w] {
-			seen[w] = true
-			x++
-		}
-		if w == me && p < port {
-			y++
-		}
-	}
-	return Index{x, y}
-}
-
-// TestIndexAtZeroAllocs pins the satellite requirement: IndexAt must not
-// allocate.
-func TestIndexAtZeroAllocs(t *testing.T) {
-	g := NewBuilder(5).
-		AddEdge(0, 1, 2).AddEdge(0, 2, 1).AddEdge(0, 3, 2).AddEdge(0, 4, 7).
-		MustBuild()
-	allocs := testing.AllocsPerRun(100, func() {
-		for p := 0; p < 4; p++ {
-			g.IndexAt(0, p)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("IndexAt allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-// BenchmarkIndexAt is the satellite micro-benchmark; run with -benchmem
-// to see the zero allocation count.
-func BenchmarkIndexAt(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	n := 256
-	bld := NewBuilder(n)
-	for u := 1; u < n; u++ {
-		bld.AddEdge(NodeID(rng.Intn(u)), NodeID(u), Weight(1+rng.Intn(8)))
-	}
-	g := bld.MustBuild()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := NodeID(i % n)
-		for p := range g.Halves(u) {
-			g.IndexAt(u, p)
-		}
 	}
 }

@@ -31,25 +31,13 @@ import (
 // records here; the seeded parallel generators compute every port up
 // front and hand theirs directly (see DESIGN.md §2.12).
 func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error) {
-	if err := checkSize(n, len(edges)); err != nil {
+	if err := CheckSize(n, len(edges)); err != nil {
 		return nil, err
 	}
 	if ids != nil && len(ids) != n {
 		return nil, fmt.Errorf("graph: FromEdgeList got %d ids for %d nodes", len(ids), n)
 	}
-	// Honor an explicit worker request as-is (capped only by the
-	// per-item floor), even above GOMAXPROCS: that lets tests drive the
-	// parallel path on 1–2-core hosts, where clamping to the host's core
-	// count would leave only the sequential path under test.
-	explicit := workers > 0
-	workers = par.Workers(workers)
-	limit := buildWorkers(len(edges))
-	if explicit {
-		limit = 1 + len(edges)/4096
-	}
-	if workers > limit {
-		workers = limit
-	}
+	workers = par.WorkersFor(workers, len(edges))
 	deg := make([]int32, n)
 	err := par.FirstFailure(workers, len(edges), func(_, lo, hi int) (int, error) {
 		for ei := lo; ei < hi; ei++ {

@@ -398,6 +398,22 @@ func TestGeneratorPanics(t *testing.T) {
 			}
 		}
 	}
+	// Sizes graph.CheckSize rejects must fail before anything is
+	// allocated: each of these would otherwise ask for gigabytes at once
+	// and kill the process, which no recover catches.
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{
+		{"complete", 70000},   // n(n−1)/2 edges exceed the half-edge bound
+		{"lollipop", 140000},  // its 70 000-node clique does too
+		{"random", 400000000}, // 3n edges do
+		{"path", 3000000000},  // n exceeds the int32 bound
+	} {
+		if _, err := BuildSeeded(tc.name, tc.n, 7, SeededOptions{}); err == nil {
+			t.Fatalf("%s n=%d: expected a size error", tc.name, tc.n)
+		}
+	}
 	for name, min := range map[string]int{"path": 1, "ring": 3, "star": 2, "caterpillar": 2, "wheel": 4, "lollipop": 4, "expander": 3} {
 		if g := build(t, name, 1, 7, SeededOptions{}); g.N() != min {
 			t.Fatalf("%s n=1 built %d nodes, want the minimum %d", name, g.N(), min)

@@ -165,7 +165,10 @@ type edgeList struct {
 
 // seededFamily builds the edge list of the named family. Families with
 // a structural minimum size clamp n up to it, and grid rounds n down to
-// a square of side at least 2.
+// a square of side at least 2. n must not exceed the int32 bound, which
+// keeps every edge count exact in int arithmetic. The randomised
+// families check their size before they allocate; the others allocate
+// nothing here.
 func seededFamily(name string, n int, seed uint64, workers int) (edgeList, error) {
 	switch name {
 	case "path":
@@ -248,13 +251,29 @@ func seededFamily(name string, n int, seed uint64, workers int) (edgeList, error
 		}}, nil
 	case "random":
 		n = atLeast(n, 1)
+		if err := checkSize(name, n, 3*n); err != nil {
+			return edgeList{}, err
+		}
 		return randomConnectedEdges(n, 3*n, seed, workers)
 	case "expander":
 		n = atLeast(n, 3)
+		// The k·n cycle edges bound the deduplicated count, and the
+		// dedup pass materialises all of them.
+		if err := checkSize(name, n, 3*n); err != nil {
+			return edgeList{}, err
+		}
 		return expanderEdges(n, 3, seed, workers)
 	default:
 		return edgeList{}, fmt.Errorf("gen: unknown family %q (have %v)", name, Names())
 	}
+}
+
+// checkSize is graph.CheckSize on a family's node and edge counts.
+func checkSize(name string, n, m int) error {
+	if err := graph.CheckSize(n, m); err != nil {
+		return fmt.Errorf("gen: family %q: %w", name, err)
+	}
+	return nil
 }
 
 // completeEdges enumerates K_n's pairs in row order: all pairs (0, v),
@@ -479,14 +498,21 @@ func expanderEdges(n, k int, seed uint64, workers int) (edgeList, error) {
 // seeded pipeline. The same (name, n, seed, Weights, KeepPorts, KeepIDs)
 // always produce the same graph, bit for bit, regardless of Workers or
 // GOMAXPROCS; the bytes are pinned by goldens in seeded_test.go. An
-// unknown family or n < 1 is an error.
+// unknown family, n < 1, or a node or edge count graph.CheckSize
+// rejects is an error returned before anything is allocated.
 func BuildSeeded(name string, n int, seed uint64, opt SeededOptions) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: family %q: need at least 1 node, got %d", name, n)
 	}
+	if err := checkSize(name, n, 0); err != nil {
+		return nil, err
+	}
 	workers := par.Workers(opt.Workers)
 	list, err := seededFamily(name, n, seed, workers)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkSize(name, list.n, list.count); err != nil {
 		return nil, err
 	}
 	n = list.n

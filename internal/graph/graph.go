@@ -77,9 +77,10 @@ type Graph struct {
 	ids     []int64 // distinct protocol-level identifiers, indexed by NodeID
 }
 
-// checkSize rejects node and edge counts the int32 identifiers and CSR
-// offsets cannot address. Constructors call it before allocating.
-func checkSize(n, m int) error {
+// CheckSize rejects node and edge counts the int32 identifiers and CSR
+// offsets cannot address. Constructors and the seeded generator call it
+// before allocating.
+func CheckSize(n, m int) error {
 	switch {
 	case n < 0:
 		return fmt.Errorf("graph: negative node count %d", n)
@@ -96,17 +97,6 @@ func (g *Graph) adj(u NodeID) []Half {
 	lo := g.off[u]
 	hi := lo + g.deg[u]
 	return g.halves[lo:hi:hi]
-}
-
-// buildWorkers sizes the pool for construction-time loops: one worker
-// per ~4096 items, capped at GOMAXPROCS, so the thousands of small
-// graphs the experiment sweeps build never pay fork-join overhead.
-func buildWorkers(items int) int {
-	w := 1 + items/4096
-	if full := par.Workers(0); w > full {
-		w = full
-	}
-	return w
 }
 
 // N returns the number of nodes.
@@ -331,45 +321,6 @@ func (g *Graph) PortsByGlobalOrder(u NodeID) []int {
 	return ports
 }
 
-// Index is the paper's indexu(e) = (xu(e), yu(e)): X is the 1-based rank of
-// the weight of e among the weights of u's incident edges (equal weights
-// share a rank), and Y is the 1-based rank of the port of e among u's
-// incident edges of the same weight.
-type Index struct {
-	X, Y int
-}
-
-// IndexAt computes indexu(e) for the half-edge of u at the given port.
-// X counts the distinct weights below the edge's own by collecting them
-// into a stack buffer, sorting, and counting adjacent changes —
-// O(deg log deg) with zero heap allocations up to degree 128 (beyond that
-// the buffer spills to the heap but the complexity bound holds); Y counts
-// lower ports of the same weight directly.
-func (g *Graph) IndexAt(u NodeID, port int) Index {
-	adj := g.adj(u)
-	me := g.Weight(adj[port].Edge)
-	y := 1
-	var stack [128]Weight
-	smaller := stack[:0]
-	for p, h := range adj {
-		if w := g.Weight(h.Edge); w == me {
-			if p < port {
-				y++
-			}
-		} else if w < me {
-			smaller = append(smaller, w)
-		}
-	}
-	slices.Sort(smaller)
-	x := 1
-	for i, w := range smaller {
-		if i == 0 || w != smaller[i-1] {
-			x++
-		}
-	}
-	return Index{x, y}
-}
-
 // BFS returns, for every node, its hop distance from src (-1 if
 // unreachable) and the port of the edge towards its BFS parent (-1 for src
 // and unreachable nodes). Neighbours are explored in port order.
@@ -447,25 +398,15 @@ func (g *Graph) Validate() error {
 	return g.validate(0)
 }
 
-// validate is Validate with an explicit worker request: workers > 0
-// sizes every parallel pass at that count (capped only by the per-item
-// floor, not by GOMAXPROCS), so tests drive the parallel passes even on
-// 1–2-core hosts; workers <= 0 uses the adaptive default.
+// validate is Validate with an explicit worker request, sized per pass
+// by par.WorkersFor: an explicit count is honoured even above
+// GOMAXPROCS, so tests drive the parallel passes on 1–2-core hosts.
 func (g *Graph) validate(workers int) error {
-	size := func(items int) int {
-		if workers <= 0 {
-			return buildWorkers(items)
-		}
-		if w := 1 + items/4096; workers > w {
-			return w
-		}
-		return workers
-	}
 	// ID distinctness: sort (id, node) pairs and compare neighbours.
 	// IDs that fit int32 (every generator's do) take the fast path —
 	// packed (biased id, node) words through the parallel radix sort;
 	// wider IDs fall back to a comparison sort of explicit pairs.
-	idWorkers := size(len(g.ids))
+	idWorkers := par.WorkersFor(workers, len(g.ids))
 	idFits := true
 	for _, id := range g.ids {
 		if id < -1<<31 || id > 1<<31-1 {
@@ -516,7 +457,7 @@ func (g *Graph) validate(workers int) error {
 	// Self-loops, then port-table and adjacency reciprocity, in parallel
 	// over edge ranges; par.FirstFailure reports the lowest failing edge,
 	// the same error a sequential scan would return.
-	err := par.FirstFailure(size(len(g.edges)), len(g.edges), func(_, lo, hi int) (int, error) {
+	err := par.FirstFailure(par.WorkersFor(workers, len(g.edges)), len(g.edges), func(_, lo, hi int) (int, error) {
 		for ei := lo; ei < hi; ei++ {
 			e := g.edges[ei]
 			if e.U == e.V {
@@ -546,7 +487,7 @@ func (g *Graph) validate(workers int) error {
 	// node's incident edges, a duplicate edge is a neighbour listed twice.
 	// Each node's neighbours are sorted in a per-worker buffer and
 	// compared in order; the lowest offending node is reported.
-	return par.FirstFailure(size(g.N()), g.N(), func(_, lo, hi int) (int, error) {
+	return par.FirstFailure(par.WorkersFor(workers, g.N()), g.N(), func(_, lo, hi int) (int, error) {
 		var buf []NodeID
 		for u := NodeID(lo); u < NodeID(hi); u++ {
 			buf = buf[:0]
@@ -584,7 +525,7 @@ type Builder struct {
 // identifiers ID(u) = u+1. A node count outside [0, math.MaxInt32] is
 // reported by Build, and nothing is allocated for it.
 func NewBuilder(n int) *Builder {
-	if err := checkSize(n, 0); err != nil {
+	if err := CheckSize(n, 0); err != nil {
 		return &Builder{err: err}
 	}
 	b := &Builder{
@@ -613,7 +554,7 @@ func (b *Builder) Grow(m int) *Builder {
 		b.fail(fmt.Errorf("graph: Grow got negative edge count %d", m))
 		return b
 	}
-	if err := checkSize(len(b.ports), m); err != nil {
+	if err := CheckSize(len(b.ports), m); err != nil {
 		b.fail(err)
 		return b
 	}
@@ -653,7 +594,7 @@ func (b *Builder) AddEdge(u, v NodeID, w Weight) *Builder {
 		b.fail(fmt.Errorf("graph: self-loop at %d", u))
 		return b
 	}
-	if err := checkSize(len(b.ports), len(b.edges)+1); err != nil {
+	if err := CheckSize(len(b.ports), len(b.edges)+1); err != nil {
 		b.fail(err)
 		return b
 	}

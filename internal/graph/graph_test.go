@@ -152,25 +152,6 @@ func TestGlobalRankConsistency(t *testing.T) {
 	}
 }
 
-func TestIndexAt(t *testing.T) {
-	// Node 0: weights 7 (port0), 3 (port1), 7 (port2), 3 (port3), 5 (port4).
-	g := NewBuilder(6).
-		AddEdge(0, 1, 7).AddEdge(0, 2, 3).AddEdge(0, 3, 7).AddEdge(0, 4, 3).AddEdge(0, 5, 5).
-		MustBuild()
-	cases := map[int]Index{
-		1: {1, 1}, // weight 3, first port of its class
-		3: {1, 2}, // weight 3, second port of its class
-		4: {2, 1}, // weight 5
-		0: {3, 1}, // weight 7, first
-		2: {3, 2}, // weight 7, second
-	}
-	for port, want := range cases {
-		if got := g.IndexAt(0, port); got != want {
-			t.Errorf("IndexAt(0,%d) = %+v, want %+v", port, got, want)
-		}
-	}
-}
-
 func TestBFSAndDiameter(t *testing.T) {
 	// Path 0-1-2-3.
 	g := NewBuilder(4).AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 3, 1).MustBuild()
@@ -281,24 +262,6 @@ func TestQuickGlobalOrderRespectsWeight(t *testing.T) {
 		for i := 1; i < len(ids); i++ {
 			if g.Weight(ids[i-1]) > g.Weight(ids[i]) {
 				t.Fatalf("global order violates weight order at %d", i)
-			}
-		}
-	}
-}
-
-// Property: IndexAt is injective over a node's ports.
-func TestQuickIndexInjective(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(t, rng, 10, 20)
-		for u := NodeID(0); int(u) < g.N(); u++ {
-			seen := map[Index]bool{}
-			for p := 0; p < g.Degree(u); p++ {
-				idx := g.IndexAt(u, p)
-				if seen[idx] {
-					t.Fatalf("IndexAt not injective at node %d", u)
-				}
-				seen[idx] = true
 			}
 		}
 	}

@@ -45,8 +45,8 @@ func TestSizeBound(t *testing.T) {
 			_, err := NewBuilder(2).Grow(1 << 30).Build()
 			return err
 		},
-		"m = 2^30 (2m = 2^31)": func() error { return checkSize(2, 1<<30) },
-		"m = 2^31":             func() error { return checkSize(2, huge) },
+		"m = 2^30 (2m = 2^31)": func() error { return CheckSize(2, 1<<30) },
+		"m = 2^31":             func() error { return CheckSize(2, huge) },
 	}
 	for name, run := range cases {
 		var before, after runtime.MemStats
@@ -60,7 +60,7 @@ func TestSizeBound(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes before failing", name, grew)
 		}
 	}
-	if err := checkSize(math.MaxInt32, math.MaxInt32/2); err != nil {
+	if err := CheckSize(math.MaxInt32, math.MaxInt32/2); err != nil {
 		t.Errorf("largest addressable graph rejected: %v", err)
 	}
 }

@@ -1,18 +1,26 @@
 // Package par is the tiny deterministic fork-join helper shared by the
 // oracle-side pipeline (graph finalize, the Borůvka phase kernel, advice
-// encoding) and both simulation engines of internal/sim. Work is split
-// into contiguous index ranges, one per worker; every call site keeps
-// its writes disjoint per range (or merges per-worker accumulators at
-// the barrier), so results are byte-identical for any worker count.
+// encoding) and both simulation engines of internal/sim. There is one
+// schedule: static contiguous index ranges, one per worker, sized by
+// WorkersFor. Every call site keeps its writes disjoint per range (or
+// merges per-worker accumulators at the barrier with an
+// order-independent merge), so results are byte-identical for any
+// worker count.
 //
-// See DESIGN.md §2.5 for the oracle pipeline's parallel sections and
-// their byte-identical-for-any-worker-count contract.
+// See DESIGN.md §2.5 and §2.12 for the oracle pipeline's parallel
+// sections and their byte-identical-for-any-worker-count contract.
 package par
 
 import (
 	"runtime"
 	"sync"
 )
+
+// grain is the number of items that earns a loop one more worker:
+// small enough that a 10⁶-edge pass splits across every core, large
+// enough that fork-join overhead and per-worker buffer resets never
+// dominate a small one.
+const grain = 4096
 
 // Workers resolves a requested worker count: 0 (or negative) means
 // GOMAXPROCS, anything else is returned as is (a count above GOMAXPROCS
@@ -22,6 +30,15 @@ func Workers(requested int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return requested
+}
+
+// WorkersFor sizes one loop over items: Workers(requested), capped at
+// one worker per grain items, so the thousands of small graphs the
+// sweeps build never pay fork-join overhead. An explicit request above
+// GOMAXPROCS is honoured, which lets tests drive the parallel paths on
+// 1–2-core hosts.
+func WorkersFor(requested, items int) int {
+	return min(Workers(requested), 1+items/grain)
 }
 
 // Ranges runs fn over [0, n) split into at most `workers` contiguous

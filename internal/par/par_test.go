@@ -17,6 +17,25 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// TestWorkersFor pins the one loop-sizing rule: Workers(requested)
+// capped at one worker per grain items.
+func TestWorkersFor(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name             string
+		requested, items int
+		want             int
+	}{
+		{"0 resolves to GOMAXPROCS", 0, procs * grain, procs},
+		{"explicit request above GOMAXPROCS is honoured", procs + 3, (procs + 3) * grain, procs + 3},
+		{"floor of one worker per grain items", 64, 3*grain - 1, 3},
+	} {
+		if got := WorkersFor(tc.requested, tc.items); got != tc.want {
+			t.Errorf("%s: WorkersFor(%d, %d) = %d, want %d", tc.name, tc.requested, tc.items, got, tc.want)
+		}
+	}
+}
+
 // TestRangesCoverage checks that every index is visited exactly once for
 // a spread of worker counts and sizes, including workers > n.
 func TestRangesCoverage(t *testing.T) {

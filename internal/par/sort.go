@@ -17,11 +17,8 @@ import "slices"
 // assignment; the fused oracle pass uses it to build fragment CSRs.
 func SortU64(workers int, keys []uint64) {
 	n := len(keys)
-	workers = Workers(workers)
-	if max := 1 + n/DefaultChunk; workers > max {
-		workers = max
-	}
-	if workers <= 1 || n < 2*DefaultChunk {
+	workers = WorkersFor(workers, n)
+	if workers <= 1 || n < 2*grain {
 		slices.Sort(keys)
 		return
 	}

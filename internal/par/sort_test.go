@@ -57,7 +57,7 @@ func TestSortU64(t *testing.T) {
 		},
 	}
 	for name, gen := range shapes {
-		for _, n := range []int{0, 1, 2, 100, 2*DefaultChunk - 1, 2 * DefaultChunk, 3*DefaultChunk + 17} {
+		for _, n := range []int{0, 1, 2, 100, 2*grain - 1, 2 * grain, 3*grain + 17} {
 			base := gen(n)
 			want := slices.Clone(base)
 			slices.Sort(want)
@@ -78,7 +78,7 @@ func TestSortU64(t *testing.T) {
 // buggy scatter that drops or duplicates elements under some splits).
 func TestSortU64WorkerIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	base := make([]uint64, 5*DefaultChunk+13)
+	base := make([]uint64, 5*grain+13)
 	for i := range base {
 		base[i] = rng.Uint64() & 0xffff_ffff_ff00 // live middle bytes → passes skipped both ends
 	}

@@ -293,6 +293,7 @@ func TestHTTPErrorCodes(t *testing.T) {
 		{"register unknown problem", "POST", "/v1/graphs", `{"id":"x","family":"random","n":8,"problem":"nope"}`, 400},
 		{"register unknown weights", "POST", "/v1/graphs", `{"id":"x","family":"random","n":8,"weights":"nope"}`, 400},
 		{"register root out of range", "POST", "/v1/graphs", `{"id":"x","family":"random","n":8,"root":9999}`, 400},
+		{"register graph over the size bound", "POST", "/v1/graphs", `{"id":"x","family":"complete","n":70000}`, 400},
 		{"register duplicate", "POST", "/v1/graphs", `{"id":"g","family":"random","n":8}`, 409},
 		{"register ID quoting the conflict phrase", "POST", "/v1/graphs", `{"id":"already registered","family":"random","n":8,"problem":"nope"}`, 400},
 		{"register ID over the bound", "POST", "/v1/graphs", `{"id":"` + strings.Repeat("x", store.MaxString+1) + `","family":"random","n":8}`, 400},
