@@ -86,7 +86,7 @@ func TestDecodeAllocatesOnce(t *testing.T) {
 	n, m := snap.Graph.N(), snap.Graph.M()
 	retained := n*int(unsafe.Sizeof(int64(0))) + // ids
 		m*int(unsafe.Sizeof(graph.Edge{})) +
-		2*m*int(unsafe.Sizeof(graph.Half{})+unsafe.Sizeof(int32(0))) + // halves, cross ports
+		2*m*int(unsafe.Sizeof(graph.EdgeID(0))) + // the edge at each port
 		(2*n+1)*int(unsafe.Sizeof(int32(0))) + // offsets, degrees
 		n*int(unsafe.Sizeof(&bitstring.BitString{})+unsafe.Sizeof(bitstring.BitString{}))
 	for _, a := range snap.Advice {
@@ -98,4 +98,29 @@ func TestDecodeAllocatesOnce(t *testing.T) {
 	if ratio >= 1.25 {
 		t.Fatalf("decode allocated %.3f× the decoded graph and advice, want < 1.25×", ratio)
 	}
+}
+
+// TestFromEdgeListRetainsLayout pins what a graph keeps beyond the
+// records and identifiers it takes over: the edge ID at each port (8m
+// bytes) plus the offsets and degrees (8n + 4), within 64 KiB.
+func TestFromEdgeListRetainsLayout(t *testing.T) {
+	g := seeded(t, "random", 100_000, 1, gen.WeightsDistinct)
+	n, m := g.N(), g.M()
+	ids, edges := slices.Clone(g.IDs()), slices.Clone(g.Edges())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	back, err := graph.FromEdgeList(n, ids, edges, 0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	want := int64(8*m + 8*n + 4)
+	t.Logf("FromEdgeList retained %d bytes beyond its input at n = %d, m = %d (layout: %d)", grew, n, m, want)
+	if d := grew - want; d < -64<<10 || d > 64<<10 {
+		t.Fatalf("FromEdgeList retained %d bytes, want 8m + 8n + 4 = %d within 64 KiB", grew, want)
+	}
+	runtime.KeepAlive(back)
 }

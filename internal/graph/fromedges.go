@@ -24,9 +24,9 @@ import (
 // larger request is an error returned before anything is allocated.
 //
 // Construction is parallel over edges and nodes: degree counting uses
-// commutative atomic adds, the CSR payload and cross-port table are
-// scattered to slots determined by the records alone, so the resulting
-// graph is byte-identical for any worker count. The incremental Builder
+// commutative atomic adds and every edge ID is scattered to the two
+// slots its recorded ports name, so the resulting graph is
+// byte-identical for any worker count. The incremental Builder
 // assigns ports as edges arrive, a sequential pass, and then hands its
 // records here; the seeded parallel generators compute every port up
 // front and hand theirs directly (see DESIGN.md §2.12).
@@ -63,16 +63,14 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 		total += deg[u]
 	}
 	off[n] = total
-	halves := make([]Half, total)
-	dstPort := make([]int32, total)
-	// Each edge claims its two slots by swapping its cross ports into
-	// dstPort, which starts at -1; only the claimant writes the half, so
-	// a port two edges name (possible in records read from a file) is an
-	// error, never a racing write.
+	adj := make([]EdgeID, total)
+	// Each edge claims its two slots by swapping its ID into adj, which
+	// starts at -1, so a port two edges name (possible in records read
+	// from a file) is an error, never a racing write.
 	scatter := func(workers int) error {
-		par.Ranges(workers, len(dstPort), func(_, lo, hi int) {
+		par.Ranges(workers, len(adj), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				dstPort[i] = -1
+				adj[i] = -1
 			}
 		})
 		return par.FirstFailure(workers, len(edges), func(_, lo, hi int) (int, error) {
@@ -81,15 +79,12 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 				if e.PU < 0 || e.PU >= deg[e.U] || e.PV < 0 || e.PV >= deg[e.V] {
 					return ei, fmt.Errorf("graph: edge %d port out of range: %d@%d / %d@%d", ei, e.PU, e.U, e.PV, e.V)
 				}
-				hu, hv := off[e.U]+e.PU, off[e.V]+e.PV
-				if !atomic.CompareAndSwapInt32(&dstPort[hu], -1, e.PV) {
+				if !atomic.CompareAndSwapInt32((*int32)(&adj[off[e.U]+e.PU]), -1, int32(ei)) {
 					return ei, fmt.Errorf("graph: edge %d claims port %d of node %d, which an earlier edge holds", ei, e.PU, e.U)
 				}
-				if !atomic.CompareAndSwapInt32(&dstPort[hv], -1, e.PU) {
+				if !atomic.CompareAndSwapInt32((*int32)(&adj[off[e.V]+e.PV]), -1, int32(ei)) {
 					return ei, fmt.Errorf("graph: edge %d claims port %d of node %d, which an earlier edge holds", ei, e.PV, e.V)
 				}
-				halves[hu] = Half{To: e.V, Edge: EdgeID(ei)}
-				halves[hv] = Half{To: e.U, Edge: EdgeID(ei)}
 			}
 			return -1, nil
 		})
@@ -111,14 +106,7 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 			}
 		})
 	}
-	g := &Graph{
-		halves:  halves,
-		off:     off,
-		deg:     deg,
-		dstPort: dstPort,
-		edges:   edges,
-		ids:     ids,
-	}
+	g := &Graph{adj: adj, off: off, deg: deg, edges: edges, ids: ids}
 	if err := g.validate(workers); err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // fingerprint reduces every observable byte of a graph — IDs, CSR
-// adjacency with ports and cross-ports, and the full edge records — to
+// adjacency with far endpoints and far ports, and the full edge records — to
 // one FNV-1a word, so "bit-identical" comparisons and golden pins are a
 // single integer check.
 func fingerprint(g *graph.Graph) uint64 {
@@ -24,7 +24,8 @@ func fingerprint(g *graph.Graph) uint64 {
 	for u := 0; u < g.N(); u++ {
 		id := graph.NodeID(u)
 		wr(uint64(g.ID(id)))
-		for p, hf := range g.Halves(id) {
+		for p := range g.Ports(id) {
+			hf := g.HalfAt(id, p)
 			wr(uint64(hf.To))
 			wr(uint64(g.Weight(hf.Edge)))
 			wr(uint64(hf.Edge))

@@ -15,8 +15,9 @@
 //     MST computation for tie-breaking, which guarantees a unique MST and
 //     keeps Borůvka fragment selections acyclic even with equal weights.
 //
-// See DESIGN.md §2.1 for the CSR layout, the cross-port table and the
-// in-place update door used by the dynamic subsystem.
+// See DESIGN.md §2.1 for the CSR layout, the edge record that holds
+// every endpoint, port and weight, and the in-place update door used by
+// the dynamic subsystem.
 package graph
 
 import (
@@ -43,16 +44,17 @@ type Weight int64
 type EdgeID int32
 
 // Half describes one endpoint's view of an incident edge: the neighbour it
-// leads to and the identity of the underlying edge, 8 bytes. The port
-// number of the half-edge is its index in the adjacency slice. A weight
-// belongs to the edge, not to either endpoint: read it with
-// Graph.Weight(h.Edge), so the edge record is the one place it lives.
+// leads to and the identity of the underlying edge. It is not stored: a
+// graph keeps only the edge ID at each port, and HalfAt reads the far
+// endpoint from the edge record. A weight belongs to the edge, not to
+// either endpoint: read it with Graph.Weight(h.Edge).
 type Half struct {
 	To   NodeID
 	Edge EdgeID
 }
 
-// Edge is the full record of an undirected edge: 24 bytes.
+// Edge is the full record of an undirected edge: 24 bytes. It is the one
+// place an endpoint, a port or a weight is stored.
 type Edge struct {
 	U, V   NodeID // endpoints, in insertion order
 	PU, PV int32  // port of the edge at U and at V
@@ -63,18 +65,16 @@ type Edge struct {
 // one with a Builder or FromEdgeList. The zero value is an empty graph.
 //
 // Internally the adjacency is stored in CSR (compressed sparse row) form:
-// all 2m half-edges live in one contiguous slice grouped by node, with
-// per-node offsets and degrees, and every per-node adjacency slice is a
-// view into it. The cross-port table dstPort records, for each half-edge
-// (u, p), the port of the same edge at the far endpoint, so simulators can
-// route a message in O(1) without an edge-record lookup.
+// the edge ID at each of the 2m ports lives in one contiguous slice
+// grouped by node, with per-node offsets and degrees, and every per-node
+// adjacency slice is a view into it. The far endpoint and the far port of
+// a half-edge are read from its edge record.
 type Graph struct {
-	halves  []Half  // CSR payload: half-edges of node u at off[u]..off[u]+deg[u]
-	off     []int32 // CSR offsets, len n+1; fixed once built
-	deg     []int32 // degrees; a deletion shrinks deg[u] below off[u+1]-off[u]
-	dstPort []int32 // port at the far endpoint of each half-edge
-	edges   []Edge
-	ids     []int64 // distinct protocol-level identifiers, indexed by NodeID
+	adj   []EdgeID // CSR payload: the edge at port p of node u is adj[off[u]+p], p < deg[u]
+	off   []int32  // CSR offsets, len n+1; fixed once built
+	deg   []int32  // degrees; a deletion shrinks deg[u] below off[u+1]-off[u]
+	edges []Edge
+	ids   []int64 // distinct protocol-level identifiers, indexed by NodeID
 }
 
 // CheckSize rejects node and edge counts the int32 identifiers and CSR
@@ -90,13 +90,6 @@ func CheckSize(n, m int) error {
 		return fmt.Errorf("graph: %d edges (%d half-edges) exceed the int32 bound %d", m, 2*m, math.MaxInt32)
 	}
 	return nil
-}
-
-// adj is u's adjacency as a capacity-capped view into the CSR payload.
-func (g *Graph) adj(u NodeID) []Half {
-	lo := g.off[u]
-	hi := lo + g.deg[u]
-	return g.halves[lo:hi:hi]
 }
 
 // N returns the number of nodes.
@@ -127,9 +120,14 @@ func (g *Graph) ID(u NodeID) int64 { return g.ids[u] }
 // NodeID. The returned slice must not be modified.
 func (g *Graph) IDs() []int64 { return g.ids }
 
-// Halves returns u's half-edges in port order as a view into the graph's
-// contiguous CSR storage. The returned slice must not be modified.
-func (g *Graph) Halves(u NodeID) []Half { return g.adj(u) }
+// Ports returns the edge at each of u's ports, in port order, as a
+// capacity-capped view into the graph's contiguous CSR storage. The
+// returned slice must not be modified.
+func (g *Graph) Ports(u NodeID) []EdgeID {
+	lo := g.off[u]
+	hi := lo + g.deg[u]
+	return g.adj[lo:hi:hi]
+}
 
 // HalfOffset returns the index of u's first half-edge in the CSR storage:
 // the half-edge at (u, port) has global half-edge index HalfOffset(u)+port.
@@ -137,19 +135,35 @@ func (g *Graph) Halves(u NodeID) []Half { return g.adj(u) }
 // for per-port flat buffers (slot i of node u lives at HalfOffset(u)+i).
 func (g *Graph) HalfOffset(u NodeID) int { return int(g.off[u]) }
 
-// NumHalves returns the total number of half-edges, 2·M().
-func (g *Graph) NumHalves() int { return len(g.halves) }
+// NumHalves returns the length of the CSR storage: 2·M() half-edges,
+// plus one slot per port that a deletion has freed.
+func (g *Graph) NumHalves() int { return len(g.adj) }
 
 // DstPort returns the port at the far endpoint of the half-edge at
 // (u, port): if that half-edge leads to v over edge e, DstPort(u, port) ==
-// PortAt(e, v), precomputed so routing does one array read instead of an
-// edge-record branch.
+// PortAt(e, v). It reads the edge record.
 func (g *Graph) DstPort(u NodeID, port int) int {
-	return int(g.dstPort[int(g.off[u])+port])
+	_, p := g.far(g.Ports(u)[port], u)
+	return int(p)
 }
 
-// HalfAt returns u's half-edge at the given port.
-func (g *Graph) HalfAt(u NodeID, port int) Half { return g.adj(u)[port] }
+// HalfAt returns u's half-edge at the given port, reading the far
+// endpoint from the edge record.
+func (g *Graph) HalfAt(u NodeID, port int) Half {
+	e := g.Ports(u)[port]
+	v, _ := g.far(e, u)
+	return Half{To: v, Edge: e}
+}
+
+// far returns the endpoint of edge e other than u and e's port there,
+// read from the edge record; u must be an endpoint of e.
+func (g *Graph) far(e EdgeID, u NodeID) (NodeID, int32) {
+	rec := &g.edges[e]
+	if rec.U == u {
+		return rec.V, rec.PV
+	}
+	return rec.U, rec.PU
+}
 
 // Edge returns the full record of edge e.
 func (g *Graph) Edge(e EdgeID) Edge { return g.edges[e] }
@@ -246,11 +260,11 @@ func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 // The mapping rank <-> port is a bijection computable by u alone, which is
 // what makes rank-based advice decodable in zero rounds.
 func (g *Graph) LocalRank(u NodeID, port int) int {
-	adj := g.adj(u)
-	me := g.Weight(adj[port].Edge)
+	adj := g.Ports(u)
+	me := g.Weight(adj[port])
 	rank := 0
-	for p, h := range adj {
-		if w := g.Weight(h.Edge); w < me || (w == me && p < port) {
+	for p, e := range adj {
+		if w := g.Weight(e); w < me || (w == me && p < port) {
 			rank++
 		}
 	}
@@ -267,13 +281,13 @@ func (g *Graph) PortOfLocalRank(u NodeID, rank int) int {
 // PortsByLocalOrder returns u's ports sorted by the local order
 // (weight, then port number).
 func (g *Graph) PortsByLocalOrder(u NodeID) []int {
-	adj := g.adj(u)
+	adj := g.Ports(u)
 	ports := make([]int, len(adj))
 	for i := range ports {
 		ports[i] = i
 	}
 	slices.SortFunc(ports, func(a, b int) int {
-		wa, wb := g.Weight(adj[a].Edge), g.Weight(adj[b].Edge)
+		wa, wb := g.Weight(adj[a]), g.Weight(adj[b])
 		if wa != wb {
 			if wa < wb {
 				return -1
@@ -289,11 +303,11 @@ func (g *Graph) PortsByLocalOrder(u NodeID) []int {
 // port among u's incident edges sorted by the global order. A node can
 // compute this after learning its neighbours' identifiers (one round).
 func (g *Graph) GlobalRankAt(u NodeID, port int) int {
-	adj := g.adj(u)
-	me := g.Key(adj[port].Edge)
+	adj := g.Ports(u)
+	me := g.Key(adj[port])
 	rank := 0
-	for p, h := range adj {
-		if p != port && g.Key(h.Edge).Less(me) {
+	for p, e := range adj {
+		if p != port && g.Key(e).Less(me) {
 			rank++
 		}
 	}
@@ -302,13 +316,13 @@ func (g *Graph) GlobalRankAt(u NodeID, port int) int {
 
 // PortsByGlobalOrder returns u's ports sorted by the global order.
 func (g *Graph) PortsByGlobalOrder(u NodeID) []int {
-	adj := g.adj(u)
+	adj := g.Ports(u)
 	ports := make([]int, len(adj))
 	for i := range ports {
 		ports[i] = i
 	}
 	slices.SortFunc(ports, func(a, b int) int {
-		ka, kb := g.Key(adj[a].Edge), g.Key(adj[b].Edge)
+		ka, kb := g.Key(adj[a]), g.Key(adj[b])
 		switch {
 		case ka.Less(kb):
 			return -1
@@ -335,11 +349,11 @@ func (g *Graph) BFS(src NodeID) (dist []int, parentPort []int) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for p, h := range g.adj(u) {
-			if dist[h.To] == -1 {
-				dist[h.To] = dist[u] + 1
-				parentPort[h.To] = g.DstPort(u, p)
-				queue = append(queue, h.To)
+		for _, e := range g.Ports(u) {
+			if v, pv := g.far(e, u); dist[v] == -1 {
+				dist[v] = dist[u] + 1
+				parentPort[v] = int(pv)
+				queue = append(queue, v)
 			}
 		}
 	}
@@ -454,21 +468,18 @@ func (g *Graph) validate(workers int) error {
 			}
 		}
 	}
-	// Self-loops, then port-table and adjacency reciprocity, in parallel
-	// over edge ranges; par.FirstFailure reports the lowest failing edge,
-	// the same error a sequential scan would return.
+	// Self-loops, then port reciprocity — the edge at each of its two
+	// recorded ports is the edge itself — in parallel over edge ranges;
+	// par.FirstFailure reports the lowest failing edge, the same error a
+	// sequential scan would return.
 	err := par.FirstFailure(par.WorkersFor(workers, len(g.edges)), len(g.edges), func(_, lo, hi int) (int, error) {
 		for ei := lo; ei < hi; ei++ {
 			e := g.edges[ei]
 			if e.U == e.V {
 				return ei, fmt.Errorf("graph: edge %d is a self-loop at %d", ei, e.U)
 			}
-			hu, hv := g.adj(e.U)[e.PU], g.adj(e.V)[e.PV]
-			switch {
-			case hu.Edge != EdgeID(ei) || hv.Edge != EdgeID(ei):
+			if g.Ports(e.U)[e.PU] != EdgeID(ei) || g.Ports(e.V)[e.PV] != EdgeID(ei) {
 				return ei, fmt.Errorf("graph: port table inconsistent for edge %d", ei)
-			case hu.To != e.V || hv.To != e.U:
-				return ei, fmt.Errorf("graph: adjacency inconsistent for edge %d", ei)
 			}
 		}
 		return -1, nil
@@ -485,14 +496,16 @@ func (g *Graph) validate(workers int) error {
 	}
 	// Simplicity: with the adjacency now known to list exactly each
 	// node's incident edges, a duplicate edge is a neighbour listed twice.
-	// Each node's neighbours are sorted in a per-worker buffer and
-	// compared in order; the lowest offending node is reported.
+	// Each node's neighbours, read from the edge records, are sorted in a
+	// per-worker buffer and compared in order; the lowest offending node
+	// is reported.
 	return par.FirstFailure(par.WorkersFor(workers, g.N()), g.N(), func(_, lo, hi int) (int, error) {
 		var buf []NodeID
 		for u := NodeID(lo); u < NodeID(hi); u++ {
 			buf = buf[:0]
-			for _, h := range g.adj(u) {
-				buf = append(buf, h.To)
+			for _, e := range g.Ports(u) {
+				v, _ := g.far(e, u)
+				buf = append(buf, v)
 			}
 			slices.Sort(buf)
 			for i := 1; i < len(buf); i++ {

@@ -41,7 +41,7 @@ func TestBuilderBasic(t *testing.T) {
 	if g.HalfAt(0, 0).To != 1 || g.HalfAt(0, 1).To != 2 {
 		t.Fatal("port order at node 0 wrong")
 	}
-	e := g.Halves(1)[0].Edge
+	e := g.Ports(1)[0]
 	if g.Other(e, 1) != 0 || g.Other(e, 0) != 1 {
 		t.Fatal("Other inconsistent")
 	}
@@ -304,9 +304,9 @@ func TestQuickCeilLog2Bound(t *testing.T) {
 	}
 }
 
-// TestCSRRepresentation checks the flat adjacency invariants: Halves
-// matches Adj, offsets are monotone degree prefix sums, and the cross-port
-// table inverts port reciprocity.
+// TestCSRRepresentation checks the flat adjacency invariants: Ports
+// matches HalfAt, offsets are monotone degree prefix sums, and DstPort
+// inverts port reciprocity.
 func TestCSRRepresentation(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
@@ -319,13 +319,14 @@ func TestCSRRepresentation(t *testing.T) {
 			if g.HalfOffset(NodeID(u)) != off {
 				t.Fatalf("HalfOffset(%d) = %d, want %d", u, g.HalfOffset(NodeID(u)), off)
 			}
-			hs := g.Halves(NodeID(u))
-			if len(hs) != g.Degree(NodeID(u)) {
-				t.Fatalf("Halves(%d) has %d entries, degree %d", u, len(hs), g.Degree(NodeID(u)))
+			ports := g.Ports(NodeID(u))
+			if len(ports) != g.Degree(NodeID(u)) {
+				t.Fatalf("Ports(%d) has %d entries, degree %d", u, len(ports), g.Degree(NodeID(u)))
 			}
-			for p, h := range hs {
-				if h != g.HalfAt(NodeID(u), p) {
-					t.Fatalf("Halves(%d)[%d] != HalfAt", u, p)
+			for p, e := range ports {
+				h := g.HalfAt(NodeID(u), p)
+				if h.Edge != e || h.To != g.Other(e, NodeID(u)) {
+					t.Fatalf("Ports(%d)[%d] = %d, HalfAt = %+v", u, p, e, h)
 				}
 				dp := g.DstPort(NodeID(u), p)
 				if want := g.PortAt(h.Edge, h.To); dp != want {
@@ -336,7 +337,7 @@ func TestCSRRepresentation(t *testing.T) {
 					t.Fatalf("DstPort reciprocity broken at (%d, %d): %d", u, p, back)
 				}
 			}
-			off += len(hs)
+			off += len(ports)
 		}
 	}
 }

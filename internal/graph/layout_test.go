@@ -9,11 +9,13 @@ import (
 	"unsafe"
 )
 
-// TestRecordSizes pins the padding-free record layout DESIGN.md §2.1
-// budgets: a half-edge is 8 bytes and an edge record 24.
+// TestRecordSizes pins the padding-free layout DESIGN.md §2.1 budgets:
+// the adjacency stores a 4-byte edge ID per port, and an edge record is
+// 24 bytes.
 func TestRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Half{}); got != 8 {
-		t.Errorf("sizeof(Half) = %d, want 8", got)
+	var g Graph
+	if got := unsafe.Sizeof(g.adj[0]); got != 4 {
+		t.Errorf("sizeof(adjacency entry) = %d, want 4", got)
 	}
 	if got := unsafe.Sizeof(Edge{}); got != 24 {
 		t.Errorf("sizeof(Edge) = %d, want 24", got)
@@ -93,10 +95,9 @@ func TestCloneSharesNoStorage(t *testing.T) {
 			t.Errorf("clone shares %s", name)
 		}
 	}
-	apart("halves", unsafe.Pointer(&g.halves[0]), unsafe.Pointer(&c.halves[0]))
+	apart("adj", unsafe.Pointer(&g.adj[0]), unsafe.Pointer(&c.adj[0]))
 	apart("off", unsafe.Pointer(&g.off[0]), unsafe.Pointer(&c.off[0]))
 	apart("deg", unsafe.Pointer(&g.deg[0]), unsafe.Pointer(&c.deg[0]))
-	apart("dstPort", unsafe.Pointer(&g.dstPort[0]), unsafe.Pointer(&c.dstPort[0]))
 	apart("edges", unsafe.Pointer(&g.edges[0]), unsafe.Pointer(&c.edges[0]))
 	apart("ids", unsafe.Pointer(&g.ids[0]), unsafe.Pointer(&c.ids[0]))
 }

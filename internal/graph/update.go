@@ -7,9 +7,8 @@ import (
 
 // Dynamic updates. A built Graph is immutable to its algorithms, but the
 // dynamic-network subsystem (internal/dynamic) mutates it through the
-// batched API below, which patches the CSR adjacency, the cross-port
-// table and the edge records in place instead of rebuilding the graph
-// from scratch.
+// batched API below, which patches the CSR adjacency and the edge
+// records in place instead of rebuilding the graph from scratch.
 //
 // Semantics:
 //
@@ -119,11 +118,11 @@ func (g *Graph) connectedWithout(del map[EdgeID]bool) error {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, h := range g.adj(u) {
-			if !visited[h.To] && !del[h.Edge] {
-				visited[h.To] = true
+		for _, e := range g.Ports(u) {
+			if v, _ := g.far(e, u); !visited[v] && !del[e] {
+				visited[v] = true
 				seen++
-				stack = append(stack, h.To)
+				stack = append(stack, v)
 			}
 		}
 	}
@@ -148,34 +147,28 @@ func (g *Graph) deleteEdge(e EdgeID) {
 	if e != last {
 		moved := g.edges[last]
 		g.edges[e] = moved
-		g.halves[g.off[moved.U]+moved.PU].Edge = e
-		g.halves[g.off[moved.V]+moved.PV].Edge = e
+		g.adj[g.off[moved.U]+moved.PU] = e
+		g.adj[g.off[moved.V]+moved.PV] = e
 	}
 	g.edges = g.edges[:last]
 }
 
-// removeHalf swap-removes the half-edge at (u, port): the half at the
-// last port moves into port, its far endpoint's cross-port entry and its
-// edge record are repointed, and u's degree shrinks by one.
+// removeHalf swap-removes the half-edge at (u, port): the edge at the
+// last port moves into port, its record's port at u is patched, the
+// freed slot is marked -1, and u's degree shrinks by one.
 func (g *Graph) removeHalf(u NodeID, port int32) {
 	base := g.off[u]
 	last := g.deg[u] - 1
 	if port != last {
-		moved := g.halves[base+last]
-		g.halves[base+port] = moved
-		g.dstPort[base+port] = g.dstPort[base+last]
-		// Repoint the moved edge's record and its far endpoint's
-		// cross-port entry at the new port.
-		mrec := &g.edges[moved.Edge]
-		if mrec.U == u && mrec.PU == last {
+		moved := g.adj[base+last]
+		g.adj[base+port] = moved
+		if mrec := &g.edges[moved]; mrec.U == u {
 			mrec.PU = port
-			g.dstPort[g.off[mrec.V]+mrec.PV] = port
 		} else {
 			mrec.PV = port
-			g.dstPort[g.off[mrec.U]+mrec.PU] = port
 		}
 	}
-	g.halves[base+last] = Half{}
+	g.adj[base+last] = -1
 	g.deg[u] = last
 }
 
@@ -183,19 +176,18 @@ func (g *Graph) removeHalf(u NodeID, port int32) {
 // one copy can be patched while the other stays pristine.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
-		halves:  slices.Clone(g.halves),
-		off:     slices.Clone(g.off),
-		deg:     slices.Clone(g.deg),
-		dstPort: slices.Clone(g.dstPort),
-		edges:   slices.Clone(g.edges),
-		ids:     slices.Clone(g.ids),
+		adj:   slices.Clone(g.adj),
+		off:   slices.Clone(g.off),
+		deg:   slices.Clone(g.deg),
+		edges: slices.Clone(g.edges),
+		ids:   slices.Clone(g.ids),
 	}
 }
 
 // Equal reports whether two graphs are identical in every observable
-// respect: node count, identifiers, edge records (including IDs, ports
-// and weights), per-port adjacency and cross-port tables. It returns a
-// descriptive error naming the first difference, or nil.
+// respect: node count, identifiers, the edge at every port, and edge
+// records (including IDs, ports and weights). It returns a descriptive
+// error naming the first difference, or nil.
 func Equal(a, b *Graph) error {
 	if a.N() != b.N() {
 		return fmt.Errorf("graph: node counts differ: %d vs %d", a.N(), b.N())
@@ -207,17 +199,13 @@ func Equal(a, b *Graph) error {
 		if a.ids[u] != b.ids[u] {
 			return fmt.Errorf("graph: ID of node %d differs: %d vs %d", u, a.ids[u], b.ids[u])
 		}
-		au, bu := a.adj(NodeID(u)), b.adj(NodeID(u))
+		au, bu := a.Ports(NodeID(u)), b.Ports(NodeID(u))
 		if len(au) != len(bu) {
 			return fmt.Errorf("graph: degree of node %d differs: %d vs %d", u, len(au), len(bu))
 		}
 		for p := range au {
 			if au[p] != bu[p] {
-				return fmt.Errorf("graph: half-edge (%d,%d) differs: %+v vs %+v", u, p, au[p], bu[p])
-			}
-			if a.DstPort(NodeID(u), p) != b.DstPort(NodeID(u), p) {
-				return fmt.Errorf("graph: cross-port (%d,%d) differs: %d vs %d",
-					u, p, a.DstPort(NodeID(u), p), b.DstPort(NodeID(u), p))
+				return fmt.Errorf("graph: port (%d,%d) holds edge %d vs %d", u, p, au[p], bu[p])
 			}
 		}
 	}

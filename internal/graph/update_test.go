@@ -88,7 +88,7 @@ func TestWeightBatchEqualsRebuild(t *testing.T) {
 
 // TestDeletionPatchesInPlace removes random non-bridge edges one at a
 // time and checks every structural invariant survives the swap-remove,
-// including the cross-port table the router depends on.
+// including the far ports the router depends on.
 func TestDeletionPatchesInPlace(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		g, _ := buildRandom(t, 25, 60, seed+500)
@@ -116,7 +116,7 @@ func TestDeletionPatchesInPlace(t *testing.T) {
 					h := g.HalfAt(NodeID(u), p)
 					dp := g.DstPort(NodeID(u), p)
 					if got := g.HalfAt(h.To, dp); got.Edge != h.Edge || got.To != NodeID(u) {
-						t.Fatalf("seed %d: cross-port (%d,%d) broken after deletion", seed, u, p)
+						t.Fatalf("seed %d: far port of (%d,%d) broken after deletion", seed, u, p)
 					}
 				}
 			}

@@ -93,9 +93,9 @@ func BuildGn(n, omega int) (*Gn, error) {
 func (gn *Gn) SpinePath() []graph.EdgeID {
 	var edges []graph.EdgeID
 	find := func(a, b graph.NodeID) graph.EdgeID {
-		for _, h := range gn.G.Halves(a) {
-			if h.To == b {
-				return h.Edge
+		for _, e := range gn.G.Ports(a) {
+			if gn.G.Other(e, a) == b {
+				return e
 			}
 		}
 		panic("lowerbound: spine edge missing")

@@ -101,8 +101,8 @@ func Prim(g *graph.Graph, start graph.NodeID) ([]graph.EdgeID, error) {
 	inTree := make([]bool, g.N())
 	inTree[start] = true
 	h := &halfHeap{g: g}
-	for _, half := range g.Halves(start) {
-		h.push(half.Edge)
+	for _, e := range g.Ports(start) {
+		h.push(e)
 	}
 	var tree []graph.EdgeID
 	for len(tree) < g.N()-1 && len(h.items) > 0 {
@@ -119,9 +119,9 @@ func Prim(g *graph.Graph, start graph.NodeID) ([]graph.EdgeID, error) {
 		}
 		inTree[u] = true
 		tree = append(tree, e)
-		for _, half := range g.Halves(u) {
-			if !inTree[half.To] {
-				h.push(half.Edge)
+		for _, next := range g.Ports(u) {
+			if !inTree[g.Other(next, u)] {
+				h.push(next)
 			}
 		}
 	}

@@ -90,8 +90,8 @@ func Fingerprint(g *graph.Graph) uint64 {
 	for iter := 0; iter < n; iter++ {
 		for u := 0; u < n; u++ {
 			neigh = neigh[:0]
-			for _, h := range g.Halves(graph.NodeID(u)) {
-				neigh = append(neigh, cur[h.To])
+			for _, e := range g.Ports(graph.NodeID(u)) {
+				neigh = append(neigh, cur[g.Other(e, graph.NodeID(u))])
 			}
 			slices.Sort(neigh)
 			h := mix(fnvOffset, cur[u])

@@ -195,8 +195,12 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 	if err := wc.writeFrame(tailRequest(uint64(r.applied.Load()))); err != nil {
 		return err
 	}
+	// One record buffer serves the whole connection: Decode copies
+	// everything out of the blob, parseRecord copies the graph ID, and
+	// the log's Append keeps no reference to the payload.
+	var payload []byte
 	for {
-		payload, err := store.ReadRecord(wc.r, store.MaxRecord, nil) // blocks until the next epoch; no deadline
+		payload, err = store.ReadRecord(wc.r, store.MaxRecord, payload) // blocks until the next epoch; no deadline
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,10 +104,29 @@ func sameAdvice(t testing.TB, a, b *service.Service, id string, n int) {
 	}
 }
 
+// epochGraphs records the graph of every epoch a service publishes,
+// keyed by graph ID and epoch.
+type epochGraphs struct {
+	mu     sync.Mutex
+	graphs map[string]*graph.Graph
+}
+
+func recordEpochs(svc *service.Service) *epochGraphs {
+	r := &epochGraphs{graphs: make(map[string]*graph.Graph)}
+	svc.OnPublish(func(id string, ep *service.Epoch) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.graphs[fmt.Sprintf("%s@%d", id, ep.Seq)] = ep.Graph
+	})
+	return r
+}
+
 // TestReplicationRoundTrip is the tentpole's core contract: every epoch
 // a primary publishes — registrations and updates, across multiple
 // graphs — reaches a tailing replica in publication order and is served
-// byte-identically at the same epoch number.
+// byte-identically at the same epoch number. Each follower epoch's
+// graph must equal the primary's once the stream has ended, so a graph
+// that kept a view of the connection's reused record buffer fails.
 func TestReplicationRoundTrip(t *testing.T) {
 	primary := service.New()
 	log, err := OpenLog("")
@@ -113,6 +134,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Attach(primary)
+	sent := recordEpochs(primary)
 
 	snapA := makeSnapshot(t, 64, 192, 1)
 	snapB := makeSnapshot(t, 48, 144, 2)
@@ -133,6 +155,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 	defer srv.Close()
 
 	follower := service.New()
+	got := recordEpochs(follower)
 	rep := NewReplica(follower, srv.Addr(), ReplicaOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -148,6 +171,23 @@ func TestReplicationRoundTrip(t *testing.T) {
 	bumpWeight(t, primary, "a", 7, 1_000_007)
 	waitApplied(t, rep, 6)
 	sameAdvice(t, primary, follower, "a", snapA.Graph.N())
+
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	sent.mu.Lock()
+	defer sent.mu.Unlock()
+	if len(got.graphs) != 6 || len(sent.graphs) != 6 {
+		t.Fatalf("follower recorded %d epochs, primary %d, want 6 each", len(got.graphs), len(sent.graphs))
+	}
+	for key, g := range got.graphs {
+		want, ok := sent.graphs[key]
+		if !ok {
+			t.Fatalf("follower published %s, which the primary never did", key)
+		}
+		if err := graph.Equal(want, g); err != nil {
+			t.Fatalf("follower epoch %s: %v", key, err)
+		}
+	}
 }
 
 // TestPublishRefusesGaps pins the consistent-prefix guard: a record

@@ -269,7 +269,7 @@ func (q *eventQueue) pop() event {
 // the last node terminates are accounted the same way and additionally
 // counted in Undelivered.
 func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString, opt Options) (*Result, error) {
-	b, err := nw.newBase(advice, opt)
+	b, err := nw.newBase(advice, opt, false)
 	if err != nil {
 		return nil, err
 	}

@@ -249,12 +249,18 @@ type base struct {
 	// engine keeps it so Scenario weight perturbations can patch the
 	// observed weights in place at the round barrier.
 	portW []graph.Weight
+	// far is the round engine's slot table: far[HalfOffset(u)+p] is the
+	// inbox slot, HalfOffset(v)+DstPort(u, p), of the far end v of u's
+	// half-edge at port p. The event engine leaves it nil.
+	far []int32
 }
 
 // newBase validates advice and carves the node views out of one PortW
 // array. advice[u] is handed to node u (nil entries become empty
-// strings); a nil slice means no advice at all.
-func (nw *Network) newBase(advice []*bitstring.BitString, opt Options) (base, error) {
+// strings); a nil slice means no advice at all. With slotTable set it
+// also fills far, the round engine's slot table, from the same edge
+// records.
+func (nw *Network) newBase(advice []*bitstring.BitString, opt Options, slotTable bool) (base, error) {
 	g := nw.g
 	n := g.N()
 	if advice != nil && len(advice) != n {
@@ -273,14 +279,26 @@ func (nw *Network) newBase(advice []*bitstring.BitString, opt Options) (base, er
 		res:       &Result{ParentPorts: make([]int, n)},
 		portW:     make([]graph.Weight, g.NumHalves()),
 	}
+	if slotTable {
+		b.far = make([]int32, g.NumHalves())
+	}
+	edges := g.Edges()
 	viewStore := make([]NodeView, n)
 	for u := range n {
 		uid := graph.NodeID(u)
 		off := g.HalfOffset(uid)
-		hs := g.Halves(uid)
-		pw := b.portW[off : off+len(hs) : off+len(hs)]
-		for p, h := range hs {
-			pw[p] = g.Weight(h.Edge)
+		ports := g.Ports(uid)
+		pw := b.portW[off : off+len(ports) : off+len(ports)]
+		for p, e := range ports {
+			rec := &edges[e]
+			pw[p] = rec.W
+			if slotTable {
+				v, pv := rec.V, rec.PV
+				if v == uid {
+					v, pv = rec.U, rec.PU
+				}
+				b.far[off+p] = int32(g.HalfOffset(v)) + pv
+			}
 		}
 		var adv *bitstring.BitString
 		if advice != nil && advice[u] != nil {
@@ -288,7 +306,7 @@ func (nw *Network) newBase(advice []*bitstring.BitString, opt Options) (base, er
 		} else {
 			adv = bitstring.New(0)
 		}
-		viewStore[u] = NodeView{ID: g.ID(uid), N: n, Deg: len(hs), PortW: pw, Advice: adv}
+		viewStore[u] = NodeView{ID: g.ID(uid), N: n, Deg: len(ports), PortW: pw, Advice: adv}
 		b.views[u] = &viewStore[u]
 	}
 	return b, nil
@@ -362,9 +380,10 @@ type engine struct {
 	nodes []Node
 
 	// slots holds the inbox slot of every half-edge: a message routed to
-	// node v on port p lands in slots[HalfOffset(v)+p]. Msg == nil marks
-	// an empty slot. Slots are compacted into the node's inbox view and
-	// cleared during its Round call, so a single buffer serves all rounds.
+	// node v on port p lands in slots[HalfOffset(v)+p], found through
+	// base.far. Msg == nil marks an empty slot. Slots are compacted into
+	// the node's inbox view, which sets each Port, and cleared during its
+	// Round call, so a single buffer serves all rounds.
 	slots []Received
 	// stamps detects duplicate sends: stamps[HalfOffset(u)+port] is set to
 	// the current round stamp when u sends on port, so a second send on
@@ -426,13 +445,11 @@ func (e *engine) route(round int) (int, error) {
 					e.errs[u] = fmt.Errorf("sim: node %d sent a nil message on port %d in round %d", u, s.Port, round)
 					break
 				}
-				h := g.HalfAt(uid, s.Port)
-				if e.linkDown != nil && e.linkDown[h.Edge] {
+				if e.linkDown != nil && e.linkDown[g.Ports(uid)[s.Port]] {
 					a.linkDropped++
 					continue
 				}
-				dp := g.DstPort(uid, s.Port)
-				e.slots[g.HalfOffset(h.To)+dp] = Received{Port: dp, Msg: s.Msg}
+				e.slots[e.far[base+s.Port]].Msg = s.Msg
 				bits := int64(s.Msg.SizeBits(e.cost))
 				a.messages++
 				a.bits += bits
@@ -471,8 +488,9 @@ func (e *engine) route(round int) (int, error) {
 }
 
 // stepNode compacts node u's inbox slots into a port-sorted inbox view,
-// runs its Round handler, and clears the consumed slots for the next
-// delivery. Slots are already in port order, so no sorting is needed.
+// setting each message's arrival port from its slot's position, runs the
+// Round handler, and clears the consumed slots for the next delivery.
+// Slots are already in port order, so no sorting is needed.
 func (e *engine) stepNode(ctx *Ctx, u int) {
 	defer capture(&e.errs[u], u, ctx.Round)
 	uid := graph.NodeID(u)
@@ -480,11 +498,9 @@ func (e *engine) stepNode(ctx *Ctx, u int) {
 	seg := e.slots[base : base+e.g.Degree(uid)]
 	k := 0
 	for p := range seg {
-		if seg[p].Msg != nil {
-			if k != p {
-				seg[k] = seg[p]
-				seg[p] = Received{}
-			}
+		if msg := seg[p].Msg; msg != nil {
+			seg[p].Msg = nil
+			seg[k] = Received{Port: p, Msg: msg}
 			k++
 		}
 	}
@@ -506,7 +522,7 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 	if opt.Async {
 		return nil, fmt.Errorf("sim: Options.Async needs an asynchronous node (Network.RunAsync); synchronous algorithms run async through advice.Run, which wraps them in the internal/synch α-synchronizer")
 	}
-	b, err := nw.newBase(advice, opt)
+	b, err := nw.newBase(advice, opt, true)
 	if err != nil {
 		return nil, err
 	}

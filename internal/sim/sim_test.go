@@ -585,9 +585,9 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 	g := seeded(t, "random", 200, 53, gen.WeightsDistinct)
 	// Chatter nodes send on port 0 every round, so the port-0 edges of
 	// nodes 0 and 1 carry traffic in round 1.
-	a, b := g.Halves(0)[0].Edge, g.Halves(1)[0].Edge
+	a, b := g.Ports(0)[0], g.Ports(1)[0]
 	if a == b {
-		b = g.Halves(2)[0].Edge
+		b = g.Ports(2)[0]
 	}
 	sc := &Scenario{Events: []ScenarioEvent{
 		{Round: 1, Edge: a, Action: ActionLinkDown},
@@ -611,6 +611,46 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		if got := run(workers); !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d diverged:\nseq: %+v\npar: %+v", workers, want, got)
+		}
+	}
+}
+
+// TestSlotTableMatchesFarPorts checks the round engine's slot table
+// against the graph's own far endpoint and far port at every half-edge
+// of every family, after a deletion batch has swap-removed ports.
+func TestSlotTableMatchesFarPorts(t *testing.T) {
+	for _, fam := range gen.Names() {
+		g := seeded(t, fam, 64, 5, gen.WeightsRandom)
+		// Up to three edges outside a BFS tree: deleting them keeps the
+		// graph connected and moves other edges into their ports.
+		_, parentPort := g.BFS(0)
+		tree := make([]bool, g.M())
+		for u, p := range parentPort {
+			if p >= 0 {
+				tree[g.Ports(graph.NodeID(u))[p]] = true
+			}
+		}
+		var del []graph.EdgeID
+		for e := range tree {
+			if !tree[e] && len(del) < 3 {
+				del = append(del, graph.EdgeID(e))
+			}
+		}
+		if err := g.ApplyBatch(graph.Batch{Deletions: del}); err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		b, err := NewNetwork(g).newBase(nil, Options{}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		for u := range g.N() {
+			uid := graph.NodeID(u)
+			for p := range g.Degree(uid) {
+				want := g.HalfOffset(g.HalfAt(uid, p).To) + g.DstPort(uid, p)
+				if got := int(b.far[g.HalfOffset(uid)+p]); got != want {
+					t.Fatalf("%s after deleting %v: slot of (%d, %d) = %d, want %d", fam, del, u, p, got, want)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,7 +87,11 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecodeGraphRecords drives graph.FromEdgeList through the decoder with
 // hostile edge records: ports and endpoints are attacker-controlled, so
-// this is the codec's main injection surface.
+// this is the codec's main injection surface. Each input flips one byte
+// of a snapshot's body and reseals the CRC footer, so the mutation
+// reaches the record parser and the graph builder instead of failing the
+// checksum. An accepted snapshot must hold valid graphs whose adjacency
+// agrees with every edge record, and must re-encode to its own bytes.
 func FuzzDecodeGraphRecords(f *testing.F) {
 	tri := graph.NewBuilder(3).AddEdge(0, 1, 5).AddEdge(1, 2, 3).AddEdge(0, 2, 4).MustBuild()
 	blob, err := Encode(&Snapshot{Graph: tri, Root: 0})
@@ -93,12 +100,74 @@ func FuzzDecodeGraphRecords(f *testing.F) {
 	}
 	f.Add(blob, uint8(9), uint8(0x10))
 	f.Add(blob, uint8(14), uint8(0xFF))
+	// The triangle's three edge records are five one-byte varints each
+	// (zigzag ΔU, V, PU, PV, W), followed by the advice flag and the tier
+	// count. Each hostile seed rewrites one field, and the graph builder
+	// must name the defect.
+	field := func(edge, k int) uint8 { return uint8(len(blob) - 4 - 2 - 15 + 5*edge + k) }
+	hostile := []struct {
+		pos, xor uint8
+		want     string
+	}{
+		{field(2, 2), 0x01, "graph: edge 2 claims port 0 of node 0, which an earlier edge holds"}, // PU 1 → 0
+		{field(1, 2), 0x03, "graph: edge 1 port out of range: 2@1 / 0@2"},                         // PU 1 → 2 = deg(1)
+		{field(0, 1), 0x02, "graph: edge 0 endpoint out of range: 0-3 (n=3)"},                     // V 1 → 3 = n
+	}
+	for _, h := range hostile {
+		if _, err := Decode(resealed(blob, h.pos, h.xor)); err == nil || err.Error() != h.want {
+			f.Fatalf("seed (%d, %#x): got %v, want %q", h.pos, h.xor, err, h.want)
+		}
+		f.Add(blob, h.pos, h.xor)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, pos, xor uint8) {
-		if len(data) == 0 {
+		if len(data) <= 4 {
 			return
 		}
-		mutated := append([]byte(nil), data...)
-		mutated[int(pos)%len(mutated)] ^= xor
-		_, _ = Decode(mutated) // must not panic
+		mutated := resealed(data, pos, xor)
+		snap, err := Decode(mutated)
+		if err != nil {
+			return
+		}
+		graphs := []*graph.Graph{snap.Graph}
+		for _, tier := range snap.Tiers {
+			graphs = append(graphs, tier.Graph)
+		}
+		for _, g := range graphs {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("Decode accepted an invalid graph: %v", err)
+			}
+			for ei, e := range g.Edges() {
+				for _, end := range [2]struct {
+					u, v   graph.NodeID
+					pu, pv int32
+				}{{e.U, e.V, e.PU, e.PV}, {e.V, e.U, e.PV, e.PU}} {
+					h := g.HalfAt(end.u, int(end.pu))
+					if h.Edge != graph.EdgeID(ei) || h.To != end.v || g.DstPort(end.u, int(end.pu)) != int(end.pv) {
+						t.Fatalf("edge %d %+v: port %d of node %d reads %+v, far port %d",
+							ei, e, end.pu, end.u, h, g.DstPort(end.u, int(end.pu)))
+					}
+				}
+			}
+		}
+		if snap.Version == 0 {
+			return // legacy input re-encodes to the current version
+		}
+		again, err := Encode(snap)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted snapshot failed: %v", err)
+		}
+		if !bytes.Equal(again, mutated) {
+			t.Fatalf("accepted input is not the canonical encoding (%d vs %d bytes)", len(mutated), len(again))
+		}
 	})
+}
+
+// resealed returns a copy of blob with the body byte at pos (modulo the
+// body length) XORed with xor and the CRC footer recomputed.
+func resealed(blob []byte, pos, xor uint8) []byte {
+	out := append([]byte(nil), blob...)
+	body := out[:len(out)-4]
+	body[int(pos)%len(body)] ^= xor
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+	return out
 }

@@ -566,16 +566,18 @@ func (d *Cursor) decodeGraphBody(n, m int) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		// An endpoint must fit a NodeID here; graph.FromEdgeList checks
+		// it against n, like every other property of the records.
 		prevU += dU
-		if prevU < 0 || prevU >= int64(n) {
-			return nil, fmt.Errorf("store: edge %d endpoint %d out of range [0,%d)", ei, prevU, n)
+		if prevU < 0 || prevU > math.MaxInt32 {
+			return nil, fmt.Errorf("store: edge %d endpoint %d out of the node ID range", ei, prevU)
 		}
 		v, err := d.Uvarint("edge endpoint")
 		if err != nil {
 			return nil, err
 		}
-		if v >= uint64(n) {
-			return nil, fmt.Errorf("store: edge %d endpoint %d out of range [0,%d)", ei, v, n)
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("store: edge %d endpoint %d out of the node ID range", ei, v)
 		}
 		pu, err := d.count("edge port")
 		if err != nil {

@@ -59,7 +59,7 @@ func assertSnapshotsEqual(t *testing.T, name string, want, got *Snapshot) {
 // TestGoldenRoundTripAllFamilies is the codec's golden test: for every
 // registered generator family, graph + advice survive Save/Load
 // bit-identically (graph.Equal checks IDs, edge records, ports, weights
-// and cross-port tables; advice is compared string by string).
+// and the edge at every port; advice is compared string by string).
 func TestGoldenRoundTripAllFamilies(t *testing.T) {
 	dir := t.TempDir()
 	for _, fam := range gen.Names() {
