@@ -126,9 +126,10 @@ func TestDecoderAccountingGolden(t *testing.T) {
 }
 
 // TestDecoderAllocations bounds what one decode allocates: the strict
-// decoder on a seeded random graph with n = 2·10⁴ must stay within 64 MiB
-// of heap allocations (≈50 MiB measured on a 2-core host, ≈55 MiB under
-// the race detector).
+// decoder on a seeded random graph with n = 2·10⁴ must stay within 38 MiB
+// of heap allocations (29.4 MiB measured on a 2-core host, 32.8 MiB under
+// the race detector). A decoder that keeps a tree of its subtree at every
+// node allocated 50 MiB here, so it fails.
 func TestDecoderAllocations(t *testing.T) {
 	g, err := gen.BuildSeeded("random", 20_000, 5, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	if err != nil {
@@ -149,7 +150,7 @@ func TestDecoderAllocations(t *testing.T) {
 	if res.ParentPorts[0] != -1 {
 		t.Fatalf("root has parent port %d", res.ParentPorts[0])
 	}
-	const limit = 64 << 20
+	const limit = 38 << 20
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("decode allocated %.1f MiB", float64(got)/(1<<20))
 	if got > limit {

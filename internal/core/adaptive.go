@@ -82,6 +82,7 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		a.stageRound++
 	}
 	sends := a.sendBuf[:0]
+	a.batches = a.batches[:0]
 	for _, rcv := range inbox {
 		sends = a.receive(view, rcv, sends)
 	}
@@ -93,20 +94,19 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		case fresh:
 			sends = a.windowStart(view, sends)
 		case a.stageRound == 1:
-			a.beginPhaseStream(view)
-			sends = a.streamRecs(quota, view, sends)
+			sends = a.open(view, false, sends)
 		default:
-			sends = a.streamRecs(quota, view, sends)
+			sends = a.stream(quota, false, view, sends)
 		}
 
 	case stageBcast:
 		if fresh {
 			// A globally silent convergecast stage (all fragments
 			// singletons, nothing announced) advances on back-to-back
-			// pulses before stageRound 1 ever ran; build the trivial
-			// one-node subtree now.
-			if a.sub == nil {
-				a.beginPhaseStream(view)
+			// pulses before stageRound 1 ever ran; a root holds just its
+			// own record then.
+			if a.parentPort == -1 && len(a.held()) == 0 {
+				a.open(view, false, nil)
 			}
 			if a.qualifiesActive(phase, view) {
 				sends = a.decodeAndBroadcast(phase, view, sends)
@@ -124,18 +124,17 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		case fresh:
 			sends = a.windowStart(view, sends)
 		case a.stageRound == 1:
-			a.beginFinalStream(view)
-			sends = a.streamFinal(width, view, sends)
+			sends = a.open(view, true, sends)
 		default:
-			sends = a.streamFinal(width, view, sends)
+			sends = a.stream(width, true, view, sends)
 		}
 
 	case stageFinalDec:
 		if fresh {
-			if a.sub == nil {
-				a.beginFinalStream(view) // silent collect stage (see stageBcast)
-			}
 			if a.parentPort == -1 {
+				if len(a.held()) == 0 { // silent collect stage (see stageBcast)
+					a.open(view, true, nil)
+				}
 				a.decodeFinal(view)
 			}
 			a.done = true

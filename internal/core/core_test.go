@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -256,7 +257,8 @@ func TestAdviceSwapDetected(t *testing.T) {
 // Fault injection: lost messages must never produce a silently wrong
 // verified answer — the run either fails in the engine (panic/timeout) or
 // fails verification. Every k-th edge goes down from round 1 (the ID
-// exchange) or from round 5 (inside phase 1's window).
+// exchange) or from round 5 (inside phase 1's window); the windowed rows
+// below lose one round inside each later window.
 func TestMessageLossNeverSilentlyWrong(t *testing.T) {
 	g := seeded(t, "random", 30, 15, gen.WeightsDistinct)
 	assignment, err := BuildAdvice(g, 0, DefaultCap)
@@ -284,6 +286,102 @@ func TestMessageLossNeverSilentlyWrong(t *testing.T) {
 			// fine.
 		}
 	}
+	t.Run("windowed", func(t *testing.T) {
+		for _, s := range []Scheme{{}, {Adaptive: true}} {
+			lossInWindows(t, g, assignment, s)
+		}
+	})
+}
+
+// lossInWindows downs every k-th edge for one round inside each window
+// that streams records, strict or adaptive: at the window's first record
+// round (the own records) and at its second (the first relayed level),
+// restoring the edges a round later. A level is lost while deeper levels
+// keep flowing, so relays forward records whose parent's batch never
+// arrived. Each row must cut an edge that carries records in that round
+// of the fault-free run, and no row may verify with a wrong root.
+func lossInWindows(t *testing.T, g *graph.Graph, assignment []*bitstring.BitString, s Scheme) {
+	carried := recordEdges(t, g, assignment, s)
+	var rounds []int
+	for r := range carried {
+		if len(carried[r]) > 0 && (r == 0 || len(carried[r-1]) == 0) {
+			rounds = append(rounds, r)
+			if r+1 < len(carried) && len(carried[r+1]) > 0 {
+				rounds = append(rounds, r+1)
+			}
+		}
+	}
+	// Phase 1 streams nothing (every node is a root), so two rounds of
+	// each of phases 2..P and of the final collect: 2P rounds.
+	if p := NewSchedule(g.N(), DefaultCap).P; len(rounds) != 2*p {
+		t.Fatalf("%s: record rounds %v, want two in each of %d windows", s.Name(), rounds, p)
+	}
+	opt := sim.Options{EnablePulses: s.NeedsPulses()}
+	for _, every := range []int{2, 3, 5} {
+		for _, round := range rounds {
+			sc := &sim.Scenario{}
+			cuts := false
+			for e := 0; e < g.M(); e += every {
+				sc.Events = append(sc.Events,
+					sim.ScenarioEvent{Round: round, Edge: graph.EdgeID(e), Action: sim.ActionLinkDown},
+					sim.ScenarioEvent{Round: round + 1, Edge: graph.EdgeID(e), Action: sim.ActionLinkUp})
+				cuts = cuts || slices.Contains(carried[round], graph.EdgeID(e))
+			}
+			if !cuts {
+				t.Fatalf("%s every=%d round=%d: no downed edge carries records", s.Name(), every, round)
+			}
+			opt.Scenario = sc
+			res, err := sim.NewNetwork(g).Run(s.NewNode, assignment, opt)
+			if err != nil {
+				continue // decoder noticed (panic) or timed out: fine
+			}
+			if res.LinkDropped == 0 {
+				t.Fatalf("%s every=%d round=%d: nothing dropped", s.Name(), every, round)
+			}
+			if v := advice.VerifyOutput(g, res.ParentPorts); v.Verified && v.Root != 0 {
+				t.Fatalf("%s every=%d round=%d: lossy run verified with wrong root", s.Name(), every, round)
+			}
+		}
+	}
+}
+
+// recordEdges runs s fault-free on one worker and returns, for each
+// round, the edges over which a record batch was sent.
+func recordEdges(t *testing.T, g *graph.Graph, assignment []*bitstring.BitString, s Scheme) [][]graph.EdgeID {
+	t.Helper()
+	var carried [][]graph.EdgeID
+	next := 0 // factories run once per node, in node order
+	factory := func(view *sim.NodeView) sim.Node {
+		u := graph.NodeID(next)
+		next++
+		return &recordTap{Node: s.NewNode(view), g: g, u: u, carried: &carried}
+	}
+	res, err := sim.NewNetwork(g).Run(factory, assignment, sim.Options{Workers: 1, EnablePulses: s.NeedsPulses()})
+	if err != nil || !advice.VerifyOutput(g, res.ParentPorts).Verified {
+		t.Fatalf("%s: fault-free run failed: %v", s.Name(), err)
+	}
+	return carried
+}
+
+// recordTap notes the edges its node sends record batches over.
+type recordTap struct {
+	sim.Node
+	g       *graph.Graph
+	u       graph.NodeID
+	carried *[][]graph.EdgeID
+}
+
+func (r *recordTap) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []sim.Send {
+	sends := r.Node.Round(ctx, view, inbox)
+	for _, snd := range sends {
+		if _, ok := snd.Msg.(*recMsg); ok {
+			for len(*r.carried) <= ctx.Round {
+				*r.carried = append(*r.carried, nil)
+			}
+			(*r.carried)[ctx.Round] = append((*r.carried)[ctx.Round], r.g.Ports(r.u)[snd.Port])
+		}
+	}
+	return sends
 }
 
 // Schedule internals.

@@ -11,9 +11,11 @@ import (
 // alternating buffers and stays valid until the sender's next-but-one
 // send: the round engine delivers a batch in the round after it was sent,
 // and the α-synchronizer buffers at most one pulse ahead, both inside that
-// window. Receivers copy what they keep. Setup and broadcast messages are
-// never rewritten after they are sent, so one broadcast is relayed down
-// the whole fragment tree unchanged.
+// window. A receiver reads a batch within the round it arrives in,
+// copying the records into its own outgoing batch or, at a fragment root,
+// into its collection. Setup and broadcast messages are never rewritten
+// after they are sent, so one broadcast is relayed down the whole
+// fragment tree unchanged.
 
 // idMsg is the setup-round introduction: the sender's identifier and the
 // far-side port of the connecting edge (needed to evaluate the intrinsic
@@ -32,12 +34,14 @@ type announceMsg struct{}
 
 func (announceMsg) SizeBits(sim.CostModel) int { return 1 }
 
-// rec is one node's convergecast record during a phase window. The node
-// itself fills ID, ChildCount, Hop, Bits and Off; its fragment parent
-// fills ParentID, W and PortAtParent when first relaying (it alone knows
-// the connecting edge's local coordinates). Bits is the node's whole
-// advice string, shared by reference; receivers read only its unconsumed
-// packed bits Bits[Off:], at most Cap of them.
+// rec is one node's convergecast record. The node itself fills ID,
+// ChildCount, Bits and Off; its fragment parent fills ParentID, W and
+// PortAtParent when first relaying (it alone knows the connecting edge's
+// local coordinates), and every relay raises Hop. Bits is the node's
+// whole advice string, shared by reference. In a phase window receivers
+// read only its unconsumed packed bits Bits[Off:], at most Cap of them;
+// in the final collect ChildCount is -1 and the root reads only bit 0,
+// the final-stage bit.
 type rec struct {
 	ID           int64
 	ParentID     int64
@@ -55,12 +59,25 @@ func recBits(cm sim.CostModel) int {
 	return 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + DefaultCap + 4
 }
 
-// recMsg batches convergecast records up the fragment tree.
-type recMsg struct {
-	Recs []rec
+// finalRecBits is a final-collect record's charge: the same tree
+// coordinates, but a single advice bit and no child count.
+func finalRecBits(cm sim.CostModel) int {
+	return 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 1
 }
 
-func (m *recMsg) SizeBits(cm sim.CostModel) int { return len(m.Recs) * recBits(cm) }
+// recMsg batches convergecast records up the fragment tree. Final marks
+// a batch of the final collect, whose records are charged finalRecBits.
+type recMsg struct {
+	Recs  []rec
+	Final bool
+}
+
+func (m *recMsg) SizeBits(cm sim.CostModel) int {
+	if m.Final {
+		return len(m.Recs) * finalRecBits(cm)
+	}
+	return len(m.Recs) * recBits(cm)
+}
 
 // consEntry tells one node how many of its streamed bits the root consumed
 // while decoding A(F).
@@ -96,26 +113,3 @@ func (levelMsg) SizeBits(sim.CostModel) int { return 2 }
 type adoptMsg struct{}
 
 func (adoptMsg) SizeBits(sim.CostModel) int { return 1 }
-
-// finalRec is one node's record in the final truncated collect: its
-// single final-phase advice bit plus the tree coordinates needed for the
-// BFS ordering at the root.
-type finalRec struct {
-	ID           int64
-	ParentID     int64
-	W            graph.Weight
-	PortAtParent int32
-	Hop          int32
-	Bit          bool
-}
-
-func finalRecBits(cm sim.CostModel) int {
-	return 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 1
-}
-
-// finalRecMsg batches final-collect records.
-type finalRecMsg struct {
-	Recs []finalRec
-}
-
-func (m *finalRecMsg) SizeBits(cm sim.CostModel) int { return len(m.Recs) * finalRecBits(cm) }

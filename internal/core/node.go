@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -34,27 +35,26 @@ type node struct {
 	nkids int32
 	ports []portState
 
-	// Per-window state. subStore is the one subtree reused by every
-	// window; sub points at it while a window's collect is live.
-	sub      *subtree
-	subStore subtree
-	sent     int
-	myLevel  int
-	haveLvl  bool
-	chooser  bool
-	chUp     bool
+	// Per-window state. sent counts the records a relay has sent up
+	// this window; batches are the record batches delivered this round,
+	// read before it ends (see stream).
+	sent    int
+	batches []batch
+	myLevel int
+	haveLvl bool
+	chooser bool
+	chUp    bool
 
 	// sendBuf backs the outbox returned from Start and Round. The engine
 	// consumes the outbox before the next compute phase, and a node sends
 	// at most one message per port per round, so one buffer of capacity
-	// deg serves the whole run. recMsgs/finalMsgs are the two alternating
-	// record batches of the convergecasts (see messages.go for how long
-	// a sent batch stays valid).
-	sendBuf   []sim.Send
-	recMsgs   [2]recMsg
-	recFlip   int
-	finalMsgs [2]finalRecMsg
-	finalFlip int
+	// deg serves the whole run. recMsgs are the two alternating record
+	// batches of the convergecasts (see messages.go for how long a sent
+	// batch stays valid); a fragment root sends no records, so the one
+	// due next holds its collection instead (see held).
+	sendBuf []sim.Send
+	recMsgs [2]recMsg
+	recFlip int
 
 	done bool
 }
@@ -77,6 +77,14 @@ func newNode(view *sim.NodeView, cap int) *node {
 type portState struct {
 	child, levelWin uint32
 	level           int32
+}
+
+// batch is one record batch delivered this round and the port it came
+// on. The records belong to the sender's buffer and are read only within
+// the round they arrive in.
+type batch struct {
+	port int
+	m    *recMsg
 }
 
 // isChild reports whether port p announced as a child this window.
@@ -109,6 +117,7 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 		return nil
 	}
 	sends := n.sendBuf[:0]
+	n.batches = n.batches[:0]
 	for _, rcv := range inbox {
 		sends = n.receive(view, rcv, sends)
 	}
@@ -140,15 +149,7 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) [
 		return sends
 
 	case *recMsg:
-		if n.sub == nil {
-			panic("core: record before window start")
-		}
-		for _, r := range m.Recs {
-			n.sub.add(annotate(treeNode{
-				id: r.ID, w: r.W, portAtParent: r.PortAtParent,
-				childCount: r.ChildCount, hop: uint16(r.Hop), bits: r.Bits, off: r.Off,
-			}, r.ParentID, view, rcv.Port))
-		}
+		n.batches = append(n.batches, batch{rcv.Port, m})
 		return sends
 
 	case *bcastMsg:
@@ -164,18 +165,6 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) [
 			panic(fmt.Sprintf("core: adopt on port %d but parent already %d", rcv.Port, n.parentPort))
 		}
 		n.parentPort = rcv.Port
-		return sends
-
-	case *finalRecMsg:
-		if n.sub == nil {
-			panic("core: final record before window start")
-		}
-		for _, r := range m.Recs {
-			n.sub.add(annotate(treeNode{
-				id: r.ID, w: r.W, portAtParent: r.PortAtParent,
-				childCount: -1, hop: uint16(r.Hop), bit: r.Bit,
-			}, r.ParentID, view, rcv.Port))
-		}
 		return sends
 
 	default:
@@ -196,16 +185,14 @@ func (n *node) setLevel(p, lvl int) {
 // at hop 0 are exactly the unannotated ones).
 const annotatePending int64 = -1 << 62
 
-// annotate returns a record received on port p and its parent's
-// identifier. A direct child's own record arrives unannotated: this node
-// is its parent and alone knows the connecting edge's weight and port.
-func annotate(t treeNode, parentID int64, view *sim.NodeView, p int) (treeNode, int64) {
-	if parentID == annotatePending {
-		parentID = view.ID
-		t.w = view.PortW[p]
-		t.portAtParent = int32(p)
+// annotate completes a record that arrived on port p. A direct child's
+// own record arrives unannotated: this node is its parent and alone
+// knows the connecting edge's weight and port.
+func annotate(r rec, view *sim.NodeView, p int) rec {
+	if r.ParentID == annotatePending {
+		r.ParentID, r.W, r.PortAtParent = view.ID, view.PortW[p], int32(p)
 	}
-	return t, parentID
+	return r
 }
 
 // applyBroadcast processes A(F): records the fragment level, the chooser
@@ -257,17 +244,20 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 		return n.windowStart(view, sends)
 
 	case slot == 1:
-		// Children are known (announces processed this round); create our
-		// own record and begin streaming.
-		n.beginPhaseStream(view)
-		return n.streamRecs(quota, view, sends)
+		// Children are known (announces processed this round); open the
+		// convergecast with our own record.
+		return n.open(view, false, sends)
 
 	case slot < ConvergeEnd(i):
-		return n.streamRecs(quota, view, sends)
+		return n.stream(quota, false, view, sends)
 
 	case slot == ConvergeEnd(i):
+		if n.parentPort != -1 {
+			return sends
+		}
+		n.stream(quota, false, view, nil) // a root keeps the last level
 		if !n.qualifiesActive(i, view) {
-			return sends // non-root, passive fragment, or the spanning one
+			return sends // passive fragment, or the spanning one
 		}
 		return n.decodeAndBroadcast(i, view, sends)
 
@@ -280,35 +270,64 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 	return sends
 }
 
-// beginPhaseStream creates this node's own convergecast record once its
-// children are known (one round after the window's announce).
-func (n *node) beginPhaseStream(view *sim.NodeView) {
-	n.subStore.reset(treeNode{
-		id:         view.ID,
-		childCount: n.nkids,
-		bits:       view.Advice,
-		off:        int32(min(1+n.cons, view.Advice.Len())),
-	})
-	n.sub = &n.subStore
-	n.sent = 0
+// open starts a convergecast once this node's children are known (one
+// round after the window's announce) with its own record: a fragment
+// root holds it, any other node sends it to its parent. A phase record
+// carries the child count and the unconsumed packed advice; a final
+// record carries the advice for its final-stage bit alone.
+func (n *node) open(view *sim.NodeView, final bool, sends []sim.Send) []sim.Send {
+	own := rec{ID: view.ID, ParentID: annotatePending, Bits: view.Advice, ChildCount: -1}
+	if !final {
+		own.ChildCount = n.nkids
+		own.Off = int32(min(1+n.cons, view.Advice.Len()))
+	}
+	m := n.nextBatch(final, 1)
+	m.Recs = append(m.Recs, own)
+	if n.parentPort == -1 {
+		n.sent = 0
+		return sends
+	}
+	m.Recs[0].Hop = 1
+	n.sent = 1
+	return n.flush(m, sends)
 }
 
-// beginFinalStream is beginPhaseStream for the final collect: the record
-// carries the node's single final-stage advice bit.
-func (n *node) beginFinalStream(view *sim.NodeView) {
-	n.subStore.reset(treeNode{id: view.ID, childCount: -1, bit: view.Advice.Bit(0)})
-	n.sub = &n.subStore
-	n.sent = 0
-}
+// held is a fragment root's collection: the first records of its BFS
+// order, its own first. It lives in the record buffer due next, which a
+// root never sends, so serving as a root costs no memory of its own.
+func (n *node) held() []rec { return n.recMsgs[n.recFlip].Recs }
 
 // qualifiesActive reports whether this fragment root collected a complete
 // tree of an active, non-spanning fragment at phase i and should decode.
 func (n *node) qualifiesActive(i int, view *sim.NodeView) bool {
-	if n.parentPort != -1 || n.sub == nil {
+	held := n.held()
+	if n.parentPort != -1 || len(held) == 0 {
 		return false
 	}
-	quota := 1 << uint(i)
-	return n.sub.complete() && n.sub.size() < quota && n.sub.size() < view.N
+	return len(held) < 1<<uint(i) && len(held) < view.N && whole(held)
+}
+
+// whole reports whether recs are a whole fragment tree in BFS order:
+// after the root's own record they fall into consecutive runs, one per
+// record in turn, each as long as that record's announced child count
+// and naming it as parent. A record whose parent is missing or out of
+// place breaks a run, so it counts toward the size and marks the
+// fragment incomplete.
+func whole(recs []rec) bool {
+	next := 1
+	for i, t := range recs {
+		c := int(t.ChildCount)
+		if i >= next || c < 0 || next+c > len(recs) {
+			return false
+		}
+		for _, k := range recs[next : next+c] {
+			if k.ParentID != t.ID {
+				return false
+			}
+		}
+		next += c
+	}
+	return true
 }
 
 // windowStart resets per-window state and announces to the parent.
@@ -319,7 +338,7 @@ func (n *node) windowStart(view *sim.NodeView, sends []sim.Send) []sim.Send {
 	n.nkids = 0
 	n.haveLvl = false
 	n.chooser = false
-	n.sub = nil
+	n.recMsgs[n.recFlip].Recs = n.held()[:0] // no collection until open
 	n.sent = 0
 	if n.parentPort != -1 {
 		sends = append(sends, sim.Send{Port: n.parentPort, Msg: announceMsg{}})
@@ -327,32 +346,87 @@ func (n *node) windowStart(view *sim.NodeView, sends []sim.Send) []sim.Send {
 	return sends
 }
 
-// streamRecs forwards the unsent part of the subtree's BFS prefix to the
-// fragment parent (roots integrate but do not forward). The batch is one
-// of two alternating buffers: the batch sent in round r is copied out by
-// the receiver in round r+1, while this node is already filling the
-// other buffer, and is free again by round r+2.
-func (n *node) streamRecs(quota int, view *sim.NodeView, sends []sim.Send) []sim.Send {
-	if n.parentPort == -1 || n.sub == nil {
+// stream runs one round of a convergecast whose prefix cut is limit (the
+// quota, or the width in the final collect). Every node sends its own
+// record at slot 1 and each depth-d record arrives d rounds later, so
+// this round's batches, ordered by the (weight, port) of the child edge
+// each came on and concatenated, are exactly the next level of this
+// node's BFS order. A fragment root holds them, up to limit records in
+// all; any other node forwards them within its limit and keeps nothing.
+// The hop filter and the own-identifier drop bound the streams that a
+// cycle of corrupted parent pointers could otherwise keep alive.
+func (n *node) stream(limit int, final bool, view *sim.NodeView, sends []sim.Send) []sim.Send {
+	if len(n.batches) == 0 {
 		return sends
 	}
-	order := n.sub.bfs(quota)
-	if n.sent >= len(order) {
-		return sends
-	}
-	m := &n.recMsgs[n.recFlip]
-	m.Recs = slices.Grow(m.Recs[:0], len(order)-n.sent)
-	for _, i := range order[n.sent:] {
-		t := &n.sub.pool[i]
-		if int(t.hop)+1 > quota {
-			continue
+	slices.SortFunc(n.batches, func(a, b batch) int {
+		return cmp.Or(cmp.Compare(view.PortW[a.port], view.PortW[b.port]), cmp.Compare(a.port, b.port))
+	})
+	if n.parentPort == -1 {
+		for _, b := range n.batches {
+			for _, r := range b.m.Recs {
+				n.hold(annotate(r, view, b.port), limit)
+			}
 		}
-		m.Recs = append(m.Recs, rec{
-			ID: t.id, ParentID: n.sub.parentID(i), W: t.w, Bits: t.bits, Off: t.off,
-			PortAtParent: t.portAtParent, ChildCount: t.childCount, Hop: int32(t.hop) + 1,
-		})
+		return sends
 	}
-	n.sent = len(order)
+	if n.sent >= limit {
+		return sends
+	}
+	pending := 0
+	for _, b := range n.batches {
+		pending += len(b.m.Recs)
+	}
+	m := n.nextBatch(final, min(limit-n.sent, pending))
+	for _, b := range n.batches {
+		for _, r := range b.m.Recs {
+			if n.sent == limit {
+				break
+			}
+			if r.ID == view.ID {
+				continue
+			}
+			n.sent++
+			if int(r.Hop)+1 > limit {
+				continue
+			}
+			r = annotate(r, view, b.port)
+			r.Hop++
+			m.Recs = append(m.Recs, r)
+		}
+	}
+	return n.flush(m, sends)
+}
+
+// hold adds a record to a fragment root's collection, which keeps the
+// first limit records of the BFS order; a repeat of a held record is
+// ignored.
+func (n *node) hold(r rec, limit int) {
+	m := &n.recMsgs[n.recFlip]
+	if len(m.Recs) >= limit {
+		return
+	}
+	for k := range m.Recs {
+		if m.Recs[k].ID == r.ID {
+			return
+		}
+	}
+	m.Recs = append(m.Recs, r)
+}
+
+// nextBatch returns the emptied one of the two alternating record
+// buffers with room for size records. The batch sent in round r is read
+// by the receiver in round r+1, while this node is already filling the
+// other buffer, and is free again by round r+2.
+func (n *node) nextBatch(final bool, size int) *recMsg {
+	m := &n.recMsgs[n.recFlip]
+	m.Recs = slices.Grow(m.Recs[:0], size)
+	m.Final = final
+	return m
+}
+
+// flush sends a filled batch to the parent, unless it is empty.
+func (n *node) flush(m *recMsg, sends []sim.Send) []sim.Send {
 	if len(m.Recs) == 0 {
 		return sends
 	}
@@ -361,24 +435,24 @@ func (n *node) streamRecs(quota int, view *sim.NodeView, sends []sim.Send) []sim
 }
 
 // decodeAndBroadcast runs at the root of an active fragment: reassemble
-// A(F) from the streamed bits in BFS order, compute the per-node
+// A(F) from the held bits in BFS order, compute the per-node
 // consumption update, apply it locally and broadcast.
 func (n *node) decodeAndBroadcast(i int, view *sim.NodeView, sends []sim.Send) []sim.Send {
 	need := i + 2
-	order := n.sub.bfs(0)
 	// A(F) = b_up‖b_level‖bin(j), read least significant bit first.
 	var a uint64
 	got := 0
 	m := &bcastMsg{}
-	for _, k := range order {
-		t := &n.sub.pool[k]
-		take := min(t.bits.Len()-int(t.off), need-got)
+	held := n.held()
+	for k := range held {
+		t := &held[k]
+		take := min(t.Bits.Len()-int(t.Off), need-got)
 		if take <= 0 {
 			continue
 		}
-		a |= t.bits.Uint(int(t.off), take) << uint(got)
+		a |= t.Bits.Uint(int(t.Off), take) << uint(got)
 		got += take
-		m.Cons = append(m.Cons, consEntry{ID: t.id, Count: take})
+		m.Cons = append(m.Cons, consEntry{ID: t.ID, Count: take})
 		if got == need {
 			break
 		}
@@ -388,10 +462,10 @@ func (n *node) decodeAndBroadcast(i int, view *sim.NodeView, sends []sim.Send) [
 	}
 	m.Up, m.Level = a&1 == 1, int(a>>1&1)
 	j := a >> 2
-	if j >= uint64(len(order)) {
-		panic(fmt.Sprintf("core: chooser index %d out of range (fragment size %d)", j, len(order)))
+	if j >= uint64(len(held)) {
+		panic(fmt.Sprintf("core: chooser index %d out of range (fragment size %d)", j, len(held)))
 	}
-	m.ChooserID = n.sub.pool[order[j]].id
+	m.ChooserID = held[j].ID
 	return n.applyBroadcast(view, m, sends)
 }
 
@@ -440,14 +514,14 @@ func (n *node) finalSlot(slot int, view *sim.NodeView, sends []sim.Send) []sim.S
 		return n.windowStart(view, sends)
 
 	case slot == 1:
-		n.beginFinalStream(view)
-		return n.streamFinal(width, view, sends)
+		return n.open(view, true, sends)
 
 	case slot <= width:
-		return n.streamFinal(width, view, sends)
+		return n.stream(width, true, view, sends)
 
 	case slot == n.sched.FinalDecodeSlot():
 		if n.parentPort == -1 {
+			n.stream(width, true, view, nil) // a root keeps the last level
 			n.decodeFinal(view)
 		}
 	}
@@ -455,17 +529,19 @@ func (n *node) finalSlot(slot int, view *sim.NodeView, sends []sim.Send) []sim.S
 }
 
 // decodeFinal runs at a final-fragment root: reassemble the Width-bit
-// string from the BFS prefix and resolve it to a parent port (or the
-// all-ones root marker).
+// string from the held BFS prefix and resolve it to a parent port (or
+// the all-ones root marker).
 func (n *node) decodeFinal(view *sim.NodeView) {
-	width := n.sched.Width
-	order := n.sub.bfs(width)
-	if len(order) < width {
-		panic(fmt.Sprintf("core: final fragment exposes %d of %d bits", len(order), width))
+	width, held := n.sched.Width, n.held()
+	if len(held) < width {
+		panic(fmt.Sprintf("core: final fragment exposes %d of %d bits", len(held), width))
+	}
+	if !linked(held) {
+		panic("core: final fragment's records do not link into one BFS prefix")
 	}
 	value := uint64(0)
-	for k, i := range order {
-		if n.sub.pool[i].bit {
+	for k := range held {
+		if held[k].Bits.Bit(0) {
 			value |= 1 << uint(k)
 		}
 	}
@@ -479,32 +555,18 @@ func (n *node) decodeFinal(view *sim.NodeView) {
 	n.parentPort = port
 }
 
-// streamFinal is streamRecs for the final collect, with the same
-// two-buffer reuse discipline.
-func (n *node) streamFinal(width int, view *sim.NodeView, sends []sim.Send) []sim.Send {
-	if n.parentPort == -1 || n.sub == nil {
-		return sends
-	}
-	order := n.sub.bfs(width)
-	if n.sent >= len(order) {
-		return sends
-	}
-	m := &n.finalMsgs[n.finalFlip]
-	m.Recs = slices.Grow(m.Recs[:0], len(order)-n.sent)
-	for _, i := range order[n.sent:] {
-		t := &n.sub.pool[i]
-		if int(t.hop)+1 > width {
-			continue
+// linked reports whether recs are a BFS prefix of a tree: each record
+// after the first names an earlier one as its parent, in nondecreasing
+// position. The final collect carries no child counts, so this is all a
+// final root can check.
+func linked(recs []rec) bool {
+	p := 0
+	for k := 1; k < len(recs); k++ {
+		for recs[p].ID != recs[k].ParentID {
+			if p++; p == k {
+				return false
+			}
 		}
-		m.Recs = append(m.Recs, finalRec{
-			ID: t.id, ParentID: n.sub.parentID(i), W: t.w,
-			PortAtParent: t.portAtParent, Hop: int32(t.hop) + 1, Bit: t.bit,
-		})
 	}
-	n.sent = len(order)
-	if len(m.Recs) == 0 {
-		return sends
-	}
-	n.finalFlip ^= 1
-	return append(sends, sim.Send{Port: n.parentPort, Msg: m})
+	return true
 }
