@@ -82,7 +82,6 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		a.stageRound++
 	}
 	sends := a.sendBuf[:0]
-	a.batches = a.batches[:0]
 	for _, rcv := range inbox {
 		sends = a.receive(view, rcv, sends)
 	}
@@ -96,7 +95,7 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		case a.stageRound == 1:
 			sends = a.open(view, false, sends)
 		default:
-			sends = a.stream(quota, false, view, sends)
+			sends = a.cc.Step(a.parentPort, quota, phaseCharge, view, sends)
 		}
 
 	case stageBcast:
@@ -105,7 +104,7 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 			// singletons, nothing announced) advances on back-to-back
 			// pulses before stageRound 1 ever ran; a root holds just its
 			// own record then.
-			if a.parentPort == -1 && len(a.held()) == 0 {
+			if a.parentPort == -1 && len(a.cc.Held()) == 0 {
 				a.open(view, false, nil)
 			}
 			if a.qualifiesActive(phase, view) {
@@ -126,13 +125,13 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		case a.stageRound == 1:
 			sends = a.open(view, true, sends)
 		default:
-			sends = a.stream(width, true, view, sends)
+			sends = a.cc.Step(a.parentPort, width, finalCharge, view, sends)
 		}
 
 	case stageFinalDec:
 		if fresh {
 			if a.parentPort == -1 {
-				if len(a.held()) == 0 { // silent collect stage (see stageBcast)
+				if len(a.cc.Held()) == 0 { // silent collect stage (see stageBcast)
 					a.open(view, true, nil)
 				}
 				a.decodeFinal(view)

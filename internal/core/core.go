@@ -9,10 +9,11 @@
 // BFS order under a per-node budget of c = 11 bits; one extra bit per node
 // carries the final-stage string (the ⌈log n⌉-bit rank of each remaining
 // fragment root's parent edge). The decoder (node.go) replays the phases:
-// convergecast of the unconsumed advice bits to each fragment root,
-// decode, broadcast with per-node consumption updates and level reports,
-// edge selection by the choosing node, and adoption across selected edges;
-// then a depth-truncated collect recovers the final ranks. See DESIGN.md
+// convergecast (internal/convergecast) of the unconsumed advice bits to
+// each fragment root, decode, broadcast with per-node consumption updates
+// and level reports, edge selection by the choosing node, and adoption
+// across selected edges; then a depth-truncated collect recovers the
+// final ranks. See DESIGN.md
 // §2.2 for the three deliberate deviations (intrinsic tie-breaking order,
 // explicit bookkeeping rounds, and record-carrying convergecasts) and
 // EXPERIMENTS.md E4 for the measured (m, t) profile against the paper's

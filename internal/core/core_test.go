@@ -7,6 +7,7 @@ import (
 
 	"mstadvice/internal/advice"
 	"mstadvice/internal/bitstring"
+	"mstadvice/internal/convergecast"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/sim"
@@ -374,7 +375,7 @@ type recordTap struct {
 func (r *recordTap) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []sim.Send {
 	sends := r.Node.Round(ctx, view, inbox)
 	for _, snd := range sends {
-		if _, ok := snd.Msg.(*recMsg); ok {
+		if _, ok := snd.Msg.(*convergecast.Batch); ok {
 			for len(*r.carried) <= ctx.Round {
 				*r.carried = append(*r.carried, nil)
 			}

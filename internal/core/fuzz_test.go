@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"cmp"
@@ -6,48 +6,63 @@ import (
 	"testing"
 
 	"mstadvice/internal/advice"
+	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
+	"mstadvice/internal/hier"
 	"mstadvice/internal/sim"
 )
 
-// FuzzCoreDecode runs the strict and the adaptive decoder on small
-// graphs read from the input (n ≤ 32, weights 1–4, any port numbering
-// and identifiers) and holds their output to an independent reference:
-// a Kruskal and BFS rooting written below. Both decoders must finish
-// without an engine error on at most 12 advice bits per node, the strict
-// one in exactly RoundBound(n) rounds, and every node must name the
-// reference's parent port. The committed seeds under testdata/fuzz are a
-// star, a path and a complete graph of equal weights.
+// FuzzCoreDecode runs the strict and the adaptive Theorem 3 decoder and
+// the local-decompression decoder (hier, at a level from 1 to 4) on
+// small graphs read from the input (n ≤ 32, weights 1–4, any port
+// numbering and identifiers) and holds their output to an independent
+// reference: a Kruskal and BFS rooting written below. Every decoder
+// must finish without an engine error and every node must name the
+// reference's parent port; the Theorem 3 decoders on at most 12 advice
+// bits per node, the strict one in exactly RoundBound(n) rounds, and
+// hier in exactly hier.Rounds(n). The committed seeds under
+// testdata/fuzz are a star, a path and a complete graph of equal
+// weights. The target sits in the external test package because hier
+// imports core.
 func FuzzCoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, root := fuzzGraph(t, data)
+		g, root, level := fuzzGraph(t, data)
 		want := referenceParents(g, root)
-		exact, _ := RoundBound(g.N())
-		for _, s := range []Scheme{{}, {Adaptive: true}} {
-			res, err := advice.Run(s, g, root, sim.Options{})
+		exact, _ := core.RoundBound(g.N())
+		for _, c := range []struct {
+			s       advice.Scheme
+			rounds  int // the fixed round count, 0 for none
+			maxBits int // the advice bound, 0 for none
+		}{
+			{core.Scheme{}, exact, 12},
+			{core.Scheme{Adaptive: true}, 0, 12},
+			{hier.Scheme{Level: level}, hier.Rounds(g.N()), 0},
+		} {
+			res, err := advice.Run(c.s, g, root, sim.Options{})
 			if err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
+				t.Fatalf("%s: %v", c.s.Name(), err)
 			}
-			if res.Advice.MaxBits > 12 {
-				t.Fatalf("%s: %d advice bits", s.Name(), res.Advice.MaxBits)
+			if c.maxBits > 0 && res.Advice.MaxBits > c.maxBits {
+				t.Fatalf("%s: %d advice bits", c.s.Name(), res.Advice.MaxBits)
 			}
-			if !s.Adaptive && res.Rounds != exact {
-				t.Fatalf("%s: %d rounds, schedule says %d", s.Name(), res.Rounds, exact)
+			if c.rounds > 0 && res.Rounds != c.rounds {
+				t.Fatalf("%s: %d rounds, schedule says %d", c.s.Name(), res.Rounds, c.rounds)
 			}
 			if !slices.Equal(res.ParentPorts, want) {
-				t.Fatalf("%s: parent ports %v, reference %v", s.Name(), res.ParentPorts, want)
+				t.Fatalf("%s: parent ports %v, reference %v", c.s.Name(), res.ParentPorts, want)
 			}
 		}
 	})
 }
 
-// fuzzGraph reads a connected graph and a root. Byte 0 gives n − 2 and
-// byte 1 the root; then each node v ≥ 1 names its spanning-tree parent
-// among nodes < v and the edge's weight; then a count of extra edges and
-// a (u, v, weight) triple for each, duplicates and loops skipped; then
-// one shuffle choice per port, so every port numbering can occur; then
-// one identifier byte per node. Missing bytes read as zero.
-func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID) {
+// fuzzGraph reads a connected graph, a root and a hier level. Byte 0
+// gives n − 2 and byte 1 the root; then each node v ≥ 1 names its
+// spanning-tree parent among nodes < v and the edge's weight; then a
+// count of extra edges and a (u, v, weight) triple for each, duplicates
+// and loops skipped; then one shuffle choice per port, so every port
+// numbering can occur; then one identifier byte per node; then the
+// level, 1 to 4. Missing bytes read as zero.
+func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -93,11 +108,12 @@ func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID) {
 	for u := range ids {
 		ids[u] = int64(next())<<5 | int64(u) // distinct, in any order
 	}
+	level := 1 + next()%4
 	g, err := graph.FromEdgeList(n, ids, edges, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, root
+	return g, root, level
 }
 
 // referenceParents is the rooted MST under the intrinsic edge order

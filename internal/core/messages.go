@@ -1,21 +1,15 @@
 package core
 
 import (
-	"mstadvice/internal/bitstring"
-	"mstadvice/internal/graph"
+	"mstadvice/internal/convergecast"
 	"mstadvice/internal/sim"
 )
 
 // Message ownership. Core messages travel as pointers, so sending one
-// boxes nothing. A record batch points into one of its sender's two
-// alternating buffers and stays valid until the sender's next-but-one
-// send: the round engine delivers a batch in the round after it was sent,
-// and the α-synchronizer buffers at most one pulse ahead, both inside that
-// window. A receiver reads a batch within the round it arrives in,
-// copying the records into its own outgoing batch or, at a fragment root,
-// into its collection. Setup and broadcast messages are never rewritten
-// after they are sent, so one broadcast is relayed down the whole
-// fragment tree unchanged.
+// boxes nothing. Record batches are convergecast.Batch values, owned as
+// that package describes. Setup and broadcast messages are never
+// rewritten after they are sent, so one broadcast is relayed down the
+// whole fragment tree unchanged.
 
 // idMsg is the setup-round introduction: the sender's identifier and the
 // far-side port of the connecting edge (needed to evaluate the intrinsic
@@ -34,23 +28,18 @@ type announceMsg struct{}
 
 func (announceMsg) SizeBits(sim.CostModel) int { return 1 }
 
-// rec is one node's convergecast record. The node itself fills ID,
-// ChildCount, Bits and Off; its fragment parent fills ParentID, W and
-// PortAtParent when first relaying (it alone knows the connecting edge's
-// local coordinates), and every relay raises Hop. Bits is the node's
-// whole advice string, shared by reference. In a phase window receivers
-// read only its unconsumed packed bits Bits[Off:], at most Cap of them;
-// in the final collect ChildCount is -1 and the root reads only bit 0,
-// the final-stage bit.
-type rec struct {
-	ID           int64
-	ParentID     int64
-	W            graph.Weight
-	Bits         *bitstring.BitString
-	Off          int32
-	PortAtParent int32
-	ChildCount   int32
-	Hop          int32
+// phaseCharge prices a phase window's record batch. A record carries
+// the node's identifier, child count and unconsumed packed advice; its
+// parent adds the connecting edge's coordinates and every relay raises
+// its hop (see convergecast.Rec). Receivers read at most Cap packed bits.
+func phaseCharge(cm sim.CostModel, recs []convergecast.Rec) int {
+	return len(recs) * recBits(cm)
+}
+
+// finalCharge prices a final-collect record batch, whose receivers read
+// one advice bit per record.
+func finalCharge(cm sim.CostModel, recs []convergecast.Rec) int {
+	return len(recs) * finalRecBits(cm)
 }
 
 func recBits(cm sim.CostModel) int {
@@ -63,20 +52,6 @@ func recBits(cm sim.CostModel) int {
 // coordinates, but a single advice bit and no child count.
 func finalRecBits(cm sim.CostModel) int {
 	return 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 1
-}
-
-// recMsg batches convergecast records up the fragment tree. Final marks
-// a batch of the final collect, whose records are charged finalRecBits.
-type recMsg struct {
-	Recs  []rec
-	Final bool
-}
-
-func (m *recMsg) SizeBits(cm sim.CostModel) int {
-	if m.Final {
-		return len(m.Recs) * finalRecBits(cm)
-	}
-	return len(m.Recs) * recBits(cm)
 }
 
 // consEntry tells one node how many of its streamed bits the root consumed

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
+	"mstadvice/internal/convergecast"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/localorder"
 	"mstadvice/internal/sim"
@@ -35,11 +34,7 @@ type node struct {
 	nkids int32
 	ports []portState
 
-	// Per-window state. sent counts the records a relay has sent up
-	// this window; batches are the record batches delivered this round,
-	// read before it ends (see stream).
-	sent    int
-	batches []batch
+	// Per-window state.
 	myLevel int
 	haveLvl bool
 	chooser bool
@@ -48,13 +43,10 @@ type node struct {
 	// sendBuf backs the outbox returned from Start and Round. The engine
 	// consumes the outbox before the next compute phase, and a node sends
 	// at most one message per port per round, so one buffer of capacity
-	// deg serves the whole run. recMsgs are the two alternating record
-	// batches of the convergecasts (see messages.go for how long a sent
-	// batch stays valid); a fragment root sends no records, so the one
-	// due next holds its collection instead (see held).
+	// deg serves the whole run. cc runs the convergecasts: every window's
+	// and the final collect's.
 	sendBuf []sim.Send
-	recMsgs [2]recMsg
-	recFlip int
+	cc      convergecast.Stream
 
 	done bool
 }
@@ -77,14 +69,6 @@ func newNode(view *sim.NodeView, cap int) *node {
 type portState struct {
 	child, levelWin uint32
 	level           int32
-}
-
-// batch is one record batch delivered this round and the port it came
-// on. The records belong to the sender's buffer and are read only within
-// the round they arrive in.
-type batch struct {
-	port int
-	m    *recMsg
 }
 
 // isChild reports whether port p announced as a child this window.
@@ -117,7 +101,6 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 		return nil
 	}
 	sends := n.sendBuf[:0]
-	n.batches = n.batches[:0]
 	for _, rcv := range inbox {
 		sends = n.receive(view, rcv, sends)
 	}
@@ -148,8 +131,8 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) [
 		}
 		return sends
 
-	case *recMsg:
-		n.batches = append(n.batches, batch{rcv.Port, m})
+	case *convergecast.Batch:
+		n.cc.Arrive(rcv.Port, m)
 		return sends
 
 	case *bcastMsg:
@@ -176,23 +159,6 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) [
 func (n *node) setLevel(p, lvl int) {
 	ps := &n.ports[p]
 	ps.levelWin, ps.level = n.wnum, int32(lvl)
-}
-
-// annotatePending marks a record whose parent-side fields are filled by
-// the first relaying node. Identifiers are arbitrary int64s, so a separate
-// in-band value cannot be reserved; instead the sender of its own record
-// uses this constant and the direct parent always overwrites it (records
-// at hop 0 are exactly the unannotated ones).
-const annotatePending int64 = -1 << 62
-
-// annotate completes a record that arrived on port p. A direct child's
-// own record arrives unannotated: this node is its parent and alone
-// knows the connecting edge's weight and port.
-func annotate(r rec, view *sim.NodeView, p int) rec {
-	if r.ParentID == annotatePending {
-		r.ParentID, r.W, r.PortAtParent = view.ID, view.PortW[p], int32(p)
-	}
-	return r
 }
 
 // applyBroadcast processes A(F): records the fragment level, the chooser
@@ -249,13 +215,13 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 		return n.open(view, false, sends)
 
 	case slot < ConvergeEnd(i):
-		return n.stream(quota, false, view, sends)
+		return n.cc.Step(n.parentPort, quota, phaseCharge, view, sends)
 
 	case slot == ConvergeEnd(i):
 		if n.parentPort != -1 {
 			return sends
 		}
-		n.stream(quota, false, view, nil) // a root keeps the last level
+		n.cc.Step(-1, quota, phaseCharge, view, nil) // a root keeps the last level
 		if !n.qualifiesActive(i, view) {
 			return sends // passive fragment, or the spanning one
 		}
@@ -271,63 +237,29 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 }
 
 // open starts a convergecast once this node's children are known (one
-// round after the window's announce) with its own record: a fragment
-// root holds it, any other node sends it to its parent. A phase record
+// round after the window's announce) with its own record. A phase record
 // carries the child count and the unconsumed packed advice; a final
 // record carries the advice for its final-stage bit alone.
 func (n *node) open(view *sim.NodeView, final bool, sends []sim.Send) []sim.Send {
-	own := rec{ID: view.ID, ParentID: annotatePending, Bits: view.Advice, ChildCount: -1}
-	if !final {
+	own := convergecast.Rec{ID: view.ID, Bits: view.Advice, ChildCount: -1}
+	charge := phaseCharge
+	if final {
+		charge = finalCharge
+	} else {
 		own.ChildCount = n.nkids
 		own.Off = int32(min(1+n.cons, view.Advice.Len()))
 	}
-	m := n.nextBatch(final, 1)
-	m.Recs = append(m.Recs, own)
-	if n.parentPort == -1 {
-		n.sent = 0
-		return sends
-	}
-	m.Recs[0].Hop = 1
-	n.sent = 1
-	return n.flush(m, sends)
+	return n.cc.Open(own, n.parentPort, charge, sends)
 }
-
-// held is a fragment root's collection: the first records of its BFS
-// order, its own first. It lives in the record buffer due next, which a
-// root never sends, so serving as a root costs no memory of its own.
-func (n *node) held() []rec { return n.recMsgs[n.recFlip].Recs }
 
 // qualifiesActive reports whether this fragment root collected a complete
 // tree of an active, non-spanning fragment at phase i and should decode.
 func (n *node) qualifiesActive(i int, view *sim.NodeView) bool {
-	held := n.held()
+	held := n.cc.Held()
 	if n.parentPort != -1 || len(held) == 0 {
 		return false
 	}
-	return len(held) < 1<<uint(i) && len(held) < view.N && whole(held)
-}
-
-// whole reports whether recs are a whole fragment tree in BFS order:
-// after the root's own record they fall into consecutive runs, one per
-// record in turn, each as long as that record's announced child count
-// and naming it as parent. A record whose parent is missing or out of
-// place breaks a run, so it counts toward the size and marks the
-// fragment incomplete.
-func whole(recs []rec) bool {
-	next := 1
-	for i, t := range recs {
-		c := int(t.ChildCount)
-		if i >= next || c < 0 || next+c > len(recs) {
-			return false
-		}
-		for _, k := range recs[next : next+c] {
-			if k.ParentID != t.ID {
-				return false
-			}
-		}
-		next += c
-	}
-	return true
+	return len(held) < 1<<uint(i) && len(held) < view.N && convergecast.Whole(held)
 }
 
 // windowStart resets per-window state and announces to the parent.
@@ -338,100 +270,11 @@ func (n *node) windowStart(view *sim.NodeView, sends []sim.Send) []sim.Send {
 	n.nkids = 0
 	n.haveLvl = false
 	n.chooser = false
-	n.recMsgs[n.recFlip].Recs = n.held()[:0] // no collection until open
-	n.sent = 0
+	n.cc.Reset() // no collection until open
 	if n.parentPort != -1 {
 		sends = append(sends, sim.Send{Port: n.parentPort, Msg: announceMsg{}})
 	}
 	return sends
-}
-
-// stream runs one round of a convergecast whose prefix cut is limit (the
-// quota, or the width in the final collect). Every node sends its own
-// record at slot 1 and each depth-d record arrives d rounds later, so
-// this round's batches, ordered by the (weight, port) of the child edge
-// each came on and concatenated, are exactly the next level of this
-// node's BFS order. A fragment root holds them, up to limit records in
-// all; any other node forwards them within its limit and keeps nothing.
-// The hop filter and the own-identifier drop bound the streams that a
-// cycle of corrupted parent pointers could otherwise keep alive.
-func (n *node) stream(limit int, final bool, view *sim.NodeView, sends []sim.Send) []sim.Send {
-	if len(n.batches) == 0 {
-		return sends
-	}
-	slices.SortFunc(n.batches, func(a, b batch) int {
-		return cmp.Or(cmp.Compare(view.PortW[a.port], view.PortW[b.port]), cmp.Compare(a.port, b.port))
-	})
-	if n.parentPort == -1 {
-		for _, b := range n.batches {
-			for _, r := range b.m.Recs {
-				n.hold(annotate(r, view, b.port), limit)
-			}
-		}
-		return sends
-	}
-	if n.sent >= limit {
-		return sends
-	}
-	pending := 0
-	for _, b := range n.batches {
-		pending += len(b.m.Recs)
-	}
-	m := n.nextBatch(final, min(limit-n.sent, pending))
-	for _, b := range n.batches {
-		for _, r := range b.m.Recs {
-			if n.sent == limit {
-				break
-			}
-			if r.ID == view.ID {
-				continue
-			}
-			n.sent++
-			if int(r.Hop)+1 > limit {
-				continue
-			}
-			r = annotate(r, view, b.port)
-			r.Hop++
-			m.Recs = append(m.Recs, r)
-		}
-	}
-	return n.flush(m, sends)
-}
-
-// hold adds a record to a fragment root's collection, which keeps the
-// first limit records of the BFS order; a repeat of a held record is
-// ignored.
-func (n *node) hold(r rec, limit int) {
-	m := &n.recMsgs[n.recFlip]
-	if len(m.Recs) >= limit {
-		return
-	}
-	for k := range m.Recs {
-		if m.Recs[k].ID == r.ID {
-			return
-		}
-	}
-	m.Recs = append(m.Recs, r)
-}
-
-// nextBatch returns the emptied one of the two alternating record
-// buffers with room for size records. The batch sent in round r is read
-// by the receiver in round r+1, while this node is already filling the
-// other buffer, and is free again by round r+2.
-func (n *node) nextBatch(final bool, size int) *recMsg {
-	m := &n.recMsgs[n.recFlip]
-	m.Recs = slices.Grow(m.Recs[:0], size)
-	m.Final = final
-	return m
-}
-
-// flush sends a filled batch to the parent, unless it is empty.
-func (n *node) flush(m *recMsg, sends []sim.Send) []sim.Send {
-	if len(m.Recs) == 0 {
-		return sends
-	}
-	n.recFlip ^= 1
-	return append(sends, sim.Send{Port: n.parentPort, Msg: m})
 }
 
 // decodeAndBroadcast runs at the root of an active fragment: reassemble
@@ -443,7 +286,7 @@ func (n *node) decodeAndBroadcast(i int, view *sim.NodeView, sends []sim.Send) [
 	var a uint64
 	got := 0
 	m := &bcastMsg{}
-	held := n.held()
+	held := n.cc.Held()
 	for k := range held {
 		t := &held[k]
 		take := min(t.Bits.Len()-int(t.Off), need-got)
@@ -517,11 +360,11 @@ func (n *node) finalSlot(slot int, view *sim.NodeView, sends []sim.Send) []sim.S
 		return n.open(view, true, sends)
 
 	case slot <= width:
-		return n.stream(width, true, view, sends)
+		return n.cc.Step(n.parentPort, width, finalCharge, view, sends)
 
 	case slot == n.sched.FinalDecodeSlot():
 		if n.parentPort == -1 {
-			n.stream(width, true, view, nil) // a root keeps the last level
+			n.cc.Step(-1, width, finalCharge, view, nil) // a root keeps the last level
 			n.decodeFinal(view)
 		}
 	}
@@ -532,11 +375,11 @@ func (n *node) finalSlot(slot int, view *sim.NodeView, sends []sim.Send) []sim.S
 // string from the held BFS prefix and resolve it to a parent port (or
 // the all-ones root marker).
 func (n *node) decodeFinal(view *sim.NodeView) {
-	width, held := n.sched.Width, n.held()
+	width, held := n.sched.Width, n.cc.Held()
 	if len(held) < width {
 		panic(fmt.Sprintf("core: final fragment exposes %d of %d bits", len(held), width))
 	}
-	if !linked(held) {
+	if !convergecast.Linked(held) {
 		panic("core: final fragment's records do not link into one BFS prefix")
 	}
 	value := uint64(0)
@@ -553,20 +396,4 @@ func (n *node) decodeFinal(view *sim.NodeView) {
 		panic(fmt.Sprintf("core: final rank %d out of range for degree %d", value, view.Deg))
 	}
 	n.parentPort = port
-}
-
-// linked reports whether recs are a BFS prefix of a tree: each record
-// after the first names an earlier one as its parent, in nondecreasing
-// position. The final collect carries no child counts, so this is all a
-// final root can check.
-func linked(recs []rec) bool {
-	p := 0
-	for k := 1; k < len(recs); k++ {
-		for recs[p].ID != recs[k].ParentID {
-			if p++; p == k {
-				return false
-			}
-		}
-	}
-	return true
 }

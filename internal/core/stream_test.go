@@ -7,14 +7,19 @@ import (
 	"testing"
 
 	"mstadvice/internal/bitstring"
+	"mstadvice/internal/convergecast"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/sim"
 )
 
-// The convergecast tests drive node streams round by round on fragment
-// trees built here, without the engine, and compare what every relay
-// sends and what the root holds against a breadth-first search written
-// in the test.
+// The convergecast tests drive node streams (internal/convergecast, as
+// core's node opens and steps them) round by round on fragment trees
+// built here, without the engine, and compare what every relay sends and
+// what the root holds against a breadth-first search written in the
+// test.
+
+// rec is the record the streams carry.
+type rec = convergecast.Rec
 
 // fragment is a test fragment tree. Node 0 is the root; every other
 // node v hangs off parent[v], on port up[v] at v and down[v] at the
@@ -155,9 +160,6 @@ func (f *fragment) converge(t *testing.T, limit int, final bool, deliver deliver
 	}
 	for s := 1; ; s++ {
 		inFlight := false
-		for _, n := range r.nodes {
-			n.batches = n.batches[:0]
-		}
 		for v, sends := range out {
 			if len(sends) == 0 {
 				continue
@@ -165,7 +167,7 @@ func (f *fragment) converge(t *testing.T, limit int, final bool, deliver deliver
 			if len(sends) != 1 || sends[0].Port != f.up[v] {
 				t.Fatalf("node %d slot %d: sends %v, want one batch to its parent", v, s, sends)
 			}
-			recs := append([]rec(nil), sends[0].Msg.(*recMsg).Recs...)
+			recs := append([]rec(nil), sends[0].Msg.(*convergecast.Batch).Recs...)
 			r.sent[v] = append(r.sent[v], make([][]rec, s+1-len(r.sent[v]))...)
 			r.sent[v][s] = recs
 			if deliver != nil {
@@ -174,17 +176,17 @@ func (f *fragment) converge(t *testing.T, limit int, final bool, deliver deliver
 			if recs != nil {
 				inFlight = true
 				p := f.parent[v]
-				r.nodes[p].receive(f.views[p], sim.Received{Port: f.down[v], Msg: &recMsg{Recs: recs, Final: final}}, nil)
+				r.nodes[p].receive(f.views[p], sim.Received{Port: f.down[v], Msg: &convergecast.Batch{Recs: recs}}, nil)
 			}
 		}
 		if !inFlight {
 			break
 		}
 		for v, n := range r.nodes {
-			out[v] = n.stream(limit, final, f.views[v], nil)
+			out[v] = n.cc.Step(n.parentPort, limit, phaseCharge, f.views[v], nil)
 		}
 	}
-	r.held = append([]rec(nil), r.nodes[0].held()...)
+	r.held = append([]rec(nil), r.nodes[0].cc.Held()...)
 	return r
 }
 
@@ -241,7 +243,7 @@ func (f *fragment) check(t *testing.T, r *collectRun, limit int) {
 	if !slices.Equal(idsOf(r.held), want) {
 		t.Fatalf("root holds %v, want %v", idsOf(r.held), want)
 	}
-	if !linked(r.held) {
+	if !convergecast.Linked(r.held) {
 		t.Fatal("root's collection is not a linked BFS prefix")
 	}
 }
@@ -262,7 +264,7 @@ func TestSubtreeBFSOrder(t *testing.T) {
 			r := f.converge(t, limit, false, nil)
 			f.check(t, r, limit)
 			size := len(f.parent)
-			if got, want := whole(r.held), size <= limit; got != want {
+			if got, want := convergecast.Whole(r.held), size <= limit; got != want {
 				t.Fatalf("trial %d quota %d size %d: whole = %v", trial, limit, size, got)
 			}
 		}
@@ -288,8 +290,8 @@ func TestSubtreePrefixStability(t *testing.T) {
 			for _, b := range r.sent[v] {
 				total += len(b)
 			}
-			if total > limit || r.nodes[v].sent != total {
-				t.Fatalf("quota %d: node %d sent %d records, counted %d", limit, v, total, r.nodes[v].sent)
+			if total > limit || r.nodes[v].cc.Sent() != total {
+				t.Fatalf("quota %d: node %d sent %d records, counted %d", limit, v, total, r.nodes[v].cc.Sent())
 			}
 		}
 	}
@@ -346,8 +348,8 @@ func TestSubtreeIncomplete(t *testing.T) {
 			}
 			return recs
 		})
-		if len(r.held) != row.held || whole(r.held) != row.whole {
-			t.Fatalf("%s: root holds %d records, whole = %v", row.name, len(r.held), whole(r.held))
+		if len(r.held) != row.held || convergecast.Whole(r.held) != row.whole {
+			t.Fatalf("%s: root holds %d records, whole = %v", row.name, len(r.held), convergecast.Whole(r.held))
 		}
 		if row.name == "missing parent" && r.held[2].ID != f.views[3].ID {
 			t.Fatalf("%s: root holds %v", row.name, idsOf(r.held))
@@ -375,13 +377,13 @@ func TestSubtreeDuplicate(t *testing.T) {
 			}
 			return recs
 		})
-		if got := idsOf(slices.Concat(r.sent[1]...)); !slices.Equal(got, []int64{f.views[1].ID, f.views[2].ID, f.views[3].ID}) || r.nodes[1].sent != 3 {
-			t.Fatalf("%s: node 1 sent %v, counted %d", row.name, got, r.nodes[1].sent)
+		if got := idsOf(slices.Concat(r.sent[1]...)); !slices.Equal(got, []int64{f.views[1].ID, f.views[2].ID, f.views[3].ID}) || r.nodes[1].cc.Sent() != 3 {
+			t.Fatalf("%s: node 1 sent %v, counted %d", row.name, got, r.nodes[1].cc.Sent())
 		}
 		if !slices.Equal(idsOf(r.held), []int64{f.views[0].ID, f.views[1].ID, f.views[2].ID, f.views[3].ID}) {
 			t.Fatalf("%s: root holds %v", row.name, idsOf(r.held))
 		}
-		if !whole(r.held) {
+		if !convergecast.Whole(r.held) {
 			t.Fatalf("%s: fragment not whole", row.name)
 		}
 	}

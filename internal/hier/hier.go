@@ -27,9 +27,9 @@
 // so the per-node cost of the fragment identity falls geometrically
 // with L (Lemma 1: |F| ≥ 2^L), while every node still learns its exact
 // parent port: non-roots read it directly from their hint, fragment
-// roots reassemble the value by a convergecast over the fragment tree
-// and translate the rank back to a port with the same local-order
-// machinery the flat decoder uses.
+// roots reassemble the value by the relay-only convergecast the flat
+// decoder also runs (internal/convergecast) and translate the rank back
+// to a port with the same local-order machinery the flat decoder uses.
 //
 // The decoder (see node.go) is level-oblivious — the advice is
 // self-describing — and runs unmodified on the synchronous and

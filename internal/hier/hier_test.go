@@ -1,6 +1,7 @@
 package hier_test
 
 import (
+	"runtime"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -25,23 +26,39 @@ func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) 
 }
 
 // TestHierAllFamilies is the acceptance pin: the mst-hier-l%d decoder
-// verifies on every registered graph family, at several levels, on the
-// synchronous engine, with the exact fixed round count.
+// verifies on every registered graph family, at several levels, with
+// the exact fixed round count: with distinct weights on the synchronous
+// engine, and with tied and with equal weights, where the relays'
+// (weight, port) order of the batches they forward rests on the port
+// tie-break, at small n on both engines.
 func TestHierAllFamilies(t *testing.T) {
+	type row struct {
+		w     gen.WeightMode
+		n     int
+		async bool
+	}
+	rows := []row{{gen.WeightsDistinct, 60, false}}
+	for _, w := range []gen.WeightMode{gen.WeightsRandom, gen.WeightsUnit} {
+		for _, n := range []int{3, 9, 60} {
+			rows = append(rows, row{w, n, false}, row{w, n, true})
+		}
+	}
 	for _, fam := range gen.Names() {
 		fam := fam
 		t.Run(fam, func(t *testing.T) {
-			g := seeded(t, fam, 60, 21, gen.WeightsDistinct)
-			for _, level := range []int{1, 2, 3, 8} {
-				res, err := advice.Run(hier.Scheme{Level: level}, g, 0, sim.Options{})
-				if err != nil {
-					t.Fatalf("level %d: %v", level, err)
-				}
-				if !res.Verified {
-					t.Fatalf("level %d: not verified: %v", level, res.VerifyErr)
-				}
-				if res.Rounds != hier.Rounds(g.N()) {
-					t.Fatalf("level %d: %d rounds, want the fixed %d", level, res.Rounds, hier.Rounds(g.N()))
+			for _, r := range rows {
+				g := seeded(t, fam, r.n, 21, r.w)
+				for _, level := range []int{1, 2, 3, 8} {
+					res, err := advice.Run(hier.Scheme{Level: level}, g, 0, sim.Options{Async: r.async})
+					if err != nil {
+						t.Fatalf("%+v level %d: %v", r, level, err)
+					}
+					if !res.Verified {
+						t.Fatalf("%+v level %d: not verified: %v", r, level, res.VerifyErr)
+					}
+					if rounds := max(res.Rounds, res.Pulses); rounds != hier.Rounds(g.N()) {
+						t.Fatalf("%+v level %d: %d rounds, want the fixed %d", r, level, rounds, hier.Rounds(g.N()))
+					}
 				}
 			}
 		})
@@ -242,5 +259,43 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 		if carriers != width {
 			t.Fatalf("fragment %d: %d carrier bits, want exactly %d", f.ID, carriers, width)
 		}
+	}
+}
+
+// TestHierDecoderAllocations bounds what one decode allocates: the
+// decoder at the coarsest level of a seeded random graph with n = 2·10⁴
+// must stay within 30 MiB of heap allocations (23.1 MiB measured on a
+// 2-core host, 26.0 MiB under the race detector). A decoder whose relays
+// forward whole subtrees and whose fragment roots rebuild them as trees
+// allocated 58.7 MiB here, so it fails.
+func TestHierDecoderAllocations(t *testing.T) {
+	g := seeded(t, "random", 20_000, 5, gen.WeightsDistinct)
+	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := hier.Scheme{Level: d.TotalPhases}
+	adv, err := hier.Encode(d, s.Level, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := sim.NewNetwork(g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := nw.Run(s.NewNode, adv, sim.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range res.ParentPorts {
+		if res.ParentPorts[u] != d.ParentPort[u] {
+			t.Fatalf("node %d: parent port %d, want %d", u, res.ParentPorts[u], d.ParentPort[u])
+		}
+	}
+	const limit = 30 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("level %d decode allocated %.1f MiB", s.Level, float64(got)/(1<<20))
+	if got > limit {
+		t.Fatalf("decode allocated %.1f MiB, limit %d MiB", float64(got)/(1<<20), limit>>20)
 	}
 }

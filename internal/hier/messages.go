@@ -1,8 +1,7 @@
 package hier
 
 import (
-	"mstadvice/internal/bitstring"
-	"mstadvice/internal/graph"
+	"mstadvice/internal/convergecast"
 	"mstadvice/internal/sim"
 )
 
@@ -11,49 +10,24 @@ import (
 // evaluate the intrinsic global order locally), and whether the
 // receiver is the sender's MST parent per the sender's advice hint —
 // which, fragments being subtrees of T, tells every node its fragment
-// children in one round.
+// children in one round. Hellos travel as pointers into one array per
+// sender and are never rewritten.
 type helloMsg struct {
 	ID    int64
 	Port  int
 	Child bool
 }
 
-func (helloMsg) SizeBits(cm sim.CostModel) int { return cm.IDBits + cm.PortBits + 1 }
+func (*helloMsg) SizeBits(cm sim.CostModel) int { return cm.IDBits + cm.PortBits + 1 }
 
-// hierPending marks a record whose parent-side fields are not filled
-// yet: only the record's fragment parent knows the connecting edge's
-// local coordinates, and fills them when first relaying.
-const hierPending = int64(-1) << 62
-
-// hierRec is one node's convergecast record: its identity, its
-// parent-side coordinates (filled by the parent), its fragment child
-// count (for completeness detection at the root), the hops traveled,
-// and its carrier bits of the fragment value.
-type hierRec struct {
-	ID           int64
-	ParentID     int64
-	W            graph.Weight
-	PortAtParent int
-	ChildCount   int
-	Hop          int
-	Bits         *bitstring.BitString
-}
-
-// hierRecMsg batches convergecast records up the fragment tree.
-type hierRecMsg struct {
-	Recs []hierRec
-}
-
-func (m hierRecMsg) SizeBits(cm sim.CostModel) int {
-	// Per record: id + parent id + hop (≈id width) + weight + port +
-	// child count (≈port width) + carrier bits with a 5-bit length
-	// (carrier payloads are ≤ ⌈log n⌉ ≤ 2^5 bits at any feasible n).
+// recordsCharge prices a batch of convergecast records. Per record: id +
+// parent id + hop (≈id width) + weight + port + child count (≈port
+// width) + the node's carrier bits (its advice from Off on) with a 5-bit
+// length (carrier payloads are ≤ ⌈log n⌉ ≤ 2^5 bits at any feasible n).
+func recordsCharge(cm sim.CostModel, recs []convergecast.Rec) int {
 	total := 0
-	for _, r := range m.Recs {
-		total += 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 5
-		if r.Bits != nil {
-			total += r.Bits.Len()
-		}
+	for i := range recs {
+		total += 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 5 + recs[i].Bits.Len() - int(recs[i].Off)
 	}
 	return total
 }

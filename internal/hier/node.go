@@ -2,6 +2,7 @@ package hier
 
 import (
 	"mstadvice/internal/bitstring"
+	"mstadvice/internal/convergecast"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/localorder"
 	"mstadvice/internal/sim"
@@ -10,25 +11,27 @@ import (
 // node is the local-decompression decoder. Non-roots learn their MST
 // parent port directly from the advice hint; each fragment root
 // reassembles its fragment's ⌈log n⌉-bit value from the carrier bits
-// spread over the fragment's BFS prefix, by a hop-truncated
-// convergecast over the fragment tree, then translates the decoded
-// global rank back to a port (all-ones marks the global root). The
-// schedule is fixed — every node terminates at round ⌈log n⌉ + 1 — so
-// the decoder is deterministic for any worker count and, wrapped in
-// the α-synchronizer, runs unmodified in asynchronous mode.
+// spread over the fragment's BFS prefix, collected by the relay-only
+// convergecast (internal/convergecast) with limit ⌈log n⌉, then
+// translates the decoded global rank back to a port (all-ones marks the
+// global root). A node keeps O(deg + ⌈log n⌉) state and no fragment
+// root builds a tree. The schedule is fixed — every node terminates at
+// round ⌈log n⌉ + 1 — so the decoder is deterministic for any worker
+// count and, wrapped in the α-synchronizer, runs unmodified in
+// asynchronous mode.
 type node struct {
-	width      int // ⌈log n⌉: value width, hop cap, schedule length
-	doneRound  int
-	root       bool
+	width      int // ⌈log n⌉: value width, prefix cut, schedule length
 	parentPort int
-	carriers   *bitstring.BitString
+	carrierOff int // where the carrier bits start in the advice
 
 	nbrID   []int64
 	nbrPort []int
 
-	sub   *subtree // fragment root only
-	done  bool
-	ended bool
+	// sendBuf backs the outbox: deg hellos at Start, then at most one
+	// record batch per round.
+	sendBuf []sim.Send
+	cc      convergecast.Stream
+	done    bool
 }
 
 func newNode(view *sim.NodeView) sim.Node {
@@ -41,88 +44,70 @@ func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 		return nil
 	}
 	n.width = graph.CeilLog2(view.N)
-	n.doneRound = n.width + 1
 	r := bitstring.NewReader(view.Advice)
-	n.root = r.ReadBit()
-	if !n.root {
+	if !r.ReadBit() {
 		n.parentPort = int(r.ReadUint(bitstring.WidthFor(uint64(view.Deg - 1))))
 	}
-	n.carriers = r.ReadBits(r.Remaining())
+	n.carrierOff = r.Pos()
 	n.nbrID = make([]int64, view.Deg)
 	n.nbrPort = make([]int, view.Deg)
-	sends := make([]sim.Send, view.Deg)
-	for p := 0; p < view.Deg; p++ {
-		sends[p] = sim.Send{Port: p, Msg: helloMsg{
-			ID:    view.ID,
-			Port:  p,
-			Child: !n.root && p == n.parentPort,
-		}}
+	hellos := make([]helloMsg, view.Deg)
+	n.sendBuf = make([]sim.Send, view.Deg)
+	for p := range hellos {
+		hellos[p] = helloMsg{ID: view.ID, Port: p, Child: p == n.parentPort}
+		n.sendBuf[p] = sim.Send{Port: p, Msg: &hellos[p]}
 	}
-	return sends
+	return n.sendBuf
 }
 
 func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []sim.Send {
-	var sends []sim.Send
-	switch {
-	case ctx.Round == 1:
-		children := 0
+	if n.done {
+		return nil
+	}
+	sends := n.sendBuf[:0]
+	if ctx.Round == 1 {
+		children := int32(0)
 		for _, rcv := range inbox {
-			h := rcv.Msg.(helloMsg)
+			h := rcv.Msg.(*helloMsg)
 			n.nbrID[rcv.Port] = h.ID
 			n.nbrPort[rcv.Port] = h.Port
 			if h.Child {
 				children++
 			}
 		}
-		own := hierRec{ID: view.ID, ParentID: hierPending, ChildCount: children, Hop: 1, Bits: n.carriers}
-		if n.root {
-			n.sub = newSubtree(view.ID, children, n.carriers)
-		} else {
-			sends = append(sends, sim.Send{Port: n.parentPort, Msg: hierRecMsg{Recs: []hierRec{own}}})
-		}
-	case ctx.Round >= 2:
-		var relay []hierRec
-		for _, rcv := range inbox {
-			m := rcv.Msg.(hierRecMsg)
-			for _, rec := range m.Recs {
-				if rec.ParentID == hierPending {
-					rec.ParentID = view.ID
-					rec.W = view.PortW[rcv.Port]
-					rec.PortAtParent = rcv.Port
-				}
-				if n.root {
-					n.sub.add(rec)
-				} else if rec.Hop+1 <= n.width {
-					rec.Hop++
-					relay = append(relay, rec)
-				}
-			}
-		}
-		if len(relay) > 0 {
-			sends = append(sends, sim.Send{Port: n.parentPort, Msg: hierRecMsg{Recs: relay}})
-		}
+		own := convergecast.Rec{ID: view.ID, Bits: view.Advice, Off: int32(n.carrierOff), ChildCount: children}
+		return n.cc.Open(own, n.parentPort, recordsCharge, sends)
 	}
-	if ctx.Round >= n.doneRound && !n.done {
-		if n.root {
-			n.resolve(view)
-		}
-		n.done = true
+	for _, rcv := range inbox {
+		n.cc.Arrive(rcv.Port, rcv.Msg.(*convergecast.Batch))
 	}
-	return sends
+	if ctx.Round <= n.width {
+		return n.cc.Step(n.parentPort, n.width, recordsCharge, view, sends)
+	}
+	if n.parentPort == -1 {
+		n.cc.Step(-1, n.width, recordsCharge, view, nil) // a root keeps the last level
+		n.resolve(view)
+	}
+	n.done = true
+	return nil
 }
 
-// resolve reassembles the fragment value at the root and converts it
-// to the root's own MST parent port.
+// resolve reassembles the fragment value at the root from its
+// collection, the first min(⌈log n⌉, |F|) records of the fragment's BFS
+// order, and converts it to the root's own MST parent port. The stride
+// is the fragment's size when the collection is the whole fragment and
+// shorter than ⌈log n⌉, and ⌈log n⌉ otherwise, as in assignFragment.
 func (n *node) resolve(view *sim.NodeView) {
+	held := n.cc.Held()
 	stride := n.width
-	if n.sub.complete() && n.sub.size() < stride {
-		stride = n.sub.size()
+	if len(held) < stride && convergecast.Whole(held) {
+		stride = len(held)
 	}
 	var value uint64
-	for k, tn := range n.sub.bfs(stride) {
-		r := bitstring.NewReader(tn.bits)
-		for pos := k; pos < n.width; pos += stride {
-			if r.ReadBit() {
+	for k := range held { // at most stride records
+		t := &held[k]
+		for i, pos := int(t.Off), k; pos < n.width; i, pos = i+1, pos+stride {
+			if t.Bits.Bit(i) {
 				value |= uint64(1) << uint(pos)
 			}
 		}

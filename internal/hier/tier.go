@@ -29,8 +29,8 @@ type HierOptions struct {
 	Workers int
 }
 
-// BuildTiers runs the decomposition once with the tower kept and
-// materializes the requested levels as store tiers. Each tier is a
+// BuildTiers runs the decomposition's pass 1 once with the tower kept
+// and materializes the requested levels as store tiers. Each tier is a
 // self-contained coarse instance: the contracted graph at that level
 // (supernodes named by their representative's original identifier,
 // parallel edges collapsed to the globally smallest one), the
@@ -49,11 +49,12 @@ func BuildTiers(g *graph.Graph, root graph.NodeID, opt HierOptions) ([]store.Tie
 	if g.N() < 2 {
 		return nil, nil
 	}
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: opt.Workers, KeepTower: true})
+	// Pass 1 alone builds the tower; no fragment needs annotating.
+	s, err := boruvka.NewStream(g, root, boruvka.Options{Workers: opt.Workers, KeepTower: true, KeepPhases: 1})
 	if err != nil {
 		return nil, err
 	}
-	tw := d.Tower
+	tw := s.D.Tower
 	if tw.NumLevels() == 0 {
 		return nil, nil
 	}
