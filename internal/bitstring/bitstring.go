@@ -1,7 +1,11 @@
 // Package bitstring implements compact bit strings used as advice payloads
 // by the advising schemes of Fraigniaud, Korman and Lebhar (SPAA 2007).
 //
-// A BitString is an append-only sequence of bits with O(1) random access.
+// A BitString is a growable sequence of bits with O(1) random access.
+// Bits are appended; the one in-place mutator, SetBit, is for a string
+// its builder has not handed out yet (the oracle sets each node's final
+// bit after packing its phase bits). A string handed out is never
+// modified: a holder that needs a different string copies it first.
 // A Reader is a consuming cursor over a BitString; it is the concrete
 // realisation of the paper's cons(u, i) pointer ("how many advice bits node
 // u has consumed so far"). Fixed-width unsigned integers provide the
@@ -57,6 +61,19 @@ func (s *BitString) Bit(i int) bool {
 		panic(fmt.Sprintf("bitstring: index %d out of range [0,%d)", i, s.n))
 	}
 	return s.words[i/64]>>(uint(i)%64)&1 == 1
+}
+
+// SetBit sets bit i to b. It panics if i is out of range. Call it only
+// on a string not yet handed out (see the package doc).
+func (s *BitString) SetBit(i int, b bool) {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("bitstring: index %d out of range [0,%d)", i, s.n))
+	}
+	if b {
+		s.words[i/64] |= 1 << (uint(i) % 64)
+	} else {
+		s.words[i/64] &^= 1 << (uint(i) % 64)
+	}
 }
 
 // AppendBit appends a single bit.

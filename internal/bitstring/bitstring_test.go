@@ -2,6 +2,7 @@ package bitstring
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,30 @@ func TestAppendUintPanics(t *testing.T) {
 		}
 	}()
 	New(0).AppendUint(4, 2)
+}
+
+// TestSetBit: SetBit rewrites one bit in place, in either direction and
+// in any word, leaves the others and the length alone, and panics past
+// the end.
+func TestSetBit(t *testing.T) {
+	s, err := Parse("1101" + strings.Repeat("0", 62) + "11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Bits()
+	for _, i := range []int{0, 2, 63, 64, 67} {
+		want[i] = !want[i]
+		s.SetBit(i, want[i])
+	}
+	if !s.Equal(FromBits(want)) || s.Len() != len(want) {
+		t.Fatalf("after SetBit: %s, want %s", s, FromBits(want))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetBit past the end did not panic")
+		}
+	}()
+	s.SetBit(s.Len(), true)
 }
 
 func TestBitPanicsOutOfRange(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"slices"
 
 	"mstadvice/internal/bitstring"
-	"mstadvice/internal/graph"
 	"mstadvice/internal/sim"
 )
 
@@ -33,22 +32,18 @@ import (
 // round it arrives in, copying the records into its own outgoing batch
 // or, at a fragment root, into its collection.
 
-// Rec is one node's convergecast record. The node itself fills ID,
-// ChildCount, Bits and Off; its fragment parent fills ParentID, W and
-// PortAtParent when first relaying (it alone knows the connecting edge's
-// local coordinates), and every relay raises Hop. Bits is the node's
-// whole advice string, shared by reference, and Off is where the part
-// its decoder reads starts. ChildCount is -1 when the decoder announces
-// no children.
+// Rec is one node's convergecast record: exactly what a fragment root
+// reads. The node itself fills ID, ChildCount, Bits and Off; its
+// fragment parent fills ParentID when first relaying it. Bits is the
+// node's whole advice string, shared by reference, and Off is where the
+// part its decoder reads starts. ChildCount is -1 when the decoder
+// announces no children.
 type Rec struct {
-	ID           int64
-	ParentID     int64
-	W            graph.Weight
-	Bits         *bitstring.BitString
-	Off          int32
-	PortAtParent int32
-	ChildCount   int32
-	Hop          int32
+	ID         int64
+	ParentID   int64
+	Bits       *bitstring.BitString
+	Off        int32
+	ChildCount int32
 }
 
 // Charge returns the bits a batch of records costs under cm. Each
@@ -66,11 +61,11 @@ type Batch struct {
 // SizeBits implements sim.Message.
 func (b *Batch) SizeBits(cm sim.CostModel) int { return b.Charge(cm, b.Recs) }
 
-// pending marks a record whose parent-side fields are filled by the
-// first relaying node. Identifiers are arbitrary int64s, so a separate
-// in-band value cannot be reserved; instead the sender of its own record
-// uses this constant and the direct parent always overwrites it (records
-// at hop 0 are exactly the unannotated ones).
+// pending marks a record whose ParentID the first relaying node fills.
+// Identifiers are arbitrary int64s, so a separate in-band value cannot
+// be reserved; instead the sender of its own record uses this constant
+// and the direct parent always overwrites it, so only a record still on
+// its first hop carries it.
 const pending int64 = -1 << 62
 
 // arrival is one batch delivered this round and the port it came on.
@@ -103,8 +98,9 @@ func (s *Stream) Reset() {
 }
 
 // Open starts a convergecast once the node's children are known, with
-// its own record, whose ParentID and Hop it sets: a fragment root holds
-// the record, any other node sends it to its parent, priced by charge.
+// its own record, whose ParentID it sets: a fragment root holds the
+// record, any other node sends it to its parent, priced by charge. The
+// caller opens at slot 1 and steps at the slots after it.
 func (s *Stream) Open(own Rec, parent int, charge Charge, sends []sim.Send) []sim.Send {
 	own.ParentID = pending
 	b := s.next(1, charge)
@@ -113,7 +109,6 @@ func (s *Stream) Open(own Rec, parent int, charge Charge, sends []sim.Send) []si
 		s.sent = 0
 		return sends
 	}
-	b.Recs[0].Hop = 1
 	s.sent = 1
 	return s.flush(b, parent, sends)
 }
@@ -123,13 +118,16 @@ func (s *Stream) Arrive(p int, b *Batch) {
 	s.arrived = append(s.arrived, arrival{p, b})
 }
 
-// Step runs one round of the convergecast with prefix cut limit on the
-// batches that arrived this round. A fragment root holds their records,
-// up to limit in all; any other node forwards them within its limit,
-// priced by charge, and keeps nothing. The hop filter and the
-// own-identifier drop bound the streams that a cycle of corrupted parent
-// pointers could otherwise keep alive.
-func (s *Stream) Step(parent, limit int, charge Charge, view *sim.NodeView, sends []sim.Send) []sim.Send {
+// Step runs the convergecast's slot numbered slot (Open ran slot 1)
+// with prefix cut limit on the batches that arrived this round. A
+// fragment root holds their records, up to limit in all; any other node
+// forwards them within its limit, priced by charge, and keeps nothing.
+// A record forwarded at slot s is s hops from its owner, so past slot
+// limit it lies deeper than any root's first limit records reach: a
+// relay counts such a record against its limit but forwards none. That
+// slot cut and the own-identifier drop bound the streams that a cycle
+// of corrupted parent pointers could otherwise keep alive.
+func (s *Stream) Step(parent, slot, limit int, charge Charge, view *sim.NodeView, sends []sim.Send) []sim.Send {
 	arrived := s.arrived
 	s.arrived = s.arrived[:0]
 	if len(arrived) == 0 {
@@ -141,7 +139,7 @@ func (s *Stream) Step(parent, limit int, charge Charge, view *sim.NodeView, send
 	if parent == -1 {
 		for _, a := range arrived {
 			for _, r := range a.b.Recs {
-				s.hold(annotate(r, view, a.port), limit)
+				s.hold(annotate(r, view), limit)
 			}
 		}
 		return sends
@@ -163,12 +161,9 @@ func (s *Stream) Step(parent, limit int, charge Charge, view *sim.NodeView, send
 				continue
 			}
 			s.sent++
-			if int(r.Hop)+1 > limit {
-				continue
+			if slot <= limit {
+				b.Recs = append(b.Recs, annotate(r, view))
 			}
-			r = annotate(r, view, a.port)
-			r.Hop++
-			b.Recs = append(b.Recs, r)
 		}
 	}
 	return s.flush(b, parent, sends)
@@ -183,12 +178,11 @@ func (s *Stream) Held() []Rec { return s.bufs[s.flip].Recs }
 // limit since the convergecast opened.
 func (s *Stream) Sent() int { return s.sent }
 
-// annotate completes a record that arrived on port p. A direct child's
-// own record arrives unannotated: this node is its parent and alone
-// knows the connecting edge's weight and port.
-func annotate(r Rec, view *sim.NodeView, p int) Rec {
+// annotate completes a record that arrived at this node. A direct
+// child's own record arrives unannotated: this node is its parent.
+func annotate(r Rec, view *sim.NodeView) Rec {
 	if r.ParentID == pending {
-		r.ParentID, r.W, r.PortAtParent = view.ID, view.PortW[p], int32(p)
+		r.ParentID = view.ID
 	}
 	return r
 }

@@ -127,9 +127,10 @@ func TestDecoderAccountingGolden(t *testing.T) {
 
 // TestDecoderAllocations bounds what one decode allocates: the strict
 // decoder on a seeded random graph with n = 2·10⁴ must stay within 38 MiB
-// of heap allocations (29.4 MiB measured on a 2-core host, 32.8 MiB under
-// the race detector). A decoder that keeps a tree of its subtree at every
-// node allocated 50 MiB here, so it fails.
+// of heap allocations (27.1 MiB measured on a 2-core host, 28.9 MiB under
+// the race detector, with 32-byte records; 29.4 MiB with the former
+// 48-byte ones). A decoder that keeps a tree of its subtree at every node
+// allocated 50 MiB here, so it fails.
 func TestDecoderAllocations(t *testing.T) {
 	g, err := gen.BuildSeeded("random", 20_000, 5, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	if err != nil {
@@ -155,5 +156,37 @@ func TestDecoderAllocations(t *testing.T) {
 	t.Logf("decode allocated %.1f MiB", float64(got)/(1<<20))
 	if got > limit {
 		t.Fatalf("decode allocated %.1f MiB, limit %d MiB", float64(got)/(1<<20), limit>>20)
+	}
+}
+
+// TestOracleRetainedHeap bounds what one oracle run keeps: the
+// AdviceDetail of a seeded random graph with n = 10⁵, built on one
+// worker, must retain at most 6.5 MiB of heap once the run's garbage is
+// collected. Writing each string once, into one arena of (Cap+1)-bit
+// strings, retains 5.04 MiB on a 2-core host (the same under the race
+// detector); the former layout, which also kept the packed arena, the
+// final-bit array and the per-node counter, retained 9.73 MiB, so a
+// second per-node arena fails. The run allocates 55.63 MiB in all
+// (61.08 MiB in the former layout), logged with -v.
+func TestOracleRetainedHeap(t *testing.T) {
+	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // and what the first collection left in sync.Pool caches
+	runtime.ReadMemStats(&before)
+	d, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(d)
+	const limit = 6.5 * (1 << 20)
+	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("oracle allocated %.2f MiB, retains %.2f MiB", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), retained/(1<<20))
+	if retained > limit {
+		t.Fatalf("AdviceDetail retains %.2f MiB, limit %.1f MiB", retained/(1<<20), limit/(1<<20))
 	}
 }

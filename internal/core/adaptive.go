@@ -95,7 +95,7 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		case a.stageRound == 1:
 			sends = a.open(view, false, sends)
 		default:
-			sends = a.cc.Step(a.parentPort, quota, phaseCharge, view, sends)
+			sends = a.cc.Step(a.parentPort, a.stageRound, quota, phaseCharge, view, sends)
 		}
 
 	case stageBcast:
@@ -125,7 +125,7 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 		case a.stageRound == 1:
 			sends = a.open(view, true, sends)
 		default:
-			sends = a.cc.Step(a.parentPort, width, finalCharge, view, sends)
+			sends = a.cc.Step(a.parentPort, a.stageRound, width, finalCharge, view, sends)
 		}
 
 	case stageFinalDec:

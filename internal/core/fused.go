@@ -8,9 +8,9 @@ import (
 
 // buildFused is the encoder: it drives the decomposition's streaming
 // pass 2 (boruvka.Stream) and packs each annotated fragment into the
-// advice arenas the moment it is visited, so no Phase or Fragment record
+// advice arena the moment it is visited, so no Phase or Fragment record
 // is ever materialised. Fragments of one phase write disjoint node sets
-// and phases are separated by barriers, so the arenas fill in phase
+// and phases are separated by barriers, so the arena fills in phase
 // order for any worker count; per-worker scratch strings keep the visits
 // allocation-free. TestAdviceGolden pins the bytes. See DESIGN.md §2.12.
 func (b *adviceBuilder) buildFused(root graph.NodeID) error {
@@ -44,7 +44,7 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 				return err
 			}
 			for k := 0; k < width; k++ {
-				b.final[v.BFS[k]] = value>>uint(k)&1 == 1
+				b.advice[v.BFS[k]].SetBit(0, value>>uint(k)&1 == 1)
 			}
 			finals[w] = append(finals[w], finalRec{v.Frag, FinalFragment{
 				Root:       v.Root,

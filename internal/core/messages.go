@@ -29,9 +29,9 @@ type announceMsg struct{}
 func (announceMsg) SizeBits(sim.CostModel) int { return 1 }
 
 // phaseCharge prices a phase window's record batch. A record carries
-// the node's identifier, child count and unconsumed packed advice; its
-// parent adds the connecting edge's coordinates and every relay raises
-// its hop (see convergecast.Rec). Receivers read at most Cap packed bits.
+// the node's identifier, child count and unconsumed packed advice, and
+// its parent adds its own identifier (see convergecast.Rec). Receivers
+// read at most Cap packed bits.
 func phaseCharge(cm sim.CostModel, recs []convergecast.Rec) int {
 	return len(recs) * recBits(cm)
 }
@@ -43,15 +43,15 @@ func finalCharge(cm sim.CostModel, recs []convergecast.Rec) int {
 }
 
 func recBits(cm sim.CostModel) int {
-	// id + parent id + weight + port + child count (≈port width) + hop
-	// (≈id width) + ≤Cap advice bits with a 4-bit length.
-	return 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + DefaultCap + 4
+	// id + parent id + child count (≈port width) + ≤Cap advice bits
+	// with a 4-bit length.
+	return 2*cm.IDBits + cm.PortBits + DefaultCap + 4
 }
 
-// finalRecBits is a final-collect record's charge: the same tree
-// coordinates, but a single advice bit and no child count.
+// finalRecBits is a final-collect record's charge: the same two
+// identifiers, but a single advice bit and no child count.
 func finalRecBits(cm sim.CostModel) int {
-	return 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 1
+	return 2*cm.IDBits + 1
 }
 
 // consEntry tells one node how many of its streamed bits the root consumed

@@ -215,13 +215,13 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 		return n.open(view, false, sends)
 
 	case slot < ConvergeEnd(i):
-		return n.cc.Step(n.parentPort, quota, phaseCharge, view, sends)
+		return n.cc.Step(n.parentPort, slot, quota, phaseCharge, view, sends)
 
 	case slot == ConvergeEnd(i):
 		if n.parentPort != -1 {
 			return sends
 		}
-		n.cc.Step(-1, quota, phaseCharge, view, nil) // a root keeps the last level
+		n.cc.Step(-1, slot, quota, phaseCharge, view, nil) // a root keeps the last level
 		if !n.qualifiesActive(i, view) {
 			return sends // passive fragment, or the spanning one
 		}
@@ -360,11 +360,11 @@ func (n *node) finalSlot(slot int, view *sim.NodeView, sends []sim.Send) []sim.S
 		return n.open(view, true, sends)
 
 	case slot <= width:
-		return n.cc.Step(n.parentPort, width, finalCharge, view, sends)
+		return n.cc.Step(n.parentPort, slot, width, finalCharge, view, sends)
 
 	case slot == n.sched.FinalDecodeSlot():
 		if n.parentPort == -1 {
-			n.cc.Step(-1, width, finalCharge, view, nil) // a root keeps the last level
+			n.cc.Step(-1, slot, width, finalCharge, view, nil) // a root keeps the last level
 			n.decodeFinal(view)
 		}
 	}

@@ -28,21 +28,21 @@ import (
 // edge in its global order (all-ones marks the global root), one bit per
 // BFS node.
 //
-// The encoder is built for n = 10⁶-scale graphs: all per-node advice
-// strings live in two pre-sized bitstring arenas (no per-node growth),
-// the decomposition records only the ⌈log log n⌉ + 1 phases the packing
-// reads, and both the per-phase packing and the final-stage encoding run
-// in parallel over fragment ranges — every fragment writes a disjoint
-// node set, so the advice is byte-identical for any worker count.
+// The encoder is built for n = 10⁶-scale graphs: every node's string
+// lives in one pre-sized arena of (Cap+1)-bit strings and is written in
+// place — bit 0 is reserved when the string is made and set by the final
+// stage, the packing appends after it — so no per-node string grows and
+// none is copied. The decomposition records only the ⌈log log n⌉ + 1
+// phases the packing reads, and both the per-phase packing and the
+// final-stage encoding run in parallel over fragment ranges — every
+// fragment writes a disjoint node set, so the advice is byte-identical
+// for any worker count.
 type adviceBuilder struct {
 	g       *graph.Graph
 	d       *boruvka.Decomposition
 	sched   Schedule
 	workers int
-	used    []int
-	packA   *bitstring.Arena // backing for packs
-	packs   []*bitstring.BitString
-	final   []bool
+	advice  []*bitstring.BitString
 	frags   []FinalFragment
 }
 
@@ -67,22 +67,38 @@ type FinalFragment struct {
 }
 
 // AdviceDetail is the full output of the Theorem 3 oracle: the advice
-// strings plus the intermediate layout an incremental recomputation needs
-// to re-encode only the nodes whose fragment structure changed.
+// strings plus the final-stage layout an incremental recomputation needs
+// to re-encode only the nodes whose final string changed.
 type AdviceDetail struct {
 	// Advice is the per-node advice, [final bit] ‖ [packed phase bits].
+	// The packed region depends only on the decomposition structure,
+	// never on the concrete weights, so weight churn that preserves the
+	// decomposition keeps it bit-identical.
 	Advice []*bitstring.BitString
-	// Packed is the per-node packed region (everything after bit 0). It
-	// depends only on the decomposition structure, never on the concrete
-	// weights, so weight churn that preserves the decomposition keeps it
-	// bit-identical.
-	Packed []*bitstring.BitString
-	// Final is the per-node final-stage bit.
-	Final []bool
 	// Frags lists the fragments remaining after the last packed phase.
 	Frags []FinalFragment
 	// Width is the final string width, ⌈log n⌉.
 	Width int
+}
+
+// ReencodeFinal sets final fragment fi's value and rewrites the final
+// bit of each carrier it flips, appending those carriers to changed.
+// A rewritten carrier gets a fresh copy of its string: published epochs
+// share advice strings, so a string handed out is never modified.
+func (d *AdviceDetail) ReencodeFinal(fi int, value uint64, changed []graph.NodeID) []graph.NodeID {
+	f := &d.Frags[fi]
+	f.Value = value
+	for k, u := range f.Carriers {
+		bit := value>>uint(k)&1 == 1
+		if d.Advice[u].Bit(0) == bit {
+			continue
+		}
+		s := d.Advice[u].Clone()
+		s.SetBit(0, bit)
+		d.Advice[u] = s
+		changed = append(changed, u)
+	}
+	return changed
 }
 
 // OracleOptions tune the oracle run without changing its output.
@@ -114,44 +130,21 @@ func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt Oracle
 		g:       g,
 		sched:   NewSchedule(n, cap),
 		workers: par.Workers(opt.Workers),
-		used:    make([]int, n),
-		packA:   bitstring.NewArena(n, cap),
-		packs:   make([]*bitstring.BitString, n),
-		final:   make([]bool, n),
+		advice:  make([]*bitstring.BitString, n),
 	}
-	for u := range b.packs {
-		b.packs[u] = b.packA.At(u)
+	arena := bitstring.NewArena(n, cap+1)
+	for u := range b.advice {
+		b.advice[u] = arena.At(u)
+		b.advice[u].AppendBit(false) // the final bit, set by the final stage
 	}
-	// A singleton has no phases and no final stage: all-empty advice.
+	// A singleton has no phases and no final stage: its advice is the
+	// final bit alone, 0 (TestAdviceGolden's n = 1 rows pin it).
 	if n > 1 {
 		if err := b.buildFused(root); err != nil {
 			return nil, err
 		}
 	}
-	outA := bitstring.NewArena(n, cap+1)
-	out := make([]*bitstring.BitString, n)
-	err := par.FirstFailure(b.workers, n, func(_, lo, hi int) (int, error) {
-		for u := lo; u < hi; u++ {
-			s := outA.At(u)
-			s.AppendBit(b.final[u])
-			s.AppendRange(b.packs[u], 0, b.packs[u].Len())
-			if s.Len() > cap+1 {
-				return u, fmt.Errorf("core: node %d advice %d bits exceeds m=%d (internal error)", u, s.Len(), cap+1)
-			}
-			out[u] = s
-		}
-		return -1, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &AdviceDetail{
-		Advice: out,
-		Packed: b.packs,
-		Final:  b.final,
-		Frags:  b.frags,
-		Width:  b.sched.Width,
-	}, nil
+	return &AdviceDetail{Advice: b.advice, Frags: b.frags, Width: b.sched.Width}, nil
 }
 
 // packBits is the phase-i fragment encoding: build A(F) = b_up ‖
@@ -177,19 +170,17 @@ func (b *adviceBuilder) packBits(i int, bfs []graph.NodeID, chooser graph.NodeID
 	a.AppendUint(uint64(j), i)
 
 	// Greedy assignment in BFS order (the paper's loop): fill the
-	// earliest node with spare capacity.
+	// earliest node with spare capacity. A node's packed bits follow its
+	// final bit, so its room is what its string leaves of Cap+1.
 	pos := 0
 	for _, u := range bfs {
-		free := b.sched.Cap - b.used[u]
+		s := b.advice[u]
+		free := b.sched.Cap + 1 - s.Len()
 		if free <= 0 {
 			continue
 		}
-		take := a.Len() - pos
-		if take > free {
-			take = free
-		}
-		b.packs[u].AppendRange(a, pos, pos+take)
-		b.used[u] += take
+		take := min(a.Len()-pos, free)
+		s.AppendRange(a, pos, pos+take)
 		pos += take
 		if pos == a.Len() {
 			break

@@ -15,8 +15,7 @@ import (
 )
 
 // equalDetail fails the test unless two advice details agree on every
-// observable byte: advice strings, packed regions, final bits, final
-// fragments and width.
+// observable byte: advice strings, final fragments and width.
 func equalDetail(t *testing.T, label string, ref, d *AdviceDetail) {
 	t.Helper()
 	if d.Width != ref.Width {
@@ -26,12 +25,6 @@ func equalDetail(t *testing.T, label string, ref, d *AdviceDetail) {
 		if !ref.Advice[u].Equal(d.Advice[u]) {
 			t.Fatalf("%s: advice of node %d is %s, want %s", label, u, d.Advice[u], ref.Advice[u])
 		}
-		if !ref.Packed[u].Equal(d.Packed[u]) {
-			t.Fatalf("%s: packed region of node %d differs", label, u)
-		}
-	}
-	if !reflect.DeepEqual(d.Final, ref.Final) {
-		t.Fatalf("%s: final bits differ", label)
 	}
 	if len(d.Frags) != len(ref.Frags) {
 		t.Fatalf("%s: %d final fragments, want %d", label, len(d.Frags), len(ref.Frags))
@@ -84,13 +77,13 @@ type adviceRow struct {
 }
 
 // detailDigest is the SHA-256 of an AdviceDetail: the width, each node's
-// advice, packed region and final bit, and each final fragment's root,
-// parent port, value and carriers.
+// advice, packed region (bits 1 on) and final bit (bit 0), and each final
+// fragment's root, parent port, value and carriers.
 func detailDigest(d *AdviceDetail) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "width %d\n", d.Width)
-	for u := range d.Advice {
-		fmt.Fprintf(h, "%s %s %t\n", d.Advice[u], d.Packed[u], d.Final[u])
+	for _, s := range d.Advice {
+		fmt.Fprintf(h, "%s %s %t\n", s, s.Slice(1, s.Len()), s.Bit(0))
 	}
 	for _, f := range d.Frags {
 		fmt.Fprintf(h, "%d %d %d %v\n", f.Root, f.ParentPort, f.Value, f.Carriers)

@@ -183,7 +183,7 @@ func (f *fragment) converge(t *testing.T, limit int, final bool, deliver deliver
 			break
 		}
 		for v, n := range r.nodes {
-			out[v] = n.cc.Step(n.parentPort, limit, phaseCharge, f.views[v], nil)
+			out[v] = n.cc.Step(n.parentPort, s+1, limit, phaseCharge, f.views[v], nil)
 		}
 	}
 	r.held = append([]rec(nil), r.nodes[0].cc.Held()...)
@@ -200,9 +200,8 @@ func idsOf(recs []rec) []int64 {
 }
 
 // check compares a fault-free run against the naive BFS: every relay's
-// batch at slot s is level s-1 of its subtree's cut BFS order, with the
-// records' tree coordinates filled in, and the root holds its cut BFS
-// order.
+// batch at slot s is level s-1 of its subtree's cut BFS order, each
+// record naming its parent, and the root holds its cut BFS order.
 func (f *fragment) check(t *testing.T, r *collectRun, limit int) {
 	t.Helper()
 	id := func(v int) int64 { return f.views[v].ID }
@@ -224,12 +223,8 @@ func (f *fragment) check(t *testing.T, r *collectRun, limit int) {
 				t.Fatalf("node %d slot %d sent %v, want %v", v, d+1, idsOf(got[d]), want)
 			}
 			for i, u := range level {
-				x := got[d][i]
-				if int(x.Hop) != d+1 {
-					t.Fatalf("node %d slot %d: record %d has hop %d", v, d+1, u, x.Hop)
-				}
-				if u != v && (x.ParentID != id(f.parent[u]) || x.W != f.w[u] || int(x.PortAtParent) != f.down[u]) {
-					t.Fatalf("node %d slot %d: record %d names parent %d over (%d, %d)", v, d+1, u, x.ParentID, x.W, x.PortAtParent)
+				if x := got[d][i]; u != v && x.ParentID != id(f.parent[u]) {
+					t.Fatalf("node %d slot %d: record %d names parent %d", v, d+1, u, x.ParentID)
 				}
 			}
 		}
@@ -322,27 +317,36 @@ func TestSubtreeHubOrder(t *testing.T) {
 	}
 }
 
-// TestSubtreeIncomplete: a root decodes only a whole fragment. Each row
-// loses one batch of a root with children a (which has child c) and b.
+// TestSubtreeIncomplete: a root decodes only a whole fragment, and no
+// relay sends past slot limit. Each row loses one batch: of a root with
+// children a (which has child c) and b, or of a path deeper than the
+// limit.
 func TestSubtreeIncomplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// 0 = root, 1 = a, 2 = b, 3 = c (a's child).
 	f := newFragment(rng, []int{0, 0, 0, 1}, 4)
+	path := newFragment(rng, []int{0, 0, 1, 2, 3, 4, 5}, 4) // 0-1-…-6
 	for _, row := range []struct {
 		name  string
+		f     *fragment
+		limit int
 		lose  [2]int // (node, slot) whose batch is lost; node 0 loses none
 		held  int
 		whole bool
 	}{
-		{"complete", [2]int{0, 0}, 4, true},
-		{"missing child", [2]int{2, 1}, 3, false},
-		{"missing grandchild", [2]int{3, 1}, 3, false},
+		{"complete", f, 8, [2]int{0, 0}, 4, true},
+		{"missing child", f, 8, [2]int{2, 1}, 3, false},
+		{"missing grandchild", f, 8, [2]int{3, 1}, 3, false},
 		// a's own record is lost, but a still relays c's: c names a
 		// parent the root does not hold, counts toward the size and
 		// leaves the fragment incomplete.
-		{"missing parent", [2]int{1, 1}, 3, false},
+		{"missing parent", f, 8, [2]int{1, 1}, 3, false},
+		// 2's own record is lost, so relay 1 is one record short of its
+		// limit when 5's record reaches it at slot 5: it counts the
+		// record but forwards none, and the root holds 0, 1, 3 and 4.
+		{"past the last slot", path, 4, [2]int{2, 1}, 4, false},
 	} {
-		r := f.converge(t, 8, false, func(from, s int, recs []rec) []rec {
+		r := row.f.converge(t, row.limit, false, func(from, s int, recs []rec) []rec {
 			if [2]int{from, s} == row.lose {
 				return nil
 			}
@@ -351,8 +355,24 @@ func TestSubtreeIncomplete(t *testing.T) {
 		if len(r.held) != row.held || convergecast.Whole(r.held) != row.whole {
 			t.Fatalf("%s: root holds %d records, whole = %v", row.name, len(r.held), convergecast.Whole(r.held))
 		}
-		if row.name == "missing parent" && r.held[2].ID != f.views[3].ID {
-			t.Fatalf("%s: root holds %v", row.name, idsOf(r.held))
+		for v := 1; v < len(row.f.parent); v++ {
+			if last := len(r.sent[v]) - 1; last > row.limit {
+				t.Fatalf("%s: node %d sent at slot %d, past the limit %d", row.name, v, last, row.limit)
+			}
+		}
+		switch row.name {
+		case "missing parent":
+			if r.held[2].ID != f.views[3].ID {
+				t.Fatalf("%s: root holds %v", row.name, idsOf(r.held))
+			}
+		case "past the last slot":
+			if sent := len(slices.Concat(r.sent[1]...)); sent != 3 || r.nodes[1].cc.Sent() != 4 {
+				t.Fatalf("%s: node 1 sent %d records, counted %d", row.name, sent, r.nodes[1].cc.Sent())
+			}
+			want := []int64{path.views[0].ID, path.views[1].ID, path.views[3].ID, path.views[4].ID}
+			if !slices.Equal(idsOf(r.held), want) {
+				t.Fatalf("%s: root holds %v, want %v", row.name, idsOf(r.held), want)
+			}
 		}
 	}
 }
@@ -368,8 +388,8 @@ func TestSubtreeDuplicate(t *testing.T) {
 		extra func(recs []rec) rec // the record it gains
 	}{
 		{"duplicate record", 1, func(recs []rec) rec { return recs[0] }},
-		{"own record returned to a relay", 2, func([]rec) rec { return rec{ID: f.views[1].ID, ParentID: f.views[2].ID, Hop: 2} }},
-		{"own record returned to the root", 1, func([]rec) rec { return rec{ID: f.views[0].ID, ParentID: f.views[1].ID, Hop: 2} }},
+		{"own record returned to a relay", 2, func([]rec) rec { return rec{ID: f.views[1].ID, ParentID: f.views[2].ID} }},
+		{"own record returned to the root", 1, func([]rec) rec { return rec{ID: f.views[0].ID, ParentID: f.views[1].ID} }},
 	} {
 		r := f.converge(t, 8, false, func(from, s int, recs []rec) []rec {
 			if from == row.from && s == 2 {

@@ -181,22 +181,7 @@ func (a *Advisor) patchFinals(b graph.Batch) ([]graph.NodeID, error) {
 		if value >= 1<<uint(width)-1 {
 			return nil, fmt.Errorf("dynamic: parent rank %d collides with the root marker (internal error)", value)
 		}
-		if value == f.Value {
-			continue
-		}
-		f.Value = value
-		for k, u := range f.Carriers {
-			bit := value>>uint(k)&1 == 1
-			if a.detail.Final[u] == bit {
-				continue
-			}
-			a.detail.Final[u] = bit
-			s := bitstring.New(1 + a.detail.Packed[u].Len())
-			s.AppendBit(bit)
-			s.Append(a.detail.Packed[u])
-			a.detail.Advice[u] = s
-			changed = append(changed, u)
-		}
+		changed = a.detail.ReencodeFinal(fi, value, changed)
 	}
 	return changed, nil
 }

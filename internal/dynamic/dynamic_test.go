@@ -284,6 +284,9 @@ func TestAdvisorFastPathTaken(t *testing.T) {
 // incident to a final-fragment root reorders it against the root's
 // parent edge, so the fragment's final-stage rank — and the carrier
 // nodes' advice — must change, byte-identically to a full recompute.
+// The advice published before the update (a copy of the pointer slice,
+// as service.Update publishes it) must keep its bytes: a re-encode
+// replaces strings, never rewrites one.
 func TestAdvisorFastPathReencodes(t *testing.T) {
 	reencoded := false
 	for seed := int64(1); seed <= 40 && !reencoded; seed++ {
@@ -314,6 +317,11 @@ func TestAdvisorFastPathReencodes(t *testing.T) {
 				if newW < 1 || a.sens.WouldChange(h.Edge, newW) {
 					continue
 				}
+				published := append([]*bitstring.BitString(nil), a.Advice()...)
+				clones := make([]*bitstring.BitString, len(published))
+				for u, s := range published {
+					clones[u] = s.Clone()
+				}
 				res, err := a.Update(graph.Batch{Weights: []graph.WeightUpdate{{Edge: h.Edge, W: newW}}})
 				if err != nil {
 					t.Fatal(err)
@@ -330,6 +338,9 @@ func TestAdvisorFastPathReencodes(t *testing.T) {
 				}
 				if u, ok := adviceEqual(a.Advice(), want); !ok {
 					t.Fatalf("seed %d: re-encoded advice differs from oracle at node %d", seed, u)
+				}
+				if u, ok := adviceEqual(published, clones); !ok {
+					t.Fatalf("seed %d: the re-encode rewrote node %d's published advice", seed, u)
 				}
 				reencoded = true
 			}

@@ -264,8 +264,9 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 
 // TestHierDecoderAllocations bounds what one decode allocates: the
 // decoder at the coarsest level of a seeded random graph with n = 2·10⁴
-// must stay within 30 MiB of heap allocations (23.1 MiB measured on a
-// 2-core host, 26.0 MiB under the race detector). A decoder whose relays
+// must stay within 30 MiB of heap allocations (21.6 MiB measured on a
+// 2-core host, 23.5 MiB under the race detector, with 32-byte records;
+// 23.1 MiB with the former 48-byte ones). A decoder whose relays
 // forward whole subtrees and whose fragment roots rebuild them as trees
 // allocated 58.7 MiB here, so it fails.
 func TestHierDecoderAllocations(t *testing.T) {

@@ -21,13 +21,13 @@ type helloMsg struct {
 func (*helloMsg) SizeBits(cm sim.CostModel) int { return cm.IDBits + cm.PortBits + 1 }
 
 // recordsCharge prices a batch of convergecast records. Per record: id +
-// parent id + hop (≈id width) + weight + port + child count (≈port
-// width) + the node's carrier bits (its advice from Off on) with a 5-bit
-// length (carrier payloads are ≤ ⌈log n⌉ ≤ 2^5 bits at any feasible n).
+// parent id + child count (≈port width) + the node's carrier bits (its
+// advice from Off on) with a 5-bit length (carrier payloads are
+// ≤ ⌈log n⌉ ≤ 2^5 bits at any feasible n).
 func recordsCharge(cm sim.CostModel, recs []convergecast.Rec) int {
 	total := 0
 	for i := range recs {
-		total += 3*cm.IDBits + cm.WeightBits + 2*cm.PortBits + 5 + recs[i].Bits.Len() - int(recs[i].Off)
+		total += 2*cm.IDBits + cm.PortBits + 5 + recs[i].Bits.Len() - int(recs[i].Off)
 	}
 	return total
 }

@@ -82,10 +82,10 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 		n.cc.Arrive(rcv.Port, rcv.Msg.(*convergecast.Batch))
 	}
 	if ctx.Round <= n.width {
-		return n.cc.Step(n.parentPort, n.width, recordsCharge, view, sends)
+		return n.cc.Step(n.parentPort, ctx.Round, n.width, recordsCharge, view, sends)
 	}
 	if n.parentPort == -1 {
-		n.cc.Step(-1, n.width, recordsCharge, view, nil) // a root keeps the last level
+		n.cc.Step(-1, ctx.Round, n.width, recordsCharge, view, nil) // a root keeps the last level
 		n.resolve(view)
 	}
 	n.done = true
