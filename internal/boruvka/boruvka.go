@@ -48,8 +48,9 @@ import (
 )
 
 // FragID identifies a fragment within one phase (dense, 0-based, ordered
-// by the fragment's smallest node index).
-type FragID int
+// by the fragment's smallest node index). A fragment holds at least one
+// node, so int32 holds every ID, as it holds every graph.NodeID.
+type FragID int32
 
 // Selection describes the edge an active fragment selected during a phase.
 type Selection struct {
@@ -103,8 +104,8 @@ type Options struct {
 	// executes is silently clamped: the record simply ends at
 	// TotalPhases, and Decomposition.NumPhases reports the count that
 	// was actually retained. The Theorem 3 oracle needs only the first
-	// ⌈log log n⌉ + 1 phases, which at n = 10⁶ skips the annotation and
-	// storage of ~14 of ~20 phases. 0 records every phase.
+	// ⌈log log n⌉ + 1 phases: a random graph with n = 10⁶ runs 19
+	// phases, and the oracle keeps 6. 0 records every phase.
 	KeepPhases int
 	// KeepTower, when set, retains the full contraction tower — every
 	// per-phase contracted graph with its fragment→supernode map and
@@ -144,8 +145,9 @@ type Decomposition struct {
 	// ParentEdge[u] is the corresponding edge (-1 for the root).
 	ParentEdge []graph.EdgeID
 	// SelPhase[e] is the phase (1-based) at which tree edge e was selected,
-	// 0 for non-tree edges.
-	SelPhase []int
+	// 0 for non-tree edges. By Lemma 1 a run ends within ⌈log₂ n⌉ ≤ 31
+	// phases, so one byte holds it.
+	SelPhase []uint8
 
 	// Tower is the contraction tower, captured only under
 	// Options.KeepTower; nil otherwise.
@@ -160,13 +162,6 @@ type Decomposition struct {
 	// Endpoints of TreeEdges (parallel slices), for the per-phase
 	// tree-of-fragments construction.
 	treeU, treeV []int32
-
-	// fragmentBFS child-count scratch, indexed by NodeID. Distinct
-	// fragments touch distinct nodes, so parallel per-fragment BFS builds
-	// share these safely.
-	bfsStart []int32 // start of a parent's child segment in the kids arena
-	bfsFill  []int32 // next free index in that segment
-	bfsCnt   []int32 // number of in-fragment children
 }
 
 // NumPhases returns the number of recorded phases (the number executed,
@@ -186,16 +181,16 @@ func (d *Decomposition) FragmentsAtStart(i int) []Fragment {
 	panic(fmt.Sprintf("boruvka: phase %d out of range [1,%d]", i, len(d.Phases)+1))
 }
 
-// rawPhase is the pass-1 record of one phase: the partition as flat
-// arrays (members of fragment f are memFlat[memOff[f]:memOff[f+1]],
-// ascending) plus the selections.
+// rawPhase is the pass-1 record of one kept phase, and holds only
+// fragment-indexed data: up maps the previous phase's fragments to this
+// phase's (nil for phase 1, whose fragments are the nodes), and active
+// and sel are indexed by this phase's fragments (sel is the selected
+// edge, -1 if none). Pass 2 rebuilds the node-level partition from the
+// up maps (partition.build).
 type rawPhase struct {
-	fragOf     []FragID
-	memOff     []int32
-	memFlat    []graph.NodeID
-	active     []bool
-	selEdge    []graph.EdgeID // fragment -> selected edge (-1 if none)
-	selChooser []graph.NodeID
+	up     []int32
+	active []bool
+	sel    []int32
 }
 
 // liveEdge is one entry of the contracted cross-fragment edge list: the
@@ -221,69 +216,56 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 
 	// ---- Pass 2: enrich every recorded phase with roots, levels,
 	// orientations and BFS orders, all defined relative to the final
-	// rooted tree T. Each phase's fragment BFS orders (and child
-	// segments) live in flat per-phase arenas sliced by the member
-	// offsets, and fragments are annotated in parallel — they touch
-	// disjoint node sets.
+	// rooted tree T. Each phase's partition and BFS orders get fresh
+	// buffers, since the records keep them; the annotation scratch is
+	// shared by every phase.
+	a := newAnnotator(n)
+	var prev []FragID
 	for pi := range raws {
 		raw := &raws[pi]
-		nf := len(raw.memOff) - 1
-		ph := Phase{Index: pi + 1, FragOf: raw.fragOf}
+		nf := len(raw.active)
+		p := newPartition(n, nf)
+		p.build(raw.up, prev, nf, workers)
+		prev = p.fragOf
 		frags := make([]Fragment, nf)
-		for f := 0; f < nf; f++ {
-			frags[f] = Fragment{
-				ID:     FragID(f),
-				Nodes:  raw.memFlat[raw.memOff[f]:raw.memOff[f+1]:raw.memOff[f+1]],
-				Active: raw.active[f],
-			}
+		for f := range frags {
+			frags[f] = Fragment{ID: FragID(f), Nodes: p.members(f), Active: raw.active[f]}
 		}
-		d.annotate(frags, raw.fragOf, raw.memOff, raw.memFlat, workers)
+		d.annotateInto(frags, &p, a, workers)
 		// Selections live in one per-phase slab instead of one allocation
 		// per selecting fragment (phase 1 alone has ~n of them).
 		nSel := 0
-		for f := 0; f < nf; f++ {
-			if raw.selEdge[f] != -1 {
+		for _, e := range raw.sel {
+			if e != -1 {
 				nSel++
 			}
 		}
 		selSlab := make([]Selection, 0, nSel)
-		for f := 0; f < nf; f++ {
-			e := raw.selEdge[f]
-			if e == -1 {
-				continue
+		for f, e := range raw.sel {
+			if e != -1 {
+				selSlab = append(selSlab, d.selection(p.fragOf, f, e))
+				frags[f].Sel = &selSlab[len(selSlab)-1]
 			}
-			chooser := raw.selChooser[f]
-			selSlab = append(selSlab, Selection{
-				Chooser: chooser,
-				Edge:    e,
-				Up:      d.ParentEdge[chooser] == e,
-			})
-			frags[f].Sel = &selSlab[len(selSlab)-1]
 		}
-		ph.Fragments = frags
-		d.Phases = append(d.Phases, ph)
+		d.Phases = append(d.Phases, Phase{Index: pi + 1, Fragments: frags, FragOf: p.fragOf})
 	}
 
 	// Final single fragment.
-	finalNodes := make([]graph.NodeID, n)
-	for u := range finalNodes {
-		finalNodes[u] = graph.NodeID(u)
-	}
-	finalFragOf := make([]FragID, n)
-	finalOff := []int32{0, int32(n)}
-	final := []Fragment{{ID: 0, Nodes: finalNodes, Active: false}}
-	d.annotate(final, finalFragOf, finalOff, finalNodes, workers)
+	p := newPartition(n, 1)
+	p.build(nil, nil, 1, workers)
+	final := []Fragment{{ID: 0, Nodes: p.members(0)}}
+	d.annotateInto(final, &p, a, workers)
 	d.Final = final[0]
 
 	return d, nil
 }
 
 // StreamVisit is one annotated fragment as Stream.Run delivers it.
-// BFS is a view into a per-phase arena that stays valid after the
-// stream completes; Sel is meaningful only when HasSel is set. Final
-// marks the fragments of the partition the fused oracle treats as the
-// final stage — the KeepPhases-th recorded phase when the run reaches
-// it, otherwise the synthesized single spanning fragment.
+// BFS is a view into an arena Run reuses from phase to phase, so it is
+// valid only during the visit; Sel is meaningful only when HasSel is
+// set. Final marks the fragments of the partition the fused oracle
+// treats as the final stage — the KeepPhases-th recorded phase when the
+// run reaches it, otherwise the synthesized single spanning fragment.
 type StreamVisit struct {
 	Phase  int // 1-based phase index the partition belongs to
 	Frag   int // dense fragment ID within the phase
@@ -318,6 +300,17 @@ func NewStream(g *graph.Graph, root graph.NodeID, opt Options) (*Stream, error) 
 	return &Stream{D: d, raws: raws, keep: opt.KeepPhases, workers: workers}, nil
 }
 
+// FinalFrags returns the number of fragments Run flags Final: those of
+// the KeepPhases-th phase when the run reaches it, otherwise 1 (the
+// synthesized spanning fragment). Final visits carry Frag in
+// [0, FinalFrags()).
+func (s *Stream) FinalFrags() int {
+	if s.keep > 0 && len(s.raws) >= s.keep {
+		return len(s.raws[s.keep-1].active)
+	}
+	return 1
+}
+
 // Run fuses pass 2 with its consumer: instead of materialising Phase
 // and Fragment records, each annotated fragment is handed to visit
 // exactly once, in ascending phase order with a barrier between phases.
@@ -325,8 +318,9 @@ func NewStream(g *graph.Graph, root graph.NodeID, opt Options) (*Stream, error) 
 // receives the worker index for per-worker scratch and must only touch
 // fragment-local or worker-local state); a visit error aborts the
 // stream with the lowest (phase, fragment) failure, matching sequential
-// semantics. BFS views land in per-phase arenas and stay valid after
-// the stream completes.
+// semantics. One phase is resident at a time: the partition, the BFS
+// arena and the annotation scratch are allocated once, for phase 1's n
+// singletons, and rebuilt in place for every later phase.
 //
 // Phases 1..min(KeepPhases, TotalPhases) are streamed (all phases when
 // KeepPhases <= 0). The phase numbered KeepPhases is flagged Final; if
@@ -336,56 +330,58 @@ func NewStream(g *graph.Graph, root graph.NodeID, opt Options) (*Stream, error) 
 // path.
 func (s *Stream) Run(visit func(w int, v StreamVisit) error) error {
 	d := s.D
-	for pi := range s.raws {
-		raw := &s.raws[pi]
-		isFinal := s.keep > 0 && pi+1 == s.keep
-		err := d.annotateRaw(raw.memOff, raw.memFlat, raw.fragOf, s.workers, func(w, fi int, v fragView) error {
+	n := d.G.N()
+	p := newPartition(n, n)
+	a := newAnnotator(n)
+	bfs := make([]graph.NodeID, n)
+	stream := func(phase int, final bool, raw *rawPhase) error {
+		return d.annotate(&p, a, bfs, s.workers, func(w, fi int, v fragView) error {
 			sv := StreamVisit{
-				Phase:  pi + 1,
-				Frag:   fi,
-				Final:  isFinal,
-				Active: raw.active[fi],
-				Root:   v.root,
-				Level:  v.level,
-				BFS:    v.bfs,
+				Phase: phase,
+				Frag:  fi,
+				Final: final,
+				Root:  v.root,
+				Level: v.level,
+				BFS:   v.bfs,
 			}
-			if e := raw.selEdge[fi]; e != -1 {
-				ch := raw.selChooser[fi]
-				sv.HasSel = true
-				sv.Sel = Selection{Chooser: ch, Edge: e, Up: d.ParentEdge[ch] == e}
+			if raw != nil {
+				sv.Active = raw.active[fi]
+				if e := raw.sel[fi]; e != -1 {
+					sv.HasSel, sv.Sel = true, d.selection(p.fragOf, fi, e)
+				}
 			}
 			return visit(w, sv)
 		})
-		if err != nil {
+	}
+	for pi := range s.raws {
+		raw := &s.raws[pi]
+		p.build(raw.up, p.fragOf, len(raw.active), s.workers)
+		if err := stream(pi+1, s.keep > 0 && pi+1 == s.keep, raw); err != nil {
 			return err
 		}
 	}
 	if s.keep <= 0 || len(s.raws) < s.keep {
 		// The run ended inside the retention budget: stream the spanning
 		// fragment as the final stage.
-		n := d.G.N()
-		finalNodes := make([]graph.NodeID, n)
-		for u := range finalNodes {
-			finalNodes[u] = graph.NodeID(u)
-		}
-		finalFragOf := make([]FragID, n)
-		finalOff := []int32{0, int32(n)}
-		return d.annotateRaw(finalOff, finalNodes, finalFragOf, s.workers, func(w, fi int, v fragView) error {
-			return visit(w, StreamVisit{
-				Phase: d.TotalPhases + 1,
-				Frag:  0,
-				Final: true,
-				Root:  v.root,
-				Level: v.level,
-				BFS:   v.bfs,
-			})
-		})
+		p.build(nil, nil, 1, s.workers)
+		return stream(d.TotalPhases+1, true, nil)
 	}
 	return nil
 }
 
+// selection is fragment f's Selection of edge e under the partition
+// fragOf: the chooser is e's endpoint inside f.
+func (d *Decomposition) selection(fragOf []FragID, f int, e int32) Selection {
+	rec := d.G.Edge(graph.EdgeID(e))
+	ch := rec.U
+	if fragOf[ch] != FragID(f) {
+		ch = rec.V
+	}
+	return Selection{Chooser: ch, Edge: graph.EdgeID(e), Up: d.ParentEdge[ch] == graph.EdgeID(e)}
+}
+
 // decomposePass1 runs the merge simulation (pass 1) and builds the flat
-// outputs and shared annotation scratch: everything both the rich and
+// outputs and the flattened tree views: everything both the rich and
 // the streaming pass-2 consumers need.
 func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, []rawPhase, int, error) {
 	n := g.N()
@@ -420,11 +416,12 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 	})
 
-	// ---- Pass 1: simulate the phases, recording partitions and selections.
+	// ---- Pass 1: simulate the phases, recording each kept phase's
+	// contraction map, active flags and selections.
 	dsu := unionfind.New(n)
 	var raws []rawPhase
-	treeEdges := make([]graph.EdgeID, 0, n-1)
-	selPhase := make([]int, m)
+	treeCount := 0
+	selPhase := make([]uint8, m)
 
 	// Contracted fragment state: numFrags current fragments, repNode[f]
 	// the smallest node of fragment f, fsize[f] its node count. rootFrag/
@@ -453,17 +450,19 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 
 	phases := 0
 	for i := 1; dsu.Sets() > 1; i++ {
-		if i > n+1 {
+		if i > 31 {
+			// Lemma 1: after phase i every fragment has at least 2^i
+			// nodes, and n ≤ MaxInt32.
 			return nil, nil, 0, fmt.Errorf("boruvka: phase bound exceeded (internal error)")
 		}
 		phases = i
 		record := opt.KeepPhases <= 0 || len(raws) < opt.KeepPhases
 
+		prevFrags := numFrags
 		if i > 1 {
 			// Contract: relabel last phase's fragments to dense new IDs in
 			// order of first appearance. Old IDs are ordered by smallest
 			// member node and scanned ascending, so new IDs are too.
-			prevFrags := numFrags
 			stamp := int32(i)
 			newNum := int32(0)
 			for f := 0; f < numFrags; f++ {
@@ -559,14 +558,14 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 
 		if record {
-			// Recording is always a prefix of the phases, so the node-level
-			// partition follows from the previous recorded one through the
-			// contraction map — no per-node DSU finds.
-			var prevFragOf []FragID
+			// Recording is always a prefix of the phases, so pass 2 rebuilds
+			// each node-level partition from the previous one through the
+			// contraction map: no per-node data is kept here.
+			raw := rawPhase{active: slices.Clone(active[:nf]), sel: slices.Clone(bests[0][:nf])}
 			if i > 1 {
-				prevFragOf = raws[len(raws)-1].fragOf
+				raw.up = slices.Clone(oldToNew[:prevFrags])
 			}
-			raws = append(raws, recordPhase(g, prevFragOf, oldToNew, bests[0], active, nf, n, workers))
+			raws = append(raws, raw)
 		}
 
 		// Merge. Selected edges are acyclic under a strict total order, so
@@ -579,8 +578,8 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 			}
 			rec := g.Edge(graph.EdgeID(e))
 			if dsu.Union(int(rec.U), int(rec.V)) {
-				treeEdges = append(treeEdges, graph.EdgeID(e))
-				selPhase[e] = i
+				treeCount++
+				selPhase[e] = uint8(i)
 			} else if selPhase[e] == 0 {
 				// The union failed on an edge not previously selected: two
 				// fragments merged through other selections this phase and
@@ -591,10 +590,16 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 	}
 
-	if len(treeEdges) != n-1 {
-		return nil, nil, 0, fmt.Errorf("boruvka: graph is disconnected (%d tree edges for %d nodes)", len(treeEdges), n)
+	if treeCount != n-1 {
+		return nil, nil, 0, fmt.Errorf("boruvka: graph is disconnected (%d tree edges for %d nodes)", treeCount, n)
 	}
-	sortTreeEdges(treeEdges, workers)
+	// The tree edges, ascending: exactly the selected ones.
+	treeEdges := make([]graph.EdgeID, 0, n-1)
+	for e, ph := range selPhase {
+		if ph != 0 {
+			treeEdges = append(treeEdges, graph.EdgeID(e))
+		}
+	}
 
 	parentPort, err := mst.Root(g, treeEdges, root)
 	if err != nil {
@@ -638,28 +643,8 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 			d.treeU[i], d.treeV[i] = int32(rec.U), int32(rec.V)
 		}
 	})
-	d.bfsStart = make([]int32, n)
-	d.bfsFill = make([]int32, n)
-	d.bfsCnt = make([]int32, n)
 
 	return d, raws, workers, nil
-}
-
-// sortTreeEdges sorts the MST edge list ascending through the parallel
-// radix sort (edge IDs are non-negative and well inside 32 bits).
-func sortTreeEdges(treeEdges []graph.EdgeID, workers int) {
-	keys := make([]uint64, len(treeEdges))
-	par.Ranges(workers, len(treeEdges), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = uint64(treeEdges[i])
-		}
-	})
-	par.SortU64(workers, keys)
-	par.Ranges(workers, len(treeEdges), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			treeEdges[i] = graph.EdgeID(keys[i])
-		}
-	})
 }
 
 // compactLive relabels the live list through oldToNew and drops
@@ -712,80 +697,112 @@ func compactLive(live, buf []liveEdge, oldToNew []int32, workers int) (out, spar
 	return buf[:counts[nChunks]], live[:cap(live)]
 }
 
-// recordPhase snapshots the node-level partition (fragment assignment
-// via the previous recorded phase and the contraction map, members by
-// a parallel radix sort of packed (fragment, node) keys — ascending
-// node order within each fragment, exactly the counting sort's output)
-// and the selections of the current phase. Kernel fragment IDs are
-// dense in order of smallest member node, which is exactly the order a
-// first-appearance scan over ascending nodes would assign, so recorded
-// IDs match the original sequential construction.
-func recordPhase(g *graph.Graph, prevFragOf []FragID, oldToNew, best []int32, active []bool, nf, n, workers int) rawPhase {
-	fragOf := make([]FragID, n)
-	memOff := make([]int32, nf+1)
-	memFlat := make([]graph.NodeID, n)
-	keys := make([]uint64, n)
-	par.Ranges(workers, n, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			f := FragID(u) // phase 1: singletons
-			if prevFragOf != nil {
-				f = FragID(oldToNew[prevFragOf[u]])
-			}
-			fragOf[u] = f
-			keys[u] = uint64(f)<<32 | uint64(uint32(u))
-		}
-	})
-	par.SortU64(workers, keys)
-	par.Ranges(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			memFlat[i] = graph.NodeID(uint32(keys[i]))
-			// Group boundaries: position i starts fragment f iff the key
-			// above it belongs to a smaller fragment. Writing memOff at
-			// boundaries covers every non-empty fragment; empty fragments
-			// cannot occur (every fragment holds ≥1 node).
-			if i == 0 || keys[i]>>32 != keys[i-1]>>32 {
-				memOff[keys[i]>>32] = int32(i)
-			}
-		}
-	})
-	memOff[nf] = int32(n)
-	activeCopy := make([]bool, nf)
-	copy(activeCopy, active[:nf])
-	selEdge := make([]graph.EdgeID, nf)
-	selChooser := make([]graph.NodeID, nf)
-	par.Ranges(workers, nf, func(_, lo, hi int) {
-		for f := lo; f < hi; f++ {
-			e := best[f]
-			if e == -1 {
-				selEdge[f], selChooser[f] = -1, -1
-				continue
-			}
-			rec := g.Edge(graph.EdgeID(e))
-			selEdge[f] = graph.EdgeID(e)
-			if fragOf[rec.U] == FragID(f) {
-				selChooser[f] = rec.U
-			} else {
-				selChooser[f] = rec.V
-			}
-		}
-	})
-	return rawPhase{fragOf, memOff, memFlat, activeCopy, selEdge, selChooser}
+// partition is one phase's node-level fragment partition: fragOf maps
+// each node to its fragment, and the members of fragment f are
+// memFlat[memOff[f]:memOff[f+1]], ascending.
+type partition struct {
+	fragOf  []FragID
+	memOff  []int32
+	memFlat []graph.NodeID
 }
 
-// fragView is the annotation of one fragment as annotateRaw streams it:
-// the root, the level parity, and the BFS order (a view into a per-phase
-// arena, stable for the life of the decomposition).
+// newPartition allocates a partition of n nodes with room for nf
+// fragments.
+func newPartition(n, nf int) partition {
+	return partition{
+		fragOf:  make([]FragID, n),
+		memOff:  make([]int32, nf+1),
+		memFlat: make([]graph.NodeID, n),
+	}
+}
+
+// build fills p with a partition of nf fragments: the spanning fragment
+// when nf == 1, the singletons of phase 1 when up is nil, and otherwise
+// prev's fragments mapped through the contraction map up (prev may be
+// p.fragOf, which is then remapped in place). Kernel fragment IDs are
+// dense in order of smallest member node, the order a first-appearance
+// scan over ascending nodes assigns, so the IDs match the original
+// sequential construction. Members are placed by a counting scatter
+// over ascending nodes, so each fragment lists its members ascending:
+// the order a sort of packed (fragment, node) keys would yield.
+func (p *partition) build(up []int32, prev []FragID, nf, workers int) {
+	fragOf := p.fragOf
+	par.Ranges(workers, len(fragOf), func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			f := FragID(0)
+			if nf > 1 {
+				if up == nil {
+					f = FragID(u)
+				} else {
+					f = FragID(up[prev[u]])
+				}
+			}
+			fragOf[u] = f
+		}
+	})
+	off := p.memOff[:nf+1]
+	clear(off)
+	for _, f := range fragOf {
+		off[f+1]++
+	}
+	for f := 0; f < nf; f++ {
+		off[f+1] += off[f]
+	}
+	// off[f] is fragment f's write cursor; once every node is placed it
+	// holds f's end, and shifting by one restores the starts.
+	for u, f := range fragOf {
+		p.memFlat[off[f]] = graph.NodeID(u)
+		off[f]++
+	}
+	copy(off[1:], off[:nf])
+	off[0] = 0
+	p.memOff = off
+}
+
+// members returns fragment f's nodes, ascending.
+func (p *partition) members(f int) []graph.NodeID {
+	return p.memFlat[p.memOff[f]:p.memOff[f+1]:p.memOff[f+1]]
+}
+
+// fragView is the annotation of one fragment as annotate streams it:
+// the root, the level parity, and the BFS order (a view into the
+// caller's BFS arena).
 type fragView struct {
 	root  graph.NodeID
 	level int
 	bfs   []graph.NodeID
 }
 
-// annotate fills Root, Level and BFS for every fragment of one phase.
-// memOff are the member offsets (fragment f spans memOff[f]:memOff[f+1]
-// in both the member and BFS layouts).
-func (d *Decomposition) annotate(frags []Fragment, fragOf []FragID, memOff []int32, memFlat []graph.NodeID, workers int) {
-	err := d.annotateRaw(memOff, memFlat, fragOf, workers, func(_, fi int, v fragView) error {
+// annotator is pass 2's scratch, sized for the largest partition (phase
+// 1's n singletons) and shared by every phase: the tree of fragments as
+// a CSR (fdeg, fcur, fadj) with its BFS depths and queue, and
+// fragmentBFS's node-indexed child counters and child arena.
+type annotator struct {
+	fdeg, fcur, depth []int32
+	fadj, queue       []FragID
+	start, fill, cnt  []int32
+	kids              []graph.NodeID
+}
+
+func newAnnotator(n int) *annotator {
+	return &annotator{
+		fdeg:  make([]int32, n+1),
+		fcur:  make([]int32, n),
+		depth: make([]int32, n),
+		fadj:  make([]FragID, 2*(n-1)), // every tree edge crosses phase 1's fragments
+		queue: make([]FragID, 0, n),
+		start: make([]int32, n),
+		fill:  make([]int32, n),
+		cnt:   make([]int32, n),
+		kids:  make([]graph.NodeID, n),
+	}
+}
+
+// annotateInto fills Root, Level and BFS for every fragment of partition
+// p, into a fresh BFS arena the records keep.
+func (d *Decomposition) annotateInto(frags []Fragment, p *partition, a *annotator, workers int) {
+	bfs := make([]graph.NodeID, len(p.fragOf))
+	err := d.annotate(p, a, bfs, workers, func(_, fi int, v fragView) error {
 		frags[fi].Root = v.root
 		frags[fi].Level = v.level
 		frags[fi].BFS = v.bfs
@@ -796,19 +813,19 @@ func (d *Decomposition) annotate(frags []Fragment, fragOf []FragID, memOff []int
 	}
 }
 
-// annotateRaw computes root, level and BFS order for every fragment of
-// one partition (flat memOff/memFlat member arrays plus the node→
-// fragment map) and hands each fragment's view to visit. Fragments are
+// annotate computes root, level and BFS order for every fragment of
+// partition p and hands each fragment's view to visit. Fragments are
 // processed in parallel ranges — each owns a disjoint node set, and the
-// BFS orders land in per-phase arenas sliced by the member offsets —
-// so visit must only touch state owned by its fragment (or per-worker
+// BFS orders land in bfs (len n) sliced by the member offsets — so
+// visit must only touch state owned by its fragment (or per-worker
 // scratch via the worker index it receives). A visit error aborts with
 // the lowest failing fragment's error, the sequential order's outcome.
 //
 // This is the engine behind both the rich Phase records and the fused
 // streaming pass: the fused oracle consumes each view in place instead
 // of materialising Fragment structs (DESIGN.md §2.12).
-func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, fragOf []FragID, workers int, visit func(w, fi int, v fragView) error) error {
+func (d *Decomposition) annotate(p *partition, a *annotator, bfs []graph.NodeID, workers int, visit func(w, fi int, v fragView) error) error {
+	fragOf, memOff, memFlat := p.fragOf, p.memOff, p.memFlat
 	numFrags := len(memOff) - 1
 	fragWorkers := workers
 	if numFrags < 64 {
@@ -820,7 +837,8 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 	// varies by schedule, but BFS depths are hop distances, so the level
 	// parities are schedule-independent.
 	edgeWorkers := par.WorkersFor(workers, len(d.treeU))
-	fdeg := make([]int32, numFrags+1)
+	fdeg := a.fdeg[:numFrags+1]
+	clear(fdeg)
 	par.Ranges(edgeWorkers, len(d.treeU), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fu, fv := fragOf[d.treeU[i]], fragOf[d.treeV[i]]
@@ -833,8 +851,8 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 	for f := 0; f < numFrags; f++ {
 		fdeg[f+1] += fdeg[f]
 	}
-	fadj := make([]FragID, fdeg[numFrags])
-	fcur := make([]int32, numFrags)
+	fadj := a.fadj[:fdeg[numFrags]]
+	fcur := a.fcur[:numFrags]
 	copy(fcur, fdeg[:numFrags])
 	par.Ranges(edgeWorkers, len(d.treeU), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -846,13 +864,12 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 		}
 	})
 	rootFrag := fragOf[d.Root]
-	depth := make([]int32, numFrags)
+	depth := a.depth[:numFrags]
 	for i := range depth {
 		depth[i] = -1
 	}
 	depth[rootFrag] = 0
-	queue := make([]FragID, 0, numFrags)
-	queue = append(queue, rootFrag)
+	queue := append(a.queue[:0], rootFrag)
 	for qi := 0; qi < len(queue); qi++ {
 		f := queue[qi]
 		for _, nb := range fadj[fdeg[f]:fcur[f]] {
@@ -864,34 +881,29 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 	}
 	// Roots, BFS orders and the visit itself, one parallel pass over
 	// fragments. Both the orders and the child segments live in flat
-	// per-phase arenas sliced by the member offsets; the node-indexed
-	// count scratch is shared safely because fragments own disjoint
-	// nodes.
-	total := int(memOff[numFrags])
-	bfsArena := make([]graph.NodeID, total)
-	kidsArena := make([]graph.NodeID, total)
+	// arenas sliced by the member offsets; the node-indexed count
+	// scratch is shared safely because fragments own disjoint nodes.
 	return par.FirstFailure(fragWorkers, numFrags, func(w, lo, hi int) (int, error) {
 		for fi := lo; fi < hi; fi++ {
 			if depth[fi] == -1 {
 				panic("boruvka: tree of fragments is disconnected (internal error)")
 			}
-			nodes := memFlat[memOff[fi]:memOff[fi+1]:memOff[fi+1]]
+			o, end := memOff[fi], memOff[fi+1]
+			nodes := memFlat[o:end:end]
 			// Root: the unique node whose T-parent edge leaves the
 			// fragment (or the global root).
 			root := graph.NodeID(-1)
 			for _, u := range nodes {
-				p := d.parentNode[u]
-				if p == -1 || fragOf[p] != FragID(fi) {
+				parent := d.parentNode[u]
+				if parent == -1 || fragOf[parent] != FragID(fi) {
 					if root != -1 {
 						panic("boruvka: two roots in one fragment (internal error)")
 					}
 					root = u
 				}
 			}
-			o := memOff[fi]
-			bfs := d.fragmentBFS(root, nodes, fragOf,
-				bfsArena[o:o:memOff[fi+1]], kidsArena[o:memOff[fi+1]])
-			if err := visit(w, fi, fragView{root: root, level: int(depth[fi] % 2), bfs: bfs}); err != nil {
+			order := d.fragmentBFS(a, root, nodes, fragOf, bfs[o:o:end], a.kids[o:end])
+			if err := visit(w, fi, fragView{root: root, level: int(depth[fi] % 2), bfs: order}); err != nil {
 				return fi, err
 			}
 		}
@@ -913,9 +925,9 @@ func (d *Decomposition) childLess(a, b graph.NodeID) int {
 // node) order. This is the paper's "BFS guided by the indexes of the edges
 // in T_F ... lower index first". The order is written into out (len 0,
 // cap |F|) and returned; kids (len |F|) backs the per-parent child
-// segments.
-func (d *Decomposition) fragmentBFS(root graph.NodeID, nodes []graph.NodeID, fragOf []FragID, out, kids []graph.NodeID) []graph.NodeID {
-	start, fill, cnt := d.bfsStart, d.bfsFill, d.bfsCnt
+// segments, counted in a's node-indexed scratch.
+func (d *Decomposition) fragmentBFS(a *annotator, root graph.NodeID, nodes []graph.NodeID, fragOf []FragID, out, kids []graph.NodeID) []graph.NodeID {
+	start, fill, cnt := a.start, a.fill, a.cnt
 	// A node's T-parent lies in this fragment iff it exists and shares
 	// the fragment (fragments are subtrees of T, so this holds for every
 	// non-root member).

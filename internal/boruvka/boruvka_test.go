@@ -302,7 +302,7 @@ func TestSelPhase(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		d := decompose(t, g, 0)
 		for _, e := range d.TreeEdges {
-			i := d.SelPhase[e]
+			i := int(d.SelPhase[e])
 			if i < 1 || i > d.NumPhases() {
 				t.Fatalf("graph %d: tree edge %d has SelPhase %d", gi, e, i)
 			}

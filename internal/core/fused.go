@@ -28,30 +28,24 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 	for w := range scratch {
 		scratch[w] = bitstring.New(b.sched.P + 2)
 	}
-	// Final-stage fragments stream in schedule order, so their records
-	// collect per worker and scatter into b.frags by fragment index once
-	// the stream completes.
-	type finalRec struct {
-		fi   int
-		frag FinalFragment
-	}
-	finals := make([][]finalRec, b.workers)
+	// Each final-stage visit fills its own fragment's record. A visit's
+	// BFS view lives only as long as the visit, so the carriers are
+	// copied into one slab, Width nodes per fragment.
 	width := b.sched.Width
-	err = s.Run(func(w int, v boruvka.StreamVisit) error {
+	b.frags = make([]FinalFragment, s.FinalFrags())
+	carriers := make([]graph.NodeID, len(b.frags)*width)
+	return s.Run(func(w int, v boruvka.StreamVisit) error {
 		if v.Final {
 			value, port, err := b.finalString(v.Root, len(v.BFS))
 			if err != nil {
 				return err
 			}
-			for k := 0; k < width; k++ {
-				b.advice[v.BFS[k]].SetBit(0, value>>uint(k)&1 == 1)
+			c := carriers[v.Frag*width : (v.Frag+1)*width : (v.Frag+1)*width]
+			copy(c, v.BFS)
+			for k, u := range c {
+				b.advice[u].SetBit(0, value>>uint(k)&1 == 1)
 			}
-			finals[w] = append(finals[w], finalRec{v.Frag, FinalFragment{
-				Root:       v.Root,
-				ParentPort: port,
-				Carriers:   v.BFS[:width:width],
-				Value:      value,
-			}})
+			b.frags[v.Frag] = FinalFragment{Root: v.Root, ParentPort: port, Carriers: c, Value: value}
 			return nil
 		}
 		if !v.HasSel {
@@ -59,22 +53,4 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 		}
 		return b.packBits(v.Phase, v.BFS, v.Sel.Chooser, v.Sel.Up, v.Level == 1, scratch[w])
 	})
-	if err != nil {
-		return err
-	}
-	nf := 0
-	for _, recs := range finals {
-		for _, r := range recs {
-			if r.fi+1 > nf {
-				nf = r.fi + 1
-			}
-		}
-	}
-	b.frags = make([]FinalFragment, nf)
-	for _, recs := range finals {
-		for _, r := range recs {
-			b.frags[r.fi] = r.frag
-		}
-	}
-	return nil
 }

@@ -381,7 +381,7 @@ func E9PhaseDynamics(c Config) []*report.Table {
 				}
 			}
 			for _, e := range d.TreeEdges {
-				if d.SelPhase[e] == ph.Index {
+				if int(d.SelPhase[e]) == ph.Index {
 					selected++
 				}
 			}

@@ -78,7 +78,9 @@ func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 	if len(levels) == 0 {
 		return int64(len(flatBlob)), nil
 	}
-	// One decomposition builds every tier.
+	// BuildTiers builds every tier from one pass 1 of its own: the
+	// instance's third decomposition, after DecomposeOpt's above and the
+	// flat oracle's.
 	tiers, err := hier.BuildTiers(g, root, hier.HierOptions{Levels: levels})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))

@@ -14,7 +14,7 @@ import "slices"
 // collapses the common packed-key layouts (few live bytes) to 2–4 passes.
 //
 // The seeded parallel generators use it for edge dedup and port
-// assignment; the fused oracle pass uses it to build fragment CSRs.
+// assignment, and graph validation for its duplicate-ID check.
 func SortU64(workers int, keys []uint64) {
 	n := len(keys)
 	workers = WorkersFor(workers, n)

@@ -10,6 +10,7 @@ import (
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
+	"mstadvice/internal/graph/gen"
 )
 
 // tieredSnapshot is the golden tiered instance: the committed version-3
@@ -181,6 +182,40 @@ func assertTiersEqual(t *testing.T, got, want []Tier) {
 			if !g.Advice[u].Equal(w.Advice[u]) {
 				t.Fatalf("tier %d node %d advice differs", i, u)
 			}
+		}
+	}
+}
+
+// TestEncodeSizesExactly pins Encode's sizing pass: across the store
+// matrix (version 2, version 3 with a tier, no advice, a bare tier) and
+// a seeded graph whose IDs, ports and weights take multi-byte varints,
+// the blob is allocated once, at exactly its length.
+func TestEncodeSizesExactly(t *testing.T) {
+	v2 := legacySnapshot(t)
+	v2.Version = 2
+	noAdvice := legacySnapshot(t)
+	noAdvice.Advice = nil
+	bareTier := tieredSnapshot(t)
+	bareTier.Tiers[0].Advice = nil
+	big := buildSnapshot(t, "random", 5000, 3, gen.WeightsDistinct)
+	big.Root = 4321
+	for _, c := range []struct {
+		name string
+		s    *Snapshot
+	}{
+		{"v2", v2},
+		{"v3", legacySnapshot(t)},
+		{"v3 tiered", tieredSnapshot(t)},
+		{"no advice", noAdvice},
+		{"bare tier", bareTier},
+		{"seeded", big},
+	} {
+		blob, err := Encode(c.s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cap(blob) != len(blob) {
+			t.Fatalf("%s: Encode reserved %d bytes for a %d-byte blob", c.name, cap(blob), len(blob))
 		}
 	}
 }

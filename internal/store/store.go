@@ -197,8 +197,21 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if len(prob) > maxProblemName {
 		return nil, fmt.Errorf("store: problem name %q longer than %d bytes", prob, maxProblemName)
 	}
-	// Size estimate: header + ids + 5 varints per edge + advice payload.
-	buf := make([]byte, 0, 64+10*n+25*m)
+	// Per-problem payload: today a single varint, the oracle parameter.
+	var payload [binary.MaxVarintLen64]byte
+	plen := binary.PutUvarint(payload[:], uint64(s.Cap))
+	// A sizing pass over the fields written below, so the buffer is
+	// allocated once at its exact length.
+	size := len(magic) + uvarintLen(uint64(n)) + uvarintLen(uint64(m)) + uvarintLen(uint64(s.Root)) +
+		uvarintLen(uint64(len(prob))) + len(prob) + uvarintLen(uint64(plen)) + plen +
+		graphBodyLen(g) + adviceSectionLen(s.Advice) + 4
+	if version == 3 {
+		if err := checkTiers(s); err != nil {
+			return nil, err
+		}
+		size += tiersLen(s)
+	}
+	buf := make([]byte, 0, size)
 	if version == 2 {
 		buf = append(buf, magicV2[:]...)
 	} else {
@@ -208,9 +221,6 @@ func Encode(s *Snapshot) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(m))
 	buf = binary.AppendUvarint(buf, uint64(s.Root))
 	buf = AppendString(buf, prob)
-	// Per-problem payload: today a single varint, the oracle parameter.
-	var payload [binary.MaxVarintLen64]byte
-	plen := binary.PutUvarint(payload[:], uint64(s.Cap))
 	buf = binary.AppendUvarint(buf, uint64(plen))
 	buf = append(buf, payload[:plen]...)
 	buf, err := appendGraphBody(buf, g)
@@ -251,6 +261,27 @@ func appendGraphBody(buf []byte, g *graph.Graph) ([]byte, error) {
 	return buf, nil
 }
 
+// graphBodyLen is the length appendGraphBody writes for g.
+func graphBodyLen(g *graph.Graph) int {
+	size := 0
+	prevID := int64(0)
+	for _, id := range g.IDs() {
+		size += varintLen(id - prevID)
+		prevID = id
+	}
+	prevU := int64(0)
+	for _, e := range g.Edges() {
+		size += varintLen(int64(e.U)-prevU) + uvarintLen(uint64(e.V)) + uvarintLen(uint64(e.PU)) +
+			uvarintLen(uint64(e.PV)) + uvarintLen(uint64(e.W))
+		prevU = int64(e.U)
+	}
+	return size
+}
+
+// varintLen is the length of v's signed (zigzag) varint encoding;
+// uvarintLen (log.go) is the unsigned one.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
 // appendAdviceSection writes the flag byte plus, when advice is
 // present, the max-bits header, the per-node lengths and the bit-packed
 // payload — for the main assignment and for each tier's.
@@ -270,52 +301,96 @@ func appendAdviceSection(buf []byte, advice []*bitstring.BitString) []byte {
 	return AppendBits(buf, advice...)
 }
 
-// appendTiers writes the version-3 tier section: the tier count, then
-// per tier the level, the coarse node/edge counts, the coarse root, the
-// coarse graph body, the ascending original-edge deltas and the coarse
-// advice section.
-func appendTiers(buf []byte, s *Snapshot) ([]byte, error) {
-	if len(s.Tiers) > maxTiers {
-		return nil, fmt.Errorf("store: %d tiers exceed the limit %d", len(s.Tiers), maxTiers)
+// adviceSectionLen is the length appendAdviceSection writes for advice.
+func adviceSectionLen(advice []*bitstring.BitString) int {
+	if advice == nil {
+		return 1
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.Tiers)))
+	maxBits, total, lens := 0, 0, 0
+	for _, a := range advice {
+		maxBits = max(maxBits, a.Len())
+		total += a.Len()
+		lens += uvarintLen(uint64(a.Len()))
+	}
+	return 1 + uvarintLen(uint64(maxBits)) + lens + (total+7)/8
+}
+
+// checkTiers validates the version-3 tier section's fields before
+// anything is sized or written.
+func checkTiers(s *Snapshot) error {
+	if len(s.Tiers) > maxTiers {
+		return fmt.Errorf("store: %d tiers exceed the limit %d", len(s.Tiers), maxTiers)
+	}
 	for ti := range s.Tiers {
 		t := &s.Tiers[ti]
 		if t.Graph == nil {
-			return nil, fmt.Errorf("store: tier %d has no graph", ti)
+			return fmt.Errorf("store: tier %d has no graph", ti)
 		}
 		cn, cm := t.Graph.N(), t.Graph.M()
 		switch {
 		case t.Level < 1:
-			return nil, fmt.Errorf("store: tier %d level %d below 1", ti, t.Level)
+			return fmt.Errorf("store: tier %d level %d below 1", ti, t.Level)
 		case cn > s.Graph.N():
-			return nil, fmt.Errorf("store: tier %d has %d coarse nodes for %d original", ti, cn, s.Graph.N())
+			return fmt.Errorf("store: tier %d has %d coarse nodes for %d original", ti, cn, s.Graph.N())
 		case t.Root < 0 || int(t.Root) >= cn:
-			return nil, fmt.Errorf("store: tier %d root %d out of range [0,%d)", ti, t.Root, cn)
+			return fmt.Errorf("store: tier %d root %d out of range [0,%d)", ti, t.Root, cn)
 		case len(t.OrigEdge) != cm:
-			return nil, fmt.Errorf("store: tier %d has %d original-edge hints for %d coarse edges", ti, len(t.OrigEdge), cm)
+			return fmt.Errorf("store: tier %d has %d original-edge hints for %d coarse edges", ti, len(t.OrigEdge), cm)
 		case t.Advice != nil && len(t.Advice) != cn:
-			return nil, fmt.Errorf("store: tier %d has %d advice strings for %d coarse nodes", ti, len(t.Advice), cn)
+			return fmt.Errorf("store: tier %d has %d advice strings for %d coarse nodes", ti, len(t.Advice), cn)
 		}
+		prev := int64(-1)
+		for ei, orig := range t.OrigEdge {
+			if int64(orig) <= prev || int(orig) >= s.Graph.M() {
+				return fmt.Errorf("store: tier %d original edges not ascending within [0,%d) at index %d", ti, s.Graph.M(), ei)
+			}
+			prev = int64(orig)
+		}
+	}
+	return nil
+}
+
+// appendTiers writes the version-3 tier section, which checkTiers has
+// validated: the tier count, then per tier the level, the coarse
+// node/edge counts, the coarse root, the coarse graph body, the
+// ascending original-edge deltas and the coarse advice section.
+func appendTiers(buf []byte, s *Snapshot) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(s.Tiers)))
+	for ti := range s.Tiers {
+		t := &s.Tiers[ti]
 		buf = binary.AppendUvarint(buf, uint64(t.Level))
-		buf = binary.AppendUvarint(buf, uint64(cn))
-		buf = binary.AppendUvarint(buf, uint64(cm))
+		buf = binary.AppendUvarint(buf, uint64(t.Graph.N()))
+		buf = binary.AppendUvarint(buf, uint64(t.Graph.M()))
 		buf = binary.AppendUvarint(buf, uint64(t.Root))
 		var err error
 		if buf, err = appendGraphBody(buf, t.Graph); err != nil {
 			return nil, err
 		}
 		prev := int64(-1)
-		for ei, orig := range t.OrigEdge {
-			if int64(orig) <= prev || int(orig) >= s.Graph.M() {
-				return nil, fmt.Errorf("store: tier %d original edges not ascending within [0,%d) at index %d", ti, s.Graph.M(), ei)
-			}
+		for _, orig := range t.OrigEdge {
 			buf = binary.AppendUvarint(buf, uint64(int64(orig)-prev))
 			prev = int64(orig)
 		}
 		buf = appendAdviceSection(buf, t.Advice)
 	}
 	return buf, nil
+}
+
+// tiersLen is the length appendTiers writes for s's tiers.
+func tiersLen(s *Snapshot) int {
+	size := uvarintLen(uint64(len(s.Tiers)))
+	for ti := range s.Tiers {
+		t := &s.Tiers[ti]
+		size += uvarintLen(uint64(t.Level)) + uvarintLen(uint64(t.Graph.N())) +
+			uvarintLen(uint64(t.Graph.M())) + uvarintLen(uint64(t.Root)) +
+			graphBodyLen(t.Graph) + adviceSectionLen(t.Advice)
+		prev := int64(-1)
+		for _, orig := range t.OrigEdge {
+			size += uvarintLen(uint64(int64(orig) - prev))
+			prev = int64(orig)
+		}
+	}
+	return size
 }
 
 // AppendBits packs the strings back to back onto buf, LSB-first within

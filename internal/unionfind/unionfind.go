@@ -6,24 +6,29 @@
 // oracle's interval union-find variant) for the call sites.
 package unionfind
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DSU is a disjoint-set union over elements 0..n-1. The zero value is
-// unusable; create one with New.
+// unusable; create one with New. Elements and set sizes are stored as
+// int32, the bound graph.Graph puts on its node count.
 type DSU struct {
-	parent []int
-	size   []int
+	parent []int32
+	size   []int32
 	sets   int
 }
 
-// New returns a DSU with n singleton sets.
+// New returns a DSU with n singleton sets. n must lie in
+// [0, math.MaxInt32].
 func New(n int) *DSU {
-	if n < 0 {
-		panic(fmt.Sprintf("unionfind: negative size %d", n))
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("unionfind: size %d outside [0, %d]", n, math.MaxInt32))
 	}
-	d := &DSU{parent: make([]int, n), size: make([]int, n), sets: n}
+	d := &DSU{parent: make([]int32, n), size: make([]int32, n), sets: n}
 	for i := range d.parent {
-		d.parent[i] = i
+		d.parent[i] = int32(i)
 		d.size[i] = 1
 	}
 	return d
@@ -37,14 +42,14 @@ func (d *DSU) Sets() int { return d.sets }
 
 // Find returns the canonical representative of x's set.
 func (d *DSU) Find(x int) int {
-	root := x
+	root := int32(x)
 	for d.parent[root] != root {
 		root = d.parent[root]
 	}
-	for d.parent[x] != root {
-		d.parent[x], x = root, d.parent[x]
+	for i := int32(x); d.parent[i] != root; {
+		d.parent[i], i = root, d.parent[i]
 	}
-	return root
+	return int(root)
 }
 
 // Union merges the sets of a and b. It returns true if they were distinct.
@@ -56,7 +61,7 @@ func (d *DSU) Union(a, b int) bool {
 	if d.size[ra] < d.size[rb] {
 		ra, rb = rb, ra
 	}
-	d.parent[rb] = ra
+	d.parent[rb] = int32(ra)
 	d.size[ra] += d.size[rb]
 	d.sets--
 	return true
@@ -66,7 +71,7 @@ func (d *DSU) Union(a, b int) bool {
 func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
 
 // SizeOf returns the size of x's set.
-func (d *DSU) SizeOf(x int) int { return d.size[d.Find(x)] }
+func (d *DSU) SizeOf(x int) int { return int(d.size[d.Find(x)]) }
 
 // Groups returns the members of every set, each group sorted ascending and
 // the groups sorted by their smallest member. Intended for tests and for

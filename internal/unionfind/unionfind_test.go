@@ -1,6 +1,7 @@
 package unionfind
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -70,13 +71,19 @@ func TestGroups(t *testing.T) {
 	}
 }
 
+// TestNewPanics checks that New rejects a size outside [0, MaxInt32]
+// before it allocates anything.
 func TestNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(-1)
+	for _, n := range []int{-1, math.MaxInt32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%d): expected panic", n)
+				}
+			}()
+			New(n)
+		}()
+	}
 }
 
 func TestZeroElements(t *testing.T) {
