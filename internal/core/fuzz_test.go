@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"cmp"
 	"slices"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/hier"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -16,18 +16,18 @@ import (
 // the local-decompression decoder (hier, at a level from 1 to 4) on
 // small graphs read from the input (n ≤ 32, weights 1–4, any port
 // numbering and identifiers) and holds their output to an independent
-// reference: a Kruskal and BFS rooting written below. Every decoder
-// must finish without an engine error and every node must name the
-// reference's parent port; the Theorem 3 decoders on at most 12 advice
-// bits per node, the strict one in exactly RoundBound(n) rounds, and
-// hier in exactly hier.Rounds(n). The committed seeds under
+// reference: the naive Kruskal and BFS rooting of internal/reference.
+// Every decoder must finish without an engine error and every node
+// must name the reference's parent port; the Theorem 3 decoders on at
+// most 12 advice bits per node, the strict one in exactly RoundBound(n)
+// rounds, and hier in exactly hier.Rounds(n). The committed seeds under
 // testdata/fuzz are a star, a path and a complete graph of equal
 // weights. The target sits in the external test package because hier
 // imports core.
 func FuzzCoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, root, level := fuzzGraph(t, data)
-		want := referenceParents(g, root)
+		want := reference.Parents(g, root)
 		exact, _ := core.RoundBound(g.N())
 		for _, c := range []struct {
 			s       advice.Scheme
@@ -114,62 +114,4 @@ func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 		t.Fatal(err)
 	}
 	return g, root, level
-}
-
-// referenceParents is the rooted MST under the intrinsic edge order
-// (weight, smaller identifier, port at that endpoint): Kruskal with its
-// own union-find, then a BFS from root that gives every other node the
-// port of its tree edge.
-func referenceParents(g *graph.Graph, root graph.NodeID) []int {
-	type half struct{ to, port int } // port: the edge's port at to
-	edges := g.Edges()
-	key := func(e graph.Edge) (graph.Weight, int64, int32) {
-		if g.ID(e.U) < g.ID(e.V) {
-			return e.W, g.ID(e.U), e.PU
-		}
-		return e.W, g.ID(e.V), e.PV
-	}
-	order := make([]int, len(edges))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		wa, ia, pa := key(edges[a])
-		wb, ib, pb := key(edges[b])
-		return cmp.Or(cmp.Compare(wa, wb), cmp.Compare(ia, ib), cmp.Compare(pa, pb))
-	})
-	comp := make([]int, g.N())
-	for u := range comp {
-		comp[u] = u
-	}
-	find := func(u int) int {
-		for comp[u] != u {
-			comp[u] = comp[comp[u]]
-			u = comp[u]
-		}
-		return u
-	}
-	tree := make([][]half, g.N())
-	for _, i := range order {
-		e := edges[i]
-		if a, b := find(int(e.U)), find(int(e.V)); a != b {
-			comp[a] = b
-			tree[e.U] = append(tree[e.U], half{int(e.V), int(e.PV)})
-			tree[e.V] = append(tree[e.V], half{int(e.U), int(e.PU)})
-		}
-	}
-	parent := make([]int, g.N())
-	for u := range parent {
-		parent[u] = -2 // unreached
-	}
-	parent[root] = -1
-	for queue := []int{int(root)}; len(queue) > 0; queue = queue[1:] {
-		for _, h := range tree[queue[0]] {
-			if parent[h.to] == -2 {
-				parent[h.to] = h.port
-				queue = append(queue, h.to)
-			}
-		}
-	}
-	return parent
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -14,6 +15,7 @@ import (
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -41,7 +43,8 @@ func adviceEqual(a, b []*bitstring.BitString) (int, bool) {
 
 // TestSensitivityExact verifies WouldChange against brute force: for a
 // sample of (edge, new weight) pairs, compare the prediction with the
-// Kruskal MST of the actually-patched graph.
+// MST of the actually-patched graph, re-solved by the naive reference
+// (which shares no sort with Analyze).
 func TestSensitivityExact(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -51,7 +54,7 @@ func TestSensitivityExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, _ := mst.Kruskal(g)
+			ref := reference.Kruskal(g)
 			for trial := 0; trial < 200; trial++ {
 				e := graph.EdgeID(rng.Intn(g.M()))
 				w := graph.Weight(rng.Intn(2*g.M()) + 1)
@@ -60,11 +63,7 @@ func TestSensitivityExact(t *testing.T) {
 				if err := patched.SetWeight(e, w); err != nil {
 					t.Fatal(err)
 				}
-				got, err := mst.Kruskal(patched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if changed := !mst.SameEdges(ref, got); changed != pred {
+				if changed := !slices.Equal(ref, reference.Kruskal(patched)); changed != pred {
 					t.Fatalf("mode %v seed %d: edge %d (inTree=%v, w %d -> %d): WouldChange=%v, brute force=%v",
 						mode, seed, e, s.InTree[e], g.Weight(e), w, pred, changed)
 				}
@@ -81,7 +80,7 @@ func TestToleranceBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := mst.Kruskal(g)
+	ref := reference.Kruskal(g)
 	check := func(e graph.EdgeID, w graph.Weight, wantChange bool) {
 		t.Helper()
 		if w < 1 {
@@ -91,8 +90,7 @@ func TestToleranceBoundary(t *testing.T) {
 		if err := patched.SetWeight(e, w); err != nil {
 			t.Fatal(err)
 		}
-		got, _ := mst.Kruskal(patched)
-		if changed := !mst.SameEdges(ref, got); changed != wantChange {
+		if changed := !slices.Equal(ref, reference.Kruskal(patched)); changed != wantChange {
 			t.Fatalf("edge %d at weight %d: changed=%v, want %v", e, w, changed, wantChange)
 		}
 	}
@@ -110,6 +108,54 @@ func TestToleranceBoundary(t *testing.T) {
 		} else {
 			check(graph.EdgeID(e), limit+1, false)
 			check(graph.EdgeID(e), limit-1, true)
+		}
+	}
+}
+
+// TestReplacementBruteForce checks the covering walk edge by edge: on
+// small graphs of every family and weight mode, the tree is the naive
+// reference's, and each tree edge's Replacement is the minimum non-tree
+// edge, under GlobalKey.Less, whose tree path contains it — found by
+// cutting the edge out of the tree and scanning every non-tree edge
+// across the cut — or -1 when no edge crosses (a bridge).
+func TestReplacementBruteForce(t *testing.T) {
+	for _, fam := range gen.Names() {
+		for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
+			for _, n := range []int{2, 3, 17, 64} {
+				g := seeded(t, fam, n, uint64(n)*31+uint64(mode), mode)
+				s, err := Analyze(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref := reference.Kruskal(g); !slices.Equal(s.Tree, ref) {
+					t.Fatalf("%s/%v/n=%d: tree %v, reference %v", fam, mode, n, s.Tree, ref)
+				}
+				side := make([]bool, g.N())
+				for _, cut := range s.Tree {
+					// side marks the nodes the tree minus cut still joins
+					// to cut's first endpoint.
+					clear(side)
+					side[g.Edge(cut).U] = true
+					for queue := []graph.NodeID{g.Edge(cut).U}; len(queue) > 0; queue = queue[1:] {
+						for _, e := range g.Ports(queue[0]) {
+							if v := g.Other(e, queue[0]); s.InTree[e] && e != cut && !side[v] {
+								side[v] = true
+								queue = append(queue, v)
+							}
+						}
+					}
+					want := graph.EdgeID(-1)
+					for f := range graph.EdgeID(g.M()) {
+						rec := g.Edge(f)
+						if !s.InTree[f] && side[rec.U] != side[rec.V] && (want == -1 || g.Key(f).Less(g.Key(want))) {
+							want = f
+						}
+					}
+					if got := s.Replacement[cut]; got != want {
+						t.Fatalf("%s/%v/n=%d: tree edge %d has replacement %d, brute force %d", fam, mode, n, cut, got, want)
+					}
+				}
+			}
 		}
 	}
 }

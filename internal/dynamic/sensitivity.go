@@ -15,7 +15,8 @@
 // stays out exactly while its key is above that path maximum. Both are
 // computed for every edge at once: path maxima by binary lifting over the
 // rooted tree (O((n+m) log n)) and replacement edges by the Kruskal-style
-// covering walk with interval union-find (O(m α)).
+// covering walk with interval union-find (O(m α) over the global order,
+// which Analyze sorts once for the walk and for Kruskal).
 //
 // All comparisons use the graph's intrinsic global order, so the answers
 // are exact even under weight ties.
@@ -25,7 +26,6 @@ package dynamic
 
 import (
 	"fmt"
-	"slices"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/mst"
@@ -59,7 +59,9 @@ type Sensitivity struct {
 	maxE [][]graph.EdgeID // max-key tree edge on the 2^k-step path above u
 }
 
-// Analyze computes the full sensitivity analysis of g.
+// Analyze computes the full sensitivity analysis of g. It sorts the
+// edges once, with g.GlobalOrder(): Kruskal's tree and the covering walk
+// that finds every tree edge's replacement both walk that order.
 func Analyze(g *graph.Graph) (*Sensitivity, error) {
 	n := g.N()
 	if n == 0 {
@@ -80,7 +82,8 @@ func Analyze(g *graph.Graph) (*Sensitivity, error) {
 	if n == 1 {
 		return s, nil
 	}
-	tree, err := mst.Kruskal(g)
+	order := g.GlobalOrder()
+	tree, err := mst.KruskalOrdered(g, order)
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: %w", err)
 	}
@@ -115,7 +118,7 @@ func Analyze(g *graph.Graph) (*Sensitivity, error) {
 		}
 	}
 	s.buildLifting()
-	s.computeReplacements()
+	s.computeReplacements(order)
 	return s, nil
 }
 
@@ -164,27 +167,6 @@ func (s *Sensitivity) buildLifting() {
 	}
 }
 
-// LCA returns the lowest common ancestor of u and v in the rooted tree.
-func (s *Sensitivity) LCA(u, v graph.NodeID) graph.NodeID {
-	if s.Depth[u] < s.Depth[v] {
-		u, v = v, u
-	}
-	for k := len(s.up) - 1; k >= 0; k-- {
-		if s.Depth[u]-(1<<uint(k)) >= s.Depth[v] {
-			u = graph.NodeID(s.up[k][u])
-		}
-	}
-	if u == v {
-		return u
-	}
-	for k := len(s.up) - 1; k >= 0; k-- {
-		if s.up[k][u] != s.up[k][v] {
-			u, v = graph.NodeID(s.up[k][u]), graph.NodeID(s.up[k][v])
-		}
-	}
-	return graph.NodeID(s.up[0][u])
-}
-
 // PathMaxEdge returns the tree edge with the maximum global key on the
 // tree path between u and v (-1 if u == v).
 func (s *Sensitivity) PathMaxEdge(u, v graph.NodeID) graph.EdgeID {
@@ -214,28 +196,18 @@ func (s *Sensitivity) PathMaxEdge(u, v graph.NodeID) graph.EdgeID {
 }
 
 // computeReplacements assigns every tree edge its minimum covering
-// non-tree edge: walking the non-tree edges in ascending key order, each
-// one covers the still-uncovered tree edges on its endpoint-to-LCA paths
-// (interval union-find, so every tree edge is covered at most once).
-func (s *Sensitivity) computeReplacements() {
+// non-tree edge: walking the non-tree edges in order (g.GlobalOrder(),
+// the order Kruskal walked), each one covers the still-uncovered tree
+// edges on its tree path. jump is an interval union-find: find(x) is
+// the nearest ancestor-or-self of x whose parent edge is uncovered (or
+// the root), and covering x's parent edge links x to its parent. The
+// walk climbs from both endpoints, always advancing the deeper of the
+// two, until they meet at the top of the covered stretch that holds
+// the endpoints' lowest common ancestor, so it needs no LCA query;
+// every tree edge is covered once, and the walk is O(m α) after the
+// sort.
+func (s *Sensitivity) computeReplacements(order []graph.EdgeID) {
 	g := s.G
-	var nonTree []graph.EdgeID
-	for e := 0; e < g.M(); e++ {
-		if !s.InTree[e] {
-			nonTree = append(nonTree, graph.EdgeID(e))
-		}
-	}
-	slices.SortFunc(nonTree, func(a, b graph.EdgeID) int {
-		ka, kb := g.Key(a), g.Key(b)
-		switch {
-		case ka.Less(kb):
-			return -1
-		case kb.Less(ka):
-			return 1
-		default:
-			return 0
-		}
-	})
 	jump := make([]int32, g.N())
 	for u := range jump {
 		jump[u] = int32(u)
@@ -247,16 +219,19 @@ func (s *Sensitivity) computeReplacements() {
 		}
 		return x
 	}
-	for _, f := range nonTree {
+	for _, f := range order {
+		if s.InTree[f] {
+			continue
+		}
 		rec := g.Edge(f)
-		l := s.LCA(rec.U, rec.V)
-		for _, x0 := range [2]graph.NodeID{rec.U, rec.V} {
-			x := find(int32(x0))
-			for s.Depth[x] > s.Depth[l] {
-				s.Replacement[s.ParentEdge[x]] = f
-				jump[x] = int32(s.Parent[x])
-				x = find(x)
+		x, y := find(int32(rec.U)), find(int32(rec.V))
+		for x != y {
+			if s.Depth[x] < s.Depth[y] {
+				x, y = y, x
 			}
+			s.Replacement[s.ParentEdge[x]] = f
+			jump[x] = int32(s.Parent[x])
+			x = find(x)
 		}
 	}
 }

@@ -23,6 +23,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"mstadvice/internal/par"
@@ -255,6 +256,98 @@ func (a GlobalKey) Less(b GlobalKey) bool {
 // order. For a == b it returns false.
 func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 
+// GlobalOrder returns every edge ID, ascending in the global order. It
+// is the one implementation of that order over all edges: Kruskal and
+// the sensitivity oracle walk it. Each edge becomes one packed word —
+// weight minus the least weight, the rank of its smaller-ID endpoint
+// among all IDs (from the packed ID sort Validate runs), the port there
+// — and the words go through par.SortU64 on par.Workers(0) workers. A
+// word names its edge, as the port at a node does, so no edge ID rides
+// along. Graphs whose IDs do not fit int32, or whose fields need more
+// than 64 bits together, take a comparison sort over Key instead.
+func (g *Graph) GlobalOrder() []EdgeID {
+	order, _ := g.globalOrder(0)
+	return order
+}
+
+// globalOrder is GlobalOrder with an explicit worker request; radix
+// reports whether the packed words were sorted (false on the
+// comparison fallback).
+func (g *Graph) globalOrder(workers int) (order []EdgeID, radix bool) {
+	m := len(g.edges)
+	if m == 0 {
+		return nil, true
+	}
+	minW, maxW := g.edges[0].W, g.edges[0].W
+	for _, e := range g.edges {
+		minW, maxW = min(minW, e.W), max(maxW, e.W)
+	}
+	// The widths of the three fields; the weight span is taken as
+	// unsigned, so it is exact for any pair of int64 weights.
+	portBits := uint(bits.Len32(uint32(g.MaxDegree() - 1)))
+	rankBits := uint(bits.Len32(uint32(g.N() - 1)))
+	weightBits := uint(bits.Len64(uint64(maxW) - uint64(minW)))
+	var idWords []uint64
+	fits := weightBits+rankBits+portBits <= 64
+	if fits {
+		idWords, fits = g.sortedIDWords(workers)
+	}
+	if !fits {
+		return comparatorOrder(g), false
+	}
+	// The node at ID rank r is the low half of idWords[r].
+	rank := make([]int32, len(idWords))
+	par.Ranges(par.WorkersFor(workers, len(idWords)), len(idWords), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			rank[uint32(idWords[r])] = int32(r)
+		}
+	})
+	words := make([]uint64, m)
+	edgeWorkers := par.WorkersFor(workers, m)
+	par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &g.edges[i]
+			r, p := rank[e.U], e.PU
+			if rv := rank[e.V]; rv < r {
+				r, p = rv, e.PV
+			}
+			words[i] = (uint64(e.W)-uint64(minW))<<(rankBits+portBits) | uint64(r)<<portBits | uint64(p)
+		}
+	})
+	par.SortU64(workers, words)
+	portMask := uint64(1)<<portBits - 1
+	order = make([]EdgeID, m)
+	par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w := words[i]
+			u := uint32(idWords[(w>>portBits)&(1<<rankBits-1)])
+			order[i] = g.adj[g.off[u]+int32(w&portMask)]
+		}
+	})
+	return order, true
+}
+
+// comparatorOrder sorts every edge ID by comparing Keys: GlobalOrder's
+// fallback for graphs its packed words cannot hold.
+func comparatorOrder(g *Graph) []EdgeID {
+	order := make([]EdgeID, len(g.edges))
+	for i := range order {
+		order[i] = EdgeID(i)
+	}
+	slices.SortFunc(order, func(a, b EdgeID) int {
+		ka, kb := g.Key(a), g.Key(b)
+		switch {
+		case ka.Less(kb):
+			return -1
+		case kb.Less(ka):
+			return 1
+		default:
+			return 0
+		}
+	})
+	return order
+}
+
 // LocalRank returns the 0-based position of the half-edge at the given port
 // among u's incident edges sorted by the local order (weight, then port).
 // The mapping rank <-> port is a bijection computable by u alone, which is
@@ -412,30 +505,38 @@ func (g *Graph) Validate() error {
 	return g.validate(0)
 }
 
+// sortedIDWords packs every node's (biased ID, node) into one word —
+// the ID in the high half, offset by 2³¹ so the words sort as the IDs
+// do, and the node in the low half — and radix-sorts the words, so the
+// node whose ID has rank r is the low half of word r. ok is false, and
+// nothing is sorted, when some ID does not fit int32. Validate's
+// duplicate-ID check and GlobalOrder's endpoint ranks both read it.
+func (g *Graph) sortedIDWords(workers int) (words []uint64, ok bool) {
+	for _, id := range g.ids {
+		if id < -1<<31 || id > 1<<31-1 {
+			return nil, false
+		}
+	}
+	workers = par.WorkersFor(workers, len(g.ids))
+	words = make([]uint64, len(g.ids))
+	par.Ranges(workers, len(g.ids), func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			words[u] = (uint64(uint32(g.ids[u]))^0x8000_0000)<<32 | uint64(uint32(u))
+		}
+	})
+	par.SortU64(workers, words)
+	return words, true
+}
+
 // validate is Validate with an explicit worker request, sized per pass
 // by par.WorkersFor: an explicit count is honoured even above
 // GOMAXPROCS, so tests drive the parallel passes on 1–2-core hosts.
 func (g *Graph) validate(workers int) error {
 	// ID distinctness: sort (id, node) pairs and compare neighbours.
-	// IDs that fit int32 (every generator's do) take the fast path —
-	// packed (biased id, node) words through the parallel radix sort;
-	// wider IDs fall back to a comparison sort of explicit pairs.
-	idWorkers := par.WorkersFor(workers, len(g.ids))
-	idFits := true
-	for _, id := range g.ids {
-		if id < -1<<31 || id > 1<<31-1 {
-			idFits = false
-			break
-		}
-	}
-	if idFits {
-		keys := make([]uint64, len(g.ids))
-		par.Ranges(idWorkers, len(g.ids), func(_, lo, hi int) {
-			for u := lo; u < hi; u++ {
-				keys[u] = (uint64(uint32(g.ids[u]))^0x8000_0000)<<32 | uint64(uint32(u))
-			}
-		})
-		par.SortU64(idWorkers, keys)
+	// IDs that fit int32 (every generator's do) take the fast path,
+	// sortedIDWords; wider IDs fall back to a comparison sort of
+	// explicit pairs.
+	if keys, ok := g.sortedIDWords(workers); ok {
 		for i := 1; i < len(keys); i++ {
 			if keys[i]>>32 == keys[i-1]>>32 {
 				return fmt.Errorf("graph: duplicate ID %d at nodes %d and %d",

@@ -1,8 +1,10 @@
-// Package mst implements sequential minimum-spanning-tree algorithms and
-// verifiers. Everything tie-breaks with the graph's intrinsic global edge
-// order, under which the MST is unique; Kruskal, Prim and Borůvka must
-// therefore return exactly the same edge set, and every distributed scheme
-// in this repository is verified against that set.
+// Package mst implements centralized minimum-spanning-tree algorithms
+// and verifiers. Everything tie-breaks with the graph's intrinsic global
+// edge order, under which the MST is unique; Kruskal, Prim and Borůvka
+// must therefore return exactly the same edge set, and every distributed
+// scheme in this repository is verified against that set. Kruskal walks
+// graph.GlobalOrder, a parallel radix sort; Verify keeps a comparison
+// sort of its own, so that checking Kruskal's output stays independent.
 //
 // See DESIGN.md §1 for the intrinsic global order and DESIGN.md §2.2
 // for the verification step every scheme run ends with.
@@ -17,22 +19,20 @@ import (
 )
 
 // Kruskal returns the unique MST (under the global order) of a connected
-// graph as a sorted slice of edge IDs.
+// graph as a sorted slice of edge IDs. It walks g.GlobalOrder(), the
+// packed radix sort of all edges, so its cost is that sort plus one
+// union-find pass: O(m α) after the sort.
 func Kruskal(g *graph.Graph) ([]graph.EdgeID, error) {
-	order := make([]graph.EdgeID, g.M())
-	for i := range order {
-		order[i] = graph.EdgeID(i)
+	return KruskalOrdered(g, g.GlobalOrder())
+}
+
+// KruskalOrdered is Kruskal over an order the caller has already
+// computed: order must be g.GlobalOrder(). A caller that walks the
+// order again (the sensitivity oracle's covering walk) sorts once.
+func KruskalOrdered(g *graph.Graph, order []graph.EdgeID) ([]graph.EdgeID, error) {
+	if g.N() == 0 {
+		return nil, fmt.Errorf("mst: empty graph")
 	}
-	slices.SortFunc(order, func(a, b graph.EdgeID) int {
-		switch {
-		case g.EdgeLess(a, b):
-			return -1
-		case g.EdgeLess(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
 	dsu := unionfind.New(g.N())
 	tree := make([]graph.EdgeID, 0, g.N()-1)
 	for _, e := range order {

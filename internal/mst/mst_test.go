@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -56,16 +57,25 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
+// TestSingleNode: K1's MST is empty, and the empty graph (which
+// graph.FromEdgeList accepts) is an error, not a panic, for every
+// algorithm.
 func TestSingleNode(t *testing.T) {
-	g := graph.NewBuilder(1).MustBuild()
-	for name, f := range map[string]func() ([]graph.EdgeID, error){
-		"kruskal": func() ([]graph.EdgeID, error) { return Kruskal(g) },
-		"prim":    func() ([]graph.EdgeID, error) { return Prim(g, 0) },
-		"boruvka": func() ([]graph.EdgeID, error) { return Boruvka(g) },
-	} {
-		tree, err := f()
-		if err != nil || len(tree) != 0 {
-			t.Errorf("%s on K1: tree=%v err=%v", name, tree, err)
+	for _, n := range []int{0, 1} {
+		g := graph.NewBuilder(n).MustBuild()
+		for name, f := range map[string]func() ([]graph.EdgeID, error){
+			"kruskal":        func() ([]graph.EdgeID, error) { return Kruskal(g) },
+			"prim":           func() ([]graph.EdgeID, error) { return Prim(g, 0) },
+			"boruvka":        func() ([]graph.EdgeID, error) { return Boruvka(g) },
+			"reverse-delete": func() ([]graph.EdgeID, error) { return ReverseDelete(g) },
+		} {
+			tree, err := f()
+			if n == 0 && (err == nil || !strings.Contains(err.Error(), "empty graph")) {
+				t.Errorf("%s on the empty graph: tree=%v err=%v, want an empty-graph error", name, tree, err)
+			}
+			if n == 1 && (err != nil || len(tree) != 0) {
+				t.Errorf("%s on K1: tree=%v err=%v", name, tree, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package unionfind implements a disjoint-set forest with union by size
-// and path compression. It is the fragment bookkeeping substrate for the
-// Kruskal reference algorithm and the Borůvka phase decomposition.
+// and path compression. It is the fragment bookkeeping substrate for
+// mst.Kruskal and the Borůvka phase decomposition.
 //
 // See DESIGN.md §2.2 (Borůvka phases) and §2.4 (the sensitivity
 // oracle's interval union-find variant) for the call sites.
