@@ -33,11 +33,12 @@ import (
 // or, at a fragment root, into its collection.
 
 // Rec is one node's convergecast record: exactly what a fragment root
-// reads. The node itself fills ID, ChildCount, Bits and Off; its
-// fragment parent fills ParentID when first relaying it. Bits is the
-// node's whole advice string, shared by reference, and Off is where the
-// part its decoder reads starts. ChildCount is -1 when the decoder
-// announces no children.
+// reads. The node itself fills every field, ParentID with its fragment
+// parent's identifier, learned in its decoder's identifier exchange;
+// relays copy records unchanged. Bits is the node's whole advice
+// string, shared by reference, and Off is where the part its decoder
+// reads starts. ChildCount is -1 when the decoder announces no
+// children.
 type Rec struct {
 	ID         int64
 	ParentID   int64
@@ -60,13 +61,6 @@ type Batch struct {
 
 // SizeBits implements sim.Message.
 func (b *Batch) SizeBits(cm sim.CostModel) int { return b.Charge(cm, b.Recs) }
-
-// pending marks a record whose ParentID the first relaying node fills.
-// Identifiers are arbitrary int64s, so a separate in-band value cannot
-// be reserved; instead the sender of its own record uses this constant
-// and the direct parent always overwrites it, so only a record still on
-// its first hop carries it.
-const pending int64 = -1 << 62
 
 // arrival is one batch delivered this round and the port it came on.
 type arrival struct {
@@ -98,11 +92,11 @@ func (s *Stream) Reset() {
 }
 
 // Open starts a convergecast once the node's children are known, with
-// its own record, whose ParentID it sets: a fragment root holds the
-// record, any other node sends it to its parent, priced by charge. The
-// caller opens at slot 1 and steps at the slots after it.
+// its own record, which names its parent's identifier (a fragment root's
+// is never read): a fragment root holds the record, any other node
+// sends it to its parent, priced by charge. The caller opens at slot 1
+// and steps at the slots after it.
 func (s *Stream) Open(own Rec, parent int, charge Charge, sends []sim.Send) []sim.Send {
-	own.ParentID = pending
 	b := s.next(1, charge)
 	b.Recs = append(b.Recs, own)
 	if parent == -1 {
@@ -139,7 +133,7 @@ func (s *Stream) Step(parent, slot, limit int, charge Charge, view *sim.NodeView
 	if parent == -1 {
 		for _, a := range arrived {
 			for _, r := range a.b.Recs {
-				s.hold(annotate(r, view), limit)
+				s.hold(r, limit)
 			}
 		}
 		return sends
@@ -162,7 +156,7 @@ func (s *Stream) Step(parent, slot, limit int, charge Charge, view *sim.NodeView
 			}
 			s.sent++
 			if slot <= limit {
-				b.Recs = append(b.Recs, annotate(r, view))
+				b.Recs = append(b.Recs, r)
 			}
 		}
 	}
@@ -177,15 +171,6 @@ func (s *Stream) Held() []Rec { return s.bufs[s.flip].Recs }
 // Sent returns the number of records a relay has counted against its
 // limit since the convergecast opened.
 func (s *Stream) Sent() int { return s.sent }
-
-// annotate completes a record that arrived at this node. A direct
-// child's own record arrives unannotated: this node is its parent.
-func annotate(r Rec, view *sim.NodeView) Rec {
-	if r.ParentID == pending {
-		r.ParentID = view.ID
-	}
-	return r
-}
 
 // hold adds a record to a fragment root's collection, which keeps the
 // first limit records of the BFS order; a repeat of a held record is

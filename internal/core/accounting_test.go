@@ -126,11 +126,12 @@ func TestDecoderAccountingGolden(t *testing.T) {
 }
 
 // TestDecoderAllocations bounds what one decode allocates: the strict
-// decoder on a seeded random graph with n = 2·10⁴ must stay within 38 MiB
-// of heap allocations (27.1 MiB measured on a 2-core host, 28.9 MiB under
-// the race detector, with 32-byte records; 29.4 MiB with the former
-// 48-byte ones). A decoder that keeps a tree of its subtree at every node
-// allocated 50 MiB here, so it fails.
+// decoder on a seeded random graph with n = 2·10⁴, on the round engine,
+// must stay within 10% of its measured heap allocations, 23.3 MiB on a
+// 2-core host (25.1 MiB under the race detector). With a send buffer per
+// node, and a schedule copy in each, it allocated 27.1 MiB (28.9 MiB), so
+// they fail; so does a decoder that keeps a tree of its subtree at every
+// node (50 MiB).
 func TestDecoderAllocations(t *testing.T) {
 	g, err := gen.BuildSeeded("random", 20_000, 5, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	if err != nil {
@@ -151,11 +152,14 @@ func TestDecoderAllocations(t *testing.T) {
 	if res.ParentPorts[0] != -1 {
 		t.Fatalf("root has parent port %d", res.ParentPorts[0])
 	}
-	const limit = 38 << 20
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("decode allocated %.1f MiB", float64(got)/(1<<20))
+	limit := 1.1 * 23.3 * (1 << 20)
+	if raceEnabled {
+		limit = 1.1 * 25.1 * (1 << 20)
+	}
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("decode allocated %.1f MiB", got/(1<<20))
 	if got > limit {
-		t.Fatalf("decode allocated %.1f MiB, limit %d MiB", float64(got)/(1<<20), limit>>20)
+		t.Fatalf("decode allocated %.1f MiB, limit %.1f MiB", got/(1<<20), limit/(1<<20))
 	}
 }
 

@@ -81,7 +81,7 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 	} else if a.lastPulse > 0 {
 		a.stageRound++
 	}
-	sends := a.sendBuf[:0]
+	sends := ctx.Out[:0]
 	for _, rcv := range inbox {
 		sends = a.receive(view, rcv, sends)
 	}
@@ -139,7 +139,6 @@ func (a *adaptiveNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Recei
 			a.done = true
 		}
 	}
-	a.sendBuf = sends
 	return sends
 }
 

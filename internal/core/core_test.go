@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -175,6 +177,33 @@ func TestCapAblation(t *testing.T) {
 	}
 }
 
+// TestSharedScheduleConcurrent: decodes of different sizes running at
+// once share no schedule but their own n's, so each still takes exactly
+// its schedule's rounds to the exact MST.
+func TestSharedScheduleConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, n := range []int{30, 31, 64, 100} {
+		g := seeded(t, "random", n, 9, gen.WeightsDistinct)
+		exact, _ := RoundBound(n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				res, err := advice.Run(Scheme{}, g, 0, sim.Options{})
+				if err != nil {
+					t.Errorf("n=%d: %v", n, err)
+					return
+				}
+				if !res.Verified || res.Rounds != exact {
+					t.Errorf("n=%d: verified %v, %d rounds, schedule says %d", n, res.Verified, res.Rounds, exact)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Determinism including under parallel engine execution.
 func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
@@ -251,6 +280,48 @@ func TestAdviceSwapDetected(t *testing.T) {
 		}
 		if v := advice.VerifyOutput(g, res.ParentPorts); v.Verified && v.Root != 0 {
 			t.Fatalf("trial %d: swapped advice verified with wrong root", trial)
+		}
+	}
+}
+
+// withID returns a copy of g in which node u has identifier id.
+func withID(t *testing.T, g *graph.Graph, u graph.NodeID, id int64) *graph.Graph {
+	t.Helper()
+	ids := slices.Clone(g.IDs())
+	ids[u] = id
+	h, err := graph.FromEdgeList(g.N(), ids, slices.Clone(g.Edges()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestExtremeIdentifiers: identifiers are any distinct int64s, so both
+// decoders give the exact MST when one node, in turn at four places,
+// has identifier −2⁶², math.MinInt64 or math.MaxInt64. Records name
+// their parent by identifier, filled in by their owner; when the first
+// relay filled it in instead, −2⁶² was the in-band "not yet filled"
+// marker, and a relay with that identifier corrupted its children's
+// records two hops up.
+func TestExtremeIdentifiers(t *testing.T) {
+	for _, fam := range []string{"random", "grid", "path", "tree", "expander"} {
+		for _, n := range []int{64, 300} {
+			g := seeded(t, fam, n, 11, gen.WeightsRandom)
+			for _, id := range []int64{-1 << 62, math.MinInt64, math.MaxInt64} {
+				for k := range 4 {
+					u := graph.NodeID(1 + k*(g.N()-1)/4)
+					h := withID(t, g, u, id)
+					for _, s := range []Scheme{{}, {Adaptive: true}} {
+						res, err := advice.Run(s, h, 0, sim.Options{})
+						if err != nil {
+							t.Fatalf("%s %s n=%d, node %d has id %d: %v", s.Name(), fam, n, u, id, err)
+						}
+						if !res.Verified {
+							t.Fatalf("%s %s n=%d, node %d has id %d: %v", s.Name(), fam, n, u, id, res.VerifyErr)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -21,9 +22,9 @@ import (
 // must name the reference's parent port; the Theorem 3 decoders on at
 // most 12 advice bits per node, the strict one in exactly RoundBound(n)
 // rounds, and hier in exactly hier.Rounds(n). The committed seeds under
-// testdata/fuzz are a star, a path and a complete graph of equal
-// weights. The target sits in the external test package because hier
-// imports core.
+// testdata/fuzz are a star, a path, a complete graph of equal weights
+// and a 16-node tree with one relay at identifier −2⁶². The target sits
+// in the external test package because hier imports core.
 func FuzzCoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, root, level := fuzzGraph(t, data)
@@ -60,8 +61,8 @@ func FuzzCoreDecode(f *testing.F) {
 // spanning-tree parent among nodes < v and the edge's weight; then a
 // count of extra edges and a (u, v, weight) triple for each, duplicates
 // and loops skipped; then one shuffle choice per port, so every port
-// numbering can occur; then one identifier byte per node; then the
-// level, 1 to 4. Missing bytes read as zero.
+// numbering can occur; then one identifier byte per node (see fuzzID);
+// then the level, 1 to 4. Missing bytes read as zero.
 func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 	next := func() int {
 		if len(data) == 0 {
@@ -105,8 +106,9 @@ func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 		}
 	}
 	ids := make([]int64, n)
+	var taken [len(extremeIDs)]bool
 	for u := range ids {
-		ids[u] = int64(next())<<5 | int64(u) // distinct, in any order
+		ids[u] = fuzzID(next(), u, &taken)
 	}
 	level := 1 + next()%4
 	g, err := graph.FromEdgeList(n, ids, edges, 1)
@@ -114,4 +116,25 @@ func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 		t.Fatal(err)
 	}
 	return g, root, level
+}
+
+// extremeIDs are the identifiers at the ends of the int64 range and at
+// ±2⁶², the largest powers of two inside it.
+var extremeIDs = [...]int64{math.MinInt64, -1 << 62, 1 << 62, math.MaxInt64}
+
+// fuzzID maps node u's identifier byte b to an identifier, distinct from
+// every other node's: 0xfc–0xff give the first node to ask for it
+// extremeIDs[b−0xfc]; any other byte, or a later ask, gives b&0x7f·32 +
+// u, negated less one when b ≥ 0x80. So identifiers can be negative,
+// extreme and in any order.
+func fuzzID(b, u int, taken *[len(extremeIDs)]bool) int64 {
+	if k := b - 0xfc; k >= 0 && !taken[k] {
+		taken[k] = true
+		return extremeIDs[k]
+	}
+	id := int64(b&0x7f)<<5 | int64(u)
+	if b >= 0x80 {
+		return -id - 1
+	}
+	return id
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mstadvice/internal/convergecast"
 	"mstadvice/internal/graph"
@@ -15,7 +16,7 @@ import (
 // means "currently the root of my fragment tree"; at the end of the
 // schedule it means "root of the MST".
 type node struct {
-	sched Schedule
+	sched *Schedule // shared by every node of the network, never written
 
 	// Learned in the setup round.
 	nbrID   []int64
@@ -40,27 +41,37 @@ type node struct {
 	chooser bool
 	chUp    bool
 
-	// sendBuf backs the outbox returned from Start and Round. The engine
-	// consumes the outbox before the next compute phase, and a node sends
-	// at most one message per port per round, so one buffer of capacity
-	// deg serves the whole run. cc runs the convergecasts: every window's
-	// and the final collect's.
-	sendBuf []sim.Send
-	cc      convergecast.Stream
+	// cc runs the convergecasts: every window's and the final collect's.
+	cc convergecast.Stream
 
 	done bool
 }
 
 func newNode(view *sim.NodeView, cap int) *node {
 	return &node{
-		sched:      NewSchedule(view.N, cap),
+		sched:      sharedSchedule(view.N, cap),
 		nbrID:      make([]int64, view.Deg),
 		nbrPort:    make([]int, view.Deg),
 		parentPort: -1,
 		wnum:       1, // stamps start at zero, so no port is a child yet
 		ports:      make([]portState, view.Deg),
-		sendBuf:    make([]sim.Send, 0, view.Deg),
 	}
+}
+
+// lastSchedule is the schedule the most recently built node holds. The
+// nodes of one network are built one after another with the same n, so
+// they share one immutable Schedule instead of holding a copy each.
+var lastSchedule atomic.Pointer[Schedule]
+
+// sharedSchedule returns the schedule for (n, cap), reusing the last one
+// built when it matches.
+func sharedSchedule(n, cap int) *Schedule {
+	if s := lastSchedule.Load(); s != nil && s.N == n && s.Cap == cap {
+		return s
+	}
+	s := NewSchedule(n, cap)
+	lastSchedule.Store(&s)
+	return &s
 }
 
 // portState is one port's per-window state: the port is a child iff
@@ -88,7 +99,7 @@ func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 		return nil
 	}
 	ids := make([]idMsg, view.Deg)
-	sends := n.sendBuf[:0]
+	sends := ctx.Out[:0]
 	for p := range ids {
 		ids[p] = idMsg{ID: view.ID, Port: p}
 		sends = append(sends, sim.Send{Port: p, Msg: &ids[p]})
@@ -100,12 +111,11 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 	if n.done {
 		return nil
 	}
-	sends := n.sendBuf[:0]
+	sends := ctx.Out[:0]
 	for _, rcv := range inbox {
 		sends = n.receive(view, rcv, sends)
 	}
 	sends = n.slotActions(ctx.Round, view, sends)
-	n.sendBuf = sends
 	if ctx.Round >= n.sched.Total() {
 		n.done = true
 	}
@@ -242,6 +252,9 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 // record carries the advice for its final-stage bit alone.
 func (n *node) open(view *sim.NodeView, final bool, sends []sim.Send) []sim.Send {
 	own := convergecast.Rec{ID: view.ID, Bits: view.Advice, ChildCount: -1}
+	if n.parentPort != -1 {
+		own.ParentID = n.nbrID[n.parentPort]
+	}
 	charge := phaseCharge
 	if final {
 		charge = finalCharge

@@ -1,0 +1,7 @@
+//go:build !race
+
+package core
+
+// raceEnabled reports that the tests run under the race detector, whose
+// runtime allocates more for the same program.
+const raceEnabled = false

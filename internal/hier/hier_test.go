@@ -1,7 +1,9 @@
 package hier_test
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -208,6 +210,43 @@ func TestPlanLevel(t *testing.T) {
 	}
 }
 
+// TestHierExtremeIdentifiers: identifiers are any distinct int64s, so
+// the decoder gives the exact MST at every level when one node, in turn
+// at four places, has identifier −2⁶², math.MinInt64 or math.MaxInt64.
+// A root whose collection is a whole fragment smaller than ⌈log n⌉
+// reads its value at stride |F|, and the fragment is whole only if every
+// record names its parent; on the complete graph a root's rank can
+// reach 2^|F|, so a misnamed parent changes the decoded port. Records
+// name their parent by identifier, filled in by their owner; when the
+// first relay filled it in instead, −2⁶² was the in-band "not yet
+// filled" marker, and a relay with that identifier misnamed its
+// children's parent.
+func TestHierExtremeIdentifiers(t *testing.T) {
+	for _, fam := range []string{"random", "grid", "path", "tree", "expander", "complete"} {
+		g := seeded(t, fam, 64, 11, gen.WeightsDistinct)
+		for _, id := range []int64{-1 << 62, math.MinInt64, math.MaxInt64} {
+			for k := range 4 {
+				u := graph.NodeID(1 + k*(g.N()-1)/4)
+				ids := slices.Clone(g.IDs())
+				ids[u] = id
+				h, err := graph.FromEdgeList(g.N(), ids, slices.Clone(g.Edges()), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, level := range []int{1, 2, 3} {
+					res, err := advice.Run(hier.Scheme{Level: level}, h, 0, sim.Options{})
+					if err != nil {
+						t.Fatalf("%s level %d, node %d has id %d: %v", fam, level, u, id, err)
+					}
+					if !res.Verified {
+						t.Fatalf("%s level %d, node %d has id %d: %v", fam, level, u, id, res.VerifyErr)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHierTinyGraphs sweeps the degenerate sizes the schedule's edge
 // cases live at.
 func TestHierTinyGraphs(t *testing.T) {
@@ -264,9 +303,9 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 
 // TestHierDecoderAllocations bounds what one decode allocates: the
 // decoder at the coarsest level of a seeded random graph with n = 2·10⁴
-// must stay within 30 MiB of heap allocations (21.6 MiB measured on a
-// 2-core host, 23.5 MiB under the race detector, with 32-byte records;
-// 23.1 MiB with the former 48-byte ones). A decoder whose relays
+// must stay within 30 MiB of heap allocations (18.4 MiB measured on a
+// 2-core host, 20.4 MiB under the race detector; 21.6 MiB and 23.5 MiB
+// with a send buffer per node). A decoder whose relays
 // forward whole subtrees and whose fragment roots rebuild them as trees
 // allocated 58.7 MiB here, so it fails.
 func TestHierDecoderAllocations(t *testing.T) {

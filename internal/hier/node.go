@@ -27,11 +27,8 @@ type node struct {
 	nbrID   []int64
 	nbrPort []int
 
-	// sendBuf backs the outbox: deg hellos at Start, then at most one
-	// record batch per round.
-	sendBuf []sim.Send
-	cc      convergecast.Stream
-	done    bool
+	cc   convergecast.Stream
+	done bool
 }
 
 func newNode(view *sim.NodeView) sim.Node {
@@ -52,19 +49,19 @@ func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 	n.nbrID = make([]int64, view.Deg)
 	n.nbrPort = make([]int, view.Deg)
 	hellos := make([]helloMsg, view.Deg)
-	n.sendBuf = make([]sim.Send, view.Deg)
+	sends := ctx.Out[:0]
 	for p := range hellos {
 		hellos[p] = helloMsg{ID: view.ID, Port: p, Child: p == n.parentPort}
-		n.sendBuf[p] = sim.Send{Port: p, Msg: &hellos[p]}
+		sends = append(sends, sim.Send{Port: p, Msg: &hellos[p]})
 	}
-	return n.sendBuf
+	return sends
 }
 
 func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []sim.Send {
 	if n.done {
 		return nil
 	}
-	sends := n.sendBuf[:0]
+	sends := ctx.Out[:0]
 	if ctx.Round == 1 {
 		children := int32(0)
 		for _, rcv := range inbox {
@@ -76,6 +73,9 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 			}
 		}
 		own := convergecast.Rec{ID: view.ID, Bits: view.Advice, Off: int32(n.carrierOff), ChildCount: children}
+		if p := n.parentPort; p >= 0 && p < view.Deg { // the engine rejects a corrupt hint's port
+			own.ParentID = n.nbrID[p]
+		}
 		return n.cc.Open(own, n.parentPort, recordsCharge, sends)
 	}
 	for _, rcv := range inbox {

@@ -319,7 +319,7 @@ func (n *floodNode) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 	}
 	n.class = int(view.Advice.Uint(1, ClassBits))
 	n.done = true
-	return n.broadcast(view, nil)
+	return n.broadcast(ctx, view, nil)
 }
 
 func (n *floodNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []sim.Send {
@@ -339,13 +339,13 @@ func (n *floodNode) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received
 		return nil
 	}
 	n.done = true
-	return n.broadcast(view, from)
+	return n.broadcast(ctx, view, from)
 }
 
 // broadcast forwards the tag on every port except those it just arrived
-// on (their far ends already hold it).
-func (n *floodNode) broadcast(view *sim.NodeView, skip map[int]bool) []sim.Send {
-	sends := make([]sim.Send, 0, view.Deg)
+// on (their far ends already hold it), in ctx.Out.
+func (n *floodNode) broadcast(ctx *sim.Ctx, view *sim.NodeView, skip map[int]bool) []sim.Send {
+	sends := ctx.Out[:0]
 	for p := 0; p < view.Deg; p++ {
 		if !skip[p] {
 			sends = append(sends, sim.Send{Port: p, Msg: classMsg{class: n.class}})

@@ -86,15 +86,12 @@ type node struct {
 	nbrPort    []int
 	parentPort int
 	done       bool
-	// sendBuf backs the per-round flood outbox; the engine consumes the
-	// outbox before the next compute phase, so one buffer suffices.
-	sendBuf []sim.Send
 }
 
 func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
-	sends := make([]sim.Send, view.Deg)
+	sends := ctx.Out[:0]
 	for p := 0; p < view.Deg; p++ {
-		sends[p] = sim.Send{Port: p, Msg: helloMsg{ID: view.ID, Port: p}}
+		sends = append(sends, sim.Send{Port: p, Msg: helloMsg{ID: view.ID, Port: p}})
 	}
 	return sends
 }
@@ -147,11 +144,10 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 			return 0
 		}
 	})
-	sends := n.sendBuf[:0]
+	sends := ctx.Out[:0]
 	for p := 0; p < view.Deg; p++ {
 		sends = append(sends, sim.Send{Port: p, Msg: recordsMsg{Recs: fresh}})
 	}
-	n.sendBuf = sends
 	return sends
 }
 

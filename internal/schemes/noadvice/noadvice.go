@@ -161,14 +161,6 @@ type node struct {
 	chosenPort int
 	reqSentRnd int
 	reqDecided bool
-
-	// sendBuf backs the outbox returned from Round; scratch backs the
-	// helper-built batches (enterStage, toChildren), whose contents are
-	// copied into the outbox immediately at every call site. The engine
-	// consumes the outbox before the next compute phase, so both are safe
-	// to reuse every round.
-	sendBuf []sim.Send
-	scratch []sim.Send
 }
 
 func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
@@ -182,33 +174,34 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 	if n.done {
 		return nil
 	}
-	sends := n.sendBuf[:0]
+	sends := ctx.Out[:0]
 	if ctx.Pulse != n.lastPulse {
 		if ctx.Pulse != n.lastPulse+1 {
 			panic(fmt.Sprintf("noadvice: missed a pulse (%d -> %d)", n.lastPulse, ctx.Pulse))
 		}
 		n.lastPulse = ctx.Pulse
-		sends = append(sends, n.enterStage(ctx, view)...)
+		sends = n.enterStage(ctx, view, sends)
 	}
 	for _, rcv := range inbox {
-		sends = append(sends, n.receive(ctx, view, rcv)...)
+		sends = n.receive(view, rcv, sends)
 	}
 	// A chooser that saw no reciprocal request by the round after sending
 	// is the child side of its chosen edge: adopt and re-root.
 	if n.stage() == stageMerge && n.isChooser && !n.reqDecided && ctx.Round > n.reqSentRnd {
 		n.reqDecided = true
-		sends = append(sends, n.reroot(n.chosenPort)...)
+		sends = n.reroot(n.chosenPort, sends)
 	}
 	// Convergecast readiness can also change on stage entry (degree-0 or
 	// child-free nodes); checked last every round.
 	if n.stage() == stageExchange && !n.candSent {
-		sends = append(sends, n.tryAggregate(view)...)
+		sends = n.tryAggregate(view, sends)
 	}
-	n.sendBuf = sends
 	return sends
 }
 
-func (n *node) enterStage(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
+// enterStage, receive and the helpers they call append their sends to
+// sends and return it.
+func (n *node) enterStage(ctx *sim.Ctx, view *sim.NodeView, sends []sim.Send) []sim.Send {
 	switch n.stage() {
 	case stageExchange:
 		for p := range n.nbrKnown {
@@ -219,16 +212,14 @@ func (n *node) enterStage(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 		n.haveBest = false
 		n.isChooser = false
 		n.reqDecided = false
-		sends := n.scratch[:0]
 		for p := 0; p < view.Deg; p++ {
 			sends = append(sends, sim.Send{Port: p, Msg: fragMsg{Frag: n.fragID, ID: view.ID, Port: p}})
 		}
-		n.scratch = sends
 		return sends
 
 	case stageChoice:
 		if n.parentPort != -1 {
-			return nil
+			return sends
 		}
 		if !n.haveBest {
 			panic("noadvice: leader entered choice stage without an aggregate")
@@ -237,51 +228,51 @@ func (n *node) enterStage(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 			// No outgoing edge: the fragment spans the graph.
 			n.done = true
 			n.parentPort = -1
-			return n.toChildren(choiceMsg{Done: true})
+			return n.toChildren(choiceMsg{Done: true}, sends)
 		}
 		n.noteChoice(view, n.bestCand)
-		return n.toChildren(choiceMsg{Cand: n.bestCand})
+		return n.toChildren(choiceMsg{Cand: n.bestCand}, sends)
 
 	case stageMerge:
 		if n.isChooser {
 			n.reqSentRnd = ctx.Round
-			return []sim.Send{{Port: n.chosenPort, Msg: reqMsg{SenderID: view.ID}}}
+			return append(sends, sim.Send{Port: n.chosenPort, Msg: reqMsg{SenderID: view.ID}})
 		}
-		return nil
+		return sends
 
 	case stageNewFrag:
 		if n.parentPort == -1 {
 			n.fragID = view.ID
-			return n.toChildren(newFragMsg{Frag: view.ID})
+			return n.toChildren(newFragMsg{Frag: view.ID}, sends)
 		}
-		return nil
+		return sends
 	}
-	return nil
+	return sends
 }
 
-func (n *node) receive(ctx *sim.Ctx, view *sim.NodeView, rcv sim.Received) []sim.Send {
+func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) []sim.Send {
 	switch m := rcv.Msg.(type) {
 	case fragMsg:
 		n.nbrFrag[rcv.Port] = m.Frag
 		n.nbrID[rcv.Port] = m.ID
 		n.nbrPort[rcv.Port] = m.Port
 		n.nbrKnown[rcv.Port] = true
-		return nil
+		return sends
 
 	case candMsg:
 		if !n.children[rcv.Port] {
 			panic("noadvice: candidate from a non-child")
 		}
 		n.candIn[rcv.Port] = m.Cand
-		return nil
+		return sends
 
 	case choiceMsg:
 		if m.Done {
 			n.done = true
-			return n.toChildren(choiceMsg{Done: true})
+			return n.toChildren(choiceMsg{Done: true}, sends)
 		}
 		n.noteChoice(view, m.Cand)
-		return n.toChildren(m)
+		return n.toChildren(m, sends)
 
 	case reqMsg:
 		if n.isChooser && rcv.Port == n.chosenPort {
@@ -290,14 +281,14 @@ func (n *node) receive(ctx *sim.Ctx, view *sim.NodeView, rcv sim.Received) []sim
 			if view.ID > m.SenderID {
 				// Winner: new leader of the merged fragment.
 				n.children[rcv.Port] = true
-				return n.reroot(-1)
+				return n.reroot(-1, sends)
 			}
 			// Loser: child across the core edge.
-			return n.reroot(rcv.Port)
+			return n.reroot(rcv.Port, sends)
 		}
 		// Plain adoption: the sender hangs below us.
 		n.children[rcv.Port] = true
-		return nil
+		return sends
 
 	case flipMsg:
 		// The child at rcv.Port has become our parent.
@@ -309,13 +300,13 @@ func (n *node) receive(ctx *sim.Ctx, view *sim.NodeView, rcv sim.Received) []sim
 		n.parentPort = rcv.Port
 		if old != -1 {
 			n.children[old] = true
-			return []sim.Send{{Port: old, Msg: flipMsg{}}}
+			return append(sends, sim.Send{Port: old, Msg: flipMsg{}})
 		}
-		return nil
+		return sends
 
 	case newFragMsg:
 		n.fragID = m.Frag
-		return n.toChildren(m)
+		return n.toChildren(m, sends)
 
 	default:
 		panic(fmt.Sprintf("noadvice: unexpected message %T", rcv.Msg))
@@ -344,8 +335,7 @@ func (n *node) noteChoice(view *sim.NodeView, c candidate) {
 // reroot makes this node the local root of its old fragment tree (flip
 // wave towards the old leader) and attaches it at newParent (-1 to become
 // the merged fragment's leader).
-func (n *node) reroot(newParent int) []sim.Send {
-	var sends []sim.Send
+func (n *node) reroot(newParent int, sends []sim.Send) []sim.Send {
 	old := n.parentPort
 	n.parentPort = newParent
 	if old != -1 && old != newParent {
@@ -357,15 +347,15 @@ func (n *node) reroot(newParent int) []sim.Send {
 
 // tryAggregate sends the convergecast candidate up once the neighbour
 // fragments and all child candidates are known.
-func (n *node) tryAggregate(view *sim.NodeView) []sim.Send {
+func (n *node) tryAggregate(view *sim.NodeView, sends []sim.Send) []sim.Send {
 	for p := 0; p < view.Deg; p++ {
 		if !n.nbrKnown[p] {
-			return nil
+			return sends
 		}
 	}
 	for p := range n.children {
 		if _, ok := n.candIn[p]; !ok {
-			return nil
+			return sends
 		}
 	}
 	best := candidate{}
@@ -387,21 +377,19 @@ func (n *node) tryAggregate(view *sim.NodeView) []sim.Send {
 	if n.parentPort == -1 {
 		n.bestCand = best
 		n.haveBest = true
-		return nil
+		return sends
 	}
-	return []sim.Send{{Port: n.parentPort, Msg: candMsg{Cand: best}}}
+	return append(sends, sim.Send{Port: n.parentPort, Msg: candMsg{Cand: best}})
 }
 
 func (n *node) keyAt(view *sim.NodeView, p int) graph.GlobalKey {
 	return localorder.KeyAt(view.PortW[p], view.ID, p, n.nbrID[p], n.nbrPort[p])
 }
 
-func (n *node) toChildren(m sim.Message) []sim.Send {
-	sends := n.scratch[:0]
+func (n *node) toChildren(m sim.Message, sends []sim.Send) []sim.Send {
 	for p := range n.children {
 		sends = append(sends, sim.Send{Port: p, Msg: m})
 	}
-	n.scratch = sends
 	return sends
 }
 

@@ -103,7 +103,7 @@ func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 	if err != nil {
 		panic(fmt.Sprintf("oneround: malformed advice: %v", err))
 	}
-	var sends []sim.Send
+	sends := ctx.Out[:0]
 	for _, c := range chunks {
 		if c.Len() < 2 {
 			panic("oneround: chunk too short")

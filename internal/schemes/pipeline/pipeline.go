@@ -144,13 +144,6 @@ type node struct {
 	haveOutput bool
 	parentPort int
 	done       bool
-
-	// sendBuf backs the outbox returned from Round; scratch backs the
-	// pumpDowncast batch, which the caller copies into the outbox right
-	// away. The engine consumes the outbox before the next compute phase,
-	// so both are safe to reuse every round.
-	sendBuf []sim.Send
-	scratch []sim.Send
 }
 
 func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
@@ -160,9 +153,9 @@ func (n *node) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
 		n.done = true
 		return nil
 	}
-	sends := make([]sim.Send, view.Deg)
+	sends := ctx.Out[:0]
 	for p := 0; p < view.Deg; p++ {
-		sends[p] = sim.Send{Port: p, Msg: helloMsg{ID: view.ID, Port: p}}
+		sends = append(sends, sim.Send{Port: p, Msg: helloMsg{ID: view.ID, Port: p}})
 	}
 	return sends
 }
@@ -171,10 +164,10 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 	if n.done {
 		return nil
 	}
-	sends := n.sendBuf[:0]
 	for _, rcv := range inbox {
-		sends = append(sends, n.receive(view, rcv)...)
+		n.receive(view, rcv)
 	}
+	sends := ctx.Out[:0]
 	if !n.elected {
 		if ctx.Round == 1 {
 			n.improved = true // hellos processed; open the election
@@ -195,24 +188,21 @@ func (n *node) Round(ctx *sim.Ctx, view *sim.NodeView, inbox []sim.Received) []s
 				sends = append(sends, sim.Send{Port: n.bfsParent, Msg: annMsg{}})
 			}
 		}
-		n.sendBuf = sends
 		return sends
 	}
-	sends = append(sends, n.pumpUpcast(view)...)
-	sends = append(sends, n.pumpDowncast(view)...)
+	sends = n.pumpUpcast(view, sends)
+	sends = n.pumpDowncast(sends)
 	if n.haveOutput && n.upDone && len(n.downQ) == 0 && n.downEnded {
 		n.done = true
 	}
-	n.sendBuf = sends
 	return sends
 }
 
-func (n *node) receive(view *sim.NodeView, rcv sim.Received) []sim.Send {
+func (n *node) receive(view *sim.NodeView, rcv sim.Received) {
 	switch m := rcv.Msg.(type) {
 	case helloMsg:
 		n.nbrID[rcv.Port] = m.ID
 		n.nbrPort[rcv.Port] = m.Port
-		return nil
 
 	case electMsg:
 		if m.Root < n.root || (m.Root == n.root && m.Dist+1 < n.dist) {
@@ -221,21 +211,17 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received) []sim.Send {
 			n.bfsParent = rcv.Port
 			n.improved = true // rebroadcast after the whole inbox is merged
 		}
-		return nil
 
 	case annMsg:
 		n.children[rcv.Port] = true
 		delete(n.childDone, rcv.Port) // ensure tracked
 		n.childDone[rcv.Port] = false
-		return nil
 
 	case upEdgeMsg:
 		n.childQ[rcv.Port] = append(n.childQ[rcv.Port], m.Rec)
-		return nil
 
 	case upDoneMsg:
 		n.childDone[rcv.Port] = true
-		return nil
 
 	case downAsgMsg:
 		if m.Node == view.ID {
@@ -243,11 +229,9 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received) []sim.Send {
 			n.haveOutput = true
 		}
 		n.downQ = append(n.downQ, m)
-		return nil
 
 	case downEndMsg:
 		n.downQ = append(n.downQ, m)
-		return nil
 
 	default:
 		panic(fmt.Sprintf("pipeline: unexpected message %T", rcv.Msg))
@@ -271,10 +255,10 @@ func (n *node) prepareUpcast(view *sim.NodeView) {
 // pumpUpcast emits at most one useful record per round once every child
 // stream has a buffered head or has ended. Skipped records (cycle-closing
 // under the local filter) are consumed without being forwarded, so one
-// call may discard many but sends at most one.
-func (n *node) pumpUpcast(view *sim.NodeView) []sim.Send {
+// call may discard many but sends at most one, appended to sends.
+func (n *node) pumpUpcast(view *sim.NodeView, sends []sim.Send) []sim.Send {
 	if n.upDone {
-		return nil
+		return sends
 	}
 	for {
 		source, rec, ok := n.minHead()
@@ -282,11 +266,12 @@ func (n *node) pumpUpcast(view *sim.NodeView) []sim.Send {
 			if n.allStreamsEnded() {
 				n.upDone = true
 				if n.leader {
-					return n.startDowncast(view)
+					n.startDowncast(view)
+					return sends
 				}
-				return []sim.Send{{Port: n.bfsParent, Msg: upDoneMsg{}}}
+				return append(sends, sim.Send{Port: n.bfsParent, Msg: upDoneMsg{}})
 			}
-			return nil // a child stream is momentarily empty: wait
+			return sends // a child stream is momentarily empty: wait
 		}
 		n.pop(source)
 		if !n.filter.union(rec.AID, rec.BID) {
@@ -296,7 +281,7 @@ func (n *node) pumpUpcast(view *sim.NodeView) []sim.Send {
 			n.collected = append(n.collected, rec)
 			continue // the leader only collects
 		}
-		return []sim.Send{{Port: n.bfsParent, Msg: upEdgeMsg{Rec: rec}}}
+		return append(sends, sim.Send{Port: n.bfsParent, Msg: upEdgeMsg{Rec: rec}})
 	}
 }
 
@@ -353,7 +338,7 @@ func (n *node) allStreamsEnded() bool {
 
 // startDowncast runs at the leader once the upcast ends: solve the rooted
 // tree from the collected records and enqueue one assignment per node.
-func (n *node) startDowncast(view *sim.NodeView) []sim.Send {
+func (n *node) startDowncast(view *sim.NodeView) {
 	type half struct {
 		other int64
 		port  int // port at the *other* endpoint
@@ -396,25 +381,22 @@ func (n *node) startDowncast(view *sim.NodeView) []sim.Send {
 	}
 	n.downQ = append(n.downQ, downEndMsg{})
 	n.haveOutput = true // leader's output is root (-1)
-	return nil
 }
 
 // pumpDowncast relays one buffered downcast item per round to every
-// child.
-func (n *node) pumpDowncast(view *sim.NodeView) []sim.Send {
+// child, appending the sends to sends.
+func (n *node) pumpDowncast(sends []sim.Send) []sim.Send {
 	if len(n.downQ) == 0 {
-		return nil
+		return sends
 	}
 	item := n.downQ[0]
 	n.downQ = n.downQ[1:]
 	if _, isEnd := item.(downEndMsg); isEnd {
 		n.downEnded = true
 	}
-	sends := n.scratch[:0]
 	for p := range n.children {
 		sends = append(sends, sim.Send{Port: p, Msg: item.(sim.Message)})
 	}
-	n.scratch = sends
 	return sends
 }
 

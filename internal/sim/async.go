@@ -289,6 +289,7 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 		lat:       opt.Latency,
 		sched:     opt.Scheduler,
 		done:      make([]bool, n),
+		outboxes:  make([][]Send, n),
 		sendCount: make([]uint64, len(b.portW)),
 		lastArr:   make([]int64, len(b.portW)),
 	}
@@ -305,7 +306,7 @@ func (nw *Network) RunAsync(factory AsyncFactory, advice []*bitstring.BitString,
 
 	// Virtual time 0: Init every node (parallel), then route its sends.
 	ctx := AsyncCtx{Time: 0, Cost: e.cost}
-	e.start(func(u int) { e.outboxes[u] = e.anodes[u].Init(&ctx, e.views[u]) })
+	e.start(func(_, u int) { e.outboxes[u] = e.anodes[u].Init(&ctx, e.views[u]) })
 	for u := 0; u < n; u++ {
 		if err := e.routeAsync(u, 0); err != nil {
 			return nil, err
@@ -416,6 +417,9 @@ type asyncEngine struct {
 	base
 	anodes []AsyncNode
 	done   []bool
+	// outboxes holds each handler's sends until they are routed in
+	// deterministic node order after the parallel section.
+	outboxes [][]Send
 
 	lat   LatencyModel
 	sched Scheduler

@@ -87,6 +87,10 @@ type Ctx struct {
 	Round int       // current round, 1-based (0 during Start)
 	Pulse int       // number of quiescence pulses observed so far
 	Cost  CostModel // field widths, for algorithms that size their own messages
+	// Out is an empty outbox with room for one send on every port of the
+	// largest degree. A handler may append its sends to it and return
+	// it; it belongs to the caller and is valid only during the call.
+	Out []Send
 }
 
 // Node is a distributed algorithm instance at one node.
@@ -97,12 +101,14 @@ type Ctx struct {
 // and reused across rounds: it is valid only for the duration of the
 // call, and a node must copy any Received values it wants to retain
 // (retaining the messages themselves is fine — the engine never reuses
-// them). Output returns the node's MST output — the port of the edge to
-// its parent, or -1 for "I am the root" — and whether the node has
-// terminated. A node may send in the same round it terminates; the run
-// ends once every node reports done; messages delivered in that final
-// round are never consumed and are reported in Result.Undelivered, so
-// message totals stay conserved.
+// them). The returned slice may be ctx.Out: the engine reads it before
+// that worker's next call, so a node must not keep it. Output returns
+// the node's MST output — the port of the edge to its parent, or -1 for
+// "I am the root" — and whether the node has terminated. A node may
+// send in the same round it terminates; the run ends once every node
+// reports done; messages delivered in that final round are never
+// consumed and are reported in Result.Undelivered, so message totals
+// stay conserved.
 type Node interface {
 	Start(ctx *Ctx, view *NodeView) []Send
 	Round(ctx *Ctx, view *NodeView, inbox []Received) []Send
@@ -230,8 +236,8 @@ func NewNetwork(g *graph.Graph) *Network {
 func (nw *Network) Cost() CostModel { return nw.cost }
 
 // base is the per-run state both engines share: the graph, the options
-// with the resolved worker count and round cap, the node views, outboxes
-// and errors, and the Result being filled. Network.newBase builds it.
+// with the resolved worker count and round cap, the node views and
+// errors, and the Result being filled. Network.newBase builds it.
 type base struct {
 	g         *graph.Graph
 	cost      CostModel
@@ -240,10 +246,9 @@ type base struct {
 	workers   int
 	maxRounds int
 
-	views    []*NodeView
-	outboxes [][]Send
-	errs     []error
-	res      *Result
+	views []*NodeView
+	errs  []error
+	res   *Result
 
 	// portW backs every view's PortW slice (one allocation); the round
 	// engine keeps it so Scenario weight perturbations can patch the
@@ -274,7 +279,6 @@ func (nw *Network) newBase(advice []*bitstring.BitString, opt Options, slotTable
 		workers:   par.Workers(opt.Workers),
 		maxRounds: roundCap(n),
 		views:     make([]*NodeView, n),
-		outboxes:  make([][]Send, n),
 		errs:      make([]error, n),
 		res:       &Result{ParentPorts: make([]int, n)},
 		portW:     make([]graph.Weight, g.NumHalves()),
@@ -326,14 +330,14 @@ func build[N any](b *base, factory func(*NodeView) N) []N {
 	return nodes
 }
 
-// start runs every node's first handler, fn(u), on the worker pool; a
-// panic becomes node u's round-0 error.
-func (b *base) start(fn func(u int)) {
-	par.Ranges(b.workers, b.n, func(_, lo, hi int) {
+// start runs every node's first handler, fn(w, u) on worker w, on the
+// worker pool; a panic becomes node u's round-0 error.
+func (b *base) start(fn func(w, u int)) {
+	par.Ranges(b.workers, b.n, func(w, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			func() {
 				defer capture(&b.errs[u], u, 0)
-				fn(u)
+				fn(w, u)
 			}()
 		}
 	})
@@ -357,17 +361,36 @@ func capture(dst *error, u, round int) {
 	}
 }
 
-// acct accumulates one worker's routing statistics within a round. It is
-// padded to a cache line so workers writing their own accumulator do not
-// false-share.
+// acct accumulates one worker's routing statistics within a round.
 type acct struct {
+	sent        int64
 	messages    int64
 	bits        int64
 	linkDropped int64
 	congest     int64
 	maxBits     int64
-	_           [16]byte
 }
+
+// scratch is one worker's state within a round: the Ctx it hands its
+// nodes, whose Out is the worker's outbox; the buffer its nodes' inbox
+// slots are compacted into; and its routing statistics, merged at the
+// barrier. A worker writes its own scratch on every step, so the pad
+// keeps those writes off the cache line of the next worker's.
+type scratch struct {
+	ctx   Ctx
+	inbox []Received
+	acct
+	_ [64]byte
+}
+
+// dropMark fills the slot of a message that a Scenario link failure
+// discarded, so that a second send on that port in the same round is
+// still caught; a node never receives it.
+type dropMark struct{}
+
+func (dropMark) SizeBits(CostModel) int { return 0 }
+
+var dropped Message = dropMark{}
 
 // engine is the per-run state of the round executor. All per-port buffers
 // are flat slices indexed by the graph's CSR half-edge offsets
@@ -379,16 +402,14 @@ type engine struct {
 	base
 	nodes []Node
 
-	// slots holds the inbox slot of every half-edge: a message routed to
-	// node v on port p lands in slots[HalfOffset(v)+p], found through
-	// base.far. Msg == nil marks an empty slot. Slots are compacted into
-	// the node's inbox view, which sets each Port, and cleared during its
-	// Round call, so a single buffer serves all rounds.
-	slots []Received
-	// stamps detects duplicate sends: stamps[HalfOffset(u)+port] is set to
-	// the current round stamp when u sends on port, so a second send on
-	// the same port in the same round is caught without a per-node map.
-	stamps []uint32
+	// cur holds the messages delivered this round and next those sent
+	// this round, one slot per half-edge: u's send on port p lands in
+	// next[far[HalfOffset(u)+p]], the inbox slot of the far end, whose
+	// port is the slot's position. nil marks an empty slot, so an
+	// occupied one is a second send on that port this round. A node's
+	// step empties its cur segment, so cur is empty when the two swap at
+	// the barrier.
+	cur, next []Message
 
 	// Scenario state: events sorted by round, the next one to apply, and
 	// the current per-edge link status.
@@ -396,118 +417,100 @@ type engine struct {
 	nextEvent int
 	linkDown  []bool
 
-	accts []acct
+	scratch []scratch
 }
 
-// route validates and delivers the outboxes produced in this round,
-// returning the number of messages in flight for the next round. Delivery
-// is parallel across senders: each message's destination slot is unique
-// (one slot per half-edge), statistics go to per-worker accumulators
-// merged at the barrier, and link-failure drops depend only on the
-// message's edge, so the result is byte-identical for any worker count.
-func (e *engine) route(round int) (int, error) {
+// step runs node u's Round on the worker that owns sc: it compacts u's
+// inbox slots, in port order, into the worker's inbox, emptying them,
+// and routes what the node returns.
+func (e *engine) step(sc *scratch, u int) {
+	defer capture(&e.errs[u], u, sc.ctx.Round)
+	uid := graph.NodeID(u)
+	off := e.g.HalfOffset(uid)
+	in := sc.inbox[:0]
+	for p, msg := range e.cur[off : off+e.g.Degree(uid)] {
+		if msg == nil {
+			continue
+		}
+		e.cur[off+p] = nil
+		if msg != dropped {
+			in = append(in, Received{Port: p, Msg: msg})
+		}
+	}
+	sc.ctx.Out = sc.ctx.Out[:0]
+	e.route(sc, u, e.nodes[u].Round(&sc.ctx, e.views[u], in[:len(in):len(in)]))
+}
+
+// route delivers node u's sends into the next round's slots as soon as
+// its handler returns. It stops at u's first bad send — an invalid port,
+// a second send on one port, or a nil message, checked in that order —
+// and records it as u's error. Each slot has one sender, so workers
+// route without locks; statistics go to the worker's scratch, and a
+// link failure drops by the message's edge alone, so the Result is
+// identical for any worker count.
+func (e *engine) route(sc *scratch, u int, out []Send) {
+	if len(out) == 0 {
+		return
+	}
+	sc.sent += int64(len(out))
+	uid := graph.NodeID(u)
+	off := e.g.HalfOffset(uid)
+	deg := e.g.Degree(uid)
+	for _, s := range out {
+		if s.Port < 0 || s.Port >= deg {
+			e.errs[u] = fmt.Errorf("sim: node %d sent on invalid port %d in round %d", u, s.Port, sc.ctx.Round)
+			return
+		}
+		slot := &e.next[e.far[off+s.Port]]
+		if *slot != nil {
+			e.errs[u] = fmt.Errorf("sim: node %d sent twice on port %d in round %d", u, s.Port, sc.ctx.Round)
+			return
+		}
+		if s.Msg == nil {
+			e.errs[u] = fmt.Errorf("sim: node %d sent a nil message on port %d in round %d", u, s.Port, sc.ctx.Round)
+			return
+		}
+		if e.linkDown != nil && e.linkDown[e.g.Ports(uid)[s.Port]] {
+			*slot = dropped
+			sc.linkDropped++
+			continue
+		}
+		*slot = s.Msg
+		bits := int64(s.Msg.SizeBits(e.cost))
+		sc.messages++
+		sc.bits += bits
+		sc.maxBits = max(sc.maxBits, bits)
+		if e.opt.CongestB > 0 && bits > int64(e.opt.CongestB) {
+			sc.congest++
+		}
+	}
+}
+
+// barrier ends round: it reports the lowest node's error, if any node
+// failed, or merges the workers' statistics into the Result, swaps the
+// slot arrays and returns the number of messages delivered for the next
+// round.
+func (e *engine) barrier(round int) (int, error) {
 	if err := e.firstErr(); err != nil {
 		return 0, err
 	}
-	total := int64(0)
-	for u := 0; u < e.n; u++ {
-		total += int64(len(e.outboxes[u]))
-	}
-	if total == 0 {
-		e.res.PerRound = append(e.res.PerRound, RoundStats{Round: round})
-		return 0, nil
-	}
-	// Rounds are far below 2^32, so the stamp is unique per route call.
-	stamp := uint32(round) + 1
-	par.Ranges(e.workers, e.n, func(w, lo, hi int) {
-		a := &e.accts[w]
-		g := e.g
-		for u := lo; u < hi; u++ {
-			out := e.outboxes[u]
-			if len(out) == 0 {
-				continue
-			}
-			e.outboxes[u] = nil
-			uid := graph.NodeID(u)
-			base := g.HalfOffset(uid)
-			deg := g.Degree(uid)
-			for _, s := range out {
-				if s.Port < 0 || s.Port >= deg {
-					e.errs[u] = fmt.Errorf("sim: node %d sent on invalid port %d in round %d", u, s.Port, round)
-					break
-				}
-				if e.stamps[base+s.Port] == stamp {
-					e.errs[u] = fmt.Errorf("sim: node %d sent twice on port %d in round %d", u, s.Port, round)
-					break
-				}
-				e.stamps[base+s.Port] = stamp
-				if s.Msg == nil {
-					e.errs[u] = fmt.Errorf("sim: node %d sent a nil message on port %d in round %d", u, s.Port, round)
-					break
-				}
-				if e.linkDown != nil && e.linkDown[g.Ports(uid)[s.Port]] {
-					a.linkDropped++
-					continue
-				}
-				e.slots[e.far[base+s.Port]].Msg = s.Msg
-				bits := int64(s.Msg.SizeBits(e.cost))
-				a.messages++
-				a.bits += bits
-				if bits > a.maxBits {
-					a.maxBits = bits
-				}
-				if e.opt.CongestB > 0 && bits > int64(e.opt.CongestB) {
-					a.congest++
-				}
-			}
-		}
-	})
-	e.res.Sent += total
 	var delivered, roundBits, maxBits int64
-	for w := range e.accts {
-		a := &e.accts[w]
-		delivered += a.messages
-		roundBits += a.bits
-		e.res.CongestViolations += a.congest
-		e.res.LinkDropped += a.linkDropped
-		if a.maxBits > maxBits {
-			maxBits = a.maxBits
-		}
-		*a = acct{}
+	for i := range e.scratch {
+		sc := &e.scratch[i]
+		e.res.Sent += sc.sent
+		delivered += sc.messages
+		roundBits += sc.bits
+		e.res.CongestViolations += sc.congest
+		e.res.LinkDropped += sc.linkDropped
+		maxBits = max(maxBits, sc.maxBits)
+		sc.acct = acct{}
 	}
 	e.res.Messages += delivered
 	e.res.TotalBits += roundBits
-	if int(maxBits) > e.res.MaxMsgBits {
-		e.res.MaxMsgBits = int(maxBits)
-	}
-	if err := e.firstErr(); err != nil {
-		return 0, err
-	}
+	e.res.MaxMsgBits = max(e.res.MaxMsgBits, int(maxBits))
 	e.res.PerRound = append(e.res.PerRound, RoundStats{Round: round, Messages: int(delivered), Bits: roundBits})
+	e.cur, e.next = e.next, e.cur
 	return int(delivered), nil
-}
-
-// stepNode compacts node u's inbox slots into a port-sorted inbox view,
-// setting each message's arrival port from its slot's position, runs the
-// Round handler, and clears the consumed slots for the next delivery.
-// Slots are already in port order, so no sorting is needed.
-func (e *engine) stepNode(ctx *Ctx, u int) {
-	defer capture(&e.errs[u], u, ctx.Round)
-	uid := graph.NodeID(u)
-	base := e.g.HalfOffset(uid)
-	seg := e.slots[base : base+e.g.Degree(uid)]
-	k := 0
-	for p := range seg {
-		if msg := seg[p].Msg; msg != nil {
-			seg[p].Msg = nil
-			seg[k] = Received{Port: p, Msg: msg}
-			k++
-		}
-	}
-	e.outboxes[u] = e.nodes[u].Round(ctx, e.views[u], seg[:k:k])
-	for i := 0; i < k; i++ {
-		seg[i] = Received{}
-	}
 }
 
 // Run executes the algorithm on every node until all nodes report done.
@@ -534,14 +537,21 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 	}
 	nh := len(b.portW)
 	e := &engine{
-		base:   b,
-		slots:  make([]Received, nh),
-		stamps: make([]uint32, nh),
-		events: events,
-		accts:  make([]acct, b.workers),
+		base:    b,
+		cur:     make([]Message, nh),
+		next:    make([]Message, nh),
+		events:  events,
+		scratch: make([]scratch, b.workers),
 	}
 	if events != nil {
 		e.linkDown = make([]bool, b.g.M())
+	}
+	maxDeg := b.g.MaxDegree()
+	for i := range e.scratch {
+		e.scratch[i] = scratch{
+			ctx:   Ctx{Cost: e.cost, Out: make([]Send, 0, maxDeg)},
+			inbox: make([]Received, 0, maxDeg),
+		}
 	}
 	res := e.res
 
@@ -563,9 +573,12 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 	}
 
 	// Round 0: Start.
-	ctx := Ctx{Round: 0, Cost: e.cost}
-	e.start(func(u int) { e.outboxes[u] = e.nodes[u].Start(&ctx, e.views[u]) })
-	inflight, err := e.route(0)
+	e.start(func(w, u int) {
+		sc := &e.scratch[w]
+		sc.ctx.Out = sc.ctx.Out[:0]
+		e.route(sc, u, e.nodes[u].Start(&sc.ctx, e.views[u]))
+	})
+	inflight, err := e.barrier(0)
 	if err != nil {
 		return nil, err
 	}
@@ -583,24 +596,26 @@ func (nw *Network) Run(factory Factory, advice []*bitstring.BitString, opt Optio
 		round++
 		e.applyEvents(round)
 		if opt.EnablePulses && inflight == 0 {
-			ctx.Pulse++
 			res.Pulses++
 		}
-		ctx.Round = round
-		par.Ranges(e.workers, e.n, func(_, lo, hi int) {
+		for i := range e.scratch {
+			e.scratch[i].ctx.Round, e.scratch[i].ctx.Pulse = round, res.Pulses
+		}
+		par.Ranges(e.workers, e.n, func(w, lo, hi int) {
+			sc := &e.scratch[w]
 			for u := lo; u < hi; u++ {
-				e.stepNode(&ctx, u)
+				e.step(sc, u)
 			}
 		})
-		if inflight, err = e.route(round); err != nil {
+		if inflight, err = e.barrier(round); err != nil {
 			return nil, err
 		}
 	}
 	res.Rounds = round
 	// Messages delivered in the final round are never consumed — every
 	// node has terminated. Account for them explicitly so totals conserve.
-	for i := range e.slots {
-		if e.slots[i].Msg != nil {
+	for _, msg := range e.cur {
+		if msg != nil && msg != dropped {
 			res.Undelivered++
 		}
 	}

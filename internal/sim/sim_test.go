@@ -238,9 +238,22 @@ func TestDoubleSendRejected(t *testing.T) {
 	}
 }
 
+// TestDoubleSendRejectedOnDownLink: a send on a link that a Scenario
+// took down is dropped, yet it still occupies its port for the round,
+// so a second send there fails as a duplicate rather than as a second
+// drop.
+func TestDoubleSendRejectedOnDownLink(t *testing.T) {
+	g := seeded(t, "ring", 3, 7, gen.WeightsDistinct)
+	sc := &Scenario{Events: []ScenarioEvent{{Round: 0, Edge: g.Ports(0)[0], Action: ActionLinkDown}}}
+	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &doubleSend{} }, nil, Options{Scenario: sc})
+	if err == nil || !strings.Contains(err.Error(), "node 0 sent twice on port 0 in round 0") {
+		t.Fatalf("err = %v, want node 0's double send", err)
+	}
+}
+
 // doubleSendLater behaves for two rounds, then sends twice on port 0 in
-// round 3 — exercising duplicate detection once the stamp array has
-// already been written in earlier rounds.
+// round 3 — exercising duplicate detection once the slot arrays have
+// already carried messages in earlier rounds.
 type doubleSendLater struct{}
 
 func (d *doubleSendLater) Start(*Ctx, *NodeView) []Send { return nil }
@@ -265,7 +278,7 @@ func TestDoubleSendRejectedInLaterRound(t *testing.T) {
 
 // chatter sends on port 0 every round until round 5: repeated sends on the
 // same port in different rounds are legal and must not trip the
-// duplicate-send stamps.
+// duplicate-send check.
 type chatter struct{ done bool }
 
 func (c *chatter) Start(*Ctx, *NodeView) []Send { return []Send{{Port: 0, Msg: tmsg{0}}} }
@@ -300,6 +313,36 @@ func TestNilMessageRejected(t *testing.T) {
 	g := seeded(t, "ring", 3, 42, gen.WeightsDistinct)
 	if _, err := NewNetwork(g).Run(func(*NodeView) Node { return &nilSender{} }, nil, Options{}); err == nil {
 		t.Fatal("expected nil-message error")
+	}
+}
+
+// scripted sends the given list at Start, from ctx.Out.
+type scripted struct{ sends []Send }
+
+func (s *scripted) Start(ctx *Ctx, view *NodeView) []Send    { return append(ctx.Out[:0], s.sends...) }
+func (s *scripted) Round(*Ctx, *NodeView, []Received) []Send { return nil }
+func (s *scripted) Output() (int, bool)                      { return -1, false }
+
+// TestSendErrorOrder: a node's first bad send is its error, whatever
+// kind the later ones are, and of all failing nodes the lowest is
+// reported, for any worker count.
+func TestSendErrorOrder(t *testing.T) {
+	g := seeded(t, "ring", 8, 43, gen.WeightsDistinct) // every node has ports 0 and 1
+	m := tmsg{0}
+	for _, c := range []struct {
+		sends []Send
+		want  string
+	}{
+		{[]Send{{Port: 2, Msg: m}, {Port: 0, Msg: m}, {Port: 0, Msg: m}}, "node 0 sent on invalid port 2 in round 0"},
+		{[]Send{{Port: 0, Msg: m}, {Port: 0, Msg: nil}, {Port: -1, Msg: m}}, "node 0 sent twice on port 0 in round 0"},
+		{[]Send{{Port: 1, Msg: nil}, {Port: 1, Msg: m}, {Port: 2, Msg: m}}, "node 0 sent a nil message on port 1 in round 0"},
+	} {
+		for _, workers := range []int{1, 4} {
+			_, err := NewNetwork(g).Run(func(*NodeView) Node { return &scripted{c.sends} }, nil, Options{Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("workers=%d, sends %v: err = %v, want %q", workers, c.sends, err, c.want)
+			}
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func (safe) SyncControl() bool { return true }
 // simulates.
 func Wrap(f sim.Factory) sim.AsyncFactory {
 	return func(view *sim.NodeView) sim.AsyncNode {
-		return &alphaNode{inner: f(view), deg: view.Deg}
+		return &alphaNode{inner: f(view), deg: view.Deg, ctx: sim.Ctx{Out: make([]sim.Send, 0, view.Deg)}}
 	}
 }
 
@@ -112,14 +112,19 @@ type alphaNode struct {
 	bufCur  []sim.Received // payloads tagged pulse   (input of round pulse+1)
 	bufNext []sim.Received // payloads tagged pulse+1 (input of round pulse+2)
 	scratch []sim.Received // reusable delivery buffer handed to inner
+
+	// ctx is the synchronous context handed to inner. Its Out, of
+	// capacity deg, stands in for the round engine's per-worker outbox:
+	// wrapPayloads copies the sends out of it before the next call.
+	ctx sim.Ctx
 }
 
 // Init runs the synchronous Start and opens pulse 0.
 func (a *alphaNode) Init(ctx *sim.AsyncCtx, view *sim.NodeView) []sim.Send {
-	sctx := sim.Ctx{Round: 0, Cost: ctx.Cost}
-	sends := a.inner.Start(&sctx, view)
+	a.ctx.Cost = ctx.Cost
+	sends := a.inner.Start(&a.ctx, view)
 	_, a.done = a.inner.Output()
-	out := a.wrapPayloads(sends)
+	out := a.wrapPayloads(nil, sends)
 	out = a.maybeSafe(out)
 	return a.advance(ctx, view, out)
 }
@@ -209,24 +214,20 @@ func (a *alphaNode) advance(ctx *sim.AsyncCtx, view *sim.NodeView, out []sim.Sen
 		// (the synchronous model's invariant), so the order is total.
 		slices.SortFunc(a.scratch, func(x, y sim.Received) int { return x.Port - y.Port })
 
-		sctx := sim.Ctx{Round: a.pulse, Cost: ctx.Cost}
-		sends := a.inner.Round(&sctx, view, a.scratch)
+		a.ctx.Round, a.ctx.Out = a.pulse, a.ctx.Out[:0]
+		sends := a.inner.Round(&a.ctx, view, a.scratch)
 		_, a.done = a.inner.Output()
-		out = append(out, a.wrapPayloads(sends)...)
+		out = a.wrapPayloads(out, sends)
 		out = a.maybeSafe(out)
 	}
 	return out
 }
 
-// wrapPayloads tags the synchronous node's sends with the current pulse
-// and arms the ack counter.
-func (a *alphaNode) wrapPayloads(sends []sim.Send) []sim.Send {
-	if len(sends) == 0 {
-		return nil
-	}
-	out := make([]sim.Send, len(sends))
-	for i, s := range sends {
-		out[i] = sim.Send{Port: s.Port, Msg: payload{pulse: a.pulse, inner: s.Msg}}
+// wrapPayloads appends the synchronous node's sends to out, tagged with
+// the current pulse, and arms the ack counter.
+func (a *alphaNode) wrapPayloads(out, sends []sim.Send) []sim.Send {
+	for _, s := range sends {
+		out = append(out, sim.Send{Port: s.Port, Msg: payload{pulse: a.pulse, inner: s.Msg}})
 	}
 	a.pendingAcks += len(sends)
 	return out

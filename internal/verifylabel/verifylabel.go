@@ -105,9 +105,9 @@ func NewVerifier(parentPort int, label Label) *Verifier {
 
 // Start sends the label to every neighbour.
 func (v *Verifier) Start(ctx *sim.Ctx, view *sim.NodeView) []sim.Send {
-	sends := make([]sim.Send, view.Deg)
+	sends := ctx.Out[:0]
 	for p := 0; p < view.Deg; p++ {
-		sends[p] = sim.Send{Port: p, Msg: labelMsg{L: v.label}}
+		sends = append(sends, sim.Send{Port: p, Msg: labelMsg{L: v.label}})
 	}
 	return sends
 }
