@@ -13,6 +13,7 @@ import (
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/problem/topo"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 	"mstadvice/internal/store"
 )
@@ -122,7 +123,7 @@ func testOracleAllocs(t *testing.T) {
 		if oracleAllocs > row.oracle {
 			t.Errorf("workers=%d: oracle allocates %d objects, budget %d", row.workers, oracleAllocs, row.oracle)
 		}
-		if err := graph.Equal(refG, g); err != nil {
+		if err := reference.Equal(refG, g); err != nil {
 			t.Errorf("workers=%d: graph differs from the 1-worker graph: %v", row.workers, err)
 		}
 		if !sameAdvice(refAdv, adv) {
@@ -157,7 +158,7 @@ func testStoreAllocs(t *testing.T) {
 	if allocs > budget {
 		t.Errorf("store round trip allocates %d objects, budget %d", allocs, budget)
 	}
-	if err := graph.Equal(g, snap.Graph); err != nil {
+	if err := reference.Equal(g, snap.Graph); err != nil {
 		t.Errorf("graph after the round trip: %v", err)
 	}
 	if !sameAdvice(adv, snap.Advice) {

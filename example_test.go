@@ -92,9 +92,9 @@ func ExampleGenSeeded() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(g.N(), g.M(), g.Connected())
+	fmt.Println(g.N(), g.M())
 	// Output:
-	// 10 30 true
+	// 10 30
 }
 
 // ExampleRun_async replays the main scheme's unmodified decoder on an

@@ -11,6 +11,7 @@ import (
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -50,11 +51,10 @@ func TestMeasure(t *testing.T) {
 }
 
 func TestVerifyOutput(t *testing.T) {
-	g := graph.NewBuilder(3).
+	g := reference.MustBuild(graph.NewBuilder(3).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
-		AddEdge(0, 2, 9).
-		MustBuild()
+		AddEdge(0, 2, 9))
 	tree, err := mst.Kruskal(g)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 // BitStrings.
 func TestArenaBasics(t *testing.T) {
 	a := NewArena(3, 12)
-	if a.Len() != 3 {
-		t.Fatalf("arena length %d, want 3", a.Len())
+	if len(a.strings) != 3 {
+		t.Fatalf("arena length %d, want 3", len(a.strings))
 	}
 	a.At(0).AppendUint(0b1011, 4)
 	a.At(1).AppendBit(true)

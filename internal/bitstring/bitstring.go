@@ -38,15 +38,6 @@ func New(n int) *BitString {
 	return &BitString{words: make([]uint64, 0, (n+63)/64)}
 }
 
-// FromBits builds a BitString from a slice of booleans.
-func FromBits(bits []bool) *BitString {
-	s := New(len(bits))
-	for _, b := range bits {
-		s.AppendBit(b)
-	}
-	return s
-}
-
 // Len returns the number of bits in s.
 func (s *BitString) Len() int {
 	if s == nil {
@@ -195,15 +186,6 @@ func (s *BitString) Uint(offset, width int) uint64 {
 	return v
 }
 
-// Bits returns the bits as a boolean slice.
-func (s *BitString) Bits() []bool {
-	out := make([]bool, s.n)
-	for i := range out {
-		out[i] = s.Bit(i)
-	}
-	return out
-}
-
 // Equal reports whether s and t hold identical bit sequences.
 func (s *BitString) Equal(t *BitString) bool {
 	if s.Len() != t.Len() {
@@ -229,22 +211,6 @@ func (s *BitString) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Parse builds a BitString from a 0/1 string (inverse of String).
-func Parse(str string) (*BitString, error) {
-	s := New(len(str))
-	for i := 0; i < len(str); i++ {
-		switch str[i] {
-		case '0':
-			s.AppendBit(false)
-		case '1':
-			s.AppendBit(true)
-		default:
-			return nil, fmt.Errorf("bitstring: invalid character %q at %d", str[i], i)
-		}
-	}
-	return s, nil
 }
 
 // Arena is a slab allocator for a fixed population of BitStrings with a
@@ -310,9 +276,6 @@ func NewArena(count, bitsPer int) *Arena {
 	return a
 }
 
-// Len returns the number of strings in the arena.
-func (a *Arena) Len() int { return len(a.strings) }
-
 // At returns the i-th string. Distinct indices alias distinct storage, so
 // concurrent appends to different indices are safe.
 func (a *Arena) At(i int) *BitString { return &a.strings[i] }
@@ -330,17 +293,6 @@ func NewReader(s *BitString) *Reader { return &Reader{s: s} }
 // Pos returns the number of bits consumed so far.
 func (r *Reader) Pos() int { return r.pos }
 
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.s.Len() - r.pos }
-
-// Seek positions the cursor at absolute bit offset pos.
-func (r *Reader) Seek(pos int) {
-	if pos < 0 || pos > r.s.Len() {
-		panic(fmt.Sprintf("bitstring: seek %d out of range [0,%d]", pos, r.s.Len()))
-	}
-	r.pos = pos
-}
-
 // ReadBit consumes and returns one bit.
 func (r *Reader) ReadBit() bool {
 	b := r.s.Bit(r.pos)
@@ -353,13 +305,6 @@ func (r *Reader) ReadUint(width int) uint64 {
 	v := r.s.Uint(r.pos, width)
 	r.pos += width
 	return v
-}
-
-// ReadBits consumes k bits and returns them as a BitString.
-func (r *Reader) ReadBits(k int) *BitString {
-	out := r.s.Slice(r.pos, r.pos+k)
-	r.pos += k
-	return out
 }
 
 // WidthFor returns the minimum number of bits needed to represent every

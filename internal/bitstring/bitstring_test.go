@@ -1,6 +1,7 @@
 package bitstring
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -77,17 +78,20 @@ func TestAppendUintPanics(t *testing.T) {
 // in any word, leaves the others and the length alone, and panics past
 // the end.
 func TestSetBit(t *testing.T) {
-	s, err := Parse("1101" + strings.Repeat("0", 62) + "11")
+	s, err := parse("1101" + strings.Repeat("0", 62) + "11")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.Bits()
+	want := make([]bool, s.Len())
+	for i := range want {
+		want[i] = s.Bit(i)
+	}
 	for _, i := range []int{0, 2, 63, 64, 67} {
 		want[i] = !want[i]
 		s.SetBit(i, want[i])
 	}
-	if !s.Equal(FromBits(want)) || s.Len() != len(want) {
-		t.Fatalf("after SetBit: %s, want %s", s, FromBits(want))
+	if !s.Equal(fromBits(want)) || s.Len() != len(want) {
+		t.Fatalf("after SetBit: %s, want %s", s, fromBits(want))
 	}
 	defer func() {
 		if recover() == nil {
@@ -107,7 +111,7 @@ func TestBitPanicsOutOfRange(t *testing.T) {
 }
 
 func TestSliceAndAppend(t *testing.T) {
-	s, err := Parse("1101001110")
+	s, err := parse("1101001110")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestSliceAndAppend(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	s, _ := Parse("1010")
+	s, _ := parse("1010")
 	c := s.Clone()
 	c.AppendBit(true)
 	if s.Len() != 4 || c.Len() != 5 {
@@ -137,7 +141,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := Parse("10x1"); err == nil {
+	if _, err := parse("10x1"); err == nil {
 		t.Fatal("expected parse error")
 	}
 }
@@ -157,25 +161,8 @@ func TestReader(t *testing.T) {
 	if got := r.ReadUint(9); got != 300 {
 		t.Fatalf("ReadUint(9) = %d, want 300", got)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", r.Remaining())
-	}
-	r.Seek(4)
-	if r.Pos() != 4 {
-		t.Fatalf("Pos after Seek = %d", r.Pos())
-	}
-	if !r.ReadBit() {
-		t.Fatal("bit at 4 should be true")
-	}
-}
-
-func TestReadBits(t *testing.T) {
-	s, _ := Parse("110010")
-	r := NewReader(s)
-	a := r.ReadBits(3)
-	b := r.ReadBits(3)
-	if a.String() != "110" || b.String() != "010" {
-		t.Fatalf("ReadBits = %q,%q", a, b)
+	if r.Pos() != s.Len() {
+		t.Fatalf("Pos = %d, want %d", r.Pos(), s.Len())
 	}
 }
 
@@ -189,9 +176,9 @@ func TestWidthFor(t *testing.T) {
 }
 
 func TestChunksRoundTrip(t *testing.T) {
-	a, _ := Parse("101")
-	b, _ := Parse("1")
-	c, _ := Parse("001101")
+	a, _ := parse("101")
+	b, _ := parse("1")
+	c, _ := parse("001101")
 	enc := Chunks([]*BitString{a, b, c})
 	if enc.Len() != 2*(3+1+6) {
 		t.Fatalf("encoded length %d, want %d (exactly double the payload)", enc.Len(), 2*(3+1+6))
@@ -217,12 +204,12 @@ func TestChunksEmptyList(t *testing.T) {
 }
 
 func TestSplitChunksErrors(t *testing.T) {
-	odd, _ := Parse("101")
+	odd, _ := parse("101")
 	if _, err := SplitChunks(odd); err == nil {
 		t.Fatal("expected error on odd length")
 	}
 	// Bitmap with no terminator for the trailing chunk: bitmap=00 payload=11.
-	bad, _ := Parse("0011")
+	bad, _ := parse("0011")
 	if _, err := SplitChunks(bad); err == nil {
 		t.Fatal("expected error on unterminated chunk")
 	}
@@ -231,8 +218,8 @@ func TestSplitChunksErrors(t *testing.T) {
 // Property: String/Parse round trip is the identity.
 func TestQuickParseRoundTrip(t *testing.T) {
 	f := func(bits []bool) bool {
-		s := FromBits(bits)
-		back, err := Parse(s.String())
+		s := fromBits(bits)
+		back, err := parse(s.String())
 		return err == nil && back.Equal(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -243,8 +230,8 @@ func TestQuickParseRoundTrip(t *testing.T) {
 // Property: appending two strings concatenates their bits.
 func TestQuickAppendConcat(t *testing.T) {
 	f := func(a, b []bool) bool {
-		s := FromBits(a)
-		s.Append(FromBits(b))
+		s := fromBits(a)
+		s.Append(fromBits(b))
 		if s.Len() != len(a)+len(b) {
 			return false
 		}
@@ -269,10 +256,9 @@ func TestQuickAppendConcat(t *testing.T) {
 func TestQuickUintRoundTrip(t *testing.T) {
 	f := func(v uint64, pre []bool) bool {
 		w := WidthFor(v)
-		s := FromBits(pre)
+		s := fromBits(pre)
 		s.AppendUint(v, w)
-		r := NewReader(s)
-		r.Seek(len(pre))
+		r := &Reader{s: s, pos: len(pre)}
 		return r.ReadUint(w) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -386,7 +372,7 @@ func TestLoadWordsReusesArena(t *testing.T) {
 	a := NewArena(4, 64)
 	src := New(0)
 	src.AppendUint(0xDEADBEEF, 48)
-	for i := 0; i < a.Len(); i++ {
+	for i := range a.strings {
 		s := a.At(i)
 		s.LoadWords(src.Words(), src.Len())
 		if !s.Equal(src) {
@@ -408,8 +394,8 @@ func TestLoadWordsPanicsOnShortInput(t *testing.T) {
 func TestNewRaggedArena(t *testing.T) {
 	lens := []int{0, 1, 63, 64, 65, 0, 200}
 	a := NewRaggedArena(lens)
-	if a.Len() != len(lens) {
-		t.Fatalf("Len = %d, want %d", a.Len(), len(lens))
+	if len(a.strings) != len(lens) {
+		t.Fatalf("arena length %d, want %d", len(a.strings), len(lens))
 	}
 	// Fill every string to its capacity; in-capacity appends must land in
 	// the shared slab, and neighbours must not clobber each other.
@@ -430,4 +416,29 @@ func TestNewRaggedArena(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parse builds a BitString from a 0/1 string (inverse of String).
+func parse(str string) (*BitString, error) {
+	s := New(len(str))
+	for i := 0; i < len(str); i++ {
+		switch str[i] {
+		case '0':
+			s.AppendBit(false)
+		case '1':
+			s.AppendBit(true)
+		default:
+			return nil, fmt.Errorf("bitstring: invalid character %q at %d", str[i], i)
+		}
+	}
+	return s, nil
+}
+
+// fromBits builds a BitString from a slice of booleans.
+func fromBits(bits []bool) *BitString {
+	s := New(len(bits))
+	for _, b := range bits {
+		s.AppendBit(b)
+	}
+	return s
 }

@@ -13,14 +13,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("abc")
 	f.Add("01x")
 	f.Fuzz(func(t *testing.T, in string) {
-		s, err := Parse(in)
+		s, err := parse(in)
 		if err != nil {
 			return
 		}
 		if s.String() != in {
 			t.Fatalf("round trip changed %q to %q", in, s.String())
 		}
-		back, err := Parse(s.String())
+		back, err := parse(s.String())
 		if err != nil || !back.Equal(s) {
 			t.Fatal("double round trip failed")
 		}
@@ -36,7 +36,7 @@ func FuzzSplitChunks(f *testing.F) {
 	f.Add("101101")
 	f.Add("1111")
 	f.Fuzz(func(t *testing.T, in string) {
-		s, err := Parse(in)
+		s, err := parse(in)
 		if err != nil {
 			return
 		}

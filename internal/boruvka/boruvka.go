@@ -108,13 +108,15 @@ type Options struct {
 	// phases, and the oracle keeps 6. 0 records every phase.
 	KeepPhases int
 	// KeepTower, when set, retains the full contraction tower — every
-	// per-phase contracted graph with its fragment→supernode map and
-	// surviving relabelled edge list — as Decomposition.Tower. The
-	// tower is captured as plain copies of the contraction state, after
-	// the flat record of each phase is complete, so every flat output
-	// stays byte-identical whether or not the tower is kept. KeepPhases
-	// does not truncate the tower: the hierarchical codec needs the
-	// coarse graphs at levels the flat oracle never records.
+	// per-phase partition as its fragment→supernode map and fragment
+	// representatives — as Decomposition.Tower. A level keeps no edge
+	// list: a level's cross-fragment edges are the graph's edges whose
+	// endpoints Tower.FragOf puts in different fragments. The tower is
+	// captured as plain copies of the contraction state, after the flat
+	// record of each phase is complete, so every flat output stays
+	// byte-identical whether or not the tower is kept. KeepPhases does
+	// not truncate the tower: the hierarchical codec needs the coarse
+	// graphs at levels the flat oracle never records.
 	KeepTower bool
 }
 
@@ -486,21 +488,15 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 			live, liveBuf = compactLive(live, liveBuf, oldToNew, workers)
 
 			if tower != nil {
-				// Snapshot the freshly contracted state as tower level i-1:
-				// the graph the start of phase i sees. Pure copies — the
-				// phase kernel below never observes them.
-				lev := TowerLevel{
+				// Snapshot the freshly contracted partition as tower level
+				// i-1: the graph the start of phase i sees. Pure copies —
+				// the phase kernel below never observes them.
+				tower.Levels = append(tower.Levels, TowerLevel{
 					Phase:    i,
 					NumFrags: numFrags,
 					Up:       append([]int32(nil), oldToNew[:prevFrags]...),
 					Rep:      append([]int32(nil), repNode[:numFrags]...),
-					Size:     append([]int32(nil), fsize[:numFrags]...),
-					Edges:    make([]TowerEdge, len(live)),
-				}
-				for idx, le := range live {
-					lev.Edges[idx] = TowerEdge{E: graph.EdgeID(le.e), U: le.u, V: le.v}
-				}
-				tower.Levels = append(tower.Levels, lev)
+				})
 			}
 		}
 		nf := numFrags

@@ -1,11 +1,13 @@
 package boruvka
 
 import (
+	"slices"
 	"testing"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
+	"mstadvice/internal/reference"
 )
 
 // seeded builds the named seeded family, failing the test on an error.
@@ -53,7 +55,7 @@ func TestTreeMatchesKruskal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mst.SameEdges(d.TreeEdges, want) {
+		if !slices.Equal(d.TreeEdges, want) {
 			t.Fatalf("graph %d: decomposition tree differs from Kruskal", gi)
 		}
 		if err := mst.VerifyRooted(g, d.ParentPort, 0); err != nil {
@@ -351,11 +353,10 @@ func TestFinalFragment(t *testing.T) {
 func TestBFSChildOrder(t *testing.T) {
 	// Star with distinct weights: root 0; after full decomposition the
 	// final BFS must order children by weight.
-	g := graph.NewBuilder(4).
+	g := reference.MustBuild(graph.NewBuilder(4).
 		AddEdge(0, 1, 30).
 		AddEdge(0, 2, 10).
-		AddEdge(0, 3, 20).
-		MustBuild()
+		AddEdge(0, 3, 20))
 	d := decompose(t, g, 0)
 	bfs := d.Final.BFS
 	want := []graph.NodeID{0, 2, 3, 1}
@@ -375,7 +376,7 @@ func TestBFSHubOrder(t *testing.T) {
 	for leaf := 1; leaf <= k; leaf++ { // leaf at port leaf-1 of the centre
 		b.AddEdge(0, graph.NodeID(leaf), graph.Weight((k-leaf)/2+1))
 	}
-	g := b.MustBuild()
+	g := reference.MustBuild(b)
 	bfs := decompose(t, g, 0).Final.BFS
 	if len(bfs) != k+1 || bfs[0] != 0 {
 		t.Fatalf("final BFS has %d nodes starting at %d", len(bfs), bfs[0])
@@ -390,18 +391,18 @@ func TestBFSHubOrder(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	g := graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1))
 	if _, err := Decompose(g, 0); err == nil {
 		t.Error("disconnected graph accepted")
 	}
-	g2 := graph.NewBuilder(2).AddEdge(0, 1, 1).MustBuild()
+	g2 := reference.MustBuild(graph.NewBuilder(2).AddEdge(0, 1, 1))
 	if _, err := Decompose(g2, 5); err == nil {
 		t.Error("out-of-range root accepted")
 	}
 }
 
 func TestSingleNode(t *testing.T) {
-	g := graph.NewBuilder(1).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(1))
 	d := decompose(t, g, 0)
 	if d.NumPhases() != 0 || d.Final.Size() != 1 {
 		t.Fatalf("K1: phases=%d final=%d", d.NumPhases(), d.Final.Size())
@@ -419,7 +420,7 @@ func TestDeterminism(t *testing.T) {
 	if d1.NumPhases() != d2.NumPhases() {
 		t.Fatal("phase counts differ")
 	}
-	if !mst.SameEdges(d1.TreeEdges, d2.TreeEdges) {
+	if !slices.Equal(d1.TreeEdges, d2.TreeEdges) {
 		t.Fatal("trees differ across identical runs")
 	}
 	for i := range d1.Phases {

@@ -23,9 +23,12 @@ type Tower struct {
 	Levels []TowerLevel
 }
 
-// TowerLevel is one contracted graph of the tower. Fragment IDs are
-// dense and ordered by smallest original member node, matching the
-// Fragment order of FragmentsAtStart(Phase).
+// TowerLevel is one contracted graph of the tower, held as its node
+// partition. Fragment IDs are dense and ordered by smallest original
+// member node, matching the Fragment order of FragmentsAtStart(Phase).
+// The level keeps no edge list: its edges are the original edges whose
+// endpoints FragOf places in different fragments, parallel edges and
+// all.
 type TowerLevel struct {
 	// Phase is the 1-based phase whose start this level describes (≥ 2).
 	Phase int
@@ -38,18 +41,6 @@ type TowerLevel struct {
 	// Rep[f] is the smallest original node contained in fragment f — the
 	// supernode's representative, whose graph ID names it across levels.
 	Rep []int32
-	// Size[f] is the number of original nodes contained in fragment f.
-	Size []int32
-	// Edges is the surviving cross-fragment edge list (parallel edges
-	// and all), each carrying the original edge that realizes it.
-	Edges []TowerEdge
-}
-
-// TowerEdge is one contracted edge: the original graph edge E with its
-// endpoints relabelled to the level's fragment IDs.
-type TowerEdge struct {
-	E    graph.EdgeID
-	U, V int32 // fragment IDs at the edge's level
 }
 
 // NumLevels returns the number of contraction levels (TotalPhases-1 on

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 )
 
@@ -34,7 +33,7 @@ func TestKeepTowerDoesNotPerturbFlatPath(t *testing.T) {
 
 // TestTowerConsistency cross-checks every tower level against the flat
 // phase record: fragment counts, node partitions (via the composed Up
-// maps), representatives, sizes, and the relabelled edge list.
+// maps) and representatives.
 func TestTowerConsistency(t *testing.T) {
 	g := seeded(t, "random", 150, 12, gen.WeightsDistinct)
 	d, err := DecomposeOpt(g, 0, Options{KeepTower: true})
@@ -60,37 +59,11 @@ func TestTowerConsistency(t *testing.T) {
 			if int32(f.Nodes[0]) != lev.Rep[fi] {
 				t.Fatalf("level %d frag %d: Rep %d, want smallest member %d", l, fi, lev.Rep[fi], f.Nodes[0])
 			}
-			if int(lev.Size[fi]) != f.Size() {
-				t.Fatalf("level %d frag %d: Size %d, want %d", l, fi, lev.Size[fi], f.Size())
-			}
 			for _, u := range f.Nodes {
 				if fragOf[u] != int32(fi) {
 					t.Fatalf("level %d: FragOf(%d) = %d, want %d", l, u, fragOf[u], fi)
 				}
 			}
-		}
-		// Every tower edge must be a real cross-fragment edge whose
-		// relabelled endpoints match the node partition.
-		for _, te := range lev.Edges {
-			rec := tw.G.Edge(te.E)
-			if fragOf[rec.U] != te.U || fragOf[rec.V] != te.V {
-				t.Fatalf("level %d edge %d: endpoints (%d,%d), partition says (%d,%d)",
-					l, te.E, te.U, te.V, fragOf[rec.U], fragOf[rec.V])
-			}
-			if te.U == te.V {
-				t.Fatalf("level %d edge %d: intra-fragment edge survived", l, te.E)
-			}
-		}
-		// The surviving edge set is exactly the cross-fragment subset.
-		cross := 0
-		for ei := 0; ei < g.M(); ei++ {
-			rec := g.Edge(graph.EdgeID(ei))
-			if fragOf[rec.U] != fragOf[rec.V] {
-				cross++
-			}
-		}
-		if cross != len(lev.Edges) {
-			t.Fatalf("level %d: %d edges kept, want %d cross-fragment edges", l, len(lev.Edges), cross)
 		}
 	}
 	// KeepPhases must not truncate the tower.

@@ -168,10 +168,6 @@ func (s *Stream) Step(parent, slot, limit int, charge Charge, view *sim.NodeView
 // never sends, so serving as a root costs no memory of its own.
 func (s *Stream) Held() []Rec { return s.bufs[s.flip].Recs }
 
-// Sent returns the number of records a relay has counted against its
-// limit since the convergecast opened.
-func (s *Stream) Sent() int { return s.sent }
-
 // hold adds a record to a fragment root's collection, which keeps the
 // first limit records of the BFS order; a repeat of a held record is
 // ignored.

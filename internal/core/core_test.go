@@ -240,10 +240,10 @@ func TestCorruptionDetected(t *testing.T) {
 		if assignment[u].Len() == 0 {
 			continue
 		}
-		bits := assignment[u].Bits()
-		k := rng.Intn(len(bits))
-		bits[k] = !bits[k]
-		assignment[u] = bitstring.FromBits(bits)
+		flipped := assignment[u].Clone()
+		k := rng.Intn(flipped.Len())
+		flipped.SetBit(k, !flipped.Bit(k))
+		assignment[u] = flipped
 		nw := sim.NewNetwork(g)
 		res, err := nw.Run(Scheme{}.NewNode, assignment, sim.Options{})
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 // Every decoder must finish without an engine error and every node
 // must name the reference's parent port; the Theorem 3 decoders on at
 // most 12 advice bits per node, the strict one in exactly RoundBound(n)
-// rounds, and hier in exactly hier.Rounds(n). The committed seeds under
+// rounds, and hier in exactly reference.HierRounds(n). The committed seeds under
 // testdata/fuzz are a star, a path, a complete graph of equal weights
 // and a 16-node tree with one relay at identifier −2⁶². The target sits
 // in the external test package because hier imports core.
@@ -37,7 +37,7 @@ func FuzzCoreDecode(f *testing.F) {
 		}{
 			{core.Scheme{}, exact, 12},
 			{core.Scheme{Adaptive: true}, 0, 12},
-			{hier.Scheme{Level: level}, hier.Rounds(g.N()), 0},
+			{hier.Scheme{Level: level}, reference.HierRounds(g.N()), 0},
 		} {
 			res, err := advice.Run(c.s, g, root, sim.Options{})
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"mstadvice/internal/advice"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -23,11 +24,10 @@ import (
 // assigned to the first two BFS nodes (0 and 1). Advice layout is
 // [final bit]‖[packed bits].
 func TestOracleGoldenPath(t *testing.T) {
-	g := graph.NewBuilder(4).
+	g := reference.MustBuild(graph.NewBuilder(4).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
-		AddEdge(2, 3, 3).
-		MustBuild()
+		AddEdge(2, 3, 3))
 	assignment, err := BuildAdvice(g, 0, DefaultCap)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func BenchmarkSingleEdgeUpdateFullRecompute(b *testing.B) {
 	w := g.Weight(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.SetWeight(e, w+graph.Weight(1+i%2)); err != nil {
+		if err := g.ApplyBatch(graph.Batch{Weights: []graph.WeightUpdate{{Edge: e, W: w + graph.Weight(1+i%2)}}}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := core.BuildAdvice(g, 0, core.DefaultCap); err != nil {

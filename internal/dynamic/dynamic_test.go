@@ -60,7 +60,7 @@ func TestSensitivityExact(t *testing.T) {
 				w := graph.Weight(rng.Intn(2*g.M()) + 1)
 				pred := s.WouldChange(e, w)
 				patched := g.Clone()
-				if err := patched.SetWeight(e, w); err != nil {
+				if err := patched.ApplyBatch(graph.Batch{Weights: []graph.WeightUpdate{{Edge: e, W: w}}}); err != nil {
 					t.Fatal(err)
 				}
 				if changed := !slices.Equal(ref, reference.Kruskal(patched)); changed != pred {
@@ -87,7 +87,7 @@ func TestToleranceBoundary(t *testing.T) {
 			return
 		}
 		patched := g.Clone()
-		if err := patched.SetWeight(e, w); err != nil {
+		if err := patched.ApplyBatch(graph.Batch{Weights: []graph.WeightUpdate{{Edge: e, W: w}}}); err != nil {
 			t.Fatal(err)
 		}
 		if changed := !slices.Equal(ref, reference.Kruskal(patched)); changed != wantChange {
@@ -202,7 +202,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: rebuild: %v", fam, seed, err)
 			}
-			if err := graph.Equal(inc, rebuilt); err != nil {
+			if err := reference.Equal(inc, rebuilt); err != nil {
 				t.Fatalf("%s/%d: graph mismatch: %v", fam, seed, err)
 			}
 			ti, err := mst.Kruskal(inc)
@@ -210,7 +210,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr, _ := mst.Kruskal(rebuilt)
-			if !mst.SameEdges(ti, tr) {
+			if !slices.Equal(ti, tr) {
 				t.Fatalf("%s/%d: MST mismatch", fam, seed)
 			}
 			ai, err := core.BuildAdvice(inc, 0, core.DefaultCap)
@@ -439,7 +439,7 @@ func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NonTreeLinkFailures(s, 8, 2)
-	sc.Events = append(sc.Events, TolerantPerturbations(s, 4, 3, rand.New(rand.NewSource(5))).Events...)
+	sc.Events = append(sc.Events, tolerantPerturbations(s, 4, 3, rand.New(rand.NewSource(5))).Events...)
 	full := runtime.GOMAXPROCS(0)
 	if full < 2 {
 		full = 2
@@ -524,7 +524,7 @@ func TestUpdateCtxCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("UpdateCtx on canceled context = %v, want context.Canceled", err)
 	}
-	if err := graph.Equal(before, adv.Graph()); err != nil {
+	if err := reference.Equal(before, adv.Graph()); err != nil {
 		t.Fatalf("canceled update mutated the graph: %v", err)
 	}
 	if adv.Stats().Batches != 0 {
@@ -545,4 +545,29 @@ func TestUpdateCtxCanceled(t *testing.T) {
 	if u, ok := adviceEqual(fresh, adv.Advice()); !ok {
 		t.Fatalf("advice differs from oracle at node %d after post-cancel update", u)
 	}
+}
+
+// tolerantPerturbations schedules k weight perturbations on non-tree
+// edges that stay strictly above their tolerance, drawn deterministically
+// from rng: churn the MST is insensitive to. Events are spread over
+// rounds [round, round+k).
+func tolerantPerturbations(s *Sensitivity, k, round int, rng *rand.Rand) *sim.Scenario {
+	sc := &sim.Scenario{}
+	var nonTree []graph.EdgeID
+	for e := 0; e < s.G.M(); e++ {
+		if !s.InTree[e] {
+			nonTree = append(nonTree, graph.EdgeID(e))
+		}
+	}
+	if len(nonTree) == 0 {
+		return sc
+	}
+	for i := 0; i < k; i++ {
+		e := nonTree[rng.Intn(len(nonTree))]
+		w := s.G.Weight(e) + graph.Weight(rng.Intn(5)+1) // raising never crosses the tolerance
+		sc.Events = append(sc.Events, sim.ScenarioEvent{
+			Round: round + i, Edge: e, Action: sim.ActionSetWeight, W: w,
+		})
+	}
+	return sc
 }

@@ -1,8 +1,6 @@
 package dynamic
 
 import (
-	"math/rand"
-
 	"mstadvice/internal/graph"
 	"mstadvice/internal/sim"
 )
@@ -28,31 +26,6 @@ func NonTreeLinkFailures(s *Sensitivity, k, round int) *sim.Scenario {
 			Round: round, Edge: graph.EdgeID(e), Action: sim.ActionLinkDown,
 		})
 		k--
-	}
-	return sc
-}
-
-// TolerantPerturbations schedules k weight perturbations on non-tree
-// edges that stay strictly above their tolerance, drawn deterministically
-// from rng: churn the MST is insensitive to. Events are spread over
-// rounds [round, round+k).
-func TolerantPerturbations(s *Sensitivity, k, round int, rng *rand.Rand) *sim.Scenario {
-	sc := &sim.Scenario{}
-	var nonTree []graph.EdgeID
-	for e := 0; e < s.G.M(); e++ {
-		if !s.InTree[e] {
-			nonTree = append(nonTree, graph.EdgeID(e))
-		}
-	}
-	if len(nonTree) == 0 {
-		return sc
-	}
-	for i := 0; i < k; i++ {
-		e := nonTree[rng.Intn(len(nonTree))]
-		w := s.G.Weight(e) + graph.Weight(rng.Intn(5)+1) // raising never crosses the tolerance
-		sc.Events = append(sc.Events, sim.ScenarioEvent{
-			Round: round + i, Edge: e, Action: sim.ActionSetWeight, W: w,
-		})
 	}
 	return sc
 }

@@ -10,6 +10,7 @@ import (
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
+	"mstadvice/internal/reference"
 )
 
 // nonTreeEdges returns every edge of g outside its MST, in a seeded
@@ -53,11 +54,11 @@ func TestBatchDeletionOrder(t *testing.T) {
 	slices.Sort(desc)
 	slices.Reverse(desc)
 	for _, e := range desc {
-		if err := oneByOne.DeleteEdge(e); err != nil {
-			t.Fatalf("DeleteEdge(%d): %v", e, err)
+		if err := oneByOne.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{e}}); err != nil {
+			t.Fatalf("deleting %d: %v", e, err)
 		}
 	}
-	if err := graph.Equal(batched, oneByOne); err != nil {
+	if err := reference.Equal(batched, oneByOne); err != nil {
 		t.Fatalf("one batch != one deletion per batch: %v", err)
 	}
 	if batched.M() != g.N()-1 {
@@ -79,11 +80,11 @@ func TestLargeDeletionBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d deletions in one batch: %v", len(del), time.Since(start))
-	if err := g.Validate(); err != nil {
+	if err := reference.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != g.N()-1 || !g.Connected() {
-		t.Fatalf("M = %d, connected %v: not a spanning tree on %d nodes", g.M(), g.Connected(), g.N())
+	if g.M() != g.N()-1 || !reference.Connected(g) {
+		t.Fatalf("M = %d, connected %v: not a spanning tree on %d nodes", g.M(), reference.Connected(g), g.N())
 	}
 }
 
@@ -184,7 +185,7 @@ func FuzzApplyBatch(f *testing.F) {
 			if valid {
 				t.Fatalf("valid batch %+v rejected: %v", b, err)
 			}
-			if eq := graph.Equal(g, before); eq != nil {
+			if eq := reference.Equal(g, before); eq != nil {
 				t.Fatalf("rejected batch (%v) mutated the graph: %v", err, eq)
 			}
 			return
@@ -192,7 +193,7 @@ func FuzzApplyBatch(f *testing.F) {
 		if !valid {
 			t.Fatalf("invalid batch %+v accepted", b)
 		}
-		if err := g.Validate(); err != nil {
+		if err := reference.Validate(g); err != nil {
 			t.Fatalf("batch %+v left an invalid graph: %v", b, err)
 		}
 		if g.M() != m-len(b.Deletions) {
@@ -214,7 +215,7 @@ func FuzzApplyBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromEdgeList of the patched records: %v", err)
 		}
-		if err := graph.Equal(g, rebuilt); err != nil {
+		if err := reference.Equal(g, rebuilt); err != nil {
 			t.Fatalf("patched graph != rebuild from its own records: %v", err)
 		}
 	})

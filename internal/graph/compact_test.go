@@ -11,6 +11,7 @@ import (
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/store"
 )
 
@@ -41,14 +42,14 @@ func TestFromEdgeListReproducesEveryFamily(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", fam, stage, err)
 			}
-			if err := graph.Equal(g, back); err != nil {
+			if err := reference.Equal(g, back); err != nil {
 				t.Fatalf("%s %s: %v", fam, stage, err)
 			}
 		}
 		rebuild("fresh")
 		deleted := 0
 		for try := 0; try < 4*g.M() && deleted < 5; try++ {
-			if g.DeleteEdge(graph.EdgeID(rng.Intn(g.M()))) == nil {
+			if g.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{graph.EdgeID(rng.Intn(g.M()))}}) == nil {
 				deleted++
 			}
 		}

@@ -1,7 +1,10 @@
-package graph
+package graph_test
 
 import (
 	"testing"
+
+	"mstadvice/internal/graph"
+	"mstadvice/internal/reference"
 )
 
 // FuzzBuilderDedup drives the Builder's duplicate-edge check with
@@ -22,13 +25,13 @@ func FuzzBuilderDedup(f *testing.F) {
 	f.Add(long) // one pair repeated past the pairwise-compare degree
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
-		b := NewBuilder(n)
-		ref := make(map[[2]NodeID]bool)
+		b := graph.NewBuilder(n)
+		ref := make(map[[2]graph.NodeID]bool)
 		expectErr := false
 		for i := 0; i+2 < len(data); i += 3 {
-			u := NodeID(data[i] % n)
-			v := NodeID(data[i+1] % n)
-			w := Weight(data[i+2]%5 + 1)
+			u := graph.NodeID(data[i] % n)
+			v := graph.NodeID(data[i+1] % n)
+			w := graph.Weight(data[i+2]%5 + 1)
 			b.AddEdge(u, v, w)
 			if u == v {
 				// AddEdge records the failure immediately and ignores the
@@ -36,9 +39,9 @@ func FuzzBuilderDedup(f *testing.F) {
 				expectErr = true
 				break
 			}
-			key := [2]NodeID{u, v}
+			key := [2]graph.NodeID{u, v}
 			if u > v {
-				key = [2]NodeID{v, u}
+				key = [2]graph.NodeID{v, u}
 			}
 			if ref[key] {
 				expectErr = true
@@ -58,7 +61,7 @@ func FuzzBuilderDedup(f *testing.F) {
 		if g.M() != len(ref) {
 			t.Fatalf("built %d edges, want %d", g.M(), len(ref))
 		}
-		if err := g.Validate(); err != nil {
+		if err := reference.Validate(g); err != nil {
 			t.Fatalf("built graph fails validation: %v", err)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mstadvice/internal/graph"
+	"mstadvice/internal/reference"
 )
 
 // build is BuildSeeded for tests: it fails the test on an error.
@@ -19,13 +20,13 @@ func build(t *testing.T, name string, n int, seed uint64, opt SeededOptions) *gr
 
 func checkGraph(t *testing.T, g *graph.Graph, wantN int, wantConnected bool) {
 	t.Helper()
-	if err := g.Validate(); err != nil {
+	if err := reference.Validate(g); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if wantN > 0 && g.N() != wantN {
 		t.Fatalf("N = %d, want %d", g.N(), wantN)
 	}
-	if wantConnected && !g.Connected() {
+	if wantConnected && !reference.Connected(g) {
 		t.Fatal("graph not connected")
 	}
 }
@@ -48,8 +49,8 @@ func TestPath(t *testing.T) {
 	if d := degreeCount(g); d[1] != 2 || d[2] != 8 {
 		t.Fatalf("path degrees %v", d)
 	}
-	if g.Diameter() != 9 {
-		t.Fatalf("path diameter = %d", g.Diameter())
+	if reference.Diameter(g) != 9 {
+		t.Fatalf("path diameter = %d", reference.Diameter(g))
 	}
 }
 
@@ -62,8 +63,8 @@ func TestRing(t *testing.T) {
 	if d := degreeCount(g); d[2] != 12 {
 		t.Fatalf("ring degrees %v", d)
 	}
-	if g.Diameter() != 6 {
-		t.Fatalf("ring diameter = %d", g.Diameter())
+	if reference.Diameter(g) != 6 {
+		t.Fatalf("ring diameter = %d", reference.Diameter(g))
 	}
 	if g := build(t, "ring", 2, 2, SeededOptions{}); g.N() != 3 || g.M() != 3 {
 		t.Fatalf("ring n=2 clamps to %d nodes, %d edges; want the triangle", g.N(), g.M())
@@ -80,8 +81,8 @@ func TestGrid(t *testing.T) {
 	if d := degreeCount(g); d[2] != 4 || d[3] != 8 || d[4] != 4 {
 		t.Fatalf("grid degrees %v", d)
 	}
-	if g.Diameter() != 3+3 {
-		t.Fatalf("grid diameter = %d", g.Diameter())
+	if reference.Diameter(g) != 3+3 {
+		t.Fatalf("grid diameter = %d", reference.Diameter(g))
 	}
 	if g := build(t, "grid", 1, 3, SeededOptions{}); g.N() != 4 {
 		t.Fatalf("grid n=1 has %d nodes, want the 2x2 minimum", g.N())
@@ -91,8 +92,8 @@ func TestGrid(t *testing.T) {
 func TestComplete(t *testing.T) {
 	g := build(t, "complete", 7, 5, SeededOptions{})
 	checkGraph(t, g, 7, true)
-	if g.M() != 21 || g.Diameter() != 1 {
-		t.Fatalf("K7: M=%d diam=%d", g.M(), g.Diameter())
+	if g.M() != 21 || reference.Diameter(g) != 1 {
+		t.Fatalf("K7: M=%d diam=%d", g.M(), reference.Diameter(g))
 	}
 	if d := degreeCount(g); d[6] != 7 {
 		t.Fatalf("K7 degrees %v", d)
@@ -176,8 +177,8 @@ func TestLollipop(t *testing.T) {
 		t.Fatalf("lollipop degrees %v", d)
 	}
 	// Diameter is dominated by the tail.
-	if g.Diameter() < 12-clique {
-		t.Fatalf("lollipop diameter = %d, too small", g.Diameter())
+	if reference.Diameter(g) < 12-clique {
+		t.Fatalf("lollipop diameter = %d, too small", reference.Diameter(g))
 	}
 }
 
@@ -193,8 +194,8 @@ func TestWheel(t *testing.T) {
 	if d := degreeCount(g); d[3] != 9 {
 		t.Fatalf("wheel degrees %v", d)
 	}
-	if g.Diameter() != 2 {
-		t.Fatalf("wheel diameter = %d", g.Diameter())
+	if reference.Diameter(g) != 2 {
+		t.Fatalf("wheel diameter = %d", reference.Diameter(g))
 	}
 }
 
@@ -210,8 +211,8 @@ func TestExpander(t *testing.T) {
 			t.Fatalf("expander has a degree-%d node", deg)
 		}
 	}
-	if g.Diameter() > 10 {
-		t.Fatalf("expander diameter suspiciously large: %d", g.Diameter())
+	if reference.Diameter(g) > 10 {
+		t.Fatalf("expander diameter suspiciously large: %d", reference.Diameter(g))
 	}
 }
 
@@ -314,10 +315,10 @@ func TestFamilies(t *testing.T) {
 	for _, name := range Names() {
 		for _, n := range []int{8, 33} {
 			g := build(t, name, n, uint64(n), SeededOptions{})
-			if err := g.Validate(); err != nil {
+			if err := reference.Validate(g); err != nil {
 				t.Fatalf("family %s n=%d: %v", name, n, err)
 			}
-			if !g.Connected() {
+			if !reference.Connected(g) {
 				t.Fatalf("family %s n=%d: not connected", name, n)
 			}
 			if g.N() < n/2 || g.N() > 2*n {
@@ -378,7 +379,7 @@ func TestGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s n=10: %v", name, err)
 		}
-		if err := g.Validate(); err != nil {
+		if err := reference.Validate(g); err != nil {
 			t.Fatalf("%s n=10: %v", name, err)
 		}
 	}

@@ -1,11 +1,16 @@
 package gen
 
-import "testing"
+import (
+	"testing"
+
+	"mstadvice/internal/reference"
+)
 
 // FuzzParGenerate fuzzes the seeded parallel generation pipeline over
 // (family, n, seed, workers, weight mode): whatever the inputs, the
 // parallel build must be bit-identical to the 1-worker build and the
-// result must pass Validate. CI runs this as a 30s smoke beside
+// result must pass reference.Validate, a sequential check independent of
+// the parallel one construction ran. CI runs this as a 30s smoke beside
 // FuzzDecode.
 func FuzzParGenerate(f *testing.F) {
 	f.Add(uint8(4), uint16(64), uint64(1), uint8(4), uint8(0))
@@ -37,7 +42,7 @@ func FuzzParGenerate(f *testing.F) {
 			t.Fatalf("%s n=%d seed=%d: workers=%d output differs from 1-worker build",
 				name, nn, seed, parOpt.Workers)
 		}
-		if err := g.Validate(); err != nil {
+		if err := reference.Validate(g); err != nil {
 			t.Fatalf("%s n=%d seed=%d: invalid graph: %v", name, nn, seed, err)
 		}
 	})

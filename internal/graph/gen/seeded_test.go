@@ -7,6 +7,7 @@ import (
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/par"
+	"mstadvice/internal/reference"
 )
 
 // fingerprint reduces every observable byte of a graph — IDs, CSR
@@ -43,8 +44,8 @@ func fingerprint(g *graph.Graph) uint64 {
 }
 
 // TestBuildSeededValid checks every family builds, validates and is
-// connected across sizes and weight modes (Validate runs inside
-// FromEdgeList; a second explicit call guards future refactors).
+// connected across sizes and weight modes (FromEdgeList validates every
+// graph; reference.Validate checks it again with code of its own).
 func TestBuildSeededValid(t *testing.T) {
 	for _, name := range Names() {
 		for _, n := range []int{1, 2, 5, 37, 200} {
@@ -53,10 +54,10 @@ func TestBuildSeededValid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s n=%d %v: %v", name, n, wm, err)
 				}
-				if err := g.Validate(); err != nil {
+				if err := reference.Validate(g); err != nil {
 					t.Fatalf("%s n=%d %v: validate: %v", name, n, wm, err)
 				}
-				if !g.Connected() {
+				if !reference.Connected(g) {
 					t.Fatalf("%s n=%d %v: disconnected", name, n, wm)
 				}
 			}

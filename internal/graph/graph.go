@@ -260,7 +260,7 @@ func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 // is the one implementation of that order over all edges: Kruskal and
 // the sensitivity oracle walk it. Each edge becomes one packed word —
 // weight minus the least weight, the rank of its smaller-ID endpoint
-// among all IDs (from the packed ID sort Validate runs), the port there
+// among all IDs (from the packed ID sort validate runs), the port there
 // — and the words go through par.SortU64 on par.Workers(0) workers. A
 // word names its edge, as the port at a node does, so no edge ID rides
 // along. Graphs whose IDs do not fit int32, or whose fields need more
@@ -364,34 +364,6 @@ func (g *Graph) LocalRank(u NodeID, port int) int {
 	return rank
 }
 
-// PortOfLocalRank inverts LocalRank: it returns the port whose half-edge
-// has the given local rank at u.
-func (g *Graph) PortOfLocalRank(u NodeID, rank int) int {
-	ports := g.PortsByLocalOrder(u)
-	return ports[rank]
-}
-
-// PortsByLocalOrder returns u's ports sorted by the local order
-// (weight, then port number).
-func (g *Graph) PortsByLocalOrder(u NodeID) []int {
-	adj := g.Ports(u)
-	ports := make([]int, len(adj))
-	for i := range ports {
-		ports[i] = i
-	}
-	slices.SortFunc(ports, func(a, b int) int {
-		wa, wb := g.Weight(adj[a]), g.Weight(adj[b])
-		if wa != wb {
-			if wa < wb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	return ports
-}
-
 // GlobalRankAt returns the 0-based position of the half-edge at the given
 // port among u's incident edges sorted by the global order. A node can
 // compute this after learning its neighbours' identifiers (one round).
@@ -405,27 +377,6 @@ func (g *Graph) GlobalRankAt(u NodeID, port int) int {
 		}
 	}
 	return rank
-}
-
-// PortsByGlobalOrder returns u's ports sorted by the global order.
-func (g *Graph) PortsByGlobalOrder(u NodeID) []int {
-	adj := g.Ports(u)
-	ports := make([]int, len(adj))
-	for i := range ports {
-		ports[i] = i
-	}
-	slices.SortFunc(ports, func(a, b int) int {
-		ka, kb := g.Key(adj[a]), g.Key(adj[b])
-		switch {
-		case ka.Less(kb):
-			return -1
-		case kb.Less(ka):
-			return 1
-		default:
-			return 0
-		}
-	})
-	return ports
 }
 
 // BFS returns, for every node, its hop distance from src (-1 if
@@ -453,63 +404,11 @@ func (g *Graph) BFS(src NodeID) (dist []int, parentPort []int) {
 	return dist, parentPort
 }
 
-// Connected reports whether the graph is connected (true for n <= 1).
-func (g *Graph) Connected() bool {
-	if g.N() <= 1 {
-		return true
-	}
-	dist, _ := g.BFS(0)
-	for _, d := range dist {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Eccentricity returns the maximum hop distance from u to any node. It
-// panics if the graph is disconnected.
-func (g *Graph) Eccentricity(u NodeID) int {
-	dist, _ := g.BFS(u)
-	ecc := 0
-	for _, d := range dist {
-		if d == -1 {
-			panic("graph: eccentricity of a disconnected graph")
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// Diameter returns the maximum eccentricity. O(n·m); intended for the
-// moderate sizes used in experiments.
-func (g *Graph) Diameter() int {
-	diam := 0
-	for u := 0; u < g.N(); u++ {
-		if e := g.Eccentricity(NodeID(u)); e > diam {
-			diam = e
-		}
-	}
-	return diam
-}
-
-// Validate performs structural integrity checks (port reciprocity, ID
-// distinctness, simplicity). It is allocation-lean and parallel enough to
-// run on every generated graph up to n = 10⁶: duplicate IDs are found by
-// a sort over packed keys and duplicate edges by sorting each node's
-// neighbours, with no hash set, and the per-edge and per-node checks run
-// over ranges on the worker pool.
-func (g *Graph) Validate() error {
-	return g.validate(0)
-}
-
 // sortedIDWords packs every node's (biased ID, node) into one word —
 // the ID in the high half, offset by 2³¹ so the words sort as the IDs
 // do, and the node in the low half — and radix-sorts the words, so the
 // node whose ID has rank r is the low half of word r. ok is false, and
-// nothing is sorted, when some ID does not fit int32. Validate's
+// nothing is sorted, when some ID does not fit int32. validate's
 // duplicate-ID check and GlobalOrder's endpoint ranks both read it.
 func (g *Graph) sortedIDWords(workers int) (words []uint64, ok bool) {
 	for _, id := range g.ids {
@@ -528,9 +427,15 @@ func (g *Graph) sortedIDWords(workers int) (words []uint64, ok bool) {
 	return words, true
 }
 
-// validate is Validate with an explicit worker request, sized per pass
-// by par.WorkersFor: an explicit count is honoured even above
-// GOMAXPROCS, so tests drive the parallel passes on 1–2-core hosts.
+// validate performs the structural integrity checks every constructor
+// runs (ID distinctness, port reciprocity, simplicity). It is
+// allocation-lean and parallel enough to run on every generated graph up
+// to n = 10⁶: duplicate IDs are found by a sort over packed keys and
+// duplicate edges by sorting each node's neighbours, with no hash set,
+// and the per-edge and per-node checks run over ranges on the worker
+// pool. Each pass is sized by par.WorkersFor: an explicit count is
+// honoured even above GOMAXPROCS, so tests drive the parallel passes on
+// 1–2-core hosts.
 func (g *Graph) validate(workers int) error {
 	// ID distinctness: sort (id, node) pairs and compare neighbours.
 	// IDs that fit int32 (every generator's do) take the fast path,
@@ -652,30 +557,6 @@ func NewBuilder(n int) *Builder {
 	return b
 }
 
-// Grow reserves room for m edges, so a generator that knows its edge
-// count up front builds the graph without incremental slice growth. The
-// count is a capacity, not a limit. Grow must be called before the first
-// AddEdge.
-func (b *Builder) Grow(m int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if len(b.edges) > 0 {
-		b.fail(fmt.Errorf("graph: Grow called after %d AddEdge calls", len(b.edges)))
-		return b
-	}
-	if m < 0 {
-		b.fail(fmt.Errorf("graph: Grow got negative edge count %d", m))
-		return b
-	}
-	if err := CheckSize(len(b.ports), m); err != nil {
-		b.fail(err)
-		return b
-	}
-	b.edges = make([]Edge, 0, m)
-	return b
-}
-
 // SetIDs overrides the protocol-level identifiers. len(ids) must equal the
 // node count and the values must be distinct (checked in Build).
 func (b *Builder) SetIDs(ids []int64) *Builder {
@@ -725,16 +606,6 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, b.err
 	}
 	return FromEdgeList(len(b.ports), b.ids, b.edges, 0)
-}
-
-// MustBuild is Build for static graphs in tests and examples; it panics on
-// error.
-func (b *Builder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // CeilLog2 returns ⌈log2(x)⌉ for x >= 1 (0 for x = 1) and panics otherwise.

@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
@@ -6,13 +6,16 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"mstadvice/internal/graph"
+	"mstadvice/internal/reference"
 )
 
 // triangle builds the weighted triangle used by several tests:
 // 0-1 (w=5), 1-2 (w=3), 0-2 (w=5).
-func triangle(t *testing.T) *Graph {
+func triangle(t *testing.T) *graph.Graph {
 	t.Helper()
-	g, err := NewBuilder(3).
+	g, err := graph.NewBuilder(3).
 		AddEdge(0, 1, 5).
 		AddEdge(1, 2, 3).
 		AddEdge(0, 2, 5).
@@ -51,19 +54,19 @@ func TestBuilderBasic(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	if _, err := NewBuilder(2).AddEdge(0, 0, 1).Build(); err == nil {
+	if _, err := graph.NewBuilder(2).AddEdge(0, 0, 1).Build(); err == nil {
 		t.Error("self-loop not rejected")
 	}
-	if _, err := NewBuilder(2).AddEdge(0, 1, 1).AddEdge(1, 0, 2).Build(); err == nil {
+	if _, err := graph.NewBuilder(2).AddEdge(0, 1, 1).AddEdge(1, 0, 2).Build(); err == nil {
 		t.Error("duplicate edge not rejected")
 	}
-	if _, err := NewBuilder(2).AddEdge(0, 3, 1).Build(); err == nil {
+	if _, err := graph.NewBuilder(2).AddEdge(0, 3, 1).Build(); err == nil {
 		t.Error("out-of-range endpoint not rejected")
 	}
-	if _, err := NewBuilder(2).SetIDs([]int64{7, 7}).AddEdge(0, 1, 1).Build(); err == nil {
+	if _, err := graph.NewBuilder(2).SetIDs([]int64{7, 7}).AddEdge(0, 1, 1).Build(); err == nil {
 		t.Error("duplicate IDs not rejected")
 	}
-	if _, err := NewBuilder(2).SetIDs([]int64{1}).Build(); err == nil {
+	if _, err := graph.NewBuilder(2).SetIDs([]int64{1}).Build(); err == nil {
 		t.Error("short ID slice not rejected")
 	}
 }
@@ -77,7 +80,7 @@ func TestDefaultIDsDistinct(t *testing.T) {
 
 func TestGlobalKeyTotalOrder(t *testing.T) {
 	// Equal weights everywhere: keys must still be pairwise distinct.
-	b := NewBuilder(4)
+	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 3, 1).AddEdge(3, 0, 1).AddEdge(0, 2, 1)
 	g, err := b.Build()
 	if err != nil {
@@ -88,7 +91,7 @@ func TestGlobalKeyTotalOrder(t *testing.T) {
 			if a == c {
 				continue
 			}
-			ka, kc := g.Key(EdgeID(a)), g.Key(EdgeID(c))
+			ka, kc := g.Key(graph.EdgeID(a)), g.Key(graph.EdgeID(c))
 			if ka == kc {
 				t.Fatalf("edges %d and %d share global key %+v", a, c, ka)
 			}
@@ -103,8 +106,9 @@ func TestLocalRankBijection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(t, rng, 12, 25)
-		for u := NodeID(0); int(u) < g.N(); u++ {
+		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			seen := make(map[int]bool)
+			byRank := reference.PortsByLocalOrder(g, u)
 			for p := 0; p < g.Degree(u); p++ {
 				r := g.LocalRank(u, p)
 				if r < 0 || r >= g.Degree(u) {
@@ -114,8 +118,8 @@ func TestLocalRankBijection(t *testing.T) {
 					t.Fatalf("duplicate local rank %d at node %d", r, u)
 				}
 				seen[r] = true
-				if g.PortOfLocalRank(u, r) != p {
-					t.Fatalf("PortOfLocalRank(%d,%d) != %d", u, r, p)
+				if byRank[r] != p {
+					t.Fatalf("local order of %d: rank %d is port %d, want %d", u, r, byRank[r], p)
 				}
 			}
 		}
@@ -125,14 +129,14 @@ func TestLocalRankBijection(t *testing.T) {
 func TestLocalRankOrder(t *testing.T) {
 	// Node 0 with edges of weights 9, 2, 2 on ports 0, 1, 2:
 	// local order is (2,port1), (2,port2), (9,port0).
-	g := NewBuilder(4).AddEdge(0, 1, 9).AddEdge(0, 2, 2).AddEdge(0, 3, 2).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(4).AddEdge(0, 1, 9).AddEdge(0, 2, 2).AddEdge(0, 3, 2))
 	want := map[int]int{0: 2, 1: 0, 2: 1}
 	for port, rank := range want {
 		if got := g.LocalRank(0, port); got != rank {
 			t.Errorf("LocalRank(0,%d) = %d, want %d", port, got, rank)
 		}
 	}
-	if ports := g.PortsByLocalOrder(0); ports[0] != 1 || ports[1] != 2 || ports[2] != 0 {
+	if ports := reference.PortsByLocalOrder(g, 0); ports[0] != 1 || ports[1] != 2 || ports[2] != 0 {
 		t.Errorf("PortsByLocalOrder = %v", ports)
 	}
 }
@@ -141,8 +145,8 @@ func TestGlobalRankConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(t, rng, 10, 20)
-		for u := NodeID(0); int(u) < g.N(); u++ {
-			ports := g.PortsByGlobalOrder(u)
+		for u := graph.NodeID(0); int(u) < g.N(); u++ {
+			ports := reference.PortsByGlobalOrder(g, u)
 			for want, p := range ports {
 				if got := g.GlobalRankAt(u, p); got != want {
 					t.Fatalf("GlobalRankAt(%d,%d) = %d, want %d", u, p, got, want)
@@ -154,7 +158,7 @@ func TestGlobalRankConsistency(t *testing.T) {
 
 func TestBFSAndDiameter(t *testing.T) {
 	// Path 0-1-2-3.
-	g := NewBuilder(4).AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 3, 1).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 3, 1))
 	dist, pp := g.BFS(0)
 	wantDist := []int{0, 1, 2, 3}
 	for i, d := range wantDist {
@@ -169,20 +173,20 @@ func TestBFSAndDiameter(t *testing.T) {
 	if g.HalfAt(3, pp[3]).To != 2 {
 		t.Fatal("parent port of node 3 wrong")
 	}
-	if !g.Connected() {
+	if !reference.Connected(g) {
 		t.Fatal("path should be connected")
 	}
-	if g.Diameter() != 3 {
-		t.Fatalf("Diameter = %d, want 3", g.Diameter())
+	if reference.Diameter(g) != 3 {
+		t.Fatalf("Diameter = %d, want 3", reference.Diameter(g))
 	}
-	if g.Eccentricity(1) != 2 {
-		t.Fatalf("Ecc(1) = %d, want 2", g.Eccentricity(1))
+	if dist, _ := g.BFS(1); slices.Max(dist) != 2 {
+		t.Fatalf("Ecc(1) = %d, want 2", slices.Max(dist))
 	}
 }
 
 func TestDisconnected(t *testing.T) {
-	g := NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1).MustBuild()
-	if g.Connected() {
+	g := reference.MustBuild(graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1))
+	if reference.Connected(g) {
 		t.Fatal("graph should be disconnected")
 	}
 	dist, _ := g.BFS(0)
@@ -192,8 +196,8 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestSingleNode(t *testing.T) {
-	g := NewBuilder(1).MustBuild()
-	if !g.Connected() || g.Diameter() != 0 || g.MaxDegree() != 0 {
+	g := reference.MustBuild(graph.NewBuilder(1))
+	if !reference.Connected(g) || reference.Diameter(g) != 0 || g.MaxDegree() != 0 {
 		t.Fatal("single-node invariants broken")
 	}
 }
@@ -201,7 +205,7 @@ func TestSingleNode(t *testing.T) {
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 1025: 11}
 	for x, want := range cases {
-		if got := CeilLog2(x); got != want {
+		if got := graph.CeilLog2(x); got != want {
 			t.Errorf("CeilLog2(%d) = %d, want %d", x, got, want)
 		}
 	}
@@ -213,20 +217,20 @@ func TestCeilLog2Panics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	CeilLog2(0)
+	graph.CeilLog2(0)
 }
 
 // randomGraph builds a small random connected-ish graph with possible
 // weight ties (direct builder use; gen is tested separately to avoid an
 // import cycle in coverage reasoning).
-func randomGraph(t *testing.T, rng *rand.Rand, n, m int) *Graph {
+func randomGraph(t *testing.T, rng *rand.Rand, n, m int) *graph.Graph {
 	t.Helper()
-	b := NewBuilder(n)
+	b := graph.NewBuilder(n)
 	seen := map[[2]int]bool{}
 	for i := 1; i < n; i++ {
 		u := rng.Intn(i)
 		seen[[2]int{u, i}] = true
-		b.AddEdge(NodeID(u), NodeID(i), Weight(rng.Intn(7)+1))
+		b.AddEdge(graph.NodeID(u), graph.NodeID(i), graph.Weight(rng.Intn(7)+1))
 	}
 	for k := 0; k < m; k++ {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -240,7 +244,7 @@ func randomGraph(t *testing.T, rng *rand.Rand, n, m int) *Graph {
 			continue
 		}
 		seen[[2]int{u, v}] = true
-		b.AddEdge(NodeID(u), NodeID(v), Weight(rng.Intn(7)+1))
+		b.AddEdge(graph.NodeID(u), graph.NodeID(v), graph.Weight(rng.Intn(7)+1))
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -254,9 +258,9 @@ func TestQuickGlobalOrderRespectsWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(t, rng, 9, 14)
-		ids := make([]EdgeID, g.M())
+		ids := make([]graph.EdgeID, g.M())
 		for i := range ids {
-			ids[i] = EdgeID(i)
+			ids[i] = graph.EdgeID(i)
 		}
 		sort.Slice(ids, func(a, b int) bool { return g.EdgeLess(ids[a], ids[b]) })
 		for i := 1; i < len(ids); i++ {
@@ -276,9 +280,9 @@ func TestQuickGlobalOrderStrictTotal(t *testing.T) {
 		g := randomGraph(t, rng, 10, 22)
 		m := g.M()
 		for k := 0; k < 200; k++ {
-			a := EdgeID(rng.Intn(m))
-			b := EdgeID(rng.Intn(m))
-			c := EdgeID(rng.Intn(m))
+			a := graph.EdgeID(rng.Intn(m))
+			b := graph.EdgeID(rng.Intn(m))
+			c := graph.EdgeID(rng.Intn(m))
 			if g.EdgeLess(a, a) {
 				t.Fatal("irreflexivity violated")
 			}
@@ -296,7 +300,7 @@ func TestQuickGlobalOrderStrictTotal(t *testing.T) {
 func TestQuickCeilLog2Bound(t *testing.T) {
 	f := func(raw uint16) bool {
 		x := int(raw%4096) + 1
-		k := CeilLog2(x)
+		k := graph.CeilLog2(x)
 		return 1<<uint(k) >= x && (k == 0 || 1<<uint(k-1) < x)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -316,19 +320,19 @@ func TestCSRRepresentation(t *testing.T) {
 		}
 		off := 0
 		for u := 0; u < g.N(); u++ {
-			if g.HalfOffset(NodeID(u)) != off {
-				t.Fatalf("HalfOffset(%d) = %d, want %d", u, g.HalfOffset(NodeID(u)), off)
+			if g.HalfOffset(graph.NodeID(u)) != off {
+				t.Fatalf("HalfOffset(%d) = %d, want %d", u, g.HalfOffset(graph.NodeID(u)), off)
 			}
-			ports := g.Ports(NodeID(u))
-			if len(ports) != g.Degree(NodeID(u)) {
-				t.Fatalf("Ports(%d) has %d entries, degree %d", u, len(ports), g.Degree(NodeID(u)))
+			ports := g.Ports(graph.NodeID(u))
+			if len(ports) != g.Degree(graph.NodeID(u)) {
+				t.Fatalf("Ports(%d) has %d entries, degree %d", u, len(ports), g.Degree(graph.NodeID(u)))
 			}
 			for p, e := range ports {
-				h := g.HalfAt(NodeID(u), p)
-				if h.Edge != e || h.To != g.Other(e, NodeID(u)) {
+				h := g.HalfAt(graph.NodeID(u), p)
+				if h.Edge != e || h.To != g.Other(e, graph.NodeID(u)) {
 					t.Fatalf("Ports(%d)[%d] = %d, HalfAt = %+v", u, p, e, h)
 				}
-				dp := g.DstPort(NodeID(u), p)
+				dp := g.DstPort(graph.NodeID(u), p)
 				if want := g.PortAt(h.Edge, h.To); dp != want {
 					t.Fatalf("DstPort(%d, %d) = %d, want %d", u, p, dp, want)
 				}
@@ -344,11 +348,11 @@ func TestCSRRepresentation(t *testing.T) {
 
 func TestFromRecordsRoundTrip(t *testing.T) {
 	g := triangle(t)
-	back, err := FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
+	back, err := graph.FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equal(g, back); err != nil {
+	if err := reference.Equal(g, back); err != nil {
 		t.Fatalf("FromEdgeList round-trip: %v", err)
 	}
 }
@@ -356,21 +360,20 @@ func TestFromRecordsRoundTrip(t *testing.T) {
 func TestFromRecordsAfterDeletion(t *testing.T) {
 	// Deletions swap-remove ports, so the surviving records no longer have
 	// insertion-order ports; FromEdgeList must still reproduce them exactly.
-	g := NewBuilder(4).
+	g := reference.MustBuild(graph.NewBuilder(4).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
 		AddEdge(2, 3, 3).
 		AddEdge(3, 0, 4).
-		AddEdge(0, 2, 5).
-		MustBuild()
-	if err := g.ApplyBatch(Batch{Deletions: []EdgeID{0}}); err != nil {
+		AddEdge(0, 2, 5))
+	if err := g.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{0}}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
+	back, err := graph.FromEdgeList(g.N(), slices.Clone(g.IDs()), slices.Clone(g.Edges()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equal(g, back); err != nil {
+	if err := reference.Equal(g, back); err != nil {
 		t.Fatalf("FromEdgeList after deletion: %v", err)
 	}
 }
@@ -378,7 +381,7 @@ func TestFromRecordsAfterDeletion(t *testing.T) {
 func TestFromRecordsRejectsMalformed(t *testing.T) {
 	g := triangle(t)
 	ids := g.IDs()
-	cases := map[string][]Edge{
+	cases := map[string][]graph.Edge{
 		"endpoint out of range": {{U: 0, V: 9, PU: 0, PV: 0, W: 1}},
 		"self-loop":             {{U: 1, V: 1, PU: 0, PV: 1, W: 1}},
 		"port out of range":     {{U: 0, V: 1, PU: 5, PV: 0, W: 1}},
@@ -394,7 +397,7 @@ func TestFromRecordsRejectsMalformed(t *testing.T) {
 		},
 	}
 	for name, edges := range cases {
-		if _, err := FromEdgeList(len(ids), ids, edges, 0); err == nil {
+		if _, err := graph.FromEdgeList(len(ids), ids, edges, 0); err == nil {
 			t.Errorf("%s: FromEdgeList accepted malformed records", name)
 		}
 	}

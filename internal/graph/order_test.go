@@ -9,6 +9,7 @@ import (
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // keySort is the global order by slices.SortFunc over Graph.Key: the
@@ -81,7 +82,7 @@ func TestGlobalOrderFallback(t *testing.T) {
 				i++
 			}
 		}
-		return b.MustBuild()
+		return reference.MustBuild(b)
 	}
 	ids := []int64{7, -5, 3, 1}
 	const e60 = graph.Weight(1) << 59
@@ -106,7 +107,7 @@ func TestGlobalOrderFallback(t *testing.T) {
 			}
 		}
 	}
-	if got := graph.NewBuilder(0).MustBuild().GlobalOrder(); len(got) != 0 {
+	if got := reference.MustBuild(graph.NewBuilder(0)).GlobalOrder(); len(got) != 0 {
 		t.Errorf("empty graph: order %v", got)
 	}
 }

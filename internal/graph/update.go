@@ -20,7 +20,7 @@ import (
 //     port moves into the freed port, and in the edge array the last
 //     edge ID moves into the freed ID. At most two edges change a port
 //     and one edge changes its ID per deletion; all invariants
-//     (Validate) are restored in place. Callers holding edge IDs or
+//     (validate) are restored in place. Callers holding edge IDs or
 //     ports across a deletion must account for the renumbering.
 //
 // ApplyBatch validates the whole batch — including connectivity after
@@ -88,17 +88,6 @@ func (g *Graph) ApplyBatch(b Batch) error {
 		}
 	}
 	return nil
-}
-
-// SetWeight updates the weight of one edge in place.
-func (g *Graph) SetWeight(e EdgeID, w Weight) error {
-	return g.ApplyBatch(Batch{Weights: []WeightUpdate{{Edge: e, W: w}}})
-}
-
-// DeleteEdge removes one edge in place (see Batch for the renumbering
-// semantics). It fails if the edge is a bridge.
-func (g *Graph) DeleteEdge(e EdgeID) error {
-	return g.ApplyBatch(Batch{Deletions: []EdgeID{e}})
 }
 
 // connectedWithout verifies the graph stays connected once the edges in
@@ -182,37 +171,4 @@ func (g *Graph) Clone() *Graph {
 		edges: slices.Clone(g.edges),
 		ids:   slices.Clone(g.ids),
 	}
-}
-
-// Equal reports whether two graphs are identical in every observable
-// respect: node count, identifiers, the edge at every port, and edge
-// records (including IDs, ports and weights). It returns a descriptive
-// error naming the first difference, or nil.
-func Equal(a, b *Graph) error {
-	if a.N() != b.N() {
-		return fmt.Errorf("graph: node counts differ: %d vs %d", a.N(), b.N())
-	}
-	if a.M() != b.M() {
-		return fmt.Errorf("graph: edge counts differ: %d vs %d", a.M(), b.M())
-	}
-	for u := 0; u < a.N(); u++ {
-		if a.ids[u] != b.ids[u] {
-			return fmt.Errorf("graph: ID of node %d differs: %d vs %d", u, a.ids[u], b.ids[u])
-		}
-		au, bu := a.Ports(NodeID(u)), b.Ports(NodeID(u))
-		if len(au) != len(bu) {
-			return fmt.Errorf("graph: degree of node %d differs: %d vs %d", u, len(au), len(bu))
-		}
-		for p := range au {
-			if au[p] != bu[p] {
-				return fmt.Errorf("graph: port (%d,%d) holds edge %d vs %d", u, p, au[p], bu[p])
-			}
-		}
-	}
-	for e := range a.edges {
-		if a.edges[e] != b.edges[e] {
-			return fmt.Errorf("graph: edge %d differs: %+v vs %+v", e, a.edges[e], b.edges[e])
-		}
-	}
-	return nil
 }

@@ -1,19 +1,22 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"mstadvice/internal/graph"
+	"mstadvice/internal/reference"
 )
 
 // buildRandom constructs a random connected graph directly with the
 // Builder (package graph cannot import gen), returning it together with
 // its edge list so tests can rebuild from scratch.
-func buildRandom(t *testing.T, n, m int, seed int64) (*Graph, []Edge) {
+func buildRandom(t *testing.T, n, m int, seed int64) (*graph.Graph, []graph.Edge) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	type pair struct{ u, v int }
 	seen := map[pair]bool{}
-	var edges []Edge
+	var edges []graph.Edge
 	add := func(u, v int) {
 		if u == v {
 			return
@@ -26,7 +29,7 @@ func buildRandom(t *testing.T, n, m int, seed int64) (*Graph, []Edge) {
 			return
 		}
 		seen[pair{a, b}] = true
-		edges = append(edges, Edge{U: NodeID(u), V: NodeID(v), W: Weight(rng.Intn(9) + 1)})
+		edges = append(edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: graph.Weight(rng.Intn(9) + 1)})
 	}
 	for i := 1; i < n; i++ {
 		add(rng.Intn(i), i)
@@ -34,11 +37,11 @@ func buildRandom(t *testing.T, n, m int, seed int64) (*Graph, []Edge) {
 	for len(edges) < m {
 		add(rng.Intn(n), rng.Intn(n))
 	}
-	b := NewBuilder(n)
+	b := graph.NewBuilder(n)
 	for _, e := range edges {
 		b.AddEdge(e.U, e.V, e.W)
 	}
-	return b.MustBuild(), edges
+	return reference.MustBuild(b), edges
 }
 
 // TestWeightBatchEqualsRebuild is the core in-place patching contract:
@@ -49,33 +52,33 @@ func TestWeightBatchEqualsRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		g, edges := buildRandom(t, 30, 70, seed)
 		rng := rand.New(rand.NewSource(seed * 101))
-		var batch Batch
+		var batch graph.Batch
 		for k := 0; k < 15; k++ {
-			e := EdgeID(rng.Intn(g.M()))
-			w := Weight(rng.Intn(50) + 1)
-			batch.Weights = append(batch.Weights, WeightUpdate{Edge: e, W: w})
+			e := graph.EdgeID(rng.Intn(g.M()))
+			w := graph.Weight(rng.Intn(50) + 1)
+			batch.Weights = append(batch.Weights, graph.WeightUpdate{Edge: e, W: w})
 		}
 		inc := g.Clone()
 		if err := inc.ApplyBatch(batch); err != nil {
 			t.Fatalf("seed %d: ApplyBatch: %v", seed, err)
 		}
-		if err := inc.Validate(); err != nil {
+		if err := reference.Validate(inc); err != nil {
 			t.Fatalf("seed %d: patched graph invalid: %v", seed, err)
 		}
 		// From-scratch rebuild: same insertion order, final weights.
-		final := make([]Weight, g.M())
+		final := make([]graph.Weight, g.M())
 		for e := range final {
-			final[e] = g.Weight(EdgeID(e))
+			final[e] = g.Weight(graph.EdgeID(e))
 		}
 		for _, wu := range batch.Weights {
 			final[wu.Edge] = wu.W
 		}
-		b := NewBuilder(g.N())
+		b := graph.NewBuilder(g.N())
 		for e, rec := range edges {
 			b.AddEdge(rec.U, rec.V, final[e])
 		}
-		rebuilt := b.MustBuild()
-		if err := Equal(inc, rebuilt); err != nil {
+		rebuilt := reference.MustBuild(b)
+		if err := reference.Equal(inc, rebuilt); err != nil {
 			t.Fatalf("seed %d: incremental != rebuild: %v", seed, err)
 		}
 		// The original clone source must be untouched.
@@ -95,27 +98,27 @@ func TestDeletionPatchesInPlace(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		deleted := 0
 		for attempts := 0; attempts < 40 && g.M() > g.N()-1; attempts++ {
-			e := EdgeID(rng.Intn(g.M()))
+			e := graph.EdgeID(rng.Intn(g.M()))
 			before := g.Clone()
-			if err := g.DeleteEdge(e); err != nil {
+			if err := g.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{e}}); err != nil {
 				// Bridge: the graph must be left exactly as it was.
-				if eq := Equal(g, before); eq != nil {
+				if eq := reference.Equal(g, before); eq != nil {
 					t.Fatalf("seed %d: failed deletion mutated the graph: %v", seed, eq)
 				}
 				continue
 			}
 			deleted++
-			if err := g.Validate(); err != nil {
+			if err := reference.Validate(g); err != nil {
 				t.Fatalf("seed %d after %d deletions: %v", seed, deleted, err)
 			}
-			if !g.Connected() {
+			if !reference.Connected(g) {
 				t.Fatalf("seed %d: deletion disconnected the graph", seed)
 			}
 			for u := 0; u < g.N(); u++ {
-				for p := 0; p < g.Degree(NodeID(u)); p++ {
-					h := g.HalfAt(NodeID(u), p)
-					dp := g.DstPort(NodeID(u), p)
-					if got := g.HalfAt(h.To, dp); got.Edge != h.Edge || got.To != NodeID(u) {
+				for p := 0; p < g.Degree(graph.NodeID(u)); p++ {
+					h := g.HalfAt(graph.NodeID(u), p)
+					dp := g.DstPort(graph.NodeID(u), p)
+					if got := g.HalfAt(h.To, dp); got.Edge != h.Edge || got.To != graph.NodeID(u) {
 						t.Fatalf("seed %d: far port of (%d,%d) broken after deletion", seed, u, p)
 					}
 				}
@@ -130,25 +133,25 @@ func TestDeletionPatchesInPlace(t *testing.T) {
 // TestBatchAtomicity: an invalid batch (here: one that disconnects the
 // graph) must leave the graph untouched, including its weights.
 func TestBatchAtomicity(t *testing.T) {
-	g := NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(0, 2, 3).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(0, 2, 3))
 	before := g.Clone()
-	err := g.ApplyBatch(Batch{
-		Weights:   []WeightUpdate{{Edge: 0, W: 9}},
-		Deletions: []EdgeID{0, 1}, // leaves fewer than n-1 edges
+	err := g.ApplyBatch(graph.Batch{
+		Weights:   []graph.WeightUpdate{{Edge: 0, W: 9}},
+		Deletions: []graph.EdgeID{0, 1}, // leaves fewer than n-1 edges
 	})
 	if err == nil {
 		t.Fatal("disconnecting batch accepted")
 	}
-	if eq := Equal(g, before); eq != nil {
+	if eq := reference.Equal(g, before); eq != nil {
 		t.Fatalf("failed batch mutated the graph: %v", eq)
 	}
-	if err := g.ApplyBatch(Batch{Weights: []WeightUpdate{{Edge: 99, W: 1}}}); err == nil {
+	if err := g.ApplyBatch(graph.Batch{Weights: []graph.WeightUpdate{{Edge: 99, W: 1}}}); err == nil {
 		t.Fatal("out-of-range weight update accepted")
 	}
-	if err := g.ApplyBatch(Batch{Weights: []WeightUpdate{{Edge: 0, W: 0}}}); err == nil {
+	if err := g.ApplyBatch(graph.Batch{Weights: []graph.WeightUpdate{{Edge: 0, W: 0}}}); err == nil {
 		t.Fatal("non-positive weight accepted")
 	}
-	if err := g.ApplyBatch(Batch{Deletions: []EdgeID{2, 2}}); err == nil {
+	if err := g.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{2, 2}}); err == nil {
 		t.Fatal("duplicate deletion accepted")
 	}
 }
@@ -158,13 +161,12 @@ func TestBatchAtomicity(t *testing.T) {
 // (the last edge takes the deleted ID).
 func TestBatchMixed(t *testing.T) {
 	// Square with a diagonal: 0-1(1), 1-2(2), 2-3(3), 3-0(4), 0-2(5).
-	g := NewBuilder(4).
+	g := reference.MustBuild(graph.NewBuilder(4).
 		AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(2, 3, 3).
-		AddEdge(3, 0, 4).AddEdge(0, 2, 5).
-		MustBuild()
-	err := g.ApplyBatch(Batch{
-		Weights:   []WeightUpdate{{Edge: 1, W: 7}},
-		Deletions: []EdgeID{1}, // delete the edge just reweighted
+		AddEdge(3, 0, 4).AddEdge(0, 2, 5))
+	err := g.ApplyBatch(graph.Batch{
+		Weights:   []graph.WeightUpdate{{Edge: 1, W: 7}},
+		Deletions: []graph.EdgeID{1}, // delete the edge just reweighted
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +179,10 @@ func TestBatchMixed(t *testing.T) {
 	if !(rec.U == 0 && rec.V == 2 && rec.W == 5) {
 		t.Fatalf("renumbered edge 1 = %+v, want 0-2 w5", rec)
 	}
-	if err := g.Validate(); err != nil {
+	if err := reference.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if !g.Connected() {
+	if !reference.Connected(g) {
 		t.Fatal("disconnected")
 	}
 }

@@ -165,16 +165,6 @@ func (s Scheme) NewNode(view *sim.NodeView) sim.Node {
 	return newNode(view)
 }
 
-// Rounds returns the decoder's exact round count on an n-node
-// instance: ⌈log n⌉ + 1 for n ≥ 2, 0 for n < 2. It is independent of
-// the level, the family and the worker count.
-func Rounds(n int) int {
-	if n < 2 {
-		return 0
-	}
-	return graph.CeilLog2(n) + 1
-}
-
 // EstimateBits upper-bounds the total advice bits the level-l scheme
 // assigns on the tower's graph: one flag bit per node, a parent-port
 // hint for every node (roots save theirs, uncounted here), and exactly

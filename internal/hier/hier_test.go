@@ -14,6 +14,7 @@ import (
 	"mstadvice/internal/hier"
 	"mstadvice/internal/problem"
 	_ "mstadvice/internal/problem/mstp" // registers "mst" and routes mst-hier-l%d
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -58,8 +59,8 @@ func TestHierAllFamilies(t *testing.T) {
 					if !res.Verified {
 						t.Fatalf("%+v level %d: not verified: %v", r, level, res.VerifyErr)
 					}
-					if rounds := max(res.Rounds, res.Pulses); rounds != hier.Rounds(g.N()) {
-						t.Fatalf("%+v level %d: %d rounds, want the fixed %d", r, level, rounds, hier.Rounds(g.N()))
+					if rounds := max(res.Rounds, res.Pulses); rounds != reference.HierRounds(g.N()) {
+						t.Fatalf("%+v level %d: %d rounds, want the fixed %d", r, level, rounds, reference.HierRounds(g.N()))
 					}
 				}
 			}
@@ -82,8 +83,8 @@ func TestHierAsyncParity(t *testing.T) {
 			if !res.Verified {
 				t.Fatalf("async: not verified: %v", res.VerifyErr)
 			}
-			if res.Pulses != hier.Rounds(g.N()) {
-				t.Fatalf("async: %d pulses, want %d", res.Pulses, hier.Rounds(g.N()))
+			if res.Pulses != reference.HierRounds(g.N()) {
+				t.Fatalf("async: %d pulses, want %d", res.Pulses, reference.HierRounds(g.N()))
 			}
 		})
 	}
@@ -293,7 +294,7 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 					t.Fatalf("node %d: hint %d, want parent port %d", u, hint, d.ParentPort[u])
 				}
 			}
-			carriers += r.Remaining()
+			carriers += adv[u].Len() - r.Pos()
 		}
 		if carriers != width {
 			t.Fatalf("fragment %d: %d carrier bits, want exactly %d", f.ID, carriers, width)

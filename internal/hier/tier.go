@@ -30,7 +30,10 @@ type HierOptions struct {
 }
 
 // BuildTiers runs the decomposition's pass 1 once with the tower kept
-// and materializes the requested levels as store tiers. Each tier is a
+// and materializes the requested levels as store tiers. The tower holds
+// only each level's node partition; a tier collects its level's edges
+// by one scan of the graph's edge records through that partition, so
+// the levels it does not build cost no edge copies. Each tier is a
 // self-contained coarse instance: the contracted graph at that level
 // (supernodes named by their representative's original identifier,
 // parallel edges collapsed to the globally smallest one), the
@@ -97,24 +100,30 @@ func planLevels(tw *boruvka.Tower, opt HierOptions) []int {
 // buildTier materializes one tower level as a store tier.
 func buildTier(g *graph.Graph, tw *boruvka.Tower, root graph.NodeID, l int, opt HierOptions) (store.Tier, error) {
 	lev := tw.Level(l)
+	frag := tw.FragOf(l)
 
-	// Collapse parallel contracted edges: per fragment pair keep the
-	// edge that precedes all others in the original global order — the
-	// only one any MST of the multigraph can use.
+	// The level's edges are the original edges between two fragments.
+	// Collapse the parallel ones: per fragment pair keep the edge that
+	// precedes all others in the original global order — the only one
+	// any MST of the multigraph can use, whatever the scan order.
 	type kept struct {
 		e    graph.EdgeID
 		u, v int32
 	}
 	best := make(map[[2]int32]kept)
-	for _, te := range lev.Edges {
-		u, v := te.U, te.V
+	for ei, rec := range g.Edges() {
+		u, v := frag[rec.U], frag[rec.V]
+		if u == v {
+			continue
+		}
 		if u > v {
 			u, v = v, u
 		}
+		e := graph.EdgeID(ei)
 		key := [2]int32{u, v}
 		cur, ok := best[key]
-		if !ok || tw.G.Key(te.E).Less(tw.G.Key(cur.e)) {
-			best[key] = kept{e: te.E, u: u, v: v}
+		if !ok || g.Key(e).Less(g.Key(cur.e)) {
+			best[key] = kept{e: e, u: u, v: v}
 		}
 	}
 	edges := make([]kept, 0, len(best))
@@ -155,7 +164,7 @@ func buildTier(g *graph.Graph, tw *boruvka.Tower, root graph.NodeID, l int, opt 
 		return store.Tier{}, fmt.Errorf("hier: level %d coarse graph: %w", l, err)
 	}
 
-	coarseRoot := graph.NodeID(tw.FragOf(l)[root])
+	coarseRoot := graph.NodeID(frag[root])
 	capBits := opt.Cap
 	if capBits <= 0 {
 		capBits = core.DefaultCap

@@ -2,6 +2,7 @@ package hier_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mstadvice/internal/boruvka"
@@ -177,4 +178,31 @@ func tierLevels(tiers []store.Tier) []int {
 		ls[i] = tiers[i].Level
 	}
 	return ls
+}
+
+// TestBuildTiersAllocations bounds one planned tier build: a seeded
+// random graph with n = 10⁵, one worker and no levels given, so the
+// planner picks the level. Scanning the graph's edges through the
+// level's partition allocates 24.6 MiB on a 2-core host, the same under
+// the race detector, so one bound serves the CI race step too; keeping
+// a copy of every level's edge list in the tower allocated 56.4 MiB.
+// The bound is the measurement plus 10%.
+func TestBuildTiersAllocations(t *testing.T) {
+	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tiers, err := hier.BuildTiers(g, 0, hier.HierOptions{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tiers) != 1 {
+		t.Fatalf("%d tiers, want the one planned level", len(tiers))
+	}
+	const limit = 1.1 * 24.6 * (1 << 20)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("tier build at level %d allocated %.1f MiB", tiers[0].Level, got/(1<<20))
+	if got > limit {
+		t.Fatalf("tier build allocated %.1f MiB, limit %.1f MiB", got/(1<<20), limit/(1<<20))
+	}
 }

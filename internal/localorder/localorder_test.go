@@ -5,6 +5,7 @@ import (
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // seeded builds the named seeded family, failing the test on an error.
@@ -39,7 +40,7 @@ func TestLocalAgreesWithGraph(t *testing.T) {
 		g := seeded(t, "random", 12, uint64(100+trial), mode)
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, _, _, _ := viewOf(g, u)
-			want := g.PortsByLocalOrder(u)
+			want := reference.PortsByLocalOrder(g, u)
 			got := PortsByLocal(portW)
 			for i := range want {
 				if got[i] != want[i] {
@@ -64,7 +65,7 @@ func TestGlobalAgreesWithGraph(t *testing.T) {
 		g := seeded(t, "random", 12, uint64(200+trial), mode)
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, selfID, nbrID, nbrPort := viewOf(g, u)
-			want := g.PortsByGlobalOrder(u)
+			want := reference.PortsByGlobalOrder(g, u)
 			got := PortsByGlobal(portW, selfID, nbrID, nbrPort)
 			for i := range want {
 				if got[i] != want[i] {

@@ -88,27 +88,6 @@ func BuildGn(n, omega int) (*Gn, error) {
 	return &Gn{G: g, U: u, V: v, Omega: omega}, nil
 }
 
-// SpinePath returns the edge set of the unique MST of G_n (the path
-// u_n ... u_1 v_1 ... v_n) for verification against the solvers.
-func (gn *Gn) SpinePath() []graph.EdgeID {
-	var edges []graph.EdgeID
-	find := func(a, b graph.NodeID) graph.EdgeID {
-		for _, e := range gn.G.Ports(a) {
-			if gn.G.Other(e, a) == b {
-				return e
-			}
-		}
-		panic("lowerbound: spine edge missing")
-	}
-	n := len(gn.U)
-	edges = append(edges, find(gn.U[0], gn.V[0]))
-	for i := 1; i < n; i++ {
-		edges = append(edges, find(gn.U[i], gn.U[i-1]))
-		edges = append(edges, find(gn.V[i], gn.V[i-1]))
-	}
-	return edges
-}
-
 // Family is the adversary's instance family at one spine node: k graphs
 // that present the identical zero-round view at the target node while the
 // spine edge hides behind a different port in each.

@@ -6,6 +6,7 @@ import (
 	"mstadvice/internal/advice"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/mst"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/schemes/trivial"
 	"mstadvice/internal/sim"
 )
@@ -18,7 +19,7 @@ func TestGnUniqueMST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gn.G.Validate(); err != nil {
+		if err := reference.Validate(gn.G); err != nil {
 			t.Fatal(err)
 		}
 		if gn.G.N() != 2*n {
@@ -32,7 +33,7 @@ func TestGnUniqueMST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spine := gn.SpinePath()
+		spine := spinePath(gn)
 		if len(spine) != len(tree) {
 			t.Fatalf("n=%d: spine has %d edges, MST %d", n, len(spine), len(tree))
 		}
@@ -81,7 +82,7 @@ func TestFamilyIndistinguishable(t *testing.T) {
 	base := TargetView(fam.Instances[0], fam.Target)
 	seen := map[int]bool{}
 	for tIdx, g := range fam.Instances {
-		if err := g.Validate(); err != nil {
+		if err := reference.Validate(g); err != nil {
 			t.Fatalf("instance %d: %v", tIdx, err)
 		}
 		view := TargetView(g, fam.Target)
@@ -210,4 +211,25 @@ func TestBuildGnErrors(t *testing.T) {
 	if _, err := NewFamily(10, 10); err == nil {
 		t.Error("i=n accepted")
 	}
+}
+
+// spinePath returns the edge set of the unique MST of G_n (the path
+// u_n ... u_1 v_1 ... v_n) for verification against the solvers.
+func spinePath(gn *Gn) []graph.EdgeID {
+	var edges []graph.EdgeID
+	find := func(a, b graph.NodeID) graph.EdgeID {
+		for _, e := range gn.G.Ports(a) {
+			if gn.G.Other(e, a) == b {
+				return e
+			}
+		}
+		panic("lowerbound: spine edge missing")
+	}
+	n := len(gn.U)
+	edges = append(edges, find(gn.U[0], gn.V[0]))
+	for i := 1; i < n; i++ {
+		edges = append(edges, find(gn.U[i], gn.U[i-1]))
+		edges = append(edges, find(gn.V[i], gn.V[i-1]))
+	}
+	return edges
 }

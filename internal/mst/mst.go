@@ -1,10 +1,11 @@
-// Package mst implements centralized minimum-spanning-tree algorithms
-// and verifiers. Everything tie-breaks with the graph's intrinsic global
-// edge order, under which the MST is unique; Kruskal, Prim and Borůvka
-// must therefore return exactly the same edge set, and every distributed
-// scheme in this repository is verified against that set. Kruskal walks
+// Package mst computes and verifies the centralized minimum spanning
+// tree. Everything tie-breaks with the graph's intrinsic global edge
+// order, under which the MST is unique, and every distributed scheme in
+// this repository is verified against that tree. Kruskal walks
 // graph.GlobalOrder, a parallel radix sort; Verify keeps a comparison
 // sort of its own, so that checking Kruskal's output stays independent.
+// Tests hold Kruskal to internal/reference's naive Kruskal, which shares
+// neither the order nor the union-find.
 //
 // See DESIGN.md §1 for the intrinsic global order and DESIGN.md §2.2
 // for the verification step every scheme run ends with.
@@ -45,199 +46,6 @@ func KruskalOrdered(g *graph.Graph, order []graph.EdgeID) ([]graph.EdgeID, error
 		return nil, fmt.Errorf("mst: graph is disconnected (%d tree edges for %d nodes)", len(tree), g.N())
 	}
 	slices.Sort(tree)
-	return tree, nil
-}
-
-// halfHeap is a binary min-heap of candidate edges keyed by the global
-// order, used by Prim.
-type halfHeap struct {
-	g     *graph.Graph
-	items []graph.EdgeID
-}
-
-func (h *halfHeap) push(e graph.EdgeID) {
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.g.EdgeLess(h.items[i], h.items[p]) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *halfHeap) pop() graph.EdgeID {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.items) && h.g.EdgeLess(h.items[l], h.items[small]) {
-			small = l
-		}
-		if r < len(h.items) && h.g.EdgeLess(h.items[r], h.items[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-	return top
-}
-
-// Prim returns the unique MST grown from start. For connected inputs the
-// result equals Kruskal's.
-func Prim(g *graph.Graph, start graph.NodeID) ([]graph.EdgeID, error) {
-	if g.N() == 0 {
-		return nil, fmt.Errorf("mst: empty graph")
-	}
-	inTree := make([]bool, g.N())
-	inTree[start] = true
-	h := &halfHeap{g: g}
-	for _, e := range g.Ports(start) {
-		h.push(e)
-	}
-	var tree []graph.EdgeID
-	for len(tree) < g.N()-1 && len(h.items) > 0 {
-		e := h.pop()
-		rec := g.Edge(e)
-		var u graph.NodeID
-		switch {
-		case inTree[rec.U] && inTree[rec.V]:
-			continue
-		case inTree[rec.U]:
-			u = rec.V
-		default:
-			u = rec.U
-		}
-		inTree[u] = true
-		tree = append(tree, e)
-		for _, next := range g.Ports(u) {
-			if !inTree[g.Other(next, u)] {
-				h.push(next)
-			}
-		}
-	}
-	if len(tree) != g.N()-1 {
-		return nil, fmt.Errorf("mst: graph is disconnected")
-	}
-	slices.Sort(tree)
-	return tree, nil
-}
-
-// Boruvka returns the unique MST via the classic algorithm: every
-// component repeatedly selects its minimum outgoing edge under the global
-// order. The intrinsic total order guarantees the selected edge set is
-// acyclic even with weight ties.
-func Boruvka(g *graph.Graph) ([]graph.EdgeID, error) {
-	if g.N() == 0 {
-		return nil, fmt.Errorf("mst: empty graph")
-	}
-	dsu := unionfind.New(g.N())
-	var tree []graph.EdgeID
-	for dsu.Sets() > 1 {
-		best := make(map[int]graph.EdgeID) // component root -> min outgoing edge
-		for ei := 0; ei < g.M(); ei++ {
-			e := graph.EdgeID(ei)
-			rec := g.Edge(e)
-			ru, rv := dsu.Find(int(rec.U)), dsu.Find(int(rec.V))
-			if ru == rv {
-				continue
-			}
-			for _, r := range [2]int{ru, rv} {
-				if cur, ok := best[r]; !ok || g.EdgeLess(e, cur) {
-					best[r] = e
-				}
-			}
-		}
-		if len(best) == 0 {
-			return nil, fmt.Errorf("mst: graph is disconnected")
-		}
-		progress := false
-		// Deterministic iteration over components.
-		roots := make([]int, 0, len(best))
-		for r := range best {
-			roots = append(roots, r)
-		}
-		slices.Sort(roots)
-		for _, r := range roots {
-			e := best[r]
-			rec := g.Edge(e)
-			if dsu.Union(int(rec.U), int(rec.V)) {
-				tree = append(tree, e)
-				progress = true
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("mst: no progress (internal error)")
-		}
-	}
-	slices.Sort(tree)
-	return tree, nil
-}
-
-// ReverseDelete returns the unique MST by the dual of Kruskal: walk the
-// edges from heaviest to lightest (global order) and delete each one whose
-// removal keeps the graph connected. O(m²)-ish; used as an independent
-// cross-check of the other algorithms.
-func ReverseDelete(g *graph.Graph) ([]graph.EdgeID, error) {
-	if g.N() == 0 {
-		return nil, fmt.Errorf("mst: empty graph")
-	}
-	order := make([]graph.EdgeID, g.M())
-	for i := range order {
-		order[i] = graph.EdgeID(i)
-	}
-	slices.SortFunc(order, func(a, b graph.EdgeID) int { // descending
-		switch {
-		case g.EdgeLess(b, a):
-			return -1
-		case g.EdgeLess(a, b):
-			return 1
-		default:
-			return 0
-		}
-	})
-	kept := make([]bool, g.M())
-	for i := range kept {
-		kept[i] = true
-	}
-	// connectedWithout checks connectivity over the kept edges.
-	connectedWithout := func() bool {
-		dsu := unionfind.New(g.N())
-		for ei := 0; ei < g.M(); ei++ {
-			if kept[ei] {
-				rec := g.Edge(graph.EdgeID(ei))
-				dsu.Union(int(rec.U), int(rec.V))
-			}
-		}
-		return dsu.Sets() == 1
-	}
-	if !connectedWithout() {
-		return nil, fmt.Errorf("mst: graph is disconnected")
-	}
-	for _, e := range order {
-		kept[e] = false
-		if !connectedWithout() {
-			kept[e] = true
-		}
-	}
-	var tree []graph.EdgeID
-	for ei := 0; ei < g.M(); ei++ {
-		if kept[ei] {
-			tree = append(tree, graph.EdgeID(ei))
-		}
-	}
-	if len(tree) != g.N()-1 {
-		return nil, fmt.Errorf("mst: reverse delete kept %d edges (internal error)", len(tree))
-	}
 	return tree, nil
 }
 
@@ -426,17 +234,4 @@ func checkOrientation(g *graph.Graph, parentPort []int, root graph.NodeID) error
 		}
 	}
 	return nil
-}
-
-// SameEdges reports whether two sorted edge sets are identical.
-func SameEdges(a, b []graph.EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

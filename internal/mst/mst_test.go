@@ -1,12 +1,15 @@
 package mst
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // seeded builds the named seeded family, failing the test on an error.
@@ -21,19 +24,18 @@ func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) 
 
 func TestKruskalSmall(t *testing.T) {
 	// Square with diagonal: MST is the three cheapest edges.
-	g := graph.NewBuilder(4).
+	g := reference.MustBuild(graph.NewBuilder(4).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
 		AddEdge(2, 3, 3).
 		AddEdge(3, 0, 4).
-		AddEdge(0, 2, 5).
-		MustBuild()
+		AddEdge(0, 2, 5))
 	tree, err := Kruskal(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []graph.EdgeID{0, 1, 2}
-	if !SameEdges(tree, want) {
+	if !slices.Equal(tree, want) {
 		t.Fatalf("Kruskal = %v, want %v", tree, want)
 	}
 	if g.TotalWeight(tree) != 6 {
@@ -45,111 +47,68 @@ func TestKruskalSmall(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1))
 	if _, err := Kruskal(g); err == nil {
 		t.Error("Kruskal should fail on disconnected graph")
-	}
-	if _, err := Prim(g, 0); err == nil {
-		t.Error("Prim should fail on disconnected graph")
-	}
-	if _, err := Boruvka(g); err == nil {
-		t.Error("Boruvka should fail on disconnected graph")
 	}
 }
 
 // TestSingleNode: K1's MST is empty, and the empty graph (which
-// graph.FromEdgeList accepts) is an error, not a panic, for every
-// algorithm.
+// graph.FromEdgeList accepts) is an error, not a panic.
 func TestSingleNode(t *testing.T) {
 	for _, n := range []int{0, 1} {
-		g := graph.NewBuilder(n).MustBuild()
-		for name, f := range map[string]func() ([]graph.EdgeID, error){
-			"kruskal":        func() ([]graph.EdgeID, error) { return Kruskal(g) },
-			"prim":           func() ([]graph.EdgeID, error) { return Prim(g, 0) },
-			"boruvka":        func() ([]graph.EdgeID, error) { return Boruvka(g) },
-			"reverse-delete": func() ([]graph.EdgeID, error) { return ReverseDelete(g) },
-		} {
-			tree, err := f()
-			if n == 0 && (err == nil || !strings.Contains(err.Error(), "empty graph")) {
-				t.Errorf("%s on the empty graph: tree=%v err=%v, want an empty-graph error", name, tree, err)
-			}
-			if n == 1 && (err != nil || len(tree) != 0) {
-				t.Errorf("%s on K1: tree=%v err=%v", name, tree, err)
-			}
+		tree, err := Kruskal(reference.MustBuild(graph.NewBuilder(n)))
+		if n == 0 && (err == nil || !strings.Contains(err.Error(), "empty graph")) {
+			t.Errorf("Kruskal on the empty graph: tree=%v err=%v, want an empty-graph error", tree, err)
+		}
+		if n == 1 && (err != nil || len(tree) != 0) {
+			t.Errorf("Kruskal on K1: tree=%v err=%v", tree, err)
 		}
 	}
 }
 
-// ReverseDelete agrees with Kruskal (independent dual derivation), across
-// weight modes including full ties.
-func TestReverseDelete(t *testing.T) {
-	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsUnit} {
-		for _, n := range []int{2, 6, 15, 24} {
-			g := seeded(t, "random", n, uint64(int64(n)+int64(mode)*31), mode)
-			want, err := Kruskal(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReverseDelete(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !SameEdges(got, want) {
-				t.Fatalf("n=%d mode=%v: reverse delete %v != kruskal %v", n, mode, got, want)
-			}
-		}
-	}
-	// Disconnected input.
-	bad := graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1).MustBuild()
-	if _, err := ReverseDelete(bad); err == nil {
-		t.Fatal("disconnected graph accepted")
-	}
-}
-
-// All three algorithms agree on the unique MST across families, sizes,
-// weight modes (including heavy ties) and seeds.
+// Kruskal agrees with the naive reference, which shares neither the
+// global order's radix sort nor the union-find, on the unique MST across
+// families, sizes, weight modes (including full ties) and seeds.
 func TestAlgorithmsAgree(t *testing.T) {
+	check := func(g *graph.Graph, what string) {
+		t.Helper()
+		k, err := Kruskal(g)
+		if err != nil {
+			t.Fatalf("%s kruskal: %v", what, err)
+		}
+		if want := reference.Kruskal(g); !slices.Equal(k, want) {
+			t.Fatalf("%s: kruskal %v != reference %v", what, k, want)
+		}
+		if err := Verify(g, k); err != nil {
+			t.Fatalf("%s verify: %v", what, err)
+		}
+	}
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
 		for _, fam := range gen.Names() {
 			for _, n := range []int{2, 5, 16, 40} {
 				if fam == "ring" && n < 3 {
 					continue
 				}
-				rng := rand.New(rand.NewSource(int64(n)*31 + int64(mode)))
 				g := seeded(t, fam, n, uint64(int64(n)*31+int64(mode)), mode)
-				k, err := Kruskal(g)
-				if err != nil {
-					t.Fatalf("%s/%s n=%d kruskal: %v", fam, mode, n, err)
-				}
-				p, err := Prim(g, graph.NodeID(rng.Intn(g.N())))
-				if err != nil {
-					t.Fatalf("%s/%s n=%d prim: %v", fam, mode, n, err)
-				}
-				b, err := Boruvka(g)
-				if err != nil {
-					t.Fatalf("%s/%s n=%d boruvka: %v", fam, mode, n, err)
-				}
-				if !SameEdges(k, p) {
-					t.Fatalf("%s/%s n=%d: kruskal %v != prim %v", fam, mode, n, k, p)
-				}
-				if !SameEdges(k, b) {
-					t.Fatalf("%s/%s n=%d: kruskal %v != boruvka %v", fam, mode, n, k, b)
-				}
-				if err := Verify(g, k); err != nil {
-					t.Fatalf("%s/%s n=%d verify: %v", fam, mode, n, err)
-				}
+				check(g, fmt.Sprintf("%s/%s n=%d", fam, mode, n))
 			}
+		}
+	}
+	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsUnit} {
+		for _, n := range []int{2, 6, 15, 24} {
+			g := seeded(t, "random", n, uint64(int64(n)+int64(mode)*31), mode)
+			check(g, fmt.Sprintf("random/%s n=%d seed %d", mode, n, int64(n)+int64(mode)*31))
 		}
 	}
 }
 
 func TestVerifyRejectsNonMST(t *testing.T) {
 	// Path weights force edges 0,1; the triangle edge 2 is heavier.
-	g := graph.NewBuilder(3).
+	g := reference.MustBuild(graph.NewBuilder(3).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
-		AddEdge(0, 2, 9).
-		MustBuild()
+		AddEdge(0, 2, 9))
 	if err := Verify(g, []graph.EdgeID{0, 2}); err == nil {
 		t.Fatal("Verify accepted a non-minimum spanning tree")
 	}
@@ -162,9 +121,8 @@ func TestVerifyRejectsNonMST(t *testing.T) {
 }
 
 func TestIsSpanningTree(t *testing.T) {
-	g := graph.NewBuilder(4).
-		AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 0, 1).AddEdge(2, 3, 1).
-		MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(4).
+		AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 0, 1).AddEdge(2, 3, 1))
 	if IsSpanningTree(g, []graph.EdgeID{0, 1, 2}) {
 		t.Error("cycle accepted")
 	}
@@ -194,18 +152,17 @@ func TestRootAndVerifyRooted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !SameEdges(back, tree) {
+		if !slices.Equal(back, tree) {
 			t.Fatalf("root %d: edges differ after rooting", root)
 		}
 	}
 }
 
 func TestVerifyRootedRejects(t *testing.T) {
-	g := graph.NewBuilder(3).
+	g := reference.MustBuild(graph.NewBuilder(3).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
-		AddEdge(0, 2, 9).
-		MustBuild()
+		AddEdge(0, 2, 9))
 	tree, _ := Kruskal(g)
 	pp, _ := Root(g, tree, 0)
 
@@ -242,7 +199,7 @@ func TestVerifyRootedLongPath(t *testing.T) {
 	for u := 1; u < n; u++ {
 		b.AddEdge(graph.NodeID(u-1), graph.NodeID(u), graph.Weight(u))
 	}
-	g := b.MustBuild()
+	g := reference.MustBuild(b)
 	pp := make([]int, n)
 	pp[0] = -1
 	for u := 1; u < n; u++ {
@@ -256,9 +213,8 @@ func TestVerifyRootedLongPath(t *testing.T) {
 // orientationGraph is a triangle 1-2-3 hanging off the root 0 by edge 0,
 // with a pendant node 4 on node 2. Its MST leaves out edge 3 (3-1).
 func orientationGraph() (*graph.Graph, func(e int, u graph.NodeID) int) {
-	g := graph.NewBuilder(5).
-		AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(2, 3, 3).AddEdge(3, 1, 9).AddEdge(2, 4, 5).
-		MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(5).
+		AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(2, 3, 3).AddEdge(3, 1, 9).AddEdge(2, 4, 5))
 	return g, func(e int, u graph.NodeID) int { return g.PortAt(graph.EdgeID(e), u) }
 }
 
@@ -318,7 +274,7 @@ func TestVerifyRootedRejectsPlanted(t *testing.T) {
 }
 
 func TestEdgesFromParentPortsErrors(t *testing.T) {
-	g := graph.NewBuilder(2).AddEdge(0, 1, 1).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(2).AddEdge(0, 1, 1))
 	if _, err := EdgesFromParentPorts(g, []int{-1}); err == nil {
 		t.Error("accepted wrong length")
 	}
@@ -364,26 +320,6 @@ func BenchmarkKruskal(b *testing.B) {
 	}
 }
 
-func BenchmarkPrim(b *testing.B) {
-	g := seeded(b, "random", 1000, 1, gen.WeightsDistinct)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Prim(g, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBoruvka(b *testing.B) {
-	g := seeded(b, "random", 1000, 1, gen.WeightsDistinct)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Boruvka(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // A 10⁵-node path plus one chord closing the whole path into a cycle:
 // the path is the MST exactly when the chord is heavier than every path
 // edge, whatever the depth of the cycle.
@@ -403,7 +339,7 @@ func TestVerifyLongCycle(t *testing.T) {
 			b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), graph.Weight(i+1))
 			path[i] = graph.EdgeID(i)
 		}
-		g := b.AddEdge(0, n-1, tc.chord).MustBuild()
+		g := reference.MustBuild(b.AddEdge(0, n-1, tc.chord))
 		if err := Verify(g, path); (err == nil) != tc.ok {
 			t.Errorf("chord weight %d: Verify = %v, want ok=%v", tc.chord, err, tc.ok)
 		}

@@ -83,14 +83,6 @@ func (s *HistSnapshot) Count() uint64 {
 	return n
 }
 
-// Merge adds o into s bucket-wise.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Sum += o.Sum
-}
-
 // bucketBounds returns the half-open value interval [lo, hi) of bucket i.
 func bucketBounds(i int) (lo, hi float64) {
 	if i == 0 {

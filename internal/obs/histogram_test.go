@@ -117,46 +117,6 @@ func TestQuantileEmpty(t *testing.T) {
 	}
 }
 
-// TestMergeAssociative: merging shard-local snapshots is associative
-// and commutative — any aggregation tree yields the same histogram.
-func TestMergeAssociative(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	mk := func(n int, draw func(*rand.Rand) int64) HistSnapshot {
-		var h Histogram
-		for i := 0; i < n; i++ {
-			h.Observe(draw(r))
-		}
-		return h.Snapshot()
-	}
-	a := mk(1000, distributions[0].draw)
-	b := mk(500, distributions[1].draw)
-	c := mk(2000, distributions[2].draw)
-
-	left := a // (a+b)+c
-	left.Merge(b)
-	left.Merge(c)
-
-	bc := b // a+(b+c)
-	bc.Merge(c)
-	right := a
-	right.Merge(bc)
-
-	if left != right {
-		t.Fatalf("merge is not associative:\n(a+b)+c = %+v\na+(b+c) = %+v", left, right)
-	}
-	if got, want := left.Count(), a.Count()+b.Count()+c.Count(); got != want {
-		t.Errorf("merged Count = %d, want %d", got, want)
-	}
-
-	ba := b // commutativity
-	ba.Merge(a)
-	ab := a
-	ab.Merge(b)
-	if ab != ba {
-		t.Fatalf("merge is not commutative")
-	}
-}
-
 // TestObserveNegativeClamps: a backwards clock step lands in bucket 0
 // and contributes nothing to the sum.
 func TestObserveNegativeClamps(t *testing.T) {

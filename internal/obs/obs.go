@@ -226,29 +226,6 @@ func (r *Registry) CounterValue(name string, labels ...string) (uint64, bool) {
 	return s.c.Value(), true
 }
 
-// GaugeValue reads a registered gauge or gauge func (0, false when
-// absent); funcs are evaluated at the call.
-func (r *Registry) GaugeValue(name string, labels ...string) (float64, bool) {
-	labelStr := renderLabels(labels)
-	r.mu.Lock()
-	f := r.families[name]
-	var s *series
-	if f != nil {
-		s = f.series[labelStr]
-	}
-	r.mu.Unlock() // evaluate funcs outside the lock: they may scrape other state
-	if s == nil {
-		return 0, false
-	}
-	switch {
-	case s.g != nil:
-		return float64(s.g.Value()), true
-	case s.fn != nil:
-		return s.fn(), true
-	}
-	return 0, false
-}
-
 // HistogramSnapshot reads a registered histogram's snapshot (zero,
 // false when absent).
 func (r *Registry) HistogramSnapshot(name string, labels ...string) (HistSnapshot, bool) {
@@ -264,12 +241,4 @@ func (r *Registry) HistogramSnapshot(name string, labels ...string) (HistSnapsho
 		return HistSnapshot{}, false
 	}
 	return s.h.Snapshot(), true
-}
-
-// Names returns the registered family names in registration order —
-// the doclint hook that keeps the DESIGN.md §2.11 table honest.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
 }

@@ -77,23 +77,39 @@ func TestGaugeFuncScrape(t *testing.T) {
 	reg := NewRegistry()
 	behind := 7
 	reg.GaugeFunc("lag_records", func() float64 { return float64(behind) })
-	if v, ok := reg.GaugeValue("lag_records"); !ok || v != 7 {
-		t.Fatalf("GaugeValue = %g, %v; want 7, true", v, ok)
+	if got := scrape(t, reg); !strings.Contains(got, "\nlag_records 7\n") {
+		t.Fatalf("scrape = %q; want lag_records 7", got)
 	}
 	behind = 0
-	if v, _ := reg.GaugeValue("lag_records"); v != 0 {
-		t.Fatalf("GaugeValue after update = %g, want 0 (funcs must evaluate at scrape)", v)
+	if got := scrape(t, reg); !strings.Contains(got, "\nlag_records 0\n") {
+		t.Fatalf("scrape after update = %q; want lag_records 0 (funcs must evaluate at scrape)", got)
 	}
 }
 
+// TestNames: the exposition lists each family once, in registration
+// order, however many label sets it has.
 func TestNames(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b_total")
 	reg.Gauge("a_gauge")
 	reg.Counter("b_total", "k", "v") // same family, no new name
-	got := reg.Names()
-	want := []string{"b_total", "a_gauge"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Names = %v, want %v (registration order)", got, want)
+	var names []string
+	for _, line := range strings.Split(scrape(t, reg), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
 	}
+	if want := []string{"b_total", "a_gauge"}; strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("families = %v, want %v (registration order)", names, want)
+	}
+}
+
+// scrape renders reg's exposition text.
+func scrape(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

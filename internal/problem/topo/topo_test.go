@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -8,6 +9,7 @@ import (
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/lowerbound"
 	"mstadvice/internal/problem"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -31,7 +33,7 @@ func TestFingerprintInvariance(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b.AddEdge(perm[i], perm[(i+1)%n], w)
 		}
-		return b.MustBuild()
+		return reference.MustBuild(b)
 	}
 	n := 16
 	id := make([]graph.NodeID, n)
@@ -156,7 +158,8 @@ func TestTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecc := g.Eccentricity(0)
+	dist, _ := g.BFS(0)
+	ecc := slices.Max(dist)
 	if flood.Rounds < ecc {
 		t.Errorf("root-only flood finished in %d rounds, needs >= ecc %d", flood.Rounds, ecc)
 	}

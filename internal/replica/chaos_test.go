@@ -1,4 +1,4 @@
-package chaos
+package replica
 
 import (
 	"bufio"
@@ -9,22 +9,10 @@ import (
 	"time"
 
 	"mstadvice/internal/core"
-	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
-	"mstadvice/internal/replica"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
 )
-
-// seeded builds the named seeded family, failing the test on an error.
-func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) *graph.Graph {
-	tb.Helper()
-	g, err := gen.BuildSeeded(family, n, seed, gen.SeededOptions{Weights: w})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
-}
 
 func TestScheduleIsDeterministic(t *testing.T) {
 	s := Schedule{Seed: 99, DropPct: 20, DelayPct: 20, TruncatePct: 20}
@@ -216,9 +204,9 @@ func TestClientThroughChaosNeverWrong(t *testing.T) {
 	if err := svc.Register("g", &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: adviceBits}); err != nil {
 		t.Fatal(err)
 	}
-	srvA := replica.NewServer(svc, nil, replica.ServerOptions{})
-	srvB := replica.NewServer(svc, nil, replica.ServerOptions{})
-	for _, s := range []*replica.Server{srvA, srvB} {
+	srvA := NewServer(svc, nil, ServerOptions{})
+	srvB := NewServer(svc, nil, ServerOptions{})
+	for _, s := range []*Server{srvA, srvB} {
 		if err := s.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +224,7 @@ func TestClientThroughChaosNeverWrong(t *testing.T) {
 	}
 	defer pB.Close()
 
-	cli, err := replica.NewClient([]string{pA.Addr(), pB.Addr()}, replica.ClientOptions{
+	cli, err := NewClient([]string{pA.Addr(), pB.Addr()}, ClientOptions{
 		Timeout:     time.Second,
 		Attempts:    40, // the schedule can run several faulty connections back to back
 		BackoffBase: time.Millisecond,

@@ -1,4 +1,4 @@
-package chaos
+package replica
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +19,6 @@ import (
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
 	"mstadvice/internal/obs"
-	"mstadvice/internal/replica"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
 )
@@ -65,7 +66,7 @@ func TestKillRestartDrill(t *testing.T) {
 	refs := &epochRefs{by: make(map[uint64][]*bitstring.BitString)}
 
 	// Primary: service + durable epoch log + wire server.
-	log, err := replica.OpenLog(filepath.Join(dir, "primary.log"))
+	log, err := OpenLog(filepath.Join(dir, "primary.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestKillRestartDrill(t *testing.T) {
 	if err := primary.Register(graphID, &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: adviceBits}); err != nil {
 		t.Fatal(err)
 	}
-	srvP := replica.NewServer(primary, log, replica.ServerOptions{})
+	srvP := NewServer(primary, log, ServerOptions{})
 	if err := srvP.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +91,13 @@ func TestKillRestartDrill(t *testing.T) {
 	// Replica: follower service + its own durable log + wire server. The
 	// Head oracle (the primary log's length) turns the lag gauge into
 	// true epochs-behind.
-	repLog, err := replica.OpenLog(filepath.Join(dir, "replica.log"))
+	repLog, err := OpenLog(filepath.Join(dir, "replica.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer repLog.Close()
 	follower := service.New()
-	rep := replica.NewReplica(follower, addrP, replica.ReplicaOptions{
+	rep := NewReplica(follower, addrP, ReplicaOptions{
 		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, Log: repLog,
 		Head: log.Len, Recorder: rec,
 	})
@@ -105,7 +106,7 @@ func TestKillRestartDrill(t *testing.T) {
 	go func() { defer close(repDone); rep.Run(repCtx) }()
 	defer func() { repCancel(); <-repDone }()
 	waitCaughtUp(t, rep, log.Len(), 30*time.Second)
-	srvR := replica.NewServer(follower, nil, replica.ServerOptions{})
+	srvR := NewServer(follower, nil, ServerOptions{})
 	if err := srvR.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +281,14 @@ func (cs *churnState) halt() {
 // appending, so "applied == log.Len()" is a moving goalpost a slow
 // machine might never touch; draining the backlog that existed at the
 // call is the catch-up being checked.
-func waitCaughtUp(t *testing.T, rep *replica.Replica, target int, timeout time.Duration) {
+func waitCaughtUp(t *testing.T, rep *Replica, target int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	for rep.Applied() < target {
+	for rep.applied.Load() < int64(target) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("replica stuck at %d/%d (last error: %q)\n%s", rep.Applied(), target, rep.LastErr(), buf)
+			t.Fatalf("replica stuck at %d/%d (last error: %v)\n%s", rep.applied.Load(), target, rep.lastErr.Load(), buf)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -299,7 +300,7 @@ func waitCaughtUp(t *testing.T, rep *replica.Replica, target int, timeout time.D
 func fixedLoop(t *testing.T, endpoints []string, graphID string,
 	refs *epochRefs, workers, queries, n int, srvRegs []*obs.Registry) time.Duration {
 	t.Helper()
-	cli, err := replica.NewClient(endpoints, replica.ClientOptions{
+	cli, err := NewClient(endpoints, ClientOptions{
 		Timeout: 2 * time.Second, Attempts: 8, BackoffBase: 500 * time.Microsecond, Seed: 17,
 	})
 	if err != nil {
@@ -383,7 +384,7 @@ func serverAdviceOKFrames(regs []*obs.Registry) uint64 {
 
 // clientAdviceOutcomes sums the client's per-endpoint attempt counters
 // for one outcome.
-func clientAdviceOutcomes(cli *replica.Client, endpoints []string, outcome string) uint64 {
+func clientAdviceOutcomes(cli *Client, endpoints []string, outcome string) uint64 {
 	var total uint64
 	for _, ep := range endpoints {
 		v, _ := cli.Metrics().CounterValue("replica_client_attempts_total", "endpoint", ep, "outcome", outcome)
@@ -396,12 +397,12 @@ type chaosEnv struct {
 	graphID     string
 	refs        *epochRefs
 	n           int
-	log         *replica.Log // the primary's durable epoch log
-	repLog      *replica.Log // the replica's durable mirror
-	killReplica func()       // stops the tail loop and closes the endpoint
+	log         *Log   // the primary's durable epoch log
+	repLog      *Log   // the replica's durable mirror
+	killReplica func() // stops the tail loop and closes the endpoint
 	churn       *churnState
 	rec         *obs.Recorder
-	srvP        *replica.Server
+	srvP        *Server
 	addrP       string
 	addrR       string
 	endpoints   []string
@@ -419,7 +420,7 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 	// makes about half the attempts fail until the endpoint returns, so
 	// a coarse backoff would show up as a multi-ms latency tail that
 	// measures the client's sleep schedule, not the serving path.
-	cli, err := replica.NewClient(env.endpoints, replica.ClientOptions{
+	cli, err := NewClient(env.endpoints, ClientOptions{
 		Timeout: 2 * time.Second, Attempts: 40,
 		BackoffBase: 50 * time.Microsecond, BackoffCap: 500 * time.Microsecond, Seed: 23,
 	})
@@ -489,7 +490,7 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 	// Restart it from the durable log alone: replay the local mirror,
 	// resume tailing after it, serve on the same port.
 	follower2 := service.New()
-	rep2 := replica.NewReplica(follower2, env.addrP, replica.ReplicaOptions{
+	rep2 := NewReplica(follower2, env.addrP, ReplicaOptions{
 		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, Log: env.repLog,
 		Head: env.log.Len, Recorder: env.rec,
 	})
@@ -501,8 +502,8 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 	go func() { defer close(rep2Done); rep2.Run(rep2Ctx) }()
 	defer func() { rep2Cancel(); <-rep2Done }()
 	targetR := env.log.Len()
-	behind := targetR - rep2.Applied()
-	srvR2 := replica.NewServer(follower2, nil, replica.ServerOptions{})
+	behind := targetR - int(rep2.applied.Load())
+	srvR2 := NewServer(follower2, nil, ServerOptions{})
 	rebind(t, srvR2, env.addrR)
 	defer srvR2.Close()
 	env.rec.Record("chaos", "replica restarted from durable log, %d records behind", behind)
@@ -532,7 +533,7 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 	primary2.OnPublish(env.refs.hook)
 	env.log.Attach(primary2)
 	env.churn.cur.Store(primary2)
-	srvP2 := replica.NewServer(primary2, env.log, replica.ServerOptions{})
+	srvP2 := NewServer(primary2, env.log, ServerOptions{})
 	rebind(t, srvP2, env.addrP)
 	defer srvP2.Close()
 	env.rec.Record("chaos", "primary restarted from its epoch log (%d records)", env.log.Len())
@@ -548,9 +549,13 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 	// and the applied gauge must equal the replica's own count.
 	env.churn.pause()
 	waitCaughtUp(t, rep2, env.log.Len(), 30*time.Second)
-	lag, lagFound := rep2.Metrics().GaugeValue("replica_lag_records")
-	applied, _ := rep2.Metrics().GaugeValue("replica_applied_records")
-	appliedTruth := rep2.Applied()
+	var scrape strings.Builder
+	if err := rep2.Metrics().WriteText(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	lag, lagFound := gaugeIn(scrape.String(), "replica_lag_records")
+	applied, _ := gaugeIn(scrape.String(), "replica_applied_records")
+	appliedTruth := rep2.applied.Load()
 	env.churn.primaryUp.Store(true)
 
 	time.Sleep(scriptStep)
@@ -595,7 +600,7 @@ func recorderHasKind(rec *obs.Recorder, kind string) bool {
 
 // rebind binds a server to a just-freed address, retrying while the OS
 // releases the port.
-func rebind(t *testing.T, s *replica.Server, addr string) {
+func rebind(t *testing.T, s *Server, addr string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -608,4 +613,16 @@ func rebind(t *testing.T, s *replica.Server, addr string) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// gaugeIn reads an unlabelled gauge's value from /metrics exposition
+// text (false when the text has no such series).
+func gaugeIn(text, name string) (float64, bool) {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }

@@ -1,4 +1,6 @@
-// Package chaos is a deterministic fault-injecting TCP proxy
+package replica
+
+// A deterministic fault-injecting TCP proxy for the replication tests
 // (DESIGN.md §2.10): it sits between a replica client and a serving
 // endpoint and drops, delays or truncates connections on a seeded
 // schedule, or partitions the endpoint entirely. Determinism is the
@@ -7,7 +9,6 @@
 // not an anecdote. The replication wire protocol frames every message
 // with a CRC record, so every cut the proxy makes surfaces as a loud
 // codec error on the victim, never a misparse.
-package chaos
 
 import (
 	"io"

@@ -24,8 +24,8 @@
 //     replica's history by exactly one epoch, and the client retries
 //     any answer whose epoch precedes one it has already seen.
 //
-// Failures are exercised, not assumed: internal/chaos injects seeded
-// connection faults between client and servers, and its
+// Failures are exercised, not assumed: the package's tests put a seeded
+// fault-injecting proxy between client and servers, and
 // TestKillRestartDrill kills and restarts the primary and a replica
 // mid-run under load.
 package replica
@@ -132,17 +132,6 @@ func (r *Replica) ReplayLocal() error {
 	}
 	r.applied.Store(int64(r.opts.Log.Len()))
 	return nil
-}
-
-// Applied returns the number of log records applied so far.
-func (r *Replica) Applied() int { return int(r.applied.Load()) }
-
-// LastErr returns the most recent tail-loop error, for diagnostics.
-func (r *Replica) LastErr() string {
-	if v := r.lastErr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
 }
 
 // Run tails the primary until ctx is canceled, reconnecting with capped

@@ -23,6 +23,7 @@ import (
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/hier"
 	"mstadvice/internal/obs"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
 )
@@ -76,9 +77,9 @@ func bumpWeight(t testing.TB, svc *service.Service, id string, e graph.EdgeID, w
 func waitApplied(t testing.TB, r *Replica, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for r.Applied() < n {
+	for r.applied.Load() < int64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %d/%d records (last error: %s)", r.Applied(), n, r.LastErr())
+			t.Fatalf("replica stuck at %d/%d records (last error: %v)", r.applied.Load(), n, r.lastErr.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -184,7 +185,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("follower published %s, which the primary never did", key)
 		}
-		if err := graph.Equal(want, g); err != nil {
+		if err := reference.Equal(want, g); err != nil {
 			t.Fatalf("follower epoch %s: %v", key, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"mstadvice/internal/advice"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func TestRoundsNearDiameter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := g.Diameter()
+			d := reference.Diameter(g)
 			if res.Rounds > d+2 {
 				t.Fatalf("%s n=%d: %d rounds > D+2 = %d", fam, n, res.Rounds, d+2)
 			}
@@ -104,7 +105,7 @@ func TestTerminationRule(t *testing.T) {
 		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), graph.Weight(i+1))
 	}
 	b.AddEdge(0, 11, 1000)
-	g := b.MustBuild()
+	g := reference.MustBuild(b)
 	res, err := advice.Run(s, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)

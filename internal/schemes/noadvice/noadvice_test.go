@@ -1,6 +1,7 @@
 package noadvice
 
 import (
+	"slices"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -63,7 +64,7 @@ func TestTreeIsReferenceMST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mst.SameEdges(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatal("tree differs from reference MST")
 	}
 }

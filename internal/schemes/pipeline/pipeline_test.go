@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -70,7 +71,7 @@ func TestRootIsMinID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mst.SameEdges(tree, ref) {
+	if !slices.Equal(tree, ref) {
 		t.Fatal("tree differs from reference MST")
 	}
 }

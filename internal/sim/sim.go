@@ -39,19 +39,34 @@ type CostModel struct {
 	WeightBits int // width of an edge weight
 }
 
-// NewCostModel derives field widths from a graph.
+// NewCostModel derives field widths from a graph. An identifier or a
+// weight field is as wide as the largest value present when none is
+// negative; once one is, it is the two's-complement width that holds
+// every value present.
 func NewCostModel(g *graph.Graph) CostModel {
-	maxID := int64(1)
+	var idLo, idHi, wLo, wHi int64
 	for u := 0; u < g.N(); u++ {
-		if id := g.ID(graph.NodeID(u)); id > maxID {
-			maxID = id
-		}
+		id := g.ID(graph.NodeID(u))
+		idLo, idHi = min(idLo, id), max(idHi, id)
+	}
+	for _, e := range g.Edges() {
+		wLo, wHi = min(wLo, int64(e.W)), max(wHi, int64(e.W))
 	}
 	return CostModel{
-		IDBits:     bitstring.WidthFor(uint64(maxID)),
+		IDBits:     fieldBits(idLo, idHi),
 		PortBits:   bitstring.WidthFor(uint64(max(g.MaxDegree()-1, 1))), // ports are 0..deg-1
-		WeightBits: bitstring.WidthFor(uint64(max(int64(g.MaxWeight()), 1))),
+		WeightBits: fieldBits(wLo, wHi),
 	}
+}
+
+// fieldBits is the width of a field that holds lo (≤ 0) and hi (≥ 0):
+// the unsigned width of max(hi, 1) when lo is 0, else the smallest
+// two's-complement width whose range [−2^(w−1), 2^(w−1)−1] holds both.
+func fieldBits(lo, hi int64) int {
+	if lo == 0 {
+		return bitstring.WidthFor(uint64(max(hi, 1)))
+	}
+	return 1 + max(bitstring.WidthFor(uint64(^lo)), bitstring.WidthFor(uint64(hi)))
 }
 
 // Message is anything a node sends along an edge. SizeBits reports the
@@ -231,9 +246,6 @@ type Network struct {
 func NewNetwork(g *graph.Graph) *Network {
 	return &Network{g: g, cost: NewCostModel(g)}
 }
-
-// Cost returns the network's cost model.
-func (nw *Network) Cost() CostModel { return nw.cost }
 
 // base is the per-run state both engines share: the graph, the options
 // with the resolved worker count and round cap, the node views and

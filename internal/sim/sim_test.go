@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // seeded builds the named seeded family, failing the test on an error.
@@ -108,12 +111,12 @@ func TestBFSWave(t *testing.T) {
 	}
 	// The wave needs ecc(0) rounds to reach the far end (+1 for its relay
 	// round, which the engine still executes before noticing termination).
-	ecc := g.Eccentricity(0)
+	dist, _ := g.BFS(0)
+	ecc := slices.Max(dist)
 	if res.Rounds < ecc || res.Rounds > ecc+1 {
 		t.Fatalf("BFS rounds = %d, want about ecc = %d", res.Rounds, ecc)
 	}
 	// Exactly one root; every other node's parent is its BFS predecessor.
-	dist, _ := g.BFS(0)
 	for u := 0; u < g.N(); u++ {
 		pp := res.ParentPorts[u]
 		if u == 0 {
@@ -438,10 +441,9 @@ func (c *inboxChecker) Round(ctx *Ctx, view *NodeView, inbox []Received) []Send 
 func (c *inboxChecker) Output() (int, bool) { return -1, c.done }
 
 func TestCostModel(t *testing.T) {
-	g := graph.NewBuilder(3).
+	g := reference.MustBuild(graph.NewBuilder(3).
 		AddEdge(0, 1, 1000).
-		AddEdge(1, 2, 1).
-		MustBuild()
+		AddEdge(1, 2, 1))
 	cm := NewCostModel(g)
 	if cm.IDBits != 2 { // IDs 1..3
 		t.Fatalf("IDBits = %d", cm.IDBits)
@@ -452,10 +454,33 @@ func TestCostModel(t *testing.T) {
 	if cm.WeightBits != 10 { // 1000 < 1024
 		t.Fatalf("WeightBits = %d", cm.WeightBits)
 	}
+	// A negative value is charged the two's-complement width that holds
+	// every value present; without one the width stays unsigned.
+	for _, row := range []struct {
+		ids            []int64
+		w              []graph.Weight
+		idBits, wtBits int
+	}{
+		{[]int64{math.MinInt64, -1 << 62, 5}, []graph.Weight{1, 1}, 64, 1},
+		{[]int64{-1, 1, 2}, []graph.Weight{1, 1}, 2 + 1, 1}, // 2 needs three bits signed
+		{[]int64{-1, 1}, []graph.Weight{1}, 2, 1},
+		{[]int64{1, 2, 3}, []graph.Weight{-1 << 62, 5}, 2, 63},
+		{[]int64{1, 2, 3}, []graph.Weight{0, 0}, 2, 1},
+	} {
+		b := graph.NewBuilder(len(row.ids)).SetIDs(row.ids)
+		for i, w := range row.w {
+			b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), w)
+		}
+		cm := NewCostModel(reference.MustBuild(b))
+		if cm.IDBits != row.idBits || cm.WeightBits != row.wtBits {
+			t.Errorf("IDs %v, weights %v: IDBits = %d, WeightBits = %d; want %d, %d",
+				row.ids, row.w, cm.IDBits, cm.WeightBits, row.idBits, row.wtBits)
+		}
+	}
 }
 
 func TestNodeViewContents(t *testing.T) {
-	g := graph.NewBuilder(2).AddEdge(0, 1, 42).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(2).AddEdge(0, 1, 42))
 	var got *NodeView
 	factory := func(view *NodeView) Node {
 		if view.ID == 1 {
@@ -591,7 +616,7 @@ func (w *weightWatcher) Output() (int, bool) { return -1, w.done }
 // both endpoints' views exactly at its round, and that the graph itself
 // is untouched.
 func TestScenarioWeightPerturbation(t *testing.T) {
-	g := graph.NewBuilder(2).AddEdge(0, 1, 5).MustBuild()
+	g := reference.MustBuild(graph.NewBuilder(2).AddEdge(0, 1, 5))
 	watchers := map[int64]*weightWatcher{}
 	factory := func(view *NodeView) Node {
 		w := &weightWatcher{view: view}

@@ -7,6 +7,7 @@ import (
 
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/store"
 )
 
@@ -79,7 +80,7 @@ func ExampleLoad() {
 	if err != nil {
 		panic(err)
 	}
-	identical := graph.Equal(g, snap.Graph) == nil
+	identical := reference.Equal(g, snap.Graph) == nil
 	for u := range advice {
 		identical = identical && advice[u].Equal(snap.Advice[u])
 	}

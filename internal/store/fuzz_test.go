@@ -10,6 +10,7 @@ import (
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // FuzzDecode asserts the codec's safety contract: arbitrary bytes never
@@ -60,7 +61,7 @@ func checkDecode(t *testing.T, data []byte) {
 	if snap.Graph == nil {
 		t.Fatal("Decode returned a nil graph without error")
 	}
-	if err := snap.Graph.Validate(); err != nil {
+	if err := reference.Validate(snap.Graph); err != nil {
 		t.Fatalf("Decode accepted an invalid graph: %v", err)
 	}
 	if snap.Advice != nil && len(snap.Advice) != snap.Graph.N() {
@@ -103,7 +104,7 @@ func checkDecode(t *testing.T, data []byte) {
 // checksum. An accepted snapshot must hold valid graphs whose adjacency
 // agrees with every edge record, and must re-encode to its own bytes.
 func FuzzDecodeGraphRecords(f *testing.F) {
-	tri := graph.NewBuilder(3).AddEdge(0, 1, 5).AddEdge(1, 2, 3).AddEdge(0, 2, 4).MustBuild()
+	tri := reference.MustBuild(graph.NewBuilder(3).AddEdge(0, 1, 5).AddEdge(1, 2, 3).AddEdge(0, 2, 4))
 	blob, err := Encode(&Snapshot{Graph: tri, Root: 0})
 	if err != nil {
 		f.Fatal(err)
@@ -143,7 +144,7 @@ func FuzzDecodeGraphRecords(f *testing.F) {
 			graphs = append(graphs, tier.Graph)
 		}
 		for _, g := range graphs {
-			if err := g.Validate(); err != nil {
+			if err := reference.Validate(g); err != nil {
 				t.Fatalf("Decode accepted an invalid graph: %v", err)
 			}
 			for ei, e := range g.Edges() {

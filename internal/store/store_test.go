@@ -14,6 +14,7 @@ import (
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // seeded builds the named seeded family, failing the test on an error.
@@ -39,7 +40,7 @@ func buildSnapshot(t *testing.T, fam string, n int, seed uint64, weights gen.Wei
 
 func assertSnapshotsEqual(t *testing.T, name string, want, got *Snapshot) {
 	t.Helper()
-	if err := graph.Equal(want.Graph, got.Graph); err != nil {
+	if err := reference.Equal(want.Graph, got.Graph); err != nil {
 		t.Fatalf("%s: graph differs after round-trip: %v", name, err)
 	}
 	if got.Root != want.Root || got.Cap != want.Cap {
@@ -83,7 +84,7 @@ func TestRoundTripAfterDeletions(t *testing.T) {
 	// post-deletion layout, not the insertion order.
 	g := seeded(t, "random", 128, 3, gen.WeightsDistinct)
 	for e := g.M() - 1; e >= 0 && g.M() > 200; e-- {
-		_ = g.DeleteEdge(graph.EdgeID(e)) // bridges legitimately refuse
+		_ = g.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{graph.EdgeID(e)}}) // bridges legitimately refuse
 	}
 	snap := &Snapshot{Graph: g, Root: 5, Cap: core.DefaultCap}
 	blob, err := Encode(snap)
@@ -354,10 +355,11 @@ func TestPackBitsRoundTrip(t *testing.T) {
 // strings packs 9 bits into 2 bytes, the last one the body's last byte.
 func paddedSnapshot(tb testing.TB) []byte {
 	tb.Helper()
-	tri := graph.NewBuilder(3).AddEdge(0, 1, 5).AddEdge(1, 2, 3).AddEdge(0, 2, 4).MustBuild()
+	tri := reference.MustBuild(graph.NewBuilder(3).AddEdge(0, 1, 5).AddEdge(1, 2, 3).AddEdge(0, 2, 4))
 	advice := make([]*bitstring.BitString, 3)
 	for i := range advice {
-		advice[i] = bitstring.FromBits([]bool{true, false, true})
+		advice[i] = bitstring.New(3)
+		advice[i].AppendUint(0b101, 3) // bits 1, 0, 1
 	}
 	blob, err := Encode(&Snapshot{Graph: tri, Advice: advice, Version: 2})
 	if err != nil {

@@ -34,9 +34,6 @@ func New(n int) *DSU {
 	return d
 }
 
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
-
 // Sets returns the current number of disjoint sets.
 func (d *DSU) Sets() int { return d.sets }
 
@@ -72,27 +69,3 @@ func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
 
 // SizeOf returns the size of x's set.
 func (d *DSU) SizeOf(x int) int { return int(d.size[d.Find(x)]) }
-
-// Groups returns the members of every set, each group sorted ascending and
-// the groups sorted by their smallest member. Intended for tests and for
-// snapshotting fragments between Borůvka phases.
-func (d *DSU) Groups() [][]int {
-	byRoot := make(map[int][]int)
-	for i := 0; i < len(d.parent); i++ {
-		r := d.Find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	var groups [][]int
-	seen := make(map[int]bool)
-	// Members were appended in increasing index order, so each group is
-	// already sorted and group[0] is its smallest member; visiting elements
-	// in increasing order therefore emits groups by smallest member.
-	for i := 0; i < len(d.parent); i++ {
-		r := d.Find(i)
-		if !seen[r] {
-			seen[r] = true
-			groups = append(groups, byRoot[r])
-		}
-	}
-	return groups
-}

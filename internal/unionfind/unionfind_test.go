@@ -9,8 +9,8 @@ import (
 
 func TestBasic(t *testing.T) {
 	d := New(5)
-	if d.Len() != 5 || d.Sets() != 5 {
-		t.Fatalf("fresh DSU: len=%d sets=%d", d.Len(), d.Sets())
+	if len(d.parent) != 5 || d.Sets() != 5 {
+		t.Fatalf("fresh DSU: len=%d sets=%d", len(d.parent), d.Sets())
 	}
 	if !d.Union(0, 1) {
 		t.Fatal("first union should merge")
@@ -54,7 +54,7 @@ func TestGroups(t *testing.T) {
 	d.Union(2, 5)
 	d.Union(5, 6)
 	d.Union(0, 3)
-	groups := d.Groups()
+	groups := groups(d)
 	want := [][]int{{0, 3}, {1}, {2, 5, 6}, {4}}
 	if len(groups) != len(want) {
 		t.Fatalf("got %d groups, want %d: %v", len(groups), len(want), groups)
@@ -88,7 +88,7 @@ func TestNewPanics(t *testing.T) {
 
 func TestZeroElements(t *testing.T) {
 	d := New(0)
-	if d.Len() != 0 || d.Sets() != 0 || len(d.Groups()) != 0 {
+	if len(d.parent) != 0 || d.Sets() != 0 || len(groups(d)) != 0 {
 		t.Fatal("empty DSU invariants broken")
 	}
 }
@@ -104,7 +104,7 @@ func TestQuickInvariants(t *testing.T) {
 		for k := 0; k < ops; k++ {
 			d.Union(rng.Intn(n), rng.Intn(n))
 		}
-		groups := d.Groups()
+		groups := groups(d)
 		if len(groups) != d.Sets() {
 			return false
 		}
@@ -165,4 +165,22 @@ func BenchmarkUnionFind(b *testing.B) {
 			d.Union(rng.Intn(n), rng.Intn(n))
 		}
 	}
+}
+
+// groups returns the members of every set, each ascending, the sets
+// ordered by their smallest member.
+func groups(d *DSU) [][]int {
+	index := map[int]int{} // root -> position in out
+	var out [][]int
+	for x := range d.parent {
+		r := d.Find(x)
+		i, ok := index[r]
+		if !ok {
+			i = len(out)
+			index[r] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], x)
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/mst"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
@@ -136,11 +137,10 @@ func TestSoundnessOutputCorruption(t *testing.T) {
 func TestSoundnessTwoTrees(t *testing.T) {
 	// Path 0-1-2-3: claim 0 and 3 are both roots with 1 under 0 and 2
 	// under 3, and give each half consistent labels.
-	g := graph.NewBuilder(4).
+	g := reference.MustBuild(graph.NewBuilder(4).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 1).
-		AddEdge(2, 3, 1).
-		MustBuild()
+		AddEdge(2, 3, 1))
 	pp := []int{-1, 0, 1, -1}
 	// Forged labels: left tree rooted at ID(0), right tree at ID(3).
 	labels := []Label{
@@ -160,11 +160,10 @@ func TestSoundnessTwoTrees(t *testing.T) {
 
 // Assign rejects outputs that are not spanning trees.
 func TestAssignRejects(t *testing.T) {
-	g := graph.NewBuilder(3).
+	g := reference.MustBuild(graph.NewBuilder(3).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 1).
-		AddEdge(0, 2, 1).
-		MustBuild()
+		AddEdge(0, 2, 1))
 	if _, err := Assign(g, []int{-1, -1, 0}); err == nil {
 		t.Error("two roots accepted")
 	}

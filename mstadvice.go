@@ -35,11 +35,10 @@
 //   - proof-labeling verification of a claimed tree (AssignTreeLabels,
 //     VerifyTreeLabels).
 //
-// The serving tier (internal/store, internal/service, internal/replica,
-// internal/chaos) and the dynamic advisor (internal/dynamic) are
-// internal: cmd/mstadviced serves stored oracle runs with them, and
-// cmd/mstadvice saves runs, reads from replicas and runs the
-// sensitivity and fault-scenario modes.
+// The serving tier (internal/store, internal/service, internal/replica)
+// and the dynamic advisor (internal/dynamic) are internal: cmd/mstadviced
+// serves stored oracle runs with them, and cmd/mstadvice saves runs,
+// reads from replicas and runs the sensitivity and fault-scenario modes.
 //
 // See README.md for a tour, DESIGN.md for the architecture and
 // EXPERIMENTS.md for the paper-versus-measured record.
