@@ -214,6 +214,9 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 	if err != nil {
 		return nil, err
 	}
+	if err := d.rootTree(workers); err != nil {
+		return nil, err
+	}
 	n := g.N()
 
 	// ---- Pass 2: enrich every recorded phase with roots, levels,
@@ -280,11 +283,12 @@ type StreamVisit struct {
 	Sel    Selection
 }
 
-// Stream is a decomposition whose pass 2 has not run yet. D's flat
-// outputs (TreeEdges, ParentPort, ParentEdge, SelPhase, TotalPhases,
-// Tower) are complete on return from NewStream, so a consumer may read
-// them while its Run visitor streams the annotated fragments; D never
-// grows Phases or Final records (NumPhases() stays 0).
+// Stream is a decomposition whose pass 2 has not run yet. D's TreeEdges,
+// SelPhase, TotalPhases and Tower are complete on return from
+// NewStream; ParentPort and ParentEdge once Run starts, which roots the
+// tree before its first visit, so a Run visitor may read them all. A
+// consumer of the tower alone never calls Run and never pays for the
+// rooting. D never grows Phases or Final records (NumPhases() stays 0).
 type Stream struct {
 	D       *Decomposition
 	raws    []rawPhase
@@ -293,7 +297,8 @@ type Stream struct {
 }
 
 // NewStream runs pass 1 of the construction (identical to DecomposeOpt)
-// and defers annotation to Run. See DESIGN.md §2.12.
+// and defers the rooting and the annotation to Run. See DESIGN.md
+// §2.12.
 func NewStream(g *graph.Graph, root graph.NodeID, opt Options) (*Stream, error) {
 	d, raws, workers, err := decomposePass1(g, root, opt)
 	if err != nil {
@@ -332,6 +337,9 @@ func (s *Stream) FinalFrags() int {
 // path.
 func (s *Stream) Run(visit func(w int, v StreamVisit) error) error {
 	d := s.D
+	if err := d.rootTree(s.workers); err != nil {
+		return err
+	}
 	n := d.G.N()
 	p := newPartition(n, n)
 	a := newAnnotator(n)
@@ -383,8 +391,9 @@ func (d *Decomposition) selection(fragOf []FragID, f int, e int32) Selection {
 }
 
 // decomposePass1 runs the merge simulation (pass 1) and builds the flat
-// outputs and the flattened tree views: everything both the rich and
-// the streaming pass-2 consumers need.
+// outputs other than the rooted tree: the tree edges, SelPhase,
+// TotalPhases, the tower when asked for, and the kept phases' records
+// for pass 2.
 func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, []rawPhase, int, error) {
 	n := g.N()
 	if n == 0 {
@@ -597,22 +606,22 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 	}
 
-	parentPort, err := mst.Root(g, treeEdges, root)
+	d := &Decomposition{G: g, Root: root, TotalPhases: phases, TreeEdges: treeEdges, SelPhase: selPhase, Tower: tower}
+	return d, raws, workers, nil
+}
+
+// rootTree roots the MST at d.Root: it fills ParentPort, ParentEdge and
+// the flattened tree views that pass 2's annotation reads. Only pass 2
+// reads them, so DecomposeOpt and Stream.Run run it first, and a
+// consumer of pass 1 alone (hier.BuildTiers reads only the tower) never
+// pays for it.
+func (d *Decomposition) rootTree(workers int) error {
+	g, n := d.G, d.G.N()
+	parentPort, err := mst.Root(g, d.TreeEdges, d.Root)
 	if err != nil {
-		return nil, nil, 0, err
+		return err
 	}
-
-	d := &Decomposition{
-		G:           g,
-		Root:        root,
-		TotalPhases: phases,
-		TreeEdges:   treeEdges,
-		ParentPort:  parentPort,
-		SelPhase:    selPhase,
-		Tower:       tower,
-	}
-
-	// Flattened rooted-tree views shared by every phase annotation.
+	d.ParentPort = parentPort
 	d.ParentEdge = make([]graph.EdgeID, n)
 	d.parentNode = make([]int32, n)
 	d.parentW = make([]graph.Weight, n)
@@ -635,12 +644,11 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 	d.treeV = make([]int32, n-1)
 	par.Ranges(workers, n-1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			rec := g.Edge(treeEdges[i])
+			rec := g.Edge(d.TreeEdges[i])
 			d.treeU[i], d.treeV[i] = int32(rec.U), int32(rec.V)
 		}
 	})
-
-	return d, raws, workers, nil
+	return nil
 }
 
 // compactLive relabels the live list through oldToNew and drops

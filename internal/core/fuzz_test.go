@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -90,51 +89,12 @@ func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 	for range next() % 64 {
 		add(next()%n, next()%n, next())
 	}
-	inc := make([][]*int32, n) // each node's port slots, in edge order
-	for i := range edges {
-		e := &edges[i]
-		inc[e.U] = append(inc[e.U], &e.PU)
-		inc[e.V] = append(inc[e.V], &e.PV)
-	}
-	for _, slots := range inc {
-		for i := len(slots) - 1; i > 0; i-- {
-			j := next() % (i + 1)
-			slots[i], slots[j] = slots[j], slots[i]
-		}
-		for p, slot := range slots {
-			*slot = int32(p)
-		}
-	}
-	ids := make([]int64, n)
-	var taken [len(extremeIDs)]bool
-	for u := range ids {
-		ids[u] = fuzzID(next(), u, &taken)
-	}
+	reference.FuzzPorts(n, edges, next)
+	ids := reference.FuzzIDs(n, next)
 	level := 1 + next()%4
 	g, err := graph.FromEdgeList(n, ids, edges, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g, root, level
-}
-
-// extremeIDs are the identifiers at the ends of the int64 range and at
-// ±2⁶², the largest powers of two inside it.
-var extremeIDs = [...]int64{math.MinInt64, -1 << 62, 1 << 62, math.MaxInt64}
-
-// fuzzID maps node u's identifier byte b to an identifier, distinct from
-// every other node's: 0xfc–0xff give the first node to ask for it
-// extremeIDs[b−0xfc]; any other byte, or a later ask, gives b&0x7f·32 +
-// u, negated less one when b ≥ 0x80. So identifiers can be negative,
-// extreme and in any order.
-func fuzzID(b, u int, taken *[len(extremeIDs)]bool) int64 {
-	if k := b - 0xfc; k >= 0 && !taken[k] {
-		taken[k] = true
-		return extremeIDs[k]
-	}
-	id := int64(b&0x7f)<<5 | int64(u)
-	if b >= 0x80 {
-		return -id - 1
-	}
-	return id
 }

@@ -112,13 +112,10 @@ func TestToleranceBoundary(t *testing.T) {
 	}
 }
 
-// TestReplacementBruteForce checks the covering walk edge by edge: on
-// small graphs of every family and weight mode, the tree is the naive
-// reference's, and each tree edge's Replacement is the minimum non-tree
-// edge, under GlobalKey.Less, whose tree path contains it — found by
-// cutting the edge out of the tree and scanning every non-tree edge
-// across the cut — or -1 when no edge crosses (a bridge).
-func TestReplacementBruteForce(t *testing.T) {
+// TestSwapBruteForce checks both walks edge by edge: on small graphs of
+// every family and weight mode, InTree is the naive reference's tree,
+// and every Swap is bruteSwaps' on that tree.
+func TestSwapBruteForce(t *testing.T) {
 	for _, fam := range gen.Names() {
 		for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
 			for _, n := range []int{2, 3, 17, 64} {
@@ -127,37 +124,98 @@ func TestReplacementBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ref := reference.Kruskal(g); !slices.Equal(s.Tree, ref) {
-					t.Fatalf("%s/%v/n=%d: tree %v, reference %v", fam, mode, n, s.Tree, ref)
+				inTree := treeFlags(g, reference.Kruskal(g))
+				if !slices.Equal(s.InTree, inTree) {
+					t.Fatalf("%s/%v/n=%d: InTree %v, reference %v", fam, mode, n, s.InTree, inTree)
 				}
-				side := make([]bool, g.N())
-				for _, cut := range s.Tree {
-					// side marks the nodes the tree minus cut still joins
-					// to cut's first endpoint.
-					clear(side)
-					side[g.Edge(cut).U] = true
-					for queue := []graph.NodeID{g.Edge(cut).U}; len(queue) > 0; queue = queue[1:] {
-						for _, e := range g.Ports(queue[0]) {
-							if v := g.Other(e, queue[0]); s.InTree[e] && e != cut && !side[v] {
-								side[v] = true
-								queue = append(queue, v)
-							}
-						}
-					}
-					want := graph.EdgeID(-1)
-					for f := range graph.EdgeID(g.M()) {
-						rec := g.Edge(f)
-						if !s.InTree[f] && side[rec.U] != side[rec.V] && (want == -1 || g.Key(f).Less(g.Key(want))) {
-							want = f
-						}
-					}
-					if got := s.Replacement[cut]; got != want {
-						t.Fatalf("%s/%v/n=%d: tree edge %d has replacement %d, brute force %d", fam, mode, n, cut, got, want)
+				for e, want := range bruteSwaps(g, inTree) {
+					if got := s.Swap[e]; got != want {
+						t.Fatalf("%s/%v/n=%d: edge %d (inTree=%v) has swap %d, brute force %d", fam, mode, n, e, inTree[e], got, want)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestSensitivityRetainedHeap bounds what an analysis keeps once
+// Analyze returns: on a seeded random graph with n = 10⁵ and m = 3n,
+// InTree and Swap (1.43 MiB) are all a Sensitivity holds besides the
+// graph. It retains 1.44–1.45 MiB on a 2-core host, the same under the
+// race detector, and the bound is that plus 25%. The binary-lifting
+// table and the rooted-tree fields it replaced retained 16.4 MiB.
+func TestSensitivityRetainedHeap(t *testing.T) {
+	g := seeded(t, "random", 100_000, 94, gen.WeightsDistinct)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := Analyze(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	const limit = 1.25 * 1.45 * (1 << 20)
+	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("Analyze at n=%d, m=%d retains %.2f MiB", g.N(), g.M(), retained/(1<<20))
+	if retained > limit {
+		t.Fatalf("a Sensitivity retains %.2f MiB, limit %.2f MiB", retained/(1<<20), limit/(1<<20))
+	}
+}
+
+// treeFlags flags the edges of tree.
+func treeFlags(g *graph.Graph, tree []graph.EdgeID) []bool {
+	in := make([]bool, g.M())
+	for _, e := range tree {
+		in[e] = true
+	}
+	return in
+}
+
+// bruteSwaps finds every edge's swap in the spanning tree inTree flags,
+// one edge at a time, by a BFS over the tree edges from the edge's
+// first endpoint that never crosses the edge itself. A tree edge's swap
+// is the minimum non-tree edge, under GlobalKey.Less, from a node the
+// BFS reached to one it did not (-1 if none: a bridge). A non-tree
+// edge's is the maximum-key tree edge on the BFS path back from its
+// second endpoint.
+func bruteSwaps(g *graph.Graph, inTree []bool) []graph.EdgeID {
+	swaps := make([]graph.EdgeID, g.M())
+	via := make([]graph.EdgeID, g.N()) // a reached node's tree edge towards the source; -2 unreached
+	for e := range graph.EdgeID(g.M()) {
+		rec := g.Edge(e)
+		for u := range via {
+			via[u] = -2
+		}
+		via[rec.U] = -1
+		for queue := []graph.NodeID{rec.U}; len(queue) > 0; queue = queue[1:] {
+			for _, f := range g.Ports(queue[0]) {
+				if v := g.Other(f, queue[0]); inTree[f] && f != e && via[v] == -2 {
+					via[v] = f
+					queue = append(queue, v)
+				}
+			}
+		}
+		swaps[e] = -1
+		if inTree[e] {
+			for f := range graph.EdgeID(g.M()) {
+				fr := g.Edge(f)
+				if !inTree[f] && (via[fr.U] == -2) != (via[fr.V] == -2) && (swaps[e] == -1 || g.Key(f).Less(g.Key(swaps[e]))) {
+					swaps[e] = f
+				}
+			}
+			continue
+		}
+		for v := rec.V; via[v] != -1; v = g.Other(via[v], v) {
+			if swaps[e] == -1 || g.Key(swaps[e]).Less(g.Key(via[v])) {
+				swaps[e] = via[v]
+			}
+		}
+	}
+	return swaps
 }
 
 // TestWeightBatchEqualsRebuildAllFamilies is the satellite property test:
@@ -258,7 +316,12 @@ func TestAdvisorMatchesFullRecompute(t *testing.T) {
 						W:    graph.Weight(rng.Intn(2*a.Graph().M()) + 1),
 					})
 				case 2: // tree edge reweight
-					tr := a.Sensitivity().Tree
+					var tr []graph.EdgeID
+					for e, in := range a.Sensitivity().InTree {
+						if in {
+							tr = append(tr, graph.EdgeID(e))
+						}
+					}
 					if len(tr) > 0 {
 						e := tr[rng.Intn(len(tr))]
 						batch.Weights = append(batch.Weights, graph.WeightUpdate{

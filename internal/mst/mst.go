@@ -4,8 +4,10 @@
 // this repository is verified against that tree. Kruskal walks
 // graph.GlobalOrder, a parallel radix sort; Verify keeps a comparison
 // sort of its own, so that checking Kruskal's output stays independent.
-// Tests hold Kruskal to internal/reference's naive Kruskal, which shares
-// neither the order nor the union-find.
+// The sensitivity oracle (internal/dynamic) runs its own Kruskal walk of
+// the same order, on a union-find that also yields cycle maxima, and
+// roots the tree with Root. Tests hold Kruskal to internal/reference's
+// naive Kruskal, which shares neither the order nor the union-find.
 //
 // See DESIGN.md §1 for the intrinsic global order and DESIGN.md §2.2
 // for the verification step every scheme run ends with.
@@ -24,19 +26,12 @@ import (
 // packed radix sort of all edges, so its cost is that sort plus one
 // union-find pass: O(m α) after the sort.
 func Kruskal(g *graph.Graph) ([]graph.EdgeID, error) {
-	return KruskalOrdered(g, g.GlobalOrder())
-}
-
-// KruskalOrdered is Kruskal over an order the caller has already
-// computed: order must be g.GlobalOrder(). A caller that walks the
-// order again (the sensitivity oracle's covering walk) sorts once.
-func KruskalOrdered(g *graph.Graph, order []graph.EdgeID) ([]graph.EdgeID, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("mst: empty graph")
 	}
 	dsu := unionfind.New(g.N())
 	tree := make([]graph.EdgeID, 0, g.N()-1)
-	for _, e := range order {
+	for _, e := range g.GlobalOrder() {
 		rec := g.Edge(e)
 		if dsu.Union(int(rec.U), int(rec.V)) {
 			tree = append(tree, e)

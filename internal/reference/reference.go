@@ -15,6 +15,7 @@ package reference
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"mstadvice/internal/graph"
@@ -232,6 +233,55 @@ func Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
+}
+
+// FuzzPorts numbers the ports of a fuzz target's edges: each node's
+// incident edges, in edge order, are shuffled by one choice per port
+// read from next, so every port numbering can occur.
+func FuzzPorts(n int, edges []graph.Edge, next func() int) {
+	inc := make([][]*int32, n) // each node's port slots, in edge order
+	for i := range edges {
+		e := &edges[i]
+		inc[e.U] = append(inc[e.U], &e.PU)
+		inc[e.V] = append(inc[e.V], &e.PV)
+	}
+	for _, slots := range inc {
+		for i := len(slots) - 1; i > 0; i-- {
+			j := next() % (i + 1)
+			slots[i], slots[j] = slots[j], slots[i]
+		}
+		for p, slot := range slots {
+			*slot = int32(p)
+		}
+	}
+}
+
+// extremeIDs are the identifiers at the ends of the int64 range and at
+// ±2⁶², the largest powers of two inside it.
+var extremeIDs = [...]int64{math.MinInt64, -1 << 62, 1 << 62, math.MaxInt64}
+
+// FuzzIDs reads one identifier byte per node from next and gives the
+// n ≤ 32 nodes of a fuzz target distinct identifiers: bytes 0xfc–0xff
+// give the first node to ask for it math.MinInt64, −2⁶², 2⁶² or
+// math.MaxInt64; any other byte b, or a later ask, gives node u
+// b&0x7f·32 + u, negated less one when b ≥ 0x80. So identifiers can be
+// negative, extreme and in any order.
+func FuzzIDs(n int, next func() int) []int64 {
+	ids := make([]int64, n)
+	var taken [len(extremeIDs)]bool
+	for u := range ids {
+		b := next()
+		if k := b - 0xfc; k >= 0 && !taken[k] {
+			taken[k] = true
+			ids[u] = extremeIDs[k]
+			continue
+		}
+		ids[u] = int64(b&0x7f)<<5 | int64(u)
+		if b >= 0x80 {
+			ids[u] = -ids[u] - 1
+		}
+	}
+	return ids
 }
 
 // HierRounds is the hierarchical decoder's round count on an n-node
