@@ -20,6 +20,7 @@ package bitstring
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 )
 
@@ -225,32 +226,31 @@ type Arena struct {
 	wpc     int // words per string
 }
 
-// NewRaggedArena returns an arena of len(bits) empty strings where
-// string i has capacity for bits[i] bits, packed back to back into one
-// slab. It is the exact-size counterpart of NewArena for populations
-// with known, non-uniform lengths (the store codec): the slab is
-// Σ⌈bits[i]/64⌉ words, so a hostile length table can never make the
-// arena allocate more than a constant factor of the input that
-// declared it.
-func NewRaggedArena(bits []int) *Arena {
-	total := 0
-	for _, b := range bits {
-		if b > 0 {
-			total += (b + 63) / 64
-		}
+// NewRaggedArena returns an arena of one empty string per length bits
+// yields, where string i has capacity for the i-th length's bits,
+// packed back to back into one slab. It is the exact-size counterpart
+// of NewArena for populations with known, non-uniform lengths (the
+// store codec, which yields them from the encoded lengths instead of
+// keeping a copy): the slab is Σ⌈bits[i]/64⌉ words, so a hostile length
+// table can never make the arena allocate more than a constant factor
+// of the input that declared it. bits is ranged twice, to size the
+// slab and to carve it, and must yield the same lengths both times.
+func NewRaggedArena(bits iter.Seq[int]) *Arena {
+	count, total := 0, 0
+	for b := range bits {
+		count++
+		total += (max(b, 0) + 63) / 64
 	}
 	a := &Arena{
-		strings: make([]BitString, len(bits)),
+		strings: make([]BitString, count),
 		words:   make([]uint64, total),
 	}
-	off := 0
-	for i, b := range bits {
-		w := 0
-		if b > 0 {
-			w = (b + 63) / 64
-		}
+	i, off := 0, 0
+	for b := range bits {
+		w := (max(b, 0) + 63) / 64
 		a.strings[i].words = a.words[off : off : off+w]
 		off += w
+		i++
 	}
 	return a
 }

@@ -3,6 +3,7 @@ package bitstring
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -393,7 +394,7 @@ func TestLoadWordsPanicsOnShortInput(t *testing.T) {
 
 func TestNewRaggedArena(t *testing.T) {
 	lens := []int{0, 1, 63, 64, 65, 0, 200}
-	a := NewRaggedArena(lens)
+	a := NewRaggedArena(slices.Values(lens))
 	if len(a.strings) != len(lens) {
 		t.Fatalf("arena length %d, want %d", len(a.strings), len(lens))
 	}

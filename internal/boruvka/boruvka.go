@@ -405,21 +405,15 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 	m := g.M()
 	workers := par.Workers(opt.Workers)
 
-	// Global-order keys, computed once so selection comparisons are three
-	// scalar compares instead of repeated key construction.
-	keys := make([]graph.GlobalKey, m)
-	par.Ranges(workers, m, func(_, lo, hi int) {
-		for e := lo; e < hi; e++ {
-			keys[e] = g.Key(graph.EdgeID(e))
-		}
-	})
-	edgeLess := func(a, b int32) bool { return keys[a].Less(keys[b]) }
+	// One order word per edge (graph.OrderWords), computed once, so a
+	// selection compares two integers.
+	words := g.OrderWords(workers)
+	edgeLess := func(a, b int32) bool { return words[a] < words[b] }
 
-	// Live edge list with contracted endpoints. Before phase 1 fragments
-	// are singletons, so fragment IDs coincide with node IDs. liveBuf is
-	// the double buffer the parallel compaction ping-pongs into.
+	// Live edge list with contracted endpoints, compacted in place each
+	// phase. Before phase 1 fragments are singletons, so fragment IDs
+	// coincide with node IDs.
 	live := make([]liveEdge, m)
-	liveBuf := make([]liveEdge, m)
 	par.Ranges(workers, m, func(_, lo, hi int) {
 		for ei := lo; ei < hi; ei++ {
 			rec := g.Edge(graph.EdgeID(ei))
@@ -488,13 +482,10 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 				oldToNew[f] = rootFrag[r]
 			}
 			numFrags = int(newNum)
-			// Relabel the live list and drop intra-fragment edges: a
-			// two-pass chunked compaction into the double buffer. Chunk
-			// counts are indexed by chunk position (not executing worker),
-			// and each chunk writes survivors in order at its prefix-sum
-			// offset, so the compacted list is the sequential one for any
+			// Relabel the live list and drop intra-fragment edges, in
+			// place; the compacted list is the sequential one for any
 			// worker count or schedule.
-			live, liveBuf = compactLive(live, liveBuf, oldToNew, workers)
+			live = compactLive(live, oldToNew, workers)
 
 			if tower != nil {
 				// Snapshot the freshly contracted partition as tower level
@@ -651,54 +642,41 @@ func (d *Decomposition) rootTree(workers int) error {
 	return nil
 }
 
+// liveChunk is compactLive's chunk length, in live edges.
+const liveChunk = 8192
+
 // compactLive relabels the live list through oldToNew and drops
-// intra-fragment edges, writing the survivors into buf and returning
-// (buf[:k], old storage) for the caller to swap. The pass is chunked:
-// per-chunk survivor counts (indexed by chunk position, never by the
-// executing worker) prefix-sum into chunk write offsets, and each chunk
-// then scatters its survivors in order — output identical to the
-// sequential scan for any worker count. At one worker (or one chunk)
-// par.Ranges runs both passes inline.
-func compactLive(live, buf []liveEdge, oldToNew []int32, workers int) (out, spare []liveEdge) {
-	const chunk = 8192
+// intra-fragment edges, in place, returning the survivors as a prefix
+// of live. Each chunk compacts within its own range and counts its
+// survivors, in parallel; then, in chunk order, each chunk's survivors
+// move left to their prefix-sum offset. That offset never passes the
+// chunk's start, and every earlier chunk has already moved, so no
+// survivor is overwritten before it moves: the list is the sequential
+// scan's for any worker count. At one worker (or one chunk) par.Ranges
+// runs the first step inline.
+func compactLive(live []liveEdge, oldToNew []int32, workers int) []liveEdge {
 	nLive := len(live)
-	nChunks := (nLive + chunk - 1) / chunk
-	counts := make([]int32, nChunks+1)
-	par.Ranges(workers, nChunks, func(_, clo, chi int) {
+	counts := make([]int32, (nLive+liveChunk-1)/liveChunk)
+	par.Ranges(workers, len(counts), func(_, clo, chi int) {
 		for c := clo; c < chi; c++ {
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > nLive {
-				hi = nLive
-			}
-			cnt := int32(0)
-			for _, le := range live[lo:hi] {
-				if oldToNew[le.u] != oldToNew[le.v] {
-					cnt++
-				}
-			}
-			counts[c+1] = cnt
-		}
-	})
-	for c := 0; c < nChunks; c++ {
-		counts[c+1] += counts[c]
-	}
-	par.Ranges(workers, nChunks, func(_, clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > nLive {
-				hi = nLive
-			}
-			k := counts[c]
-			for _, le := range live[lo:hi] {
+			lo := c * liveChunk
+			k := lo
+			for _, le := range live[lo:min(lo+liveChunk, nLive)] {
 				nu, nv := oldToNew[le.u], oldToNew[le.v]
 				if nu != nv {
-					buf[k] = liveEdge{le.e, nu, nv}
+					live[k] = liveEdge{le.e, nu, nv}
 					k++
 				}
 			}
+			counts[c] = int32(k - lo)
 		}
 	})
-	return buf[:counts[nChunks]], live[:cap(live)]
+	k := 0
+	for c, cnt := range counts {
+		lo := c * liveChunk
+		k += copy(live[k:], live[lo:lo+int(cnt)])
+	}
+	return live[:k]
 }
 
 // partition is one phase's node-level fragment partition: fragOf maps

@@ -1,8 +1,10 @@
 package boruvka
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -216,6 +218,62 @@ func TestStreamPhaseResidency(t *testing.T) {
 	t.Logf("keeping 2 phases allocates %.2f MiB, keeping 6 allocates %.2f MiB", two, six)
 	if six-two > 2 {
 		t.Fatalf("keeping 6 phases allocates %.2f MiB more than keeping 2, limit 2 MiB", six-two)
+	}
+}
+
+// TestCompactLiveMatchesFilter holds the in-place compaction to a
+// naive filter that relabels every edge and keeps the inter-fragment
+// ones, in order. Lengths sit at, below and above multiples of the
+// chunk; each chunk keeps its edges at its own rate (none, all, or a
+// random share), so whole chunks vanish or stay between moving ones,
+// and with three chunks or more a chunk's target overlaps the
+// survivors of the chunk before it; the rows that map every fragment
+// to one keep nothing. Every length runs three draws. Worker counts
+// above GOMAXPROCS are deliberate, as in the determinism test.
+func TestCompactLiveMatchesFilter(t *testing.T) {
+	const frags = 64 // fragments f and f^1 merge, unless all merge
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 5, liveChunk - 1, liveChunk, liveChunk + 1, 2*liveChunk - 1, 2 * liveChunk, 2*liveChunk + 1, 3*liveChunk + 100, 5*liveChunk - 1, 5 * liveChunk} {
+		for _, allMerge := range []bool{false, false, false, true} {
+			oldToNew := make([]int32, frags)
+			for f := range oldToNew {
+				if !allMerge {
+					oldToNew[f] = int32(f / 2)
+				}
+			}
+			in := make([]liveEdge, n)
+			keep := 0.0
+			for i := range in {
+				if i%liveChunk == 0 {
+					keep = []float64{0, 1, rng.Float64()}[rng.Intn(3)]
+				}
+				u := rng.Intn(frags)
+				v := u ^ 1 // inside u's new fragment
+				if rng.Float64() < keep {
+					v = 2*((u/2+1+rng.Intn(frags/2-1))%(frags/2)) + rng.Intn(2)
+				}
+				in[i] = liveEdge{int32(i), int32(u), int32(v)}
+			}
+			var want []liveEdge
+			for _, le := range in {
+				if nu, nv := oldToNew[le.u], oldToNew[le.v]; nu != nv {
+					want = append(want, liveEdge{le.e, nu, nv})
+				}
+			}
+			if allMerge && len(want) != 0 {
+				t.Fatalf("n=%d: merging every fragment keeps %d edges", n, len(want))
+			}
+			for _, workers := range []int{1, 2, 8} {
+				live := slices.Clone(in)
+				got := compactLive(live, oldToNew, workers)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d allMerge=%v, %d workers: %d survivors differ from the filter's %d", n, allMerge, workers, len(got), len(want))
+				}
+				if len(got) > 0 && &got[0] != &live[0] {
+					t.Fatalf("n=%d allMerge=%v, %d workers: the survivors are not a prefix of the list", n, allMerge, workers)
+				}
+			}
+		}
 	}
 }
 

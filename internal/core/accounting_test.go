@@ -127,11 +127,13 @@ func TestDecoderAccountingGolden(t *testing.T) {
 
 // TestDecoderAllocations bounds what one decode allocates: the strict
 // decoder on a seeded random graph with n = 2·10⁴, on the round engine,
-// must stay within 10% of its measured heap allocations, 23.3 MiB on a
-// 2-core host (25.1 MiB under the race detector). With a send buffer per
-// node, and a schedule copy in each, it allocated 27.1 MiB (28.9 MiB), so
-// they fail; so does a decoder that keeps a tree of its subtree at every
-// node (50 MiB).
+// must stay within 10% of its measured heap allocations, 21.8 MiB on a
+// 2-core host (23.6 MiB under the race detector), with each node's
+// per-port state in one 24-byte-a-port slice. Three per-port slices
+// (far identifier, far port, window state) allocated 23.3 MiB
+// (25.1 MiB). With a send buffer per node, and a schedule copy in each,
+// it allocated 27.1 MiB (28.9 MiB), so they fail; so does a decoder
+// that keeps a tree of its subtree at every node (50 MiB).
 func TestDecoderAllocations(t *testing.T) {
 	g, err := gen.BuildSeeded("random", 20_000, 5, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	if err != nil {
@@ -152,9 +154,9 @@ func TestDecoderAllocations(t *testing.T) {
 	if res.ParentPorts[0] != -1 {
 		t.Fatalf("root has parent port %d", res.ParentPorts[0])
 	}
-	limit := 1.1 * 23.3 * (1 << 20)
+	limit := 1.1 * 21.8 * (1 << 20)
 	if raceEnabled {
-		limit = 1.1 * 25.1 * (1 << 20)
+		limit = 1.1 * 23.6 * (1 << 20)
 	}
 	got := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("decode allocated %.1f MiB", got/(1<<20))
@@ -166,15 +168,19 @@ func TestDecoderAllocations(t *testing.T) {
 // TestOracleRetainedHeap bounds what one oracle run keeps and what it
 // allocates: for a seeded random graph with n = 10⁵, built on one
 // worker, the AdviceDetail must retain at most 6.5 MiB of heap once the
-// run's garbage is collected, and the run may allocate at most 37.8 MiB.
-// Writing each string once, into one arena of (Cap+1)-bit strings, and
-// copying the final carriers into one slab retains 4.76 MiB on a 2-core
-// host (the same under the race detector); the former layout, which
-// also kept the packed arena, the final-bit array and the per-node
-// counter, retained 9.73 MiB, so a second per-node arena fails.
-// Holding one phase's node-level working set at a time, with 32-bit
-// fragment IDs and union-find arrays, the run allocates 34.37 MiB; with
-// every kept phase's partition resident it allocated 55.63 MiB.
+// run's garbage is collected, and the run may allocate at most
+// 1.1 × 27.5 MiB. Writing each string once, into one arena of
+// (Cap+1)-bit strings, and copying the final carriers into one slab
+// retains 4.76 MiB on a 2-core host (the same under the race detector);
+// the former layout, which also kept the packed arena, the final-bit
+// array and the per-node counter, retained 9.73 MiB, so a second
+// per-node arena fails. Holding one phase's node-level working set at a
+// time, with 32-bit fragment IDs and union-find arrays, one 8-byte
+// order word per edge and a live list compacted in place, the run
+// allocates 27.50 MiB (27.51 under the race detector). With a 24-byte
+// GlobalKey per edge and a double-buffered live list it allocated
+// 34.37 MiB, and either alone fails; with every kept phase's partition
+// resident as well, 55.63 MiB.
 func TestOracleRetainedHeap(t *testing.T) {
 	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
 	var before, after runtime.MemStats
@@ -190,7 +196,7 @@ func TestOracleRetainedHeap(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(g)
 	runtime.KeepAlive(d)
-	const limit, allocLimit = 6.5 * (1 << 20), 37.8 * (1 << 20)
+	const limit, allocLimit = 6.5 * (1 << 20), 1.1 * 27.5 * (1 << 20)
 	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	allocated := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("oracle allocated %.2f MiB, retains %.2f MiB", allocated/(1<<20), retained/(1<<20))

@@ -18,10 +18,6 @@ import (
 type node struct {
 	sched *Schedule // shared by every node of the network, never written
 
-	// Learned in the setup round.
-	nbrID   []int64
-	nbrPort []int
-
 	// Fragment tree state.
 	parentPort int
 
@@ -29,8 +25,10 @@ type node struct {
 	// advice[1:]; bit 0 is the final-stage bit).
 	cons int
 
-	// Per-window, per-port state, generation-stamped so windowStart resets
-	// it in O(1) instead of reallocating maps (see portState).
+	// Per-port state, one allocation: the far side learned in the setup
+	// round, and the per-window entries, generation-stamped so
+	// windowStart resets them in O(1) instead of reallocating maps (see
+	// portState).
 	wnum  uint32
 	nkids int32
 	ports []portState
@@ -50,8 +48,6 @@ type node struct {
 func newNode(view *sim.NodeView, cap int) *node {
 	return &node{
 		sched:      sharedSchedule(view.N, cap),
-		nbrID:      make([]int64, view.Deg),
-		nbrPort:    make([]int, view.Deg),
 		parentPort: -1,
 		wnum:       1, // stamps start at zero, so no port is a child yet
 		ports:      make([]portState, view.Deg),
@@ -74,12 +70,22 @@ func sharedSchedule(n, cap int) *Schedule {
 	return &s
 }
 
-// portState is one port's per-window state: the port is a child iff
-// child == wnum, and level is the fragment level reported on it iff
-// levelWin == wnum.
+// portState is one port's state, 24 bytes: the far side the ID
+// exchange reports (the neighbour's identifier and its port there), and
+// the per-window entries: the port is a child iff child == wnum, and
+// level is the fragment level reported on it iff levelWin == wnum.
 type portState struct {
+	farID           int64
+	farPort         int32
 	child, levelWin uint32
 	level           int32
+}
+
+// far returns the far side of port p: the neighbour's identifier and
+// its port there.
+func (n *node) far(p int) (int64, int) {
+	ps := &n.ports[p]
+	return ps.farID, int(ps.farPort)
 }
 
 // isChild reports whether port p announced as a child this window.
@@ -130,8 +136,8 @@ func (n *node) Output() (int, bool) { return n.parentPort, n.done }
 func (n *node) receive(view *sim.NodeView, rcv sim.Received, sends []sim.Send) []sim.Send {
 	switch m := rcv.Msg.(type) {
 	case *idMsg:
-		n.nbrID[rcv.Port] = m.ID
-		n.nbrPort[rcv.Port] = m.Port
+		ps := &n.ports[rcv.Port]
+		ps.farID, ps.farPort = m.ID, int32(m.Port)
 		return sends
 
 	case announceMsg:
@@ -253,7 +259,7 @@ func (n *node) phaseSlot(i, slot int, view *sim.NodeView, sends []sim.Send) []si
 func (n *node) open(view *sim.NodeView, final bool, sends []sim.Send) []sim.Send {
 	own := convergecast.Rec{ID: view.ID, Bits: view.Advice, ChildCount: -1}
 	if n.parentPort != -1 {
-		own.ParentID = n.nbrID[n.parentPort]
+		own.ParentID = n.ports[n.parentPort].farID
 	}
 	charge := phaseCharge
 	if final {
@@ -343,7 +349,8 @@ func (n *node) choose(view *sim.NodeView, sends []sim.Send) []sim.Send {
 		if lvl, ok := n.levelAt(p); ok && lvl == n.myLevel {
 			continue
 		}
-		key := localorder.KeyAt(view.PortW[p], view.ID, p, n.nbrID[p], n.nbrPort[p])
+		farID, farPort := n.far(p)
+		key := localorder.KeyAt(view.PortW[p], view.ID, p, farID, farPort)
 		if best == -1 || key.Less(bestKey) {
 			best, bestKey = p, key
 		}
@@ -404,7 +411,7 @@ func (n *node) decodeFinal(view *sim.NodeView) {
 	if value == 1<<uint(width)-1 {
 		return // all-ones marker: this node is the MST root
 	}
-	port, ok := localorder.GlobalRankToPort(view.PortW, view.ID, n.nbrID, n.nbrPort, int(value))
+	port, ok := localorder.GlobalRankToPort(view.PortW, view.ID, n.far, int(value))
 	if !ok {
 		panic(fmt.Sprintf("core: final rank %d out of range for degree %d", value, view.Deg))
 	}

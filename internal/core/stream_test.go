@@ -148,7 +148,7 @@ func (f *fragment) converge(t *testing.T, limit int, final bool, deliver deliver
 		n := newNode(f.views[v], DefaultCap)
 		if v > 0 {
 			n.parentPort = f.up[v]
-			n.nbrID[f.up[v]] = f.views[f.parent[v]].ID // the identifier exchange
+			n.ports[f.up[v]].farID = f.views[f.parent[v]].ID // the identifier exchange
 		}
 		n.windowStart(f.views[v], nil)
 		r.nodes[v] = n

@@ -258,13 +258,11 @@ func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 
 // GlobalOrder returns every edge ID, ascending in the global order. It
 // is the one implementation of that order over all edges: Kruskal and
-// the sensitivity oracle walk it. Each edge becomes one packed word —
-// weight minus the least weight, the rank of its smaller-ID endpoint
-// among all IDs (from the packed ID sort validate runs), the port there
-// — and the words go through par.SortU64 on par.Workers(0) workers. A
-// word names its edge, as the port at a node does, so no edge ID rides
-// along. Graphs whose IDs do not fit int32, or whose fields need more
-// than 64 bits together, take a comparison sort over Key instead.
+// the sensitivity oracle walk it. It radix-sorts the packed order words
+// (OrderWords) with par.SortU64 on par.Workers(0) workers; a word names
+// its edge, as the port at a node does, so no edge ID rides along.
+// Graphs whose fields the packed word cannot hold take a comparison
+// sort over Key instead.
 func (g *Graph) GlobalOrder() []EdgeID {
 	order, _ := g.globalOrder(0)
 	return order
@@ -274,9 +272,53 @@ func (g *Graph) GlobalOrder() []EdgeID {
 // reports whether the packed words were sorted (false on the
 // comparison fallback).
 func (g *Graph) globalOrder(workers int) (order []EdgeID, radix bool) {
-	m := len(g.edges)
+	ow := g.orderWords(workers)
+	if ow.order != nil {
+		return ow.order, false
+	}
+	m := len(ow.words)
 	if m == 0 {
 		return nil, true
+	}
+	par.SortU64(workers, ow.words)
+	portMask := uint64(1)<<ow.portBits - 1
+	order = make([]EdgeID, m)
+	par.Ranges(par.WorkersFor(workers, m), m, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w := ow.words[i]
+			u := uint32(ow.idWords[(w>>ow.portBits)&(1<<ow.rankBits-1)])
+			order[i] = g.adj[g.off[u]+int32(w&portMask)]
+		}
+	})
+	return order, true
+}
+
+// OrderWords returns one word per edge, indexed by EdgeID, whose
+// unsigned order is the global order: words[a] < words[b] exactly when
+// Key(a).Less(Key(b)). The word packs weight minus the least weight,
+// the rank of the smaller-ID endpoint among all IDs, and the port
+// there; on graphs whose IDs do not fit int32, or whose three fields
+// need more than 64 bits together, it is instead the edge's position
+// in a comparison sort over Key. The Borůvka phase kernel compares
+// these words; GlobalOrder sorts them.
+func (g *Graph) OrderWords(workers int) []uint64 { return g.orderWords(workers).words }
+
+// orderWords is every edge's order word, unsorted, and what it takes to
+// read an edge back from a packed word: the sorted ID words (the node
+// at ID rank r is the low half of idWords[r]) and the widths of the
+// rank and port fields. On the comparison fallback, order is the sorted
+// edge list and words[e] is e's position in it.
+type orderWords struct {
+	words              []uint64
+	idWords            []uint64
+	rankBits, portBits uint
+	order              []EdgeID
+}
+
+func (g *Graph) orderWords(workers int) orderWords {
+	m := len(g.edges)
+	if m == 0 {
+		return orderWords{}
 	}
 	minW, maxW := g.edges[0].W, g.edges[0].W
 	for _, e := range g.edges {
@@ -292,18 +334,23 @@ func (g *Graph) globalOrder(workers int) (order []EdgeID, radix bool) {
 	if fits {
 		idWords, fits = g.sortedIDWords(workers)
 	}
+	words := make([]uint64, m)
+	edgeWorkers := par.WorkersFor(workers, m)
 	if !fits {
-		return comparatorOrder(g), false
+		order := comparatorOrder(g)
+		par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				words[order[i]] = uint64(i)
+			}
+		})
+		return orderWords{words: words, order: order}
 	}
-	// The node at ID rank r is the low half of idWords[r].
 	rank := make([]int32, len(idWords))
 	par.Ranges(par.WorkersFor(workers, len(idWords)), len(idWords), func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			rank[uint32(idWords[r])] = int32(r)
 		}
 	})
-	words := make([]uint64, m)
-	edgeWorkers := par.WorkersFor(workers, m)
 	par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := &g.edges[i]
@@ -314,17 +361,7 @@ func (g *Graph) globalOrder(workers int) (order []EdgeID, radix bool) {
 			words[i] = (uint64(e.W)-uint64(minW))<<(rankBits+portBits) | uint64(r)<<portBits | uint64(p)
 		}
 	})
-	par.SortU64(workers, words)
-	portMask := uint64(1)<<portBits - 1
-	order = make([]EdgeID, m)
-	par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			w := words[i]
-			u := uint32(idWords[(w>>portBits)&(1<<rankBits-1)])
-			order[i] = g.adj[g.off[u]+int32(w&portMask)]
-		}
-	})
-	return order, true
+	return orderWords{words: words, idWords: idWords, rankBits: rankBits, portBits: portBits}
 }
 
 // comparatorOrder sorts every edge ID by comparing Keys: GlobalOrder's
@@ -409,7 +446,7 @@ func (g *Graph) BFS(src NodeID) (dist []int, parentPort []int) {
 // do, and the node in the low half — and radix-sorts the words, so the
 // node whose ID has rank r is the low half of word r. ok is false, and
 // nothing is sorted, when some ID does not fit int32. validate's
-// duplicate-ID check and GlobalOrder's endpoint ranks both read it.
+// duplicate-ID check and the order words' endpoint ranks both read it.
 func (g *Graph) sortedIDWords(workers int) (words []uint64, ok bool) {
 	for _, id := range g.ids {
 		if id < -1<<31 || id > 1<<31-1 {

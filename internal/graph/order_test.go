@@ -26,12 +26,28 @@ func keySort(g *graph.Graph) []graph.EdgeID {
 	return order
 }
 
-// TestGlobalOrder holds GlobalOrder to the comparison sort on every
-// seeded family, weight mode, size and worker count. Every seeded
-// graph fits the packed word, so each row also checks that the radix
-// path ran; at n = 300 the denser families pass par.SortU64's
-// parallel threshold. At n = 64 the check is repeated after deleting
-// half the non-tree edges, which frees CSR slots and moves ports.
+// wordsAscend reports whether the order words rise strictly along the
+// key sort's order: then words[a] < words[b] exactly when Key(a)
+// precedes Key(b), for every pair of edges.
+func wordsAscend(words []uint64, keyOrder []graph.EdgeID) bool {
+	if len(words) != len(keyOrder) {
+		return false
+	}
+	for i := 1; i < len(keyOrder); i++ {
+		if words[keyOrder[i-1]] >= words[keyOrder[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGlobalOrder holds GlobalOrder, and the unsorted order words it
+// sorts, to the comparison sort on every seeded family, weight mode,
+// size and worker count. Every seeded graph fits the packed word, so
+// each row also checks that the radix path ran; at n = 300 the denser
+// families pass par.SortU64's parallel threshold. At n = 64 the check
+// is repeated after deleting half the non-tree edges, which frees CSR
+// slots and moves ports.
 func TestGlobalOrder(t *testing.T) {
 	for _, fam := range gen.Names() {
 		for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
@@ -51,6 +67,9 @@ func TestGlobalOrder(t *testing.T) {
 						if !radix || !slices.Equal(got, want) {
 							t.Fatalf("%s/%v/n=%d %s, %d workers: radix=%v, equal=%v", fam, mode, n, stage, workers, radix, slices.Equal(got, want))
 						}
+						if !wordsAscend(g.OrderWords(workers), want) {
+							t.Fatalf("%s/%v/n=%d %s, %d workers: the order words do not order the edges as Key does", fam, mode, n, stage, workers)
+						}
 					}
 				}
 				check("as built")
@@ -69,7 +88,8 @@ func TestGlobalOrder(t *testing.T) {
 }
 
 // TestGlobalOrderFallback pins which graphs take the packed radix path
-// and which the comparison fallback, and holds both to the key sort.
+// and which the comparison fallback, and holds both, with their order
+// words, to the key sort.
 // K4 has rank and port fields of 2 bits each, so a weight span of
 // 2⁶⁰ − 1 fills the 64-bit word exactly and 2⁶⁰ overflows it.
 func TestGlobalOrderFallback(t *testing.T) {
@@ -105,15 +125,19 @@ func TestGlobalOrderFallback(t *testing.T) {
 			if radix != c.radix || !slices.Equal(got, want) {
 				t.Errorf("%s, %d workers: order %v radix=%v, want %v radix=%v", c.name, workers, got, radix, want, c.radix)
 			}
+			if words := c.g.OrderWords(workers); !wordsAscend(words, want) {
+				t.Errorf("%s, %d workers: order words %v do not rise along %v", c.name, workers, words, want)
+			}
 		}
 	}
-	if got := reference.MustBuild(graph.NewBuilder(0)).GlobalOrder(); len(got) != 0 {
-		t.Errorf("empty graph: order %v", got)
+	empty := reference.MustBuild(graph.NewBuilder(0))
+	if got, words := empty.GlobalOrder(), empty.OrderWords(1); len(got) != 0 || len(words) != 0 {
+		t.Errorf("empty graph: order %v, words %v", got, words)
 	}
 }
 
-// FuzzGlobalOrder holds GlobalOrder to the key sort on graphs read from
-// the input through graph.FromEdgeList. Byte 0 gives n − 1 (n ≤ 64)
+// FuzzGlobalOrder holds GlobalOrder and the order words to the key sort
+// on graphs read from the input through graph.FromEdgeList. Byte 0 gives n − 1 (n ≤ 64)
 // and byte 1 the width in bytes of every identifier (1–8, sign-
 // extended, so every int64 can occur; duplicates are rejected by the
 // builder and skipped); then the identifiers; then an edge count and a
@@ -182,8 +206,12 @@ func FuzzGlobalOrder(f *testing.F) {
 		if err != nil {
 			return // duplicate identifiers
 		}
-		if got, want := g.GlobalOrder(), keySort(g); !slices.Equal(got, want) {
+		want := keySort(g)
+		if got := g.GlobalOrder(); !slices.Equal(got, want) {
 			t.Fatalf("GlobalOrder %v, key sort %v", got, want)
+		}
+		if words := g.OrderWords(1); !wordsAscend(words, want) {
+			t.Fatalf("order words %v do not rise along the key sort %v", words, want)
 		}
 	})
 }

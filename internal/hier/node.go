@@ -116,9 +116,12 @@ func (n *node) resolve(view *sim.NodeView) {
 		n.parentPort = -1 // global root
 		return
 	}
-	if p, ok := localorder.GlobalRankToPort(view.PortW, view.ID, n.nbrID, n.nbrPort, int(value)); ok {
+	if p, ok := localorder.GlobalRankToPort(view.PortW, view.ID, n.far, int(value)); ok {
 		n.parentPort = p
 	}
 }
+
+// far returns the far side of port p the hello exchange reported.
+func (n *node) far(p int) (int64, int) { return n.nbrID[p], n.nbrPort[p] }
 
 func (n *node) Output() (int, bool) { return n.parentPort, n.done }

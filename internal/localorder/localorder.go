@@ -59,12 +59,14 @@ func KeyAt(w graph.Weight, selfID int64, selfPort int, nbrID int64, nbrPort int)
 	return graph.GlobalKey{W: w, MinID: nbrID, PortAtMin: nbrPort}
 }
 
-// PortsByGlobal returns the ports sorted by the global order. nbrID[p] and
-// nbrPort[p] describe the far side of the edge at port p.
-func PortsByGlobal(portW []graph.Weight, selfID int64, nbrID []int64, nbrPort []int) []int {
+// PortsByGlobal returns the ports sorted by the global order. far(p)
+// gives the far side of the edge at port p, as the ID exchange reports
+// it: the neighbour's identifier and its port there.
+func PortsByGlobal(portW []graph.Weight, selfID int64, far func(p int) (int64, int)) []int {
 	keys := make([]graph.GlobalKey, len(portW))
 	for p := range portW {
-		keys[p] = KeyAt(portW[p], selfID, p, nbrID[p], nbrPort[p])
+		nbrID, nbrPort := far(p)
+		keys[p] = KeyAt(portW[p], selfID, p, nbrID, nbrPort)
 	}
 	ports := make([]int, len(portW))
 	for i := range ports {
@@ -83,10 +85,11 @@ func PortsByGlobal(portW []graph.Weight, selfID int64, nbrID []int64, nbrPort []
 	return ports
 }
 
-// GlobalRankToPort maps a 0-based global rank to its port.
-func GlobalRankToPort(portW []graph.Weight, selfID int64, nbrID []int64, nbrPort []int, rank int) (int, bool) {
+// GlobalRankToPort maps a 0-based global rank to its port; far is as
+// for PortsByGlobal.
+func GlobalRankToPort(portW []graph.Weight, selfID int64, far func(p int) (int64, int), rank int) (int, bool) {
 	if rank < 0 || rank >= len(portW) {
 		return 0, false
 	}
-	return PortsByGlobal(portW, selfID, nbrID, nbrPort)[rank], true
+	return PortsByGlobal(portW, selfID, far)[rank], true
 }

@@ -65,8 +65,9 @@ func TestGlobalAgreesWithGraph(t *testing.T) {
 		g := seeded(t, "random", 12, uint64(200+trial), mode)
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, selfID, nbrID, nbrPort := viewOf(g, u)
+			far := func(p int) (int64, int) { return nbrID[p], nbrPort[p] }
 			want := reference.PortsByGlobalOrder(g, u)
-			got := PortsByGlobal(portW, selfID, nbrID, nbrPort)
+			got := PortsByGlobal(portW, selfID, far)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d node %d: global order %v != %v", trial, u, got, want)
@@ -79,7 +80,7 @@ func TestGlobalAgreesWithGraph(t *testing.T) {
 				}
 			}
 			for rank := range want {
-				back, ok := GlobalRankToPort(portW, selfID, nbrID, nbrPort, rank)
+				back, ok := GlobalRankToPort(portW, selfID, far, rank)
 				if !ok || back != want[rank] {
 					t.Fatalf("trial %d node %d: global rank->port failed", trial, u)
 				}
@@ -96,7 +97,8 @@ func TestOutOfRangeRanks(t *testing.T) {
 	if _, ok := LocalRankToPort(portW, 2); ok {
 		t.Error("overflow rank accepted")
 	}
-	if _, ok := GlobalRankToPort(portW, 5, []int64{1, 2}, []int{0, 0}, 7); ok {
+	far := func(p int) (int64, int) { return []int64{1, 2}[p], 0 }
+	if _, ok := GlobalRankToPort(portW, 5, far, 7); ok {
 		t.Error("overflow global rank accepted")
 	}
 }
@@ -105,7 +107,7 @@ func TestEmptyView(t *testing.T) {
 	if got := PortsByLocal(nil); len(got) != 0 {
 		t.Error("empty view should give empty order")
 	}
-	if got := PortsByGlobal(nil, 1, nil, nil); len(got) != 0 {
+	if got := PortsByGlobal(nil, 1, nil); len(got) != 0 {
 		t.Error("empty view should give empty order")
 	}
 }

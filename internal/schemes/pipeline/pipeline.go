@@ -241,7 +241,7 @@ func (n *node) receive(view *sim.NodeView, rcv sim.Received) {
 // prepareUpcast sorts this node's incident edges by the global order.
 func (n *node) prepareUpcast(view *sim.NodeView) {
 	n.filter = newIDDSU()
-	ports := localorder.PortsByGlobal(view.PortW, view.ID, n.nbrID, n.nbrPort)
+	ports := localorder.PortsByGlobal(view.PortW, view.ID, func(p int) (int64, int) { return n.nbrID[p], n.nbrPort[p] })
 	for _, p := range ports {
 		rec := edgeRec{AID: view.ID, APort: p, BID: n.nbrID[p], BPort: n.nbrPort[p], W: view.PortW[p]}
 		if rec.AID > rec.BID {

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -186,11 +188,15 @@ func assertTiersEqual(t *testing.T, got, want []Tier) {
 	}
 }
 
-// TestEncodeSizesExactly pins Encode's sizing pass: across the store
-// matrix (version 2, version 3 with a tier, no advice, a bare tier) and
-// a seeded graph whose IDs, ports and weights take multi-byte varints,
-// the blob is allocated once, at exactly its length.
-func TestEncodeSizesExactly(t *testing.T) {
+// matrixRows is the store matrix: version 2, version 3 with a tier,
+// no advice, a bare tier, a seeded graph whose IDs, ports and weights
+// take multi-byte varints, and that graph with ragged advice of 0–400
+// bits a node, whose ≈125 KB of packed bits cross the streaming
+// encoder's flushes at odd bit offsets.
+func matrixRows(t *testing.T) []struct {
+	name string
+	s    *Snapshot
+} {
 	v2 := legacySnapshot(t)
 	v2.Version = 2
 	noAdvice := legacySnapshot(t)
@@ -199,7 +205,17 @@ func TestEncodeSizesExactly(t *testing.T) {
 	bareTier.Tiers[0].Advice = nil
 	big := buildSnapshot(t, "random", 5000, 3, gen.WeightsDistinct)
 	big.Root = 4321
-	for _, c := range []struct {
+	rng := rand.New(rand.NewSource(5))
+	ragged := &Snapshot{Graph: big.Graph, Root: big.Root, Cap: 400, Advice: make([]*bitstring.BitString, big.Graph.N())}
+	for u := range ragged.Advice {
+		bits := rng.Intn(401)
+		s := bitstring.New(bits)
+		for range bits {
+			s.AppendBit(rng.Intn(2) == 1)
+		}
+		ragged.Advice[u] = s
+	}
+	return []struct {
 		name string
 		s    *Snapshot
 	}{
@@ -209,7 +225,14 @@ func TestEncodeSizesExactly(t *testing.T) {
 		{"no advice", noAdvice},
 		{"bare tier", bareTier},
 		{"seeded", big},
-	} {
+		{"ragged", ragged},
+	}
+}
+
+// TestEncodeSizesExactly pins Encode's sizing pass: across the store
+// matrix the blob is allocated once, at exactly its length.
+func TestEncodeSizesExactly(t *testing.T) {
+	for _, c := range matrixRows(t) {
 		blob, err := Encode(c.s)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -217,5 +240,46 @@ func TestEncodeSizesExactly(t *testing.T) {
 		if cap(blob) != len(blob) {
 			t.Fatalf("%s: Encode reserved %d bytes for a %d-byte blob", c.name, cap(blob), len(blob))
 		}
+	}
+}
+
+// TestSaveMatchesEncode holds the streaming Save to Encode: across the
+// store matrix the saved file is Encode's bytes. It also bounds one
+// Save of a seeded snapshot with n = 10⁵ (≈4 MB on disk) to 1 MiB of
+// heap: the encoder's 72 KiB buffer and the file handles, where
+// encoding the whole file first allocated its full length.
+func TestSaveMatchesEncode(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range matrixRows(t) {
+		blob, err := Encode(c.s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		path := filepath.Join(dir, "row.mstadv")
+		if err := Save(path, c.s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, blob) {
+			t.Fatalf("%s: Save wrote %d bytes that differ from Encode's %d", c.name, len(file), len(blob))
+		}
+	}
+	s := buildSnapshot(t, "random", 100_000, 9, gen.WeightsDistinct)
+	path := filepath.Join(dir, "1e5.mstadv")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := Save(path, s)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Save at n = 10⁵ allocated %.1f KiB", got/(1<<10))
+	if got > 1<<20 {
+		t.Fatalf("Save at n = 10⁵ allocated %.2f MiB, limit 1 MiB", got/(1<<20))
 	}
 }

@@ -71,9 +71,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
-	"slices"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
@@ -161,26 +161,44 @@ type Tier struct {
 const maxReasonable = 1 << 28
 
 // Encode serialises the snapshot in the version Snapshot.Version
-// selects (0 means current).
+// selects (0 means current), into one buffer of exactly its length.
 func Encode(s *Snapshot) ([]byte, error) {
+	h, err := newHeader(s)
+	if err != nil {
+		return nil, err
+	}
+	var e encoder
+	return e.snapshot(make([]byte, 0, h.size(s)), s, h)
+}
+
+// header is what Encode and Save settle before writing a byte: the
+// format version, the problem name and the encoded per-problem payload.
+type header struct {
+	version int
+	prob    string
+	payload [binary.MaxVarintLen64]byte
+	plen    int
+}
+
+// newHeader validates s and settles its header.
+func newHeader(s *Snapshot) (*header, error) {
 	if s == nil || s.Graph == nil {
 		return nil, fmt.Errorf("store: nil snapshot")
 	}
-	version := s.Version
-	if version == 0 {
-		version = 3
+	h := &header{version: s.Version, prob: s.Problem}
+	if h.version == 0 {
+		h.version = 3
 	}
-	switch version {
+	switch h.version {
 	case 3:
 	case 2:
 		if len(s.Tiers) > 0 {
 			return nil, fmt.Errorf("store: version 2 cannot hold %d tiers", len(s.Tiers))
 		}
 	default:
-		return nil, fmt.Errorf("store: cannot encode version %d (writable: 2, 3)", version)
+		return nil, fmt.Errorf("store: cannot encode version %d (writable: 2, 3)", h.version)
 	}
-	g := s.Graph
-	n, m := g.N(), g.M()
+	n := s.Graph.N()
 	if s.Advice != nil && len(s.Advice) != n {
 		return nil, fmt.Errorf("store: %d advice strings for %d nodes", len(s.Advice), n)
 	}
@@ -190,78 +208,135 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if s.Cap < 0 {
 		return nil, fmt.Errorf("store: negative cap %d", s.Cap)
 	}
-	prob := s.Problem
-	if prob == "" {
-		prob = "mst"
+	if h.prob == "" {
+		h.prob = "mst"
 	}
-	if len(prob) > maxProblemName {
-		return nil, fmt.Errorf("store: problem name %q longer than %d bytes", prob, maxProblemName)
+	if len(h.prob) > maxProblemName {
+		return nil, fmt.Errorf("store: problem name %q longer than %d bytes", h.prob, maxProblemName)
 	}
 	// Per-problem payload: today a single varint, the oracle parameter.
-	var payload [binary.MaxVarintLen64]byte
-	plen := binary.PutUvarint(payload[:], uint64(s.Cap))
-	// A sizing pass over the fields written below, so the buffer is
-	// allocated once at its exact length.
-	size := len(magic) + uvarintLen(uint64(n)) + uvarintLen(uint64(m)) + uvarintLen(uint64(s.Root)) +
-		uvarintLen(uint64(len(prob))) + len(prob) + uvarintLen(uint64(plen)) + plen +
-		graphBodyLen(g) + adviceSectionLen(s.Advice) + 4
-	if version == 3 {
+	h.plen = binary.PutUvarint(h.payload[:], uint64(s.Cap))
+	if h.version == 3 {
 		if err := checkTiers(s); err != nil {
 			return nil, err
 		}
+	}
+	return h, nil
+}
+
+// size is the length of s's encoding, footer included: a sizing pass
+// over the fields encoder.snapshot writes, so Encode allocates its
+// buffer once.
+func (h *header) size(s *Snapshot) int {
+	g := s.Graph
+	size := len(magic) + uvarintLen(uint64(g.N())) + uvarintLen(uint64(g.M())) + uvarintLen(uint64(s.Root)) +
+		uvarintLen(uint64(len(h.prob))) + len(h.prob) + uvarintLen(uint64(h.plen)) + h.plen +
+		graphBodyLen(g) + adviceSectionLen(s.Advice) + 4
+	if h.version == 3 {
 		size += tiersLen(s)
 	}
-	buf := make([]byte, 0, size)
-	if version == 2 {
+	return size
+}
+
+// flushAt is the streaming encoder's write size: Save hands its file
+// the snapshot in writes of about flushAt bytes.
+const flushAt = 64 << 10
+
+// encoder is the snapshot codec's one writer, with two sinks: its
+// methods append to a buffer and return it, as the append functions of
+// encoding/binary do. With a sink (Save), spill hands the buffer to the
+// sink whenever it holds flushAt bytes, so it stays small; without one
+// (Encode), the buffer grows to the whole encoding. crc covers the
+// bytes already handed over; finish adds the rest and the footer.
+type encoder struct {
+	sink io.Writer
+	crc  uint32
+	err  error // the sink's first write error; later writes are dropped
+}
+
+// spill hands buf to the sink once it holds flushAt bytes and returns
+// the buffer to append to next. It is small enough to inline into the
+// per-record loops; write is the rare slow path.
+func (e *encoder) spill(buf []byte) []byte {
+	if e.sink == nil || len(buf) < flushAt {
+		return buf
+	}
+	return e.write(buf)
+}
+
+// write hashes buf, writes it to the sink and returns it emptied.
+func (e *encoder) write(buf []byte) []byte {
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, buf)
+	if e.err == nil {
+		_, e.err = e.sink.Write(buf)
+	}
+	return buf[:0]
+}
+
+// finish appends the CRC footer and, with a sink, writes what buf
+// holds.
+func (e *encoder) finish(buf []byte) ([]byte, error) {
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, buf)
+	buf = binary.LittleEndian.AppendUint32(buf, e.crc)
+	if e.sink != nil && e.err == nil {
+		_, e.err = e.sink.Write(buf)
+	}
+	return buf, e.err
+}
+
+// snapshot writes s, whose header newHeader settled, and the footer.
+func (e *encoder) snapshot(buf []byte, s *Snapshot, h *header) ([]byte, error) {
+	g := s.Graph
+	if h.version == 2 {
 		buf = append(buf, magicV2[:]...)
 	} else {
 		buf = append(buf, magic[:]...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(m))
+	buf = binary.AppendUvarint(buf, uint64(g.N()))
+	buf = binary.AppendUvarint(buf, uint64(g.M()))
 	buf = binary.AppendUvarint(buf, uint64(s.Root))
-	buf = AppendString(buf, prob)
-	buf = binary.AppendUvarint(buf, uint64(plen))
-	buf = append(buf, payload[:plen]...)
-	buf, err := appendGraphBody(buf, g)
+	buf = AppendString(buf, h.prob)
+	buf = binary.AppendUvarint(buf, uint64(h.plen))
+	buf = append(buf, h.payload[:h.plen]...)
+	buf, err := e.graphBody(buf, g)
 	if err != nil {
 		return nil, err
 	}
-	buf = appendAdviceSection(buf, s.Advice)
-	if version == 3 {
-		if buf, err = appendTiers(buf, s); err != nil {
+	buf = e.adviceSection(buf, s.Advice)
+	if h.version == 3 {
+		if buf, err = e.tiers(buf, s); err != nil {
 			return nil, err
 		}
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
-	return append(buf, crc[:]...), nil
+	return e.finish(buf)
 }
 
-// appendGraphBody writes the id and edge sections shared by the main
-// graph and the tier coarse graphs.
-func appendGraphBody(buf []byte, g *graph.Graph) ([]byte, error) {
+// graphBody writes the id and edge sections shared by the main graph
+// and the tier coarse graphs.
+func (e *encoder) graphBody(buf []byte, g *graph.Graph) ([]byte, error) {
 	prevID := int64(0)
 	for _, id := range g.IDs() {
 		buf = binary.AppendVarint(buf, id-prevID)
 		prevID = id
+		buf = e.spill(buf)
 	}
 	prevU := int64(0)
-	for _, e := range g.Edges() {
-		if e.W < 0 {
-			return nil, fmt.Errorf("store: negative weight %d", e.W)
+	for _, r := range g.Edges() {
+		if r.W < 0 {
+			return nil, fmt.Errorf("store: negative weight %d", r.W)
 		}
-		buf = binary.AppendVarint(buf, int64(e.U)-prevU)
-		prevU = int64(e.U)
-		buf = binary.AppendUvarint(buf, uint64(e.V))
-		buf = binary.AppendUvarint(buf, uint64(e.PU))
-		buf = binary.AppendUvarint(buf, uint64(e.PV))
-		buf = binary.AppendUvarint(buf, uint64(e.W))
+		buf = binary.AppendVarint(buf, int64(r.U)-prevU)
+		prevU = int64(r.U)
+		buf = binary.AppendUvarint(buf, uint64(r.V))
+		buf = binary.AppendUvarint(buf, uint64(r.PU))
+		buf = binary.AppendUvarint(buf, uint64(r.PV))
+		buf = binary.AppendUvarint(buf, uint64(r.W))
+		buf = e.spill(buf)
 	}
 	return buf, nil
 }
 
-// graphBodyLen is the length appendGraphBody writes for g.
+// graphBodyLen is the length encoder.graphBody writes for g.
 func graphBodyLen(g *graph.Graph) int {
 	size := 0
 	prevID := int64(0)
@@ -282,10 +357,10 @@ func graphBodyLen(g *graph.Graph) int {
 // uvarintLen (log.go) is the unsigned one.
 func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
-// appendAdviceSection writes the flag byte plus, when advice is
-// present, the max-bits header, the per-node lengths and the bit-packed
-// payload — for the main assignment and for each tier's.
-func appendAdviceSection(buf []byte, advice []*bitstring.BitString) []byte {
+// adviceSection writes the flag byte plus, when advice is present, the
+// max-bits header, the per-node lengths and the bit-packed payload —
+// for the main assignment and for each tier's.
+func (e *encoder) adviceSection(buf []byte, advice []*bitstring.BitString) []byte {
 	if advice == nil {
 		return append(buf, 0)
 	}
@@ -297,11 +372,17 @@ func appendAdviceSection(buf []byte, advice []*bitstring.BitString) []byte {
 	buf = binary.AppendUvarint(buf, uint64(maxBits))
 	for _, a := range advice {
 		buf = binary.AppendUvarint(buf, uint64(a.Len()))
+		buf = e.spill(buf)
 	}
-	return AppendBits(buf, advice...)
+	var p bitPacker
+	for _, a := range advice {
+		buf = e.spill(p.add(buf, a))
+	}
+	return p.flush(buf)
 }
 
-// adviceSectionLen is the length appendAdviceSection writes for advice.
+// adviceSectionLen is the length encoder.adviceSection writes for
+// advice.
 func adviceSectionLen(advice []*bitstring.BitString) int {
 	if advice == nil {
 		return 1
@@ -350,11 +431,11 @@ func checkTiers(s *Snapshot) error {
 	return nil
 }
 
-// appendTiers writes the version-3 tier section, which checkTiers has
+// tiers writes the version-3 tier section, which checkTiers has
 // validated: the tier count, then per tier the level, the coarse
 // node/edge counts, the coarse root, the coarse graph body, the
 // ascending original-edge deltas and the coarse advice section.
-func appendTiers(buf []byte, s *Snapshot) ([]byte, error) {
+func (e *encoder) tiers(buf []byte, s *Snapshot) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(s.Tiers)))
 	for ti := range s.Tiers {
 		t := &s.Tiers[ti]
@@ -363,20 +444,21 @@ func appendTiers(buf []byte, s *Snapshot) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(t.Graph.M()))
 		buf = binary.AppendUvarint(buf, uint64(t.Root))
 		var err error
-		if buf, err = appendGraphBody(buf, t.Graph); err != nil {
+		if buf, err = e.graphBody(buf, t.Graph); err != nil {
 			return nil, err
 		}
 		prev := int64(-1)
 		for _, orig := range t.OrigEdge {
 			buf = binary.AppendUvarint(buf, uint64(int64(orig)-prev))
 			prev = int64(orig)
+			buf = e.spill(buf)
 		}
-		buf = appendAdviceSection(buf, t.Advice)
+		buf = e.adviceSection(buf, t.Advice)
 	}
 	return buf, nil
 }
 
-// tiersLen is the length appendTiers writes for s's tiers.
+// tiersLen is the length encoder.tiers writes for s's tiers.
 func tiersLen(s *Snapshot) int {
 	size := uvarintLen(uint64(len(s.Tiers)))
 	for ti := range s.Tiers {
@@ -396,46 +478,51 @@ func tiersLen(s *Snapshot) int {
 // AppendBits packs the strings back to back onto buf, LSB-first within
 // each byte, in ⌈Σlen/8⌉ bytes with the padding bits clear — the layout
 // of the advice section, and of the wire's advice reply for one string.
-// Each string is read a word at a time.
 func AppendBits(buf []byte, strs ...*bitstring.BitString) []byte {
-	total := 0
+	var p bitPacker
 	for _, s := range strs {
-		total += s.Len()
+		buf = p.add(buf, s)
 	}
-	start := len(buf)
-	buf = slices.Grow(buf, (total+7)/8)[:start+(total+7)/8]
-	payload := buf[start:]
-	clear(payload)
-	pos := 0 // bit position in payload
-	for _, s := range strs {
-		bits := s.Len()
-		words := s.Words()
-		for i := 0; i < bits; {
-			w := words[i/64]
-			take := 64 - i%64
-			if take > bits-i {
-				take = bits - i
-			}
-			// Deposit `take` bits of w (starting at bit i%64) at pos.
-			chunk := w >> (uint(i) % 64)
-			if take < 64 {
-				chunk &= 1<<uint(take) - 1
-			}
-			for b := 0; b < take; b += 8 {
-				byteBits := take - b
-				if byteBits > 8 {
-					byteBits = 8
-				}
-				p := pos + b
-				payload[p/8] |= byte(chunk>>uint(b)) << (uint(p) % 8)
-				if p%8+byteBits > 8 && p/8+1 < len(payload) {
-					payload[p/8+1] |= byte(chunk >> uint(b) >> (8 - uint(p)%8))
-				}
-			}
-			pos += take
-			i += take
+	return p.flush(buf)
+}
+
+// bitPacker packs bit strings back to back, LSB-first, as AppendBits
+// lays them out; acc holds the n < 8 packed bits not yet appended.
+type bitPacker struct {
+	acc uint64
+	n   uint
+}
+
+// add appends s's bits to buf a word of s at a time, keeping the last
+// n < 8 of them in the packer.
+func (p *bitPacker) add(buf []byte, s *bitstring.BitString) []byte {
+	bits, words := s.Len(), s.Words()
+	for i := 0; i < bits; i += 64 {
+		w, take := words[i/64], uint(min(64, bits-i))
+		if take < 64 {
+			w &= 1<<take - 1
 		}
+		lo, total := p.acc|w<<p.n, p.n+take
+		if total >= 64 {
+			buf = binary.LittleEndian.AppendUint64(buf, lo)
+			p.acc, p.n = w>>(64-p.n), total-64 // a shift by 64 yields 0
+			continue
+		}
+		for ; total >= 8; total -= 8 {
+			buf = append(buf, byte(lo))
+			lo >>= 8
+		}
+		p.acc, p.n = lo, total
 	}
+	return buf
+}
+
+// flush appends the last partial byte, its padding bits clear.
+func (p *bitPacker) flush(buf []byte) []byte {
+	if p.n > 0 {
+		buf = append(buf, byte(p.acc))
+	}
+	p.acc, p.n = 0, 0
 	return buf
 }
 
@@ -815,15 +902,17 @@ func (d *Cursor) problemPayload() (int, error) {
 // value cannot re-encode to the same bytes) and refuses the padded
 // headers a hostile file could otherwise use — and the arena is sized
 // from the per-node lengths alone (NewRaggedArena), so the allocation
-// is bounded by a constant factor of the input that declared it.
+// is bounded by a constant factor of the input that declared it. The
+// first read of the lengths checks them; the arena and the load read
+// them again from the buffer instead of keeping a copy.
 func (d *Cursor) decodeAdvice(n int) ([]*bitstring.BitString, error) {
 	maxBits, err := d.count("max advice bits")
 	if err != nil {
 		return nil, err
 	}
-	lengths := make([]int, n)
+	first := d.pos
 	total, actualMax := 0, 0
-	for u := range lengths {
+	for u := 0; u < n; u++ {
 		bits, err := d.count("advice length")
 		if err != nil {
 			return nil, err
@@ -834,7 +923,6 @@ func (d *Cursor) decodeAdvice(n int) ([]*bitstring.BitString, error) {
 		if bits > actualMax {
 			actualMax = bits
 		}
-		lengths[u] = bits
 		total += bits
 	}
 	if maxBits != actualMax {
@@ -844,13 +932,23 @@ func (d *Cursor) decodeAdvice(n int) ([]*bitstring.BitString, error) {
 	if err != nil {
 		return nil, err
 	}
+	lengths := func(yield func(int) bool) {
+		for pos, u := first, 0; u < n; u++ {
+			bits, k := binary.Uvarint(d.buf[pos:])
+			pos += k
+			if !yield(int(bits)) {
+				return
+			}
+		}
+	}
 	arena := bitstring.NewRaggedArena(lengths)
 	advice := make([]*bitstring.BitString, n)
-	pos := 0 // bit position in payload
-	for u, bits := range lengths {
+	u, pos := 0, 0 // pos is the bit position in payload
+	for bits := range lengths {
 		advice[u] = arena.At(u)
 		loadPacked(advice[u], payload, pos, bits)
 		pos += bits
+		u++
 	}
 	return advice, nil
 }
@@ -891,9 +989,11 @@ func readWord(payload []byte, pos, bits int) uint64 {
 // directory, fsynced before a rename over the target, so a crash never
 // leaves a torn snapshot behind — without the sync, a journaled rename
 // can land before the data blocks and survive a power loss as an empty
-// file under the final name).
+// file under the final name). The encoder streams into the temp file
+// through its flushAt-byte buffer, hashing as it writes, so no copy of
+// the whole encoding is ever held; the file's bytes are Encode's.
 func Save(path string, s *Snapshot) error {
-	blob, err := Encode(s)
+	h, err := newHeader(s)
 	if err != nil {
 		return err
 	}
@@ -903,7 +1003,8 @@ func Save(path string, s *Snapshot) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(blob); err != nil {
+	e := encoder{sink: tmp}
+	if _, err := e.snapshot(make([]byte, 0, flushAt+flushAt/8), s, h); err != nil {
 		tmp.Close()
 		return err
 	}
