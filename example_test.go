@@ -127,3 +127,43 @@ func ExampleRun_async() {
 	// same payload traffic: true
 	// synchronizer overhead booked separately: true
 }
+
+// ExampleDecomposeOpt streams the §2.2 Borůvka decomposition of a
+// 4-cycle: every node selects its lightest edge in phase 1, which
+// merges them all, and Run then visits the spanning fragment. One
+// worker visits the fragments in order.
+func ExampleDecomposeOpt() {
+	g, err := mstadvice.NewBuilder(4).
+		AddEdge(0, 1, 1).
+		AddEdge(1, 2, 2).
+		AddEdge(2, 3, 3).
+		AddEdge(3, 0, 4).
+		Build()
+	if err != nil {
+		panic(err)
+	}
+	d, err := mstadvice.DecomposeOpt(g, 0, mstadvice.BoruvkaOptions{Workers: 1})
+	if err != nil {
+		panic(err)
+	}
+	err = d.Run(func(_ int, v mstadvice.DecompositionVisit) error {
+		fmt.Printf("phase %d fragment %d: BFS %v", v.Phase, v.Frag, v.BFS)
+		if v.HasSel {
+			fmt.Printf(", selects edge %d", v.Sel.Edge)
+		}
+		fmt.Println()
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	// Run rooted the tree at node 0 before its first visit.
+	fmt.Println("parent ports:", d.ParentPort)
+	// Output:
+	// phase 1 fragment 0: BFS [0], selects edge 0
+	// phase 1 fragment 1: BFS [1], selects edge 0
+	// phase 1 fragment 2: BFS [2], selects edge 1
+	// phase 1 fragment 3: BFS [3], selects edge 2
+	// phase 2 fragment 0: BFS [0 1 2 3]
+	// parent ports: [-1 0 0 0]
+}

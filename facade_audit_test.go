@@ -34,7 +34,6 @@ var facadeFor = map[string]any{
 	"core.Scheme.NewNode":       mstadvice.ConstantAdvice,
 	"core.NewSchedule":          mstadvice.NewSchedule,
 	"core.BuildAdviceDetailOpt": mstadvice.MSTProblem().Encode,
-	"boruvka.Decompose":         mstadvice.Decompose,
 	"boruvka.DecomposeOpt":      mstadvice.DecomposeOpt,
 	"sim.Network.Run":           mstadvice.Run,
 	"sim.Network.RunAsync":      mstadvice.RunOptions{Async: true},
@@ -50,9 +49,9 @@ var facadeFor = map[string]any{
 	"hier.Encode":               mstadvice.HierScheme,
 	"hier.Scheme.NewNode":       mstadvice.HierScheme,
 	"gen.BuildSeeded":           mstadvice.GenSeeded,
-	"graph.FromEdgeList":        mstadvice.GenSeeded,           // the seeded build path constructs through it
-	"par.Ranges":                mstadvice.DecomposeOpt,        // the phase kernel's min-edge scans run on it
-	"boruvka.NewStream":         mstadvice.MSTProblem().Encode, // the fused encoder streams through it
+	"graph.FromEdgeList":        mstadvice.GenSeeded,    // the seeded build path constructs through it
+	"par.Ranges":                mstadvice.DecomposeOpt, // the phase kernel's min-edge scans run on it
+	"boruvka.Decomposition.Run": (*mstadvice.Decomposition).Run,
 }
 
 // symbolRe matches backtick-quoted internal symbols of the form

@@ -12,12 +12,16 @@
 // has at least 2^i nodes, so a fragment active at phase i satisfies
 // 2^(i-1) <= |F| < 2^i and at most n/2^(i-1) fragments are active.
 //
-// A Decomposition records, for every phase, the fragment partition, each
-// fragment's root (its node closest to the chosen global root in the final
-// tree T), its level (the parity of its depth in the "tree of fragments"
-// T_i), its selection (chooser node, selected edge, up/down orientation),
-// and the BFS ordering of its fragment tree T_F. These are exactly the
-// quantities the paper's oracles encode into advice.
+// DecomposeOpt runs the merge simulation (pass 1) and keeps the tree,
+// each edge's selection phase and, per kept phase, only
+// fragment-indexed data. Decomposition.Run is the one pass 2: it
+// rebuilds each kept phase's partition and hands every fragment to a
+// visitor with its root (its node closest to the chosen global root in
+// the final tree T), its level (the parity of its depth in the "tree of
+// fragments" T_i), its selection (chooser node, selected edge, up/down
+// orientation) and the BFS ordering of its fragment tree T_F. These are
+// exactly the quantities the paper's oracles encode into advice; every
+// oracle, experiment and test reads them as Run visits.
 //
 // The phase kernel is built for n = 10⁶-scale graphs. The cross-fragment
 // edge list is contracted in place: each phase relabels the surviving
@@ -27,19 +31,19 @@
 // and the minimum-outgoing-edge selection runs as per-worker scans over
 // contiguous ranges of the live list merged at a barrier. Because the
 // global order is a strict total order, every fragment's minimum is
-// unique, so the merged result — and hence the whole Decomposition — is
-// byte-identical for any worker count (the same contract the round
+// unique, so the merged result — the Decomposition and every Run visit —
+// is byte-identical for any worker count (the same contract the round
 // engine in internal/sim honors).
 //
-// See DESIGN.md §2.2 for the decomposition's role in both schemes and
-// DESIGN.md §2.5 for the contracted parallel phase kernel.
+// See DESIGN.md §2.2 for the decomposition's role in both schemes,
+// DESIGN.md §2.5 for the contracted parallel phase kernel and DESIGN.md
+// §2.12 for Run.
 package boruvka
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/mst"
@@ -59,90 +63,52 @@ type Selection struct {
 	Up      bool // true iff the edge leads from the chooser towards the global root in T
 }
 
-// Fragment is the state of one fragment at the start of a phase.
-type Fragment struct {
-	ID     FragID
-	Nodes  []graph.NodeID // ascending node index
-	Root   graph.NodeID   // r_F: the fragment node closest to the global root in T
-	Level  int            // parity (0 or 1) of the depth of x_F in the rooted tree of fragments T_i
-	Active bool
-	Sel    *Selection     // nil for passive fragments (and for the lone final fragment)
-	BFS    []graph.NodeID // BFS order of T_F from Root; children visited by (weight, port at parent)
-}
-
-// Size returns the number of nodes in the fragment.
-func (f *Fragment) Size() int { return len(f.Nodes) }
-
-// Phase is the state of the construction at the start of phase Index plus
-// the selections made during it.
-type Phase struct {
-	Index     int // i, starting at 1
-	Fragments []Fragment
-	FragOf    []FragID // node -> fragment holding it at the start of this phase
-}
-
-// ActiveCount returns the number of active fragments in the phase.
-func (p *Phase) ActiveCount() int {
-	c := 0
-	for i := range p.Fragments {
-		if p.Fragments[i].Active {
-			c++
-		}
-	}
-	return c
-}
-
 // Options tune a decomposition run without changing its result.
 type Options struct {
-	// Workers is the phase-kernel pool size; 0 means GOMAXPROCS. The
-	// Decomposition is byte-identical for any value.
+	// Workers is the pool size of the phase kernel and of Run; 0 means
+	// GOMAXPROCS. The Decomposition and every Run visit are
+	// byte-identical for any value.
 	Workers int
-	// KeepPhases, when positive, records only the first KeepPhases phase
-	// records (the merge simulation always runs to completion, so
-	// TotalPhases, TreeEdges, ParentPort, ParentEdge, SelPhase and Final
-	// are unaffected). A value larger than the number of phases the run
-	// executes is silently clamped: the record simply ends at
-	// TotalPhases, and Decomposition.NumPhases reports the count that
-	// was actually retained. The Theorem 3 oracle needs only the first
+	// KeepPhases, when positive, keeps only the first KeepPhases phases
+	// for Run (the merge simulation always runs to completion, so
+	// TotalPhases, TreeEdges, ParentPort, ParentEdge and SelPhase are
+	// unaffected). A value larger than the number of phases the run
+	// executes is clamped: Run then streams every phase and the
+	// spanning fragment. The Theorem 3 oracle needs only the first
 	// ⌈log log n⌉ + 1 phases: a random graph with n = 10⁶ runs 19
-	// phases, and the oracle keeps 6. 0 records every phase.
+	// phases, and the oracle keeps 6. 0 keeps every phase.
 	KeepPhases int
 	// KeepTower, when set, retains the full contraction tower — every
 	// per-phase partition as its fragment→supernode map and fragment
 	// representatives — as Decomposition.Tower. A level keeps no edge
 	// list: a level's cross-fragment edges are the graph's edges whose
 	// endpoints Tower.FragOf puts in different fragments. The tower is
-	// captured as plain copies of the contraction state, after the flat
-	// record of each phase is complete, so every flat output stays
+	// captured as plain copies of the contraction state, after each
+	// phase's own record is complete, so every flat output stays
 	// byte-identical whether or not the tower is kept. KeepPhases does
 	// not truncate the tower: the hierarchical codec needs the coarse
-	// graphs at levels the flat oracle never records.
+	// graphs at levels the flat oracle never streams.
 	KeepTower bool
 }
 
-// Decomposition is the full record of a run of the Borůvka variant.
+// Decomposition is a run of the Borůvka variant: pass 1's flat outputs,
+// complete when DecomposeOpt returns, and the kept phases' records that
+// Run annotates.
 type Decomposition struct {
 	G    *graph.Graph
 	Root graph.NodeID
 
-	// Phases[i-1] describes phase i. The last phase is the one whose merges
-	// produced a single fragment; phases with no active fragments (possible
-	// when early merges overshoot) appear with no selections. With
-	// Options.KeepPhases only a leading subset is present.
-	Phases []Phase
-
 	// TotalPhases is the number of phases the construction executed,
-	// regardless of how many were recorded.
+	// regardless of how many were kept. The last phase is the one whose
+	// merges produced a single fragment; a phase with no active fragment
+	// (possible when early merges overshoot) selects nothing.
 	TotalPhases int
-
-	// Final is the single spanning fragment reached after the last phase,
-	// with its BFS order (used by the final stage of the Theorem 3 scheme).
-	Final Fragment
 
 	// TreeEdges is the unique MST under the global order, ascending.
 	TreeEdges []graph.EdgeID
 	// ParentPort[u] is the port at u of its parent edge in T rooted at
-	// Root; -1 for the root itself.
+	// Root; -1 for the root itself. Run fills it, and ParentEdge, before
+	// its first visit; both are nil until Run is first called.
 	ParentPort []int
 	// ParentEdge[u] is the corresponding edge (-1 for the root).
 	ParentEdge []graph.EdgeID
@@ -155,39 +121,26 @@ type Decomposition struct {
 	// Options.KeepTower; nil otherwise.
 	Tower *Tower
 
-	// Flattened views of the rooted tree, computed once and shared by all
-	// phase annotations: the T-parent of u (-1 for the root), the weight
-	// of u's parent edge, and its port at the parent.
+	// The kept phases' pass-1 records, Options.KeepPhases and the
+	// resolved pool size, for Run.
+	raws    []rawPhase
+	keep    int
+	workers int
+
+	// Flattened views of the rooted tree, computed once, by the first
+	// Run, and shared by all phase annotations: the T-parent of u (-1 for
+	// the root), the weight of u's parent edge, and its port at the
+	// parent.
 	parentNode []int32
 	parentW    []graph.Weight
 	parentPt   []int32
-	// Endpoints of TreeEdges (parallel slices), for the per-phase
-	// tree-of-fragments construction.
-	treeU, treeV []int32
-}
-
-// NumPhases returns the number of recorded phases (the number executed,
-// unless Options.KeepPhases truncated the record; see TotalPhases).
-func (d *Decomposition) NumPhases() int { return len(d.Phases) }
-
-// FragmentsAtStart returns the fragment state at the start of phase i
-// (1-based). i may be NumPhases()+1, which yields the final single
-// fragment when all phases were recorded.
-func (d *Decomposition) FragmentsAtStart(i int) []Fragment {
-	if i >= 1 && i <= len(d.Phases) {
-		return d.Phases[i-1].Fragments
-	}
-	if i == len(d.Phases)+1 && len(d.Phases) == d.TotalPhases {
-		return []Fragment{d.Final}
-	}
-	panic(fmt.Sprintf("boruvka: phase %d out of range [1,%d]", i, len(d.Phases)+1))
 }
 
 // rawPhase is the pass-1 record of one kept phase, and holds only
 // fragment-indexed data: up maps the previous phase's fragments to this
 // phase's (nil for phase 1, whose fragments are the nodes), and active
 // and sel are indexed by this phase's fragments (sel is the selected
-// edge, -1 if none). Pass 2 rebuilds the node-level partition from the
+// edge, -1 if none). Run rebuilds the node-level partition from the
 // up maps (partition.build).
 type rawPhase struct {
 	up     []int32
@@ -202,205 +155,19 @@ type liveEdge struct {
 	u, v int32 // endpoint fragment IDs for the current phase
 }
 
-// Decompose runs the variant on a connected graph and records every phase.
-func Decompose(g *graph.Graph, root graph.NodeID) (*Decomposition, error) {
-	return DecomposeOpt(g, root, Options{})
-}
-
-// DecomposeOpt is Decompose with an explicit worker count and phase
-// retention; the result is byte-identical for any Options.Workers.
+// DecomposeOpt runs pass 1 of the construction on a connected graph:
+// the merge simulation, which fills TotalPhases, TreeEdges, SelPhase
+// and, under Options.KeepTower, the Tower, and keeps the first
+// Options.KeepPhases phases' records for Run. It defers the rooting and
+// the annotation to Run, so a consumer of the tower alone never pays
+// for them. The result is byte-identical for any Options.Workers.
 func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, error) {
-	d, raws, workers, err := decomposePass1(g, root, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.rootTree(workers); err != nil {
-		return nil, err
-	}
-	n := g.N()
-
-	// ---- Pass 2: enrich every recorded phase with roots, levels,
-	// orientations and BFS orders, all defined relative to the final
-	// rooted tree T. Each phase's partition and BFS orders get fresh
-	// buffers, since the records keep them; the annotation scratch is
-	// shared by every phase.
-	a := newAnnotator(n)
-	var prev []FragID
-	for pi := range raws {
-		raw := &raws[pi]
-		nf := len(raw.active)
-		p := newPartition(n, nf)
-		p.build(raw.up, prev, nf, workers)
-		prev = p.fragOf
-		frags := make([]Fragment, nf)
-		for f := range frags {
-			frags[f] = Fragment{ID: FragID(f), Nodes: p.members(f), Active: raw.active[f]}
-		}
-		d.annotateInto(frags, &p, a, workers)
-		// Selections live in one per-phase slab instead of one allocation
-		// per selecting fragment (phase 1 alone has ~n of them).
-		nSel := 0
-		for _, e := range raw.sel {
-			if e != -1 {
-				nSel++
-			}
-		}
-		selSlab := make([]Selection, 0, nSel)
-		for f, e := range raw.sel {
-			if e != -1 {
-				selSlab = append(selSlab, d.selection(p.fragOf, f, e))
-				frags[f].Sel = &selSlab[len(selSlab)-1]
-			}
-		}
-		d.Phases = append(d.Phases, Phase{Index: pi + 1, Fragments: frags, FragOf: p.fragOf})
-	}
-
-	// Final single fragment.
-	p := newPartition(n, 1)
-	p.build(nil, nil, 1, workers)
-	final := []Fragment{{ID: 0, Nodes: p.members(0)}}
-	d.annotateInto(final, &p, a, workers)
-	d.Final = final[0]
-
-	return d, nil
-}
-
-// StreamVisit is one annotated fragment as Stream.Run delivers it.
-// BFS is a view into an arena Run reuses from phase to phase, so it is
-// valid only during the visit; Sel is meaningful only when HasSel is
-// set. Final marks the fragments of the partition the fused oracle
-// treats as the final stage — the KeepPhases-th recorded phase when the
-// run reaches it, otherwise the synthesized single spanning fragment.
-type StreamVisit struct {
-	Phase  int // 1-based phase index the partition belongs to
-	Frag   int // dense fragment ID within the phase
-	Final  bool
-	Active bool
-	Root   graph.NodeID
-	Level  int
-	BFS    []graph.NodeID
-	HasSel bool
-	Sel    Selection
-}
-
-// Stream is a decomposition whose pass 2 has not run yet. D's TreeEdges,
-// SelPhase, TotalPhases and Tower are complete on return from
-// NewStream; ParentPort and ParentEdge once Run starts, which roots the
-// tree before its first visit, so a Run visitor may read them all. A
-// consumer of the tower alone never calls Run and never pays for the
-// rooting. D never grows Phases or Final records (NumPhases() stays 0).
-type Stream struct {
-	D       *Decomposition
-	raws    []rawPhase
-	keep    int
-	workers int
-}
-
-// NewStream runs pass 1 of the construction (identical to DecomposeOpt)
-// and defers the rooting and the annotation to Run. See DESIGN.md
-// §2.12.
-func NewStream(g *graph.Graph, root graph.NodeID, opt Options) (*Stream, error) {
-	d, raws, workers, err := decomposePass1(g, root, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{D: d, raws: raws, keep: opt.KeepPhases, workers: workers}, nil
-}
-
-// FinalFrags returns the number of fragments Run flags Final: those of
-// the KeepPhases-th phase when the run reaches it, otherwise 1 (the
-// synthesized spanning fragment). Final visits carry Frag in
-// [0, FinalFrags()).
-func (s *Stream) FinalFrags() int {
-	if s.keep > 0 && len(s.raws) >= s.keep {
-		return len(s.raws[s.keep-1].active)
-	}
-	return 1
-}
-
-// Run fuses pass 2 with its consumer: instead of materialising Phase
-// and Fragment records, each annotated fragment is handed to visit
-// exactly once, in ascending phase order with a barrier between phases.
-// Within a phase, visits run concurrently across fragments (visit
-// receives the worker index for per-worker scratch and must only touch
-// fragment-local or worker-local state); a visit error aborts the
-// stream with the lowest (phase, fragment) failure, matching sequential
-// semantics. One phase is resident at a time: the partition, the BFS
-// arena and the annotation scratch are allocated once, for phase 1's n
-// singletons, and rebuilt in place for every later phase.
-//
-// Phases 1..min(KeepPhases, TotalPhases) are streamed (all phases when
-// KeepPhases <= 0). The phase numbered KeepPhases is flagged Final; if
-// the run completes before reaching it, the single spanning fragment is
-// synthesized and streamed as phase TotalPhases+1 with Final set — the
-// same partition FragmentsAtStart(NumPhases()+1) exposes on the rich
-// path.
-func (s *Stream) Run(visit func(w int, v StreamVisit) error) error {
-	d := s.D
-	if err := d.rootTree(s.workers); err != nil {
-		return err
-	}
-	n := d.G.N()
-	p := newPartition(n, n)
-	a := newAnnotator(n)
-	bfs := make([]graph.NodeID, n)
-	stream := func(phase int, final bool, raw *rawPhase) error {
-		return d.annotate(&p, a, bfs, s.workers, func(w, fi int, v fragView) error {
-			sv := StreamVisit{
-				Phase: phase,
-				Frag:  fi,
-				Final: final,
-				Root:  v.root,
-				Level: v.level,
-				BFS:   v.bfs,
-			}
-			if raw != nil {
-				sv.Active = raw.active[fi]
-				if e := raw.sel[fi]; e != -1 {
-					sv.HasSel, sv.Sel = true, d.selection(p.fragOf, fi, e)
-				}
-			}
-			return visit(w, sv)
-		})
-	}
-	for pi := range s.raws {
-		raw := &s.raws[pi]
-		p.build(raw.up, p.fragOf, len(raw.active), s.workers)
-		if err := stream(pi+1, s.keep > 0 && pi+1 == s.keep, raw); err != nil {
-			return err
-		}
-	}
-	if s.keep <= 0 || len(s.raws) < s.keep {
-		// The run ended inside the retention budget: stream the spanning
-		// fragment as the final stage.
-		p.build(nil, nil, 1, s.workers)
-		return stream(d.TotalPhases+1, true, nil)
-	}
-	return nil
-}
-
-// selection is fragment f's Selection of edge e under the partition
-// fragOf: the chooser is e's endpoint inside f.
-func (d *Decomposition) selection(fragOf []FragID, f int, e int32) Selection {
-	rec := d.G.Edge(graph.EdgeID(e))
-	ch := rec.U
-	if fragOf[ch] != FragID(f) {
-		ch = rec.V
-	}
-	return Selection{Chooser: ch, Edge: graph.EdgeID(e), Up: d.ParentEdge[ch] == graph.EdgeID(e)}
-}
-
-// decomposePass1 runs the merge simulation (pass 1) and builds the flat
-// outputs other than the rooted tree: the tree edges, SelPhase,
-// TotalPhases, the tower when asked for, and the kept phases' records
-// for pass 2.
-func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, []rawPhase, int, error) {
 	n := g.N()
 	if n == 0 {
-		return nil, nil, 0, fmt.Errorf("boruvka: empty graph")
+		return nil, fmt.Errorf("boruvka: empty graph")
 	}
 	if int(root) < 0 || int(root) >= n {
-		return nil, nil, 0, fmt.Errorf("boruvka: root %d out of range", root)
+		return nil, fmt.Errorf("boruvka: root %d out of range", root)
 	}
 	m := g.M()
 	workers := par.Workers(opt.Workers)
@@ -421,7 +188,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 	})
 
-	// ---- Pass 1: simulate the phases, recording each kept phase's
+	// Simulate the phases, recording each kept phase's
 	// contraction map, active flags and selections.
 	dsu := unionfind.New(n)
 	var raws []rawPhase
@@ -458,7 +225,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		if i > 31 {
 			// Lemma 1: after phase i every fragment has at least 2^i
 			// nodes, and n ≤ MaxInt32.
-			return nil, nil, 0, fmt.Errorf("boruvka: phase bound exceeded (internal error)")
+			return nil, fmt.Errorf("boruvka: phase bound exceeded (internal error)")
 		}
 		phases = i
 		record := opt.KeepPhases <= 0 || len(raws) < opt.KeepPhases
@@ -554,7 +321,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 
 		if record {
-			// Recording is always a prefix of the phases, so pass 2 rebuilds
+			// Recording is always a prefix of the phases, so Run rebuilds
 			// each node-level partition from the previous one through the
 			// contraction map: no per-node data is kept here.
 			raw := rawPhase{active: slices.Clone(active[:nf]), sel: slices.Clone(bests[0][:nf])}
@@ -581,13 +348,13 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 				// fragments merged through other selections this phase and
 				// this edge would close a cycle. The intrinsic total order
 				// rules this out.
-				return nil, nil, 0, fmt.Errorf("boruvka: selected edges formed a cycle (internal error)")
+				return nil, fmt.Errorf("boruvka: selected edges formed a cycle (internal error)")
 			}
 		}
 	}
 
 	if treeCount != n-1 {
-		return nil, nil, 0, fmt.Errorf("boruvka: graph is disconnected (%d tree edges for %d nodes)", treeCount, n)
+		return nil, fmt.Errorf("boruvka: graph is disconnected (%d tree edges for %d nodes)", treeCount, n)
 	}
 	// The tree edges, ascending: exactly the selected ones.
 	treeEdges := make([]graph.EdgeID, 0, n-1)
@@ -597,17 +364,115 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		}
 	}
 
-	d := &Decomposition{G: g, Root: root, TotalPhases: phases, TreeEdges: treeEdges, SelPhase: selPhase, Tower: tower}
-	return d, raws, workers, nil
+	return &Decomposition{
+		G: g, Root: root, TotalPhases: phases, TreeEdges: treeEdges, SelPhase: selPhase, Tower: tower,
+		raws: raws, keep: opt.KeepPhases, workers: workers,
+	}, nil
+}
+
+// StreamVisit is one annotated fragment as Run delivers it. BFS is a
+// view into an arena Run reuses from phase to phase, so it is valid only
+// during the visit; Sel is meaningful only when HasSel is set. Final
+// marks the fragments of the partition the fused oracle treats as the
+// final stage — the KeepPhases-th phase when the run reaches it,
+// otherwise the synthesized single spanning fragment.
+type StreamVisit struct {
+	Phase  int  // 1-based phase index the partition belongs to
+	Frag   int  // dense fragment ID within the phase, by smallest member
+	Final  bool // see above
+	Active bool // |F| < 2^Phase; false for the spanning fragment
+	Root   graph.NodeID
+	Level  int            // parity (0 or 1) of the fragment's depth in the tree of fragments T_i
+	BFS    []graph.NodeID // BFS order of T_F from Root; children visited by (weight, port at parent)
+	HasSel bool
+	Sel    Selection
+}
+
+// FinalFrags returns the number of fragments Run flags Final: those of
+// the KeepPhases-th phase when the run reaches it, otherwise 1 (the
+// synthesized spanning fragment). Final visits carry Frag in
+// [0, FinalFrags()).
+func (d *Decomposition) FinalFrags() int {
+	if d.keep > 0 && len(d.raws) >= d.keep {
+		return len(d.raws[d.keep-1].active)
+	}
+	return 1
+}
+
+// Run is pass 2, fused with its consumer: each annotated fragment is
+// handed to visit exactly once, in ascending phase order with a barrier
+// between phases, and no per-fragment record is kept. Within a phase,
+// visits run concurrently across fragments (visit receives the worker
+// index for per-worker scratch and must only touch fragment-local or
+// worker-local state); a visit error aborts the run with the lowest
+// (phase, fragment) failure, matching sequential semantics. One phase is
+// resident at a time: the partition, the BFS arena and the annotation
+// scratch are allocated once, for phase 1's n singletons, and rebuilt in
+// place for every later phase. The first Run roots the tree (ParentPort,
+// ParentEdge) before its first visit, so a visitor may read them; a
+// later Run reuses the rooting. Run must not be called concurrently.
+//
+// Phases 1..min(KeepPhases, TotalPhases) are streamed (all phases when
+// KeepPhases <= 0). The phase numbered KeepPhases is flagged Final; if
+// the run completes before reaching it, the single spanning fragment is
+// synthesized and streamed as phase TotalPhases+1 with Final set. So
+// the fragments at the start of phase ℓ+1 are the Final visits under
+// KeepPhases = ℓ+1, whether or not the run lasts ℓ+1 phases.
+func (d *Decomposition) Run(visit func(w int, v StreamVisit) error) error {
+	if d.ParentPort == nil {
+		if err := d.rootTree(); err != nil {
+			return err
+		}
+	}
+	n := d.G.N()
+	p := newPartition(n)
+	a := newAnnotator(n)
+	bfs := make([]graph.NodeID, n)
+	stream := func(phase int, final bool, raw *rawPhase) error {
+		return d.annotate(&p, a, bfs, func(w, fi int, root graph.NodeID, level int, order []graph.NodeID) error {
+			sv := StreamVisit{Phase: phase, Frag: fi, Final: final, Root: root, Level: level, BFS: order}
+			if raw != nil {
+				sv.Active = raw.active[fi]
+				if e := raw.sel[fi]; e != -1 {
+					sv.HasSel, sv.Sel = true, d.selection(p.fragOf, fi, e)
+				}
+			}
+			return visit(w, sv)
+		})
+	}
+	for pi := range d.raws {
+		raw := &d.raws[pi]
+		p.build(raw.up, len(raw.active), d.workers)
+		if err := stream(pi+1, d.keep > 0 && pi+1 == d.keep, raw); err != nil {
+			return err
+		}
+	}
+	if d.keep <= 0 || len(d.raws) < d.keep {
+		// The run ended inside the retention budget: stream the spanning
+		// fragment as the final stage.
+		p.build(nil, 1, d.workers)
+		return stream(d.TotalPhases+1, true, nil)
+	}
+	return nil
+}
+
+// selection is fragment f's Selection of edge e under the partition
+// fragOf: the chooser is e's endpoint inside f.
+func (d *Decomposition) selection(fragOf []FragID, f int, e int32) Selection {
+	rec := d.G.Edge(graph.EdgeID(e))
+	ch := rec.U
+	if fragOf[ch] != FragID(f) {
+		ch = rec.V
+	}
+	return Selection{Chooser: ch, Edge: graph.EdgeID(e), Up: d.ParentEdge[ch] == graph.EdgeID(e)}
 }
 
 // rootTree roots the MST at d.Root: it fills ParentPort, ParentEdge and
-// the flattened tree views that pass 2's annotation reads. Only pass 2
-// reads them, so DecomposeOpt and Stream.Run run it first, and a
-// consumer of pass 1 alone (hier.BuildTiers reads only the tower) never
-// pays for it.
-func (d *Decomposition) rootTree(workers int) error {
-	g, n := d.G, d.G.N()
+// the flattened tree views that Run's annotation reads. Only Run reads
+// them, so the first Run calls it, and a consumer of pass 1 alone
+// (hier.BuildTiers reads only the tower) never pays for it.
+func (d *Decomposition) rootTree() error {
+	g, n, workers := d.G, d.G.N(), d.workers
 	parentPort, err := mst.Root(g, d.TreeEdges, d.Root)
 	if err != nil {
 		return err
@@ -629,14 +494,6 @@ func (d *Decomposition) rootTree(workers int) error {
 			d.parentNode[u] = int32(h.To)
 			d.parentW[u] = g.Weight(h.Edge)
 			d.parentPt[u] = int32(g.DstPort(graph.NodeID(u), parentPort[u]))
-		}
-	})
-	d.treeU = make([]int32, n-1)
-	d.treeV = make([]int32, n-1)
-	par.Ranges(workers, n-1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rec := g.Edge(d.TreeEdges[i])
-			d.treeU[i], d.treeV[i] = int32(rec.U), int32(rec.V)
 		}
 	})
 	return nil
@@ -688,26 +545,27 @@ type partition struct {
 	memFlat []graph.NodeID
 }
 
-// newPartition allocates a partition of n nodes with room for nf
-// fragments.
-func newPartition(n, nf int) partition {
+// newPartition allocates a partition of n nodes with room for as many
+// fragments, phase 1's singletons; every later phase rebuilds it in
+// place.
+func newPartition(n int) partition {
 	return partition{
 		fragOf:  make([]FragID, n),
-		memOff:  make([]int32, nf+1),
+		memOff:  make([]int32, n+1),
 		memFlat: make([]graph.NodeID, n),
 	}
 }
 
 // build fills p with a partition of nf fragments: the spanning fragment
 // when nf == 1, the singletons of phase 1 when up is nil, and otherwise
-// prev's fragments mapped through the contraction map up (prev may be
-// p.fragOf, which is then remapped in place). Kernel fragment IDs are
+// p's current fragments mapped, in place, through the contraction map
+// up. Kernel fragment IDs are
 // dense in order of smallest member node, the order a first-appearance
 // scan over ascending nodes assigns, so the IDs match the original
 // sequential construction. Members are placed by a counting scatter
 // over ascending nodes, so each fragment lists its members ascending:
 // the order a sort of packed (fragment, node) keys would yield.
-func (p *partition) build(up []int32, prev []FragID, nf, workers int) {
+func (p *partition) build(up []int32, nf, workers int) {
 	fragOf := p.fragOf
 	par.Ranges(workers, len(fragOf), func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -716,7 +574,7 @@ func (p *partition) build(up []int32, prev []FragID, nf, workers int) {
 				if up == nil {
 					f = FragID(u)
 				} else {
-					f = FragID(up[prev[u]])
+					f = FragID(up[fragOf[u]])
 				}
 			}
 			fragOf[u] = f
@@ -741,38 +599,23 @@ func (p *partition) build(up []int32, prev []FragID, nf, workers int) {
 	p.memOff = off
 }
 
-// members returns fragment f's nodes, ascending.
-func (p *partition) members(f int) []graph.NodeID {
-	return p.memFlat[p.memOff[f]:p.memOff[f+1]:p.memOff[f+1]]
-}
-
-// fragView is the annotation of one fragment as annotate streams it:
-// the root, the level parity, and the BFS order (a view into the
-// caller's BFS arena).
-type fragView struct {
-	root  graph.NodeID
-	level int
-	bfs   []graph.NodeID
-}
-
-// annotator is pass 2's scratch, sized for the largest partition (phase
-// 1's n singletons) and shared by every phase: the tree of fragments as
-// a CSR (fdeg, fcur, fadj) with its BFS depths and queue, and
+// annotator is Run's scratch, sized for the largest partition (phase
+// 1's n singletons) and shared by every phase: each fragment's root
+// and depth in the tree of fragments, the depth climb's stack, and
 // fragmentBFS's node-indexed child counters and child arena.
 type annotator struct {
-	fdeg, fcur, depth []int32
-	fadj, queue       []FragID
-	start, fill, cnt  []int32
-	kids              []graph.NodeID
+	root             []graph.NodeID
+	depth            []int32
+	stack            []FragID
+	start, fill, cnt []int32
+	kids             []graph.NodeID
 }
 
 func newAnnotator(n int) *annotator {
 	return &annotator{
-		fdeg:  make([]int32, n+1),
-		fcur:  make([]int32, n),
+		root:  make([]graph.NodeID, n),
 		depth: make([]int32, n),
-		fadj:  make([]FragID, 2*(n-1)), // every tree edge crosses phase 1's fragments
-		queue: make([]FragID, 0, n),
+		stack: make([]FragID, 0, n),
 		start: make([]int32, n),
 		fill:  make([]int32, n),
 		cnt:   make([]int32, n),
@@ -780,112 +623,75 @@ func newAnnotator(n int) *annotator {
 	}
 }
 
-// annotateInto fills Root, Level and BFS for every fragment of partition
-// p, into a fresh BFS arena the records keep.
-func (d *Decomposition) annotateInto(frags []Fragment, p *partition, a *annotator, workers int) {
-	bfs := make([]graph.NodeID, len(p.fragOf))
-	err := d.annotate(p, a, bfs, workers, func(_, fi int, v fragView) error {
-		frags[fi].Root = v.root
-		frags[fi].Level = v.level
-		frags[fi].BFS = v.bfs
-		return nil
-	})
-	if err != nil {
-		panic(err) // the visitor above never fails
-	}
-}
-
 // annotate computes root, level and BFS order for every fragment of
-// partition p and hands each fragment's view to visit. Fragments are
-// processed in parallel ranges — each owns a disjoint node set, and the
-// BFS orders land in bfs (len n) sliced by the member offsets — so
-// visit must only touch state owned by its fragment (or per-worker
-// scratch via the worker index it receives). A visit error aborts with
-// the lowest failing fragment's error, the sequential order's outcome.
-//
-// This is the engine behind both the rich Phase records and the fused
-// streaming pass: the fused oracle consumes each view in place instead
-// of materialising Fragment structs (DESIGN.md §2.12).
-func (d *Decomposition) annotate(p *partition, a *annotator, bfs []graph.NodeID, workers int, visit func(w, fi int, v fragView) error) error {
+// partition p and hands them to visit. Fragments are processed in
+// parallel ranges — each owns a disjoint node set, and the BFS orders
+// land in bfs (len n) sliced by the member offsets — so visit must only
+// touch state owned by its fragment (or per-worker scratch via the
+// worker index it receives). A visit error aborts with the lowest
+// failing fragment's error, the sequential order's outcome.
+func (d *Decomposition) annotate(p *partition, a *annotator, bfs []graph.NodeID, visit func(w, fi int, root graph.NodeID, level int, bfs []graph.NodeID) error) error {
 	fragOf, memOff, memFlat := p.fragOf, p.memOff, p.memFlat
 	numFrags := len(memOff) - 1
-	fragWorkers := workers
-	if numFrags < 64 {
-		fragWorkers = 1
-	}
-	// Levels: BFS over the tree of fragments T_i from the fragment
-	// holding the global root. The adjacency is a CSR over the
-	// cross-fragment tree edges, built with atomic counters — slot order
-	// varies by schedule, but BFS depths are hop distances, so the level
-	// parities are schedule-independent.
-	edgeWorkers := par.WorkersFor(workers, len(d.treeU))
-	fdeg := a.fdeg[:numFrags+1]
-	clear(fdeg)
-	par.Ranges(edgeWorkers, len(d.treeU), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fu, fv := fragOf[d.treeU[i]], fragOf[d.treeV[i]]
-			if fu != fv {
-				atomic.AddInt32(&fdeg[fu+1], 1)
-				atomic.AddInt32(&fdeg[fv+1], 1)
+	// Roots: a fragment is a subtree of T, so exactly one member's
+	// T-parent lies outside it (or is missing: the global root).
+	root := a.root[:numFrags]
+	par.Ranges(d.workers, len(fragOf), func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if parent := d.parentNode[u]; parent == -1 || fragOf[parent] != fragOf[u] {
+				root[fragOf[u]] = graph.NodeID(u)
 			}
 		}
 	})
-	for f := 0; f < numFrags; f++ {
-		fdeg[f+1] += fdeg[f]
-	}
-	fadj := a.fadj[:fdeg[numFrags]]
-	fcur := a.fcur[:numFrags]
-	copy(fcur, fdeg[:numFrags])
-	par.Ranges(edgeWorkers, len(d.treeU), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fu, fv := fragOf[d.treeU[i]], fragOf[d.treeV[i]]
-			if fu != fv {
-				fadj[atomic.AddInt32(&fcur[fu], 1)-1] = fv
-				fadj[atomic.AddInt32(&fcur[fv], 1)-1] = fu
-			}
+	// A broken partition shows here as a stale root left from an earlier
+	// phase, or in fragmentBFS, which panics on a fragment with two roots
+	// (a fragment that is not a subtree) when it misses the other one's
+	// nodes.
+	for f, r := range root {
+		if parent := d.parentNode[r]; fragOf[r] != FragID(f) || parent != -1 && fragOf[parent] == FragID(f) {
+			panic("boruvka: fragment has no root (internal error)")
 		}
-	})
-	rootFrag := fragOf[d.Root]
+	}
+	// Levels: a fragment's depth in the tree of fragments T_i is one more
+	// than that of the fragment holding its root's T-parent. Each climb
+	// stops at a fragment whose depth is known, so together the climbs
+	// cost O(fragments).
 	depth := a.depth[:numFrags]
 	for i := range depth {
 		depth[i] = -1
 	}
-	depth[rootFrag] = 0
-	queue := append(a.queue[:0], rootFrag)
-	for qi := 0; qi < len(queue); qi++ {
-		f := queue[qi]
-		for _, nb := range fadj[fdeg[f]:fcur[f]] {
-			if depth[nb] == -1 {
-				depth[nb] = depth[f] + 1
-				queue = append(queue, nb)
+	for f := range FragID(numFrags) {
+		stack := a.stack[:0]
+		for g := f; depth[g] == -1; {
+			parent := d.parentNode[root[g]]
+			if parent == -1 {
+				depth[g] = 0
+				break
 			}
-		}
-	}
-	// Roots, BFS orders and the visit itself, one parallel pass over
-	// fragments. Both the orders and the child segments live in flat
-	// arenas sliced by the member offsets; the node-indexed count
-	// scratch is shared safely because fragments own disjoint nodes.
-	return par.FirstFailure(fragWorkers, numFrags, func(w, lo, hi int) (int, error) {
-		for fi := lo; fi < hi; fi++ {
-			if depth[fi] == -1 {
+			if len(stack) == numFrags {
 				panic("boruvka: tree of fragments is disconnected (internal error)")
 			}
+			stack = append(stack, g)
+			g = fragOf[parent]
+		}
+		for i := len(stack) - 1; i >= 0; i-- {
+			g := stack[i]
+			depth[g] = depth[fragOf[d.parentNode[root[g]]]] + 1
+		}
+	}
+	// BFS orders and the visit itself, one parallel pass over fragments.
+	// Both the orders and the child segments live in flat arenas sliced
+	// by the member offsets; the node-indexed count scratch is shared
+	// safely because fragments own disjoint nodes.
+	fragWorkers := d.workers
+	if numFrags < 64 {
+		fragWorkers = 1
+	}
+	return par.FirstFailure(fragWorkers, numFrags, func(w, lo, hi int) (int, error) {
+		for fi := lo; fi < hi; fi++ {
 			o, end := memOff[fi], memOff[fi+1]
-			nodes := memFlat[o:end:end]
-			// Root: the unique node whose T-parent edge leaves the
-			// fragment (or the global root).
-			root := graph.NodeID(-1)
-			for _, u := range nodes {
-				parent := d.parentNode[u]
-				if parent == -1 || fragOf[parent] != FragID(fi) {
-					if root != -1 {
-						panic("boruvka: two roots in one fragment (internal error)")
-					}
-					root = u
-				}
-			}
-			order := d.fragmentBFS(a, root, nodes, fragOf, bfs[o:o:end], a.kids[o:end])
-			if err := visit(w, fi, fragView{root: root, level: int(depth[fi] % 2), bfs: order}); err != nil {
+			order := d.fragmentBFS(a, root[fi], memFlat[o:end:end], fragOf, bfs[o:o:end], a.kids[o:end])
+			if err := visit(w, fi, root[fi], int(depth[fi]%2), order); err != nil {
 				return fi, err
 			}
 		}

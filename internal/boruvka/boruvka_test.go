@@ -1,7 +1,9 @@
 package boruvka
 
 import (
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -20,13 +22,62 @@ func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) 
 	return g
 }
 
-func decompose(t *testing.T, g *graph.Graph, root graph.NodeID) *Decomposition {
+// decompose runs the decomposition and its Run over every phase, and
+// returns it with the visits of each streamed partition (see runAll).
+func decompose(t testing.TB, g *graph.Graph, root graph.NodeID) (*Decomposition, [][]StreamVisit) {
 	t.Helper()
-	d, err := Decompose(g, root)
+	return runAll(t, g, root, Options{})
+}
+
+// runAll decomposes g under opt and collects every Run visit with its
+// BFS copied out of Run's arena. parts[j] holds the visits of phase j+1
+// by fragment ID; the visit order within a phase is unspecified, so
+// the fragments are placed by Frag. Under the default KeepPhases the
+// last partition is the spanning fragment, at phase TotalPhases+1.
+func runAll(t testing.TB, g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, [][]StreamVisit) {
+	t.Helper()
+	d, err := DecomposeOpt(g, root, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	var mu sync.Mutex
+	var parts [][]StreamVisit
+	err = d.Run(func(_ int, v StreamVisit) error {
+		v.BFS = slices.Clone(v.BFS)
+		mu.Lock()
+		defer mu.Unlock()
+		for len(parts) < v.Phase {
+			parts = append(parts, nil)
+		}
+		part := &parts[v.Phase-1]
+		for len(*part) <= v.Frag {
+			*part = append(*part, StreamVisit{Phase: -1})
+		}
+		(*part)[v.Frag] = v
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, part := range parts {
+		for fi, v := range part {
+			if v.Phase != j+1 || v.Frag != fi {
+				t.Fatalf("partition %d has no visit for fragment %d", j+1, fi)
+			}
+		}
+	}
+	return d, parts
+}
+
+// fragOf maps every node to its fragment in one streamed partition.
+func fragOf(n int, part []StreamVisit) []int {
+	of := make([]int, n)
+	for fi, v := range part {
+		for _, u := range v.BFS {
+			of[u] = fi
+		}
+	}
+	return of
 }
 
 // testGraphs yields a diverse corpus: every family x sizes x weight modes.
@@ -50,7 +101,7 @@ func testGraphs(t *testing.T) []*graph.Graph {
 
 func TestTreeMatchesKruskal(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
+		d, _ := decompose(t, g, 0)
 		want, err := mst.Kruskal(g)
 		if err != nil {
 			t.Fatal(err)
@@ -68,22 +119,22 @@ func TestTreeMatchesKruskal(t *testing.T) {
 // and at most n/2^(i-1) fragments are active at phase i.
 func TestLemma1(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
-		for _, ph := range d.Phases {
-			i := ph.Index
+		d, parts := decompose(t, g, 0)
+		for _, part := range parts[:d.TotalPhases] {
+			i := part[0].Phase
 			actives := 0
-			for fi := range ph.Fragments {
-				f := &ph.Fragments[fi]
+			for _, f := range part {
+				size := len(f.BFS)
 				if f.Active {
 					actives++
-					if f.Size() >= 1<<uint(i) {
-						t.Fatalf("graph %d phase %d: active fragment of size %d >= 2^%d", gi, i, f.Size(), i)
+					if size >= 1<<uint(i) {
+						t.Fatalf("graph %d phase %d: active fragment of size %d >= 2^%d", gi, i, size, i)
 					}
-					if i > 1 && f.Size() < 1<<uint(i-1) {
-						t.Fatalf("graph %d phase %d: active fragment of size %d < 2^%d", gi, i, f.Size(), i-1)
+					if i > 1 && size < 1<<uint(i-1) {
+						t.Fatalf("graph %d phase %d: active fragment of size %d < 2^%d", gi, i, size, i-1)
 					}
-				} else if f.Size() < 1<<uint(i) {
-					t.Fatalf("graph %d phase %d: passive fragment of size %d < 2^%d", gi, i, f.Size(), i)
+				} else if size < 1<<uint(i) {
+					t.Fatalf("graph %d phase %d: passive fragment of size %d < 2^%d", gi, i, size, i)
 				}
 			}
 			if i > 1 && actives > g.N()/(1<<uint(i-1)) {
@@ -91,8 +142,8 @@ func TestLemma1(t *testing.T) {
 			}
 		}
 		// Number of phases is at most ceil(log n) (+1 slack for the n=1 case).
-		if g.N() > 1 && d.NumPhases() > graph.CeilLog2(g.N()) {
-			t.Fatalf("graph %d: %d phases > ceil(log %d)", gi, d.NumPhases(), g.N())
+		if g.N() > 1 && d.TotalPhases > graph.CeilLog2(g.N()) {
+			t.Fatalf("graph %d: %d phases > ceil(log %d)", gi, d.TotalPhases, g.N())
 		}
 	}
 }
@@ -104,19 +155,18 @@ func TestLemma1(t *testing.T) {
 // (weight, port) order, which is what the Theorem 2 advice encodes.
 func TestLemma2GlobalOrder(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
-		for _, ph := range d.Phases {
-			for fi := range ph.Fragments {
-				f := &ph.Fragments[fi]
-				if f.Sel == nil {
+		_, parts := decompose(t, g, 0)
+		for _, part := range parts {
+			for _, f := range part {
+				if !f.HasSel {
 					continue
 				}
 				u := f.Sel.Chooser
 				port := g.PortAt(f.Sel.Edge, u)
 				rank := g.GlobalRankAt(u, port) // 0-based
-				if rank+1 > f.Size() {
+				if rank+1 > len(f.BFS) {
 					t.Fatalf("graph %d phase %d: selected edge has global rank %d > |F| = %d",
-						gi, ph.Index, rank+1, f.Size())
+						gi, f.Phase, rank+1, len(f.BFS))
 				}
 			}
 		}
@@ -127,25 +177,24 @@ func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
 	for _, fam := range gen.Names() {
 		for _, n := range []int{8, 31, 64} {
 			g := seeded(t, fam, n, uint64(int64(n)), gen.WeightsDistinct)
-			d := decompose(t, g, 0)
-			for _, ph := range d.Phases {
-				for fi := range ph.Fragments {
-					f := &ph.Fragments[fi]
-					if f.Sel == nil {
+			_, parts := decompose(t, g, 0)
+			for _, part := range parts {
+				for _, f := range part {
+					if !f.HasSel {
 						continue
 					}
 					u := f.Sel.Chooser
 					port := g.PortAt(f.Sel.Edge, u)
 					rank := g.LocalRank(u, port)
-					if rank+1 > f.Size() {
+					if rank+1 > len(f.BFS) {
 						t.Fatalf("%s n=%d phase %d: local rank %d > |F| = %d",
-							fam, n, ph.Index, rank+1, f.Size())
+							fam, n, f.Phase, rank+1, len(f.BFS))
 					}
 					// The index bound used by the advice widths: rank fits
 					// in i bits since |F| < 2^i.
-					if rank >= 1<<uint(ph.Index) {
+					if rank >= 1<<uint(f.Phase) {
 						t.Fatalf("%s n=%d phase %d: rank %d needs more than %d bits",
-							fam, n, ph.Index, rank, ph.Index)
+							fam, n, f.Phase, rank, f.Phase)
 					}
 				}
 			}
@@ -153,63 +202,55 @@ func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
 	}
 }
 
-// Fragment structure invariants: partitions are exact, roots are unique
-// and correct, BFS orders enumerate the fragment starting at its root.
+// Fragment structure invariants: every streamed partition, the spanning
+// fragment's included, is exact, roots are unique and correct, and BFS
+// orders enumerate the fragment starting at its root.
 func TestFragmentInvariants(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
-		phases := make([]Phase, len(d.Phases))
-		copy(phases, d.Phases)
-		for pi := 1; pi <= d.NumPhases()+1; pi++ {
-			frags := d.FragmentsAtStart(pi)
+		d, parts := decompose(t, g, 0)
+		if len(parts) != d.TotalPhases+1 {
+			t.Fatalf("graph %d: %d partitions streamed for %d phases", gi, len(parts), d.TotalPhases)
+		}
+		for _, part := range parts {
+			pi := part[0].Phase
 			seen := make(map[graph.NodeID]bool)
-			for fi := range frags {
-				f := &frags[fi]
-				if f.Size() == 0 {
+			for _, f := range part {
+				if len(f.BFS) == 0 {
 					t.Fatalf("graph %d phase %d: empty fragment", gi, pi)
 				}
-				for _, u := range f.Nodes {
+				inF := make(map[graph.NodeID]bool, len(f.BFS))
+				for _, u := range f.BFS {
 					if seen[u] {
-						t.Fatalf("graph %d phase %d: node %d in two fragments", gi, pi, u)
+						t.Fatalf("graph %d phase %d: node %d visited twice", gi, pi, u)
 					}
 					seen[u] = true
-				}
-				// Root is a member whose parent edge leaves the fragment.
-				inF := make(map[graph.NodeID]bool, f.Size())
-				for _, u := range f.Nodes {
 					inF[u] = true
 				}
-				if !inF[f.Root] {
-					t.Fatalf("graph %d phase %d: root not a member", gi, pi)
+				// BFS order starts at the root, a member whose parent edge
+				// leaves the fragment.
+				if f.BFS[0] != f.Root {
+					t.Fatalf("graph %d phase %d: BFS order does not start at the root", gi, pi)
 				}
 				pe := d.ParentEdge[f.Root]
 				if pe != -1 && inF[g.Other(pe, f.Root)] {
 					t.Fatalf("graph %d phase %d: root's parent is inside the fragment", gi, pi)
 				}
 				// Every non-root member's path to the root stays inside F.
-				for _, u := range f.Nodes {
-					if u == f.Root {
-						continue
-					}
+				for _, u := range f.BFS[1:] {
 					pe := d.ParentEdge[u]
 					if pe == -1 || !inF[g.Other(pe, u)] {
 						t.Fatalf("graph %d phase %d: member %d has parent outside fragment", gi, pi, u)
 					}
 				}
-				// BFS order: a permutation of the members starting at root.
-				if len(f.BFS) != f.Size() || f.BFS[0] != f.Root {
-					t.Fatalf("graph %d phase %d: bad BFS order", gi, pi)
-				}
-				seenBFS := make(map[graph.NodeID]bool)
-				for _, u := range f.BFS {
-					if !inF[u] || seenBFS[u] {
-						t.Fatalf("graph %d phase %d: BFS order invalid", gi, pi)
-					}
-					seenBFS[u] = true
-				}
 			}
 			if len(seen) != g.N() {
 				t.Fatalf("graph %d phase %d: partition covers %d of %d nodes", gi, pi, len(seen), g.N())
+			}
+			// Fragment IDs are dense in order of smallest member.
+			for fi := 1; fi < len(part); fi++ {
+				if slices.Min(part[fi-1].BFS) > slices.Min(part[fi].BFS) {
+					t.Fatalf("graph %d phase %d: fragments %d and %d out of smallest-member order", gi, pi, fi-1, fi)
+				}
 			}
 		}
 	}
@@ -219,19 +260,20 @@ func TestFragmentInvariants(t *testing.T) {
 // holding the global root has level 0.
 func TestLevels(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
-		for _, ph := range d.Phases {
-			if ph.Fragments[ph.FragOf[d.Root]].Level != 0 {
-				t.Fatalf("graph %d phase %d: root fragment has level 1", gi, ph.Index)
+		d, parts := decompose(t, g, 0)
+		for _, part := range parts {
+			of := fragOf(g.N(), part)
+			if part[of[d.Root]].Level != 0 {
+				t.Fatalf("graph %d phase %d: root fragment has level 1", gi, part[0].Phase)
 			}
 			for _, e := range d.TreeEdges {
 				rec := g.Edge(e)
-				fu, fv := ph.FragOf[rec.U], ph.FragOf[rec.V]
+				fu, fv := of[rec.U], of[rec.V]
 				if fu == fv {
 					continue
 				}
-				if ph.Fragments[fu].Level == ph.Fragments[fv].Level {
-					t.Fatalf("graph %d phase %d: adjacent fragments share level", gi, ph.Index)
+				if part[fu].Level == part[fv].Level {
+					t.Fatalf("graph %d phase %d: adjacent fragments share level", gi, part[0].Phase)
 				}
 			}
 		}
@@ -245,56 +287,55 @@ func TestLevels(t *testing.T) {
 // decoders).
 func TestSelections(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
+		d, parts := decompose(t, g, 0)
 		inTree := make(map[graph.EdgeID]bool)
 		for _, e := range d.TreeEdges {
 			inTree[e] = true
 		}
-		for _, ph := range d.Phases {
-			for fi := range ph.Fragments {
-				f := &ph.Fragments[fi]
+		for _, part := range parts {
+			of := fragOf(g.N(), part)
+			for fi, f := range part {
 				if !f.Active {
-					if f.Sel != nil {
-						t.Fatalf("graph %d phase %d: passive fragment has a selection", gi, ph.Index)
+					if f.HasSel {
+						t.Fatalf("graph %d phase %d: passive fragment has a selection", gi, f.Phase)
 					}
 					continue
 				}
-				if f.Sel == nil {
-					if len(ph.Fragments) > 1 {
-						t.Fatalf("graph %d phase %d: active fragment without selection", gi, ph.Index)
+				if !f.HasSel {
+					if len(part) > 1 {
+						t.Fatalf("graph %d phase %d: active fragment without selection", gi, f.Phase)
 					}
 					continue
 				}
 				sel := f.Sel
-				if ph.FragOf[sel.Chooser] != f.ID {
-					t.Fatalf("graph %d phase %d: chooser outside fragment", gi, ph.Index)
+				if of[sel.Chooser] != fi {
+					t.Fatalf("graph %d phase %d: chooser outside fragment", gi, f.Phase)
 				}
 				if !inTree[sel.Edge] {
-					t.Fatalf("graph %d phase %d: selected edge not in T", gi, ph.Index)
+					t.Fatalf("graph %d phase %d: selected edge not in T", gi, f.Phase)
 				}
 				rec := g.Edge(sel.Edge)
-				if ph.FragOf[rec.U] == ph.FragOf[rec.V] {
-					t.Fatalf("graph %d phase %d: selected edge internal", gi, ph.Index)
+				if of[rec.U] == of[rec.V] {
+					t.Fatalf("graph %d phase %d: selected edge internal", gi, f.Phase)
 				}
 				// Global minimality among outgoing edges.
 				for ei := 0; ei < g.M(); ei++ {
 					e := graph.EdgeID(ei)
 					r := g.Edge(e)
-					out := (ph.FragOf[r.U] == f.ID) != (ph.FragOf[r.V] == f.ID)
+					out := (of[r.U] == fi) != (of[r.V] == fi)
 					if out && g.EdgeLess(e, sel.Edge) {
-						t.Fatalf("graph %d phase %d: outgoing edge %d beats selected %d", gi, ph.Index, e, sel.Edge)
+						t.Fatalf("graph %d phase %d: outgoing edge %d beats selected %d", gi, f.Phase, e, sel.Edge)
 					}
 				}
 				wantUp := d.ParentEdge[sel.Chooser] == sel.Edge
 				if sel.Up != wantUp {
-					t.Fatalf("graph %d phase %d: Up = %v, want %v", gi, ph.Index, sel.Up, wantUp)
+					t.Fatalf("graph %d phase %d: Up = %v, want %v", gi, f.Phase, sel.Up, wantUp)
 				}
 				if sel.Up && sel.Chooser != f.Root {
-					t.Fatalf("graph %d phase %d: up-selection by non-root chooser", gi, ph.Index)
+					t.Fatalf("graph %d phase %d: up-selection by non-root chooser", gi, f.Phase)
 				}
 			}
 		}
-		_ = inTree
 	}
 }
 
@@ -302,34 +343,36 @@ func TestSelections(t *testing.T) {
 // its endpoints were in different fragments.
 func TestSelPhase(t *testing.T) {
 	for gi, g := range testGraphs(t) {
-		d := decompose(t, g, 0)
+		d, parts := decompose(t, g, 0)
 		for _, e := range d.TreeEdges {
 			i := int(d.SelPhase[e])
-			if i < 1 || i > d.NumPhases() {
+			if i < 1 || i > d.TotalPhases {
 				t.Fatalf("graph %d: tree edge %d has SelPhase %d", gi, e, i)
 			}
-			ph := d.Phases[i-1]
+			of := fragOf(g.N(), parts[i-1])
 			rec := g.Edge(e)
-			if ph.FragOf[rec.U] == ph.FragOf[rec.V] {
+			if of[rec.U] == of[rec.V] {
 				t.Fatalf("graph %d: edge %d already internal at its selection phase", gi, e)
 			}
 		}
 		for ei := 0; ei < g.M(); ei++ {
 			e := graph.EdgeID(ei)
-			if d.SelPhase[e] != 0 && !contains(d.TreeEdges, e) {
+			if d.SelPhase[e] != 0 && !slices.Contains(d.TreeEdges, e) {
 				t.Fatalf("graph %d: non-tree edge %d has SelPhase set", gi, e)
 			}
 		}
 	}
 }
 
-func contains(es []graph.EdgeID, e graph.EdgeID) bool {
-	for _, x := range es {
-		if x == e {
-			return true
-		}
+// final returns the spanning fragment Run streams after the last phase.
+func final(t *testing.T, g *graph.Graph, root graph.NodeID) StreamVisit {
+	t.Helper()
+	d, parts := decompose(t, g, root)
+	last := parts[len(parts)-1]
+	if len(last) != 1 || last[0].Phase != d.TotalPhases+1 || !last[0].Final {
+		t.Fatalf("the last partition (phase %d of %d, %d fragments) is not the spanning fragment", last[0].Phase, d.TotalPhases, len(last))
 	}
-	return false
+	return last[0]
 }
 
 // The final fragment spans the graph and its BFS order starts at the
@@ -337,15 +380,15 @@ func contains(es []graph.EdgeID, e graph.EdgeID) bool {
 func TestFinalFragment(t *testing.T) {
 	g := seeded(t, "random", 40, 5, gen.WeightsDistinct)
 	root := graph.NodeID(13)
-	d := decompose(t, g, root)
-	if d.Final.Size() != g.N() {
-		t.Fatalf("final fragment size %d", d.Final.Size())
+	f := final(t, g, root)
+	if len(f.BFS) != g.N() {
+		t.Fatalf("final fragment size %d", len(f.BFS))
 	}
-	if d.Final.Root != root || d.Final.BFS[0] != root {
+	if f.Root != root || f.BFS[0] != root {
 		t.Fatal("final fragment not rooted at the global root")
 	}
-	if d.Final.Level != 0 {
-		t.Fatal("final fragment should be level 0")
+	if f.Level != 0 || f.Active || f.HasSel {
+		t.Fatal("final fragment should be level 0, passive and without a selection")
 	}
 }
 
@@ -357,13 +400,10 @@ func TestBFSChildOrder(t *testing.T) {
 		AddEdge(0, 1, 30).
 		AddEdge(0, 2, 10).
 		AddEdge(0, 3, 20))
-	d := decompose(t, g, 0)
-	bfs := d.Final.BFS
+	bfs := final(t, g, 0).BFS
 	want := []graph.NodeID{0, 2, 3, 1}
-	for i := range want {
-		if bfs[i] != want[i] {
-			t.Fatalf("final BFS = %v, want %v", bfs, want)
-		}
+	if !slices.Equal(bfs, want) {
+		t.Fatalf("final BFS = %v, want %v", bfs, want)
 	}
 }
 
@@ -377,7 +417,7 @@ func TestBFSHubOrder(t *testing.T) {
 		b.AddEdge(0, graph.NodeID(leaf), graph.Weight((k-leaf)/2+1))
 	}
 	g := reference.MustBuild(b)
-	bfs := decompose(t, g, 0).Final.BFS
+	bfs := final(t, g, 0).BFS
 	if len(bfs) != k+1 || bfs[0] != 0 {
 		t.Fatalf("final BFS has %d nodes starting at %d", len(bfs), bfs[0])
 	}
@@ -392,20 +432,20 @@ func TestBFSHubOrder(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	g := reference.MustBuild(graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1))
-	if _, err := Decompose(g, 0); err == nil {
+	if _, err := DecomposeOpt(g, 0, Options{}); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 	g2 := reference.MustBuild(graph.NewBuilder(2).AddEdge(0, 1, 1))
-	if _, err := Decompose(g2, 5); err == nil {
+	if _, err := DecomposeOpt(g2, 5, Options{}); err == nil {
 		t.Error("out-of-range root accepted")
 	}
 }
 
 func TestSingleNode(t *testing.T) {
 	g := reference.MustBuild(graph.NewBuilder(1))
-	d := decompose(t, g, 0)
-	if d.NumPhases() != 0 || d.Final.Size() != 1 {
-		t.Fatalf("K1: phases=%d final=%d", d.NumPhases(), d.Final.Size())
+	d, parts := decompose(t, g, 0)
+	if d.TotalPhases != 0 || len(parts) != 1 || len(parts[0]) != 1 || len(parts[0][0].BFS) != 1 {
+		t.Fatalf("K1: %d phases, %d partitions streamed", d.TotalPhases, len(parts))
 	}
 	if d.ParentPort[0] != -1 {
 		t.Fatal("K1 root should have no parent")
@@ -415,24 +455,16 @@ func TestSingleNode(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g1 := seeded(t, "random", 30, 77, gen.WeightsUnit)
 	g2 := seeded(t, "random", 30, 77, gen.WeightsUnit)
-	d1 := decompose(t, g1, 3)
-	d2 := decompose(t, g2, 3)
-	if d1.NumPhases() != d2.NumPhases() {
+	d1, parts1 := decompose(t, g1, 3)
+	d2, parts2 := decompose(t, g2, 3)
+	if d1.TotalPhases != d2.TotalPhases {
 		t.Fatal("phase counts differ")
 	}
 	if !slices.Equal(d1.TreeEdges, d2.TreeEdges) {
 		t.Fatal("trees differ across identical runs")
 	}
-	for i := range d1.Phases {
-		f1, f2 := d1.Phases[i].Fragments, d2.Phases[i].Fragments
-		if len(f1) != len(f2) {
-			t.Fatal("fragment counts differ")
-		}
-		for j := range f1 {
-			if f1[j].Root != f2[j].Root || f1[j].Level != f2[j].Level {
-				t.Fatal("fragment annotations differ")
-			}
-		}
+	if !reflect.DeepEqual(parts1, parts2) {
+		t.Fatal("Run visits differ across identical runs")
 	}
 }
 
@@ -440,7 +472,7 @@ func BenchmarkDecompose(b *testing.B) {
 	g := seeded(b, "random", 512, 1, gen.WeightsDistinct)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(g, 0); err != nil {
+		if _, err := DecomposeOpt(g, 0, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

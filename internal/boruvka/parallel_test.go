@@ -1,46 +1,48 @@
 package boruvka
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
-	"sync"
 	"testing"
 
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 )
 
 // observable projects the deterministic, exported state of a
-// decomposition (the scratch buffers legitimately differ with worker
-// scheduling; everything observable must not).
+// decomposition and its Run visits (the scratch buffers legitimately
+// differ with worker scheduling; everything observable must not).
 type observable struct {
 	Root        graph.NodeID
-	Phases      []Phase
 	TotalPhases int
-	Final       Fragment
 	TreeEdges   []graph.EdgeID
 	ParentPort  []int
 	ParentEdge  []graph.EdgeID
 	SelPhase    []uint8
+	Visits      [][]StreamVisit
 }
 
-func project(d *Decomposition) observable {
-	return observable{d.Root, d.Phases, d.TotalPhases, d.Final,
-		d.TreeEdges, d.ParentPort, d.ParentEdge, d.SelPhase}
+// project decomposes g under opt and projects the run.
+func project(t *testing.T, g *graph.Graph, root graph.NodeID, opt Options) (observable, *Decomposition) {
+	t.Helper()
+	d, parts := runAll(t, g, root, opt)
+	return observable{d.Root, d.TotalPhases, d.TreeEdges, d.ParentPort, d.ParentEdge, d.SelPhase, parts}, d
 }
 
 // TestDecomposeParallelDeterminism asserts the phase kernel's central
 // contract: for every registered graph family and every worker count in
-// {1,2,3,4,8,16}, DecomposeOpt produces a byte-identical Decomposition —
-// with and without phase truncation and the contraction tower — and the
-// whole wall holds again under GOMAXPROCS=1, which forces every
-// goroutine onto one OS thread and so exercises completely different
-// interleavings. Worker counts above GOMAXPROCS are included
-// deliberately — the contract is about the partition into ranges and
-// the merge semigroup, not the physical core count.
+// {1,2,3,4,8,16}, DecomposeOpt and Run produce a byte-identical
+// Decomposition and visit stream — with and without phase truncation
+// and the contraction tower — and the whole wall holds again under
+// GOMAXPROCS=1, which forces every goroutine onto one OS thread and so
+// exercises completely different interleavings. Worker counts above
+// GOMAXPROCS are included deliberately — the contract is about the
+// partition into ranges and the merge semigroup, not the physical core
+// count.
 func TestDecomposeParallelDeterminism(t *testing.T) {
 	variants := []struct {
 		name string
@@ -56,18 +58,11 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 			for _, va := range variants {
 				opt := va.opt
 				opt.Workers = 1
-				ref, err := DecomposeOpt(g, 0, opt)
-				if err != nil {
-					t.Fatalf("family %s %s workers=1: %v", fam, va.name, err)
-				}
-				want := project(ref)
+				want, ref := project(t, g, 0, opt)
 				for _, workers := range []int{2, 3, 4, 8, 16} {
 					opt.Workers = workers
-					d, err := DecomposeOpt(g, 0, opt)
-					if err != nil {
-						t.Fatalf("family %s %s workers=%d: %v", fam, va.name, workers, err)
-					}
-					if !reflect.DeepEqual(project(d), want) {
+					got, d := project(t, g, 0, opt)
+					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("family %s %s: decomposition differs at workers=%d", fam, va.name, workers)
 					}
 					if va.opt.KeepTower && !reflect.DeepEqual(d.Tower, ref.Tower) {
@@ -84,133 +79,92 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 	})
 }
 
-// streamRecord is one StreamVisit flattened for comparison (BFS copied
-// out of its arena).
-type streamRecord struct {
-	Phase, Frag   int
-	Final, Active bool
-	Root          graph.NodeID
-	Level         int
-	BFS           []graph.NodeID
-	HasSel        bool
-	Sel           Selection
-}
-
-// collectStream runs NewStream and Stream.Run, as the fused encoder
-// does, and returns the visits sorted by (phase, fragment) — the visit
-// order within a phase is intentionally unspecified — plus the flat
-// decomposition.
-func collectStream(t *testing.T, g *graph.Graph, opt Options) ([]streamRecord, *Decomposition) {
-	t.Helper()
-	var mu sync.Mutex
-	var recs []streamRecord
-	s, err := NewStream(g, 0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s.Run(func(_ int, v StreamVisit) error {
-		r := streamRecord{v.Phase, v.Frag, v.Final, v.Active, v.Root, v.Level,
-			append([]graph.NodeID(nil), v.BFS...), v.HasSel, v.Sel}
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Phase != recs[j].Phase {
-			return recs[i].Phase < recs[j].Phase
-		}
-		return recs[i].Frag < recs[j].Frag
-	})
-	return recs, s.D
-}
-
-// TestDecomposeStreamMatchesRich replays the streamed fragments against
-// the rich two-pass records: every phase, fragment, annotation and
-// selection must agree, for a retention budget the run outlives and for
-// one it does not (where the stream must synthesize the spanning
-// fragment), across worker counts.
-func TestDecomposeStreamMatchesRich(t *testing.T) {
-	g := seeded(t, "random", 180, 42, gen.WeightsDistinct)
-	full, err := Decompose(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, keep := range []int{0, 2, full.TotalPhases, full.TotalPhases + 1, full.TotalPhases + 5} {
-		for _, workers := range []int{1, 3, 8} {
-			recs, d := collectStream(t, g, Options{Workers: workers, KeepPhases: keep})
-			if d.TotalPhases != full.TotalPhases || d.NumPhases() != 0 {
-				t.Fatalf("keep=%d: stream decomposition records phases (%d) or wrong total", keep, d.NumPhases())
-			}
-			kept := keep
-			if kept <= 0 || kept > full.TotalPhases {
-				kept = full.TotalPhases
-			}
-			wantSynth := keep <= 0 || full.TotalPhases < keep
-			ri := 0
-			for pi := 1; pi <= kept; pi++ {
-				ph := &full.Phases[pi-1]
-				for fi := range ph.Fragments {
-					f := &ph.Fragments[fi]
-					if ri >= len(recs) {
-						t.Fatalf("keep=%d workers=%d: stream ended before phase %d fragment %d", keep, workers, pi, fi)
+// TestRunMatchesReference holds every Run visit to reference.Boruvka, a
+// naive phase simulation that shares no code with this package: on
+// every family at n ∈ {1, 2, 3, 7, 16, 33, 64} in all three weight
+// modes, each streamed fragment's phase, members, active flag,
+// selection, root, level and BFS order, and the Final flags, for a
+// retention budget of 0, 1, 2, TotalPhases and TotalPhases+1 phases
+// (the last two stream the final phase and the synthesized spanning
+// fragment), at 1, 3 and 8 workers. The tree, its rooting and each
+// tree edge's selection phase are held to the reference too.
+func TestRunMatchesReference(t *testing.T) {
+	for gi, g := range testGraphs(t) {
+		n := g.N()
+		root := graph.NodeID(gi % n)
+		want := reference.Boruvka(g, root)
+		total := len(want) - 1
+		parents := reference.Parents(g, root)
+		for _, keep := range []int{0, 1, 2, total, total + 1} {
+			for _, workers := range []int{1, 3, 8} {
+				d, parts := runAll(t, g, root, Options{Workers: workers, KeepPhases: keep})
+				where := fmt.Sprintf("graph %d (n=%d) keep=%d workers=%d", gi, n, keep, workers)
+				if d.TotalPhases != total || !slices.Equal(d.TreeEdges, reference.Kruskal(g)) || !slices.Equal(d.ParentPort, parents) {
+					t.Fatalf("%s: phases, tree or rooting differ from the reference", where)
+				}
+				// The kept phases, then the spanning fragment when the run
+				// ends inside the budget.
+				streamed := len(want)
+				if keep > 0 && keep <= total {
+					streamed = keep
+				}
+				if len(parts) != streamed {
+					t.Fatalf("%s: %d partitions streamed, want %d", where, len(parts), streamed)
+				}
+				for j, part := range parts {
+					if len(part) != len(want[j]) {
+						t.Fatalf("%s: phase %d has %d fragments, want %d", where, j+1, len(part), len(want[j]))
 					}
-					r := recs[ri]
-					ri++
-					wantFinal := keep > 0 && pi == keep
-					if r.Phase != pi || r.Frag != fi || r.Final != wantFinal || r.Active != f.Active ||
-						r.Root != f.Root || r.Level != f.Level || !reflect.DeepEqual(r.BFS, f.BFS) {
-						t.Fatalf("keep=%d workers=%d: phase %d fragment %d visit %+v mismatches rich record", keep, workers, pi, fi, r)
-					}
-					if r.HasSel != (f.Sel != nil) || (r.HasSel && r.Sel != *f.Sel) {
-						t.Fatalf("keep=%d workers=%d: phase %d fragment %d selection mismatch", keep, workers, pi, fi)
+					for fi, v := range part {
+						r := want[j][fi]
+						// Phase keep is the final stage, and so is the
+						// spanning fragment (j = total) whenever it is streamed.
+						final := j+1 == keep || j == total
+						if v.Final != final || v.Active != r.Active || v.Root != r.Root || v.Level != r.Level ||
+							!slices.Equal(v.BFS, r.BFS) || !slices.Equal(slices.Sorted(slices.Values(v.BFS)), r.Nodes) {
+							t.Fatalf("%s: phase %d fragment %d: visit %+v, reference %+v", where, j+1, fi, v, r)
+						}
+						wantSel := Selection{Chooser: r.Chooser, Edge: r.Edge, Up: r.Up}
+						if v.HasSel != r.HasSel || v.HasSel && v.Sel != wantSel {
+							t.Fatalf("%s: phase %d fragment %d: selection %v %+v, reference %v %+v", where, j+1, fi, v.HasSel, v.Sel, r.HasSel, wantSel)
+						}
+						if v.HasSel && int(d.SelPhase[v.Sel.Edge]) != j+1 {
+							t.Fatalf("%s: edge %d selected at phase %d, SelPhase %d", where, v.Sel.Edge, j+1, d.SelPhase[v.Sel.Edge])
+						}
 					}
 				}
-			}
-			if wantSynth {
-				if ri+1 != len(recs) {
-					t.Fatalf("keep=%d workers=%d: %d trailing visits, want 1 synthesized final", keep, workers, len(recs)-ri)
+				if d.FinalFrags() != len(want[streamed-1]) {
+					t.Fatalf("%s: FinalFrags %d, want %d", where, d.FinalFrags(), len(want[streamed-1]))
 				}
-				r := recs[ri]
-				if r.Phase != full.TotalPhases+1 || !r.Final || r.HasSel ||
-					r.Root != full.Final.Root || r.Level != full.Final.Level ||
-					!reflect.DeepEqual(r.BFS, full.Final.BFS) {
-					t.Fatalf("keep=%d workers=%d: synthesized final visit %+v mismatches rich Final", keep, workers, r)
-				}
-			} else if ri != len(recs) {
-				t.Fatalf("keep=%d workers=%d: %d unexpected trailing visits", keep, workers, len(recs)-ri)
 			}
 		}
 	}
 }
 
-// TestStreamPhaseResidency bounds what each kept phase costs the
-// streaming pass. At n = 10⁵ on one worker, NewStream + Run keeping 6
-// phases (as many as the Theorem 3 oracle keeps at n = 10⁶) may
-// allocate at most 2 MiB more than keeping 2. Pass 1 records only
-// fragment-indexed data per kept phase and Run rebuilds every partition
-// in buffers it allocates once, so the difference is 0.31 MiB on a
-// 2-core host; recording each phase's node-level partition with its
-// sort keys, and giving each its own arenas, cost 11.9 MiB.
+// TestStreamPhaseResidency bounds what each kept phase costs Run. At
+// n = 10⁵ on one worker, DecomposeOpt + Run keeping 6 phases (as many
+// as the Theorem 3 oracle keeps at n = 10⁶) may allocate at most 2 MiB
+// more than keeping 2. Pass 1 records only fragment-indexed data per
+// kept phase and Run rebuilds every partition in buffers it allocates
+// once, so the difference is 0.31 MiB on a 2-core host; recording each
+// phase's node-level partition with its sort keys, and giving each its
+// own arenas, cost 11.9 MiB.
 func TestStreamPhaseResidency(t *testing.T) {
 	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
 	alloc := func(keep int) float64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		s, err := NewStream(g, 0, Options{Workers: 1, KeepPhases: keep})
+		d, err := DecomposeOpt(g, 0, Options{Workers: 1, KeepPhases: keep})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(func(int, StreamVisit) error { return nil }); err != nil {
+		if err := d.Run(func(int, StreamVisit) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if s.D.TotalPhases < keep {
-			t.Fatalf("the run has %d phases, fewer than the %d kept", s.D.TotalPhases, keep)
+		if d.TotalPhases < keep {
+			t.Fatalf("the run has %d phases, fewer than the %d kept", d.TotalPhases, keep)
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	}
@@ -277,61 +231,34 @@ func TestCompactLiveMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestDecomposeKeepPhases asserts that KeepPhases records exactly a
-// prefix of the full phase list and leaves every whole-run output
-// untouched.
+// TestDecomposeKeepPhases asserts that KeepPhases streams exactly a
+// prefix of the full run's partitions, flagging the last kept one
+// Final, and leaves every whole-run output untouched.
 func TestDecomposeKeepPhases(t *testing.T) {
 	g := seeded(t, "random", 120, 7, gen.WeightsDistinct)
-	full, err := Decompose(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, fullParts := decompose(t, g, 3)
 	for keep := 1; keep <= full.TotalPhases+1; keep++ {
-		d, err := DecomposeOpt(g, 3, Options{KeepPhases: keep})
-		if err != nil {
-			t.Fatalf("keep=%d: %v", keep, err)
-		}
-		wantLen := keep
-		if wantLen > full.TotalPhases {
-			wantLen = full.TotalPhases
-		}
-		if d.NumPhases() != wantLen {
-			t.Fatalf("keep=%d: NumPhases() = %d, want %d", keep, d.NumPhases(), wantLen)
+		d, parts := runAll(t, g, 3, Options{KeepPhases: keep})
+		wantLen := min(keep, full.TotalPhases+1)
+		if len(parts) != wantLen {
+			t.Fatalf("keep=%d: %d partitions streamed, want %d", keep, len(parts), wantLen)
 		}
 		if d.TotalPhases != full.TotalPhases {
 			t.Fatalf("keep=%d: TotalPhases %d, want %d", keep, d.TotalPhases, full.TotalPhases)
 		}
-		if !reflect.DeepEqual(d.Phases, full.Phases[:d.NumPhases()]) {
-			t.Fatalf("keep=%d: recorded phases differ from the full prefix", keep)
+		for j, part := range parts {
+			for fi, v := range part {
+				w := fullParts[j][fi]
+				w.Final = j+1 == keep || j == full.TotalPhases
+				if !reflect.DeepEqual(v, w) {
+					t.Fatalf("keep=%d: phase %d fragment %d differs from the full run's", keep, j+1, fi)
+				}
+			}
 		}
 		if !reflect.DeepEqual(d.TreeEdges, full.TreeEdges) ||
 			!reflect.DeepEqual(d.ParentPort, full.ParentPort) ||
-			!reflect.DeepEqual(d.Final, full.Final) ||
 			!reflect.DeepEqual(d.SelPhase, full.SelPhase) {
 			t.Fatalf("keep=%d: whole-run outputs differ", keep)
 		}
 	}
-}
-
-// TestFragmentsAtStartTruncated pins the truncation semantics: the final
-// fragment is reachable through FragmentsAtStart only when the record is
-// complete.
-func TestFragmentsAtStartTruncated(t *testing.T) {
-	g := seeded(t, "random", 64, 8, gen.WeightsDistinct)
-	d, err := DecomposeOpt(g, 0, Options{KeepPhases: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.TotalPhases <= 2 {
-		t.Skipf("graph merged in %d phases; need > 2 for the truncation case", d.TotalPhases)
-	}
-	if got := d.FragmentsAtStart(1); len(got) != g.N() {
-		t.Fatalf("phase 1 has %d fragments, want %d singletons", len(got), g.N())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FragmentsAtStart past a truncated record should panic")
-		}
-	}()
-	d.FragmentsAtStart(2)
 }

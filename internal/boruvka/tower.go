@@ -9,8 +9,8 @@ import (
 // Tower is the contraction tower of a decomposition run: one TowerLevel
 // per executed contraction, i.e. per phase after the first. Level ℓ
 // (1-based) describes the contracted multigraph at the START of phase
-// ℓ+1, exactly the state FragmentsAtStart(ℓ+1) partitions at the node
-// level; level 0 — every node a singleton fragment — is implicit. The
+// ℓ+1, exactly the partition whose fragments Run visits at phase ℓ+1;
+// level 0 — every node a singleton fragment — is implicit. The
 // tower is what the paper's §2.2 simulation computes and the flat
 // Theorem 3 codec throws away: DecomposeOpt captures it only under
 // Options.KeepTower, as plain copies taken after each contraction, so
@@ -25,7 +25,7 @@ type Tower struct {
 
 // TowerLevel is one contracted graph of the tower, held as its node
 // partition. Fragment IDs are dense and ordered by smallest original
-// member node, matching the Fragment order of FragmentsAtStart(Phase).
+// member node, matching the fragment IDs Run visits at Phase.
 // The level keeps no edge list: its edges are the original edges whose
 // endpoints FragOf places in different fragments, parallel edges and
 // all.

@@ -6,24 +6,24 @@ import (
 	"mstadvice/internal/graph"
 )
 
-// buildFused is the encoder: it drives the decomposition's streaming
-// pass 2 (boruvka.Stream) and packs each annotated fragment into the
-// advice arena the moment it is visited, so no Phase or Fragment record
-// is ever materialised. Fragments of one phase write disjoint node sets
+// buildFused is the encoder: it drives the decomposition's pass 2
+// (Decomposition.Run) and packs each annotated fragment into the advice
+// arena the moment it is visited, so no per-fragment record is ever
+// materialised. Fragments of one phase write disjoint node sets
 // and phases are separated by barriers, so the arena fills in phase
 // order for any worker count; per-worker scratch strings keep the visits
 // allocation-free. TestAdviceGolden pins the bytes. See DESIGN.md §2.12.
 func (b *adviceBuilder) buildFused(root graph.NodeID) error {
-	s, err := boruvka.NewStream(b.g, root, boruvka.Options{
+	d, err := boruvka.DecomposeOpt(b.g, root, boruvka.Options{
 		Workers:    b.workers,
 		KeepPhases: b.sched.P + 1,
 	})
 	if err != nil {
 		return err
 	}
-	// The flat Decomposition is complete before any visit runs, so the
-	// final-stage visits may read Root/ParentPort through b.d.
-	b.d = s.D
+	// Run roots the tree before any visit runs, so the final-stage
+	// visits may read Root/ParentPort through b.d.
+	b.d = d
 	scratch := make([]*bitstring.BitString, b.workers)
 	for w := range scratch {
 		scratch[w] = bitstring.New(b.sched.P + 2)
@@ -32,9 +32,9 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 	// BFS view lives only as long as the visit, so the carriers are
 	// copied into one slab, Width nodes per fragment.
 	width := b.sched.Width
-	b.frags = make([]FinalFragment, s.FinalFrags())
+	b.frags = make([]FinalFragment, d.FinalFrags())
 	carriers := make([]graph.NodeID, len(b.frags)*width)
-	return s.Run(func(w int, v boruvka.StreamVisit) error {
+	return d.Run(func(w int, v boruvka.StreamVisit) error {
 		if v.Final {
 			value, port, err := b.finalString(v.Root, len(v.BFS))
 			if err != nil {

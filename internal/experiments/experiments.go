@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"mstadvice/internal/advice"
 	"mstadvice/internal/boruvka"
@@ -270,33 +271,14 @@ func E6Decomposition(c Config) []*report.Table {
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
 			g := c.graph(fam, n, 11*int64(n))
-			d, err := boruvka.Decompose(g, 0)
+			phases, err := phaseDynamics(g)
 			if err != nil {
-				panic(err)
+				panic(fmt.Sprintf("experiments: E6 %s n=%d: %v", fam, n, err))
 			}
-			worstFrac := 0.0
-			sizeOK := true
-			maxRankFrac := 0.0
-			for _, ph := range d.Phases {
-				for fi := range ph.Fragments {
-					f := &ph.Fragments[fi]
-					if f.Active {
-						frac := float64(f.Size()) / float64(int(1)<<uint(ph.Index))
-						if frac > worstFrac {
-							worstFrac = frac
-						}
-						if frac >= 1 {
-							sizeOK = false
-						}
-					}
-					if f.Sel != nil {
-						rank := g.GlobalRankAt(f.Sel.Chooser, g.PortAt(f.Sel.Edge, f.Sel.Chooser))
-						frac := float64(rank+1) / float64(f.Size())
-						if frac > maxRankFrac {
-							maxRankFrac = frac
-						}
-					}
-				}
+			worstFrac, maxRankFrac := 0.0, 0.0
+			for _, ph := range phases {
+				worstFrac = max(worstFrac, ph.activeFrac)
+				maxRankFrac = max(maxRankFrac, ph.rankFrac)
 			}
 			assignment, err := core.BuildAdvice(g, 0, core.DefaultCap)
 			if err != nil {
@@ -308,14 +290,94 @@ func E6Decomposition(c Config) []*report.Table {
 					maxPacked = a.Len() - 1
 				}
 			}
-			_ = sizeOK
-			t.Add(fam, g.N(), d.NumPhases(), graph.CeilLog2(g.N()),
+			t.Add(fam, g.N(), len(phases), graph.CeilLog2(g.N()),
 				fmt.Sprintf("%.2f", worstFrac), fmt.Sprintf("%.2f", maxRankFrac),
 				maxPacked, core.DefaultCap)
 		}
 	}
 	t.Note = "both ratio columns must stay < 1.00 / ≤ 1.00: active |F| < 2^i (Lemma 1), selected-edge rank ≤ |F| (Lemma 2)"
 	return []*report.Table{t}
+}
+
+// phaseStats is one phase of a decomposition as E6 and E9 tabulate it.
+type phaseStats struct {
+	frags, active    int
+	minSize, maxSize int
+	selected         int     // distinct edges the phase's fragments select
+	activeFrac       float64 // largest |F|/2^i over active fragments
+	rankFrac         float64 // largest (rank+1)/|F| over selections, rank the edge's global rank at its chooser
+}
+
+// phaseDynamics decomposes g from node 0 and reads every phase off one
+// Run. It fails when the run breaks a bound that E6 or E9 prints:
+// Lemma 1 (an active fragment of phase i has 2^(i-1) ≤ |F| < 2^i, and
+// phase i has at most n/2^(i-1) fragments), Lemma 2 (a selected edge's
+// global rank at its chooser is below |F|), or an edge the visits
+// select in another phase than pass 1 recorded in SelPhase. DecomposeOpt
+// records a phase for exactly the n-1 tree edges, so the last check also
+// holds the phases' selections to a sum of n-1.
+func phaseDynamics(g *graph.Graph) ([]phaseStats, error) {
+	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
+	if err != nil {
+		return nil, err
+	}
+	n := g.N()
+	phases := make([]phaseStats, d.TotalPhases)
+	for i := range phases {
+		phases[i].minSize = n
+	}
+	// selIn[e] is the phase whose visits select edge e, 0 for none; the
+	// fragments at both ends of an edge may select it, and it counts once.
+	selIn := make([]uint8, g.M())
+	var mu sync.Mutex
+	err = d.Run(func(_ int, v boruvka.StreamVisit) error {
+		i, size := v.Phase, len(v.BFS)
+		if i > d.TotalPhases {
+			return nil // the spanning fragment the last phase left
+		}
+		if v.Active && (size >= 1<<i || i > 1 && size < 1<<(i-1)) {
+			return fmt.Errorf("phase %d: active fragment %d has %d nodes, outside [2^(i-1), 2^i) (Lemma 1)", i, v.Frag, size)
+		}
+		rankFrac := 0.0
+		if v.HasSel {
+			rank := g.GlobalRankAt(v.Sel.Chooser, g.PortAt(v.Sel.Edge, v.Sel.Chooser))
+			if rank+1 > size {
+				return fmt.Errorf("phase %d: fragment %d of %d nodes selects the edge of global rank %d at its chooser (Lemma 2)", i, v.Frag, size, rank+1)
+			}
+			rankFrac = float64(rank+1) / float64(size)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		ph := &phases[i-1]
+		ph.frags++
+		ph.minSize, ph.maxSize = min(ph.minSize, size), max(ph.maxSize, size)
+		if v.Active {
+			ph.active++
+			ph.activeFrac = max(ph.activeFrac, float64(size)/float64(int(1)<<uint(i)))
+		}
+		ph.rankFrac = max(ph.rankFrac, rankFrac)
+		if v.HasSel {
+			selIn[v.Sel.Edge] = uint8(i)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for e, i := range selIn {
+		if i != d.SelPhase[e] {
+			return nil, fmt.Errorf("edge %d: the visits select it in phase %d, pass 1 in phase %d", e, i, d.SelPhase[e])
+		}
+		if i > 0 {
+			phases[i-1].selected++
+		}
+	}
+	for i, ph := range phases {
+		if ph.frags > n>>i {
+			return nil, fmt.Errorf("phase %d: %d fragments, more than n/2^(i-1) = %d (Lemma 1)", i+1, ph.frags, n>>i)
+		}
+	}
+	return phases, nil
 }
 
 // E7CapAblation sweeps the per-node packed budget below the paper's c=11
@@ -362,34 +424,14 @@ func E9PhaseDynamics(c Config) []*report.Table {
 	for _, fam := range c.families() {
 		n := c.sizes()[len(c.sizes())-1]
 		g := c.graph(fam, n, 17*int64(n))
-		d, err := boruvka.Decompose(g, 0)
+		phases, err := phaseDynamics(g)
 		if err != nil {
-			panic(err)
+			panic(fmt.Sprintf("experiments: E9 %s n=%d: %v", fam, g.N(), err))
 		}
 		t := report.New(fmt.Sprintf("E9  decomposition dynamics on %s (n=%d)", fam, g.N()),
 			"phase i", "fragments", "bound n/2^(i-1)", "active", "min |F|", "max |F|", "edges selected")
-		for _, ph := range d.Phases {
-			minSize, maxSize := g.N(), 0
-			selected := 0
-			for fi := range ph.Fragments {
-				f := &ph.Fragments[fi]
-				if f.Size() < minSize {
-					minSize = f.Size()
-				}
-				if f.Size() > maxSize {
-					maxSize = f.Size()
-				}
-			}
-			for _, e := range d.TreeEdges {
-				if int(d.SelPhase[e]) == ph.Index {
-					selected++
-				}
-			}
-			bound := g.N()
-			if ph.Index > 1 {
-				bound = g.N() / (1 << uint(ph.Index-1))
-			}
-			t.Add(ph.Index, len(ph.Fragments), bound, ph.ActiveCount(), minSize, maxSize, selected)
+		for i, ph := range phases {
+			t.Add(i+1, ph.frags, g.N()>>i, ph.active, ph.minSize, ph.maxSize, ph.selected)
 		}
 		t.Note = "fragment counts at most n/2^(i-1) (Lemma 1); selected edges sum to n-1"
 		tables = append(tables, t)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,31 @@ func TestAllExperimentsRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPhaseDynamicsConcurrent reads a decomposition whose first phases
+// have hundreds of fragments, so on a multi-core host Run visits them
+// from several workers at once, and E6's and E9's tallies are shared;
+// under -race it checks their locking. Repeated runs must tally the
+// same phases, the first of them n singletons.
+func TestPhaseDynamicsConcurrent(t *testing.T) {
+	g := quick.graph("random", 512, 1)
+	want, err := phaseDynamics(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[0].frags != g.N() || want[0].active != g.N() {
+		t.Fatalf("phase 1 tallies %d fragments, %d active, want %d singletons", want[0].frags, want[0].active, g.N())
+	}
+	for range 3 {
+		got, err := phaseDynamics(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("phase tallies differ between runs")
+		}
 	}
 }
 

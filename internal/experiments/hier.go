@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
@@ -53,6 +54,9 @@ type hierRow struct {
 func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 	g := c.graph(fam, n, int64(n)*31+13)
 	root := graph.NodeID(0)
+	// This decomposition feeds the tiers (its tower) and every level's
+	// hier advice (one Run); the flat oracle's is the instance's only
+	// other one.
 	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
@@ -78,10 +82,13 @@ func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 	if len(levels) == 0 {
 		return int64(len(flatBlob)), nil
 	}
-	// BuildTiers builds every tier from one pass 1 of its own: the
-	// instance's third decomposition, after DecomposeOpt's above and the
-	// flat oracle's.
-	tiers, err := hier.BuildTiers(g, root, hier.HierOptions{Levels: levels})
+	// levels is ascending and within the tower, so tiers[i] and advs[i]
+	// are both at levels[i].
+	tiers, err := hier.BuildTiers(d.Tower, root, hier.HierOptions{Levels: levels})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
+	}
+	advs, err := hier.Encode(d, levels)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
 	}
@@ -92,17 +99,13 @@ func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 	var sharedRounds int
 	var sharedExact bool
 	if n > hierDecodeMaxN {
-		sharedRounds, sharedExact = hierDecode(g, d, root, levels[0])
+		sharedRounds, sharedExact = hierDecode(g, d, advs[0], levels[0])
 	}
 
 	rows := make([]hierRow, 0, len(tiers))
-	for _, tier := range tiers {
-		adv, err := hier.Encode(d, tier.Level, 0)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
-		}
+	for i, tier := range tiers {
 		var adviceBits int64
-		for _, b := range adv {
+		for _, b := range advs[i] {
 			adviceBits += int64(b.Len())
 		}
 		withTier := *flat
@@ -120,20 +123,17 @@ func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 			exact:      sharedExact,
 		}
 		if n <= hierDecodeMaxN {
-			row.rounds, row.exact = hierDecode(g, d, root, tier.Level)
+			row.rounds, row.exact = hierDecode(g, d, advs[i], tier.Level)
 		}
 		rows = append(rows, row)
 	}
 	return int64(len(flatBlob)), rows
 }
 
-// hierDecode runs the local-decompression decoder on pre-built advice
-// and returns its round count and whether its output is exact.
-func hierDecode(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID, level int) (int, bool) {
-	adv, err := hier.Encode(d, level, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: hier decode l%d: %v", level, err))
-	}
+// hierDecode runs the local-decompression decoder on the level's
+// pre-built advice and returns its round count and whether its output
+// is exact.
+func hierDecode(g *graph.Graph, d *boruvka.Decomposition, adv []*bitstring.BitString, level int) (int, bool) {
 	s := hier.Scheme{Level: level}
 	res, err := sim.NewNetwork(g).Run(s.NewNode, adv, sim.Options{})
 	if err != nil {

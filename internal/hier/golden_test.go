@@ -28,7 +28,8 @@ type tiersRow struct {
 // TestBuildTiersGolden pins BuildTiers' bytes across versions: on every
 // seeded family at n ∈ {64, 300}, with tied weights, the tiers at levels
 // 1, 2, 3 and the coarsest one, encoded as a version-3 snapshot, must
-// hash to the committed digest for one worker and for four. Regenerate
+// hash to the committed digest for one worker and for four, in the
+// decomposition and in the coarse oracle alike. Regenerate
 // with go test ./internal/hier -run TestBuildTiersGolden -update, only
 // when a change is meant to alter the tiers.
 func TestBuildTiersGolden(t *testing.T) {
@@ -40,7 +41,8 @@ func TestBuildTiersGolden(t *testing.T) {
 			var digest string
 			for _, workers := range []int{1, 4} {
 				// 1 << 20 clamps to the coarsest level.
-				tiers, err := hier.BuildTiers(g, root, hier.HierOptions{Levels: []int{1, 2, 3, 1 << 20}, Workers: workers})
+				tw := tower(t, g, root, workers)
+				tiers, err := hier.BuildTiers(tw, root, hier.HierOptions{Levels: []int{1, 2, 3, 1 << 20}, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s n=%d workers=%d: %v", fam, n, workers, err)
 				}

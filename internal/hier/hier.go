@@ -47,7 +47,6 @@ import (
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/par"
 	"mstadvice/internal/sim"
 )
 
@@ -82,70 +81,87 @@ func (s Scheme) AdviseWorkers(g *graph.Graph, root graph.NodeID, workers int) ([
 	if n < 2 {
 		return nil, nil
 	}
+	// Run ends at the level's fragments when it keeps level+1 phases.
 	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers, KeepPhases: s.level() + 1})
 	if err != nil {
 		return nil, err
 	}
-	return Encode(d, s.level(), workers)
+	adv, err := Encode(d, []int{s.level()})
+	if err != nil {
+		return nil, err
+	}
+	return adv[0], nil
 }
 
-// Encode assigns the level-L hierarchical advice from an existing
-// decomposition (which must have recorded at least min(level,
-// TotalPhases) phases). Levels beyond the last contraction clamp to
-// the final single fragment.
-func Encode(d *boruvka.Decomposition, level, workers int) ([]*bitstring.BitString, error) {
+// Encode assigns the hierarchical advice at every level of levels from
+// one Run of d: out[k] is the level-levels[k] advice, written from the
+// fragments at the start of phase levels[k]+1. Levels beyond the last
+// contraction clamp to the final single fragment. d must stream each of
+// those phases: it keeps every phase (KeepPhases 0), or more phases
+// than the largest level. Fragments are annotated and assigned on d's
+// worker pool, in disjoint index ranges, so the advice is
+// byte-identical for any worker count.
+func Encode(d *boruvka.Decomposition, levels []int) ([][]*bitstring.BitString, error) {
 	g := d.G
 	n := g.N()
+	out := make([][]*bitstring.BitString, len(levels))
 	if n < 2 {
-		return nil, nil
+		return out, nil
 	}
-	if level < 1 {
-		return nil, fmt.Errorf("hier: level %d out of range", level)
+	phase := make([]int, len(levels))
+	for k, l := range levels {
+		if l < 1 {
+			return nil, fmt.Errorf("hier: level %d out of range", l)
+		}
+		phase[k] = min(l, d.TotalPhases) + 1
+		out[k] = make([]*bitstring.BitString, n)
 	}
-	if level > d.TotalPhases {
-		level = d.TotalPhases
-	}
-	frags := d.FragmentsAtStart(level + 1)
 	width := graph.CeilLog2(n)
-	out := make([]*bitstring.BitString, n)
-	workers = par.Workers(workers)
-	err := par.FirstFailure(workers, len(frags), func(_, lo, hi int) (int, error) {
-		for fi := lo; fi < hi; fi++ {
-			if err := assignFragment(g, d, &frags[fi], width, out); err != nil {
-				return fi, err
+	err := d.Run(func(_ int, v boruvka.StreamVisit) error {
+		for k, p := range phase {
+			if v.Phase == p {
+				if err := assignFragment(g, d, v.Root, v.BFS, width, out[k]); err != nil {
+					return err
+				}
 			}
 		}
-		return -1, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for k, p := range phase {
+		if out[k][0] == nil {
+			return nil, fmt.Errorf("hier: level %d needs phase %d, which the decomposition does not keep", levels[k], p)
+		}
+	}
 	return out, nil
 }
 
-// assignFragment writes the advice of every node of one fragment.
-func assignFragment(g *graph.Graph, d *boruvka.Decomposition, f *boruvka.Fragment, width int, out []*bitstring.BitString) error {
+// assignFragment writes the advice of every node of the fragment rooted
+// at root with BFS order bfs.
+func assignFragment(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID, bfs []graph.NodeID, width int, out []*bitstring.BitString) error {
 	allOnes := (uint64(1) << uint(width)) - 1
 	var value uint64
-	if f.Root == d.Root {
+	if root == d.Root {
 		value = allOnes
 	} else {
-		value = uint64(g.GlobalRankAt(f.Root, d.ParentPort[f.Root]))
+		value = uint64(g.GlobalRankAt(root, d.ParentPort[root]))
 		if value >= allOnes {
-			return fmt.Errorf("hier: rank %d of fragment root %d does not fit %d bits", value, f.Root, width)
+			return fmt.Errorf("hier: rank %d of fragment root %d does not fit %d bits", value, root, width)
 		}
 	}
-	stride := len(f.BFS)
+	stride := len(bfs)
 	if stride > width {
 		stride = width
 	}
-	for k, u := range f.BFS {
+	for k, u := range bfs {
 		carry := 0
 		if k < stride {
 			carry = 1 + (width-1-k)/stride
 		}
 		b := bitstring.New(1 + graph.CeilLog2(g.Degree(u)) + carry)
-		if u == f.Root {
+		if u == root {
 			b.AppendBit(true)
 		} else {
 			b.AppendBit(false)

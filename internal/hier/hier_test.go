@@ -28,6 +28,17 @@ func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) 
 	return g
 }
 
+// tower runs pass 1 of g's decomposition from root on workers and
+// returns its contraction tower, as a tier builder's caller does.
+func tower(tb testing.TB, g *graph.Graph, root graph.NodeID, workers int) *boruvka.Tower {
+	tb.Helper()
+	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers, KeepTower: true, KeepPhases: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d.Tower
+}
+
 // TestHierAllFamilies is the acceptance pin: the mst-hier-l%d decoder
 // verifies on every registered graph family, at several levels, with
 // the exact fixed round count: with distinct weights on the synchronous
@@ -160,12 +171,17 @@ func TestHierBitsFall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := -1
+	var levels []int
 	for level := 1; level <= d.Tower.NumLevels(); level++ {
-		adv, err := hier.Encode(d, level, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		levels = append(levels, level)
+	}
+	advs, err := hier.Encode(d, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := -1
+	for i, adv := range advs {
+		level := levels[i]
 		total := 0
 		for _, b := range adv {
 			total += b.Len()
@@ -184,11 +200,7 @@ func TestHierBitsFall(t *testing.T) {
 // coarsest when nothing (or no budget) fits.
 func TestPlanLevel(t *testing.T) {
 	g := seeded(t, "random", 400, 25, gen.WeightsDistinct)
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := d.Tower
+	tw := tower(t, g, 0, 0)
 	last := tw.NumLevels()
 	if last < 2 {
 		t.Skipf("tower has %d levels; need ≥ 2", last)
@@ -264,23 +276,19 @@ func TestHierTinyGraphs(t *testing.T) {
 }
 
 // TestHierAdviceSelfDescribing pins the advice layout the decoder
-// relies on: exactly one fragment-root flag per fragment, hints that
-// match the reference parent ports, and per-fragment carrier totals of
-// exactly ⌈log n⌉ bits.
+// relies on: exactly one fragment-root flag per fragment of
+// reference.Boruvka, hints that match the reference parent ports, and
+// per-fragment carrier totals of exactly ⌈log n⌉ bits.
 func TestHierAdviceSelfDescribing(t *testing.T) {
 	g := seeded(t, "random", 200, 27, gen.WeightsDistinct)
 	level := 2
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	adv, err := (hier.Scheme{Level: level}).Advise(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	width := graph.CeilLog2(g.N())
-	frags := d.FragmentsAtStart(level + 1)
-	for _, f := range frags {
+	parents := reference.Parents(g, 0)
+	for fi, f := range reference.Boruvka(g, 0)[level] {
 		carriers := 0
 		for _, u := range f.Nodes {
 			r := bitstring.NewReader(adv[u])
@@ -290,14 +298,14 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 			}
 			if !isRoot {
 				hint := int(r.ReadUint(bitstring.WidthFor(uint64(g.Degree(u) - 1))))
-				if hint != d.ParentPort[u] {
-					t.Fatalf("node %d: hint %d, want parent port %d", u, hint, d.ParentPort[u])
+				if hint != parents[u] {
+					t.Fatalf("node %d: hint %d, want parent port %d", u, hint, parents[u])
 				}
 			}
 			carriers += adv[u].Len() - r.Pos()
 		}
 		if carriers != width {
-			t.Fatalf("fragment %d: %d carrier bits, want exactly %d", f.ID, carriers, width)
+			t.Fatalf("fragment %d: %d carrier bits, want exactly %d", fi, carriers, width)
 		}
 	}
 }
@@ -316,10 +324,11 @@ func TestHierDecoderAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := hier.Scheme{Level: d.TotalPhases}
-	adv, err := hier.Encode(d, s.Level, 0)
+	advs, err := hier.Encode(d, []int{s.Level})
 	if err != nil {
 		t.Fatal(err)
 	}
+	adv := advs[0]
 	nw := sim.NewNetwork(g)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -7,12 +7,13 @@ import (
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/sim"
 )
 
 // TestHierRootCollection holds every fragment root's collection, after
-// a run, to the oracle's fragment BFS order (boruvka's fragmentBFS,
-// which shares no code with the decoder): it must list exactly the
+// a run, to the fragment BFS order of reference.Boruvka, which shares
+// no code with the decoder or the oracle: it must list exactly the
 // first min(⌈log n⌉, |F|) nodes of that order. Every seeded family,
 // with tied and with equal weights, at levels 1, 2 and the coarsest.
 func TestHierRootCollection(t *testing.T) {
@@ -28,12 +29,14 @@ func TestHierRootCollection(t *testing.T) {
 				t.Fatal(err)
 			}
 			width := graph.CeilLog2(g.N())
+			phases := reference.Boruvka(g, root)
 			for _, level := range []int{1, 2, d.TotalPhases} {
 				level = min(level, d.TotalPhases)
-				adv, err := Encode(d, level, 0)
+				advs, err := Encode(d, []int{level})
 				if err != nil {
 					t.Fatal(err)
 				}
+				adv := advs[0]
 				nodes := make([]*node, 0, g.N())
 				factory := func(view *sim.NodeView) sim.Node {
 					n := newNode(view).(*node)
@@ -47,7 +50,7 @@ func TestHierRootCollection(t *testing.T) {
 				if !slices.Equal(res.ParentPorts, d.ParentPort) {
 					t.Fatalf("%s %v level %d: parent ports differ from the oracle's", fam, w, level)
 				}
-				for _, f := range d.FragmentsAtStart(level + 1) {
+				for fi, f := range phases[level] {
 					var want []int64
 					for _, u := range f.BFS[:min(width, len(f.BFS))] {
 						want = append(want, g.ID(u))
@@ -57,7 +60,7 @@ func TestHierRootCollection(t *testing.T) {
 						got = append(got, r.ID)
 					}
 					if !slices.Equal(got, want) {
-						t.Fatalf("%s %v level %d: fragment %d root holds %v, want %v", fam, w, level, f.ID, got, want)
+						t.Fatalf("%s %v level %d: fragment %d root holds %v, want %v", fam, w, level, fi, got, want)
 					}
 				}
 			}

@@ -24,16 +24,18 @@ type HierOptions struct {
 	// Cap is the packed-advice budget of the coarse Theorem 3 advice
 	// written into each tier (0 = core.DefaultCap).
 	Cap int
-	// Workers sizes the decomposition and encoding pools. The tiers are
+	// Workers sizes the coarse Theorem 3 oracle's pool. The tiers are
 	// identical for any worker count, sequential included.
 	Workers int
 }
 
-// BuildTiers runs the decomposition's pass 1 once with the tower kept
-// and materializes the requested levels as store tiers. The tower holds
-// only each level's node partition; a tier collects its level's edges
-// by one scan of the graph's edge records through that partition, so
-// the levels it does not build cost no edge copies. Each tier is a
+// BuildTiers materializes the requested levels of a decomposition's
+// contraction tower as store tiers; root is the decomposition's root.
+// The caller runs the decomposition with Options.KeepTower, so the same
+// pass 1 can feed its other consumers. The tower holds only each
+// level's node partition; a tier collects its level's edges by one scan
+// of the graph's edge records through that partition, so the levels it
+// does not build cost no edge copies. Each tier is a
 // self-contained coarse instance: the contracted graph at that level
 // (supernodes named by their representative's original identifier,
 // parallel edges collapsed to the globally smallest one), the
@@ -48,23 +50,14 @@ type HierOptions struct {
 // the coarse graph's own tie-breaking never engages and its unique MST
 // is exactly the image of the original MST's remaining edges — the
 // invariant TestBuildTiersCoarseMST pins.
-func BuildTiers(g *graph.Graph, root graph.NodeID, opt HierOptions) ([]store.Tier, error) {
-	if g.N() < 2 {
-		return nil, nil
-	}
-	// Pass 1 alone builds the tower; no fragment needs annotating.
-	s, err := boruvka.NewStream(g, root, boruvka.Options{Workers: opt.Workers, KeepTower: true, KeepPhases: 1})
-	if err != nil {
-		return nil, err
-	}
-	tw := s.D.Tower
+func BuildTiers(tw *boruvka.Tower, root graph.NodeID, opt HierOptions) ([]store.Tier, error) {
 	if tw.NumLevels() == 0 {
 		return nil, nil
 	}
 	levels := planLevels(tw, opt)
 	tiers := make([]store.Tier, 0, len(levels))
 	for _, l := range levels {
-		tier, err := buildTier(g, tw, root, l, opt)
+		tier, err := buildTier(tw, root, l, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +91,8 @@ func planLevels(tw *boruvka.Tower, opt HierOptions) []int {
 }
 
 // buildTier materializes one tower level as a store tier.
-func buildTier(g *graph.Graph, tw *boruvka.Tower, root graph.NodeID, l int, opt HierOptions) (store.Tier, error) {
+func buildTier(tw *boruvka.Tower, root graph.NodeID, l int, opt HierOptions) (store.Tier, error) {
+	g := tw.G
 	lev := tw.Level(l)
 	frag := tw.FragOf(l)
 
@@ -142,7 +136,7 @@ func buildTier(g *graph.Graph, tw *boruvka.Tower, root graph.NodeID, l int, opt 
 		ord[i] = i
 	}
 	sort.Slice(ord, func(i, j int) bool {
-		return tw.G.Key(edges[ord[i]].e).Less(tw.G.Key(edges[ord[j]].e))
+		return g.Key(edges[ord[i]].e).Less(g.Key(edges[ord[j]].e))
 	})
 	w := make([]graph.Weight, len(edges))
 	for rank, idx := range ord {

@@ -5,33 +5,33 @@ import (
 	"runtime"
 	"testing"
 
-	"mstadvice/internal/boruvka"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/hier"
+	"mstadvice/internal/reference"
 	"mstadvice/internal/store"
 )
 
 // TestBuildTiersCoarseMST pins the tier construction invariant: the
 // coarse graph's unique MST, mapped through the original-edge hints, is
 // exactly the set of original MST edges still uncontracted at that
-// level (the parent edges of the level's fragment roots).
+// level (the parent edges of the level's fragment roots). The fragments
+// and both MSTs come from internal/reference.
 func TestBuildTiersCoarseMST(t *testing.T) {
 	g := seeded(t, "random", 300, 31, gen.WeightsDistinct)
 	root := graph.NodeID(7)
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
+	tw := tower(t, g, root, 0)
+	tiers, err := hier.BuildTiers(tw, root, hier.HierOptions{Levels: []int{1, 2, 3, 4, 5, 6, 7, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiers, err := hier.BuildTiers(g, root, hier.HierOptions{Levels: []int{1, 2, 3, 4, 5, 6, 7, 8}})
-	if err != nil {
-		t.Fatal(err)
+	if len(tiers) != tw.NumLevels() {
+		t.Fatalf("%d tiers, want one per tower level (%d)", len(tiers), tw.NumLevels())
 	}
-	if len(tiers) != d.Tower.NumLevels() {
-		t.Fatalf("%d tiers, want one per tower level (%d)", len(tiers), d.Tower.NumLevels())
-	}
+	phases := reference.Boruvka(g, root)
+	parents := reference.Parents(g, root)
 	for _, tier := range tiers {
-		lev := d.Tower.Level(tier.Level)
+		lev := tw.Level(tier.Level)
 		if tier.Graph.N() != lev.NumFrags {
 			t.Fatalf("level %d: %d coarse nodes, want %d", tier.Level, tier.Graph.N(), lev.NumFrags)
 		}
@@ -41,7 +41,7 @@ func TestBuildTiersCoarseMST(t *testing.T) {
 					tier.Level, f, tier.Graph.IDs()[f], g.IDs()[rep])
 			}
 		}
-		if want := graph.NodeID(d.Tower.FragOf(tier.Level)[root]); tier.Root != want {
+		if want := graph.NodeID(tw.FragOf(tier.Level)[root]); tier.Root != want {
 			t.Fatalf("level %d: coarse root %d, want %d", tier.Level, tier.Root, want)
 		}
 		for i := 1; i < len(tier.OrigEdge); i++ {
@@ -51,21 +51,14 @@ func TestBuildTiersCoarseMST(t *testing.T) {
 		}
 
 		want := map[graph.EdgeID]bool{}
-		for _, f := range d.FragmentsAtStart(tier.Level + 1) {
-			if f.Root != d.Root {
-				want[g.HalfAt(f.Root, d.ParentPort[f.Root]).Edge] = true
+		for _, f := range phases[tier.Level] {
+			if f.Root != root {
+				want[g.HalfAt(f.Root, parents[f.Root]).Edge] = true
 			}
-		}
-		cd, err := boruvka.DecomposeOpt(tier.Graph, tier.Root, boruvka.Options{})
-		if err != nil {
-			t.Fatal(err)
 		}
 		got := map[graph.EdgeID]bool{}
-		for u := 0; u < tier.Graph.N(); u++ {
-			if graph.NodeID(u) != cd.Root {
-				ce := tier.Graph.HalfAt(graph.NodeID(u), cd.ParentPort[u]).Edge
-				got[tier.OrigEdge[ce]] = true
-			}
+		for _, ce := range reference.Kruskal(tier.Graph) {
+			got[tier.OrigEdge[ce]] = true
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("level %d: coarse MST maps to %d original edges, want the %d uncontracted MST edges",
@@ -78,7 +71,7 @@ func TestBuildTiersCoarseMST(t *testing.T) {
 // builder and the version-3 codec: real tiers survive Encode/Decode.
 func TestBuildTiersSnapshotRoundTrip(t *testing.T) {
 	g := seeded(t, "random", 120, 32, gen.WeightsDistinct)
-	tiers, err := hier.BuildTiers(g, 0, hier.HierOptions{Levels: []int{1, 2}})
+	tiers, err := hier.BuildTiers(tower(t, g, 0, 0), 0, hier.HierOptions{Levels: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,15 +110,16 @@ func TestBuildTiersSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestBuildTiersWorkerDeterminism pins the oracle contract for the tier
-// builder: identical tiers for any worker count.
+// builder: identical tiers for any worker count, in the decomposition
+// and the coarse oracle alike.
 func TestBuildTiersWorkerDeterminism(t *testing.T) {
 	g := seeded(t, "random", 250, 33, gen.WeightsDistinct)
-	ref, err := hier.BuildTiers(g, 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: 1})
+	ref, err := hier.BuildTiers(tower(t, g, 3, 1), 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got, err := hier.BuildTiers(g, 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: workers})
+		got, err := hier.BuildTiers(tower(t, g, 3, workers), 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,13 +134,10 @@ func TestBuildTiersWorkerDeterminism(t *testing.T) {
 // out-of-range explicit levels.
 func TestBuildTiersPlanned(t *testing.T) {
 	g := seeded(t, "random", 200, 34, gen.WeightsDistinct)
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarsest := d.Tower.NumLevels()
+	tw := tower(t, g, 0, 0)
+	coarsest := tw.NumLevels()
 
-	tiers, err := hier.BuildTiers(g, 0, hier.HierOptions{})
+	tiers, err := hier.BuildTiers(tw, 0, hier.HierOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +145,16 @@ func TestBuildTiersPlanned(t *testing.T) {
 		t.Fatalf("no budget: got %d tiers at level %d, want 1 at coarsest %d", len(tiers), tiers[0].Level, coarsest)
 	}
 
-	budget := hier.EstimateBits(d.Tower, 1)
-	tiers, err = hier.BuildTiers(g, 0, hier.HierOptions{BudgetBits: budget})
+	budget := hier.EstimateBits(tw, 1)
+	tiers, err = hier.BuildTiers(tw, 0, hier.HierOptions{BudgetBits: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tiers) != 1 || tiers[0].Level != hier.PlanLevel(d.Tower, budget) {
-		t.Fatalf("budget %d: got level %d, want the planner's %d", budget, tiers[0].Level, hier.PlanLevel(d.Tower, budget))
+	if len(tiers) != 1 || tiers[0].Level != hier.PlanLevel(tw, budget) {
+		t.Fatalf("budget %d: got level %d, want the planner's %d", budget, tiers[0].Level, hier.PlanLevel(tw, budget))
 	}
 
-	tiers, err = hier.BuildTiers(g, 0, hier.HierOptions{Levels: []int{0, 99, 99}})
+	tiers, err = hier.BuildTiers(tw, 0, hier.HierOptions{Levels: []int{0, 99, 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,22 +171,23 @@ func tierLevels(tiers []store.Tier) []int {
 	return ls
 }
 
-// TestBuildTiersAllocations bounds one planned tier build: a seeded
-// random graph with n = 10⁵, one worker and no levels given, so the
-// planner picks the level. Scanning the graph's edges through the
-// level's partition, with pass 1 comparing one 8-byte order word per
-// edge and compacting its live list in place, allocates 12.4 MiB on a
-// 2-core host, the same under the race detector, so one bound serves
-// the CI race step too. A 24-byte GlobalKey per edge and a
-// double-buffered live list allocated 19.2 MiB, and either alone fails;
-// rooting the tree in pass 1 as well, which the tower never reads,
-// 24.6 MiB, and keeping a copy of every level's edge list in the tower
-// 56.4 MiB. The bound is the measurement plus 10%.
+// TestBuildTiersAllocations bounds one planned tier build, pass 1 of
+// the decomposition included: a seeded random graph with n = 10⁵, one
+// worker and no levels given, so the planner picks the level. Scanning
+// the graph's edges through the level's partition, with pass 1
+// comparing one 8-byte order word per edge and compacting its live list
+// in place, allocates 12.4 MiB on a 2-core host, the same under the
+// race detector, so one bound serves the CI race step too. A 24-byte
+// GlobalKey per edge and a double-buffered live list allocated
+// 19.2 MiB, and either alone fails; rooting the tree in pass 1 as well,
+// which the tower never reads, 24.6 MiB, and keeping a copy of every
+// level's edge list in the tower 56.4 MiB. The bound is the measurement
+// plus 10%.
 func TestBuildTiersAllocations(t *testing.T) {
 	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tiers, err := hier.BuildTiers(g, 0, hier.HierOptions{Workers: 1})
+	tiers, err := hier.BuildTiers(tower(t, g, 0, 1), 0, hier.HierOptions{Workers: 1})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

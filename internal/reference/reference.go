@@ -2,14 +2,16 @@
 // against: a plain Kruskal with its own comparator and its own
 // union-find, sharing no code with internal/mst, internal/boruvka or
 // internal/unionfind, so a check against it is never a second copy of
-// the algorithm it checks (DESIGN.md §2.2). It also holds the graph
-// helpers that several packages' tests share: a builder that panics,
-// graph equality, connectivity, diameter, a structural check and each
-// node's ports in the global order. It reads a graph only through its
-// exported accessors, and it is written for clarity at test sizes, not
-// for speed. Only tests import it: it is the repository's one
-// test-support package, and the one package the internal export audit
-// (TestInternalExportsAreCalled) exempts.
+// the algorithm it checks (DESIGN.md §2.2). Boruvka simulates the §2.2
+// decomposition as naively, for the tests of its one pass 2
+// (boruvka's Decomposition.Run) and of the tiers built on it. It also
+// holds the graph helpers that several packages' tests share: a builder
+// that panics, graph equality, connectivity, diameter, a structural
+// check and each node's ports in the global order. It reads a graph
+// only through its exported accessors, and it is written for clarity at
+// test sizes, not for speed. Only tests import it: it is the
+// repository's one test-support package, and the one package the
+// internal export audit (TestInternalExportsAreCalled) exempts.
 package reference
 
 import (

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mstadvice/internal/bitstring"
+	"mstadvice/internal/boruvka"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
@@ -54,7 +55,11 @@ func makeSnapshot(t testing.TB, n, m int, seed int64) *store.Snapshot {
 func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store.Snapshot {
 	t.Helper()
 	snap := makeSnapshot(t, n, m, seed)
-	tiers, err := hier.BuildTiers(snap.Graph, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
+	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepTower: true, KeepPhases: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers, err := hier.BuildTiers(d.Tower, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
 	if err != nil {
 		t.Fatal(err)
 	}

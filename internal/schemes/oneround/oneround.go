@@ -50,31 +50,35 @@ func (Scheme) Name() string { return "oneround" }
 
 // Advise implements advice.Scheme.
 func (Scheme) Advise(g *graph.Graph, root graph.NodeID) ([]*bitstring.BitString, error) {
-	d, err := boruvka.Decompose(g, root)
+	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{})
 	if err != nil {
 		return nil, err
 	}
+	// A chooser belongs to the fragment it chooses for, so the visits of
+	// one phase append to disjoint nodes' chunk lists, and the phase
+	// barrier keeps every list in phase order.
 	chunks := make([][]*bitstring.BitString, g.N())
-	for _, ph := range d.Phases {
-		for fi := range ph.Fragments {
-			f := &ph.Fragments[fi]
-			if f.Sel == nil {
-				continue
-			}
-			u := f.Sel.Chooser
-			port := g.PortAt(f.Sel.Edge, u)
-			rank := g.LocalRank(u, port)
-			// Natural width is the phase index; widen if ties push the rank
-			// past 2^i - 1 (cannot happen with node-distinct weights).
-			w := ph.Index
-			if need := bitstring.WidthFor(uint64(rank)); need > w {
-				w = need
-			}
-			chunk := bitstring.New(w + 1)
-			chunk.AppendUint(uint64(rank), w)
-			chunk.AppendBit(f.Sel.Up)
-			chunks[u] = append(chunks[u], chunk)
+	err = d.Run(func(_ int, v boruvka.StreamVisit) error {
+		if !v.HasSel {
+			return nil
 		}
+		u := v.Sel.Chooser
+		port := g.PortAt(v.Sel.Edge, u)
+		rank := g.LocalRank(u, port)
+		// Natural width is the phase index; widen if ties push the rank
+		// past 2^i - 1 (cannot happen with node-distinct weights).
+		w := v.Phase
+		if need := bitstring.WidthFor(uint64(rank)); need > w {
+			w = need
+		}
+		chunk := bitstring.New(w + 1)
+		chunk.AppendUint(uint64(rank), w)
+		chunk.AppendBit(v.Sel.Up)
+		chunks[u] = append(chunks[u], chunk)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*bitstring.BitString, g.N())
 	for u := range out {

@@ -48,6 +48,7 @@ import (
 
 	"mstadvice/internal/advice"
 	"mstadvice/internal/bitstring"
+	"mstadvice/internal/boruvka"
 	"mstadvice/internal/core"
 	"mstadvice/internal/dynamic"
 	"mstadvice/internal/graph"
@@ -656,9 +657,14 @@ func (s *Service) Update(ctx context.Context, id string, b graph.Batch) (*Update
 	if len(prev.Tiers) > 0 {
 		// The incremental advisor maintains the flat advice, not the
 		// contraction tower, so a tiered entry pays one decomposition per
-		// update to rebuild its tiers at the same levels on the new graph.
-		// Readers keep serving the previous epoch's tiers meanwhile.
-		tiers, err := hier.BuildTiers(next.Graph, next.Root, hier.HierOptions{
+		// update (pass 1 alone: the tower needs no rooting) to rebuild its
+		// tiers at the same levels on the new graph. Readers keep serving
+		// the previous epoch's tiers meanwhile.
+		d, err := boruvka.DecomposeOpt(next.Graph, next.Root, boruvka.Options{KeepTower: true, KeepPhases: 1})
+		if err != nil {
+			return nil, fmt.Errorf("service: rebuilding tiers for %q: %w", id, err)
+		}
+		tiers, err := hier.BuildTiers(d.Tower, next.Root, hier.HierOptions{
 			Levels: tierLevels(prev.Tiers),
 			Cap:    e.cap,
 		})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mstadvice/internal/advice"
+	"mstadvice/internal/boruvka"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/hier"
@@ -20,7 +21,11 @@ import (
 func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store.Snapshot {
 	t.Helper()
 	snap := makeSnapshot(t, n, m, seed)
-	tiers, err := hier.BuildTiers(snap.Graph, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
+	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepTower: true, KeepPhases: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers, err := hier.BuildTiers(d.Tower, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
 	if err != nil {
 		t.Fatal(err)
 	}

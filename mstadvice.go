@@ -242,18 +242,22 @@ type Schedule = core.Schedule
 func NewSchedule(n, cap int) Schedule { return core.NewSchedule(n, cap) }
 
 // Decomposition is the deterministic Borůvka decomposition of §2.2
-// (Lemmas 1–2): the per-phase fragment structure the oracle encodes and
-// the decoder replays.
+// (Lemmas 1–2): the MST and its phase bookkeeping, and, through Run, the
+// per-phase fragment structure the oracle encodes and the decoder
+// replays.
 type Decomposition = boruvka.Decomposition
 
-// BoruvkaOptions tune Decompose (parallel worker count).
+// DecompositionVisit is one fragment as Decomposition.Run streams it:
+// its phase, root, level, BFS order and selection.
+type DecompositionVisit = boruvka.StreamVisit
+
+// BoruvkaOptions tune DecomposeOpt (parallel worker count, kept phases,
+// the contraction tower).
 type BoruvkaOptions = boruvka.Options
 
-// Decompose runs the deterministic Borůvka decomposition of g rooted at
-// root.
-func Decompose(g *Graph, root NodeID) (*Decomposition, error) { return boruvka.Decompose(g, root) }
-
-// DecomposeOpt is Decompose with explicit options.
+// DecomposeOpt runs the deterministic Borůvka decomposition of g rooted
+// at root; the zero BoruvkaOptions keep every phase. ParentPort and
+// ParentEdge stay nil until the first Decomposition.Run roots the tree.
 func DecomposeOpt(g *Graph, root NodeID, opt BoruvkaOptions) (*Decomposition, error) {
 	return boruvka.DecomposeOpt(g, root, opt)
 }
