@@ -130,8 +130,9 @@ func ExampleRun_async() {
 
 // ExampleDecomposeOpt streams the §2.2 Borůvka decomposition of a
 // 4-cycle: every node selects its lightest edge in phase 1, which
-// merges them all, and Run then visits the spanning fragment. One
-// worker visits the fragments in order.
+// merges them all, and Run's window of phases 1..TotalPhases+1 ends at
+// the spanning fragment. One worker visits the fragments in order.
+// FragOf reads the contraction tower without a Run.
 func ExampleDecomposeOpt() {
 	g, err := mstadvice.NewBuilder(4).
 		AddEdge(0, 1, 1).
@@ -146,7 +147,8 @@ func ExampleDecomposeOpt() {
 	if err != nil {
 		panic(err)
 	}
-	err = d.Run(func(_ int, v mstadvice.DecompositionVisit) error {
+	fmt.Println("fragments at phase 2:", d.FragOf(2))
+	err = d.Run(1, d.TotalPhases+1, func(_ int, v mstadvice.DecompositionVisit) error {
 		fmt.Printf("phase %d fragment %d: BFS %v", v.Phase, v.Frag, v.BFS)
 		if v.HasSel {
 			fmt.Printf(", selects edge %d", v.Sel.Edge)
@@ -160,6 +162,7 @@ func ExampleDecomposeOpt() {
 	// Run rooted the tree at node 0 before its first visit.
 	fmt.Println("parent ports:", d.ParentPort)
 	// Output:
+	// fragments at phase 2: [0 0 0 0]
 	// phase 1 fragment 0: BFS [0], selects edge 0
 	// phase 1 fragment 1: BFS [1], selects edge 0
 	// phase 1 fragment 2: BFS [2], selects edge 1

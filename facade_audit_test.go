@@ -26,32 +26,32 @@ import (
 // symbol missing here — together they pin the README against facade
 // drift in both directions.
 var facadeFor = map[string]any{
-	"trivial.Scheme.Advise":     mstadvice.Trivial,
-	"lowerbound.BuildGn":        mstadvice.BuildGn,
-	"lowerbound.NewFamily":      mstadvice.NewLowerBoundFamily,
-	"oneround.Scheme.Advise":    mstadvice.OneRound,
-	"core.BuildAdvice":          mstadvice.MSTProblem().Encode,
-	"core.Scheme.NewNode":       mstadvice.ConstantAdvice,
-	"core.NewSchedule":          mstadvice.NewSchedule,
-	"core.BuildAdviceDetailOpt": mstadvice.MSTProblem().Encode,
-	"boruvka.DecomposeOpt":      mstadvice.DecomposeOpt,
-	"sim.Network.Run":           mstadvice.Run,
-	"sim.Network.RunAsync":      mstadvice.RunOptions{Async: true},
-	"sim.Options":               mstadvice.RunOptions{},
-	"advice.Run":                mstadvice.Run,
-	"problem.Register":          mstadvice.RegisterProblem,
-	"problem.BySchemeName":      mstadvice.SchemeByName,
-	"mstp.Problem.Encode":       mstadvice.MSTProblem,
-	"topo.Problem.Encode":       mstadvice.TopologyRecognition,
-	"topo.Flood.Advise":         mstadvice.TopoFlood,
-	"topo.NewFamily":            mstadvice.NewTopoLowerBoundFamily,
-	"boruvka.Tower":             mstadvice.Tower{},
-	"hier.Encode":               mstadvice.HierScheme,
-	"hier.Scheme.NewNode":       mstadvice.HierScheme,
-	"gen.BuildSeeded":           mstadvice.GenSeeded,
-	"graph.FromEdgeList":        mstadvice.GenSeeded,    // the seeded build path constructs through it
-	"par.Ranges":                mstadvice.DecomposeOpt, // the phase kernel's min-edge scans run on it
-	"boruvka.Decomposition.Run": (*mstadvice.Decomposition).Run,
+	"trivial.Scheme.Advise":        mstadvice.Trivial,
+	"lowerbound.BuildGn":           mstadvice.BuildGn,
+	"lowerbound.NewFamily":         mstadvice.NewLowerBoundFamily,
+	"oneround.Scheme.Advise":       mstadvice.OneRound,
+	"core.BuildAdvice":             mstadvice.MSTProblem().Encode,
+	"core.Scheme.NewNode":          mstadvice.ConstantAdvice,
+	"core.NewSchedule":             mstadvice.NewSchedule,
+	"core.BuildAdviceDetailOpt":    mstadvice.MSTProblem().Encode,
+	"boruvka.DecomposeOpt":         mstadvice.DecomposeOpt,
+	"sim.Network.Run":              mstadvice.Run,
+	"sim.Network.RunAsync":         mstadvice.RunOptions{Async: true},
+	"sim.Options":                  mstadvice.RunOptions{},
+	"advice.Run":                   mstadvice.Run,
+	"problem.Register":             mstadvice.RegisterProblem,
+	"problem.BySchemeName":         mstadvice.SchemeByName,
+	"mstp.Problem.Encode":          mstadvice.MSTProblem,
+	"topo.Problem.Encode":          mstadvice.TopologyRecognition,
+	"topo.Flood.Advise":            mstadvice.TopoFlood,
+	"topo.NewFamily":               mstadvice.NewTopoLowerBoundFamily,
+	"boruvka.Decomposition.FragOf": (*mstadvice.Decomposition).FragOf,
+	"hier.Encode":                  mstadvice.HierScheme,
+	"hier.Scheme.NewNode":          mstadvice.HierScheme,
+	"gen.BuildSeeded":              mstadvice.GenSeeded,
+	"graph.FromEdgeList":           mstadvice.GenSeeded,    // the seeded build path constructs through it
+	"par.Ranges":                   mstadvice.DecomposeOpt, // the phase kernel's min-edge scans run on it
+	"boruvka.Decomposition.Run":    (*mstadvice.Decomposition).Run,
 }
 
 // symbolRe matches backtick-quoted internal symbols of the form

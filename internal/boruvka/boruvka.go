@@ -13,15 +13,19 @@
 // 2^(i-1) <= |F| < 2^i and at most n/2^(i-1) fragments are active.
 //
 // DecomposeOpt runs the merge simulation (pass 1) and keeps the tree,
-// each edge's selection phase and, per kept phase, only
-// fragment-indexed data. Decomposition.Run is the one pass 2: it
-// rebuilds each kept phase's partition and hands every fragment to a
-// visitor with its root (its node closest to the chosen global root in
-// the final tree T), its level (the parity of its depth in the "tree of
-// fragments" T_i), its selection (chooser node, selected edge, up/down
-// orientation) and the BFS ordering of its fragment tree T_F. These are
-// exactly the quantities the paper's oracles encode into advice; every
-// oracle, experiment and test reads them as Run visits.
+// each edge's selection phase, every phase's contraction map (the
+// contraction tower, read through FragOf and NumFrags) and, for the
+// phases Options.KeepPhases names, their active flags and selections.
+// Decomposition.Run is the one pass 2: it streams a window of phases,
+// rebuilding each partition from the contraction maps and handing every
+// fragment to a visitor with its root (its node closest to the chosen
+// global root in the final tree T), its level (the parity of its depth
+// in the "tree of fragments" T_i), its selection (chooser node,
+// selected edge, up/down orientation) and the BFS ordering of its
+// fragment tree T_F. These are exactly the quantities the paper's
+// oracles encode into advice: the Theorem 3 oracle reads phases 1..P+1,
+// a hierarchical level ℓ the fragments at the start of phase ℓ+1, and
+// every oracle, experiment and test reads them as Run visits.
 //
 // The phase kernel is built for n = 10⁶-scale graphs. The cross-fragment
 // edge list is contracted in place: each phase relabels the surviving
@@ -69,39 +73,30 @@ type Options struct {
 	// GOMAXPROCS. The Decomposition and every Run visit are
 	// byte-identical for any value.
 	Workers int
-	// KeepPhases, when positive, keeps only the first KeepPhases phases
-	// for Run (the merge simulation always runs to completion, so
-	// TotalPhases, TreeEdges, ParentPort, ParentEdge and SelPhase are
-	// unaffected). A value larger than the number of phases the run
-	// executes is clamped: Run then streams every phase and the
-	// spanning fragment. The Theorem 3 oracle needs only the first
-	// ⌈log log n⌉ + 1 phases: a random graph with n = 10⁶ runs 19
-	// phases, and the oracle keeps 6. 0 keeps every phase.
+	// KeepPhases, when positive, keeps the active flags and selections
+	// of only the first KeepPhases phases; 0 keeps every phase's. Run
+	// needs them for every phase it streams up to TotalPhases. The merge
+	// simulation always runs to completion and every phase's
+	// contraction map is kept, so TotalPhases, TreeEdges, SelPhase,
+	// FragOf, NumFrags and the spanning fragment at TotalPhases+1 are
+	// unaffected. The Theorem 3 oracle reads only the first
+	// ⌈log log n⌉ + 1 phases: a random graph with n = 10⁶ (seed 3)
+	// runs 18 phases, and the oracle keeps 6.
 	KeepPhases int
-	// KeepTower, when set, retains the full contraction tower — every
-	// per-phase partition as its fragment→supernode map and fragment
-	// representatives — as Decomposition.Tower. A level keeps no edge
-	// list: a level's cross-fragment edges are the graph's edges whose
-	// endpoints Tower.FragOf puts in different fragments. The tower is
-	// captured as plain copies of the contraction state, after each
-	// phase's own record is complete, so every flat output stays
-	// byte-identical whether or not the tower is kept. KeepPhases does
-	// not truncate the tower: the hierarchical codec needs the coarse
-	// graphs at levels the flat oracle never streams.
-	KeepTower bool
 }
 
-// Decomposition is a run of the Borůvka variant: pass 1's flat outputs,
-// complete when DecomposeOpt returns, and the kept phases' records that
-// Run annotates.
+// Decomposition is a run of the Borůvka variant: pass 1's outputs,
+// complete when DecomposeOpt returns, and the contraction maps and kept
+// selections that Run streams.
 type Decomposition struct {
 	G    *graph.Graph
 	Root graph.NodeID
 
 	// TotalPhases is the number of phases the construction executed,
 	// regardless of how many were kept. The last phase is the one whose
-	// merges produced a single fragment; a phase with no active fragment
-	// (possible when early merges overshoot) selects nothing.
+	// merges produced a single fragment, which Run streams as phase
+	// TotalPhases+1; a phase with no active fragment (possible when
+	// early merges overshoot) selects nothing.
 	TotalPhases int
 
 	// TreeEdges is the unique MST under the global order, ascending.
@@ -116,16 +111,17 @@ type Decomposition struct {
 	// 0 for non-tree edges. By Lemma 1 a run ends within ⌈log₂ n⌉ ≤ 31
 	// phases, so one byte holds it.
 	SelPhase []uint8
+	// Workers is the resolved pool size of the phase kernel and of Run,
+	// by which a visitor sizes its per-worker scratch. Read-only.
+	Workers int
 
-	// Tower is the contraction tower, captured only under
-	// Options.KeepTower; nil otherwise.
-	Tower *Tower
-
-	// The kept phases' pass-1 records, Options.KeepPhases and the
-	// resolved pool size, for Run.
-	raws    []rawPhase
-	keep    int
-	workers int
+	// ups[i-1] maps phase i's fragments to phase i+1's, for every phase
+	// i in 1..TotalPhases: the contraction tower. The last one maps every
+	// fragment to the spanning fragment 0.
+	ups [][]int32
+	// kept[i-1] holds phase i's active flags and selections, for the
+	// first Options.KeepPhases phases.
+	kept []keptPhase
 
 	// Flattened views of the rooted tree, computed once, by the first
 	// Run, and shared by all phase annotations: the T-parent of u (-1 for
@@ -136,14 +132,10 @@ type Decomposition struct {
 	parentPt   []int32
 }
 
-// rawPhase is the pass-1 record of one kept phase, and holds only
-// fragment-indexed data: up maps the previous phase's fragments to this
-// phase's (nil for phase 1, whose fragments are the nodes), and active
-// and sel are indexed by this phase's fragments (sel is the selected
-// edge, -1 if none). Run rebuilds the node-level partition from the
-// up maps (partition.build).
-type rawPhase struct {
-	up     []int32
+// keptPhase is what pass 1 keeps of one phase beyond its contraction
+// map, indexed by the phase's fragments: whether each is active, and
+// the edge it selected (-1 if none).
+type keptPhase struct {
 	active []bool
 	sel    []int32
 }
@@ -157,10 +149,11 @@ type liveEdge struct {
 
 // DecomposeOpt runs pass 1 of the construction on a connected graph:
 // the merge simulation, which fills TotalPhases, TreeEdges, SelPhase
-// and, under Options.KeepTower, the Tower, and keeps the first
-// Options.KeepPhases phases' records for Run. It defers the rooting and
-// the annotation to Run, so a consumer of the tower alone never pays
-// for them. The result is byte-identical for any Options.Workers.
+// and every phase's contraction map, and keeps the first
+// Options.KeepPhases phases' active flags and selections for Run. It
+// defers the rooting and the annotation to Run, so a reader of the
+// contraction maps alone (FragOf, NumFrags) never pays for them. The
+// result is byte-identical for any Options.Workers.
 func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, error) {
 	n := g.N()
 	if n == 0 {
@@ -188,17 +181,17 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 		}
 	})
 
-	// Simulate the phases, recording each kept phase's
-	// contraction map, active flags and selections.
+	// Simulate the phases, recording each phase's contraction map and
+	// each kept phase's active flags and selections.
 	dsu := unionfind.New(n)
-	var raws []rawPhase
+	var ups [][]int32
+	var kept []keptPhase
 	treeCount := 0
 	selPhase := make([]uint8, m)
 
 	// Contracted fragment state: numFrags current fragments, repNode[f]
 	// the smallest node of fragment f, fsize[f] its node count. rootFrag/
-	// rootStamp map DSU roots to dense new-fragment IDs without a map;
-	// fill drives counting sorts; bests hold per-worker selection minima.
+	// rootStamp map DSU roots to dense new-fragment IDs without a map.
 	numFrags := n
 	repNode := make([]int32, n)
 	fsize := make([]int32, n)
@@ -215,57 +208,14 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 	// on many-core hosts, and small graphs never engage more than one).
 	bests := make([][]int32, workers)
 
-	var tower *Tower
-	if opt.KeepTower {
-		tower = &Tower{G: g}
-	}
-
 	phases := 0
-	for i := 1; dsu.Sets() > 1; i++ {
+	for i := 1; numFrags > 1; i++ {
 		if i > 31 {
 			// Lemma 1: after phase i every fragment has at least 2^i
 			// nodes, and n ≤ MaxInt32.
 			return nil, fmt.Errorf("boruvka: phase bound exceeded (internal error)")
 		}
 		phases = i
-		record := opt.KeepPhases <= 0 || len(raws) < opt.KeepPhases
-
-		prevFrags := numFrags
-		if i > 1 {
-			// Contract: relabel last phase's fragments to dense new IDs in
-			// order of first appearance. Old IDs are ordered by smallest
-			// member node and scanned ascending, so new IDs are too.
-			stamp := int32(i)
-			newNum := int32(0)
-			for f := 0; f < numFrags; f++ {
-				r := dsu.Find(int(repNode[f]))
-				if rootStamp[r] != stamp {
-					rootStamp[r] = stamp
-					rootFrag[r] = newNum
-					repNode[newNum] = repNode[f]
-					fsize[newNum] = int32(dsu.SizeOf(r))
-					newNum++
-				}
-				oldToNew[f] = rootFrag[r]
-			}
-			numFrags = int(newNum)
-			// Relabel the live list and drop intra-fragment edges, in
-			// place; the compacted list is the sequential one for any
-			// worker count or schedule.
-			live = compactLive(live, oldToNew, workers)
-
-			if tower != nil {
-				// Snapshot the freshly contracted partition as tower level
-				// i-1: the graph the start of phase i sees. Pure copies —
-				// the phase kernel below never observes them.
-				tower.Levels = append(tower.Levels, TowerLevel{
-					Phase:    i,
-					NumFrags: numFrags,
-					Up:       append([]int32(nil), oldToNew[:prevFrags]...),
-					Rep:      append([]int32(nil), repNode[:numFrags]...),
-				})
-			}
-		}
 		nf := numFrags
 
 		limit := int32(0)
@@ -319,16 +269,8 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 				}
 			})
 		}
-
-		if record {
-			// Recording is always a prefix of the phases, so Run rebuilds
-			// each node-level partition from the previous one through the
-			// contraction map: no per-node data is kept here.
-			raw := rawPhase{active: slices.Clone(active[:nf]), sel: slices.Clone(bests[0][:nf])}
-			if i > 1 {
-				raw.up = slices.Clone(oldToNew[:prevFrags])
-			}
-			raws = append(raws, raw)
+		if opt.KeepPhases <= 0 || len(kept) < opt.KeepPhases {
+			kept = append(kept, keptPhase{active: slices.Clone(active[:nf]), sel: slices.Clone(bests[0][:nf])})
 		}
 
 		// Merge. Selected edges are acyclic under a strict total order, so
@@ -351,6 +293,34 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 				return nil, fmt.Errorf("boruvka: selected edges formed a cycle (internal error)")
 			}
 		}
+
+		// Contract: relabel this phase's fragments to dense new IDs in
+		// order of first appearance. Old IDs are ordered by smallest
+		// member node and scanned ascending, so new IDs are too. The map
+		// is phase i's level of the tower; Run rebuilds each node-level
+		// partition from the previous one through it, so no per-node
+		// data is kept here.
+		stamp := int32(i)
+		newNum := int32(0)
+		for f := 0; f < nf; f++ {
+			r := dsu.Find(int(repNode[f]))
+			if rootStamp[r] != stamp {
+				rootStamp[r] = stamp
+				rootFrag[r] = newNum
+				repNode[newNum] = repNode[f]
+				fsize[newNum] = int32(dsu.SizeOf(r))
+				newNum++
+			}
+			oldToNew[f] = rootFrag[r]
+		}
+		ups = append(ups, slices.Clone(oldToNew[:nf]))
+		numFrags = int(newNum)
+		if numFrags > 1 {
+			// Relabel the live list and drop intra-fragment edges, in
+			// place; the compacted list is the sequential one for any
+			// worker count or schedule.
+			live = compactLive(live, oldToNew, workers)
+		}
 	}
 
 	if treeCount != n-1 {
@@ -365,21 +335,54 @@ func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decompositio
 	}
 
 	return &Decomposition{
-		G: g, Root: root, TotalPhases: phases, TreeEdges: treeEdges, SelPhase: selPhase, Tower: tower,
-		raws: raws, keep: opt.KeepPhases, workers: workers,
+		G: g, Root: root, TotalPhases: phases, TreeEdges: treeEdges, SelPhase: selPhase, Workers: workers,
+		ups: ups, kept: kept,
 	}, nil
+}
+
+// NumFrags returns the number of fragments at the start of phase (1 ≤
+// phase ≤ TotalPhases+1): n at phase 1 and 1, the spanning fragment, at
+// TotalPhases+1.
+func (d *Decomposition) NumFrags(phase int) int {
+	d.checkPhase(phase)
+	if phase > d.TotalPhases {
+		return 1
+	}
+	return len(d.ups[phase-1])
+}
+
+// FragOf maps every node to its fragment at the start of phase (1 ≤
+// phase ≤ TotalPhases+1), composing the contraction maps of the phases
+// before it: the identity at phase 1, all zeros at TotalPhases+1. The
+// IDs are dense and ordered by smallest member, as Run's Frag is; the
+// fragments' edges are the graph's edges whose endpoints FragOf puts
+// apart. The slice is fresh.
+func (d *Decomposition) FragOf(phase int) []int32 {
+	d.checkPhase(phase)
+	frag := make([]int32, d.G.N())
+	for u := range frag {
+		frag[u] = int32(u)
+	}
+	for _, up := range d.ups[:phase-1] {
+		for u, f := range frag {
+			frag[u] = up[f]
+		}
+	}
+	return frag
+}
+
+func (d *Decomposition) checkPhase(phase int) {
+	if phase < 1 || phase > d.TotalPhases+1 {
+		panic(fmt.Sprintf("boruvka: phase %d out of range [1,%d]", phase, d.TotalPhases+1))
+	}
 }
 
 // StreamVisit is one annotated fragment as Run delivers it. BFS is a
 // view into an arena Run reuses from phase to phase, so it is valid only
-// during the visit; Sel is meaningful only when HasSel is set. Final
-// marks the fragments of the partition the fused oracle treats as the
-// final stage — the KeepPhases-th phase when the run reaches it,
-// otherwise the synthesized single spanning fragment.
+// during the visit; Sel is meaningful only when HasSel is set.
 type StreamVisit struct {
-	Phase  int  // 1-based phase index the partition belongs to
+	Phase  int  // 1-based phase at whose start the partition holds
 	Frag   int  // dense fragment ID within the phase, by smallest member
-	Final  bool // see above
 	Active bool // |F| < 2^Phase; false for the spanning fragment
 	Root   graph.NodeID
 	Level  int            // parity (0 or 1) of the fragment's depth in the tree of fragments T_i
@@ -388,37 +391,34 @@ type StreamVisit struct {
 	Sel    Selection
 }
 
-// FinalFrags returns the number of fragments Run flags Final: those of
-// the KeepPhases-th phase when the run reaches it, otherwise 1 (the
-// synthesized spanning fragment). Final visits carry Frag in
-// [0, FinalFrags()).
-func (d *Decomposition) FinalFrags() int {
-	if d.keep > 0 && len(d.raws) >= d.keep {
-		return len(d.raws[d.keep-1].active)
-	}
-	return 1
-}
-
-// Run is pass 2, fused with its consumer: each annotated fragment is
+// Run is pass 2, fused with its consumer: it streams the phases
+// first..min(last, TotalPhases+1), phase TotalPhases+1 being the single
+// spanning fragment the last phase leaves. Each annotated fragment is
 // handed to visit exactly once, in ascending phase order with a barrier
-// between phases, and no per-fragment record is kept. Within a phase,
-// visits run concurrently across fragments (visit receives the worker
-// index for per-worker scratch and must only touch fragment-local or
-// worker-local state); a visit error aborts the run with the lowest
-// (phase, fragment) failure, matching sequential semantics. One phase is
-// resident at a time: the partition, the BFS arena and the annotation
-// scratch are allocated once, for phase 1's n singletons, and rebuilt in
-// place for every later phase. The first Run roots the tree (ParentPort,
-// ParentEdge) before its first visit, so a visitor may read them; a
-// later Run reuses the rooting. Run must not be called concurrently.
+// between phases, and no per-fragment record is kept. The partitions of
+// the phases before first are built, through the contraction maps, but
+// not annotated. Within a phase, visits run concurrently across
+// fragments (visit receives the worker index for per-worker scratch and
+// must only touch fragment-local or worker-local state); a visit error
+// aborts the run with the lowest (phase, fragment) failure, matching
+// sequential semantics. One phase is resident at a time: the partition,
+// the BFS arena and the annotation scratch are allocated once, for
+// phase 1's n singletons, and rebuilt in place for every later phase.
 //
-// Phases 1..min(KeepPhases, TotalPhases) are streamed (all phases when
-// KeepPhases <= 0). The phase numbered KeepPhases is flagged Final; if
-// the run completes before reaching it, the single spanning fragment is
-// synthesized and streamed as phase TotalPhases+1 with Final set. So
-// the fragments at the start of phase ℓ+1 are the Final visits under
-// KeepPhases = ℓ+1, whether or not the run lasts ℓ+1 phases.
-func (d *Decomposition) Run(visit func(w int, v StreamVisit) error) error {
+// Run checks the window before anything else: it is an error when first
+// < 1 or first > min(last, TotalPhases+1), or when a streamed phase up
+// to TotalPhases had its selections dropped by Options.KeepPhases. The
+// first Run then roots the tree (ParentPort, ParentEdge) before its
+// first visit, so a visitor may read them; a later Run reuses the
+// rooting. Run must not be called concurrently.
+func (d *Decomposition) Run(first, last int, visit func(w int, v StreamVisit) error) error {
+	end := min(last, d.TotalPhases+1)
+	if first < 1 || first > end {
+		return fmt.Errorf("boruvka: phase window [%d, %d] is empty or outside [1, %d]", first, last, d.TotalPhases+1)
+	}
+	if hi := min(end, d.TotalPhases); first <= hi && hi > len(d.kept) {
+		return fmt.Errorf("boruvka: phase %d's selections were not kept (KeepPhases %d)", max(first, len(d.kept)+1), len(d.kept))
+	}
 	if d.ParentPort == nil {
 		if err := d.rootTree(); err != nil {
 			return err
@@ -428,30 +428,33 @@ func (d *Decomposition) Run(visit func(w int, v StreamVisit) error) error {
 	p := newPartition(n)
 	a := newAnnotator(n)
 	bfs := make([]graph.NodeID, n)
-	stream := func(phase int, final bool, raw *rawPhase) error {
-		return d.annotate(&p, a, bfs, func(w, fi int, root graph.NodeID, level int, order []graph.NodeID) error {
-			sv := StreamVisit{Phase: phase, Frag: fi, Final: final, Root: root, Level: level, BFS: order}
-			if raw != nil {
-				sv.Active = raw.active[fi]
-				if e := raw.sel[fi]; e != -1 {
+	for phase := 1; phase <= end; phase++ {
+		var up []int32
+		if phase > 1 {
+			up = d.ups[phase-2]
+		}
+		p.advance(up, d.Workers)
+		if phase < first {
+			continue
+		}
+		p.place(d.NumFrags(phase))
+		var kp *keptPhase
+		if phase <= d.TotalPhases {
+			kp = &d.kept[phase-1]
+		}
+		err := d.annotate(&p, a, bfs, func(w, fi int, root graph.NodeID, level int, order []graph.NodeID) error {
+			sv := StreamVisit{Phase: phase, Frag: fi, Root: root, Level: level, BFS: order}
+			if kp != nil {
+				sv.Active = kp.active[fi]
+				if e := kp.sel[fi]; e != -1 {
 					sv.HasSel, sv.Sel = true, d.selection(p.fragOf, fi, e)
 				}
 			}
 			return visit(w, sv)
 		})
-	}
-	for pi := range d.raws {
-		raw := &d.raws[pi]
-		p.build(raw.up, len(raw.active), d.workers)
-		if err := stream(pi+1, d.keep > 0 && pi+1 == d.keep, raw); err != nil {
+		if err != nil {
 			return err
 		}
-	}
-	if d.keep <= 0 || len(d.raws) < d.keep {
-		// The run ended inside the retention budget: stream the spanning
-		// fragment as the final stage.
-		p.build(nil, 1, d.workers)
-		return stream(d.TotalPhases+1, true, nil)
 	}
 	return nil
 }
@@ -469,10 +472,10 @@ func (d *Decomposition) selection(fragOf []FragID, f int, e int32) Selection {
 
 // rootTree roots the MST at d.Root: it fills ParentPort, ParentEdge and
 // the flattened tree views that Run's annotation reads. Only Run reads
-// them, so the first Run calls it, and a consumer of pass 1 alone
-// (hier.BuildTiers reads only the tower) never pays for it.
+// them, so the first Run calls it, and a reader of pass 1 alone
+// (hier.BuildTiers reads only the contraction maps) never pays for it.
 func (d *Decomposition) rootTree() error {
-	g, n, workers := d.G, d.G.N(), d.workers
+	g, n, workers := d.G, d.G.N(), d.Workers
 	parentPort, err := mst.Root(g, d.TreeEdges, d.Root)
 	if err != nil {
 		return err
@@ -556,30 +559,29 @@ func newPartition(n int) partition {
 	}
 }
 
-// build fills p with a partition of nf fragments: the spanning fragment
-// when nf == 1, the singletons of phase 1 when up is nil, and otherwise
-// p's current fragments mapped, in place, through the contraction map
-// up. Kernel fragment IDs are
-// dense in order of smallest member node, the order a first-appearance
-// scan over ascending nodes assigns, so the IDs match the original
-// sequential construction. Members are placed by a counting scatter
-// over ascending nodes, so each fragment lists its members ascending:
-// the order a sort of packed (fragment, node) keys would yield.
-func (p *partition) build(up []int32, nf, workers int) {
+// advance moves p's node-to-fragment map on by one phase: to phase 1's
+// singletons when up is nil, and otherwise through the contraction map
+// up, in place. Kernel fragment IDs are dense in order of smallest
+// member node, the order a first-appearance scan over ascending nodes
+// assigns, so the IDs match the original sequential construction.
+func (p *partition) advance(up []int32, workers int) {
 	fragOf := p.fragOf
 	par.Ranges(workers, len(fragOf), func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
-			f := FragID(0)
-			if nf > 1 {
-				if up == nil {
-					f = FragID(u)
-				} else {
-					f = FragID(up[fragOf[u]])
-				}
+			if up == nil {
+				fragOf[u] = FragID(u)
+			} else {
+				fragOf[u] = FragID(up[fragOf[u]])
 			}
-			fragOf[u] = f
 		}
 	})
+}
+
+// place lists the members of p's nf fragments by a counting scatter
+// over ascending nodes, so each fragment lists its members ascending:
+// the order a sort of packed (fragment, node) keys would yield.
+func (p *partition) place(nf int) {
+	fragOf := p.fragOf
 	off := p.memOff[:nf+1]
 	clear(off)
 	for _, f := range fragOf {
@@ -636,7 +638,7 @@ func (d *Decomposition) annotate(p *partition, a *annotator, bfs []graph.NodeID,
 	// Roots: a fragment is a subtree of T, so exactly one member's
 	// T-parent lies outside it (or is missing: the global root).
 	root := a.root[:numFrags]
-	par.Ranges(d.workers, len(fragOf), func(_, lo, hi int) {
+	par.Ranges(d.Workers, len(fragOf), func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if parent := d.parentNode[u]; parent == -1 || fragOf[parent] != fragOf[u] {
 				root[fragOf[u]] = graph.NodeID(u)
@@ -683,7 +685,7 @@ func (d *Decomposition) annotate(p *partition, a *annotator, bfs []graph.NodeID,
 	// Both the orders and the child segments live in flat arenas sliced
 	// by the member offsets; the node-indexed count scratch is shared
 	// safely because fragments own disjoint nodes.
-	fragWorkers := d.workers
+	fragWorkers := d.Workers
 	if numFrags < 64 {
 		fragWorkers = 1
 	}

@@ -1,6 +1,7 @@
 package boruvka
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -29,20 +30,32 @@ func decompose(t testing.TB, g *graph.Graph, root graph.NodeID) (*Decomposition,
 	return runAll(t, g, root, Options{})
 }
 
-// runAll decomposes g under opt and collects every Run visit with its
-// BFS copied out of Run's arena. parts[j] holds the visits of phase j+1
-// by fragment ID; the visit order within a phase is unspecified, so
-// the fragments are placed by Frag. Under the default KeepPhases the
-// last partition is the spanning fragment, at phase TotalPhases+1.
+// runAll decomposes g under opt and collects the visits of Run's whole
+// window, phases 1..TotalPhases+1 (see collect); the last partition is
+// the spanning fragment.
 func runAll(t testing.TB, g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, [][]StreamVisit) {
 	t.Helper()
 	d, err := DecomposeOpt(g, root, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts, err := collect(d, 1, d.TotalPhases+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, parts
+}
+
+// collect runs d over the window [first, last] and gathers every visit
+// with its BFS copied out of Run's arena. parts[j] holds the visits of
+// phase j+1 by fragment ID, and is empty for a phase the window skips;
+// the visit order within a phase is unspecified, so the fragments are
+// placed by Frag. A Run error comes back with the visits made before
+// it.
+func collect(d *Decomposition, first, last int) ([][]StreamVisit, error) {
 	var mu sync.Mutex
 	var parts [][]StreamVisit
-	err = d.Run(func(_ int, v StreamVisit) error {
+	err := d.Run(first, last, func(_ int, v StreamVisit) error {
 		v.BFS = slices.Clone(v.BFS)
 		mu.Lock()
 		defer mu.Unlock()
@@ -57,16 +70,16 @@ func runAll(t testing.TB, g *graph.Graph, root graph.NodeID, opt Options) (*Deco
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return parts, err
 	}
 	for j, part := range parts {
 		for fi, v := range part {
 			if v.Phase != j+1 || v.Frag != fi {
-				t.Fatalf("partition %d has no visit for fragment %d", j+1, fi)
+				return parts, fmt.Errorf("partition %d has no visit for fragment %d", j+1, fi)
 			}
 		}
 	}
-	return d, parts
+	return parts, nil
 }
 
 // fragOf maps every node to its fragment in one streamed partition.
@@ -369,7 +382,7 @@ func final(t *testing.T, g *graph.Graph, root graph.NodeID) StreamVisit {
 	t.Helper()
 	d, parts := decompose(t, g, root)
 	last := parts[len(parts)-1]
-	if len(last) != 1 || last[0].Phase != d.TotalPhases+1 || !last[0].Final {
+	if len(last) != 1 || last[0].Phase != d.TotalPhases+1 {
 		t.Fatalf("the last partition (phase %d of %d, %d fragments) is not the spanning fragment", last[0].Phase, d.TotalPhases, len(last))
 	}
 	return last[0]

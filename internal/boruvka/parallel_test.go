@@ -23,26 +23,44 @@ type observable struct {
 	ParentPort  []int
 	ParentEdge  []graph.EdgeID
 	SelPhase    []uint8
+	FragOf      [][]int32 // FragOf of every phase, 1..TotalPhases+1
 	Visits      [][]StreamVisit
 }
 
-// project decomposes g under opt and projects the run.
-func project(t *testing.T, g *graph.Graph, root graph.NodeID, opt Options) (observable, *Decomposition) {
+// project decomposes g under opt and projects the run over every phase
+// whose selections opt keeps, and the spanning fragment when it keeps
+// them all.
+func project(t *testing.T, g *graph.Graph, root graph.NodeID, opt Options) observable {
 	t.Helper()
-	d, parts := runAll(t, g, root, opt)
-	return observable{d.Root, d.TotalPhases, d.TreeEdges, d.ParentPort, d.ParentEdge, d.SelPhase, parts}, d
+	d, err := DecomposeOpt(g, root, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := d.TotalPhases + 1
+	if opt.KeepPhases > 0 {
+		last = min(last, opt.KeepPhases)
+	}
+	parts, err := collect(d, 1, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frags [][]int32
+	for phase := 1; phase <= d.TotalPhases+1; phase++ {
+		frags = append(frags, d.FragOf(phase))
+	}
+	return observable{d.Root, d.TotalPhases, d.TreeEdges, d.ParentPort, d.ParentEdge, d.SelPhase, frags, parts}
 }
 
 // TestDecomposeParallelDeterminism asserts the phase kernel's central
 // contract: for every registered graph family and every worker count in
 // {1,2,3,4,8,16}, DecomposeOpt and Run produce a byte-identical
-// Decomposition and visit stream — with and without phase truncation
-// and the contraction tower — and the whole wall holds again under
-// GOMAXPROCS=1, which forces every goroutine onto one OS thread and so
-// exercises completely different interleavings. Worker counts above
-// GOMAXPROCS are included deliberately — the contract is about the
-// partition into ranges and the merge semigroup, not the physical core
-// count.
+// Decomposition, contraction tower and visit stream, with and without
+// dropping later phases' selections, and the whole wall holds again
+// under GOMAXPROCS=1, which forces every goroutine onto one OS thread
+// and so exercises completely different interleavings. Worker counts
+// above GOMAXPROCS are included deliberately — the contract is about
+// the partition into ranges and the merge semigroup, not the physical
+// core count.
 func TestDecomposeParallelDeterminism(t *testing.T) {
 	variants := []struct {
 		name string
@@ -50,7 +68,6 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 	}{
 		{"full", Options{}},
 		{"keepPhases", Options{KeepPhases: 3}},
-		{"keepTower", Options{KeepTower: true}},
 	}
 	check := func(t *testing.T) {
 		for gi, fam := range gen.Names() {
@@ -58,15 +75,11 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 			for _, va := range variants {
 				opt := va.opt
 				opt.Workers = 1
-				want, ref := project(t, g, 0, opt)
+				want := project(t, g, 0, opt)
 				for _, workers := range []int{2, 3, 4, 8, 16} {
 					opt.Workers = workers
-					got, d := project(t, g, 0, opt)
-					if !reflect.DeepEqual(got, want) {
+					if got := project(t, g, 0, opt); !reflect.DeepEqual(got, want) {
 						t.Fatalf("family %s %s: decomposition differs at workers=%d", fam, va.name, workers)
-					}
-					if va.opt.KeepTower && !reflect.DeepEqual(d.Tower, ref.Tower) {
-						t.Fatalf("family %s: tower differs at workers=%d", fam, workers)
 					}
 				}
 			}
@@ -79,15 +92,80 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 	})
 }
 
+// windows returns the phase windows TestRunMatchesReference streams
+// from a run of total phases: (1,1), (k,k) for every phase k up to the
+// spanning fragment at total+1, (1,total), (2,total+1), (total+1,total+1)
+// and (1,total+1). On a single node (total = 0) two of them are empty.
+func windows(total int) [][2]int {
+	ws := [][2]int{{1, 1}}
+	for k := 1; k <= total+1; k++ {
+		ws = append(ws, [2]int{k, k})
+	}
+	return append(ws, [2]int{1, total}, [2]int{2, total + 1}, [2]int{total + 1, total + 1}, [2]int{1, total + 1})
+}
+
+// checkWindow holds the visits of d.Run(first, last) to reference.Boruvka
+// (want, one entry per phase and the spanning fragment last): a window
+// that is empty or outside [1, TotalPhases+1] must fail before any
+// visit, and any other must visit exactly the reference's fragments of
+// phases first..min(last, TotalPhases+1) — phase, members, active flag,
+// selection, root, level and BFS order — and nothing else.
+func checkWindow(d *Decomposition, want [][]reference.Fragment, first, last int) error {
+	parts, err := collect(d, first, last)
+	end := min(last, len(want))
+	if first < 1 || first > end {
+		if err == nil || len(parts) != 0 {
+			return fmt.Errorf("window [%d, %d]: %d partitions streamed and error %v, want an error and none", first, last, len(parts), err)
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("window [%d, %d]: %v", first, last, err)
+	}
+	if len(parts) != end {
+		return fmt.Errorf("window [%d, %d]: last partition streamed is phase %d, want %d", first, last, len(parts), end)
+	}
+	for j, part := range parts {
+		if j+1 < first {
+			if len(part) != 0 {
+				return fmt.Errorf("window [%d, %d]: phase %d streamed", first, last, j+1)
+			}
+			continue
+		}
+		if len(part) != len(want[j]) {
+			return fmt.Errorf("window [%d, %d]: phase %d has %d fragments, want %d", first, last, j+1, len(part), len(want[j]))
+		}
+		if n := d.NumFrags(j + 1); n != len(want[j]) {
+			return fmt.Errorf("phase %d: NumFrags %d, want %d", j+1, n, len(want[j]))
+		}
+		for fi, v := range part {
+			r := want[j][fi]
+			if v.Active != r.Active || v.Root != r.Root || v.Level != r.Level ||
+				!slices.Equal(v.BFS, r.BFS) || !slices.Equal(slices.Sorted(slices.Values(v.BFS)), r.Nodes) {
+				return fmt.Errorf("window [%d, %d]: phase %d fragment %d: visit %+v, reference %+v", first, last, j+1, fi, v, r)
+			}
+			wantSel := Selection{Chooser: r.Chooser, Edge: r.Edge, Up: r.Up}
+			if v.HasSel != r.HasSel || v.HasSel && v.Sel != wantSel {
+				return fmt.Errorf("window [%d, %d]: phase %d fragment %d: selection %v %+v, reference %v %+v", first, last, j+1, fi, v.HasSel, v.Sel, r.HasSel, wantSel)
+			}
+			if v.HasSel && int(d.SelPhase[v.Sel.Edge]) != j+1 {
+				return fmt.Errorf("edge %d selected at phase %d, SelPhase %d", v.Sel.Edge, j+1, d.SelPhase[v.Sel.Edge])
+			}
+		}
+	}
+	return nil
+}
+
 // TestRunMatchesReference holds every Run visit to reference.Boruvka, a
 // naive phase simulation that shares no code with this package: on
 // every family at n ∈ {1, 2, 3, 7, 16, 33, 64} in all three weight
-// modes, each streamed fragment's phase, members, active flag,
-// selection, root, level and BFS order, and the Final flags, for a
-// retention budget of 0, 1, 2, TotalPhases and TotalPhases+1 phases
-// (the last two stream the final phase and the synthesized spanning
-// fragment), at 1, 3 and 8 workers. The tree, its rooting and each
-// tree edge's selection phase are held to the reference too.
+// modes, at 1, 3 and 8 workers, for every window of windows(), each
+// streamed fragment's phase, members, active flag, selection, root,
+// level and BFS order (see checkWindow). One decomposition serves every
+// window, so a later Run reuses the first one's rooting; a window
+// starting past phase 2 holds Run's rebuilding of the partitions it
+// skips. The tree, its rooting and each tree edge's selection phase are
+// held to the reference too.
 func TestRunMatchesReference(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		n := g.N()
@@ -95,60 +173,33 @@ func TestRunMatchesReference(t *testing.T) {
 		want := reference.Boruvka(g, root)
 		total := len(want) - 1
 		parents := reference.Parents(g, root)
-		for _, keep := range []int{0, 1, 2, total, total + 1} {
-			for _, workers := range []int{1, 3, 8} {
-				d, parts := runAll(t, g, root, Options{Workers: workers, KeepPhases: keep})
-				where := fmt.Sprintf("graph %d (n=%d) keep=%d workers=%d", gi, n, keep, workers)
-				if d.TotalPhases != total || !slices.Equal(d.TreeEdges, reference.Kruskal(g)) || !slices.Equal(d.ParentPort, parents) {
-					t.Fatalf("%s: phases, tree or rooting differ from the reference", where)
+		for _, workers := range []int{1, 3, 8} {
+			d, err := DecomposeOpt(g, root, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("graph %d (n=%d) workers=%d", gi, n, workers)
+			for _, w := range windows(total) {
+				if err := checkWindow(d, want, w[0], w[1]); err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
-				// The kept phases, then the spanning fragment when the run
-				// ends inside the budget.
-				streamed := len(want)
-				if keep > 0 && keep <= total {
-					streamed = keep
-				}
-				if len(parts) != streamed {
-					t.Fatalf("%s: %d partitions streamed, want %d", where, len(parts), streamed)
-				}
-				for j, part := range parts {
-					if len(part) != len(want[j]) {
-						t.Fatalf("%s: phase %d has %d fragments, want %d", where, j+1, len(part), len(want[j]))
-					}
-					for fi, v := range part {
-						r := want[j][fi]
-						// Phase keep is the final stage, and so is the
-						// spanning fragment (j = total) whenever it is streamed.
-						final := j+1 == keep || j == total
-						if v.Final != final || v.Active != r.Active || v.Root != r.Root || v.Level != r.Level ||
-							!slices.Equal(v.BFS, r.BFS) || !slices.Equal(slices.Sorted(slices.Values(v.BFS)), r.Nodes) {
-							t.Fatalf("%s: phase %d fragment %d: visit %+v, reference %+v", where, j+1, fi, v, r)
-						}
-						wantSel := Selection{Chooser: r.Chooser, Edge: r.Edge, Up: r.Up}
-						if v.HasSel != r.HasSel || v.HasSel && v.Sel != wantSel {
-							t.Fatalf("%s: phase %d fragment %d: selection %v %+v, reference %v %+v", where, j+1, fi, v.HasSel, v.Sel, r.HasSel, wantSel)
-						}
-						if v.HasSel && int(d.SelPhase[v.Sel.Edge]) != j+1 {
-							t.Fatalf("%s: edge %d selected at phase %d, SelPhase %d", where, v.Sel.Edge, j+1, d.SelPhase[v.Sel.Edge])
-						}
-					}
-				}
-				if d.FinalFrags() != len(want[streamed-1]) {
-					t.Fatalf("%s: FinalFrags %d, want %d", where, d.FinalFrags(), len(want[streamed-1]))
-				}
+			}
+			if d.TotalPhases != total || !slices.Equal(d.TreeEdges, reference.Kruskal(g)) || !slices.Equal(d.ParentPort, parents) {
+				t.Fatalf("%s: phases, tree or rooting differ from the reference", where)
 			}
 		}
 	}
 }
 
 // TestStreamPhaseResidency bounds what each kept phase costs Run. At
-// n = 10⁵ on one worker, DecomposeOpt + Run keeping 6 phases (as many
-// as the Theorem 3 oracle keeps at n = 10⁶) may allocate at most 2 MiB
-// more than keeping 2. Pass 1 records only fragment-indexed data per
-// kept phase and Run rebuilds every partition in buffers it allocates
-// once, so the difference is 0.31 MiB on a 2-core host; recording each
-// phase's node-level partition with its sort keys, and giving each its
-// own arenas, cost 11.9 MiB.
+// n = 10⁵ on one worker, DecomposeOpt keeping 6 phases' selections and
+// Run(1, 6) (as many phases as the Theorem 3 oracle reads at n = 10⁶)
+// may allocate at most 2 MiB more than keeping 2 and Run(1, 2). Pass 1
+// keeps only fragment-indexed data per phase and Run rebuilds every
+// partition in buffers it allocates once, so the difference is
+// 0.12 MiB on a 2-core host; recording each phase's node-level
+// partition with its sort keys, and giving each its own arenas, cost
+// 11.9 MiB.
 func TestStreamPhaseResidency(t *testing.T) {
 	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
 	alloc := func(keep int) float64 {
@@ -159,7 +210,7 @@ func TestStreamPhaseResidency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Run(func(int, StreamVisit) error { return nil }); err != nil {
+		if err := d.Run(1, keep, func(int, StreamVisit) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -169,9 +220,9 @@ func TestStreamPhaseResidency(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	}
 	two, six := alloc(2), alloc(6)
-	t.Logf("keeping 2 phases allocates %.2f MiB, keeping 6 allocates %.2f MiB", two, six)
+	t.Logf("keeping and streaming 2 phases allocates %.2f MiB, 6 phases %.2f MiB", two, six)
 	if six-two > 2 {
-		t.Fatalf("keeping 6 phases allocates %.2f MiB more than keeping 2, limit 2 MiB", six-two)
+		t.Fatalf("6 phases allocate %.2f MiB more than 2, limit 2 MiB", six-two)
 	}
 }
 
@@ -231,33 +282,52 @@ func TestCompactLiveMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestDecomposeKeepPhases asserts that KeepPhases streams exactly a
-// prefix of the full run's partitions, flagging the last kept one
-// Final, and leaves every whole-run output untouched.
+// TestDecomposeKeepPhases pins what KeepPhases retains. For every
+// budget, a window within the kept phases streams the full run's
+// visits; a window that reaches a phase past them, up to TotalPhases,
+// fails before any visit and before rooting the tree; the spanning
+// fragment, which has no selection, streams whatever the budget; and
+// the contraction tower (FragOf, NumFrags) and every whole-run output
+// are those of the full run, even at KeepPhases 1.
 func TestDecomposeKeepPhases(t *testing.T) {
 	g := seeded(t, "random", 120, 7, gen.WeightsDistinct)
 	full, fullParts := decompose(t, g, 3)
-	for keep := 1; keep <= full.TotalPhases+1; keep++ {
-		d, parts := runAll(t, g, 3, Options{KeepPhases: keep})
-		wantLen := min(keep, full.TotalPhases+1)
-		if len(parts) != wantLen {
-			t.Fatalf("keep=%d: %d partitions streamed, want %d", keep, len(parts), wantLen)
+	total := full.TotalPhases
+	if total < 3 {
+		t.Fatalf("the run has %d phases; the test needs 3", total)
+	}
+	for keep := 1; keep <= total+1; keep++ {
+		d, err := DecomposeOpt(g, 3, Options{KeepPhases: keep})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d.TotalPhases != full.TotalPhases {
-			t.Fatalf("keep=%d: TotalPhases %d, want %d", keep, d.TotalPhases, full.TotalPhases)
+		if keep < total {
+			for _, w := range [][2]int{{1, keep + 1}, {keep + 1, keep + 1}, {keep + 1, total + 1}} {
+				parts, err := collect(d, w[0], w[1])
+				if err == nil || len(parts) != 0 || d.ParentPort != nil {
+					t.Fatalf("keep=%d: window %v streamed %d partitions (error %v, rooted %v), want an error before rooting", keep, w, len(parts), err, d.ParentPort != nil)
+				}
+			}
 		}
-		for j, part := range parts {
-			for fi, v := range part {
-				w := fullParts[j][fi]
-				w.Final = j+1 == keep || j == full.TotalPhases
-				if !reflect.DeepEqual(v, w) {
-					t.Fatalf("keep=%d: phase %d fragment %d differs from the full run's", keep, j+1, fi)
+		for phase := 1; phase <= total+1; phase++ {
+			if !slices.Equal(d.FragOf(phase), full.FragOf(phase)) || d.NumFrags(phase) != full.NumFrags(phase) {
+				t.Fatalf("keep=%d: the tower at phase %d differs from the full run's", keep, phase)
+			}
+		}
+		for _, w := range [][2]int{{1, min(keep, total)}, {total + 1, total + 1}} {
+			parts, err := collect(d, w[0], w[1])
+			if err != nil {
+				t.Fatalf("keep=%d: window %v: %v", keep, w, err)
+			}
+			for j := w[0] - 1; j < w[1]; j++ {
+				if !reflect.DeepEqual(parts[j], fullParts[j]) {
+					t.Fatalf("keep=%d: phase %d differs from the full run's", keep, j+1)
 				}
 			}
 		}
 		if !reflect.DeepEqual(d.TreeEdges, full.TreeEdges) ||
 			!reflect.DeepEqual(d.ParentPort, full.ParentPort) ||
-			!reflect.DeepEqual(d.SelPhase, full.SelPhase) {
+			!reflect.DeepEqual(d.SelPhase, full.SelPhase) || d.TotalPhases != total {
 			t.Fatalf("keep=%d: whole-run outputs differ", keep)
 		}
 	}

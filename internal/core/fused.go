@@ -7,35 +7,32 @@ import (
 )
 
 // buildFused is the encoder: it drives the decomposition's pass 2
-// (Decomposition.Run) and packs each annotated fragment into the advice
-// arena the moment it is visited, so no per-fragment record is ever
-// materialised. Fragments of one phase write disjoint node sets
-// and phases are separated by barriers, so the arena fills in phase
-// order for any worker count; per-worker scratch strings keep the visits
-// allocation-free. TestAdviceGolden pins the bytes. See DESIGN.md §2.12.
-func (b *adviceBuilder) buildFused(root graph.NodeID) error {
-	d, err := boruvka.DecomposeOpt(b.g, root, boruvka.Options{
-		Workers:    b.workers,
-		KeepPhases: b.sched.P + 1,
-	})
-	if err != nil {
-		return err
-	}
-	// Run roots the tree before any visit runs, so the final-stage
-	// visits may read Root/ParentPort through b.d.
-	b.d = d
-	scratch := make([]*bitstring.BitString, b.workers)
+// (Decomposition.Run) over phases 1..final and packs each annotated
+// fragment into the advice arena the moment it is visited, so no
+// per-fragment record is ever materialised. Fragments of one phase
+// write disjoint node sets and phases are separated by barriers, so the
+// arena fills in phase order for any worker count; per-worker scratch
+// strings keep the visits allocation-free. TestAdviceGolden pins the
+// bytes. See DESIGN.md §2.12.
+func (b *adviceBuilder) buildFused() error {
+	d := b.d
+	// The final stage is the partition at the start of phase P+1, or
+	// the spanning fragment when the run ends sooner.
+	final := min(b.sched.P+1, d.TotalPhases+1)
+	scratch := make([]*bitstring.BitString, d.Workers)
 	for w := range scratch {
 		scratch[w] = bitstring.New(b.sched.P + 2)
 	}
-	// Each final-stage visit fills its own fragment's record. A visit's
-	// BFS view lives only as long as the visit, so the carriers are
-	// copied into one slab, Width nodes per fragment.
+	// Each final-stage visit fills its own fragment's record; Run roots
+	// the tree before any visit, so they may read Root/ParentPort
+	// through b.d. A visit's BFS view lives only as long as the visit,
+	// so the carriers are copied into one slab, Width nodes per
+	// fragment.
 	width := b.sched.Width
-	b.frags = make([]FinalFragment, d.FinalFrags())
+	b.frags = make([]FinalFragment, d.NumFrags(final))
 	carriers := make([]graph.NodeID, len(b.frags)*width)
-	return d.Run(func(w int, v boruvka.StreamVisit) error {
-		if v.Final {
+	return d.Run(1, final, func(w int, v boruvka.StreamVisit) error {
+		if v.Phase == final {
 			value, port, err := b.finalString(v.Root, len(v.BFS))
 			if err != nil {
 				return err

@@ -26,7 +26,7 @@ import (
 // in the external test package because hier imports core.
 func FuzzCoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, root, level := fuzzGraph(t, data)
+		g, root, level := fuzzGraph(data)
 		want := reference.Parents(g, root)
 		exact, _ := core.RoundBound(g.N())
 		for _, c := range []struct {
@@ -55,14 +55,9 @@ func FuzzCoreDecode(f *testing.F) {
 	})
 }
 
-// fuzzGraph reads a connected graph, a root and a hier level. Byte 0
-// gives n − 2 and byte 1 the root; then each node v ≥ 1 names its
-// spanning-tree parent among nodes < v and the edge's weight; then a
-// count of extra edges and a (u, v, weight) triple for each, duplicates
-// and loops skipped; then one shuffle choice per port, so every port
-// numbering can occur; then one identifier byte per node (see fuzzID);
-// then the level, 1 to 4. Missing bytes read as zero.
-func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
+// fuzzGraph reads a connected graph and a root (reference.FuzzGraph),
+// then a hier level, 1 to 4. Missing bytes read as zero.
+func fuzzGraph(data []byte) (*graph.Graph, graph.NodeID, int) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -71,30 +66,6 @@ func fuzzGraph(t *testing.T, data []byte) (*graph.Graph, graph.NodeID, int) {
 		data = data[1:]
 		return int(b)
 	}
-	n := 2 + next()%31
-	root := graph.NodeID(next() % n)
-	var edges []graph.Edge
-	seen := map[[2]int]bool{}
-	add := func(u, v, w int) {
-		key := [2]int{min(u, v), max(u, v)}
-		if u == v || seen[key] {
-			return
-		}
-		seen[key] = true
-		edges = append(edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: graph.Weight(1 + w%4)})
-	}
-	for v := 1; v < n; v++ {
-		add(next()%v, v, next())
-	}
-	for range next() % 64 {
-		add(next()%n, next()%n, next())
-	}
-	reference.FuzzPorts(n, edges, next)
-	ids := reference.FuzzIDs(n, next)
-	level := 1 + next()%4
-	g, err := graph.FromEdgeList(n, ids, edges, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, root, level
+	g, root := reference.FuzzGraph(next)
+	return g, root, 1 + next()%4
 }

@@ -6,7 +6,6 @@ import (
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/par"
 )
 
 // Oracle state for building the Theorem 3 advice. The advice of node u is
@@ -32,18 +31,17 @@ import (
 // lives in one pre-sized arena of (Cap+1)-bit strings and is written in
 // place — bit 0 is reserved when the string is made and set by the final
 // stage, the packing appends after it — so no per-node string grows and
-// none is copied. The decomposition records only the ⌈log log n⌉ + 1
-// phases the packing reads, and both the per-phase packing and the
-// final-stage encoding run in parallel over fragment ranges — every
-// fragment writes a disjoint node set, so the advice is byte-identical
-// for any worker count.
+// none is copied. The encoder reads only the ⌈log log n⌉ + 1 phases
+// it packs (BuildAdviceDetailOpt's decomposition keeps no more), and
+// both the per-phase packing and the final-stage encoding run in
+// parallel over fragment ranges — every fragment writes a disjoint node
+// set, so the advice is byte-identical for any worker count.
 type adviceBuilder struct {
-	g       *graph.Graph
-	d       *boruvka.Decomposition
-	sched   Schedule
-	workers int
-	advice  []*bitstring.BitString
-	frags   []FinalFragment
+	g      *graph.Graph
+	d      *boruvka.Decomposition
+	sched  Schedule
+	advice []*bitstring.BitString
+	frags  []FinalFragment
 }
 
 // FinalFragment is the structural record of one fragment remaining after
@@ -122,15 +120,33 @@ func BuildAdvice(g *graph.Graph, root graph.NodeID, cap int) ([]*bitstring.BitSt
 }
 
 // BuildAdviceDetailOpt is BuildAdvice plus the layout detail used by
-// incremental recomputation, with an explicit worker count; the result
-// is byte-identical for any OracleOptions.Workers.
+// incremental recomputation, with an explicit worker count: a
+// decomposition that keeps only the P+1 phases the encoder reads, then
+// Encode. The result is byte-identical for any OracleOptions.Workers.
 func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt OracleOptions) (*AdviceDetail, error) {
-	n := g.N()
+	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{
+		Workers:    opt.Workers,
+		KeepPhases: NewSchedule(g.N(), cap).P + 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return Encode(d, cap)
+}
+
+// Encode runs the Theorem 3 encoder on the caller's decomposition d:
+// it packs phases 1..P and encodes the fragments at the start of phase
+// final = min(P+1, TotalPhases+1) as the final stage, from one
+// d.Run(1, final). d must keep those phases' selections (KeepPhases 0,
+// or at least P+1). The advice is byte-identical for any worker count
+// of d, which also sizes the encoder's per-worker scratch.
+func Encode(d *boruvka.Decomposition, cap int) (*AdviceDetail, error) {
+	n := d.G.N()
 	b := &adviceBuilder{
-		g:       g,
-		sched:   NewSchedule(n, cap),
-		workers: par.Workers(opt.Workers),
-		advice:  make([]*bitstring.BitString, n),
+		g:      d.G,
+		d:      d,
+		sched:  NewSchedule(n, cap),
+		advice: make([]*bitstring.BitString, n),
 	}
 	arena := bitstring.NewArena(n, cap+1)
 	for u := range b.advice {
@@ -140,7 +156,7 @@ func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt Oracle
 	// A singleton has no phases and no final stage: its advice is the
 	// final bit alone, 0 (TestAdviceGolden's n = 1 rows pin it).
 	if n > 1 {
-		if err := b.buildFused(root); err != nil {
+		if err := b.buildFused(); err != nil {
 			return nil, err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mstadvice/internal/boruvka"
 	"mstadvice/internal/graph/gen"
 )
 
@@ -67,6 +68,41 @@ func TestAdviceParallelDeterminism(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		check(t)
 	})
+}
+
+// TestEncodeSharedDecomposition holds Encode on a decomposition that
+// keeps every phase, as one shared among several readers does, to
+// BuildAdviceDetailOpt, whose decomposition keeps only the P+1 phases
+// the encoder reads: the same advice bytes, final fragments and width
+// on every family at n ∈ {2, 3, 16, 100, 1000}, in all three weight
+// modes, at 1 and 3 workers. The small graphs' runs end before phase
+// P+1, so their final stage is the spanning fragment.
+func TestEncodeSharedDecomposition(t *testing.T) {
+	seed := uint64(0)
+	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
+		for _, fam := range gen.Names() {
+			for _, n := range []int{2, 3, 16, 100, 1000} {
+				seed++
+				g := seeded(t, fam, n, seed, mode)
+				for _, workers := range []int{1, 3} {
+					label := fmt.Sprintf("%s n=%d weights %d workers=%d", fam, n, mode, workers)
+					want, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: workers})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{Workers: workers})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got, err := Encode(d, DefaultCap)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					equalDetail(t, label, want, got)
+				}
+			}
+		}
+	}
 }
 
 // adviceRow pins one oracle run: the SHA-256 of every AdviceDetail field.

@@ -308,14 +308,15 @@ type phaseStats struct {
 	rankFrac         float64 // largest (rank+1)/|F| over selections, rank the edge's global rank at its chooser
 }
 
-// phaseDynamics decomposes g from node 0 and reads every phase off one
-// Run. It fails when the run breaks a bound that E6 or E9 prints:
-// Lemma 1 (an active fragment of phase i has 2^(i-1) ≤ |F| < 2^i, and
-// phase i has at most n/2^(i-1) fragments), Lemma 2 (a selected edge's
-// global rank at its chooser is below |F|), or an edge the visits
-// select in another phase than pass 1 recorded in SelPhase. DecomposeOpt
-// records a phase for exactly the n-1 tree edges, so the last check also
-// holds the phases' selections to a sum of n-1.
+// phaseDynamics decomposes g from node 0 and reads phases
+// 1..TotalPhases off one Run. It fails when the run breaks a bound that
+// E6 or E9 prints: Lemma 1 (an active fragment of phase i has
+// 2^(i-1) ≤ |F| < 2^i, and phase i has at most n/2^(i-1) fragments),
+// Lemma 2 (a selected edge's global rank at its chooser is below |F|),
+// or an edge the visits select in another phase than pass 1 recorded in
+// SelPhase. DecomposeOpt records a phase for exactly the n-1 tree
+// edges, so the last check also holds the phases' selections to a sum
+// of n-1.
 func phaseDynamics(g *graph.Graph) ([]phaseStats, error) {
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
 	if err != nil {
@@ -330,11 +331,11 @@ func phaseDynamics(g *graph.Graph) ([]phaseStats, error) {
 	// fragments at both ends of an edge may select it, and it counts once.
 	selIn := make([]uint8, g.M())
 	var mu sync.Mutex
-	err = d.Run(func(_ int, v boruvka.StreamVisit) error {
+	if d.TotalPhases == 0 {
+		return phases, nil // a single node: no phase ran, nothing to stream
+	}
+	err = d.Run(1, d.TotalPhases, func(_ int, v boruvka.StreamVisit) error {
 		i, size := v.Phase, len(v.BFS)
-		if i > d.TotalPhases {
-			return nil // the spanning fragment the last phase left
-		}
 		if v.Active && (size >= 1<<i || i > 1 && size < 1<<(i-1)) {
 			return fmt.Errorf("phase %d: active fragment %d has %d nodes, outside [2^(i-1), 2^i) (Lemma 1)", i, v.Frag, size)
 		}

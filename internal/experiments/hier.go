@@ -20,15 +20,17 @@ import (
 // every level row.
 const hierDecodeMaxN = 65_536
 
-// hierLevels returns the level sweep for a tower: powers of two plus
-// the coarsest level.
-func hierLevels(tw *boruvka.Tower) []int {
+// hierLevels returns the level sweep for a decomposition's tower,
+// whose levels are 1..TotalPhases-1: powers of two plus the coarsest
+// level.
+func hierLevels(d *boruvka.Decomposition) []int {
+	coarsest := d.TotalPhases - 1
 	var levels []int
-	for l := 1; l < tw.NumLevels(); l *= 2 {
+	for l := 1; l < coarsest; l *= 2 {
 		levels = append(levels, l)
 	}
-	if n := tw.NumLevels(); n >= 1 && (len(levels) == 0 || levels[len(levels)-1] != n) {
-		levels = append(levels, n)
+	if coarsest >= 1 && (len(levels) == 0 || levels[len(levels)-1] != coarsest) {
+		levels = append(levels, coarsest)
 	}
 	return levels
 }
@@ -54,18 +56,18 @@ type hierRow struct {
 func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 	g := c.graph(fam, n, int64(n)*31+13)
 	root := graph.NodeID(0)
-	// This decomposition feeds the tiers (its tower) and every level's
-	// hier advice (one Run); the flat oracle's is the instance's only
-	// other one.
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
+	// The instance's one decomposition feeds the flat oracle (a Run of
+	// phases 1..P+1), the tiers (its contraction maps) and every level's
+	// hier advice (one Run of the levels' phases).
+	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
 	}
-	flatAdvice, err := core.BuildAdvice(g, root, core.DefaultCap)
+	det, err := core.Encode(d, core.DefaultCap)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
 	}
-	flat := &store.Snapshot{Problem: "mst", Graph: g, Root: root, Cap: core.DefaultCap, Advice: flatAdvice}
+	flat := &store.Snapshot{Problem: "mst", Graph: g, Root: root, Cap: core.DefaultCap, Advice: det.Advice}
 
 	flatV2 := *flat
 	flatV2.Version = 2
@@ -78,13 +80,13 @@ func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
 	}
 
-	levels := hierLevels(d.Tower)
+	levels := hierLevels(d)
 	if len(levels) == 0 {
 		return int64(len(flatBlob)), nil
 	}
 	// levels is ascending and within the tower, so tiers[i] and advs[i]
 	// are both at levels[i].
-	tiers, err := hier.BuildTiers(d.Tower, root, hier.HierOptions{Levels: levels})
+	tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
 	}

@@ -41,8 +41,7 @@ func TestBuildTiersGolden(t *testing.T) {
 			var digest string
 			for _, workers := range []int{1, 4} {
 				// 1 << 20 clamps to the coarsest level.
-				tw := tower(t, g, root, workers)
-				tiers, err := hier.BuildTiers(tw, root, hier.HierOptions{Levels: []int{1, 2, 3, 1 << 20}, Workers: workers})
+				tiers, err := hier.BuildTiers(tower(t, g, root, workers), hier.HierOptions{Levels: []int{1, 2, 3, 1 << 20}, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s n=%d workers=%d: %v", fam, n, workers, err)
 				}

@@ -7,7 +7,8 @@
 // O(log log n) bits per node so every node can output its MST parent
 // port without any extra communication beyond the scheme's fixed
 // schedule. This package moves along the other axis of the trade: pick
-// a level L of the Borůvka contraction tower (boruvka.Tower), encode
+// a level L of the Borůvka contraction tower (the fragments at the
+// start of phase L+1, boruvka.Decomposition.FragOf), encode
 // the expensive part of the advice — the ⌈log n⌉-bit parent identity of
 // each fragment — once per level-L fragment instead of once per node,
 // and let the nodes of each fragment spend measured extra rounds
@@ -43,6 +44,7 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
@@ -81,7 +83,8 @@ func (s Scheme) AdviseWorkers(g *graph.Graph, root graph.NodeID, workers int) ([
 	if n < 2 {
 		return nil, nil
 	}
-	// Run ends at the level's fragments when it keeps level+1 phases.
+	// The level's phase is at most level+1, so that many kept phases
+	// cover it.
 	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers, KeepPhases: s.level() + 1})
 	if err != nil {
 		return nil, err
@@ -93,19 +96,27 @@ func (s Scheme) AdviseWorkers(g *graph.Graph, root graph.NodeID, workers int) ([
 	return adv[0], nil
 }
 
+// levelPhase is the phase whose starting fragments make up level l of
+// d's tower: the partition after l contractions, clamped to the
+// spanning fragment at TotalPhases+1.
+func levelPhase(d *boruvka.Decomposition, l int) int {
+	return min(l, d.TotalPhases) + 1
+}
+
 // Encode assigns the hierarchical advice at every level of levels from
 // one Run of d: out[k] is the level-levels[k] advice, written from the
 // fragments at the start of phase levels[k]+1. Levels beyond the last
-// contraction clamp to the final single fragment. d must stream each of
-// those phases: it keeps every phase (KeepPhases 0), or more phases
-// than the largest level. Fragments are annotated and assigned on d's
-// worker pool, in disjoint index ranges, so the advice is
-// byte-identical for any worker count.
+// contraction clamp to the final single fragment. The Run streams only
+// the phases from the smallest level's to the largest's, and d must
+// keep those phases' selections (KeepPhases 0, or more phases than the
+// largest level). Fragments are annotated and assigned on d's worker
+// pool, in disjoint index ranges, so the advice is byte-identical for
+// any worker count.
 func Encode(d *boruvka.Decomposition, levels []int) ([][]*bitstring.BitString, error) {
 	g := d.G
 	n := g.N()
 	out := make([][]*bitstring.BitString, len(levels))
-	if n < 2 {
+	if n < 2 || len(levels) == 0 {
 		return out, nil
 	}
 	phase := make([]int, len(levels))
@@ -113,11 +124,11 @@ func Encode(d *boruvka.Decomposition, levels []int) ([][]*bitstring.BitString, e
 		if l < 1 {
 			return nil, fmt.Errorf("hier: level %d out of range", l)
 		}
-		phase[k] = min(l, d.TotalPhases) + 1
+		phase[k] = levelPhase(d, l)
 		out[k] = make([]*bitstring.BitString, n)
 	}
 	width := graph.CeilLog2(n)
-	err := d.Run(func(_ int, v boruvka.StreamVisit) error {
+	err := d.Run(slices.Min(phase), slices.Max(phase), func(_ int, v boruvka.StreamVisit) error {
 		for k, p := range phase {
 			if v.Phase == p {
 				if err := assignFragment(g, d, v.Root, v.BFS, width, out[k]); err != nil {
@@ -129,11 +140,6 @@ func Encode(d *boruvka.Decomposition, levels []int) ([][]*bitstring.BitString, e
 	})
 	if err != nil {
 		return nil, err
-	}
-	for k, p := range phase {
-		if out[k][0] == nil {
-			return nil, fmt.Errorf("hier: level %d needs phase %d, which the decomposition does not keep", levels[k], p)
-		}
 	}
 	return out, nil
 }
@@ -182,32 +188,34 @@ func (s Scheme) NewNode(view *sim.NodeView) sim.Node {
 }
 
 // EstimateBits upper-bounds the total advice bits the level-l scheme
-// assigns on the tower's graph: one flag bit per node, a parent-port
-// hint for every node (roots save theirs, uncounted here), and exactly
-// ⌈log n⌉ value bits per level-l fragment.
-func EstimateBits(t *boruvka.Tower, l int) int {
-	g := t.G
+// assigns on d's graph: one flag bit per node, a parent-port hint for
+// every node (roots save theirs, uncounted here), and exactly ⌈log n⌉
+// value bits per level-l fragment.
+func EstimateBits(d *boruvka.Decomposition, l int) int {
+	g := d.G
 	n := g.N()
 	total := 0
 	for u := 0; u < n; u++ {
 		total += 1 + bitstring.WidthFor(uint64(g.Degree(graph.NodeID(u))-1))
 	}
-	return total + t.Level(l).NumFrags*graph.CeilLog2(n)
+	return total + d.NumFrags(levelPhase(d, l))*graph.CeilLog2(n)
 }
 
 // PlanLevel is the level-cut planner: it returns the smallest tower
 // level whose EstimateBits fits budgetBits, or the coarsest level when
 // no level fits (or when budgetBits ≤ 0 — "as few bits as possible").
-// Coarser levels always estimate no larger, so the returned level is
-// the finest affordable cut.
-func PlanLevel(t *boruvka.Tower, budgetBits int) int {
-	last := t.NumLevels()
-	if last == 0 {
+// The tower's levels are 1..TotalPhases-1, the partitions with more
+// than one fragment after a contraction. Coarser levels always
+// estimate no larger, so the returned level is the finest affordable
+// cut.
+func PlanLevel(d *boruvka.Decomposition, budgetBits int) int {
+	last := d.TotalPhases - 1
+	if last < 1 {
 		return 1
 	}
 	if budgetBits > 0 {
 		for l := 1; l <= last; l++ {
-			if EstimateBits(t, l) <= budgetBits {
+			if EstimateBits(d, l) <= budgetBits {
 				return l
 			}
 		}

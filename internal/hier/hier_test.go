@@ -28,15 +28,15 @@ func seeded(tb testing.TB, family string, n int, seed uint64, w gen.WeightMode) 
 	return g
 }
 
-// tower runs pass 1 of g's decomposition from root on workers and
-// returns its contraction tower, as a tier builder's caller does.
-func tower(tb testing.TB, g *graph.Graph, root graph.NodeID, workers int) *boruvka.Tower {
+// tower runs pass 1 of g's decomposition from root on workers, keeping
+// one phase's selections, as a tier builder's caller does.
+func tower(tb testing.TB, g *graph.Graph, root graph.NodeID, workers int) *boruvka.Decomposition {
 	tb.Helper()
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers, KeepTower: true, KeepPhases: 1})
+	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers, KeepPhases: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return d.Tower
+	return d
 }
 
 // TestHierAllFamilies is the acceptance pin: the mst-hier-l%d decoder
@@ -167,12 +167,12 @@ func TestHierSchemeRouting(t *testing.T) {
 // level), and the estimate used by the planner upper-bounds the truth.
 func TestHierBitsFall(t *testing.T) {
 	g := seeded(t, "random", 500, 24, gen.WeightsDistinct)
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
+	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var levels []int
-	for level := 1; level <= d.Tower.NumLevels(); level++ {
+	for level := 1; level < d.TotalPhases; level++ {
 		levels = append(levels, level)
 	}
 	advs, err := hier.Encode(d, levels)
@@ -186,7 +186,7 @@ func TestHierBitsFall(t *testing.T) {
 		for _, b := range adv {
 			total += b.Len()
 		}
-		if est := hier.EstimateBits(d.Tower, level); est < total {
+		if est := hier.EstimateBits(d, level); est < total {
 			t.Fatalf("level %d: estimate %d below actual %d", level, est, total)
 		}
 		if prev >= 0 && total > prev {
@@ -196,12 +196,54 @@ func TestHierBitsFall(t *testing.T) {
 	}
 }
 
+// TestEncodeSharedDecomposition holds Encode, which fills several levels
+// from one Run of a decomposition that keeps every phase, to
+// Scheme.AdviseWorkers, which decomposes anew and keeps only the level's
+// phases, for every level 1..TotalPhases+1 (the last two clamp to the
+// spanning fragment): on every family at n ∈ {2, 3, 16, 100}, in all
+// three weight modes, at 1 and 3 workers.
+func TestEncodeSharedDecomposition(t *testing.T) {
+	seed := uint64(0)
+	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
+		for _, fam := range gen.Names() {
+			for _, n := range []int{2, 3, 16, 100} {
+				seed++
+				g := seeded(t, fam, n, seed, mode)
+				root := graph.NodeID(n / 2)
+				for _, workers := range []int{1, 3} {
+					d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var levels []int
+					for l := 1; l <= d.TotalPhases+1; l++ {
+						levels = append(levels, l)
+					}
+					advs, err := hier.Encode(d, levels)
+					if err != nil {
+						t.Fatalf("%s n=%d workers=%d: %v", fam, n, workers, err)
+					}
+					for k, l := range levels {
+						want, err := hier.Scheme{Level: l}.AdviseWorkers(g, root, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.EqualFunc(advs[k], want, (*bitstring.BitString).Equal) {
+							t.Fatalf("%s n=%d workers=%d level %d: Encode differs from AdviseWorkers", fam, n, workers, l)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPlanLevel pins the level-cut planner: finest affordable level,
 // coarsest when nothing (or no budget) fits.
 func TestPlanLevel(t *testing.T) {
 	g := seeded(t, "random", 400, 25, gen.WeightsDistinct)
 	tw := tower(t, g, 0, 0)
-	last := tw.NumLevels()
+	last := tw.TotalPhases - 1
 	if last < 2 {
 		t.Skipf("tower has %d levels; need ≥ 2", last)
 	}

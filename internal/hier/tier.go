@@ -30,14 +30,16 @@ type HierOptions struct {
 }
 
 // BuildTiers materializes the requested levels of a decomposition's
-// contraction tower as store tiers; root is the decomposition's root.
-// The caller runs the decomposition with Options.KeepTower, so the same
-// pass 1 can feed its other consumers. The tower holds only each
-// level's node partition; a tier collects its level's edges by one scan
-// of the graph's edge records through that partition, so the levels it
-// does not build cost no edge copies. Each tier is a
+// contraction tower as store tiers, rooted at d.Root. Level l is the
+// partition at the start of phase l+1 (d.FragOf), so the tower's levels
+// are 1..TotalPhases-1, and a decomposition with fewer than two phases
+// has none. BuildTiers reads only d's contraction maps, so the same
+// pass 1 can feed its other readers, and a caller that wants only
+// tiers never pays for Run. A tier collects its level's edges by one
+// scan of the graph's edge records through that partition, so the
+// levels it does not build cost no edge copies. Each tier is a
 // self-contained coarse instance: the contracted graph at that level
-// (supernodes named by their representative's original identifier,
+// (supernodes named by their smallest member's original identifier,
 // parallel edges collapsed to the globally smallest one), the
 // original-edge hints that ground every coarse edge back in the real
 // network, the coarse root, and flat Theorem 3 advice for the coarse
@@ -50,14 +52,14 @@ type HierOptions struct {
 // the coarse graph's own tie-breaking never engages and its unique MST
 // is exactly the image of the original MST's remaining edges — the
 // invariant TestBuildTiersCoarseMST pins.
-func BuildTiers(tw *boruvka.Tower, root graph.NodeID, opt HierOptions) ([]store.Tier, error) {
-	if tw.NumLevels() == 0 {
+func BuildTiers(d *boruvka.Decomposition, opt HierOptions) ([]store.Tier, error) {
+	if d.TotalPhases < 2 {
 		return nil, nil
 	}
-	levels := planLevels(tw, opt)
+	levels := planLevels(d, opt)
 	tiers := make([]store.Tier, 0, len(levels))
 	for _, l := range levels {
-		tier, err := buildTier(tw, root, l, opt)
+		tier, err := buildTier(d, l, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -68,19 +70,15 @@ func BuildTiers(tw *boruvka.Tower, root graph.NodeID, opt HierOptions) ([]store.
 
 // planLevels resolves HierOptions to the ascending list of levels to
 // materialize.
-func planLevels(tw *boruvka.Tower, opt HierOptions) []int {
+func planLevels(d *boruvka.Decomposition, opt HierOptions) []int {
 	if len(opt.Levels) == 0 {
-		return []int{PlanLevel(tw, opt.BudgetBits)}
+		return []int{PlanLevel(d, opt.BudgetBits)}
 	}
+	coarsest := d.TotalPhases - 1
 	seen := make(map[int]bool, len(opt.Levels))
 	levels := make([]int, 0, len(opt.Levels))
 	for _, l := range opt.Levels {
-		if l < 1 {
-			l = 1
-		}
-		if l > tw.NumLevels() {
-			l = tw.NumLevels()
-		}
+		l = min(max(l, 1), coarsest)
 		if !seen[l] {
 			seen[l] = true
 			levels = append(levels, l)
@@ -91,10 +89,10 @@ func planLevels(tw *boruvka.Tower, opt HierOptions) []int {
 }
 
 // buildTier materializes one tower level as a store tier.
-func buildTier(tw *boruvka.Tower, root graph.NodeID, l int, opt HierOptions) (store.Tier, error) {
-	g := tw.G
-	lev := tw.Level(l)
-	frag := tw.FragOf(l)
+func buildTier(d *boruvka.Decomposition, l int, opt HierOptions) (store.Tier, error) {
+	g := d.G
+	phase := levelPhase(d, l)
+	frag := d.FragOf(phase)
 
 	// The level's edges are the original edges between two fragments.
 	// Collapse the parallel ones: per fragment pair keep the edge that
@@ -143,11 +141,14 @@ func buildTier(tw *boruvka.Tower, root graph.NodeID, l int, opt HierOptions) (st
 		w[idx] = graph.Weight(rank + 1)
 	}
 
-	ids := make([]int64, lev.NumFrags)
-	for f, rep := range lev.Rep {
-		ids[f] = g.IDs()[rep]
+	// Each supernode is named by its smallest member: scanning the
+	// nodes downwards, that member writes last.
+	nf := d.NumFrags(phase)
+	ids := make([]int64, nf)
+	for u := g.N() - 1; u >= 0; u-- {
+		ids[frag[u]] = g.IDs()[u]
 	}
-	b := graph.NewBuilder(lev.NumFrags).SetIDs(ids)
+	b := graph.NewBuilder(nf).SetIDs(ids)
 	origEdge := make([]graph.EdgeID, len(edges))
 	for i, ke := range edges {
 		b.AddEdge(graph.NodeID(ke.u), graph.NodeID(ke.v), w[i])
@@ -158,7 +159,7 @@ func buildTier(tw *boruvka.Tower, root graph.NodeID, l int, opt HierOptions) (st
 		return store.Tier{}, fmt.Errorf("hier: level %d coarse graph: %w", l, err)
 	}
 
-	coarseRoot := graph.NodeID(frag[root])
+	coarseRoot := graph.NodeID(frag[d.Root])
 	capBits := opt.Cap
 	if capBits <= 0 {
 		capBits = core.DefaultCap

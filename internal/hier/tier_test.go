@@ -20,29 +20,28 @@ import (
 func TestBuildTiersCoarseMST(t *testing.T) {
 	g := seeded(t, "random", 300, 31, gen.WeightsDistinct)
 	root := graph.NodeID(7)
-	tw := tower(t, g, root, 0)
-	tiers, err := hier.BuildTiers(tw, root, hier.HierOptions{Levels: []int{1, 2, 3, 4, 5, 6, 7, 8}})
+	tiers, err := hier.BuildTiers(tower(t, g, root, 0), hier.HierOptions{Levels: []int{1, 2, 3, 4, 5, 6, 7, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tiers) != tw.NumLevels() {
-		t.Fatalf("%d tiers, want one per tower level (%d)", len(tiers), tw.NumLevels())
-	}
 	phases := reference.Boruvka(g, root)
+	if want := len(phases) - 2; len(tiers) != want {
+		t.Fatalf("%d tiers, want one per tower level (%d)", len(tiers), want)
+	}
 	parents := reference.Parents(g, root)
 	for _, tier := range tiers {
-		lev := tw.Level(tier.Level)
-		if tier.Graph.N() != lev.NumFrags {
-			t.Fatalf("level %d: %d coarse nodes, want %d", tier.Level, tier.Graph.N(), lev.NumFrags)
+		frags := phases[tier.Level]
+		if tier.Graph.N() != len(frags) {
+			t.Fatalf("level %d: %d coarse nodes, want %d", tier.Level, tier.Graph.N(), len(frags))
 		}
-		for f, rep := range lev.Rep {
-			if tier.Graph.IDs()[f] != g.IDs()[rep] {
-				t.Fatalf("level %d: coarse node %d named %d, want representative's %d",
-					tier.Level, f, tier.Graph.IDs()[f], g.IDs()[rep])
+		for f, fr := range frags {
+			if tier.Graph.IDs()[f] != g.IDs()[fr.Nodes[0]] {
+				t.Fatalf("level %d: coarse node %d named %d, want its smallest member's %d",
+					tier.Level, f, tier.Graph.IDs()[f], g.IDs()[fr.Nodes[0]])
 			}
-		}
-		if want := graph.NodeID(tw.FragOf(tier.Level)[root]); tier.Root != want {
-			t.Fatalf("level %d: coarse root %d, want %d", tier.Level, tier.Root, want)
+			if fr.Root == root && tier.Root != graph.NodeID(f) {
+				t.Fatalf("level %d: coarse root %d, want %d", tier.Level, tier.Root, f)
+			}
 		}
 		for i := 1; i < len(tier.OrigEdge); i++ {
 			if tier.OrigEdge[i] <= tier.OrigEdge[i-1] {
@@ -71,7 +70,7 @@ func TestBuildTiersCoarseMST(t *testing.T) {
 // builder and the version-3 codec: real tiers survive Encode/Decode.
 func TestBuildTiersSnapshotRoundTrip(t *testing.T) {
 	g := seeded(t, "random", 120, 32, gen.WeightsDistinct)
-	tiers, err := hier.BuildTiers(tower(t, g, 0, 0), 0, hier.HierOptions{Levels: []int{1, 2}})
+	tiers, err := hier.BuildTiers(tower(t, g, 0, 0), hier.HierOptions{Levels: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +113,12 @@ func TestBuildTiersSnapshotRoundTrip(t *testing.T) {
 // and the coarse oracle alike.
 func TestBuildTiersWorkerDeterminism(t *testing.T) {
 	g := seeded(t, "random", 250, 33, gen.WeightsDistinct)
-	ref, err := hier.BuildTiers(tower(t, g, 3, 1), 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: 1})
+	ref, err := hier.BuildTiers(tower(t, g, 3, 1), hier.HierOptions{Levels: []int{1, 2, 3}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got, err := hier.BuildTiers(tower(t, g, 3, workers), 3, hier.HierOptions{Levels: []int{1, 2, 3}, Workers: workers})
+		got, err := hier.BuildTiers(tower(t, g, 3, workers), hier.HierOptions{Levels: []int{1, 2, 3}, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,9 +134,9 @@ func TestBuildTiersWorkerDeterminism(t *testing.T) {
 func TestBuildTiersPlanned(t *testing.T) {
 	g := seeded(t, "random", 200, 34, gen.WeightsDistinct)
 	tw := tower(t, g, 0, 0)
-	coarsest := tw.NumLevels()
+	coarsest := tw.TotalPhases - 1
 
-	tiers, err := hier.BuildTiers(tw, 0, hier.HierOptions{})
+	tiers, err := hier.BuildTiers(tw, hier.HierOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestBuildTiersPlanned(t *testing.T) {
 	}
 
 	budget := hier.EstimateBits(tw, 1)
-	tiers, err = hier.BuildTiers(tw, 0, hier.HierOptions{BudgetBits: budget})
+	tiers, err = hier.BuildTiers(tw, hier.HierOptions{BudgetBits: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestBuildTiersPlanned(t *testing.T) {
 		t.Fatalf("budget %d: got level %d, want the planner's %d", budget, tiers[0].Level, hier.PlanLevel(tw, budget))
 	}
 
-	tiers, err = hier.BuildTiers(tw, 0, hier.HierOptions{Levels: []int{0, 99, 99}})
+	tiers, err = hier.BuildTiers(tw, hier.HierOptions{Levels: []int{0, 99, 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestBuildTiersAllocations(t *testing.T) {
 	g := seeded(t, "random", 100_000, 7, gen.WeightsDistinct)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tiers, err := hier.BuildTiers(tower(t, g, 0, 1), 0, hier.HierOptions{Workers: 1})
+	tiers, err := hier.BuildTiers(tower(t, g, 0, 1), hier.HierOptions{Workers: 1})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

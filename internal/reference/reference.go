@@ -7,7 +7,8 @@
 // (boruvka's Decomposition.Run) and of the tiers built on it. It also
 // holds the graph helpers that several packages' tests share: a builder
 // that panics, graph equality, connectivity, diameter, a structural
-// check and each node's ports in the global order. It reads a graph
+// check, each node's ports in the global order and the fuzz targets'
+// graph reader. It reads a graph
 // only through its exported accessors, and it is written for clarity at
 // test sizes, not for speed. Only tests import it: it is the
 // repository's one test-support package, and the one package the
@@ -235,6 +236,41 @@ func Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
+}
+
+// FuzzGraph reads a connected graph of 2 ≤ n ≤ 32 nodes with weights
+// 1–4, and a root, from next, which yields zero once a fuzz input runs
+// out. The first value gives n − 2 and the second the root; then each
+// node v ≥ 1 names its spanning-tree parent among nodes < v and the
+// edge's weight; then a count of extra edges and a (u, v, weight)
+// triple for each, duplicates and loops skipped; then one shuffle
+// choice per port (FuzzPorts) and one identifier per node (FuzzIDs).
+// It panics if the graph does not build.
+func FuzzGraph(next func() int) (*graph.Graph, graph.NodeID) {
+	n := 2 + next()%31
+	root := graph.NodeID(next() % n)
+	var edges []graph.Edge
+	seen := map[[2]int]bool{}
+	add := func(u, v, w int) {
+		key := [2]int{min(u, v), max(u, v)}
+		if u == v || seen[key] {
+			return
+		}
+		seen[key] = true
+		edges = append(edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: graph.Weight(1 + w%4)})
+	}
+	for v := 1; v < n; v++ {
+		add(next()%v, v, next())
+	}
+	for range next() % 64 {
+		add(next()%n, next()%n, next())
+	}
+	FuzzPorts(n, edges, next)
+	g, err := graph.FromEdgeList(n, FuzzIDs(n, next), edges, 1)
+	if err != nil {
+		panic(err)
+	}
+	return g, root
 }
 
 // FuzzPorts numbers the ports of a fuzz target's edges: each node's

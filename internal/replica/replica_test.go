@@ -55,11 +55,11 @@ func makeSnapshot(t testing.TB, n, m int, seed int64) *store.Snapshot {
 func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store.Snapshot {
 	t.Helper()
 	snap := makeSnapshot(t, n, m, seed)
-	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepTower: true, KeepPhases: 1})
+	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepPhases: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiers, err := hier.BuildTiers(d.Tower, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
+	tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels, Cap: snap.Cap})
 	if err != nil {
 		t.Fatal(err)
 	}

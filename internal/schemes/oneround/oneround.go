@@ -56,9 +56,11 @@ func (Scheme) Advise(g *graph.Graph, root graph.NodeID) ([]*bitstring.BitString,
 	}
 	// A chooser belongs to the fragment it chooses for, so the visits of
 	// one phase append to disjoint nodes' chunk lists, and the phase
-	// barrier keeps every list in phase order.
+	// barrier keeps every list in phase order. Phases 1..TotalPhases
+	// hold every selection; a single node has no phase, and its window
+	// is the spanning fragment, which selects nothing.
 	chunks := make([][]*bitstring.BitString, g.N())
-	err = d.Run(func(_ int, v boruvka.StreamVisit) error {
+	err = d.Run(1, max(d.TotalPhases, 1), func(_ int, v boruvka.StreamVisit) error {
 		if !v.HasSel {
 			return nil
 		}

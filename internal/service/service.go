@@ -92,7 +92,8 @@ type Epoch struct {
 	// (store version 3, built by hier.BuildTiers), ascending by level;
 	// nil when the snapshot is flat. Like everything else in an epoch
 	// they are immutable once published: updates rebuild the tiers on
-	// the next epoch's graph rather than patching these.
+	// the next epoch's graph, at the levels of the entry's first epoch,
+	// rather than patching these.
 	Tiers []store.Tier
 
 	// decodeMu guards the lazily computed session cache: the full
@@ -173,6 +174,10 @@ type entry struct {
 	// mu serializes writers; readers never take it.
 	mu  sync.Mutex
 	adv *dynamic.Advisor // lazily built on first Update, guarded by mu
+	// tierLevels are the tier levels of the entry's first epoch, from
+	// Register or the first Publish; every Update rebuilds the tiers at
+	// them, so a shallower tower clamps only its own epoch.
+	tierLevels []int
 }
 
 type shard struct {
@@ -289,7 +294,7 @@ func (s *Service) Register(id string, snap *store.Snapshot) error {
 	if len(adviceBits) != snap.Graph.N() {
 		return fmt.Errorf("service: %q has %d advice strings for %d nodes", id, len(adviceBits), snap.Graph.N())
 	}
-	e := &entry{id: id, cap: capBits, prob: prob}
+	e := &entry{id: id, cap: capBits, prob: prob, tierLevels: tierLevels(snap.Tiers)}
 	first := &Epoch{Problem: probName, Cap: capBits, Graph: snap.Graph, Root: snap.Root, Advice: adviceBits, Tiers: snap.Tiers}
 	e.cur.Store(first)
 	// The entry's writer lock is held across insertion and the publish
@@ -363,7 +368,7 @@ func (s *Service) Publish(id string, snap *store.Snapshot, seq uint64) error {
 	sh.mu.Lock()
 	e := sh.entries[id]
 	if e == nil {
-		e = &entry{id: id, cap: snap.Cap, prob: prob}
+		e = &entry{id: id, cap: snap.Cap, prob: prob, tierLevels: tierLevels(snap.Tiers)}
 		e.cur.Store(ep)
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -654,20 +659,18 @@ func (s *Service) Update(ctx context.Context, id string, b graph.Batch) (*Update
 		// slice of pointers is enough.
 		Advice: append([]*bitstring.BitString(nil), e.adv.Advice()...),
 	}
-	if len(prev.Tiers) > 0 {
+	if len(e.tierLevels) > 0 {
 		// The incremental advisor maintains the flat advice, not the
 		// contraction tower, so a tiered entry pays one decomposition per
-		// update (pass 1 alone: the tower needs no rooting) to rebuild its
-		// tiers at the same levels on the new graph. Readers keep serving
-		// the previous epoch's tiers meanwhile.
-		d, err := boruvka.DecomposeOpt(next.Graph, next.Root, boruvka.Options{KeepTower: true, KeepPhases: 1})
+		// update (pass 1 alone: the tiers read only its contraction maps)
+		// to rebuild its tiers on the new graph, at the levels it was
+		// registered with. Readers keep serving the previous epoch's tiers
+		// meanwhile.
+		d, err := boruvka.DecomposeOpt(next.Graph, next.Root, boruvka.Options{KeepPhases: 1})
 		if err != nil {
 			return nil, fmt.Errorf("service: rebuilding tiers for %q: %w", id, err)
 		}
-		tiers, err := hier.BuildTiers(d.Tower, next.Root, hier.HierOptions{
-			Levels: tierLevels(prev.Tiers),
-			Cap:    e.cap,
-		})
+		tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: e.tierLevels, Cap: e.cap})
 		if err != nil {
 			return nil, fmt.Errorf("service: rebuilding tiers for %q: %w", id, err)
 		}

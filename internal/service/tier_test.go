@@ -21,11 +21,11 @@ import (
 func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store.Snapshot {
 	t.Helper()
 	snap := makeSnapshot(t, n, m, seed)
-	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepTower: true, KeepPhases: 1})
+	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepPhases: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiers, err := hier.BuildTiers(d.Tower, snap.Root, hier.HierOptions{Levels: levels, Cap: snap.Cap})
+	tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels, Cap: snap.Cap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +156,85 @@ func TestTierUpdateRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	runFlat(t, coarse.Graph, coarse)
+}
+
+// TestTierLevelsSurviveShallowEpochs replays updates under which a
+// tiered entry's tower loses levels and regains them. A 16-node path
+// with four phases is registered with tiers [1 2 3]. Raising edge 7
+// from 40 to 25 merges the path in three phases, which leaves levels
+// [1 2]; setting it back restores epoch 0's graph. Weights that rise
+// along the path then let phase 1 merge everything, which leaves no
+// tier, and restoring them restores the graph again. Every update must
+// rebuild at the registered levels, clamped by its own tower only, and
+// every epoch's tiers must equal BuildTiers on a fresh decomposition of
+// that epoch's graph.
+func TestTierLevelsSurviveShallowEpochs(t *testing.T) {
+	weights := []graph.Weight{1, 20, 2, 30, 3, 21, 4, 40, 5, 22, 6, 31, 7, 23, 8}
+	b := graph.NewBuilder(len(weights) + 1)
+	for i, w := range weights {
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), w)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := []int{1, 2, 3}
+	fresh := func(g *graph.Graph) []store.Tier {
+		t.Helper()
+		d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepPhases: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels, Cap: core.DefaultCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tiers
+	}
+	adv, err := core.BuildAdvice(g, 0, core.DefaultCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New()
+	if err := svc.Register("path", &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: adv, Tiers: fresh(g)}); err != nil {
+		t.Fatal(err)
+	}
+	var rising, restore []graph.WeightUpdate
+	for i, w := range weights {
+		rising = append(rising, graph.WeightUpdate{Edge: graph.EdgeID(i), W: graph.Weight(100 + i)})
+		restore = append(restore, graph.WeightUpdate{Edge: graph.EdgeID(i), W: w})
+	}
+	steps := []struct {
+		name  string
+		batch []graph.WeightUpdate
+		want  []int
+	}{
+		{"registered", nil, levels},
+		{"edge 7 at 25", []graph.WeightUpdate{{Edge: 7, W: 25}}, []int{1, 2}},
+		{"edge 7 back at 40", []graph.WeightUpdate{{Edge: 7, W: 40}}, levels},
+		{"rising weights", rising, []int{}},
+		{"weights restored", restore, levels},
+	}
+	for i, st := range steps {
+		if st.batch != nil {
+			if _, err := svc.Update(context.Background(), "path", graph.Batch{Weights: st.batch}); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+		}
+		ep, err := svc.Epoch("path")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep.Seq != uint64(i) {
+			t.Fatalf("%s: epoch %d, want %d", st.name, ep.Seq, i)
+		}
+		if got := tierLevels(ep.Tiers); !reflect.DeepEqual(got, st.want) {
+			t.Fatalf("%s: tier levels %v, want %v", st.name, got, st.want)
+		}
+		if !reflect.DeepEqual(ep.Tiers, fresh(ep.Graph)) {
+			t.Fatalf("%s: tiers differ from BuildTiers on a fresh decomposition of the epoch's graph", st.name)
+		}
+	}
 }
 
 // TestTierHTTP pins the daemon surface: GET /v1/graphs/{id}/tier.

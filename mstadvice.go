@@ -28,10 +28,10 @@
 //     behind Run generalized beyond MST, with topology recognition with
 //     advice (TopologyRecognition, TopoFlood, TopoDirect) as the second
 //     registered problem;
-//   - hierarchical advice (Tower, HierScheme; DESIGN.md §2.9): the
-//     Borůvka contraction tower kept first-class and the
-//     level-parameterized mst-hier-l schemes trading advice bits for
-//     extra decompression rounds;
+//   - hierarchical advice (Decomposition.FragOf, HierScheme; DESIGN.md
+//     §2.9): the Borůvka contraction tower, which every decomposition
+//     keeps, and the level-parameterized mst-hier-l schemes trading
+//     advice bits for extra decompression rounds;
 //   - proof-labeling verification of a claimed tree (AssignTreeLabels,
 //     VerifyTreeLabels).
 //
@@ -242,35 +242,33 @@ type Schedule = core.Schedule
 func NewSchedule(n, cap int) Schedule { return core.NewSchedule(n, cap) }
 
 // Decomposition is the deterministic Borůvka decomposition of §2.2
-// (Lemmas 1–2): the MST and its phase bookkeeping, and, through Run, the
-// per-phase fragment structure the oracle encodes and the decoder
-// replays.
+// (Lemmas 1–2): the MST and its phase bookkeeping, the contraction
+// tower (FragOf, NumFrags) and, through Run, the per-phase fragment
+// structure the oracle encodes and the decoder replays.
 type Decomposition = boruvka.Decomposition
 
 // DecompositionVisit is one fragment as Decomposition.Run streams it:
 // its phase, root, level, BFS order and selection.
 type DecompositionVisit = boruvka.StreamVisit
 
-// BoruvkaOptions tune DecomposeOpt (parallel worker count, kept phases,
-// the contraction tower).
+// BoruvkaOptions tune DecomposeOpt: the parallel worker count, and how
+// many phases keep the selections Run needs.
 type BoruvkaOptions = boruvka.Options
 
 // DecomposeOpt runs the deterministic Borůvka decomposition of g rooted
-// at root; the zero BoruvkaOptions keep every phase. ParentPort and
-// ParentEdge stay nil until the first Decomposition.Run roots the tree.
+// at root; the zero BoruvkaOptions keep every phase. Run(first, last,
+// visit) streams a window of its phases, phase TotalPhases+1 being the
+// spanning fragment. ParentPort and ParentEdge stay nil until the first
+// Decomposition.Run roots the tree.
 func DecomposeOpt(g *Graph, root NodeID, opt BoruvkaOptions) (*Decomposition, error) {
 	return boruvka.DecomposeOpt(g, root, opt)
 }
 
-// Hierarchical-advice re-exports (internal/hier and the boruvka
-// contraction tower; see DESIGN.md §2.9). DecomposeOpt with
-// BoruvkaOptions.KeepTower retains the full contraction tower; the
-// mst-hier-l schemes spend fewer advice bits at a coarser tower level
-// in exchange for a fixed number of extra decompression rounds.
-
-// Tower is the full Borůvka contraction tower of a decomposition: one
-// contracted multigraph per phase boundary (set BoruvkaOptions.KeepTower).
-type Tower = boruvka.Tower
+// Hierarchical-advice re-exports (internal/hier; see DESIGN.md §2.9).
+// Level ℓ of the contraction tower is the partition at the start of
+// phase ℓ+1, Decomposition.FragOf(ℓ+1); the mst-hier-l schemes spend
+// fewer advice bits at a coarser level in exchange for a fixed number
+// of extra decompression rounds.
 
 // HierScheme returns the hierarchical advising scheme "mst-hier-l<level>"
 // for the given tower level (values below 1 clamp to 1, levels past the
