@@ -1,6 +1,8 @@
 package bitstring
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -79,6 +81,48 @@ func TestAppendRange(t *testing.T) {
 			if !a.Equal(b) {
 				t.Fatalf("AppendRange(%d,%d) = %s, want %s", from, to, a, b)
 			}
+		}
+	}
+}
+
+// TestArenaConcurrentAppends appends to distinct strings of one arena
+// from several goroutines, neighbours on different goroutines, within
+// the inline word, past it and past each string's capacity; the CI race
+// step runs it. Distinct indices own distinct storage, so the detector
+// finds nothing and every string reads back its own bits.
+func TestArenaConcurrentAppends(t *testing.T) {
+	const count, workers = 64, 4
+	arenas := map[string]*Arena{
+		"inline": NewArena(count, 12),
+		"tails":  NewArena(count, 100),
+		"ragged": NewRaggedArena(func(yield func(int) bool) {
+			for i := range count {
+				if !yield(i * 3) {
+					return
+				}
+			}
+		}),
+	}
+	for name, a := range arenas {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < count; i += workers {
+					for b := 0; b < 2*i; b++ {
+						a.At(i).AppendBit((b+i)%3 == 0)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range count {
+			want := make([]bool, 2*i)
+			for b := range want {
+				want[b] = (b+i)%3 == 0
+			}
+			checkBits(t, fmt.Sprintf("%s arena string %d", name, i), a.At(i), want)
 		}
 	}
 }

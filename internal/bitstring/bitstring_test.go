@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmpty(t *testing.T) {
@@ -442,4 +443,154 @@ func fromBits(bits []bool) *BitString {
 		s.AppendBit(b)
 	}
 	return s
+}
+
+// checkBits holds s to the model want: Len, every Bit, String, Equal
+// both ways against a string built bit by bit, every 64-bit Uint field,
+// and Words, whose bits above Len must read zero.
+func checkBits(t *testing.T, name string, s *BitString, want []bool) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("%s: Len = %d, want %d", name, s.Len(), len(want))
+	}
+	var str strings.Builder
+	for i, b := range want {
+		if s.Bit(i) != b {
+			t.Fatalf("%s: Bit(%d) = %v, want %v", name, i, s.Bit(i), b)
+		}
+		str.WriteByte("01"[btoi(b)])
+	}
+	if got := s.String(); got != str.String() {
+		t.Fatalf("%s: String = %q, want %q", name, got, str.String())
+	}
+	if ref := fromBits(want); !s.Equal(ref) || !ref.Equal(s) {
+		t.Fatalf("%s: not Equal to its bits %s", name, ref)
+	}
+	for off := 0; off < len(want); off += 64 {
+		width := min(64, len(want)-off)
+		var v uint64
+		for k := 0; k < width; k++ {
+			v |= uint64(btoi(want[off+k])) << uint(k)
+		}
+		if got := s.Uint(off, width); got != v {
+			t.Fatalf("%s: Uint(%d, %d) = %#x, want %#x", name, off, width, got, v)
+		}
+	}
+	words := s.Words()
+	if len(words) != (len(want)+63)/64 {
+		t.Fatalf("%s: %d words for %d bits", name, len(words), len(want))
+	}
+	for i := 0; i < 64*len(words); i++ {
+		if got := words[i/64]>>uint(i%64)&1 == 1; got != (i < len(want) && want[i]) {
+			t.Fatalf("%s: word bit %d = %v (Len %d)", name, i, got, len(want))
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestBitBoundaries builds strings of the lengths around the end of the
+// inline word (63, 64, 65) and of a tail's second word (127, 128, 129)
+// every way the package makes one, checks each with checkBits, then
+// clones it, mutates the original (one more bit, its first and last
+// bits flipped) and checks both; the same boundary rows as the seeds of
+// FuzzBitOps, without the interpreter.
+func TestBitBoundaries(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(want []bool) *BitString
+	}{
+		{"AppendBit", fromBits},
+		{"AppendUint", func(want []bool) *BitString {
+			s := New(0)
+			for off := 0; off < len(want); off += 64 {
+				width := min(64, len(want)-off)
+				s.AppendUint(fromBits(want).Uint(off, width), width)
+			}
+			return s
+		}},
+		{"LoadWords", func(want []bool) *BitString {
+			var s BitString
+			s.LoadWords(fromBits(want).Words(), len(want))
+			return &s
+		}},
+		{"AppendRange past a 1-bit prefix", func(want []bool) *BitString {
+			src := fromBits(append([]bool{true}, want...))
+			s := New(len(want))
+			s.AppendRange(src, 1, src.Len())
+			return s
+		}},
+		{"Slice", func(want []bool) *BitString {
+			return fromBits(append(append([]bool{false}, want...), true)).Slice(1, len(want)+1)
+		}},
+		{"Clone", func(want []bool) *BitString { return fromBits(want).Clone() }},
+		{"arena neighbour", func(want []bool) *BitString {
+			a := NewArena(2, len(want))
+			s := a.At(0)
+			for _, b := range want {
+				s.AppendBit(b)
+				a.At(1).AppendBit(!b)
+			}
+			checkBits(t, "neighbour", a.At(1), invert(want))
+			return s
+		}},
+		{"ragged arena", func(want []bool) *BitString {
+			a := NewRaggedArena(slices.Values([]int{len(want), 1}))
+			a.At(0).LoadWords(fromBits(want).Words(), len(want))
+			return a.At(0)
+		}},
+		{"outgrown arena", func(want []bool) *BitString {
+			a := NewArena(2, 1)
+			for _, b := range want {
+				a.At(1).AppendBit(b)
+			}
+			return a.At(1)
+		}},
+		{"Reset then refilled", func(want []bool) *BitString {
+			s := fromBits(invert(append(slices.Clone(want), want...)))
+			s.Reset()
+			s.Append(fromBits(want))
+			return s
+		}},
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+		want := make([]bool, n)
+		for i := range want {
+			want[i] = (i*7+3)%5 < 2
+		}
+		for _, b := range builds {
+			name := fmt.Sprintf("%s of %d bits", b.name, n)
+			s := b.build(want)
+			checkBits(t, name, s, want)
+			c := s.Clone()
+			mut := append(slices.Clone(want), true)
+			s.AppendBit(true)
+			s.SetBit(0, !mut[0])
+			s.SetBit(n, false)
+			mut[0], mut[n] = !mut[0], false
+			checkBits(t, name+", mutated", s, mut)
+			checkBits(t, name+", its clone", c, want)
+		}
+	}
+}
+
+func invert(bits []bool) []bool {
+	out := make([]bool, len(bits))
+	for i, b := range bits {
+		out[i] = !b
+	}
+	return out
+}
+
+// TestBitStringSize pins the layout: a string is one inline word and one
+// pointer, so an arena of n strings and their pointers holds 24n bytes.
+func TestBitStringSize(t *testing.T) {
+	if got := unsafe.Sizeof(BitString{}); got != 16 {
+		t.Fatalf("BitString is %d bytes, want 16", got)
+	}
 }

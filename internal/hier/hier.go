@@ -125,9 +125,17 @@ func Encode(d *boruvka.Decomposition, levels []int) ([][]*bitstring.BitString, e
 			return nil, fmt.Errorf("hier: level %d out of range", l)
 		}
 		phase[k] = levelPhase(d, l)
-		out[k] = make([]*bitstring.BitString, n)
 	}
+	// A string is a flag, a parent port of at most ⌈log n⌉ bits and at
+	// most ⌈log n⌉ value bits: one arena per level holds them all.
 	width := graph.CeilLog2(n)
+	for k := range out {
+		arena := bitstring.NewArena(n, 1+2*width)
+		out[k] = make([]*bitstring.BitString, n)
+		for u := range out[k] {
+			out[k][u] = arena.At(u)
+		}
+	}
 	err := d.Run(slices.Min(phase), slices.Max(phase), func(_ int, v boruvka.StreamVisit) error {
 		for k, p := range phase {
 			if v.Phase == p {
@@ -145,7 +153,7 @@ func Encode(d *boruvka.Decomposition, levels []int) ([][]*bitstring.BitString, e
 }
 
 // assignFragment writes the advice of every node of the fragment rooted
-// at root with BFS order bfs.
+// at root with BFS order bfs into that node's empty string in out.
 func assignFragment(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID, bfs []graph.NodeID, width int, out []*bitstring.BitString) error {
 	allOnes := (uint64(1) << uint(width)) - 1
 	var value uint64
@@ -162,11 +170,7 @@ func assignFragment(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID,
 		stride = width
 	}
 	for k, u := range bfs {
-		carry := 0
-		if k < stride {
-			carry = 1 + (width-1-k)/stride
-		}
-		b := bitstring.New(1 + graph.CeilLog2(g.Degree(u)) + carry)
+		b := out[u]
 		if u == root {
 			b.AppendBit(true)
 		} else {
@@ -176,7 +180,6 @@ func assignFragment(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID,
 		for pos := k; pos < width; pos += stride {
 			b.AppendBit((value>>uint(pos))&1 == 1)
 		}
-		out[u] = b
 	}
 	return nil
 }

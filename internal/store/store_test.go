@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -76,6 +77,36 @@ func TestGoldenRoundTripAllFamilies(t *testing.T) {
 			}
 			assertSnapshotsEqual(t, fam+"/"+weights.String(), snap, back)
 		}
+	}
+}
+
+// TestDecodedAdviceResidency bounds what a decoded snapshot's advice
+// keeps on the heap: at n = 10⁵ at most 1.1 × 24 bytes a node, the
+// 16-byte string in the decoder's arena and its pointer. The heap is
+// read with the decoded snapshot alive, and again once its advice is
+// dropped. 24.0 bytes a node measured on a 2-core host; a 32-byte string
+// header beside a word slab kept 48.
+func TestDecodedAdviceResidency(t *testing.T) {
+	blob, err := Encode(buildSnapshot(t, "random", 100_000, 9, gen.WeightsDistinct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	n := len(snap.Advice)
+	snap.Advice = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(snap)
+	perNode := (float64(with.HeapAlloc) - float64(without.HeapAlloc)) / float64(n)
+	t.Logf("decoded advice retains %.2f bytes a node", perNode)
+	if perNode > 1.1*24 {
+		t.Fatalf("decoded advice retains %.2f bytes a node, limit %.1f", perNode, 1.1*24)
 	}
 }
 
