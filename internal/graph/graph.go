@@ -15,6 +15,12 @@
 //     MST computation for tie-breaking, which guarantees a unique MST and
 //     keeps Borůvka fragment selections acyclic even with equal weights.
 //
+// Graphs that are published (a service epoch) or decoded (a store
+// snapshot) may share storage: Reweighted builds the graph a
+// weight-only batch leaves on its predecessor's CSR and identifiers.
+// That is why such graphs are never mutated; ApplyBatch patches only a
+// private Clone.
+//
 // See DESIGN.md §2.1 for the CSR layout, the edge record that holds
 // every endpoint, port and weight, and the in-place update door used by
 // the dynamic subsystem.

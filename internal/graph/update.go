@@ -6,9 +6,10 @@ import (
 )
 
 // Dynamic updates. A built Graph is immutable to its algorithms, but the
-// dynamic-network subsystem (internal/dynamic) mutates it through the
-// batched API below, which patches the CSR adjacency and the edge
-// records in place instead of rebuilding the graph from scratch.
+// dynamic-network subsystem (internal/dynamic) mutates its own private
+// copy through the batched API below, which patches the CSR adjacency
+// and the edge records in place instead of rebuilding the graph from
+// scratch.
 //
 // Semantics:
 //
@@ -171,4 +172,25 @@ func (g *Graph) Clone() *Graph {
 		edges: slices.Clone(g.edges),
 		ids:   slices.Clone(g.ids),
 	}
+}
+
+// Reweighted returns the graph whose edge records are edges, when they
+// name g's endpoints and ports edge for edge and differ from g's at most
+// in their weights: the graph a weight-only batch leaves. It shares g's
+// CSR and identifiers and takes ownership of edges, so it costs neither
+// a copy nor a validation pass; it returns false, and builds nothing,
+// when the lengths or any endpoint or port differ. Sharing is safe because
+// published and decoded graphs are never mutated: to patch either one,
+// ApplyBatch a Clone.
+func (g *Graph) Reweighted(edges []Edge) (*Graph, bool) {
+	if len(edges) != len(g.edges) {
+		return nil, false
+	}
+	for i := range edges {
+		a, b := &edges[i], &g.edges[i]
+		if a.U != b.U || a.V != b.V || a.PU != b.PU || a.PV != b.PV {
+			return nil, false
+		}
+	}
+	return &Graph{adj: g.adj, off: g.off, deg: g.deg, edges: edges, ids: g.ids}, true
 }

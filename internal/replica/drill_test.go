@@ -105,7 +105,7 @@ func TestKillRestartDrill(t *testing.T) {
 	repDone := make(chan struct{})
 	go func() { defer close(repDone); rep.Run(repCtx) }()
 	defer func() { repCancel(); <-repDone }()
-	waitCaughtUp(t, rep, log.Len(), 30*time.Second)
+	waitCaughtUp(t, "initial", rep, log.Len(), 30*time.Second)
 	srvR := NewServer(follower, nil, ServerOptions{})
 	if err := srvR.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestKillRestartDrill(t *testing.T) {
 		Weights: []graph.WeightUpdate{{Edge: target, W: w0 + 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, rep, log.Len(), 30*time.Second)
+	waitCaughtUp(t, "warm-up update", rep, log.Len(), 30*time.Second)
 
 	// The writer spans both phases; the script swaps the live primary
 	// under it across the restart.
@@ -137,7 +137,7 @@ func TestKillRestartDrill(t *testing.T) {
 	// generous: under the race detector one record's apply can take a
 	// second.
 	churn.pause()
-	waitCaughtUp(t, rep, log.Len(), 120*time.Second)
+	waitCaughtUp(t, "between phases", rep, log.Len(), 120*time.Second)
 	churn.primaryUp.Store(true)
 
 	// Chaos phase. The proxy addresses are the client's fixed endpoints,
@@ -277,21 +277,24 @@ func (cs *churnState) halt() {
 }
 
 // waitCaughtUp blocks until the replica applied at least target log
-// records. The target is fixed at the call — the writer keeps
-// appending, so "applied == log.Len()" is a moving goalpost a slow
-// machine might never touch; draining the backlog that existed at the
-// call is the catch-up being checked.
-func waitCaughtUp(t *testing.T, rep *Replica, target int, timeout time.Duration) {
+// records, and logs how long the catch-up named what took. The target
+// is fixed at the call — the writer keeps appending, so "applied ==
+// log.Len()" is a moving goalpost a slow machine might never touch;
+// draining the backlog that existed at the call is the catch-up being
+// checked.
+func waitCaughtUp(t *testing.T, what string, rep *Replica, target int, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
+	start, from := time.Now(), rep.applied.Load()
+	deadline := start.Add(timeout)
 	for rep.applied.Load() < int64(target) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("replica stuck at %d/%d (last error: %v)\n%s", rep.applied.Load(), target, rep.lastErr.Load(), buf)
+			t.Fatalf("%s: replica stuck at %d/%d (last error: %v)\n%s", what, rep.applied.Load(), target, rep.lastErr.Load(), buf)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	t.Logf("catch-up %s: %d → %d records in %v", what, from, target, time.Since(start).Round(time.Millisecond))
 }
 
 // fixedLoop drives a fixed-count closed loop, checks every answer
@@ -510,7 +513,7 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 
 	// Catch-up: the restarted replica drains everything the writer
 	// published while it was down.
-	waitCaughtUp(t, rep2, targetR, 30*time.Second)
+	waitCaughtUp(t, "replica restart", rep2, targetR, 30*time.Second)
 	time.Sleep(scriptStep)
 
 	// Kill the primary — endpoint and service state. The writer loses
@@ -522,7 +525,7 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 	// whole failover budget on stale answers. (Crashing mid-write is
 	// covered by the torn-record durable-log tests.)
 	env.churn.pause()
-	waitCaughtUp(t, rep2, env.log.Len(), 30*time.Second)
+	waitCaughtUp(t, "before primary kill", rep2, env.log.Len(), 30*time.Second)
 	env.rec.Record("chaos", "killing primary endpoint %s", env.addrP)
 	env.srvP.Close()
 	time.Sleep(scriptStep)
@@ -541,14 +544,14 @@ func chaosPhase(t *testing.T, env chaosEnv) {
 
 	// The replica reconnects to the restarted primary and resumes the
 	// tail stream exactly where it stopped.
-	waitCaughtUp(t, rep2, env.log.Len(), 30*time.Second)
+	waitCaughtUp(t, "primary restart", rep2, env.log.Len(), 30*time.Second)
 
 	// Gauges against the truth: quiesce the writer, drain the replica to
 	// the frozen log head, and the lag gauge must read exactly 0 — the
 	// scrape-time arithmetic (head − applied) agreeing with the truth —
 	// and the applied gauge must equal the replica's own count.
 	env.churn.pause()
-	waitCaughtUp(t, rep2, env.log.Len(), 30*time.Second)
+	waitCaughtUp(t, "gauges", rep2, env.log.Len(), 30*time.Second)
 	var scrape strings.Builder
 	if err := rep2.Metrics().WriteText(&scrape); err != nil {
 		t.Fatal(err)

@@ -61,10 +61,10 @@ type Log struct {
 
 // logEntry locates one record's frame in the log's data.
 type logEntry struct {
-	id      string
-	seq     uint64
-	off     int64
-	payload int // the frame is store.RecordLen(payload) bytes
+	id    string
+	seq   uint64
+	off   int64
+	frame int64 // the frame's length
 }
 
 // frameData is the log's byte store: an *os.File for a durable log,
@@ -161,8 +161,9 @@ func (l *Log) scan(br *bufio.Reader, size int64) error {
 		if err != nil {
 			return nil
 		}
-		l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, payload: len(payload)})
-		l.size += store.RecordLen(len(payload))
+		frame := store.RecordLen(len(payload))
+		l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, frame: frame})
+		l.size += frame
 	}
 }
 
@@ -174,15 +175,49 @@ func (l *Log) scan(br *bufio.Reader, size int64) error {
 // The log keeps no reference to rec.Blob. Append on a closed durable log
 // returns os.ErrClosed.
 func (l *Log) Append(rec EpochRecord) error {
+	return l.append(rec.ID, rec.Seq, func(w io.Writer, head []byte) (int64, error) {
+		return store.WriteRecord(w, head, rec.Blob)
+	})
+}
+
+// AppendEpoch encodes a published epoch into a record and appends it —
+// the service.OnPublish hook body of a primary (see Attach). The encoding
+// streams into the log (store.WriteSnapshotRecord) instead of being held
+// whole, and the frame is the one Append writes for store.Encode's blob;
+// the append latency therefore includes the encode. An epoch that fails
+// to encode leaves the log as a failed Append does.
+func (l *Log) AppendEpoch(id string, ep *service.Epoch) error {
+	snap := &store.Snapshot{
+		Problem: ep.Problem,
+		Graph:   ep.Graph,
+		Root:    ep.Root,
+		Cap:     ep.Cap,
+		Advice:  ep.Advice,
+		Tiers:   ep.Tiers,
+	}
+	err := l.append(id, ep.Seq, func(w io.Writer, head []byte) (int64, error) {
+		return store.WriteSnapshotRecord(w, head, snap)
+	})
+	if err != nil {
+		return fmt.Errorf("replica: appending epoch %d of %q: %w", ep.Seq, id, err)
+	}
+	return nil
+}
+
+// append is the bookkeeping of Append and AppendEpoch. write frames a
+// record whose payload starts with head, the id/seq prefix, at the end
+// of the clean prefix and returns the frame's length; a durable log then
+// fsyncs, and the record is indexed and announced. Because the frame is
+// written at that explicit offset, a failed write moves neither the size
+// nor the index: what it left past the clean prefix is overwritten by
+// the next append, and any rest is a torn tail the next OpenLog cuts.
+func (l *Log) append(id string, seq uint64, write func(w io.Writer, head []byte) (int64, error)) error {
 	t0 := time.Now()
-	prefix := binary.AppendUvarint(store.AppendString(nil, rec.ID), rec.Seq)
+	head := binary.AppendUvarint(store.AppendString(nil, id), seq)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// The frame is written at an explicit offset from the end of the
-	// clean prefix, so a failed append leaves nothing the next one does
-	// not overwrite.
-	n, err := store.WriteRecord(io.NewOffsetWriter(l.data, l.size), prefix, rec.Blob)
+	n, err := write(io.NewOffsetWriter(l.data, l.size), head)
 	if err != nil {
 		return err
 	}
@@ -193,7 +228,7 @@ func (l *Log) Append(rec EpochRecord) error {
 		}
 		l.met.fsyncLatency.ObserveSince(tSync)
 	}
-	l.index = append(l.index, logEntry{id: rec.ID, seq: rec.Seq, off: l.size, payload: len(prefix) + len(rec.Blob)})
+	l.index = append(l.index, logEntry{id: id, seq: seq, off: l.size, frame: n})
 	l.size += n
 	close(l.notify)
 	l.notify = make(chan struct{})
@@ -201,23 +236,6 @@ func (l *Log) Append(rec EpochRecord) error {
 	l.met.bytes.Add(uint64(n))
 	l.met.appendLatency.ObserveSince(t0)
 	return nil
-}
-
-// AppendEpoch encodes a published epoch into a record and appends it —
-// the service.OnPublish hook body of a primary (see Attach).
-func (l *Log) AppendEpoch(id string, ep *service.Epoch) error {
-	blob, err := store.Encode(&store.Snapshot{
-		Problem: ep.Problem,
-		Graph:   ep.Graph,
-		Root:    ep.Root,
-		Cap:     ep.Cap,
-		Advice:  ep.Advice,
-		Tiers:   ep.Tiers,
-	})
-	if err != nil {
-		return fmt.Errorf("replica: encoding epoch %d of %q: %w", ep.Seq, id, err)
-	}
-	return l.Append(EpochRecord{ID: id, Seq: ep.Seq, Blob: blob})
 }
 
 // Len returns the number of records.
@@ -238,12 +256,12 @@ func (l *Log) frame(i int, buf []byte) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("replica: log record %d out of range [0,%d)", i, len(index))
 	}
 	e := index[i]
-	n := store.RecordLen(e.payload)
-	buf = slices.Grow(buf[:0], int(n))[:n]
+	buf = slices.Grow(buf[:0], int(e.frame))[:e.frame]
 	if _, err := data.ReadAt(buf, e.off); err != nil {
 		return nil, 0, err
 	}
-	return buf, e.payload, nil
+	_, header := binary.Uvarint(buf) // checked when the record was indexed
+	return buf, len(buf) - header - 4, nil
 }
 
 // record reads record i back from the log into a fresh buffer; its

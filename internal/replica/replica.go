@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mstadvice/internal/graph"
 	"mstadvice/internal/obs"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
@@ -184,7 +185,7 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 	if err := wc.writeFrame(tailRequest(uint64(r.applied.Load()))); err != nil {
 		return err
 	}
-	// One record buffer serves the whole connection: Decode copies
+	// One record buffer serves the whole connection: the decoder copies
 	// everything out of the blob, parseRecord copies the graph ID, and
 	// the log's Append keeps no reference to the payload.
 	var payload []byte
@@ -197,7 +198,13 @@ func (r *Replica) tailOnce(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		snap, err := store.Decode(rec.Blob)
+		// Each record is decoded against the epoch it succeeds, whose
+		// CSR and identifiers a weight-only epoch shares.
+		var prev *graph.Graph
+		if ep, err := r.svc.Epoch(rec.ID); err == nil {
+			prev = ep.Graph
+		}
+		snap, err := store.DecodeNext(rec.Blob, prev)
 		if err != nil {
 			return fmt.Errorf("replica: record %s@%d: %w", rec.ID, rec.Seq, err)
 		}

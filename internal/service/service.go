@@ -20,7 +20,8 @@
 //     immutable Epoch (graph snapshot + advice assignment + sequence
 //     number). Readers load the pointer once and work on a frozen,
 //     never-mutated epoch; writers prepare the next epoch on the side —
-//     clone the advisor's live graph, copy the advice slice — and
+//     copy the advisor's live edge records onto the previous epoch's
+//     CSR (a whole clone after a deletion), copy the advice slice — and
 //     publish it with one atomic swap (copy-on-write). A reader
 //     observing epoch k keeps a fully consistent (graph, advice) pair
 //     even while epoch k+1 is being built, and never blocks, because no
@@ -80,7 +81,9 @@ type Epoch struct {
 	// replication layer needs it to encode an epoch back into a snapshot
 	// that rebuilds the same oracle (DESIGN.md §2.10).
 	Cap int
-	// Graph is a private snapshot; no advisor will ever patch it.
+	// Graph is a frozen snapshot; no advisor will ever patch it. An
+	// epoch whose batch deleted nothing shares its CSR and identifiers
+	// with the epoch before it (graph.Reweighted).
 	Graph *graph.Graph
 	// Root is the designated root (the MST root for mst, the flood
 	// origin for topo).
@@ -653,7 +656,7 @@ func (s *Service) Update(ctx context.Context, id string, b graph.Batch) (*Update
 		Root:    e.adv.Root(),
 		// The advisor owns its live graph and patches it in place on the
 		// next update; published epochs need a frozen copy.
-		Graph: e.adv.Graph().Clone(),
+		Graph: frozen(prev.Graph, e.adv.Graph(), b),
 		// Advice strings are immutable once published (the advisor
 		// replaces, never mutates, per-node strings), so copying the
 		// slice of pointers is enough.
@@ -682,6 +685,20 @@ func (s *Service) Update(ctx context.Context, id string, b graph.Batch) (*Update
 	s.met.op("update", t0)
 	reply := &UpdateReply{Epoch: next.Seq, Incremental: res.Incremental, Reencoded: len(res.Changed)}
 	return reply, nil
+}
+
+// frozen returns the graph to publish after batch b turned the previous
+// epoch's graph prev into the advisor's live graph. A batch without
+// deletions leaves the CSR and the identifiers as prev holds them, so the
+// epoch shares prev's (graph.Reweighted) and copies only the live edge
+// records; a deletion batch, or any mismatch, publishes a full Clone.
+func frozen(prev, live *graph.Graph, b graph.Batch) *graph.Graph {
+	if len(b.Deletions) == 0 && slices.Equal(prev.IDs(), live.IDs()) {
+		if g, ok := prev.Reweighted(slices.Clone(live.Edges())); ok {
+			return g
+		}
+	}
+	return live.Clone()
 }
 
 // InfoFor summarises one graph's current epoch.

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,5 +378,161 @@ func TestListAndStats(t *testing.T) {
 	st := svc.StatsNow()
 	if st.Registered != 3 || st.Queries != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestUpdateChainEpochBytes scripts one entry through every kind of
+// update: non-tree raises (the advisor's fast path), a tree-edge change
+// (a full recompute without deletion), a deletion, then raises again.
+// After each update, every epoch published so far must encode
+// (store.Encode) to the bytes of a reference: a Clone of the registered
+// graph with the same batches applied by ApplyBatch, with a fresh
+// oracle run's advice. So no epoch changes once it is published,
+// whatever storage later epochs share with it. A batch that deletes
+// nothing must publish a graph on its predecessor's CSR; a deletion
+// must not.
+func TestUpdateChainEpochBytes(t *testing.T) {
+	svc := New()
+	snap := makeSnapshot(t, 200, 600, 12)
+	if err := svc.Register("g", snap); err != nil {
+		t.Fatal(err)
+	}
+	ref := snap.Graph.Clone()
+	encode := func(g *graph.Graph, advice []*bitstring.BitString) []byte {
+		t.Helper()
+		blob, err := store.Encode(&store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: advice})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	ep0, err := svc.Epoch("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs, want := []*Epoch{ep0}, [][]byte{encode(ref, snap.Advice)}
+	maxW := ref.MaxWeight()
+	// edge returns an edge of the reference that is, or is not, in its
+	// MST, skipping the first skip such edges.
+	edge := func(tree bool, skip int) graph.EdgeID {
+		t.Helper()
+		mstEdges, err := mst.Kruskal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inTree := make([]bool, ref.M())
+		for _, e := range mstEdges {
+			inTree[e] = true
+		}
+		for e := range inTree {
+			if inTree[e] == tree {
+				if skip == 0 {
+					return graph.EdgeID(e)
+				}
+				skip--
+			}
+		}
+		t.Fatalf("no edge with inTree = %v", tree)
+		return -1
+	}
+	raise := func(tree bool, skip int) func() graph.Batch {
+		return func() graph.Batch {
+			maxW++
+			return graph.Batch{Weights: []graph.WeightUpdate{{Edge: edge(tree, skip), W: maxW}}}
+		}
+	}
+	steps := []struct {
+		name        string
+		batch       func() graph.Batch
+		incremental bool
+	}{
+		{"non-tree raise", raise(false, 0), true},
+		{"second non-tree raise", raise(false, 5), true},
+		{"tree-edge raise", raise(true, 3), false},
+		{"deletion", func() graph.Batch { return graph.Batch{Deletions: []graph.EdgeID{edge(false, 2)}} }, false},
+		{"raise after the deletion", raise(false, 1), true},
+		{"last raise", raise(false, 7), true},
+	}
+	for _, step := range steps {
+		b := step.batch()
+		reply, err := svc.Update(context.Background(), "g", b)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if reply.Incremental != step.incremental {
+			t.Fatalf("%s: incremental = %v, want %v", step.name, reply.Incremental, step.incremental)
+		}
+		if err := ref.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		advice, err := core.BuildAdvice(ref, 0, core.DefaultCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := svc.Epoch("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs, want = append(epochs, ep), append(want, encode(ref, advice))
+		for k, e := range epochs {
+			if !bytes.Equal(encode(e.Graph, e.Advice), want[k]) {
+				t.Fatalf("after the %s, epoch %d encodes differently from the reference", step.name, k)
+			}
+		}
+		before := epochs[len(epochs)-2].Graph
+		if shared := &ep.Graph.Ports(0)[0] == &before.Ports(0)[0]; shared != (len(b.Deletions) == 0) {
+			t.Fatalf("%s: epoch %d shares its predecessor's CSR: %v", step.name, ep.Seq, shared)
+		}
+	}
+}
+
+// TestWeightOnlyUpdateAllocations bounds one weight-only Update at
+// n = 10⁵ by 1.1 × (24m + 8n) bytes: the epoch's copy of the edge
+// records and of the advice pointers. Publishing a Clone of the live
+// graph instead adds the CSR and the identifiers, 16n + 8m bytes, and
+// fails the bound.
+func TestWeightOnlyUpdateAllocations(t *testing.T) {
+	const n = 100_000
+	svc := New()
+	snap := makeSnapshot(t, n, 3*n, 8)
+	if err := svc.Register("g", snap); err != nil {
+		t.Fatal(err)
+	}
+	g := snap.Graph
+	mstEdges, err := mst.Kruskal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTree := make([]bool, g.M())
+	for _, e := range mstEdges {
+		inTree[e] = true
+	}
+	var raise []graph.WeightUpdate
+	maxW := g.MaxWeight()
+	for e := 0; len(raise) < 2; e++ {
+		if !inTree[e] {
+			maxW++
+			raise = append(raise, graph.WeightUpdate{Edge: graph.EdgeID(e), W: maxW})
+		}
+	}
+	update := func(wu graph.WeightUpdate) {
+		reply, err := svc.Update(context.Background(), "g", graph.Batch{Weights: []graph.WeightUpdate{wu}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reply.Incremental {
+			t.Fatal("a non-tree raise took the full path")
+		}
+	}
+	update(raise[0]) // builds the advisor
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	update(raise[1])
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := 1.1 * float64(24*g.M()+8*n)
+	t.Logf("one weight-only update allocated %.2f MiB (limit %.2f MiB, m = %d)", float64(got)/(1<<20), limit/(1<<20), g.M())
+	if float64(got) > limit {
+		t.Fatalf("one weight-only update allocated %d bytes, limit %.0f", got, limit)
 	}
 }

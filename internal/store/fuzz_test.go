@@ -6,8 +6,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/reference"
@@ -32,7 +34,7 @@ func FuzzDecode(f *testing.F) {
 	for cut := 0; cut < len(blob); cut += 7 {
 		f.Add(blob[:cut])
 	}
-	f.Add(resealed(blob, uint8(len(magic)+2), 0x40))
+	f.Add(resealed(blob, len(magic)+2, 0x40))
 	// The committed goldens carry what Encode's seeds above do not: one
 	// snapshot per format version, and the version-3 tier section.
 	for _, name := range []string{"v1-golden.mstadv", "v2-golden.mstadv", "v3-golden.mstadv"} {
@@ -125,7 +127,7 @@ func FuzzDecodeGraphRecords(f *testing.F) {
 		{field(0, 1), 0x02, "graph: edge 0 endpoint out of range: 0-3 (n=3)"},                     // V 1 → 3 = n
 	}
 	for _, h := range hostile {
-		if _, err := Decode(resealed(blob, h.pos, h.xor)); err == nil || err.Error() != h.want {
+		if _, err := Decode(resealed(blob, int(h.pos), h.xor)); err == nil || err.Error() != h.want {
 			f.Fatalf("seed (%d, %#x): got %v, want %q", h.pos, h.xor, err, h.want)
 		}
 		f.Add(blob, h.pos, h.xor)
@@ -134,7 +136,7 @@ func FuzzDecodeGraphRecords(f *testing.F) {
 		if len(data) <= 4 {
 			return
 		}
-		mutated := resealed(data, pos, xor)
+		mutated := resealed(data, int(pos), xor)
 		snap, err := Decode(mutated)
 		if err != nil {
 			return
@@ -176,10 +178,161 @@ func FuzzDecodeGraphRecords(f *testing.F) {
 // resealed returns a copy of blob with the body byte at pos (modulo the
 // body length) XORed with xor and the CRC footer recomputed; xor 0 only
 // reseals.
-func resealed(blob []byte, pos, xor uint8) []byte {
+func resealed(blob []byte, pos int, xor byte) []byte {
 	out := append([]byte(nil), blob...)
 	body := out[:len(out)-4]
-	body[int(pos)%len(body)] ^= xor
+	body[pos%len(body)] ^= xor
 	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
 	return out
+}
+
+// FuzzDecodeNext holds the shared decode to Decode. The input builds
+// prev (reference.FuzzGraph), then a valid successor by one byte-chosen
+// edit (successor), with or without advice, and encodes it; one more
+// byte may flip a body byte and reseal the CRC, so invalid records reach
+// the decoder too. DecodeNext(blob, prev) must fail exactly when
+// Decode(blob) does. On success the two snapshots must hold the same
+// identifiers, edge records, ports at every node and advice, and
+// re-encode to the same bytes; and the graph must share prev's CSR and
+// identifiers exactly when its identifiers, endpoints and ports are
+// prev's. The committed seeds under testdata/fuzz/FuzzDecodeNext are a
+// weight-only successor, a port swap, a changed identifier, one edge
+// fewer, and two flipped bytes: one that names a duplicate edge and one
+// that moves an endpoint.
+func FuzzDecodeNext(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		prev, root := reference.FuzzGraph(next)
+		snap := &Snapshot{Graph: successor(prev, next), Root: root, Cap: next() % 16}
+		if next()%2 == 1 {
+			snap.Advice = fuzzAdvice(prev.N(), next)
+		}
+		blob, err := Encode(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next()%2 == 1 {
+			blob = resealed(blob, next()<<8|next(), byte(next()))
+		}
+		want, wantErr := Decode(blob)
+		got, err := DecodeNext(blob, prev)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeNext error %v, Decode error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		assertSnapshotsEqual(t, "DecodeNext", want, got)
+		a, errA := Encode(want)
+		b, errB := Encode(got)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("re-encodings differ (errors %v, %v)", errA, errB)
+		}
+		g := got.Graph
+		same := slices.Equal(g.IDs(), prev.IDs()) && g.M() == prev.M()
+		for e := 0; same && e < g.M(); e++ {
+			x, y := g.Edge(graph.EdgeID(e)), prev.Edge(graph.EdgeID(e))
+			same = x.U == y.U && x.V == y.V && x.PU == y.PU && x.PV == y.PV
+		}
+		if ids, csr := sharesStorage(g, prev); ids != same || csr != same {
+			t.Fatalf("identifiers, endpoints and ports equal: %v; shares identifiers %v, CSR %v", same, ids, csr)
+		}
+	})
+}
+
+// successor returns a valid successor of prev by one edit the next byte
+// chooses: new weights on every edge, two ports swapped at one node, one
+// identifier changed, or one edge deleted. An edit the graph cannot take
+// (no node of degree 2, every edge a bridge) gives new weights instead.
+func successor(prev *graph.Graph, next func() int) *graph.Graph {
+	n, m := prev.N(), prev.M()
+	edges, ids := slices.Clone(prev.Edges()), slices.Clone(prev.IDs())
+	switch next() % 4 {
+	case 1:
+		for k := range n {
+			u := graph.NodeID((next() + k) % n)
+			d := prev.Degree(u)
+			if d < 2 {
+				continue
+			}
+			p := next() % d
+			q := (p + 1 + next()%(d-1)) % d
+			port := func(e graph.EdgeID, to int) {
+				if rec := &edges[e]; rec.U == u {
+					rec.PU = int32(to)
+				} else {
+					rec.PV = int32(to)
+				}
+			}
+			port(prev.Ports(u)[p], q)
+			port(prev.Ports(u)[q], p)
+			return mustFromEdgeList(n, ids, edges)
+		}
+	case 2:
+		u := next() % n
+		id := int64(next()) - 128
+		for slices.Contains(ids, id) {
+			id++
+		}
+		ids[u] = id
+		return mustFromEdgeList(n, ids, edges)
+	case 3:
+		first := next()
+		for k := range m {
+			g := prev.Clone()
+			if g.ApplyBatch(graph.Batch{Deletions: []graph.EdgeID{graph.EdgeID((first + k) % m)}}) == nil {
+				return g
+			}
+		}
+	}
+	for i := range edges {
+		edges[i].W = graph.Weight(1 + next()%8)
+	}
+	return mustFromEdgeList(n, ids, edges)
+}
+
+func mustFromEdgeList(n int, ids []int64, edges []graph.Edge) *graph.Graph {
+	g, err := graph.FromEdgeList(n, ids, edges, 1)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// fuzzAdvice reads n advice strings of 0 to 69 bits, so some cross the
+// 64 bits a string holds inline.
+func fuzzAdvice(n int, next func() int) []*bitstring.BitString {
+	advice := make([]*bitstring.BitString, n)
+	for u := range advice {
+		bits := next() % 70
+		s := bitstring.New(bits)
+		for s.Len() < bits {
+			w := min(8, bits-s.Len())
+			s.AppendUint(uint64(next())&(1<<w-1), w)
+		}
+		advice[u] = s
+	}
+	return advice
+}
+
+// sharesStorage reports whether a and b share their identifier array
+// and their CSR, read through the first node with ports in both.
+func sharesStorage(a, b *graph.Graph) (ids, csr bool) {
+	if a.N() == 0 || b.N() == 0 {
+		return false, false
+	}
+	ids = &a.IDs()[0] == &b.IDs()[0]
+	for u := graph.NodeID(0); int(u) < min(a.N(), b.N()); u++ {
+		if a.Degree(u) > 0 && b.Degree(u) > 0 {
+			return ids, &a.Ports(u)[0] == &b.Ports(u)[0]
+		}
+	}
+	return ids, false
 }

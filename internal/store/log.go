@@ -58,16 +58,47 @@ func AppendRecord(buf, payload []byte) []byte {
 // to w — the length header and head in one write, body as given (never
 // copied), then the CRC footer — and returns the frame's length.
 func WriteRecord(w io.Writer, head, body []byte) (int64, error) {
-	n := len(head) + len(body)
+	return writeRecord(w, head, len(body), func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	})
+}
+
+// writeRecord writes one record whose payload is head followed by the
+// bodyLen bytes body writes: the length header and head in one write,
+// then the body, hashed into the payload's CRC as it passes, then the
+// CRC footer. A body of any other length is an error.
+func writeRecord(w io.Writer, head []byte, bodyLen int, body func(io.Writer) error) (int64, error) {
+	n := len(head) + bodyLen
 	lead := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(head)), uint64(n))
-	lead = append(lead, head...)
-	foot := binary.LittleEndian.AppendUint32(nil, crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body))
-	for _, part := range [][]byte{lead, body, foot} {
-		if _, err := w.Write(part); err != nil {
-			return 0, err
-		}
+	if _, err := w.Write(append(lead, head...)); err != nil {
+		return 0, err
+	}
+	sink := &recordSink{w: w, crc: crc32.ChecksumIEEE(head)}
+	if err := body(sink); err != nil {
+		return 0, err
+	}
+	if sink.n != bodyLen {
+		return 0, fmt.Errorf("store: record body of %d bytes, %d declared", sink.n, bodyLen)
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, sink.crc)); err != nil {
+		return 0, err
 	}
 	return RecordLen(n), nil
+}
+
+// recordSink passes a record's body to w, counting it and hashing it
+// into the payload's CRC.
+type recordSink struct {
+	w   io.Writer
+	crc uint32
+	n   int
+}
+
+func (s *recordSink) Write(p []byte) (int, error) {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p)
+	s.n += len(p)
+	return s.w.Write(p)
 }
 
 // RecordLen returns the frame length of a record with an n-byte payload.

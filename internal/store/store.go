@@ -61,7 +61,13 @@
 // fuzz_test.go). Every value has one encoding — varints must be minimal
 // and padding bits clear — so accepted input re-encodes to itself. The
 // decoder's Cursor, AppendBits and the record framing in log.go are
-// also the epoch log's and the replica wire's codec (DESIGN.md §2.10).
+// also the epoch log's and the replica wire's codec (DESIGN.md §2.10);
+// WriteSnapshotRecord streams a snapshot into such a record.
+//
+// DecodeNext decodes a snapshot against the graph of its predecessor:
+// when the structure is unchanged, the decoded graph shares the
+// predecessor's CSR and identifiers (graph.Reweighted). Decoded graphs
+// may therefore share storage, which is why they are never mutated.
 //
 // See DESIGN.md §2.6 for the snapshot format rationale and the serving
 // layer built on it.
@@ -74,6 +80,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/graph"
@@ -636,7 +643,20 @@ func (d *Cursor) End(what string) error {
 // Decode parses an encoded snapshot. It validates the magic, the CRC
 // footer, and every structural invariant of the graph (via
 // graph.FromEdgeList's Validate pass), and is safe on arbitrary input.
-func Decode(data []byte) (*Snapshot, error) {
+func Decode(data []byte) (*Snapshot, error) { return DecodeNext(data, nil) }
+
+// DecodeNext is Decode against prev, the graph of the snapshot's
+// predecessor — the epoch a follower holds when the next one arrives.
+// When the snapshot repeats prev's identifiers and every edge's
+// endpoints and ports, as each epoch of a batch that only changed
+// weights does, its graph is prev.Reweighted(edges): it shares prev's
+// CSR and identifiers, allocates neither, and skips graph.FromEdgeList,
+// whose checks already held for exactly that structure. The CRC and
+// every per-record check still run; any difference, or a prev whose
+// deletions left free ports, decodes as Decode does, as does the advice
+// section always. prev nil is Decode. The result may share storage with
+// prev, so neither may be mutated (see graph.Reweighted).
+func DecodeNext(data []byte, prev *graph.Graph) (*Snapshot, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a snapshot", len(data))
 	}
@@ -683,7 +703,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	g, err := d.decodeGraphBody(n, m)
+	g, err := d.decodeGraphBody(n, m, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -709,17 +729,35 @@ func Decode(data []byte) (*Snapshot, error) {
 }
 
 // decodeGraphBody parses the id and edge sections shared by the main
-// graph and the tier coarse graphs.
-func (d *Cursor) decodeGraphBody(n, m int) (*graph.Graph, error) {
-	ids := make([]int64, n)
-	prevID := int64(0)
-	for u := range ids {
+// graph and the tier coarse graphs. Against a prev of n nodes, m edges
+// and no free ports (DecodeNext), identifiers equal to prev's are
+// compared as they are read and not stored: the identifier array is
+// allocated, from prev's prefix, only at the first that differs.
+func (d *Cursor) decodeGraphBody(n, m int, prev *graph.Graph) (*graph.Graph, error) {
+	if prev != nil && (prev.N() != n || prev.M() != m || prev.NumHalves() != 2*m) {
+		prev = nil
+	}
+	var prevIDs, ids []int64
+	if prev != nil {
+		prevIDs = prev.IDs()
+	} else {
+		ids = make([]int64, n)
+	}
+	id := int64(0)
+	for u := 0; u < n; u++ {
 		delta, err := d.varint("node ID delta")
 		if err != nil {
 			return nil, err
 		}
-		prevID += delta
-		ids[u] = prevID
+		id += delta
+		if ids == nil {
+			if id == prevIDs[u] {
+				continue
+			}
+			ids = make([]int64, n)
+			copy(ids, prevIDs[:u])
+		}
+		ids[u] = id
 	}
 	edges := make([]graph.Edge, m)
 	prevU := int64(0)
@@ -760,6 +798,12 @@ func (d *Cursor) decodeGraphBody(n, m int) (*graph.Graph, error) {
 			U: graph.NodeID(prevU), V: graph.NodeID(v),
 			PU: int32(pu), PV: int32(pv), W: graph.Weight(w),
 		}
+	}
+	if ids == nil {
+		if g, ok := prev.Reweighted(edges); ok {
+			return g, nil
+		}
+		ids = slices.Clone(prevIDs)
 	}
 	// The graph takes ownership of ids and edges: no copy is made.
 	return graph.FromEdgeList(n, ids, edges, 0)
@@ -826,7 +870,7 @@ func (d *Cursor) decodeTiers(mainN, mainM int) ([]Tier, error) {
 		if root >= uint64(cn) {
 			return nil, fmt.Errorf("store: tier %d root %d out of range [0,%d)", ti, root, cn)
 		}
-		g, err := d.decodeGraphBody(cn, cm)
+		g, err := d.decodeGraphBody(cn, cm, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1025,6 +1069,25 @@ func Save(path string, s *Snapshot) error {
 		d.Close()
 	}
 	return nil
+}
+
+// WriteSnapshotRecord writes one record whose payload is head followed
+// by s's encoding to w, and returns the frame's length: the bytes
+// WriteRecord(w, head, blob) writes for blob = Encode(s). A sizing pass
+// settles the length header, then the encoder streams into w through its
+// flushAt-byte buffer, as Save does, and the record's CRC is hashed as
+// the bytes pass, so no copy of the whole encoding is ever held. On an
+// error, w may have received part of the frame.
+func WriteSnapshotRecord(w io.Writer, head []byte, s *Snapshot) (int64, error) {
+	h, err := newHeader(s)
+	if err != nil {
+		return 0, err
+	}
+	return writeRecord(w, head, h.size(s), func(w io.Writer) error {
+		e := encoder{sink: w}
+		_, err := e.snapshot(make([]byte, 0, flushAt+flushAt/8), s, h)
+		return err
+	})
 }
 
 func dirOf(path string) string {

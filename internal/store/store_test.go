@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -407,5 +408,54 @@ func paddedSnapshot(tb testing.TB) []byte {
 func TestDecodeRejectsSetPaddingBits(t *testing.T) {
 	if _, err := Decode(paddedSnapshot(t)); err == nil {
 		t.Fatal("snapshot with a set padding bit decoded")
+	}
+}
+
+// TestDecodeNextAllocations bounds the decode of a weight-only successor
+// at n = 10⁵ against its predecessor's graph by 1.1 × (24m + 24n)
+// bytes: the successor's edge records and its advice (a 16-byte string
+// and a pointer per node). The graph shares the predecessor's CSR and
+// identifiers, which Decode builds anew, with FromEdgeList's validation
+// scratch; Decode must not meet the bound.
+func TestDecodeNextAllocations(t *testing.T) {
+	snap := buildSnapshot(t, "random", 100_000, 13, gen.WeightsDistinct)
+	prev := snap.Graph
+	edges := slices.Clone(prev.Edges())
+	for i := range edges {
+		edges[i].W += graph.Weight(i % 3)
+	}
+	next, ok := prev.Reweighted(edges)
+	if !ok {
+		t.Fatal("reweighting refused")
+	}
+	blob, err := Encode(&Snapshot{Graph: next, Root: snap.Root, Cap: snap.Cap, Advice: snap.Advice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := prev.N(), prev.M()
+	limit := 1.1 * float64(24*m+24*n)
+	allocated := func(decode func() (*Snapshot, error)) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := decode()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reference.Equal(got.Graph, next); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	shared := allocated(func() (*Snapshot, error) { return DecodeNext(blob, prev) })
+	full := allocated(func() (*Snapshot, error) { return Decode(blob) })
+	t.Logf("DecodeNext allocated %.2f MiB, Decode %.2f MiB (limit %.2f MiB)",
+		float64(shared)/(1<<20), float64(full)/(1<<20), limit/(1<<20))
+	if float64(shared) > limit {
+		t.Fatalf("DecodeNext allocated %d bytes, limit %.0f", shared, limit)
+	}
+	if float64(full) <= limit {
+		t.Fatalf("Decode allocated %d bytes, within the limit %.0f that sharing is meant to reach", full, limit)
 	}
 }
