@@ -245,13 +245,22 @@ func (h *header) size(s *Snapshot) int {
 	return size
 }
 
-// flushAt is the streaming encoder's write size: Save hands its file
-// the snapshot in writes of about flushAt bytes.
+// flushAt is the streaming encoder's write size: stream hands its
+// writer the snapshot in writes of about flushAt bytes.
 const flushAt = 64 << 10
+
+// stream writes s, whose header newHeader settled, to w through the
+// streaming encoder: Save's file, or a record's body
+// (WriteSnapshotRecord).
+func stream(w io.Writer, s *Snapshot, h *header) error {
+	e := encoder{sink: w}
+	_, err := e.snapshot(make([]byte, 0, flushAt+flushAt/8), s, h)
+	return err
+}
 
 // encoder is the snapshot codec's one writer, with two sinks: its
 // methods append to a buffer and return it, as the append functions of
-// encoding/binary do. With a sink (Save), spill hands the buffer to the
+// encoding/binary do. With a sink (stream), spill hands the buffer to the
 // sink whenever it holds flushAt bytes, so it stays small; without one
 // (Encode), the buffer grows to the whole encoding. crc covers the
 // bytes already handed over; finish adds the rest and the footer.
@@ -1047,8 +1056,7 @@ func Save(path string, s *Snapshot) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	e := encoder{sink: tmp}
-	if _, err := e.snapshot(make([]byte, 0, flushAt+flushAt/8), s, h); err != nil {
+	if err := stream(tmp, s, h); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -1083,11 +1091,7 @@ func WriteSnapshotRecord(w io.Writer, head []byte, s *Snapshot) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return writeRecord(w, head, h.size(s), func(w io.Writer) error {
-		e := encoder{sink: w}
-		_, err := e.snapshot(make([]byte, 0, flushAt+flushAt/8), s, h)
-		return err
-	})
+	return writeRecord(w, head, h.size(s), func(w io.Writer) error { return stream(w, s, h) })
 }
 
 func dirOf(path string) string {
