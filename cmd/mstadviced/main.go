@@ -12,6 +12,10 @@
 //	curl -X POST localhost:8371/v1/graphs/big/update \
 //	     -d '{"weights":[{"edge":3,"w":999}]}'
 //
+// A snapshot carries tiers only when its writer ran hier.BuildTiers, and
+// no shipped command writes one yet, so the tier request above answers
+// 404 on a -load or -graph entry.
+//
 // Replication (DESIGN.md §2.10): -epoch-log makes every published epoch
 // durable (CRC-framed records, fsynced before the publishing call
 // returns) and replays the log on restart, so the daemon comes back at

@@ -86,7 +86,7 @@ func hierRows(c Config, fam string, n int) (int64, []hierRow) {
 	}
 	// levels is ascending and within the tower, so tiers[i] and advs[i]
 	// are both at levels[i].
-	tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels})
+	tiers, err := hier.BuildTiers(d, levels, 0)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier %s/%d: %v", fam, n, err))
 	}

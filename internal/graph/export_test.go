@@ -5,3 +5,9 @@ package graph
 func GlobalOrderWith(g *Graph, workers int) (order []EdgeID, radix bool) {
 	return g.globalOrder(workers)
 }
+
+// SortGlobalWith is SortGlobal reporting, for the external tests,
+// whether the packed radix path ran.
+func SortGlobalWith(g *Graph, workers int, es []EdgeID) (radix bool) {
+	return g.sortGlobal(workers, es)
+}

@@ -262,13 +262,9 @@ func (a GlobalKey) Less(b GlobalKey) bool {
 // order. For a == b it returns false.
 func (g *Graph) EdgeLess(a, b EdgeID) bool { return g.Key(a).Less(g.Key(b)) }
 
-// GlobalOrder returns every edge ID, ascending in the global order. It
-// is the one implementation of that order over all edges: Kruskal and
-// the sensitivity oracle walk it. It radix-sorts the packed order words
-// (OrderWords) with par.SortU64 on par.Workers(0) workers; a word names
-// its edge, as the port at a node does, so no edge ID rides along.
-// Graphs whose fields the packed word cannot hold take a comparison
-// sort over Key instead.
+// GlobalOrder returns every edge ID, ascending in the global order:
+// SortGlobal's all-edges case on par.Workers(0) workers. Kruskal and the
+// sensitivity oracle walk it.
 func (g *Graph) GlobalOrder() []EdgeID {
 	order, _ := g.globalOrder(0)
 	return order
@@ -278,25 +274,60 @@ func (g *Graph) GlobalOrder() []EdgeID {
 // reports whether the packed words were sorted (false on the
 // comparison fallback).
 func (g *Graph) globalOrder(workers int) (order []EdgeID, radix bool) {
-	ow := g.orderWords(workers)
-	if ow.order != nil {
-		return ow.order, false
-	}
-	m := len(ow.words)
-	if m == 0 {
-		return nil, true
-	}
-	par.SortU64(workers, ow.words)
-	portMask := uint64(1)<<ow.portBits - 1
+	m := len(g.edges)
 	order = make([]EdgeID, m)
 	par.Ranges(par.WorkersFor(workers, m), m, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			w := ow.words[i]
-			u := uint32(ow.idWords[(w>>ow.portBits)&(1<<ow.rankBits-1)])
-			order[i] = g.adj[g.off[u]+int32(w&portMask)]
+			order[i] = EdgeID(i)
 		}
 	})
-	return order, true
+	return order, g.sortGlobal(workers, order)
+}
+
+// SortGlobal sorts es, distinct edge IDs of g, ascending in the global
+// order, in place. It is the one implementation of that order: it
+// radix-sorts the edges' packed order words (OrderWords) with
+// par.SortU64 on workers, and a word names its edge, as the port at a
+// node does, so no edge ID rides along. Graphs whose fields the packed
+// word cannot hold take a comparison sort over Key instead. The result
+// is the same for any worker count.
+func (g *Graph) SortGlobal(workers int, es []EdgeID) { g.sortGlobal(workers, es) }
+
+// sortGlobal is SortGlobal; radix reports whether the packed words were
+// sorted (false on the comparison fallback).
+func (g *Graph) sortGlobal(workers int, es []EdgeID) (radix bool) {
+	if len(es) < 2 {
+		return true
+	}
+	l, ok := g.orderLayout(workers)
+	if !ok {
+		slices.SortFunc(es, func(a, b EdgeID) int {
+			ka, kb := g.Key(a), g.Key(b)
+			switch {
+			case ka.Less(kb):
+				return -1
+			case kb.Less(ka):
+				return 1
+			default:
+				return 0
+			}
+		})
+		return false
+	}
+	words := make([]uint64, len(es))
+	edgeWorkers := par.WorkersFor(workers, len(es))
+	par.Ranges(edgeWorkers, len(es), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			words[i] = l.word(&g.edges[es[i]])
+		}
+	})
+	par.SortU64(workers, words)
+	par.Ranges(edgeWorkers, len(es), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			es[i] = l.edge(g, words[i])
+		}
+	})
+	return true
 }
 
 // OrderWords returns one word per edge, indexed by EdgeID, whose
@@ -305,90 +336,84 @@ func (g *Graph) globalOrder(workers int) (order []EdgeID, radix bool) {
 // the rank of the smaller-ID endpoint among all IDs, and the port
 // there; on graphs whose IDs do not fit int32, or whose three fields
 // need more than 64 bits together, it is instead the edge's position
-// in a comparison sort over Key. The Borůvka phase kernel compares
-// these words; GlobalOrder sorts them.
-func (g *Graph) OrderWords(workers int) []uint64 { return g.orderWords(workers).words }
-
-// orderWords is every edge's order word, unsorted, and what it takes to
-// read an edge back from a packed word: the sorted ID words (the node
-// at ID rank r is the low half of idWords[r]) and the widths of the
-// rank and port fields. On the comparison fallback, order is the sorted
-// edge list and words[e] is e's position in it.
-type orderWords struct {
-	words              []uint64
-	idWords            []uint64
-	rankBits, portBits uint
-	order              []EdgeID
+// in GlobalOrder. The Borůvka phase kernel compares these words;
+// SortGlobal sorts them.
+func (g *Graph) OrderWords(workers int) []uint64 {
+	m := len(g.edges)
+	words := make([]uint64, m)
+	if m == 0 {
+		return words
+	}
+	l, ok := g.orderLayout(workers)
+	if !ok {
+		order, _ := g.globalOrder(workers)
+		for i, e := range order {
+			words[e] = uint64(i)
+		}
+		return words
+	}
+	par.Ranges(par.WorkersFor(workers, m), m, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			words[i] = l.word(&g.edges[i])
+		}
+	})
+	return words
 }
 
-func (g *Graph) orderWords(workers int) orderWords {
-	m := len(g.edges)
-	if m == 0 {
-		return orderWords{}
-	}
+// orderLayout is the one layout of the packed order word: what it takes
+// to pack an edge's word and to read the edge back from it. rank[u] is
+// u's position among the sorted IDs, and the node at ID rank r is the
+// low half of idWords[r].
+type orderLayout struct {
+	minW               Weight
+	rank               []int32
+	idWords            []uint64
+	rankBits, portBits uint
+}
+
+// orderLayout sizes the three fields of g's order words and ranks its
+// IDs. ok is false, and nothing is allocated, when some ID does not fit
+// int32 or the fields need more than 64 bits together; g has edges.
+func (g *Graph) orderLayout(workers int) (l orderLayout, ok bool) {
 	minW, maxW := g.edges[0].W, g.edges[0].W
 	for _, e := range g.edges {
 		minW, maxW = min(minW, e.W), max(maxW, e.W)
 	}
-	// The widths of the three fields; the weight span is taken as
-	// unsigned, so it is exact for any pair of int64 weights.
-	portBits := uint(bits.Len32(uint32(g.MaxDegree() - 1)))
-	rankBits := uint(bits.Len32(uint32(g.N() - 1)))
-	weightBits := uint(bits.Len64(uint64(maxW) - uint64(minW)))
-	var idWords []uint64
-	fits := weightBits+rankBits+portBits <= 64
-	if fits {
-		idWords, fits = g.sortedIDWords(workers)
+	// The weight span is taken as unsigned, so it is exact for any pair
+	// of int64 weights.
+	l.minW = minW
+	l.portBits = uint(bits.Len32(uint32(g.MaxDegree() - 1)))
+	l.rankBits = uint(bits.Len32(uint32(g.N() - 1)))
+	if uint(bits.Len64(uint64(maxW)-uint64(minW)))+l.rankBits+l.portBits > 64 {
+		return l, false
 	}
-	words := make([]uint64, m)
-	edgeWorkers := par.WorkersFor(workers, m)
-	if !fits {
-		order := comparatorOrder(g)
-		par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				words[order[i]] = uint64(i)
-			}
-		})
-		return orderWords{words: words, order: order}
+	if l.idWords, ok = g.sortedIDWords(workers); !ok {
+		return l, false
 	}
-	rank := make([]int32, len(idWords))
-	par.Ranges(par.WorkersFor(workers, len(idWords)), len(idWords), func(_, lo, hi int) {
+	l.rank = make([]int32, len(l.idWords))
+	par.Ranges(par.WorkersFor(workers, len(l.idWords)), len(l.idWords), func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
-			rank[uint32(idWords[r])] = int32(r)
+			l.rank[uint32(l.idWords[r])] = int32(r)
 		}
 	})
-	par.Ranges(edgeWorkers, m, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &g.edges[i]
-			r, p := rank[e.U], e.PU
-			if rv := rank[e.V]; rv < r {
-				r, p = rv, e.PV
-			}
-			words[i] = (uint64(e.W)-uint64(minW))<<(rankBits+portBits) | uint64(r)<<portBits | uint64(p)
-		}
-	})
-	return orderWords{words: words, idWords: idWords, rankBits: rankBits, portBits: portBits}
+	return l, true
 }
 
-// comparatorOrder sorts every edge ID by comparing Keys: GlobalOrder's
-// fallback for graphs its packed words cannot hold.
-func comparatorOrder(g *Graph) []EdgeID {
-	order := make([]EdgeID, len(g.edges))
-	for i := range order {
-		order[i] = EdgeID(i)
+// word packs edge e's order word: (weight − minW, rank of the
+// smaller-ID endpoint, port there), high field first.
+func (l *orderLayout) word(e *Edge) uint64 {
+	r, p := l.rank[e.U], e.PU
+	if rv := l.rank[e.V]; rv < r {
+		r, p = rv, e.PV
 	}
-	slices.SortFunc(order, func(a, b EdgeID) int {
-		ka, kb := g.Key(a), g.Key(b)
-		switch {
-		case ka.Less(kb):
-			return -1
-		case kb.Less(ka):
-			return 1
-		default:
-			return 0
-		}
-	})
-	return order
+	return (uint64(e.W)-uint64(l.minW))<<(l.rankBits+l.portBits) | uint64(r)<<l.portBits | uint64(p)
+}
+
+// edge reads back the edge whose order word is w: the edge at the
+// word's port of the node at the word's ID rank.
+func (l *orderLayout) edge(g *Graph, w uint64) EdgeID {
+	u := uint32(l.idWords[(w>>l.portBits)&(1<<l.rankBits-1)])
+	return g.adj[g.off[u]+int32(w&(1<<l.portBits-1))]
 }
 
 // LocalRank returns the 0-based position of the half-edge at the given port
@@ -579,7 +604,6 @@ func (g *Graph) validate(workers int) error {
 type Builder struct {
 	ports []int32 // next free port at each node
 	edges []Edge
-	ids   []int64
 	err   error
 }
 
@@ -590,31 +614,7 @@ func NewBuilder(n int) *Builder {
 	if err := CheckSize(n, 0); err != nil {
 		return &Builder{err: err}
 	}
-	b := &Builder{
-		ports: make([]int32, n),
-		ids:   make([]int64, n),
-	}
-	for i := range b.ids {
-		b.ids[i] = int64(i + 1)
-	}
-	return b
-}
-
-// SetIDs overrides the protocol-level identifiers. len(ids) must equal the
-// node count and the values must be distinct (checked in Build).
-func (b *Builder) SetIDs(ids []int64) *Builder {
-	if len(ids) != len(b.ports) {
-		b.fail(fmt.Errorf("graph: SetIDs got %d ids for %d nodes", len(ids), len(b.ports)))
-		return b
-	}
-	copy(b.ids, ids)
-	return b
-}
-
-func (b *Builder) fail(err error) {
-	if b.err == nil {
-		b.err = err
-	}
+	return &Builder{ports: make([]int32, n)}
 }
 
 // AddEdge adds an undirected edge {u, v} of weight w. The edge gets the
@@ -625,15 +625,15 @@ func (b *Builder) AddEdge(u, v NodeID, w Weight) *Builder {
 	}
 	n := NodeID(len(b.ports))
 	if u < 0 || u >= n || v < 0 || v >= n {
-		b.fail(fmt.Errorf("graph: edge endpoint out of range: %d-%d (n=%d)", u, v, n))
+		b.err = fmt.Errorf("graph: edge endpoint out of range: %d-%d (n=%d)", u, v, n)
 		return b
 	}
 	if u == v {
-		b.fail(fmt.Errorf("graph: self-loop at %d", u))
+		b.err = fmt.Errorf("graph: self-loop at %d", u)
 		return b
 	}
 	if err := CheckSize(len(b.ports), len(b.edges)+1); err != nil {
-		b.fail(err)
+		b.err = err
 		return b
 	}
 	b.edges = append(b.edges, Edge{U: u, V: v, PU: b.ports[u], PV: b.ports[v], W: w})
@@ -643,12 +643,12 @@ func (b *Builder) AddEdge(u, v NodeID, w Weight) *Builder {
 }
 
 // Build finalises the graph and validates it. The graph takes ownership
-// of the builder's edge and identifier arrays.
+// of the builder's edge array.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	return FromEdgeList(len(b.ports), b.ids, b.edges, 0)
+	return FromEdgeList(len(b.ports), nil, b.edges, 0)
 }
 
 // CeilLog2 returns ⌈log2(x)⌉ for x >= 1 (0 for x = 1) and panics otherwise.

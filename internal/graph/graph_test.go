@@ -63,12 +63,6 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := graph.NewBuilder(2).AddEdge(0, 3, 1).Build(); err == nil {
 		t.Error("out-of-range endpoint not rejected")
 	}
-	if _, err := graph.NewBuilder(2).SetIDs([]int64{7, 7}).AddEdge(0, 1, 1).Build(); err == nil {
-		t.Error("duplicate IDs not rejected")
-	}
-	if _, err := graph.NewBuilder(2).SetIDs([]int64{1}).Build(); err == nil {
-		t.Error("short ID slice not rejected")
-	}
 }
 
 func TestDefaultIDsDistinct(t *testing.T) {
@@ -400,5 +394,12 @@ func TestFromRecordsRejectsMalformed(t *testing.T) {
 		if _, err := graph.FromEdgeList(len(ids), ids, edges, 0); err == nil {
 			t.Errorf("%s: FromEdgeList accepted malformed records", name)
 		}
+	}
+	edge := func() []graph.Edge { return []graph.Edge{{U: 0, V: 1, PU: 0, PV: 0, W: 1}} }
+	if _, err := graph.FromEdgeList(2, []int64{7, 7}, edge(), 0); err == nil {
+		t.Error("duplicate IDs not rejected")
+	}
+	if _, err := graph.FromEdgeList(2, []int64{1}, edge(), 0); err == nil {
+		t.Error("short ID slice not rejected")
 	}
 }

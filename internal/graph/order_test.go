@@ -19,11 +19,41 @@ func keySort(g *graph.Graph) []graph.EdgeID {
 	for i := range order {
 		order[i] = graph.EdgeID(i)
 	}
-	slices.SortFunc(order, func(a, b graph.EdgeID) int {
+	return keySorted(g, order)
+}
+
+// keySorted is a copy of es sorted by slices.SortFunc over Graph.Key:
+// the reference SortGlobal is held to.
+func keySorted(g *graph.Graph, es []graph.EdgeID) []graph.EdgeID {
+	es = slices.Clone(es)
+	slices.SortFunc(es, func(a, b graph.EdgeID) int {
 		ka, kb := g.Key(a), g.Key(b)
 		return cmp.Or(cmp.Compare(ka.W, kb.W), cmp.Compare(ka.MinID, kb.MinID), cmp.Compare(ka.PortAtMin, kb.PortAtMin))
 	})
-	return order
+	return es
+}
+
+// sortSubset runs SortGlobal on a copy of es and holds it to the key
+// sort of es; radix reports whether the packed words were sorted. A
+// subset of fewer than two edges needs no sort and reports radix.
+func sortSubset(t *testing.T, g *graph.Graph, workers int, es []graph.EdgeID) (radix bool) {
+	t.Helper()
+	got := slices.Clone(es)
+	radix = graph.SortGlobalWith(g, workers, got)
+	if want := keySorted(g, es); !slices.Equal(got, want) {
+		t.Fatalf("SortGlobal of %v on %d workers: %v, key sort %v", es, workers, got, want)
+	}
+	return radix
+}
+
+// everyThird is a subset of g's edges out of ID order: every third edge,
+// from the last one down.
+func everyThird(g *graph.Graph) []graph.EdgeID {
+	var es []graph.EdgeID
+	for e := g.M() - 1; e >= 0; e -= 3 {
+		es = append(es, graph.EdgeID(e))
+	}
+	return es
 }
 
 // wordsAscend reports whether the order words rise strictly along the
@@ -41,13 +71,14 @@ func wordsAscend(words []uint64, keyOrder []graph.EdgeID) bool {
 	return true
 }
 
-// TestGlobalOrder holds GlobalOrder, and the unsorted order words it
-// sorts, to the comparison sort on every seeded family, weight mode,
-// size and worker count. Every seeded graph fits the packed word, so
-// each row also checks that the radix path ran; at n = 300 the denser
-// families pass par.SortU64's parallel threshold. At n = 64 the check
-// is repeated after deleting half the non-tree edges, which frees CSR
-// slots and moves ports.
+// TestGlobalOrder holds GlobalOrder, the unsorted order words it
+// sorts, and SortGlobal of a subset of the edges (every third one,
+// given in descending ID order), to the comparison sort on every seeded
+// family, weight mode, size and worker count. Every seeded graph fits
+// the packed word, so each row also checks that the radix path ran; at
+// n = 300 the denser families pass par.SortU64's parallel threshold. At
+// n = 64 the check is repeated after deleting half the non-tree edges,
+// which frees CSR slots and moves ports.
 func TestGlobalOrder(t *testing.T) {
 	for _, fam := range gen.Names() {
 		for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
@@ -70,6 +101,9 @@ func TestGlobalOrder(t *testing.T) {
 						if !wordsAscend(g.OrderWords(workers), want) {
 							t.Fatalf("%s/%v/n=%d %s, %d workers: the order words do not order the edges as Key does", fam, mode, n, stage, workers)
 						}
+						if !sortSubset(t, g, workers, everyThird(g)) {
+							t.Fatalf("%s/%v/n=%d %s, %d workers: the subset sort fell back", fam, mode, n, stage, workers)
+						}
 					}
 				}
 				check("as built")
@@ -89,12 +123,12 @@ func TestGlobalOrder(t *testing.T) {
 
 // TestGlobalOrderFallback pins which graphs take the packed radix path
 // and which the comparison fallback, and holds both, with their order
-// words, to the key sort.
+// words and SortGlobal of every edge subset, to the key sort.
 // K4 has rank and port fields of 2 bits each, so a weight span of
 // 2⁶⁰ − 1 fills the 64-bit word exactly and 2⁶⁰ overflows it.
 func TestGlobalOrderFallback(t *testing.T) {
 	k4 := func(ids []int64, w ...graph.Weight) *graph.Graph {
-		b := graph.NewBuilder(4).SetIDs(ids)
+		b := graph.NewBuilder(4)
 		i := 0
 		for u := graph.NodeID(0); u < 4; u++ {
 			for v := u + 1; v < 4; v++ {
@@ -102,7 +136,11 @@ func TestGlobalOrderFallback(t *testing.T) {
 				i++
 			}
 		}
-		return reference.MustBuild(b)
+		g, err := graph.FromEdgeList(4, ids, slices.Clone(reference.MustBuild(b).Edges()), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 	ids := []int64{7, -5, 3, 1}
 	const e60 = graph.Weight(1) << 59
@@ -128,6 +166,18 @@ func TestGlobalOrderFallback(t *testing.T) {
 			if words := c.g.OrderWords(workers); !wordsAscend(words, want) {
 				t.Errorf("%s, %d workers: order words %v do not rise along %v", c.name, workers, words, want)
 			}
+			// Every subset of the six edges, in descending ID order.
+			for set := range 1 << 6 {
+				var es []graph.EdgeID
+				for e := 5; e >= 0; e-- {
+					if set>>e&1 == 1 {
+						es = append(es, graph.EdgeID(e))
+					}
+				}
+				if radix := sortSubset(t, c.g, workers, es); radix != (c.radix || len(es) < 2) {
+					t.Errorf("%s, %d workers: subset %v radix=%v", c.name, workers, es, radix)
+				}
+			}
 		}
 	}
 	empty := reference.MustBuild(graph.NewBuilder(0))
@@ -136,15 +186,18 @@ func TestGlobalOrderFallback(t *testing.T) {
 	}
 }
 
-// FuzzGlobalOrder holds GlobalOrder and the order words to the key sort
-// on graphs read from the input through graph.FromEdgeList. Byte 0 gives n − 1 (n ≤ 64)
+// FuzzGlobalOrder holds GlobalOrder, the order words and SortGlobal of
+// an edge subset to the key sort on graphs read from the input through
+// graph.FromEdgeList. Byte 0 gives n − 1 (n ≤ 64)
 // and byte 1 the width in bytes of every identifier (1–8, sign-
 // extended, so every int64 can occur; duplicates are rejected by the
 // builder and skipped); then the identifiers; then an edge count and a
 // (u, v, weight) triple for each, loops and duplicates skipped, where
 // the weight is a small tie-prone value, an extreme, or a raw int64;
-// then one shuffle choice per port, so every port numbering can occur.
-// Missing bytes read as zero.
+// then one shuffle choice per port, so every port numbering can occur;
+// then one byte per edge, in descending ID order, that puts the edge in
+// the subset when it is odd. Missing bytes read as zero. The seed
+// wide-ids-subset sorts a subset on the comparison fallback.
 func FuzzGlobalOrder(f *testing.F) {
 	extremes := []graph.Weight{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1,
 		-1 << 62, 1 << 62, 0, -1}
@@ -213,5 +266,13 @@ func FuzzGlobalOrder(f *testing.F) {
 		if words := g.OrderWords(1); !wordsAscend(words, want) {
 			t.Fatalf("order words %v do not rise along the key sort %v", words, want)
 		}
+		var subset []graph.EdgeID
+		for e := g.M() - 1; e >= 0; e-- {
+			if next()&1 == 1 {
+				subset = append(subset, graph.EdgeID(e))
+			}
+		}
+		sortSubset(t, g, 1, subset)
+		sortSubset(t, g, 3, subset)
 	})
 }

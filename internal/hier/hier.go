@@ -189,39 +189,3 @@ func assignFragment(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID,
 func (s Scheme) NewNode(view *sim.NodeView) sim.Node {
 	return newNode(view)
 }
-
-// EstimateBits upper-bounds the total advice bits the level-l scheme
-// assigns on d's graph: one flag bit per node, a parent-port hint for
-// every node (roots save theirs, uncounted here), and exactly ⌈log n⌉
-// value bits per level-l fragment.
-func EstimateBits(d *boruvka.Decomposition, l int) int {
-	g := d.G
-	n := g.N()
-	total := 0
-	for u := 0; u < n; u++ {
-		total += 1 + bitstring.WidthFor(uint64(g.Degree(graph.NodeID(u))-1))
-	}
-	return total + d.NumFrags(levelPhase(d, l))*graph.CeilLog2(n)
-}
-
-// PlanLevel is the level-cut planner: it returns the smallest tower
-// level whose EstimateBits fits budgetBits, or the coarsest level when
-// no level fits (or when budgetBits ≤ 0 — "as few bits as possible").
-// The tower's levels are 1..TotalPhases-1, the partitions with more
-// than one fragment after a contraction. Coarser levels always
-// estimate no larger, so the returned level is the finest affordable
-// cut.
-func PlanLevel(d *boruvka.Decomposition, budgetBits int) int {
-	last := d.TotalPhases - 1
-	if last < 1 {
-		return 1
-	}
-	if budgetBits > 0 {
-		for l := 1; l <= last; l++ {
-			if EstimateBits(d, l) <= budgetBits {
-				return l
-			}
-		}
-	}
-	return last
-}

@@ -164,7 +164,7 @@ func TestHierSchemeRouting(t *testing.T) {
 // TestHierBitsFall pins the point of the hierarchy: the per-node advice
 // total falls as the level coarsens (the fragment-value cost is
 // ⌈log n⌉ per fragment and Lemma 1 halves the fragment count per
-// level), and the estimate used by the planner upper-bounds the truth.
+// level).
 func TestHierBitsFall(t *testing.T) {
 	g := seeded(t, "random", 500, 24, gen.WeightsDistinct)
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
@@ -185,9 +185,6 @@ func TestHierBitsFall(t *testing.T) {
 		total := 0
 		for _, b := range adv {
 			total += b.Len()
-		}
-		if est := hier.EstimateBits(d, level); est < total {
-			t.Fatalf("level %d: estimate %d below actual %d", level, est, total)
 		}
 		if prev >= 0 && total > prev {
 			t.Fatalf("level %d: %d bits, more than level %d's %d", level, total, level-1, prev)
@@ -234,33 +231,6 @@ func TestEncodeSharedDecomposition(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestPlanLevel pins the level-cut planner: finest affordable level,
-// coarsest when nothing (or no budget) fits.
-func TestPlanLevel(t *testing.T) {
-	g := seeded(t, "random", 400, 25, gen.WeightsDistinct)
-	tw := tower(t, g, 0, 0)
-	last := tw.TotalPhases - 1
-	if last < 2 {
-		t.Skipf("tower has %d levels; need ≥ 2", last)
-	}
-	if got := hier.PlanLevel(tw, 0); got != last {
-		t.Fatalf("PlanLevel(0) = %d, want coarsest %d", got, last)
-	}
-	if got := hier.PlanLevel(tw, 1); got != last {
-		t.Fatalf("PlanLevel(1) = %d, want coarsest %d", got, last)
-	}
-	for l := 1; l <= last; l++ {
-		budget := hier.EstimateBits(tw, l)
-		got := hier.PlanLevel(tw, budget)
-		if got > l {
-			t.Fatalf("PlanLevel(%d) = %d, coarser than affordable level %d", budget, got, l)
-		}
-		if hier.EstimateBits(tw, got) > budget {
-			t.Fatalf("PlanLevel(%d) = %d overshoots the budget", budget, got)
 		}
 	}
 }

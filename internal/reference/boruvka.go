@@ -117,3 +117,55 @@ func Boruvka(g *graph.Graph, root graph.NodeID) [][]Fragment {
 		}
 	}
 }
+
+// Contract is the naive contraction of g at one phase of Boruvka's
+// output, frags: one coarse node per fragment, named by its smallest
+// member's identifier, and one coarse edge per pair of fragments that
+// some edge joins, the least such edge under the intrinsic order,
+// found through a map keyed by fragment pair. The coarse edges are added
+// in ascending original edge ID, so the Builder numbers their ports,
+// and each weighs the 1-based rank of its original edge in the
+// intrinsic order. origEdge[i] is coarse edge i's original edge, and
+// croot the fragment that holds root.
+func Contract(g *graph.Graph, frags []Fragment, root graph.NodeID) (coarse *graph.Graph, croot graph.NodeID, origEdge []graph.EdgeID) {
+	of := make([]int, g.N())
+	ids := make([]int64, len(frags))
+	for f, fr := range frags {
+		for _, u := range fr.Nodes {
+			of[u] = f
+		}
+		ids[f] = g.ID(fr.Nodes[0])
+	}
+	edges := g.Edges()
+	least := map[[2]int]graph.EdgeID{}
+	for e, rec := range edges {
+		a, b := of[rec.U], of[rec.V]
+		if a == b {
+			continue
+		}
+		pair := [2]int{min(a, b), max(a, b)}
+		if cur, ok := least[pair]; !ok || compareEdges(g, rec, edges[cur]) < 0 {
+			least[pair] = graph.EdgeID(e)
+		}
+	}
+	for _, e := range least {
+		origEdge = append(origEdge, e)
+	}
+	slices.Sort(origEdge)
+	byOrder := slices.Clone(origEdge)
+	slices.SortFunc(byOrder, func(a, b graph.EdgeID) int { return compareEdges(g, edges[a], edges[b]) })
+	rank := map[graph.EdgeID]int{}
+	for r, e := range byOrder {
+		rank[e] = r + 1
+	}
+	b := graph.NewBuilder(len(frags))
+	for _, e := range origEdge {
+		x, y := of[edges[e].U], of[edges[e].V]
+		b.AddEdge(graph.NodeID(min(x, y)), graph.NodeID(max(x, y)), graph.Weight(rank[e]))
+	}
+	coarse, err := graph.FromEdgeList(len(frags), ids, slices.Clone(MustBuild(b).Edges()), 1)
+	if err != nil {
+		panic(err)
+	}
+	return coarse, graph.NodeID(of[root]), origEdge
+}

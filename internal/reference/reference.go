@@ -4,7 +4,8 @@
 // internal/unionfind, so a check against it is never a second copy of
 // the algorithm it checks (DESIGN.md §2.2). Boruvka simulates the §2.2
 // decomposition as naively, for the tests of its one pass 2
-// (boruvka's Decomposition.Run) and of the tiers built on it. It also
+// (boruvka's Decomposition.Run) and of the tiers built on it, and
+// Contract collapses one of its phases into a tier's coarse graph. It also
 // holds the graph helpers that several packages' tests share: a builder
 // that panics, graph equality, connectivity, diameter, a structural
 // check, each node's ports in the global order and the fuzz targets'

@@ -60,7 +60,7 @@ func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels, Cap: snap.Cap})
+	tiers, err := hier.BuildTiers(d, levels, snap.Cap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -673,7 +673,7 @@ func (s *Service) Update(ctx context.Context, id string, b graph.Batch) (*Update
 		if err != nil {
 			return nil, fmt.Errorf("service: rebuilding tiers for %q: %w", id, err)
 		}
-		tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: e.tierLevels, Cap: e.cap})
+		tiers, err := hier.BuildTiers(d, e.tierLevels, e.cap)
 		if err != nil {
 			return nil, fmt.Errorf("service: rebuilding tiers for %q: %w", id, err)
 		}

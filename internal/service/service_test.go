@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -390,11 +391,20 @@ func TestListAndStats(t *testing.T) {
 // oracle run's advice. So no epoch changes once it is published,
 // whatever storage later epochs share with it. A batch that deletes
 // nothing must publish a graph on its predecessor's CSR; a deletion
-// must not.
+// must not. A second entry on the same graph carries tiers at levels
+// 1–3 and takes the same batches: every one of its epochs must encode
+// to the same bytes and carry the tiers that BuildTiers builds on a
+// fresh decomposition of the reference at that epoch.
 func TestUpdateChainEpochBytes(t *testing.T) {
 	svc := New()
 	snap := makeSnapshot(t, 200, 600, 12)
 	if err := svc.Register("g", snap); err != nil {
+		t.Fatal(err)
+	}
+	levels := []int{1, 2, 3}
+	tiered := *snap
+	tiered.Tiers = freshTiers(t, snap.Graph, levels)
+	if err := svc.Register("tiered", &tiered); err != nil {
 		t.Fatal(err)
 	}
 	ref := snap.Graph.Clone()
@@ -410,7 +420,12 @@ func TestUpdateChainEpochBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tep0, err := svc.Epoch("tiered")
+	if err != nil {
+		t.Fatal(err)
+	}
 	epochs, want := []*Epoch{ep0}, [][]byte{encode(ref, snap.Advice)}
+	tieredEpochs, wantTiers := []*Epoch{tep0}, [][]store.Tier{freshTiers(t, ref, levels)}
 	maxW := ref.MaxWeight()
 	// edge returns an edge of the reference that is, or is not, in its
 	// MST, skipping the first skip such edges.
@@ -455,12 +470,14 @@ func TestUpdateChainEpochBytes(t *testing.T) {
 	}
 	for _, step := range steps {
 		b := step.batch()
-		reply, err := svc.Update(context.Background(), "g", b)
-		if err != nil {
-			t.Fatalf("%s: %v", step.name, err)
-		}
-		if reply.Incremental != step.incremental {
-			t.Fatalf("%s: incremental = %v, want %v", step.name, reply.Incremental, step.incremental)
+		for _, id := range []string{"g", "tiered"} {
+			reply, err := svc.Update(context.Background(), id, b)
+			if err != nil {
+				t.Fatalf("%s of %s: %v", step.name, id, err)
+			}
+			if reply.Incremental != step.incremental {
+				t.Fatalf("%s of %s: incremental = %v, want %v", step.name, id, reply.Incremental, step.incremental)
+			}
 		}
 		if err := ref.ApplyBatch(b); err != nil {
 			t.Fatal(err)
@@ -473,10 +490,22 @@ func TestUpdateChainEpochBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tep, err := svc.Epoch("tiered")
+		if err != nil {
+			t.Fatal(err)
+		}
 		epochs, want = append(epochs, ep), append(want, encode(ref, advice))
+		tieredEpochs, wantTiers = append(tieredEpochs, tep), append(wantTiers, freshTiers(t, ref, levels))
 		for k, e := range epochs {
 			if !bytes.Equal(encode(e.Graph, e.Advice), want[k]) {
 				t.Fatalf("after the %s, epoch %d encodes differently from the reference", step.name, k)
+			}
+			te := tieredEpochs[k]
+			if !bytes.Equal(encode(te.Graph, te.Advice), want[k]) {
+				t.Fatalf("after the %s, tiered epoch %d encodes differently from the reference", step.name, k)
+			}
+			if !reflect.DeepEqual(te.Tiers, wantTiers[k]) {
+				t.Fatalf("after the %s, tiered epoch %d differs from BuildTiers on a fresh decomposition of its graph", step.name, k)
 			}
 		}
 		before := epochs[len(epochs)-2].Graph

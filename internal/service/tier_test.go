@@ -21,19 +21,26 @@ import (
 func makeTieredSnapshot(t testing.TB, n, m int, seed int64, levels []int) *store.Snapshot {
 	t.Helper()
 	snap := makeSnapshot(t, n, m, seed)
-	d, err := boruvka.DecomposeOpt(snap.Graph, snap.Root, boruvka.Options{KeepPhases: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels, Cap: snap.Cap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiers) == 0 {
+	snap.Tiers = freshTiers(t, snap.Graph, levels)
+	if len(snap.Tiers) == 0 {
 		t.Fatal("no tiers built")
 	}
-	snap.Tiers = tiers
 	return snap
+}
+
+// freshTiers is BuildTiers at levels on a fresh decomposition of g from
+// root 0, with the default cap.
+func freshTiers(t testing.TB, g *graph.Graph, levels []int) []store.Tier {
+	t.Helper()
+	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepPhases: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers, err := hier.BuildTiers(d, levels, core.DefaultCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tiers
 }
 
 // TestTierServing pins the tier read path: level selection, the
@@ -179,24 +186,12 @@ func TestTierLevelsSurviveShallowEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := []int{1, 2, 3}
-	fresh := func(g *graph.Graph) []store.Tier {
-		t.Helper()
-		d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepPhases: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tiers, err := hier.BuildTiers(d, hier.HierOptions{Levels: levels, Cap: core.DefaultCap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tiers
-	}
 	adv, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := New()
-	if err := svc.Register("path", &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: adv, Tiers: fresh(g)}); err != nil {
+	if err := svc.Register("path", &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: adv, Tiers: freshTiers(t, g, levels)}); err != nil {
 		t.Fatal(err)
 	}
 	var rising, restore []graph.WeightUpdate
@@ -231,7 +226,7 @@ func TestTierLevelsSurviveShallowEpochs(t *testing.T) {
 		if got := tierLevels(ep.Tiers); !reflect.DeepEqual(got, st.want) {
 			t.Fatalf("%s: tier levels %v, want %v", st.name, got, st.want)
 		}
-		if !reflect.DeepEqual(ep.Tiers, fresh(ep.Graph)) {
+		if !reflect.DeepEqual(ep.Tiers, freshTiers(t, ep.Graph, levels)) {
 			t.Fatalf("%s: tiers differ from BuildTiers on a fresh decomposition of the epoch's graph", st.name)
 		}
 	}

@@ -467,11 +467,15 @@ func TestCostModel(t *testing.T) {
 		{[]int64{1, 2, 3}, []graph.Weight{-1 << 62, 5}, 2, 63},
 		{[]int64{1, 2, 3}, []graph.Weight{0, 0}, 2, 1},
 	} {
-		b := graph.NewBuilder(len(row.ids)).SetIDs(row.ids)
+		b := graph.NewBuilder(len(row.ids))
 		for i, w := range row.w {
 			b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), w)
 		}
-		cm := NewCostModel(reference.MustBuild(b))
+		g, err := graph.FromEdgeList(len(row.ids), row.ids, slices.Clone(reference.MustBuild(b).Edges()), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := NewCostModel(g)
 		if cm.IDBits != row.idBits || cm.WeightBits != row.wtBits {
 			t.Errorf("IDs %v, weights %v: IDBits = %d, WeightBits = %d; want %d, %d",
 				row.ids, row.w, cm.IDBits, cm.WeightBits, row.idBits, row.wtBits)
